@@ -251,6 +251,13 @@ cargo run --release -q -p gnoc-bench --bin bench_fabric -- BENCH_fabric.json
 echo "== bench: trace record overhead A/B/A + corrupt detection (BENCH_trace.json) =="
 cargo run --release -q -p gnoc-bench --bin bench_trace -- BENCH_trace.json
 
+echo "== perfbench: the benchmark's own tests + self-check =="
+# The benchmark's arithmetic tests, then every workload run twice at the
+# default and the hold-out seed (3 s each): each op's output check must pass
+# and each pair must repeat its digest and exact counts.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --selfcheck
+
 echo "== validate: every artifact row carries schema 1 =="
 cargo run --release -q -p gnoc-bench --bin validate_bench -- \
     BENCH_par.json BENCH_noc.json BENCH_health.json BENCH_profile.json \

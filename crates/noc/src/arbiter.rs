@@ -33,6 +33,10 @@ pub struct Arbiter {
 }
 
 impl Arbiter {
+    /// Number of distinct input indices the round-robin rotation covers;
+    /// inputs at or beyond it alias onto lower ones and break fairness.
+    pub(crate) const MAX_INPUTS: usize = 64;
+
     /// Creates an arbiter of the given kind.
     pub fn new(kind: ArbiterKind) -> Self {
         Self {
@@ -58,7 +62,12 @@ impl Arbiter {
             ArbiterKind::RoundRobin => {
                 // First candidate at or after the rotating pointer. Seeding
                 // the scan with candidates[0] keeps this branch panic-free.
-                let key_of = |input: usize| input.wrapping_sub(self.rr_next).wrapping_add(64) % 64;
+                let key_of = |input: usize| {
+                    input
+                        .wrapping_sub(self.rr_next)
+                        .wrapping_add(Self::MAX_INPUTS)
+                        % Self::MAX_INPUTS
+                };
                 let mut w = candidates[0].0;
                 let mut best_key = key_of(w);
                 for &(input, _) in &candidates[1..] {
@@ -68,7 +77,7 @@ impl Arbiter {
                         w = input;
                     }
                 }
-                self.rr_next = (w + 1) % 64;
+                self.rr_next = (w + 1) % Self::MAX_INPUTS;
                 w
             }
             // `min_by_key` is `Some` whenever candidates is non-empty, which

@@ -104,6 +104,13 @@ impl MeshConfig {
         if self.vcs == 0 {
             return Err(NocError::Config("need at least one virtual channel"));
         }
+        // Arbiter inputs are `in_port * vcs + vc`; past the round-robin
+        // rotation's range they would alias and silently break fairness.
+        if self.vcs > Arbiter::MAX_INPUTS / NUM_PORTS {
+            return Err(NocError::Config(
+                "too many virtual channels: ports × VCs exceeds the arbiter's 64 inputs",
+            ));
+        }
         Ok(())
     }
 }
@@ -338,6 +345,41 @@ impl Clone for TapSlot {
     }
 }
 
+/// One arbitration grant: phase 1 of [`Mesh::step_inner`] decides it,
+/// phase 2 applies it.
+#[derive(Debug, Clone, Copy)]
+struct Move {
+    router: usize,
+    in_port: usize,
+    vc: usize,
+    out_port: usize,
+}
+
+/// Route-slot mark of a queue head that won arbitration this cycle.
+const GRANTED: u8 = UNREACHABLE - 1;
+
+/// Working buffers of [`Mesh::step_inner`], kept across cycles so a warm
+/// step allocates nothing. Every buffer is rewritten before it is read each
+/// cycle, so a cloned mesh starts with an empty scratch, like [`TapSlot`].
+#[derive(Debug, Default)]
+struct StepScratch {
+    /// Route-once slot array, indexed `router * NUM_PORTS * vcs + in_port *
+    /// vcs + vc`: the output port the queue's head routes to, [`GRANTED`]
+    /// once it wins arbitration, [`UNREACHABLE`] for an empty queue, a head
+    /// with no surviving route, or any queue of a stalled router.
+    routes: Vec<u8>,
+    /// One output's arbitration candidates, `(slot, birth)`.
+    candidates: Vec<(usize, u64)>,
+    /// This cycle's grants, router then output ascending.
+    moves: Vec<Move>,
+}
+
+impl Clone for StepScratch {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
 /// A cycle-level 2D mesh.
 #[derive(Debug, Clone)]
 pub struct Mesh {
@@ -378,6 +420,8 @@ pub struct Mesh {
     /// injection. Like the flight recorder it cannot influence the
     /// simulation, so tapped runs stay byte-identical to bare ones.
     trace_tap: TapSlot,
+    /// Per-cycle working buffers of [`Mesh::step_inner`].
+    scratch: StepScratch,
     /// Self-healing mode: fault onsets do *not* recompute the next-hop
     /// tables (the mesh is not told about its faults); packets routed into a
     /// dead link are dropped at the transmit side and counted per-link, so
@@ -406,7 +450,8 @@ impl Mesh {
     /// # Errors
     ///
     /// Returns [`NocError::Config`] when a dimension, the buffer size, or
-    /// the VC count is zero.
+    /// the VC count is zero, or the VC count exceeds what the arbiters can
+    /// index.
     pub fn try_new(cfg: MeshConfig) -> Result<Self, NocError> {
         cfg.validate()?;
         let n = cfg.num_nodes();
@@ -439,6 +484,7 @@ impl Mesh {
             quiet_until: 0,
             recorder: None,
             trace_tap: TapSlot(None),
+            scratch: StepScratch::default(),
             self_heal: false,
             #[cfg(feature = "bug-hooks")]
             greedy_routing: false,
@@ -1007,7 +1053,9 @@ impl Mesh {
 
     /// Packets ejected since the last drain.
     pub fn drain_ejected(&mut self) -> Vec<Packet> {
-        std::mem::take(&mut self.ejected)
+        // Copied out rather than taken, so the buffer keeps its capacity
+        // and `step` does not reallocate it on the next ejection.
+        self.ejected.drain(..).collect()
     }
 
     /// Packets lost to faults since the last drain, with the reason each was
@@ -1358,7 +1406,9 @@ impl Mesh {
     /// Whether router `r` is inside a stall window this cycle.
     fn is_stalled(&self, f: &FaultState, r: usize) -> bool {
         f.plan.routers.iter().any(|s| {
-            s.router as usize == r && s.onset <= self.cycle && self.cycle < s.onset + s.duration
+            s.router as usize == r
+                && s.onset <= self.cycle
+                && self.cycle < s.onset.saturating_add(s.duration)
         })
     }
 
@@ -1486,14 +1536,6 @@ impl Mesh {
     /// ever called with a non-empty candidate list and always grants, so a
     /// quiet cycle makes zero `pick` calls under both engines.
     fn step_inner(&mut self) -> bool {
-        #[derive(Clone, Copy)]
-        struct Move {
-            router: usize,
-            in_port: usize,
-            vc: usize,
-            out_port: usize,
-        }
-
         let vcs = self.cfg.vcs;
         // The recorder, like the fault state, is taken out of `self` so the
         // instrumentation below can borrow the routers freely.
@@ -1516,68 +1558,86 @@ impl Mesh {
             }
         }
 
-        // Phase 1: arbitration decisions on a consistent snapshot.
-        let mut moves: Vec<Move> = Vec::new();
-        // Reserved downstream slots this cycle: (router, in_port, vc) -> count.
-        let mut reserved = vec![vec![[0u8; NUM_PORTS]; vcs]; self.routers.len()];
-
+        // Phase 1: arbitration decisions on a consistent snapshot. Each
+        // queue head is routed once into the slot array; each output then
+        // arbitrates among the slots routed to it that have downstream credit
+        // on their own VC. The credit read needs no same-cycle reservation:
+        // exactly one (router, output) pair feeds each downstream (router,
+        // entry port), and it grants at most once per cycle.
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let slots = NUM_PORTS * vcs;
+        scratch
+            .routes
+            .resize(self.routers.len() * slots, UNREACHABLE);
+        scratch.moves.clear();
         for r in 0..self.routers.len() {
+            let routes = &mut scratch.routes[r * slots..(r + 1) * slots];
             if faults.as_deref().is_some_and(|f| self.is_stalled(f, r)) {
+                routes.fill(UNREACHABLE);
+                continue;
+            }
+            // Bit `out` set: some head routes to output `out`.
+            let mut wanted = 0u8;
+            for in_port in 0..NUM_PORTS {
+                for vc in 0..vcs {
+                    let route = self.routers[r].inputs[in_port][vc]
+                        .front()
+                        .and_then(|head| {
+                            self.route_current(faults.as_deref(), r, in_port, head.dst.index())
+                        })
+                        .map_or(UNREACHABLE, |out| out as u8);
+                    routes[in_port * vcs + vc] = route;
+                    if route != UNREACHABLE {
+                        wanted |= 1 << route;
+                    }
+                }
+            }
+            if wanted == 0 {
                 continue;
             }
             for out in 0..NUM_PORTS {
-                if self.routers[r].output_busy_until[out] > self.cycle {
+                if wanted & (1 << out) == 0 || self.routers[r].output_busy_until[out] > self.cycle {
                     continue;
                 }
                 if out == LOCAL && !self.ejection_enabled[r] {
                     continue;
                 }
-                if out != LOCAL
+                // Downstream input queue `out` feeds, per VC.
+                let down = (out != LOCAL).then(|| (self.neighbour(r, out), Self::entry_port(out)));
+                if down.is_some()
                     && faults
                         .as_deref()
                         .is_some_and(|f| f.link_dead[r * NUM_PORTS + out])
                 {
                     continue;
                 }
-                // Candidates: per-(port, vc) queue heads routed to `out` with
+                // Candidates in slot order: heads routed to `out` with
                 // downstream credit on the packet's own VC.
-                let mut candidates: Vec<(usize, u64)> = Vec::new();
-                for in_port in 0..NUM_PORTS {
-                    #[allow(clippy::needless_range_loop)] // vc also indexes downstream state
-                    for vc in 0..vcs {
-                        let Some(head) = self.routers[r].inputs[in_port][vc].front() else {
-                            continue;
-                        };
-                        if self.route_current(faults.as_deref(), r, in_port, head.dst.index())
-                            != Some(out)
-                        {
-                            continue;
-                        }
-                        if out != LOCAL {
-                            let down = self.neighbour(r, out);
-                            let entry = Self::entry_port(out);
-                            let occupied = self.routers[down].inputs[entry][vc].len()
-                                + reserved[down][vc][entry] as usize;
-                            if occupied >= self.cfg.buffer_packets {
-                                continue;
-                            }
-                        }
-                        candidates.push((in_port * vcs + vc, head.birth));
+                scratch.candidates.clear();
+                for (slot, &route) in routes.iter().enumerate() {
+                    if usize::from(route) != out {
+                        continue;
                     }
+                    let (in_port, vc) = (slot / vcs, slot % vcs);
+                    if let Some((down, entry)) = down {
+                        if self.routers[down].inputs[entry][vc].len() >= self.cfg.buffer_packets {
+                            continue;
+                        }
+                    }
+                    let Some(head) = self.routers[r].inputs[in_port][vc].front() else {
+                        continue;
+                    };
+                    scratch.candidates.push((slot, head.birth));
                 }
-                if candidates.is_empty() {
+                if scratch.candidates.is_empty() {
                     continue;
                 }
-                if let Some(winner) = self.routers[r].arbiters[out].pick(&candidates) {
-                    let (in_port, vc) = (winner / vcs, winner % vcs);
-                    if out != LOCAL {
-                        let down = self.neighbour(r, out);
-                        reserved[down][vc][Self::entry_port(out)] += 1;
-                    }
-                    moves.push(Move {
+                if let Some(winner) = self.routers[r].arbiters[out].pick(&scratch.candidates) {
+                    routes[winner] = GRANTED;
+                    scratch.moves.push(Move {
                         router: r,
-                        in_port,
-                        vc,
+                        in_port: winner / vcs,
+                        vc: winner % vcs,
                         out_port: out,
                     });
                 }
@@ -1586,21 +1646,18 @@ impl Mesh {
 
         // Stall attribution: a read-only classification pass over the same
         // snapshot phase 1 arbitrated on (nothing has been popped or pushed
-        // yet, and reservations for a head's own target are made only after
-        // its arbitration), so each waiting queue head is charged exactly
-        // one cause per cycle. The decision loop above is untouched — the
-        // recorder can observe but never perturb.
+        // yet), so each waiting queue head — every head not marked
+        // [`GRANTED`] in the slot array — is charged exactly one cause per
+        // cycle. The decision loop above is untouched — the recorder can
+        // observe but never perturb.
         if let Some(rec) = rec.as_deref_mut() {
-            let winners: HashSet<(usize, usize, usize)> =
-                moves.iter().map(|m| (m.router, m.in_port, m.vc)).collect();
             for r in 0..self.routers.len() {
                 for in_port in 0..NUM_PORTS {
-                    #[allow(clippy::needless_range_loop)] // vc also indexes downstream state
                     for vc in 0..vcs {
                         let Some(head) = self.routers[r].inputs[in_port][vc].front() else {
                             continue;
                         };
-                        if winners.contains(&(r, in_port, vc)) {
+                        if scratch.routes[r * slots + in_port * vcs + vc] == GRANTED {
                             continue;
                         }
                         let kind = self.classify_stall(faults.as_deref(), r, in_port, vc, head);
@@ -1612,11 +1669,11 @@ impl Mesh {
 
         // Phase 2: apply moves. The move list order is deterministic, so the
         // per-move fault draws below consume the plan RNG reproducibly.
-        let moved = !moves.is_empty();
+        let moved = !scratch.moves.is_empty();
         if moved {
             self.last_progress = self.cycle;
         }
-        for m in moves {
+        for &m in &scratch.moves {
             // Invariant: arbitration granted a queue head it just observed.
             let Some(packet) = self.routers[m.router].inputs[m.in_port][m.vc].pop_front() else {
                 debug_assert!(false, "arbitration winner vanished before apply");
@@ -1683,6 +1740,7 @@ impl Mesh {
             }
         }
 
+        self.scratch = scratch;
         self.faults = faults;
         self.recorder = rec;
         self.cycle += 1;
@@ -2219,6 +2277,48 @@ mod tests {
         assert_eq!(base.drain_ejected().len(), faulted.drain_ejected().len());
         assert!(faulted.drain_lost().is_empty());
         assert_eq!(faulted.dead_links_active(), 0);
+    }
+
+    #[test]
+    fn oversized_vc_count_is_rejected() {
+        let cfg = MeshConfig::paper_6x6(ArbiterKind::RoundRobin);
+        assert!(cfg
+            .with_vcs(Arbiter::MAX_INPUTS / NUM_PORTS)
+            .validate()
+            .is_ok());
+        for vcs in [Arbiter::MAX_INPUTS / NUM_PORTS + 1, usize::MAX] {
+            assert!(matches!(
+                cfg.with_vcs(vcs).validate(),
+                Err(NocError::Config(_))
+            ));
+            assert!(Mesh::try_new(cfg.with_vcs(vcs)).is_err());
+        }
+    }
+
+    /// A "permanent" stall (`duration = u64::MAX`) must hold its router
+    /// forever rather than overflow `onset + duration`.
+    #[test]
+    fn permanent_router_stall_holds_past_onset() {
+        let mut plan = gnoc_faults::FaultPlan::none();
+        plan.routers = vec![gnoc_faults::RouterStall {
+            router: 1,
+            onset: 10,
+            duration: u64::MAX,
+        }];
+        for event in [true, false] {
+            let mut m = small();
+            m.apply_fault_plan(&plan).unwrap();
+            m.run_cycle_exact(20); // step across the onset
+                                   // 0 → 2 routes through router 1.
+            m.try_inject(NodeId::new(0), NodeId::new(2), 1, PacketClass::Request);
+            if event {
+                m.run(500);
+            } else {
+                m.run_cycle_exact(500);
+            }
+            assert_eq!(m.stats().delivered_total, 0, "the stall never ends");
+            assert_eq!(m.in_flight(), 1);
+        }
     }
 
     #[test]
