@@ -251,6 +251,13 @@ cargo run --release -q -p gnoc-bench --bin bench_fabric -- BENCH_fabric.json
 echo "== bench: trace record overhead A/B/A + corrupt detection (BENCH_trace.json) =="
 cargo run --release -q -p gnoc-bench --bin bench_trace -- BENCH_trace.json
 
+echo "== figures: regenerate every figure and compare with FIGURES.txt =="
+# Every figure binary is a pure function of its seed, so a fresh run must
+# reproduce the committed FIGURES.txt byte for byte (and rewrite the tracked
+# out/*.svg unchanged).
+./figures.sh "$tmp/FIGURES.txt" > /dev/null
+cmp "$tmp/FIGURES.txt" FIGURES.txt
+
 echo "== perfbench: the benchmark's own tests + self-check =="
 # The benchmark's arithmetic tests, then every workload run twice at the
 # default and the hold-out seed (3 s each): each op's output check must pass

@@ -21,6 +21,15 @@ fn main() -> std::io::Result<()> {
     );
     let out = Path::new("out");
     fs::create_dir_all(out)?;
+    // Each SVG, listed in the order written: the report names only this
+    // binary's files, whatever else `out/` holds.
+    let mut wrote = Vec::new();
+    let mut write = |name: String, svg: String| -> std::io::Result<()> {
+        let path = out.join(name);
+        fs::write(&path, &svg)?;
+        wrote.push((path, svg.len()));
+        Ok(())
+    };
 
     // ---- Fig. 1a: SM24 latency profile. -----------------------------------
     let mut dev = GpuDevice::v100(0);
@@ -41,7 +50,7 @@ fn main() -> std::io::Result<()> {
         720,
         420,
     );
-    fs::write(out.join("fig01_latency_profile.svg"), fig1)?;
+    write("fig01_latency_profile.svg".into(), fig1)?;
 
     // ---- Fig. 6: Pearson heatmaps. -----------------------------------------
     for mut dev in [GpuDevice::v100(6), GpuDevice::a100(6), GpuDevice::h100(6)] {
@@ -71,7 +80,7 @@ fn main() -> std::io::Result<()> {
             640,
             640,
         );
-        fs::write(out.join(format!("fig06_heatmap_{name}.svg")), fig)?;
+        write(format!("fig06_heatmap_{name}.svg"), fig)?;
     }
 
     // ---- Fig. 14: near/far slice bandwidth curves. --------------------------
@@ -104,7 +113,7 @@ fn main() -> std::io::Result<()> {
         720,
         420,
     );
-    fs::write(out.join("fig14_littles_law.svg"), fig14)?;
+    write("fig14_littles_law.svg".into(), fig14)?;
 
     // ---- Fig. 21: utilisation timelines. ------------------------------------
     let mut series = Vec::new();
@@ -131,7 +140,7 @@ fn main() -> std::io::Result<()> {
         720,
         420,
     );
-    fs::write(out.join("fig21_utilization.svg"), fig21)?;
+    write("fig21_utilization.svg".into(), fig21)?;
 
     // ---- Fig. 23: per-node throughput bars. ---------------------------------
     for arbiter in [ArbiterKind::RoundRobin, ArbiterKind::AgeBased] {
@@ -150,16 +159,11 @@ fn main() -> std::io::Result<()> {
             420,
         );
         let name = format!("fig23_fairness_{arbiter:?}.svg").to_lowercase();
-        fs::write(out.join(name), fig)?;
+        write(name, fig)?;
     }
 
-    for entry in fs::read_dir(out)? {
-        let e = entry?;
-        println!(
-            "wrote {} ({} bytes)",
-            e.path().display(),
-            e.metadata()?.len()
-        );
+    for (path, bytes) in wrote {
+        println!("wrote {} ({bytes} bytes)", path.display());
     }
     Ok(())
 }

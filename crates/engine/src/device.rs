@@ -10,15 +10,15 @@
 use crate::cache::{L2Outcome, L2State};
 use crate::calib::Calibration;
 use crate::fabric::{FabricModel, FlowSolution, FlowSpec};
-use crate::hash::{AddressMap, SliceDisableError, LINE_BYTES};
+use crate::hash::{AddressMap, SliceDisableError, SliceTables, LINE_BYTES};
 use crate::latency;
 use crate::noise;
 use crate::profiler::Profiler;
 use gnoc_faults::{FaultPlan, FaultPlanError};
 use gnoc_telemetry::{TelemetryHandle, TraceEvent, SUBSYSTEM_ENGINE};
 use gnoc_topo::{
-    BuildHierarchyError, CachePolicy, Floorplan, GpuSpec, Hierarchy, MpId, PartitionId, SliceId,
-    SmId, SweepError,
+    BuildHierarchyError, Floorplan, GpuSpec, Hierarchy, MpId, PartitionId, SliceId, SmId,
+    SweepError,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -96,6 +96,9 @@ pub struct GpuDevice {
     floorplan: Floorplan,
     calib: Calibration,
     addr_map: AddressMap,
+    /// The `M[s]` tables of `addr_map`; reset with it by
+    /// [`GpuDevice::set_address_map`].
+    slice_tables: SliceTables,
     fabric: FabricModel,
     l2: L2State,
     profiler: Profiler,
@@ -167,6 +170,7 @@ impl GpuDevice {
             floorplan,
             calib,
             addr_map,
+            slice_tables: SliceTables::default(),
             fabric,
             l2: L2State::new(capacity_lines.max(1) as usize),
             profiler,
@@ -198,12 +202,13 @@ impl GpuDevice {
         if !plan.disabled_slices.is_empty() {
             plan.validate_for_slices(dev.hierarchy.num_slices() as u32)
                 .map_err(DeviceError::FaultPlan)?;
-            dev.addr_map = AddressMap::with_disabled(
+            let map = AddressMap::with_disabled(
                 &dev.hierarchy,
                 dev.spec.cache_policy,
                 &plan.disabled_slices,
             )
             .map_err(DeviceError::Slices)?;
+            dev.set_address_map(map);
         }
         Ok(dev)
     }
@@ -243,6 +248,13 @@ impl GpuDevice {
         Ok(dev)
     }
 
+    /// Replaces the address map, dropping the `M[s]` tables built for the
+    /// old one.
+    fn set_address_map(&mut self, map: AddressMap) {
+        self.addr_map = map;
+        self.slice_tables = SliceTables::default();
+    }
+
     /// Whether `slice` carries a latent fault (self-healing mode only).
     fn slice_latent_faulty(&self, slice: SliceId) -> bool {
         self.latent_faulty_slices
@@ -271,7 +283,7 @@ impl GpuDevice {
         disabled.sort_unstable();
         let map = AddressMap::with_disabled(&self.hierarchy, self.spec.cache_policy, &disabled)
             .map_err(DeviceError::Slices)?;
-        self.addr_map = map;
+        self.set_address_map(map);
         self.quarantined_slices = disabled;
         self.telemetry.emit_with(|| {
             TraceEvent::new(self.virtual_cycles, SUBSYSTEM_ENGINE, "slice_quarantine")
@@ -297,7 +309,7 @@ impl GpuDevice {
         disabled.remove(pos);
         let map = AddressMap::with_disabled(&self.hierarchy, self.spec.cache_policy, &disabled)
             .map_err(DeviceError::Slices)?;
-        self.addr_map = map;
+        self.set_address_map(map);
         self.quarantined_slices = disabled;
         Ok(())
     }
@@ -431,10 +443,7 @@ impl GpuDevice {
     /// The residency key of `line` as seen from `requester`'s partition:
     /// partition-local devices keep one copy per partition.
     fn residency_key(&self, line: u64, requester: PartitionId) -> (u32, u64) {
-        match self.spec.cache_policy {
-            CachePolicy::GloballyShared => (0, line),
-            CachePolicy::PartitionLocal => (requester.index() as u32, line),
-        }
+        (SliceTables::domain(&self.addr_map, requester) as u32, line)
     }
 
     /// Warms `line` into the L2 visible from `requester_sm` (the warm-up loop
@@ -564,10 +573,39 @@ impl GpuDevice {
     }
 
     /// `n` line addresses that (for `sm`) are serviced by `slice` — the
-    /// `M[s]` table of Algorithms 1 and 2.
-    pub fn addresses_for_slice(&self, sm: SmId, slice: SliceId, n: usize) -> Vec<u64> {
+    /// `M[s]` table of Algorithms 1 and 2: the lowest such line addresses,
+    /// ascending, or none when `slice` can never serve `sm`. The device
+    /// keeps the tables, so a repeated or smaller request costs no hashing.
+    pub fn addresses_for_slice(&mut self, sm: SmId, slice: SliceId, n: usize) -> Vec<u64> {
         let p = self.hierarchy.sm(sm).partition;
-        self.addr_map.addresses_for_slice(slice, p, n, 0)
+        let lines = self.slice_tables.lines(&self.addr_map, slice, p, n);
+        lines[..n.min(lines.len())].to_vec()
+    }
+
+    /// The first `n` lines of `slice`'s `M[s]` table (for `sm`) that are not
+    /// resident in the L2 `sm` reads through — lines whose next read from
+    /// `sm` misses. Empty when `slice` can never serve `sm`. Leaves the L2
+    /// untouched.
+    pub fn cold_addresses_for_slice(&mut self, sm: SmId, slice: SliceId, n: usize) -> Vec<u64> {
+        let p = self.hierarchy.sm(sm).partition;
+        // The residency key's partition, as in `residency_key`.
+        let domain = SliceTables::domain(&self.addr_map, p) as u32;
+        let mut cold = Vec::with_capacity(n);
+        let mut scanned = 0;
+        while cold.len() < n {
+            let want = scanned + (n - cold.len());
+            let lines = self.slice_tables.lines(&self.addr_map, slice, p, want);
+            if lines.is_empty() {
+                break;
+            }
+            cold.extend(
+                lines[scanned..want]
+                    .iter()
+                    .filter(|&&line| !self.l2.contains((domain, line))),
+            );
+            scanned = want;
+        }
+        cold
     }
 
     /// Whether `slice` survived floorsweeping / fault disabling: only
@@ -636,8 +674,8 @@ mod tests {
         // the traffic arrived in.
         let mut v = GpuDevice::v100(0);
         let sm = SmId::new(0);
-        let lo = dev_line(&v, sm, 3);
-        let hi = dev_line(&v, sm, 9);
+        let lo = dev_line(&mut v, sm, 3);
+        let hi = dev_line(&mut v, sm, 9);
         v.warm_line(sm, hi);
         v.warm_line(sm, lo);
         v.timed_read(sm, hi);
@@ -656,13 +694,13 @@ mod tests {
     }
 
     /// A line address serviced by `slice` for `sm`.
-    fn dev_line(dev: &GpuDevice, sm: SmId, slice: u32) -> u64 {
+    fn dev_line(dev: &mut GpuDevice, sm: SmId, slice: u32) -> u64 {
         dev.addresses_for_slice(sm, SliceId::new(slice), 1)[0]
     }
 
     #[test]
     fn addresses_for_slice_round_trip() {
-        let dev = GpuDevice::h100(0);
+        let mut dev = GpuDevice::h100(0);
         let sm = SmId::new(0);
         let slice = dev
             .hierarchy()

@@ -132,7 +132,53 @@ struct Resource {
     direction: Direction,
     capacity: f64,
     queue_cycles: f64,
-    members: Vec<usize>,
+}
+
+/// Variable-length rows of indices packed into one array: row `i` is
+/// `items[offsets[i]..offsets[i + 1]]`.
+struct Csr {
+    offsets: Vec<usize>,
+    items: Vec<usize>,
+}
+
+impl Csr {
+    fn with_capacity(rows: usize, items: usize) -> Self {
+        let mut offsets = Vec::with_capacity(rows + 1);
+        offsets.push(0);
+        Self {
+            offsets,
+            items: Vec::with_capacity(items),
+        }
+    }
+
+    /// Closes the row being pushed.
+    fn end_row(&mut self) {
+        self.offsets.push(self.items.len());
+    }
+
+    fn row(&self, i: usize) -> &[usize] {
+        &self.items[self.offsets[i]..self.offsets[i + 1]]
+    }
+
+    /// The transpose: row `r` of the result lists, in ascending order, the
+    /// rows of `self` that contain `r`. `counts[r]` must be the number of
+    /// such rows.
+    fn transpose(&self, counts: &[usize]) -> Self {
+        let mut offsets = Vec::with_capacity(counts.len() + 1);
+        offsets.push(0);
+        for &c in counts {
+            offsets.push(offsets[offsets.len() - 1] + c);
+        }
+        let mut next = offsets[..counts.len()].to_vec();
+        let mut items = vec![0; self.items.len()];
+        for i in 0..self.offsets.len() - 1 {
+            for &r in self.row(i) {
+                items[next[r]] = i;
+                next[r] += 1;
+            }
+        }
+        Self { offsets, items }
+    }
 }
 
 /// The bandwidth model of one device.
@@ -224,12 +270,13 @@ impl FabricModel {
         }
     }
 
-    /// The ordered resource kinds a flow traverses (excluding its dynamic
-    /// per-SM Little resource, which is added separately).
-    fn path(&self, flow: &FlowSpec) -> Vec<ResourceKind> {
+    /// Appends the ordered resource kinds a flow traverses (excluding its
+    /// dynamic per-SM Little resource, which is added separately) to `path`.
+    fn path(&self, flow: &FlowSpec, path: &mut Vec<ResourceKind>) {
         let sm = self.hierarchy.sm(flow.sm);
         let slice = self.hierarchy.slice(flow.slice);
-        let mut path = vec![ResourceKind::SmPort(flow.sm), ResourceKind::Tpc(sm.tpc)];
+        path.push(ResourceKind::SmPort(flow.sm));
+        path.push(ResourceKind::Tpc(sm.tpc));
         if self.hierarchy.has_cpc_level() {
             path.push(ResourceKind::Cpc(sm.cpc));
         }
@@ -245,7 +292,6 @@ impl FabricModel {
         if flow.kind == AccessKind::ReadMiss {
             path.push(ResourceKind::Dram(slice.mp));
         }
-        path
     }
 
     /// Solves the steady-state rates of `flows` under max-min fairness with
@@ -266,16 +312,21 @@ impl FabricModel {
         // ---- Build the resource table. -------------------------------------
         let mut index: HashMap<(ResourceKind, Direction), usize> = HashMap::new();
         let mut resources: Vec<Resource> = Vec::new();
-        let mut flow_paths: Vec<Vec<usize>> = Vec::with_capacity(flows.len());
+        // Flows per resource; a path never visits a resource twice.
+        let mut counts: Vec<usize> = Vec::new();
+        // At most 12 resources per flow: Little, SM port, TPC, CPC, GPC
+        // total, GPC port, two partition fabrics, the central link, MP port,
+        // slice and DRAM.
+        let mut flow_paths = Csr::with_capacity(flows.len(), flows.len() * 12);
         let mut sm_little: HashMap<(SmId, Direction), usize> = HashMap::new();
+        let mut kinds = Vec::new();
 
-        for (fi, flow) in flows.iter().enumerate() {
+        for flow in flows {
             let dir = if flow.kind.is_reply_limited() {
                 Direction::Reply
             } else {
                 Direction::Request
             };
-            let mut rids = Vec::new();
             // Dynamic per-SM Little's-law budget.
             let little_id = *sm_little.entry((flow.sm, dir)).or_insert_with(|| {
                 resources.push(Resource {
@@ -283,14 +334,16 @@ impl FabricModel {
                     direction: dir,
                     capacity: f64::INFINITY,
                     queue_cycles: 0.0,
-                    members: Vec::new(),
                 });
+                counts.push(0);
                 resources.len() - 1
             });
-            resources[little_id].members.push(fi);
-            rids.push(little_id);
+            counts[little_id] += 1;
+            flow_paths.items.push(little_id);
 
-            for kind in self.path(flow) {
+            kinds.clear();
+            self.path(flow, &mut kinds);
+            for &kind in &kinds {
                 let Some(cap) = self.capacity(kind, dir) else {
                     continue;
                 };
@@ -300,82 +353,82 @@ impl FabricModel {
                         direction: dir,
                         capacity: cap,
                         queue_cycles: self.queue_cycles(kind),
-                        members: Vec::new(),
                     });
+                    counts.push(0);
                     resources.len() - 1
                 });
-                resources[rid].members.push(fi);
-                rids.push(rid);
+                counts[rid] += 1;
+                flow_paths.items.push(rid);
             }
-            flow_paths.push(rids);
+            flow_paths.end_row();
         }
+        // Each resource's flows in ascending order: the order every load
+        // and Little's-law sum runs in.
+        let members = flow_paths.transpose(&counts);
 
         let base_lat: Vec<f64> = flows.iter().map(|f| self.base_latency(f)).collect();
         let byte_cycles = |bytes: f64| bytes * self.clock_ghz; // GB/s per (1/cycles)
 
         // ---- Damped fixed point between delays and max-min rates. ----------
+        let mut fill = WaterFill::new(flows.len(), counts);
         let mut delays = vec![0.0f64; resources.len()];
-        let mut rate_history: Vec<Vec<f64>> = Vec::new();
         let mut lat = vec![0.0f64; flows.len()];
+        let mut flow_cap = vec![0.0f64; flows.len()];
+        // Running sum of the tail iterations' rates, each divided by the
+        // tail length first, in iteration order.
+        let mut rates = vec![0.0f64; flows.len()];
+        let n_tail = AVERAGE_TAIL as f64;
 
         for iter in 0..FIXED_POINT_ITERS {
-            // Effective latency per flow.
-            for (fi, path) in flow_paths.iter().enumerate() {
-                lat[fi] = base_lat[fi] + path.iter().map(|&r| delays[r]).sum::<f64>();
+            // Effective latency and cap (flat service cap + per-destination
+            // Little) per flow.
+            for (fi, (l, cap)) in lat.iter_mut().zip(&mut flow_cap).enumerate() {
+                *l = base_lat[fi] + flow_paths.row(fi).iter().map(|&r| delays[r]).sum::<f64>();
+                *cap = self
+                    .calib
+                    .flow_port_gbps
+                    .min(byte_cycles(self.calib.flow_mlp_bytes) / *l);
             }
-            // Per-flow caps (flat service cap + per-destination Little).
-            let flow_cap: Vec<f64> = lat
-                .iter()
-                .map(|&l| {
-                    self.calib
-                        .flow_port_gbps
-                        .min(byte_cycles(self.calib.flow_mlp_bytes) / l)
-                })
-                .collect();
             // Per-SM Little budgets: MLP bytes spread across that SM's flows.
-            for res in resources.iter_mut() {
+            for (ri, res) in resources.iter_mut().enumerate() {
                 if let ResourceKind::SmLittle(_) = res.kind {
                     // MLP bytes shared across the SM's flows: total rate is
                     // MLP × mean(1/latency) — the multi-destination form of
                     // Little's law with an even in-flight split.
-                    let inv_lat_sum: f64 = res.members.iter().map(|&fi| 1.0 / lat[fi]).sum();
-                    let n = res.members.len() as f64;
+                    let sm_flows = members.row(ri);
+                    let inv_lat_sum: f64 = sm_flows.iter().map(|&fi| 1.0 / lat[fi]).sum();
+                    let n = sm_flows.len() as f64;
                     res.capacity = byte_cycles(self.calib.sm_mlp_bytes) * (inv_lat_sum / n);
                 }
             }
 
-            let rates = water_fill(&resources, &flow_paths, &flow_cap);
+            let iter_rates = fill.run(&resources, &flow_paths, &flow_cap);
 
             // Update queueing delays from utilisation.
             for (ri, res) in resources.iter().enumerate() {
                 if res.queue_cycles == 0.0 {
                     continue;
                 }
-                let load: f64 = res.members.iter().map(|&fi| rates[fi]).sum();
+                let load: f64 = members.row(ri).iter().map(|&fi| iter_rates[fi]).sum();
                 let rho = (load / res.capacity).min(RHO_CLAMP);
                 let target = res.queue_cycles * rho / (1.0 - rho);
                 delays[ri] = DELAY_DAMPING * target + (1.0 - DELAY_DAMPING) * delays[ri];
             }
 
+            // Average the tail iterations to smooth any residual oscillation.
             if iter + AVERAGE_TAIL >= FIXED_POINT_ITERS {
-                rate_history.push(rates);
-            }
-        }
-
-        // Average the tail iterations to smooth any residual oscillation.
-        let n_tail = rate_history.len().max(1) as f64;
-        let mut rates = vec![0.0f64; flows.len()];
-        for snapshot in &rate_history {
-            for (fi, r) in snapshot.iter().enumerate() {
-                rates[fi] += r / n_tail;
+                for (avg, r) in rates.iter_mut().zip(iter_rates) {
+                    *avg += r / n_tail;
+                }
             }
         }
 
         let mut bottlenecks: Vec<(ResourceKind, Direction, f64)> = resources
             .iter()
-            .filter(|r| !matches!(r.kind, ResourceKind::SmLittle(_)))
-            .filter_map(|r| {
-                let load: f64 = r.members.iter().map(|&fi| rates[fi]).sum();
+            .enumerate()
+            .filter(|(_, r)| !matches!(r.kind, ResourceKind::SmLittle(_)))
+            .filter_map(|(ri, r)| {
+                let load: f64 = members.row(ri).iter().map(|&fi| rates[fi]).sum();
                 let util = load / r.capacity;
                 (util >= 0.99).then_some((r.kind, r.direction, util))
             })
@@ -395,71 +448,103 @@ impl FabricModel {
 /// Progressive-filling max-min fair allocation: all active flows grow at the
 /// same rate until a resource (or per-flow cap) saturates, which freezes the
 /// flows it carries; repeat until every flow is frozen.
-fn water_fill(resources: &[Resource], flow_paths: &[Vec<usize>], flow_cap: &[f64]) -> Vec<f64> {
-    let nf = flow_cap.len();
-    let mut rate = vec![0.0f64; nf];
-    let mut active = vec![true; nf];
-    let mut n_active = nf;
-    let mut rem: Vec<f64> = resources.iter().map(|r| r.capacity).collect();
-    let mut cnt: Vec<usize> = vec![0; resources.len()];
-    for path in flow_paths {
-        for &r in path {
-            cnt[r] += 1;
+///
+/// The buffers live across the fixed-point iterations of one solve, so an
+/// allocation runs without touching the heap.
+struct WaterFill {
+    rate: Vec<f64>,
+    active: Vec<bool>,
+    rem: Vec<f64>,
+    cnt: Vec<usize>,
+    /// Flows per resource: where `cnt` starts every run.
+    cnt_init: Vec<usize>,
+}
+
+impl WaterFill {
+    fn new(num_flows: usize, cnt_init: Vec<usize>) -> Self {
+        Self {
+            rate: vec![0.0; num_flows],
+            active: vec![true; num_flows],
+            rem: vec![0.0; cnt_init.len()],
+            cnt: cnt_init.clone(),
+            cnt_init,
         }
     }
 
-    const EPS: f64 = 1e-9;
-    while n_active > 0 {
-        // Smallest equal increment any constraint allows.
-        let mut inc = f64::INFINITY;
-        for ri in 0..resources.len() {
-            if cnt[ri] > 0 {
-                inc = inc.min(rem[ri] / cnt[ri] as f64);
-            }
+    /// One allocation against the current capacities and per-flow caps;
+    /// returns the rates, valid until the next run.
+    fn run(&mut self, resources: &[Resource], flow_paths: &Csr, flow_cap: &[f64]) -> &[f64] {
+        let Self {
+            rate,
+            active,
+            rem,
+            cnt,
+            cnt_init,
+        } = self;
+        let nf = flow_cap.len();
+        rate.fill(0.0);
+        active.fill(true);
+        let mut n_active = nf;
+        for (r, res) in rem.iter_mut().zip(resources) {
+            *r = res.capacity;
         }
-        for fi in 0..nf {
-            if active[fi] {
-                inc = inc.min(flow_cap[fi] - rate[fi]);
-            }
-        }
-        let inc = inc.max(0.0);
+        cnt.copy_from_slice(cnt_init);
 
-        for fi in 0..nf {
-            if active[fi] {
-                rate[fi] += inc;
-            }
-        }
-        for (ri, c) in cnt.iter().enumerate() {
-            if *c > 0 {
-                rem[ri] -= inc * *c as f64;
-            }
-        }
-
-        // Freeze flows that hit their own cap or sit on an exhausted resource.
-        let mut froze_any = false;
-        for fi in 0..nf {
-            if !active[fi] {
-                continue;
-            }
-            let capped = rate[fi] + EPS >= flow_cap[fi];
-            let exhausted = flow_paths[fi]
-                .iter()
-                .any(|&r| rem[r] <= EPS * resources[r].capacity.max(1.0));
-            if capped || exhausted {
-                active[fi] = false;
-                n_active -= 1;
-                froze_any = true;
-                for &r in &flow_paths[fi] {
-                    cnt[r] -= 1;
+        const EPS: f64 = 1e-9;
+        while n_active > 0 {
+            // Smallest equal increment any constraint allows.
+            let mut inc = f64::INFINITY;
+            for ri in 0..resources.len() {
+                if cnt[ri] > 0 {
+                    inc = inc.min(rem[ri] / cnt[ri] as f64);
                 }
             }
+            for fi in 0..nf {
+                if active[fi] {
+                    inc = inc.min(flow_cap[fi] - rate[fi]);
+                }
+            }
+            let inc = inc.max(0.0);
+
+            for fi in 0..nf {
+                if active[fi] {
+                    rate[fi] += inc;
+                }
+            }
+            for (ri, c) in cnt.iter().enumerate() {
+                if *c > 0 {
+                    rem[ri] -= inc * *c as f64;
+                }
+            }
+
+            // Freeze flows that hit their own cap or sit on an exhausted
+            // resource.
+            let mut froze_any = false;
+            for fi in 0..nf {
+                if !active[fi] {
+                    continue;
+                }
+                let path = flow_paths.row(fi);
+                let capped = rate[fi] + EPS >= flow_cap[fi];
+                let exhausted = path
+                    .iter()
+                    .any(|&r| rem[r] <= EPS * resources[r].capacity.max(1.0));
+                if capped || exhausted {
+                    active[fi] = false;
+                    n_active -= 1;
+                    froze_any = true;
+                    for &r in path {
+                        cnt[r] -= 1;
+                    }
+                }
+            }
+            if !froze_any {
+                // Numerical safety: freeze everything rather than spin.
+                break;
+            }
         }
-        if !froze_any {
-            // Numerical safety: freeze everything rather than spin.
-            break;
-        }
+        rate
     }
-    rate
 }
 
 #[cfg(test)]

@@ -195,6 +195,23 @@ impl AddressMap {
         }
     }
 
+    /// Whether `slice` is the effective slice of any line requested from
+    /// `requester`: false when it is fused off, or outside the requester's
+    /// partition under partition-local caching.
+    pub(crate) fn can_serve(&self, slice: SliceId, requester: PartitionId) -> bool {
+        match self.policy {
+            CachePolicy::GloballyShared => self.is_enabled(slice),
+            CachePolicy::PartitionLocal => {
+                self.partition_slices[requester.index()].contains(&slice)
+            }
+        }
+    }
+
+    /// Number of slices on the device, enabled or not.
+    pub(crate) fn num_slices(&self) -> usize {
+        self.num_slices as usize
+    }
+
     /// Finds `n` distinct line addresses whose *effective* slice (for
     /// `requester`) is `slice` — the `M[s]` table of the paper's algorithms.
     /// Searches line addresses upward from `start`.
@@ -205,17 +222,9 @@ impl AddressMap {
         n: usize,
         start: u64,
     ) -> Vec<u64> {
-        // A slice that can never service this requester — fused off, or
-        // outside the requester's partition under partition-local caching —
-        // has no such addresses, and the open-ended search below would never
-        // terminate.
-        let servable = match self.policy {
-            CachePolicy::GloballyShared => self.is_enabled(slice),
-            CachePolicy::PartitionLocal => {
-                self.partition_slices[requester.index()].contains(&slice)
-            }
-        };
-        if !servable {
+        // A slice that can never service this requester has no such
+        // addresses, and the open-ended search below would never terminate.
+        if !self.can_serve(slice, requester) {
             return Vec::new();
         }
         let mut out = Vec::with_capacity(n);
@@ -240,6 +249,69 @@ impl AddressMap {
             histogram[self.effective_slice(line, requester).index()] += 1;
         }
         histogram
+    }
+}
+
+/// The `M[s]` tables of one device, grown lazily.
+///
+/// Each table covers one residency domain: the whole device under
+/// [`CachePolicy::GloballyShared`] (the effective slice ignores the
+/// requester), one die partition under [`CachePolicy::PartitionLocal`].
+/// A table holds every line below its scan cursor, listed under its
+/// effective slice in ascending order, so entry `[s][..n]` equals
+/// [`AddressMap::addresses_for_slice`]`(s, requester, n, 0)`. Growing one
+/// slice's list to `n` lines costs one hash per newly scanned line, and the
+/// lines it passes over land in the other slices' lists instead of being
+/// rescanned for them. Built for one map: the owner drops the tables
+/// whenever it replaces the map.
+#[derive(Debug, Default)]
+pub(crate) struct SliceTables {
+    domains: Vec<SliceTable>,
+}
+
+#[derive(Debug, Default)]
+struct SliceTable {
+    /// Lines serviced by each slice, ascending.
+    lines: Vec<Vec<u64>>,
+    /// The next line address to scan.
+    cursor: u64,
+}
+
+impl SliceTables {
+    /// The residency domain `requester` belongs to under `map`'s policy.
+    pub(crate) fn domain(map: &AddressMap, requester: PartitionId) -> usize {
+        match map.policy {
+            CachePolicy::GloballyShared => 0,
+            CachePolicy::PartitionLocal => requester.index(),
+        }
+    }
+
+    /// At least `n` lines whose effective slice for `requester` is `slice`,
+    /// in ascending order — or none when the slice can never serve it.
+    pub(crate) fn lines(
+        &mut self,
+        map: &AddressMap,
+        slice: SliceId,
+        requester: PartitionId,
+        n: usize,
+    ) -> &[u64] {
+        if !map.can_serve(slice, requester) {
+            return &[];
+        }
+        let d = Self::domain(map, requester);
+        if self.domains.len() <= d {
+            self.domains.resize_with(d + 1, SliceTable::default);
+        }
+        let table = &mut self.domains[d];
+        if table.lines.is_empty() {
+            table.lines = vec![Vec::new(); map.num_slices()];
+        }
+        while table.lines[slice.index()].len() < n {
+            let line = table.cursor;
+            table.cursor += 1;
+            table.lines[map.effective_slice(line, requester).index()].push(line);
+        }
+        &table.lines[slice.index()]
     }
 }
 

@@ -84,9 +84,11 @@ impl LatencyProbe {
     }
 
     /// Mean L2-*miss* round-trip cycles from `sm` for lines served by
-    /// `slice`, measured on cold lines (each sample uses a fresh address).
+    /// `slice`, measured on cold lines: each sample reads a distinct line of
+    /// `M[slice]` that is not L2-resident, skipping any an earlier probe
+    /// warmed or missed in.
     pub fn measure_miss(&self, dev: &mut GpuDevice, sm: SmId, slice: SliceId) -> f64 {
-        let lines = dev.addresses_for_slice(sm, slice, self.samples.max(1));
+        let lines = dev.cold_addresses_for_slice(sm, slice, self.samples.max(1));
         let mut acc = 0u64;
         for &line in &lines {
             acc += dev.timed_read(sm, line); // first touch: L2 miss
@@ -169,10 +171,26 @@ mod tests {
 
     #[test]
     fn miss_penalty_close_to_dram_constant_on_v100() {
+        // Twice: a second call must find fresh cold lines, not re-read the
+        // first call's (now resident) ones.
         let mut dev = GpuDevice::v100(1);
         let probe = LatencyProbe::default();
-        let p = probe.miss_penalty(&mut dev, SmId::new(0), SliceId::new(2));
-        assert!((170.0..215.0).contains(&p), "penalty {p}");
+        for _ in 0..2 {
+            let p = probe.miss_penalty(&mut dev, SmId::new(0), SliceId::new(2));
+            assert!((170.0..215.0).contains(&p), "penalty {p}");
+        }
+    }
+
+    #[test]
+    fn measure_miss_after_measure_pair_skips_warmed_lines() {
+        // `measure_pair` warms the first lines of `M[s]`; a miss probe that
+        // reused them used to average hits and misses.
+        let mut dev = GpuDevice::v100(1);
+        let probe = LatencyProbe::default();
+        let (sm, slice) = (SmId::new(0), SliceId::new(2));
+        probe.measure_pair(&mut dev, sm, slice);
+        let penalty = probe.measure_miss(&mut dev, sm, slice) - dev.hit_cycles_mean(sm, slice);
+        assert!((170.0..215.0).contains(&penalty), "penalty {penalty}");
     }
 
     #[test]

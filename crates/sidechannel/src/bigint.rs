@@ -142,24 +142,11 @@ impl BigUint {
         Self::from_limbs(out)
     }
 
-    /// Left shift by `n` bits.
-    pub fn shl(&self, n: usize) -> Self {
-        if self.is_zero() {
-            return Self::zero();
-        }
-        let limb_shift = n / 64;
-        let bit_shift = n % 64;
-        let mut out = vec![0u64; self.limbs.len() + limb_shift + 1];
-        for (i, &l) in self.limbs.iter().enumerate() {
-            out[i + limb_shift] |= l << bit_shift;
-            if bit_shift > 0 {
-                out[i + limb_shift + 1] |= l >> (64 - bit_shift);
-            }
-        }
-        Self::from_limbs(out)
-    }
-
     /// `self mod m` by shift-and-subtract long division.
+    ///
+    /// The divisor is shifted up once, then walked back down one bit per
+    /// quotient bit, subtracting in place whenever the remainder is at least
+    /// the shifted divisor.
     ///
     /// # Panics
     ///
@@ -169,15 +156,24 @@ impl BigUint {
         if self.cmp_big(m) == Ordering::Less {
             return self.clone();
         }
-        let mut r = self.clone();
         let shift = self.bits() - m.bits();
-        for s in (0..=shift).rev() {
-            let shifted = m.shl(s);
-            if r.cmp_big(&shifted) != Ordering::Less {
-                r = r.sub(&shifted);
+        let mut r = self.limbs.clone();
+        // `m << shift` has exactly `self.bits()` bits, so it fits `r`'s width.
+        let mut d = vec![0u64; r.len()];
+        let (limb_shift, bit_shift) = (shift / 64, shift % 64);
+        for (i, &l) in m.limbs.iter().enumerate() {
+            d[i + limb_shift] |= l << bit_shift;
+            if bit_shift > 0 && i + limb_shift + 1 < d.len() {
+                d[i + limb_shift + 1] |= l >> (64 - bit_shift);
             }
         }
-        r
+        for _ in 0..=shift {
+            if cmp_limbs(&r, &d) != Ordering::Less {
+                sub_assign_limbs(&mut r, &d);
+            }
+            shr1_limbs(&mut d);
+        }
+        Self::from_limbs(r)
     }
 
     /// Modular exponentiation by left-to-right square-and-multiply, counting
@@ -211,6 +207,33 @@ impl BigUint {
     /// Number of 1-bits in the value (the RSA attack's target quantity).
     pub fn count_ones(&self) -> u64 {
         self.limbs.iter().map(|l| u64::from(l.count_ones())).sum()
+    }
+}
+
+/// Compares two equal-width little-endian limb slices.
+fn cmp_limbs(a: &[u64], b: &[u64]) -> Ordering {
+    a.iter().rev().cmp(b.iter().rev())
+}
+
+/// `a -= b` over equal-width limb slices; `a >= b` must hold.
+fn sub_assign_limbs(a: &mut [u64], b: &[u64]) {
+    let mut borrow = false;
+    for (x, &y) in a.iter_mut().zip(b) {
+        let (d1, b1) = x.overflowing_sub(y);
+        let (d2, b2) = d1.overflowing_sub(u64::from(borrow));
+        *x = d2;
+        borrow = b1 || b2;
+    }
+    debug_assert!(!borrow, "big integer subtraction underflow");
+}
+
+/// `a >>= 1` in place.
+fn shr1_limbs(a: &mut [u64]) {
+    let mut carry = 0u64;
+    for x in a.iter_mut().rev() {
+        let next = *x << 63;
+        *x = (*x >> 1) | carry;
+        carry = next;
     }
 }
 
@@ -274,6 +297,121 @@ mod tests {
         let m = big(1_000_000_007);
         let a128 = (0xfedc_ba98u128 << 64) | 0x1234_5678_9abc_def0u128;
         assert_eq!(a.rem(&m).limbs(), &[(a128 % 1_000_000_007) as u64]);
+    }
+
+    /// `v << n`.
+    fn shl(v: &BigUint, n: usize) -> BigUint {
+        if v.is_zero() {
+            return BigUint::zero();
+        }
+        let limb_shift = n / 64;
+        let bit_shift = n % 64;
+        let mut out = vec![0u64; v.limbs.len() + limb_shift + 1];
+        for (i, &l) in v.limbs.iter().enumerate() {
+            out[i + limb_shift] |= l << bit_shift;
+            if bit_shift > 0 {
+                out[i + limb_shift + 1] |= l >> (64 - bit_shift);
+            }
+        }
+        BigUint::from_limbs(out)
+    }
+
+    /// The allocating shift-and-subtract reduction: the oracle for the
+    /// in-place `rem`.
+    fn rem_reference(a: &BigUint, m: &BigUint) -> BigUint {
+        if a.cmp_big(m) == Ordering::Less {
+            return a.clone();
+        }
+        let mut r = a.clone();
+        for s in (0..=a.bits() - m.bits()).rev() {
+            let shifted = shl(m, s);
+            if r.cmp_big(&shifted) != Ordering::Less {
+                r = r.sub(&shifted);
+            }
+        }
+        r
+    }
+
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A random operand of 1–4 limbs; each limb is random, zero, all ones or
+    /// a single bit, so carries, borrows and exact top-bit alignments occur.
+    fn random_operand(state: &mut u64) -> BigUint {
+        let limbs = 1 + (splitmix(state) % 4) as usize;
+        let v = (0..limbs)
+            .map(|_| match splitmix(state) % 6 {
+                0 => 0,
+                1 => u64::MAX,
+                2 => 1 << (splitmix(state) % 64),
+                _ => splitmix(state),
+            })
+            .collect();
+        BigUint::from_limbs(v)
+    }
+
+    fn to_u128(v: &BigUint) -> u128 {
+        v.limbs()
+            .iter()
+            .rev()
+            .fold(0u128, |acc, &l| (acc << 64) | u128::from(l))
+    }
+
+    #[test]
+    fn rem_matches_reference_and_u128_on_random_operands() {
+        let mut state = 0x5eed;
+        for _ in 0..5_000 {
+            let a = random_operand(&mut state);
+            let mut m = random_operand(&mut state);
+            if m.is_zero() {
+                m = big(1);
+            }
+            let r = a.rem(&m);
+            assert_eq!(r, rem_reference(&a, &m), "{a:?} mod {m:?}");
+            assert_eq!(r.rem(&m), r, "remainder not reduced: {a:?} mod {m:?}");
+            if a.limbs().len() <= 2 && m.limbs().len() <= 2 {
+                assert_eq!(to_u128(&r), to_u128(&a) % to_u128(&m), "{a:?} mod {m:?}");
+            }
+            // A product, as the modpow loop reduces, and self mod self.
+            let p = a.mul(&a);
+            assert_eq!(p.rem(&m), rem_reference(&p, &m), "{p:?} mod {m:?}");
+            assert!(m.rem(&m).is_zero());
+        }
+    }
+
+    #[test]
+    fn modpow_results_and_counts_are_pinned() {
+        // 128-bit operands, the RSA attack's size; results cross-checked
+        // against an independent arbitrary-precision `pow(b, e, m)`.
+        let modulus = BigUint::from_limbs(vec![0x8f3a_61c5_d2e4_b719, 0xc3b1_7e0d_94a6_25f3]);
+        let base = BigUint::from_limbs(vec![0x0123_4567_89ab_cdef, 0x7edc_ba98_7654_3210]);
+        let cases = [
+            (
+                vec![0xffff_0000_ffff_0001],
+                [0x3e5c_b1d1_6799_b49b, 0x28fb_2b8e_1e38_66b6],
+                (64, 33),
+            ),
+            (
+                vec![0x8000_0000_0000_0001, 0x1],
+                [0x125c_c38c_0724_a70d, 0x5027_e39e_e5a7_22ab],
+                (65, 3),
+            ),
+            (
+                vec![0xdead_beef_cafe_f00d, 0x0123_4567_89ab_cdef],
+                [0xb110_f701_7602_5f12, 0x6320_8033_8a30_03da],
+                (121, 74),
+            ),
+        ];
+        for (exp, result, counts) in cases {
+            let (r, squares, multiplies) = base.modpow_counted(&BigUint::from_limbs(exp), &modulus);
+            assert_eq!(r.limbs(), &result);
+            assert_eq!((squares, multiplies), counts);
+        }
     }
 
     #[test]
