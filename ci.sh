@@ -55,6 +55,19 @@ cargo run --release -q -p gnoc-cli --bin gnoc -- \
 GNOC_ENGINE=cycle cargo run --release -q -p gnoc-cli --bin gnoc -- \
     chaos run --seeds 0..6 --report "$tmp/chaos_cyc.json" > /dev/null
 cmp "$tmp/chaos_evt.json" "$tmp/chaos_cyc.json"
+# A faulted 4-device fabric profile: the event engine skips quiet dies and
+# empty routers, the cycle-exact one steps every die every cycle.
+cargo run --release -q -p gnoc-cli --bin gnoc -- \
+    faults gen --devices 4 --topology ring --width 5 --height 5 --flaky 3 \
+    --stalls 1 --flaky-fabric-links 1 --dead-fabric-links 1 \
+    --out "$tmp/fabric-plan.json" > /dev/null
+for engine in cycle event; do
+    cargo run --release -q -p gnoc-cli --bin gnoc -- \
+        --engine "$engine" --faults "$tmp/fabric-plan.json" profile --devices 4 \
+        --width 5 --height 5 --transfers 300 \
+        --report "$tmp/fabric-prof-$engine.json" > /dev/null
+done
+cmp "$tmp/fabric-prof-cycle.json" "$tmp/fabric-prof-event.json"
 
 echo "== profile: bounded gnoc profile smoke on a chaos-style soak =="
 # Same traffic recipe the chaos harness soaks with, bounded transfer count;
@@ -104,6 +117,12 @@ cargo run --release -q -p gnoc-cli --bin gnoc -- \
 cargo run --release -q -p gnoc-cli --bin gnoc -- \
     trace replay "$tmp/fabric.trc" --stats "$tmp/fabric-rep.json" > /dev/null
 cmp "$tmp/fabric-rec.json" "$tmp/fabric-rep.json"
+for engine in cycle event; do
+    cargo run --release -q -p gnoc-cli --bin gnoc -- \
+        --engine "$engine" trace replay "$tmp/fabric.trc" \
+        --stats "$tmp/fabric-rep-$engine.json" > /dev/null
+    cmp "$tmp/fabric-rec.json" "$tmp/fabric-rep-$engine.json"
+done
 cargo run --release -q -p gnoc-cli --bin gnoc -- \
     trace record campaign v100 --seed 2 --lines 2 --samples 2 \
     --out "$tmp/camp.trc" --stats "$tmp/camp-rec.json" > /dev/null

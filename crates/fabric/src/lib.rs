@@ -421,4 +421,33 @@ mod tests {
         assert_eq!(fab.stats().fabric_hops, 0);
         assert_eq!(fab.stats().cross_device, 0);
     }
+
+    #[test]
+    fn huge_watchdog_window_never_writes_off_healthy_traffic() {
+        // The fabric watchdog waits two die windows; a window near the top
+        // of `u64` must saturate, not overflow into a zero-cycle watchdog.
+        let mut cfg = FabricConfig::new(2, FabricTopology::PointToPoint);
+        cfg.retry.watchdog_cycles = 1 << 63;
+        for cycle_exact in [false, true] {
+            let mut fab = FabricSim::new(cfg.clone()).unwrap();
+            let id = fab
+                .submit(
+                    0,
+                    NodeId::new(7),
+                    1,
+                    NodeId::new(12),
+                    3,
+                    PacketClass::Request,
+                )
+                .unwrap();
+            let quiesced = if cycle_exact {
+                fab.run_until_quiescent_cycle_exact(50_000)
+            } else {
+                fab.run_until_quiescent(50_000)
+            };
+            assert!(quiesced);
+            assert!(matches!(fab.outcome(id), TransferOutcome::Delivered { .. }));
+            assert_eq!(fab.stats().lost_watchdog, 0);
+        }
+    }
 }

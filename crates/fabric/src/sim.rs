@@ -428,9 +428,10 @@ impl FabricSim {
     }
 
     /// Replays a recorded submission stream into this fabric: every event
-    /// is re-submitted in order (stepping the simulation up to the event's
-    /// recorded cycle first), reproducing the recorded run bit for bit when
-    /// the fabric was built from the trace header's configuration and plan.
+    /// is re-submitted in order (first advancing the simulation to the
+    /// event's recorded cycle on the event engine: step, then skip capped
+    /// at that cycle), reproducing the recorded run bit for bit when the
+    /// fabric was built from the trace header's configuration and plan.
     ///
     /// A truncated trace replays its complete prefix and reports the
     /// truncation point in [`gnoc_trace::ReplayOutcome::truncated`]; the
@@ -459,6 +460,7 @@ impl FabricSim {
                     })?;
                     while self.now < ev.cycle {
                         self.step();
+                        self.skip_quiet(ev.cycle);
                     }
                     self.submit(
                         ev.src_dev,
@@ -1016,8 +1018,18 @@ impl FabricSim {
 
     /// Advances the whole fabric one cycle: applies fault onsets, polls
     /// every transfer (in submission order — the determinism anchor), then
-    /// steps every die in lockstep.
+    /// advances every die in lockstep. On the event engine a die whose own
+    /// [`ReliableMesh::quiet_bound`] proves this cycle a no-op is advanced
+    /// by its O(1) skip instead of a full step, bit-identically.
     pub fn step(&mut self) {
+        self.step_dies(gnoc_noc::event_skip_enabled());
+    }
+
+    /// [`FabricSim::step`], with `skip_quiet_dies` choosing whether a die
+    /// that provably cannot act this cycle is skipped rather than stepped.
+    /// The cycle-exact reference passes `false`, so it steps every die on
+    /// every cycle.
+    fn step_dies(&mut self, skip_quiet_dies: bool) {
         let now = self.now;
         self.apply_onsets(now);
         for idx in 0..self.transfers.len() {
@@ -1027,7 +1039,18 @@ impl FabricSim {
         }
         self.check_watchdog(now);
         for die in &mut self.dies {
-            die.step();
+            // The polls above ran first, so a die they just handed a
+            // transfer reports a bound of `now` and steps.
+            if skip_quiet_dies && die.quiet_bound() > now {
+                die.skip_quiet(now + 1);
+            } else {
+                die.step();
+            }
+            debug_assert_eq!(
+                die.mesh().cycle(),
+                now + 1,
+                "die fell out of lockstep during a fabric step"
+            );
         }
         self.now += 1;
     }
@@ -1038,7 +1061,8 @@ impl FabricSim {
     /// first for traffic it owns.
     fn check_watchdog(&mut self, now: u64) {
         if self.outstanding == 0
-            || now.saturating_sub(self.last_progress) <= self.cfg.retry.watchdog_cycles * 2
+            || now.saturating_sub(self.last_progress)
+                <= self.cfg.retry.watchdog_cycles.saturating_mul(2)
         {
             return;
         }
@@ -1114,21 +1138,18 @@ impl FabricSim {
         // would have made: every unresolved in-fabric transfer and every
         // cross-device transfer waiting on its destination die charges one
         // FabricHop per cycle.
-        if self.recorder.is_some() {
-            let waiting: Vec<u64> = self
-                .transfers
-                .iter()
-                .enumerate()
-                .filter(|(_, t)| !t.state.is_resolved())
-                .filter_map(|(idx, t)| match t.leg {
-                    Leg::Fabric { .. } => Some(idx as u64),
-                    Leg::DestDie(_) if t.src_dev != t.dst_dev => Some(idx as u64),
-                    _ => None,
-                })
-                .collect();
-            if let Some(rec) = self.recorder.as_deref_mut() {
-                for idx in waiting {
-                    rec.charge_n(idx, StallKind::FabricHop, n);
+        if let Some(rec) = self.recorder.as_deref_mut() {
+            for (idx, t) in self.transfers.iter().enumerate() {
+                if t.state.is_resolved() {
+                    continue;
+                }
+                let waiting = match t.leg {
+                    Leg::Fabric { .. } => true,
+                    Leg::DestDie(_) => t.src_dev != t.dst_dev,
+                    _ => false,
+                };
+                if waiting {
+                    rec.charge_n(idx as u64, StallKind::FabricHop, n);
                 }
             }
         }
@@ -1169,7 +1190,7 @@ impl FabricSim {
     pub fn run_until_quiescent_cycle_exact(&mut self, max_cycles: u64) -> bool {
         let start = self.now;
         while self.outstanding > 0 && self.now - start < max_cycles {
-            self.step();
+            self.step_dies(false);
         }
         self.outstanding == 0
     }

@@ -119,6 +119,11 @@ impl MeshConfig {
 struct Router {
     /// Input buffers indexed `[port][vc]`.
     inputs: Vec<Vec<VecDeque<Packet>>>,
+    /// Packets queued across all of `inputs`. Every push and pop of an
+    /// input buffer updates it, so a router with a zero count has no queue
+    /// head to route, arbitrate, drop or charge, and the per-router passes
+    /// of [`Mesh::step`] and [`Mesh::skip_idle_to`] skip it.
+    queued: usize,
     arbiters: Vec<Arbiter>,
     output_busy_until: Vec<u64>,
 }
@@ -457,6 +462,7 @@ impl Mesh {
         let n = cfg.num_nodes();
         let router = Router {
             inputs: vec![vec![VecDeque::new(); cfg.vcs]; NUM_PORTS],
+            queued: 0,
             arbiters: (0..NUM_PORTS).map(|_| Arbiter::new(cfg.arbiter)).collect(),
             output_busy_until: vec![0; NUM_PORTS],
         };
@@ -899,11 +905,12 @@ impl Mesh {
         self.trace_tap.0.take().map(|b| *b)
     }
 
-    /// Replays a recorded injection stream: steps the mesh to each event's
-    /// recorded cycle and re-injects it. On a mesh built from the trace
-    /// header's configuration and plan this reproduces the recorded run bit
-    /// for bit. A truncated trace replays its complete prefix and reports
-    /// the truncation in [`gnoc_trace::ReplayOutcome::truncated`].
+    /// Replays a recorded injection stream: runs the mesh to each event's
+    /// recorded cycle on the event engine ([`Mesh::run`]) and re-injects
+    /// it. On a mesh built from the trace header's configuration and plan
+    /// this reproduces the recorded run bit for bit. A truncated trace
+    /// replays its complete prefix and reports the truncation in
+    /// [`gnoc_trace::ReplayOutcome::truncated`].
     ///
     /// # Errors
     ///
@@ -939,9 +946,7 @@ impl Mesh {
                     }
                     let class = PacketClass::from_trace_code(ev.class)
                         .ok_or_else(|| fail(format!("unknown packet class {}", ev.class)))?;
-                    while self.cycle < ev.cycle {
-                        self.step();
-                    }
+                    self.run(ev.cycle.saturating_sub(self.cycle));
                     if !self.try_inject_with_birth(
                         NodeId::new(ev.src),
                         NodeId::new(ev.dst),
@@ -1010,7 +1015,8 @@ impl Mesh {
         assert!(src.index() < self.cfg.num_nodes(), "src out of range");
         assert!(dst.index() < self.cfg.num_nodes(), "dst out of range");
         let vc = self.vc_of(class);
-        let q = &mut self.routers[src.index()].inputs[LOCAL][vc];
+        let router = &mut self.routers[src.index()];
+        let q = &mut router.inputs[LOCAL][vc];
         if q.len() >= self.cfg.buffer_packets {
             return None;
         }
@@ -1023,6 +1029,7 @@ impl Mesh {
             birth,
             class,
         });
+        router.queued += 1;
         self.next_id += 1;
         self.occupancy += 1;
         self.quiet_until = self.cycle;
@@ -1082,6 +1089,14 @@ impl Mesh {
                 .flat_map(|port| port.iter().map(VecDeque::len))
                 .sum::<usize>(),
             "incremental occupancy diverged from the queues"
+        );
+        debug_assert!(
+            self.routers.iter().all(|r| r.queued
+                == r.inputs
+                    .iter()
+                    .flat_map(|port| port.iter().map(VecDeque::len))
+                    .sum::<usize>()),
+            "a router's queued count diverged from its queues"
         );
         self.occupancy
     }
@@ -1352,6 +1367,9 @@ impl Mesh {
     /// observable that lets a health monitor find the dead link.
     fn drop_dead_port_heads(&mut self, f: &FaultState) {
         for r in 0..self.routers.len() {
+            if self.routers[r].queued == 0 {
+                continue;
+            }
             for in_port in 0..NUM_PORTS {
                 for vc in 0..self.cfg.vcs {
                     let Some(head) = self.routers[r].inputs[in_port][vc].front() else {
@@ -1367,6 +1385,7 @@ impl Mesh {
                     let Some(packet) = self.routers[r].inputs[in_port][vc].pop_front() else {
                         continue;
                     };
+                    self.routers[r].queued -= 1;
                     self.occupancy -= 1;
                     self.stats.link_drops[r * NUM_PORTS + out] += 1;
                     self.lost.push((packet, LossReason::DeadLink));
@@ -1384,6 +1403,9 @@ impl Mesh {
             return;
         };
         for r in 0..self.routers.len() {
+            if self.routers[r].queued == 0 {
+                continue;
+            }
             for in_port in 0..NUM_PORTS {
                 for vc in 0..self.cfg.vcs {
                     let Some(head) = self.routers[r].inputs[in_port][vc].front() else {
@@ -1395,6 +1417,7 @@ impl Mesh {
                     let Some(packet) = self.routers[r].inputs[in_port][vc].pop_front() else {
                         continue;
                     };
+                    self.routers[r].queued -= 1;
                     self.occupancy -= 1;
                     self.stats.dropped_unroutable += 1;
                     self.lost.push((packet, LossReason::Unroutable));
@@ -1572,7 +1595,9 @@ impl Mesh {
         scratch.moves.clear();
         for r in 0..self.routers.len() {
             let routes = &mut scratch.routes[r * slots..(r + 1) * slots];
-            if faults.as_deref().is_some_and(|f| self.is_stalled(f, r)) {
+            if self.routers[r].queued == 0
+                || faults.as_deref().is_some_and(|f| self.is_stalled(f, r))
+            {
                 routes.fill(UNREACHABLE);
                 continue;
             }
@@ -1652,6 +1677,9 @@ impl Mesh {
         // observe but never perturb.
         if let Some(rec) = rec.as_deref_mut() {
             for r in 0..self.routers.len() {
+                if self.routers[r].queued == 0 {
+                    continue;
+                }
                 for in_port in 0..NUM_PORTS {
                     for vc in 0..vcs {
                         let Some(head) = self.routers[r].inputs[in_port][vc].front() else {
@@ -1681,6 +1709,7 @@ impl Mesh {
             };
             // The packet left its buffer; it re-enters one downstream unless
             // it ejects or dies on the hop.
+            self.routers[m.router].queued -= 1;
             self.occupancy -= 1;
             // The flits occupy the wire whether or not they survive the hop.
             self.routers[m.router].output_busy_until[m.out_port] =
@@ -1735,7 +1764,9 @@ impl Mesh {
                         self.cycle + 1,
                     );
                 }
-                self.routers[down].inputs[Self::entry_port(m.out_port)][m.vc].push_back(packet);
+                let router = &mut self.routers[down];
+                router.inputs[Self::entry_port(m.out_port)][m.vc].push_back(packet);
+                router.queued += 1;
                 self.occupancy += 1;
             }
         }
@@ -1765,11 +1796,7 @@ impl Mesh {
         let mut deepest = (0usize, 0usize); // (router, depth)
         self.telemetry.with(|t| {
             for (r, router) in self.routers.iter().enumerate() {
-                let depth: usize = router
-                    .inputs
-                    .iter()
-                    .flat_map(|port| port.iter().map(VecDeque::len))
-                    .sum();
+                let depth = router.queued;
                 t.registry
                     .hist_record("noc.router_queue_depth", depth as u64);
                 if depth > deepest.1 {
@@ -1905,6 +1932,9 @@ impl Mesh {
         if let Some(mut rec) = self.recorder.take() {
             let faults = self.faults.take();
             for r in 0..self.routers.len() {
+                if self.routers[r].queued == 0 {
+                    continue;
+                }
                 for in_port in 0..NUM_PORTS {
                     for vc in 0..self.cfg.vcs {
                         let Some(head) = self.routers[r].inputs[in_port][vc].front() else {

@@ -362,9 +362,10 @@ impl ReliableMesh {
     }
 
     /// Replays a recorded submission stream into this mesh: every event is
-    /// re-submitted in order (stepping the simulation up to the event's
-    /// recorded cycle first), reproducing the recorded run bit for bit when
-    /// the mesh was built from the trace header's configuration and plan.
+    /// re-submitted in order (first advancing the simulation to the event's
+    /// recorded cycle on the event engine: step, then skip capped at that
+    /// cycle), reproducing the recorded run bit for bit when the mesh was
+    /// built from the trace header's configuration and plan.
     ///
     /// A truncated trace replays its complete prefix and reports the
     /// truncation point in [`ReplayOutcome::truncated`]; the caller decides
@@ -394,6 +395,7 @@ impl ReliableMesh {
                     }
                     while self.mesh.cycle() < ev.cycle {
                         self.step();
+                        self.skip_quiet(ev.cycle);
                     }
                     let class = PacketClass::from_trace_code(ev.class).ok_or_else(|| {
                         ReplayError::Event {
@@ -443,9 +445,15 @@ impl ReliableMesh {
             .min(self.cfg.max_timeout_cycles)
     }
 
+    /// Offers every queued transfer to the mesh once, in FIFO order. The
+    /// queue is rotated in place: each entry is popped from the front and
+    /// the ones the source buffer refused are pushed back, so after one
+    /// pass they sit in their original relative order.
     fn inject_pending(&mut self) {
-        let mut still = VecDeque::new();
-        while let Some(idx) = self.pending.pop_front() {
+        for _ in 0..self.pending.len() {
+            let Some(idx) = self.pending.pop_front() else {
+                break;
+            };
             // A queued transfer may have been resolved (late duplicate
             // delivery) or re-queued twice; only genuinely pending ones go.
             if self.transfers[idx].state != TransferOutcome::Pending {
@@ -467,10 +475,9 @@ impl ReliableMesh {
                         self.next_deadline = deadline;
                     }
                 }
-                None => still.push_back(idx),
+                None => self.pending.push_back(idx),
             }
         }
-        self.pending = still;
     }
 
     /// Requeues transfer `idx` for another attempt, or resolves it lost when

@@ -10,8 +10,11 @@
 //! 2. the retrying [`ReliableMesh`] soak, outcomes and drained ejections
 //!    included (25 seeds);
 //! 3. the flight recorder's streamed JSONL, byte for byte;
-//! 4. 2–4-device fabrics over generated inter-device plans;
-//! 5. full chaos reports, across the `--jobs {1, 2, 7}` sweep.
+//! 4. 2–4-device fabrics over generated inter-device plans, bare and with
+//!    a flight recorder on the fabric and on every die;
+//! 5. trace replays whose submissions sit thousands of cycles apart, for
+//!    the mesh, the reliable mesh and the fabric;
+//! 6. full chaos reports, across the `--jobs {1, 2, 7}` sweep.
 //!
 //! The engine toggle is process-global, so every test serializes on one
 //! mutex and restores the default (event) engine on exit, panic included.
@@ -21,7 +24,10 @@ use gnoc_core::noc::{
     set_event_skip_enabled, ArbiterKind, MeshConfig, NodeId, PacketClass, ReliableMesh, RetryConfig,
 };
 use gnoc_core::telemetry::{TelemetryHandle, TraceEvent, TraceSink};
-use gnoc_core::{FabricConfig, FabricSim, FabricTopology, FaultGenConfig, FaultPlan, Mesh};
+use gnoc_core::trace::{TraceHeader, TraceReader, TraceTap};
+use gnoc_core::{
+    trace_digest, FabricConfig, FabricSim, FabricTopology, FaultGenConfig, FaultPlan, Mesh,
+};
 use std::sync::Mutex;
 
 /// Serializes tests that read or flip the process-global engine toggle.
@@ -277,6 +283,263 @@ fn fabric_soaks_bit_identical_across_devices() {
             );
         }
     }
+}
+
+/// Dies that sit quiet while others work are advanced by the event
+/// engine's per-die skip instead of a full step; the stall charges their
+/// recorders would have taken each cycle must be replicated exactly. Every
+/// die carries a recorder (attached through `die_mut`), traffic arrives in
+/// overlapping waves, and the reference runs every die every cycle on the
+/// cycle-exact engine.
+#[test]
+fn recorded_fabric_dies_bit_identical_across_engines() {
+    let _guard = EngineGuard::take();
+    for devices in 2..=4u32 {
+        for seed in 0..5u64 {
+            let plan = FaultPlan::generate(&gen_cfg(seed, 5, 5, devices));
+            let soak = |event: bool| {
+                set_event_skip_enabled(event);
+                let mut sim =
+                    FabricSim::with_faults(FabricConfig::new(devices, FabricTopology::Ring), &plan)
+                        .expect("plan fits the fabric");
+                sim.attach_flight_recorder();
+                for d in 0..devices {
+                    let die = sim.die_mut(d);
+                    die.attach_flight_recorder();
+                    // Odd seeds hide dead die links from routing, so heads
+                    // routed into one are dropped instead of rerouted.
+                    die.set_self_healing(seed % 2 == 1);
+                }
+                let mut state = seed ^ 0x5eed ^ u64::from(devices) << 40;
+                for wave in 0..8u64 {
+                    for _ in 0..14 {
+                        // Each wave leans on one device, so the rest idle.
+                        let sd = if mix(&mut state).is_multiple_of(2) {
+                            (wave % u64::from(devices)) as u32
+                        } else {
+                            (mix(&mut state) % u64::from(devices)) as u32
+                        };
+                        let dd =
+                            (sd + 1 + (mix(&mut state) % u64::from(devices - 1)) as u32) % devices;
+                        let src = (mix(&mut state) % 25) as u32;
+                        let dst = (mix(&mut state) % 25) as u32;
+                        let flits = 1 + (mix(&mut state) % 4) as u32;
+                        sim.submit(
+                            sd,
+                            NodeId::new(src),
+                            dd,
+                            NodeId::new(dst),
+                            flits,
+                            PacketClass::Request,
+                        )
+                        .expect("all devices are alive in this plan");
+                    }
+                    let budget = if wave == 7 {
+                        200_000
+                    } else {
+                        80 + 420 * (wave % 2)
+                    };
+                    if event {
+                        sim.run_until_quiescent(budget);
+                    } else {
+                        sim.run_until_quiescent_cycle_exact(budget);
+                    }
+                }
+                let mut lines = Vec::new();
+                for d in 0..devices {
+                    let rec = sim
+                        .die_mut(d)
+                        .take_flight_recorder()
+                        .expect("die recorder attached");
+                    let mut sink = LineSink::default();
+                    rec.stream_to(&mut sink);
+                    lines.push(sink.lines);
+                }
+                let rec = sim.take_flight_recorder().expect("recorder attached");
+                let mut sink = LineSink::default();
+                rec.stream_to(&mut sink);
+                lines.push(sink.lines);
+                let dies: Vec<_> = sim
+                    .dies()
+                    .iter()
+                    .map(|d| (d.mesh().cycle(), d.mesh().in_flight(), d.stats().clone()))
+                    .collect();
+                (
+                    sim.cycle(),
+                    sim.stats().clone(),
+                    sim.outcomes(),
+                    dies,
+                    lines,
+                )
+            };
+            let event = soak(true);
+            let cycle = soak(false);
+            assert!(
+                event.4.iter().all(|l| !l.is_empty()),
+                "every recorder saw traffic"
+            );
+            assert_eq!(
+                event, cycle,
+                "devices {devices} seed {seed}: recorded fabric soak diverged"
+            );
+        }
+    }
+}
+
+/// Submission cycles of the sparse replay traces: ten events, 2,000 to
+/// 4,000 cycles apart, so replay catch-up is mostly idle time.
+fn sparse_cycles(seed: u64) -> Vec<u64> {
+    let mut state = seed;
+    let mut at = 0;
+    (0..10)
+        .map(|_| {
+            at += 2_000 + mix(&mut state) % 2_000;
+            at
+        })
+        .collect()
+}
+
+/// Replays `bytes` through `replay` under the event engine and under the
+/// cycle-exact one; both must reproduce `recorded`, the recording's stats
+/// line.
+fn assert_replays_match(
+    what: &str,
+    bytes: &[u8],
+    recorded: &str,
+    replay: impl Fn(&mut TraceReader<std::io::Cursor<Vec<u8>>>, bool) -> String,
+) {
+    for event in [true, false] {
+        set_event_skip_enabled(event);
+        let mut reader = TraceReader::from_bytes(bytes.to_vec()).expect("trace opens");
+        assert_eq!(
+            replay(&mut reader, event),
+            recorded,
+            "{what}: replay (event engine {event}) diverged from the recording"
+        );
+    }
+    set_event_skip_enabled(true);
+}
+
+/// Record → replay with submissions thousands of cycles apart: the replay
+/// catch-up between events rides the event engine (step, then skip capped
+/// at the event's cycle), and must reproduce the recording under both
+/// engines — for the bare mesh, the reliable mesh and a 4-device fabric.
+#[test]
+fn sparse_trace_replays_bit_identical_across_engines() {
+    let _guard = EngineGuard::take();
+    let seed = 7;
+    let plan = FaultPlan::generate(&gen_cfg(seed, 6, 6, 1));
+    let cycles = sparse_cycles(seed);
+
+    // Each recording reaches the next submission on the event engine; the
+    // cycle-exact replay then checks it against every cycle stepped.
+    let mut m = Mesh::try_new(mesh_cfg()).expect("valid config");
+    m.apply_fault_plan(&plan).expect("plan fits the mesh");
+    m.attach_trace_tap(TraceTap::in_memory(&TraceHeader::mesh(6, 6, seed, 10, 0)));
+    let mut state = seed;
+    for &at in &cycles {
+        m.run(at - m.cycle());
+        let src = (mix(&mut state) % 36) as u32;
+        let dst = (src + 1 + (mix(&mut state) % 35) as u32) % 36;
+        assert!(m.try_inject(NodeId::new(src), NodeId::new(dst), 2, PacketClass::Request));
+    }
+    assert!(m.drain(50_000));
+    let mesh_line = |m: &Mesh| format!("{}{:?}", m.cycle(), m.stats());
+    let recorded = mesh_line(&m);
+    let bytes = m
+        .take_trace_tap()
+        .expect("tap attached")
+        .finish_bytes(0)
+        .expect("in-memory finalize");
+    assert_replays_match("mesh", &bytes, &recorded, |reader, _| {
+        let mut m = Mesh::try_new(mesh_cfg()).expect("valid config");
+        m.apply_fault_plan(&plan).expect("plan fits the mesh");
+        let outcome = m.replay_from(reader).expect("trace replays");
+        assert_eq!(outcome.replayed, 10);
+        assert!(m.drain(50_000));
+        mesh_line(&m)
+    });
+
+    // Reliable mesh.
+    let mut rm = ReliableMesh::with_faults(mesh_cfg(), &plan, RetryConfig::default())
+        .expect("plan fits the mesh");
+    rm.attach_trace_tap(TraceTap::in_memory(&TraceHeader::mesh(6, 6, seed, 10, 0)));
+    for &at in &cycles {
+        while rm.mesh().cycle() < at {
+            rm.step();
+            rm.skip_quiet(at);
+        }
+        let src = (mix(&mut state) % 36) as u32;
+        let dst = (src + 1 + (mix(&mut state) % 35) as u32) % 36;
+        rm.submit(NodeId::new(src), NodeId::new(dst), 3, PacketClass::Request);
+    }
+    assert!(rm.run_until_quiescent(200_000));
+    let recorded = trace_digest::mesh_stats_line(&rm).expect("stats serialize");
+    let bytes = rm
+        .take_trace_tap()
+        .expect("tap attached")
+        .finish_bytes(0)
+        .expect("in-memory finalize");
+    assert_replays_match("reliable mesh", &bytes, &recorded, |reader, event| {
+        let mut rm = ReliableMesh::with_faults(mesh_cfg(), &plan, RetryConfig::default())
+            .expect("plan fits the mesh");
+        let outcome = rm.replay_from(reader).expect("trace replays");
+        assert_eq!(outcome.replayed, 10);
+        assert!(if event {
+            rm.run_until_quiescent(200_000)
+        } else {
+            rm.run_until_quiescent_cycle_exact(200_000)
+        });
+        trace_digest::mesh_stats_line(&rm).expect("stats serialize")
+    });
+
+    // 4-device fabric.
+    let plan = FaultPlan::generate(&gen_cfg(seed, 5, 5, 4));
+    let build = || {
+        FabricSim::with_faults(FabricConfig::new(4, FabricTopology::Ring), &plan)
+            .expect("plan fits the fabric")
+    };
+    let mut sim = build();
+    sim.attach_trace_tap(TraceTap::in_memory(&TraceHeader::fabric(
+        4, "ring", 5, 5, seed, 10, 0,
+    )));
+    for &at in &cycles {
+        while sim.cycle() < at {
+            sim.step();
+            sim.skip_quiet(at);
+        }
+        let sd = (mix(&mut state) % 4) as u32;
+        let dd = (sd + 1 + (mix(&mut state) % 3) as u32) % 4;
+        let src = (mix(&mut state) % 25) as u32;
+        let dst = (mix(&mut state) % 25) as u32;
+        sim.submit(
+            sd,
+            NodeId::new(src),
+            dd,
+            NodeId::new(dst),
+            2,
+            PacketClass::Request,
+        )
+        .expect("all devices are alive in this plan");
+    }
+    assert!(sim.run_until_quiescent(200_000));
+    let recorded = trace_digest::fabric_stats_line(&sim).expect("stats serialize");
+    let bytes = sim
+        .take_trace_tap()
+        .expect("tap attached")
+        .finish_bytes(0)
+        .expect("in-memory finalize");
+    assert_replays_match("fabric", &bytes, &recorded, |reader, event| {
+        let mut sim = build();
+        let outcome = sim.replay_from(reader).expect("trace replays");
+        assert_eq!(outcome.replayed, 10);
+        assert!(if event {
+            sim.run_until_quiescent(200_000)
+        } else {
+            sim.run_until_quiescent_cycle_exact(200_000)
+        });
+        trace_digest::fabric_stats_line(&sim).expect("stats serialize")
+    });
 }
 
 #[test]
