@@ -153,6 +153,20 @@ set -e
 [ "$corrupt_rc" -eq 1 ]
 grep -q "chunk" "$tmp/corrupt.err"
 
+echo "== untrusted dimensions: oversized meshes exit 2, never abort =="
+# Mesh sizes past MAX_NODES (64x64 routers) are refused before anything is
+# sized by them; 70000x70000 once aborted on a 392 GB allocation.
+set +e
+cargo run --release -q -p gnoc-cli --bin gnoc -- \
+    fabric --devices 2 --width 70000 --height 70000 > /dev/null 2>&1
+huge_fabric_rc=$?
+cargo run --release -q -p gnoc-cli --bin gnoc -- \
+    chaos run --seeds 0..1 --width 70000 --height 70000 > /dev/null 2>&1
+huge_chaos_rc=$?
+set -e
+[ "$huge_fabric_rc" -eq 2 ]
+[ "$huge_chaos_rc" -eq 2 ]
+
 echo "== chaos: oracle-catches-bugs suite (bug-hooks) =="
 cargo test -q -p gnoc-chaos --features bug-hooks
 

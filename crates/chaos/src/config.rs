@@ -1,6 +1,7 @@
 //! Chaos-run configuration and the deterministic seed → fault-plan map.
 
 use crate::ChaosError;
+use gnoc_core::noc::MAX_NODES;
 use gnoc_core::{
     spec_for_preset, FabricTopology, FaultGenConfig, FaultPlan, FlakyBurst, LatencyProbe,
     RegionFault, RetryConfig,
@@ -155,10 +156,19 @@ impl ChaosConfig {
                 "width/height: chaos mesh must be non-empty".into(),
             ));
         }
-        if (self.width * self.height) < 2 {
-            return Err(ChaosError::Config(
-                "width/height: need at least two terminals to exchange traffic".into(),
-            ));
+        match self.width.checked_mul(self.height) {
+            Some(n) if n < 2 => {
+                return Err(ChaosError::Config(
+                    "width/height: need at least two terminals to exchange traffic".into(),
+                ));
+            }
+            Some(n) if n as usize <= MAX_NODES => {}
+            _ => {
+                return Err(ChaosError::Config(format!(
+                    "width/height: a {}x{} mesh exceeds {MAX_NODES} routers",
+                    self.width, self.height
+                )));
+            }
         }
         if self.transfers == 0 {
             return Err(ChaosError::Config(
@@ -344,6 +354,23 @@ mod tests {
             (
                 ChaosConfig {
                     width: 0,
+                    ..ChaosConfig::default()
+                },
+                "width",
+            ),
+            (
+                // 70000 × 70000 overflows u32.
+                ChaosConfig {
+                    width: 70_000,
+                    height: 70_000,
+                    ..ChaosConfig::default()
+                },
+                "width",
+            ),
+            (
+                ChaosConfig {
+                    width: 65,
+                    height: 64,
                     ..ChaosConfig::default()
                 },
                 "width",

@@ -228,6 +228,54 @@ fn trace_subcommands_pin_all_four_exit_codes() {
     }
 }
 
+/// A mesh past `MAX_NODES` (or whose size overflows) is invalid input,
+/// rejected before anything is sized by it — from a flag or from a trace
+/// header alike.
+#[test]
+fn oversized_meshes_exit_invalid_input() {
+    for args in [
+        &["fabric", "--devices", "2"][..],
+        &["profile", "--devices", "2"],
+        &["chaos", "run", "--seeds", "0..1"],
+        &["health"],
+    ] {
+        for (w, h) in [("70000", "70000"), ("65", "64")] {
+            let args = [args, &["--width", w, "--height", h]].concat();
+            assert_eq!(gnoc(&args), EXIT_INVALID_INPUT, "gnoc {}", args.join(" "));
+        }
+    }
+
+    // A structurally valid trace whose header claims a 70000×70000 die.
+    for (name, header) in [
+        ("mesh", TraceHeader::mesh(70_000, 70_000, 1, 1, 0)),
+        (
+            "fabric",
+            TraceHeader::fabric(2, "ring", 70_000, 70_000, 1, 1, 0),
+        ),
+    ] {
+        let mut tap = TraceTap::in_memory(&header);
+        tap.record(&TraceEvent {
+            cycle: 0,
+            src_dev: 0,
+            src: 0,
+            dst_dev: 0,
+            dst: 1,
+            flits: 1,
+            class: 0,
+        });
+        let path = scratch(&format!("huge-{name}.trc"));
+        std::fs::write(&path, tap.finish_bytes(0).unwrap()).unwrap();
+        let arg = path.to_str().unwrap();
+        assert_eq!(gnoc(&["trace", "validate", arg]), EXIT_OK, "{name}");
+        assert_eq!(
+            gnoc(&["trace", "replay", arg]),
+            EXIT_INVALID_INPUT,
+            "{name}"
+        );
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
 #[test]
 fn health_subcommand_runs_clean_without_faults() {
     assert_eq!(

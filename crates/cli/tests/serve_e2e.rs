@@ -1,7 +1,11 @@
 //! End-to-end daemon robustness through the real binary: a SIGKILL mid-job
 //! must lose nothing (journal replay + checkpoint resume, byte-identical
-//! result), and a SIGTERM must drain gracefully.
+//! result), a SIGTERM must drain gracefully, and a job whose input sizes an
+//! impossible mesh fails as a job, live or recovered from the journal.
 
+use gnoc_core::telemetry::TelemetryHandle;
+use gnoc_core::trace::{to_hex, TraceEvent, TraceHeader, TraceTap};
+use gnoc_serve::{Admission, Engine, JobSpec, ServeConfig};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
@@ -228,4 +232,80 @@ fn sigterm_drains_gracefully_and_removes_the_socket() {
     let out = daemon.wait_with_output().expect("daemon exit");
     assert_eq!(out.status.code(), Some(0), "SIGTERM drain exits 0");
     assert!(!sock.exists(), "socket file is removed on clean exit");
+}
+
+/// A replay job whose trace header claims a 70000×70000 die: before mesh
+/// sizes were bounded, building that mesh aborted the daemon, and because
+/// the job is journaled before it runs, every restart aborted again.
+#[test]
+fn oversized_replay_job_fails_without_killing_the_daemon() {
+    let dir = scratch("huge");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut tap = TraceTap::in_memory(&TraceHeader::mesh(70_000, 70_000, 1, 1, 0));
+    tap.record(&TraceEvent {
+        cycle: 0,
+        src_dev: 0,
+        src: 0,
+        dst_dev: 0,
+        dst: 1,
+        flits: 1,
+        class: 0,
+    });
+    let trace_hex = to_hex(&tap.finish_bytes(0).unwrap());
+
+    // Live: the job fails with a reason, and the daemon keeps answering.
+    let live = dir.join("live");
+    let sock = dir.join("live.sock");
+    let sock_arg = sock.to_str().unwrap();
+    let daemon = spawn_daemon(&live, &sock, &[]);
+    wait_for_socket(&sock);
+    wait_for_health(sock_arg);
+    let json = format!("{{\"schema\":1,\"op\":\"replay\",\"trace\":\"{trace_hex}\"}}");
+    let out = Command::new(env!("CARGO_BIN_EXE_gnoc"))
+        .args(["submit", "--socket", sock_arg, "--json", &json])
+        .output()
+        .expect("spawn submit");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "a failed job exits 1: {stderr}");
+    assert!(
+        stderr.contains("job failed") && stderr.contains("mesh too large"),
+        "expected a failed-job envelope: {stderr}"
+    );
+    let (code, _) = submit(&["submit", "health", "--socket", sock_arg]);
+    assert_eq!(code, 0, "the daemon still answers after the failed job");
+    let (code, _) = submit(&["submit", "shutdown", "--socket", sock_arg]);
+    assert_eq!(code, 0);
+    let out = daemon.wait_with_output().expect("daemon exit");
+    assert_eq!(out.status.code(), Some(0));
+
+    // Recovered: a journal that still owes the job (admitted, never run).
+    let owed = dir.join("owed");
+    {
+        let engine = Engine::open_idle(ServeConfig::new(&owed), TelemetryHandle::disabled())
+            .expect("open state dir");
+        let spec = JobSpec::Replay {
+            trace_hex,
+            plan: None,
+        };
+        assert!(matches!(
+            engine.handle().admit(1, &spec),
+            Admission::Enqueued { .. }
+        ));
+    }
+    let sock = dir.join("owed.sock");
+    let sock_arg = sock.to_str().unwrap();
+    let daemon = spawn_daemon(&owed, &sock, &[]);
+    wait_for_socket(&sock);
+    wait_for_health(sock_arg);
+    let (code, _) = submit(&["submit", "shutdown", "--socket", sock_arg]);
+    assert_eq!(code, 0);
+    let out = daemon.wait_with_output().expect("daemon exit");
+    assert_eq!(out.status.code(), Some(0), "the restart did not abort");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("recovered 1 unfinished job(s) from the journal"),
+        "daemon stdout: {stdout}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -12,12 +12,12 @@ use crate::error::{LossReason, NocError};
 use crate::packet::{NodeId, Packet, PacketClass};
 use gnoc_faults::{Direction, FaultPlan, FaultPlanError, LinkFaultKind};
 use gnoc_telemetry::{
-    FlightRecorder, MetricRegistry, StallKind, TelemetryHandle, TraceEvent, SUBSYSTEM_NOC,
+    FlightRecorder, IdSet, MetricRegistry, StallKind, TelemetryHandle, TraceEvent, SUBSYSTEM_NOC,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -31,6 +31,9 @@ const WEST: usize = 4;
 /// vectors such as [`MeshStats::link_drops`] are indexed
 /// `router * NUM_PORTS + port`.
 pub const NUM_PORTS: usize = 5;
+/// Largest mesh [`MeshConfig::validate`] accepts, in routers (64×64). The
+/// fault-aware reroute tables take `n² · NUM_PORTS` bytes, ~84 MB here.
+pub const MAX_NODES: usize = 4_096;
 
 /// Dimension order used by deterministic routing.
 ///
@@ -111,21 +114,14 @@ impl MeshConfig {
                 "too many virtual channels: ports × VCs exceeds the arbiter's 64 inputs",
             ));
         }
-        Ok(())
+        // Checked before anything is sized by it: the dimensions may come
+        // from a flag or an untrusted trace header.
+        let nodes = self.width.checked_mul(self.height);
+        match nodes.filter(|&n| n <= MAX_NODES) {
+            Some(n) if n.checked_mul(NUM_PORTS * self.vcs).is_some() => Ok(()),
+            _ => Err(NocError::Config("mesh too large: more than 4096 routers")),
+        }
     }
-}
-
-#[derive(Debug, Clone)]
-struct Router {
-    /// Input buffers indexed `[port][vc]`.
-    inputs: Vec<Vec<VecDeque<Packet>>>,
-    /// Packets queued across all of `inputs`. Every push and pop of an
-    /// input buffer updates it, so a router with a zero count has no queue
-    /// head to route, arbitrate, drop or charge, and the per-router passes
-    /// of [`Mesh::step`] and [`Mesh::skip_idle_to`] skip it.
-    queued: usize,
-    arbiters: Vec<Arbiter>,
-    output_busy_until: Vec<u64>,
 }
 
 /// The mesh output port a fault-plan [`Direction`] maps to.
@@ -355,7 +351,7 @@ impl Clone for TapSlot {
 #[derive(Debug, Clone, Copy)]
 struct Move {
     router: usize,
-    in_port: usize,
+    slot: usize,
     vc: usize,
     out_port: usize,
 }
@@ -368,8 +364,8 @@ const GRANTED: u8 = UNREACHABLE - 1;
 /// cycle, so a cloned mesh starts with an empty scratch, like [`TapSlot`].
 #[derive(Debug, Default)]
 struct StepScratch {
-    /// Route-once slot array, indexed `router * NUM_PORTS * vcs + in_port *
-    /// vcs + vc`: the output port the queue's head routes to, [`GRANTED`]
+    /// Route-once slot array, indexed like the queues ([`Mesh::slot`]):
+    /// the output port the queue's head routes to, [`GRANTED`]
     /// once it wins arbitration, [`UNREACHABLE`] for an empty queue, a head
     /// with no surviving route, or any queue of a stalled router.
     routes: Vec<u8>,
@@ -389,7 +385,17 @@ impl Clone for StepScratch {
 #[derive(Debug, Clone)]
 pub struct Mesh {
     cfg: MeshConfig,
-    routers: Vec<Router>,
+    /// Input buffers, one per slot ([`Mesh::slot`]).
+    queues: Vec<VecDeque<Packet>>,
+    /// Packets queued per router across its slots. Every push and pop of a
+    /// queue updates it, so a router with a zero count has no queue head to
+    /// route, arbitrate, drop or charge, and the per-router passes of
+    /// [`Mesh::step`] and [`Mesh::skip_idle_to`] skip it.
+    queued: Vec<usize>,
+    /// Output arbiters, one per link `router * NUM_PORTS + port`.
+    arbiters: Vec<Arbiter>,
+    /// Cycle each output's wormhole serialisation ends, one per link.
+    output_busy_until: Vec<u64>,
     cycle: u64,
     next_id: u64,
     ejection_enabled: Vec<bool>,
@@ -404,7 +410,7 @@ pub struct Mesh {
     /// Packets lost to faults since the last [`Mesh::drain_lost`].
     lost: Vec<(Packet, LossReason)>,
     /// Ids of in-flight packets whose payload was corrupted.
-    corrupted: HashSet<u64>,
+    corrupted: IdSet,
     /// Last cycle on which any packet moved — drives the external watchdog.
     last_progress: u64,
     /// Packets currently buffered anywhere, kept incrementally so
@@ -460,15 +466,16 @@ impl Mesh {
     pub fn try_new(cfg: MeshConfig) -> Result<Self, NocError> {
         cfg.validate()?;
         let n = cfg.num_nodes();
-        let router = Router {
-            inputs: vec![vec![VecDeque::new(); cfg.vcs]; NUM_PORTS],
-            queued: 0,
-            arbiters: (0..NUM_PORTS).map(|_| Arbiter::new(cfg.arbiter)).collect(),
-            output_busy_until: vec![0; NUM_PORTS],
-        };
         Ok(Self {
             cfg,
-            routers: vec![router; n],
+            // Not `vec!`: cloning hundreds of empty deques one by one costs
+            // more than the rest of the build.
+            queues: std::iter::repeat_with(VecDeque::new)
+                .take(n * NUM_PORTS * cfg.vcs)
+                .collect(),
+            queued: vec![0; n],
+            arbiters: vec![Arbiter::new(cfg.arbiter); n * NUM_PORTS],
+            output_busy_until: vec![0; n * NUM_PORTS],
             cycle: 0,
             next_id: 0,
             ejection_enabled: vec![true; n],
@@ -484,7 +491,7 @@ impl Mesh {
             telemetry: TelemetryHandle::disabled(),
             faults: None,
             lost: Vec::new(),
-            corrupted: HashSet::new(),
+            corrupted: IdSet::default(),
             last_progress: 0,
             occupancy: 0,
             quiet_until: 0,
@@ -1014,14 +1021,12 @@ impl Mesh {
     ) -> Option<u64> {
         assert!(src.index() < self.cfg.num_nodes(), "src out of range");
         assert!(dst.index() < self.cfg.num_nodes(), "dst out of range");
-        let vc = self.vc_of(class);
-        let router = &mut self.routers[src.index()];
-        let q = &mut router.inputs[LOCAL][vc];
-        if q.len() >= self.cfg.buffer_packets {
+        let slot = self.slot(src.index(), LOCAL, self.vc_of(class));
+        if self.queues[slot].len() >= self.cfg.buffer_packets {
             return None;
         }
         let id = self.next_id;
-        q.push_back(Packet {
+        self.queues[slot].push_back(Packet {
             id,
             src,
             dst,
@@ -1029,7 +1034,7 @@ impl Mesh {
             birth,
             class,
         });
-        router.queued += 1;
+        self.queued[src.index()] += 1;
         self.next_id += 1;
         self.occupancy += 1;
         self.quiet_until = self.cycle;
@@ -1083,18 +1088,14 @@ impl Mesh {
     pub fn in_flight(&self) -> usize {
         debug_assert_eq!(
             self.occupancy,
-            self.routers
-                .iter()
-                .flat_map(|r| r.inputs.iter())
-                .flat_map(|port| port.iter().map(VecDeque::len))
-                .sum::<usize>(),
+            self.queues.iter().map(VecDeque::len).sum::<usize>(),
             "incremental occupancy diverged from the queues"
         );
         debug_assert!(
-            self.routers.iter().all(|r| r.queued
-                == r.inputs
+            self.queued.iter().enumerate().all(|(r, &queued)| queued
+                == self.queues[self.slot(r, 0, 0)..self.slot(r + 1, 0, 0)]
                     .iter()
-                    .flat_map(|port| port.iter().map(VecDeque::len))
+                    .map(VecDeque::len)
                     .sum::<usize>()),
             "a router's queued count diverged from its queues"
         );
@@ -1105,6 +1106,14 @@ impl Mesh {
     /// input signal.
     pub fn cycles_since_progress(&self) -> u64 {
         self.cycle.saturating_sub(self.last_progress)
+    }
+
+    /// The queue of `(router, port, vc)`, slot
+    /// `(router * NUM_PORTS + port) * vcs + vc`. A router's slots are
+    /// contiguous, and `slot / vcs` is the link index that `arbiters`,
+    /// `output_busy_until` and the per-link statistics share.
+    fn slot(&self, router: usize, port: usize, vc: usize) -> usize {
+        (router * NUM_PORTS + port) * self.cfg.vcs + vc
     }
 
     /// The virtual channel a packet class rides: requests on VC 0, replies on
@@ -1366,13 +1375,14 @@ impl Mesh {
     /// real link layer raises when the far end stops returning credits — the
     /// observable that lets a health monitor find the dead link.
     fn drop_dead_port_heads(&mut self, f: &FaultState) {
-        for r in 0..self.routers.len() {
-            if self.routers[r].queued == 0 {
+        for r in 0..self.queued.len() {
+            if self.queued[r] == 0 {
                 continue;
             }
             for in_port in 0..NUM_PORTS {
                 for vc in 0..self.cfg.vcs {
-                    let Some(head) = self.routers[r].inputs[in_port][vc].front() else {
+                    let slot = self.slot(r, in_port, vc);
+                    let Some(head) = self.queues[slot].front() else {
                         continue;
                     };
                     let Some(out) = self.route_current(Some(f), r, in_port, head.dst.index())
@@ -1382,10 +1392,10 @@ impl Mesh {
                     if out == LOCAL || !f.link_dead[r * NUM_PORTS + out] {
                         continue;
                     }
-                    let Some(packet) = self.routers[r].inputs[in_port][vc].pop_front() else {
+                    let Some(packet) = self.queues[slot].pop_front() else {
                         continue;
                     };
-                    self.routers[r].queued -= 1;
+                    self.queued[r] -= 1;
                     self.occupancy -= 1;
                     self.stats.link_drops[r * NUM_PORTS + out] += 1;
                     self.lost.push((packet, LossReason::DeadLink));
@@ -1402,22 +1412,23 @@ impl Mesh {
         let Some(routes) = f.routes.as_ref() else {
             return;
         };
-        for r in 0..self.routers.len() {
-            if self.routers[r].queued == 0 {
+        for r in 0..self.queued.len() {
+            if self.queued[r] == 0 {
                 continue;
             }
             for in_port in 0..NUM_PORTS {
                 for vc in 0..self.cfg.vcs {
-                    let Some(head) = self.routers[r].inputs[in_port][vc].front() else {
+                    let slot = self.slot(r, in_port, vc);
+                    let Some(head) = self.queues[slot].front() else {
                         continue;
                     };
                     if routes[head.dst.index()][r * NUM_PORTS + in_port] != UNREACHABLE {
                         continue;
                     }
-                    let Some(packet) = self.routers[r].inputs[in_port][vc].pop_front() else {
+                    let Some(packet) = self.queues[slot].pop_front() else {
                         continue;
                     };
-                    self.routers[r].queued -= 1;
+                    self.queued[r] -= 1;
                     self.occupancy -= 1;
                     self.stats.dropped_unroutable += 1;
                     self.lost.push((packet, LossReason::Unroutable));
@@ -1517,20 +1528,49 @@ impl Mesh {
             {
                 StallKind::RouterStall
             }
-            Some(out) if self.routers[r].output_busy_until[out] > self.cycle => {
+            Some(out) if self.output_busy_until[r * NUM_PORTS + out] > self.cycle => {
                 StallKind::Serialization
             }
             Some(out) if out == LOCAL && !self.ejection_enabled[r] => StallKind::Backpressure,
             Some(out)
                 if out != LOCAL && {
-                    let down = self.neighbour(r, out);
-                    let entry = Self::entry_port(out);
-                    self.routers[down].inputs[entry][vc].len() >= self.cfg.buffer_packets
+                    let down = self.slot(self.neighbour(r, out), Self::entry_port(out), vc);
+                    self.queues[down].len() >= self.cfg.buffer_packets
                 } =>
             {
                 StallKind::Backpressure
             }
             Some(_) => StallKind::Contention,
+        }
+    }
+
+    /// Charges `n` cycles of its [`Mesh::classify_stall`] cause to every
+    /// waiting queue head: every head, or with `routes` every head whose
+    /// slot is not [`GRANTED`].
+    fn charge_waiting_heads(
+        &self,
+        faults: Option<&FaultState>,
+        rec: &mut FlightRecorder,
+        routes: Option<&[u8]>,
+        n: u64,
+    ) {
+        for r in 0..self.queued.len() {
+            if self.queued[r] == 0 {
+                continue;
+            }
+            for in_port in 0..NUM_PORTS {
+                for vc in 0..self.cfg.vcs {
+                    let slot = self.slot(r, in_port, vc);
+                    let Some(head) = self.queues[slot].front() else {
+                        continue;
+                    };
+                    if routes.is_some_and(|routes| routes[slot] == GRANTED) {
+                        continue;
+                    }
+                    let kind = self.classify_stall(faults, r, in_port, vc, head);
+                    rec.charge_n(head.id, kind, n);
+                }
+            }
         }
     }
 
@@ -1588,30 +1628,26 @@ impl Mesh {
         // exactly one (router, output) pair feeds each downstream (router,
         // entry port), and it grants at most once per cycle.
         let mut scratch = std::mem::take(&mut self.scratch);
-        let slots = NUM_PORTS * vcs;
-        scratch
-            .routes
-            .resize(self.routers.len() * slots, UNREACHABLE);
+        scratch.routes.resize(self.queues.len(), UNREACHABLE);
         scratch.moves.clear();
-        for r in 0..self.routers.len() {
-            let routes = &mut scratch.routes[r * slots..(r + 1) * slots];
-            if self.routers[r].queued == 0
-                || faults.as_deref().is_some_and(|f| self.is_stalled(f, r))
-            {
-                routes.fill(UNREACHABLE);
+        for r in 0..self.queued.len() {
+            let (first, end) = (self.slot(r, 0, 0), self.slot(r + 1, 0, 0));
+            if self.queued[r] == 0 || faults.as_deref().is_some_and(|f| self.is_stalled(f, r)) {
+                scratch.routes[first..end].fill(UNREACHABLE);
                 continue;
             }
             // Bit `out` set: some head routes to output `out`.
             let mut wanted = 0u8;
             for in_port in 0..NUM_PORTS {
                 for vc in 0..vcs {
-                    let route = self.routers[r].inputs[in_port][vc]
+                    let slot = self.slot(r, in_port, vc);
+                    let route = self.queues[slot]
                         .front()
                         .and_then(|head| {
                             self.route_current(faults.as_deref(), r, in_port, head.dst.index())
                         })
                         .map_or(UNREACHABLE, |out| out as u8);
-                    routes[in_port * vcs + vc] = route;
+                    scratch.routes[slot] = route;
                     if route != UNREACHABLE {
                         wanted |= 1 << route;
                     }
@@ -1621,7 +1657,8 @@ impl Mesh {
                 continue;
             }
             for out in 0..NUM_PORTS {
-                if wanted & (1 << out) == 0 || self.routers[r].output_busy_until[out] > self.cycle {
+                let link = r * NUM_PORTS + out;
+                if wanted & (1 << out) == 0 || self.output_busy_until[link] > self.cycle {
                     continue;
                 }
                 if out == LOCAL && !self.ejection_enabled[r] {
@@ -1629,39 +1666,36 @@ impl Mesh {
                 }
                 // Downstream input queue `out` feeds, per VC.
                 let down = (out != LOCAL).then(|| (self.neighbour(r, out), Self::entry_port(out)));
-                if down.is_some()
-                    && faults
-                        .as_deref()
-                        .is_some_and(|f| f.link_dead[r * NUM_PORTS + out])
-                {
+                if down.is_some() && faults.as_deref().is_some_and(|f| f.link_dead[link]) {
                     continue;
                 }
                 // Candidates in slot order: heads routed to `out` with
-                // downstream credit on the packet's own VC.
+                // downstream credit on the packet's own VC. Arbiter inputs
+                // are the router-local slot `in_port * vcs + vc`.
                 scratch.candidates.clear();
-                for (slot, &route) in routes.iter().enumerate() {
-                    if usize::from(route) != out {
+                for slot in first..end {
+                    if usize::from(scratch.routes[slot]) != out {
                         continue;
                     }
-                    let (in_port, vc) = (slot / vcs, slot % vcs);
                     if let Some((down, entry)) = down {
-                        if self.routers[down].inputs[entry][vc].len() >= self.cfg.buffer_packets {
+                        let credit = self.slot(down, entry, slot % vcs);
+                        if self.queues[credit].len() >= self.cfg.buffer_packets {
                             continue;
                         }
                     }
-                    let Some(head) = self.routers[r].inputs[in_port][vc].front() else {
+                    let Some(head) = self.queues[slot].front() else {
                         continue;
                     };
-                    scratch.candidates.push((slot, head.birth));
+                    scratch.candidates.push((slot - first, head.birth));
                 }
                 if scratch.candidates.is_empty() {
                     continue;
                 }
-                if let Some(winner) = self.routers[r].arbiters[out].pick(&scratch.candidates) {
-                    routes[winner] = GRANTED;
+                if let Some(winner) = self.arbiters[link].pick(&scratch.candidates) {
+                    scratch.routes[first + winner] = GRANTED;
                     scratch.moves.push(Move {
                         router: r,
-                        in_port: winner / vcs,
+                        slot: first + winner,
                         vc: winner % vcs,
                         out_port: out,
                     });
@@ -1676,23 +1710,7 @@ impl Mesh {
         // cycle. The decision loop above is untouched — the recorder can
         // observe but never perturb.
         if let Some(rec) = rec.as_deref_mut() {
-            for r in 0..self.routers.len() {
-                if self.routers[r].queued == 0 {
-                    continue;
-                }
-                for in_port in 0..NUM_PORTS {
-                    for vc in 0..vcs {
-                        let Some(head) = self.routers[r].inputs[in_port][vc].front() else {
-                            continue;
-                        };
-                        if scratch.routes[r * slots + in_port * vcs + vc] == GRANTED {
-                            continue;
-                        }
-                        let kind = self.classify_stall(faults.as_deref(), r, in_port, vc, head);
-                        rec.charge(head.id, kind);
-                    }
-                }
-            }
+            self.charge_waiting_heads(faults.as_deref(), rec, Some(&scratch.routes), 1);
         }
 
         // Phase 2: apply moves. The move list order is deterministic, so the
@@ -1703,18 +1721,17 @@ impl Mesh {
         }
         for &m in &scratch.moves {
             // Invariant: arbitration granted a queue head it just observed.
-            let Some(packet) = self.routers[m.router].inputs[m.in_port][m.vc].pop_front() else {
+            let Some(packet) = self.queues[m.slot].pop_front() else {
                 debug_assert!(false, "arbitration winner vanished before apply");
                 continue;
             };
             // The packet left its buffer; it re-enters one downstream unless
             // it ejects or dies on the hop.
-            self.routers[m.router].queued -= 1;
+            self.queued[m.router] -= 1;
             self.occupancy -= 1;
             // The flits occupy the wire whether or not they survive the hop.
-            self.routers[m.router].output_busy_until[m.out_port] =
-                self.cycle + u64::from(packet.flits);
             let link = m.router * NUM_PORTS + m.out_port;
+            self.output_busy_until[link] = self.cycle + u64::from(packet.flits);
             self.stats.link_flits[link] += u64::from(packet.flits);
             self.window_flits[link] += u64::from(packet.flits);
             if let Some(rec) = rec.as_deref_mut() {
@@ -1753,20 +1770,18 @@ impl Mesh {
                 }
                 self.ejected.push(packet);
             } else {
-                let down = self.neighbour(m.router, m.out_port);
+                let (down, entry) = (
+                    self.neighbour(m.router, m.out_port),
+                    Self::entry_port(m.out_port),
+                );
                 if let Some(rec) = rec.as_deref_mut() {
                     // The packet becomes visible to the downstream router's
                     // arbitration on the next cycle.
-                    rec.on_enqueue(
-                        packet.id,
-                        down as u32,
-                        Self::entry_port(m.out_port) as u8,
-                        self.cycle + 1,
-                    );
+                    rec.on_enqueue(packet.id, down as u32, entry as u8, self.cycle + 1);
                 }
-                let router = &mut self.routers[down];
-                router.inputs[Self::entry_port(m.out_port)][m.vc].push_back(packet);
-                router.queued += 1;
+                let slot = self.slot(down, entry, m.vc);
+                self.queues[slot].push_back(packet);
+                self.queued[down] += 1;
                 self.occupancy += 1;
             }
         }
@@ -1795,8 +1810,7 @@ impl Mesh {
         }
         let mut deepest = (0usize, 0usize); // (router, depth)
         self.telemetry.with(|t| {
-            for (r, router) in self.routers.iter().enumerate() {
-                let depth = router.queued;
+            for (r, &depth) in self.queued.iter().enumerate() {
                 t.registry
                     .hist_record("noc.router_queue_depth", depth as u64);
                 if depth > deepest.1 {
@@ -1804,7 +1818,7 @@ impl Mesh {
                 }
             }
             t.registry
-                .counter_add("noc.queue_samples", self.routers.len() as u64);
+                .counter_add("noc.queue_samples", self.queued.len() as u64);
         });
         if deepest.1 > 0 {
             self.telemetry.emit_with(|| {
@@ -1827,10 +1841,7 @@ impl Mesh {
         registry.counter_add("noc.flits", self.stats.link_flits.iter().sum::<u64>());
         registry.counter_add(
             "noc.arbiter.grants",
-            self.routers
-                .iter()
-                .flat_map(|r| r.arbiters.iter().map(Arbiter::grants))
-                .sum::<u64>(),
+            self.arbiters.iter().map(Arbiter::grants).sum::<u64>(),
         );
         registry.gauge_set("noc.latency.mean", self.stats.mean_latency());
         registry.gauge_set("noc.latency.p99", self.stats.latency_quantile(0.99));
@@ -1883,11 +1894,9 @@ impl Mesh {
         // is `>= cycle` — a threshold equal to the current cycle clamps the
         // bound to "now" and forbids any skip.
         let mut bound = u64::MAX;
-        for r in &self.routers {
-            for &busy in &r.output_busy_until {
-                if busy >= self.cycle && busy < bound {
-                    bound = busy;
-                }
+        for &busy in &self.output_busy_until {
+            if busy >= self.cycle && busy < bound {
+                bound = busy;
             }
         }
         if let Some(f) = self.faults.as_deref() {
@@ -1930,27 +1939,16 @@ impl Mesh {
         // `activity_bound` guarantees), so one classification per head,
         // charged n times, matches n per-cycle passes byte for byte.
         if let Some(mut rec) = self.recorder.take() {
-            let faults = self.faults.take();
-            for r in 0..self.routers.len() {
-                if self.routers[r].queued == 0 {
-                    continue;
-                }
-                for in_port in 0..NUM_PORTS {
-                    for vc in 0..self.cfg.vcs {
-                        let Some(head) = self.routers[r].inputs[in_port][vc].front() else {
-                            continue;
-                        };
-                        let kind = self.classify_stall(faults.as_deref(), r, in_port, vc, head);
-                        rec.charge_n(head.id, kind, n);
-                    }
-                }
-            }
-            self.faults = faults;
+            self.charge_waiting_heads(self.faults.as_deref(), &mut rec, None, n);
             self.recorder = Some(rec);
         }
-        // Close every window boundary the span crosses, at its own cycle
-        // stamp, with the (frozen) queue depths the reference engine would
-        // have sampled.
+        self.close_windows_to(target);
+    }
+
+    /// Moves the clock to `target`, closing every window boundary on the
+    /// way at its own cycle stamp with the (frozen) queue depths the
+    /// reference engine would have sampled.
+    fn close_windows_to(&mut self, target: u64) {
         let mut w = (self.cycle / WINDOW_CYCLES + 1) * WINDOW_CYCLES;
         while w <= target {
             self.cycle = w;
@@ -2005,13 +2003,7 @@ impl Mesh {
         let target = self.cycle.saturating_add(max_cycles);
         while self.cycle < target {
             if self.is_drained(target) {
-                let mut w = (self.cycle / WINDOW_CYCLES + 1) * WINDOW_CYCLES;
-                while w <= target {
-                    self.cycle = w;
-                    self.close_window();
-                    w += WINDOW_CYCLES;
-                }
-                self.cycle = target;
+                self.close_windows_to(target);
                 return true;
             }
             self.skip_idle_to(target);
@@ -2322,6 +2314,12 @@ mod tests {
                 Err(NocError::Config(_))
             ));
             assert!(Mesh::try_new(cfg.with_vcs(vcs)).is_err());
+        }
+        // Oversized or overflowing dimensions fail before any allocation.
+        let mut sized = cfg;
+        for (w, h) in [(64, 64), (65, 64), (70_000, 70_000), (usize::MAX, 2)] {
+            (sized.width, sized.height) = (w, h);
+            assert_eq!(Mesh::try_new(sized).is_ok(), w == 64, "{w}x{h}");
         }
     }
 

@@ -16,12 +16,12 @@ use crate::error::{LossReason, NocError};
 use crate::mesh::{Mesh, MeshConfig};
 use crate::packet::{NodeId, PacketClass};
 use gnoc_faults::FaultPlan;
-use gnoc_telemetry::{MetricRegistry, TraceEvent, SUBSYSTEM_NOC};
+use gnoc_telemetry::{IdMap, MetricRegistry, TraceEvent, SUBSYSTEM_NOC};
 use gnoc_trace::{
     ReplayError, ReplayOutcome, TraceError, TraceEvent as TapEvent, TraceReader, TraceTap,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Bucket width of the transfer-latency histogram, cycles.
 const LAT_BUCKET: u64 = 4;
@@ -198,7 +198,7 @@ pub struct ReliableMesh {
     cfg: RetryConfig,
     transfers: Vec<Transfer>,
     /// Packet id → transfer index, for in-flight packets.
-    by_packet: HashMap<u64, usize>,
+    by_packet: IdMap<usize>,
     /// Transfers waiting to (re)inject, in deterministic FIFO order.
     pending: VecDeque<usize>,
     stats: ReliabilityStats,
@@ -222,7 +222,7 @@ impl ReliableMesh {
             mesh,
             cfg,
             transfers: Vec::new(),
-            by_packet: HashMap::new(),
+            by_packet: IdMap::default(),
             pending: VecDeque::new(),
             stats: ReliabilityStats::default(),
             outstanding: 0,

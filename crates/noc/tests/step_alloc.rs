@@ -1,6 +1,7 @@
 //! A warm, fault-free, recorder-free `Mesh::step` makes no heap allocation:
 //! its working buffers live in the mesh, and queues and the ejection buffer
-//! keep their capacity from cycle to cycle.
+//! keep their capacity from cycle to cycle. Building a mesh makes a fixed
+//! number of allocations, whatever its size.
 
 use gnoc_noc::{ArbiterKind, Mesh, MeshConfig, NodeId, PacketClass};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -81,5 +82,33 @@ fn warm_step_allocates_nothing() {
         }
         assert!(m.stats().delivered_total > 10_000, "the mesh must be busy");
         assert_eq!(step_allocs, 0, "{arbiter:?}: warm steps allocated");
+    }
+}
+
+/// Allocations made by one `Mesh::try_new(cfg)`.
+fn build_allocations(cfg: MeshConfig) -> u64 {
+    let before = allocations();
+    let m = Mesh::try_new(cfg).expect("valid config");
+    let made = allocations() - before;
+    drop(m);
+    made
+}
+
+#[test]
+fn mesh_build_allocations_do_not_scale_with_size() {
+    let sized = |side: usize, vcs: usize| MeshConfig {
+        width: side,
+        height: side,
+        ..MeshConfig::paper_6x6(ArbiterKind::RoundRobin).with_vcs(vcs)
+    };
+    // Queues, arbiters and output-busy cycles are flat arrays sized once,
+    // so a larger mesh or more VCs make the same number of allocations.
+    let base = build_allocations(sized(3, 1));
+    for (side, vcs) in [(8, 1), (3, 2), (8, 2)] {
+        assert_eq!(
+            build_allocations(sized(side, vcs)),
+            base,
+            "{side}x{side} mesh with {vcs} VCs"
+        );
     }
 }

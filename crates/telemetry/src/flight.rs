@@ -24,8 +24,7 @@
 //! simulation, so an instrumented run cannot diverge from a bare one.
 
 use crate::trace::{TraceEvent, TraceSink};
-use crate::SUBSYSTEM_NOC;
-use std::collections::HashMap;
+use crate::{IdMap, SUBSYSTEM_NOC};
 use std::fmt::Write as _;
 
 /// Port-index → name mapping: `gnoc-noc`'s mesh port layout (local, north,
@@ -248,7 +247,7 @@ impl MessageRecord {
 pub struct FlightRecorder {
     /// In-flight messages (never iterated — determinism is unaffected by
     /// hash order).
-    active: HashMap<u64, MessageRecord>,
+    active: IdMap<MessageRecord>,
     /// Finished messages in completion order (a deterministic order: the
     /// simulator's move list is deterministic).
     done: Vec<MessageRecord>,

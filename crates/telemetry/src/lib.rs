@@ -19,6 +19,8 @@
 //!   (each waiting cycle charged to serialization, contention,
 //!   backpressure, router stall, or queueing), exportable as JSONL or a
 //!   Perfetto-loadable Chrome trace.
+//! * [`IdMap`] / [`IdSet`] — deterministic id-keyed tables ([`IdHasher`])
+//!   shared by the recorder and the simulators' per-packet maps.
 //! * [`TelemetryHandle`] — the cheaply-cloneable handle threaded through
 //!   `GpuDevice`, `Mesh`, `memsim`, and the campaign layer. Disabled by
 //!   default: a no-op handle costs one branch per call site and never
@@ -28,6 +30,7 @@
 mod flight;
 mod handle;
 mod hist;
+mod id_hash;
 mod registry;
 mod trace;
 
@@ -36,6 +39,7 @@ pub use flight::{
 };
 pub use handle::{Telemetry, TelemetryHandle};
 pub use hist::{LogHistogram, MAX_BUCKETS};
+pub use id_hash::{IdHasher, IdMap, IdSet};
 pub use registry::{CounterBank, MetricRegistry, SpanTimer};
 pub use trace::{
     parse_jsonl_line, FieldValue, JsonlWriter, MemorySink, NullSink, TraceEvent, TraceSink,

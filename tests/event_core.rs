@@ -9,7 +9,8 @@
 //! 1. the bare mesh over generated fault plans (25 seeds);
 //! 2. the retrying [`ReliableMesh`] soak, outcomes and drained ejections
 //!    included (25 seeds);
-//! 3. the flight recorder's streamed JSONL, byte for byte;
+//! 3. the flight recorder's streamed JSONL, byte for byte, including a
+//!    faulted mesh at the largest legal VC count;
 //! 4. 2–4-device fabrics over generated inter-device plans, bare and with
 //!    a flight recorder on the fabric and on every die;
 //! 5. trace replays whose submissions sit thousands of cycles apart, for
@@ -227,6 +228,70 @@ fn flight_recorder_jsonl_is_byte_identical() {
         event_lines, cycle_lines,
         "recorder JSONL must be byte-identical across engines"
     );
+}
+
+/// The largest legal VC count: 5 ports × 12 VCs = 60 of the arbiter's 64
+/// inputs, so reply heads sit in the highest slot of every port. A faulted,
+/// recorded mesh carrying both classes must match across engines, and
+/// `in_flight` checks the occupancy and per-router queued counts against
+/// the queues after every step (in debug builds).
+#[test]
+fn max_vc_mesh_bit_identical_across_engines() {
+    let _guard = EngineGuard::take();
+    let cfg = MeshConfig::paper_6x6(ArbiterKind::RoundRobin).with_vcs(12);
+    for seed in 0..6u64 {
+        let plan = FaultPlan::generate(&gen_cfg(seed, 6, 6, 1));
+        let run = |event: bool| {
+            set_event_skip_enabled(event);
+            let mut m = Mesh::try_new(cfg).expect("12 VCs is legal");
+            m.apply_fault_plan(&plan).expect("plan fits the mesh");
+            m.attach_flight_recorder();
+            let mut state = seed;
+            for wave in 1..=6u64 {
+                for _ in 0..24 {
+                    let src = (mix(&mut state) % 36) as u32;
+                    let dst = (mix(&mut state) % 36) as u32;
+                    let class = if mix(&mut state).is_multiple_of(2) {
+                        PacketClass::Request
+                    } else {
+                        PacketClass::Reply
+                    };
+                    let flits = 1 + (mix(&mut state) % 4) as u32;
+                    m.try_inject(NodeId::new(src), NodeId::new(dst), flits, class);
+                }
+                let target = m.cycle() + 400 * wave;
+                while m.cycle() < target {
+                    m.skip_idle_to(target);
+                    if m.cycle() < target {
+                        m.step();
+                        let _ = m.in_flight();
+                    }
+                }
+            }
+            let rec = m.take_flight_recorder().expect("recorder attached");
+            let mut sink = LineSink::default();
+            rec.stream_to(&mut sink);
+            let stats = m.stats().clone();
+            (
+                m.cycle(),
+                stats,
+                m.drain_ejected(),
+                m.drain_lost(),
+                sink.lines,
+            )
+        };
+        let event = run(true);
+        let cycle = run(false);
+        assert!(
+            event.2.iter().any(|p| p.class == PacketClass::Reply),
+            "seed {seed}: no reply reached the highest VC"
+        );
+        assert_eq!(event.0, cycle.0, "seed {seed}: clock diverged");
+        assert_eq!(event.1, cycle.1, "seed {seed}: stats diverged");
+        assert_eq!(event.2, cycle.2, "seed {seed}: ejections diverged");
+        assert_eq!(event.3, cycle.3, "seed {seed}: losses diverged");
+        assert_eq!(event.4, cycle.4, "seed {seed}: recorder JSONL diverged");
+    }
 }
 
 #[test]
