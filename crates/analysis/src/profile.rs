@@ -301,8 +301,8 @@ impl ProfileReport {
     }
 
     /// The machine-readable profile, `"schema": 1` first. This is the file
-    /// `gnoc profile --report` / `--profile` write; the schema validator in
-    /// ci.sh checks the version field.
+    /// `gnoc profile --report` / `--profile` write; the CLI's exit-code
+    /// tests check the version field.
     pub fn to_json_pretty(&self) -> String {
         let breakdown = |s: &StallBreakdown| {
             Value::Object(vec![

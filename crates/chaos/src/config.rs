@@ -1,7 +1,7 @@
 //! Chaos-run configuration and the deterministic seed → fault-plan map.
 
 use crate::ChaosError;
-use gnoc_core::noc::MAX_NODES;
+use gnoc_core::noc::check_mesh_dims;
 use gnoc_core::{
     spec_for_preset, FabricTopology, FaultGenConfig, FaultPlan, FlakyBurst, LatencyProbe,
     RegionFault, RetryConfig,
@@ -156,19 +156,13 @@ impl ChaosConfig {
                 "width/height: chaos mesh must be non-empty".into(),
             ));
         }
-        match self.width.checked_mul(self.height) {
-            Some(n) if n < 2 => {
-                return Err(ChaosError::Config(
-                    "width/height: need at least two terminals to exchange traffic".into(),
-                ));
-            }
-            Some(n) if n as usize <= MAX_NODES => {}
-            _ => {
-                return Err(ChaosError::Config(format!(
-                    "width/height: a {}x{} mesh exceeds {MAX_NODES} routers",
-                    self.width, self.height
-                )));
-            }
+        let routers = check_mesh_dims(self.width as usize, self.height as usize).map_err(|e| {
+            ChaosError::Config(format!("width/height: {}x{}: {e}", self.width, self.height))
+        })?;
+        if routers < 2 {
+            return Err(ChaosError::Config(
+                "width/height: need at least two terminals to exchange traffic".into(),
+            ));
         }
         if self.transfers == 0 {
             return Err(ChaosError::Config(

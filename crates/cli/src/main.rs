@@ -12,9 +12,9 @@ use gnoc_cli::{
 };
 use gnoc_core::microbench::bandwidth::{aggregate_fabric_gbps, aggregate_memory_gbps};
 use gnoc_core::noc::loadcurve::{hier_load_curve, mesh_load_curve, SweepConfig};
+use gnoc_core::noc::{check_mesh_dims, NodeId, PacketClass, ReliableMesh, RetryConfig};
 use gnoc_core::noc::{run_fairness_recorded, run_memsim_traced, HierConfig, MeshConfig};
 use gnoc_core::noc::{ArbiterKind, FairnessConfig, MemSimConfig};
-use gnoc_core::noc::{NodeId, PacketClass, ReliableMesh, RetryConfig};
 use gnoc_core::sidechannel::covert::{
     bits_of, bytes_of, channel_snr, transmit, CovertChannelConfig,
 };
@@ -2344,6 +2344,7 @@ fn print_chaos_run(run: &ChaosRun) -> bool {
 fn run_faults(action: FaultsAction) -> u8 {
     match action {
         FaultsAction::Gen { out, cfg } => {
+            try_or_fail!(check_mesh_dims(cfg.width as usize, cfg.height as usize));
             // try_generate validates every knob first, so a bad flag value
             // (e.g. --flaky-prob 1.5) is a hard error naming the field
             // instead of a silently saved invalid plan.
@@ -2359,6 +2360,7 @@ fn run_faults(action: FaultsAction) -> u8 {
             devices,
             topology,
         } => {
+            try_or_fail!(check_mesh_dims(width as usize, height as usize));
             let plan = match FaultPlan::load(&path) {
                 Ok(p) => p,
                 Err(e) => {

@@ -245,6 +245,21 @@ fn oversized_meshes_exit_invalid_input() {
         }
     }
 
+    // Fault-plan tooling: 65536x65537 wraps a u32 router count to 65536.
+    let plan_path = scratch("oversized-plan.json");
+    FaultPlan::none().save(&plan_path).unwrap();
+    let plan_arg = plan_path.to_str().unwrap();
+    for (w, h) in [("70000", "70000"), ("65536", "65537")] {
+        for args in [
+            &["faults", "gen", "--seed", "1", "--out", plan_arg][..],
+            &["faults", "check", plan_arg],
+        ] {
+            let args = [args, &["--width", w, "--height", h]].concat();
+            assert_eq!(gnoc(&args), EXIT_INVALID_INPUT, "gnoc {}", args.join(" "));
+        }
+    }
+    let _ = std::fs::remove_file(&plan_path);
+
     // A structurally valid trace whose header claims a 70000×70000 die.
     for (name, header) in [
         ("mesh", TraceHeader::mesh(70_000, 70_000, 1, 1, 0)),
@@ -273,6 +288,30 @@ fn oversized_meshes_exit_invalid_input() {
             "{name}"
         );
         let _ = std::fs::remove_file(&path);
+    }
+}
+
+/// Every profile artifact the CLI writes declares `"schema": 1` at its top
+/// level, so downstream tooling can detect format drift.
+#[test]
+fn profile_artifacts_declare_schema_1() {
+    let runs: [(&str, &[&str]); 3] = [
+        ("mesh", &["mesh", "--profile"]),
+        ("profile", &["profile", "--transfers", "100", "--report"]),
+        ("chaos", &["chaos", "run", "--seeds", "0..2", "--profile"]),
+    ];
+    for (name, args) in runs {
+        let out = scratch(&format!("schema-{name}.json"));
+        let args = [args, &[out.to_str().unwrap()]].concat();
+        assert_eq!(gnoc(&args), EXIT_OK, "gnoc {}", args.join(" "));
+        let text = std::fs::read_to_string(&out).unwrap();
+        let value: serde::Value = serde_json::from_str(&text).unwrap();
+        assert!(
+            matches!(value.field("schema"), Ok(serde::Value::U64(1))),
+            "{name}: top-level \"schema\" must be 1"
+        );
+        let _ = std::fs::remove_file(&out);
+        let _ = std::fs::remove_file(format!("{}.trace.json", out.display()));
     }
 }
 

@@ -49,8 +49,8 @@ pub use memsim::{
     MemSimResult,
 };
 pub use mesh::{
-    event_skip_enabled, set_event_skip_enabled, Mesh, MeshConfig, MeshStats, RouteOrder, MAX_NODES,
-    NUM_PORTS,
+    check_mesh_dims, event_skip_enabled, set_event_skip_enabled, Mesh, MeshConfig, MeshStats,
+    RouteOrder, MAX_NODES, NUM_PORTS,
 };
 pub use packet::{NodeId, Packet, PacketClass};
 pub use reliable::{ReliabilityStats, ReliableMesh, RetryConfig, TransferId, TransferOutcome};

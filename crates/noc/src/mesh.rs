@@ -31,7 +31,7 @@ const WEST: usize = 4;
 /// vectors such as [`MeshStats::link_drops`] are indexed
 /// `router * NUM_PORTS + port`.
 pub const NUM_PORTS: usize = 5;
-/// Largest mesh [`MeshConfig::validate`] accepts, in routers (64×64). The
+/// Largest mesh [`check_mesh_dims`] accepts, in routers (64×64). The
 /// fault-aware reroute tables take `n² · NUM_PORTS` bytes, ~84 MB here.
 pub const MAX_NODES: usize = 4_096;
 
@@ -114,13 +114,23 @@ impl MeshConfig {
                 "too many virtual channels: ports × VCs exceeds the arbiter's 64 inputs",
             ));
         }
-        // Checked before anything is sized by it: the dimensions may come
-        // from a flag or an untrusted trace header.
-        let nodes = self.width.checked_mul(self.height);
-        match nodes.filter(|&n| n <= MAX_NODES) {
-            Some(n) if n.checked_mul(NUM_PORTS * self.vcs).is_some() => Ok(()),
-            _ => Err(NocError::Config("mesh too large: more than 4096 routers")),
-        }
+        check_mesh_dims(self.width, self.height).map(|_| ())
+    }
+}
+
+/// The one mesh-size rule: a `width × height` mesh has at most
+/// [`MAX_NODES`] routers. Returns the router count. The product is checked,
+/// not wrapped, and is taken before anything is sized by it: the
+/// dimensions may come from a flag or an untrusted trace header.
+///
+/// # Errors
+///
+/// Returns [`NocError::Config`] when the mesh is larger than
+/// [`MAX_NODES`] or its router count overflows.
+pub fn check_mesh_dims(width: usize, height: usize) -> Result<usize, NocError> {
+    match width.checked_mul(height) {
+        Some(n) if n <= MAX_NODES => Ok(n),
+        _ => Err(NocError::Config("mesh too large: more than 4096 routers")),
     }
 }
 
@@ -397,6 +407,10 @@ pub struct Mesh {
     /// Cycle each output's wormhole serialisation ends, one per link.
     output_busy_until: Vec<u64>,
     cycle: u64,
+    /// Cycles advanced by a full [`Mesh::step`]; cycles the event engine
+    /// skips are not counted. Kept out of [`MeshStats`] so no serialized
+    /// artifact or digest sees it.
+    steps: u64,
     next_id: u64,
     ejection_enabled: Vec<bool>,
     ejected: Vec<Packet>,
@@ -477,6 +491,7 @@ impl Mesh {
             arbiters: vec![Arbiter::new(cfg.arbiter); n * NUM_PORTS],
             output_busy_until: vec![0; n * NUM_PORTS],
             cycle: 0,
+            steps: 0,
             next_id: 0,
             ejection_enabled: vec![true; n],
             ejected: Vec::new(),
@@ -835,6 +850,13 @@ impl Mesh {
     /// Current simulation cycle.
     pub fn cycle(&self) -> u64 {
         self.cycle
+    }
+
+    /// How many cycles ran through a full [`Mesh::step`] since the mesh was
+    /// built. The rest of [`Mesh::cycle`] was skipped by the event engine,
+    /// so `cycle() - steps()` is the exact work the skips saved.
+    pub fn steps(&self) -> u64 {
+        self.steps
     }
 
     /// Statistics so far.
@@ -1579,6 +1601,7 @@ impl Mesh {
     /// [`Mesh::skip_idle_to`] can fast-forward.
     pub fn step(&mut self) {
         let quiet = self.step_inner();
+        self.steps += 1;
         // The bound is only computed when a skip could use it, so the
         // reference engine's per-cycle cost is unchanged. Re-enabling the
         // event engine mid-run starts from the conservative "unknown".

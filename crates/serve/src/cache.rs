@@ -20,7 +20,8 @@
 //! rename from a different format) evicts the entry and reports a miss, so
 //! a corrupt result is recomputed, never served.
 
-use crate::protocol::{fnv1a64, json_str, SCHEMA};
+use crate::protocol::{json_str, SCHEMA};
+use gnoc_core::trace::fnv1a64;
 use serde::Value;
 use std::path::{Path, PathBuf};
 

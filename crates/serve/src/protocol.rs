@@ -21,6 +21,7 @@
 //! runners with fixed formatting; byte-identity of payloads is the
 //! determinism contract the daemon, cache, and journal all preserve.
 
+use gnoc_core::trace::fnv1a64;
 use gnoc_core::FaultPlan;
 use gnoc_core::LatencyProbe;
 use serde::{Deserialize, Value};
@@ -351,18 +352,6 @@ impl JobSpec {
     }
 }
 
-/// FNV-1a 64-bit: the workspace is offline (no hashing crates), and a fast
-/// non-cryptographic content hash is exactly what a local result cache
-/// needs — corruption detection, not adversarial collision resistance.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 // ----------------------------------------------------------- envelopes ----
 
 /// `{"schema":1,"type":"accepted","job":N}` — the job cleared admission and
@@ -530,12 +519,5 @@ mod tests {
         let a = Request::parse("{\"schema\":1,\"op\":\"replay\",\"trace\":\"DEADBEEF\"}").unwrap();
         let b = Request::parse("{\"schema\":1,\"op\":\"replay\",\"trace\":\"deadbeef\"}").unwrap();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn fnv_vector() {
-        // Published FNV-1a 64 test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 }

@@ -63,8 +63,8 @@ const CHUNK_FOOTER: u8 = 3;
 // Hashes
 // ---------------------------------------------------------------------------
 
-/// FNV-1a 64-bit: the workspace's canonical content hash (same constants as
-/// the serve cache keys), used here for fault-plan and stats digests.
+/// FNV-1a 64-bit: the workspace's one content hash, used for fault-plan and
+/// stats digests here and for the serve cache's keys and payload checks.
 #[must_use]
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -1235,6 +1235,13 @@ fn hex_val(b: u8) -> Option<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv_vector() {
+        // Published FNV-1a 64 test vectors.
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+    }
 
     fn sample_header() -> TraceHeader {
         TraceHeader::fabric(4, "ring", 6, 6, 42, 64, 0xdead_beef)

@@ -15,19 +15,24 @@
 //!    a flight recorder on the fabric and on every die;
 //! 5. trace replays whose submissions sit thousands of cycles apart, for
 //!    the mesh, the reliable mesh and the fabric;
-//! 6. full chaos reports, across the `--jobs {1, 2, 7}` sweep.
+//! 6. full chaos reports, across the `--jobs {1, 2, 7}` sweep;
+//! 7. the exact number of cycles the event engine still steps in full on
+//!    an idle-heavy mesh soak and a faulted 4-die fabric soak.
 //!
 //! The engine toggle is process-global, so every test serializes on one
 //! mutex and restores the default (event) engine on exit, panic included.
 
 use gnoc_chaos::{run_chaos, ChaosConfig, ChaosOptions};
+use gnoc_core::faults::{Direction, LinkFault, LinkFaultKind, RouterStall};
 use gnoc_core::noc::{
-    set_event_skip_enabled, ArbiterKind, MeshConfig, NodeId, PacketClass, ReliableMesh, RetryConfig,
+    set_event_skip_enabled, ArbiterKind, MeshConfig, MeshStats, NodeId, PacketClass,
+    ReliabilityStats, ReliableMesh, RetryConfig, RouteOrder, TransferOutcome,
 };
 use gnoc_core::telemetry::{TelemetryHandle, TraceEvent, TraceSink};
 use gnoc_core::trace::{TraceHeader, TraceReader, TraceTap};
 use gnoc_core::{
-    trace_digest, FabricConfig, FabricSim, FabricTopology, FaultGenConfig, FaultPlan, Mesh,
+    trace_digest, FabricConfig, FabricSim, FabricStats, FabricTopology, FaultGenConfig, FaultPlan,
+    Mesh,
 };
 use std::sync::Mutex;
 
@@ -633,4 +638,160 @@ fn chaos_reports_identical_under_both_engines_and_jobs() {
             "event-engine chaos report diverged at jobs={jobs}"
         );
     }
+}
+
+/// Everything an idle-heavy soak observes, compared across engines.
+#[derive(Debug, PartialEq)]
+struct SoakFingerprint<S> {
+    cycle: u64,
+    stats: S,
+    mesh_stats: Vec<MeshStats>,
+    outcomes: Vec<TransferOutcome>,
+}
+
+/// An idle-heavy reliable-mesh soak on an 8x8, 2-VC mesh: six flaky links
+/// whose drops buy long ACK-timeout waits, a router stall at 10k cycles, a
+/// dead link pair at 40k, 120 transfers run to quiescence, then a 100k-cycle
+/// quiet drain. Returns the fingerprint and the cycles stepped in full.
+fn idle_heavy_mesh_soak(event: bool) -> (SoakFingerprint<ReliabilityStats>, u64) {
+    set_event_skip_enabled(event);
+    let cfg = MeshConfig {
+        width: 8,
+        height: 8,
+        buffer_packets: 4,
+        arbiter: ArbiterKind::RoundRobin,
+        route_order: RouteOrder::Xy,
+        vcs: 2,
+    };
+    let retry = RetryConfig {
+        max_retries: 6,
+        base_timeout_cycles: 512,
+        max_timeout_cycles: 8192,
+        watchdog_cycles: 60_000,
+    };
+    let link = |router: u32, dir: Direction, kind: LinkFaultKind, onset: u64| LinkFault {
+        router,
+        dir,
+        kind,
+        onset,
+    };
+    let flaky = LinkFaultKind::Flaky { drop_prob: 0.35 };
+    let plan = FaultPlan {
+        seed: 9,
+        links: vec![
+            link(9, Direction::East, flaky, 0),
+            link(18, Direction::North, flaky, 0),
+            link(27, Direction::West, flaky, 0),
+            link(36, Direction::South, flaky, 0),
+            link(45, Direction::East, flaky, 0),
+            link(54, Direction::North, flaky, 0),
+            link(20, Direction::East, LinkFaultKind::Dead, 40_000),
+            link(21, Direction::West, LinkFaultKind::Dead, 40_000),
+        ],
+        routers: vec![RouterStall {
+            router: 35,
+            onset: 10_000,
+            duration: 2_000,
+        }],
+        ..FaultPlan::none()
+    };
+    let mut rm = ReliableMesh::with_faults(cfg, &plan, retry).expect("plan fits the 8x8 mesh");
+    for i in 0..120u32 {
+        let (src, dst) = ((i * 7) % 64, (i * 13 + 31) % 64);
+        if src != dst {
+            rm.submit(
+                NodeId::new(src),
+                NodeId::new(dst),
+                1 + i % 4,
+                PacketClass::Request,
+            );
+        }
+    }
+    assert!(rm.run_until_quiescent(150_000), "soak must quiesce");
+    rm.mesh_mut().run(100_000);
+    let fp = SoakFingerprint {
+        cycle: rm.mesh().cycle(),
+        stats: rm.stats().clone(),
+        mesh_stats: vec![rm.mesh().stats().clone()],
+        outcomes: rm.outcomes(),
+    };
+    (fp, rm.mesh().steps())
+}
+
+/// A faulted 4-die ring fabric soak: generated die and fabric faults from
+/// cycle 0 (flaky links at 35 % drop), with all 24 transfers between
+/// devices 0 and 1, so devices 2 and 3 sit quiet throughout. Returns the
+/// fingerprint and each die's full steps.
+fn faulted_fabric_soak(event: bool) -> (SoakFingerprint<FabricStats>, Vec<u64>) {
+    set_event_skip_enabled(event);
+    let plan = FaultPlan::generate(&FaultGenConfig {
+        onset: 0,
+        onset_storm_span: 0,
+        flaky_drop_prob: 0.35,
+        fabric_flaky_drop_prob: 0.35,
+        ..gen_cfg(9, 5, 5, 4)
+    });
+    let mut sim = FabricSim::with_faults(FabricConfig::new(4, FabricTopology::Ring), &plan)
+        .expect("plan fits the fabric");
+    let mut state = 9u64;
+    for _ in 0..24 {
+        let sd = (mix(&mut state) % 2) as u32;
+        let src = (mix(&mut state) % 25) as u32;
+        let dst = (mix(&mut state) % 25) as u32;
+        sim.submit(
+            sd,
+            NodeId::new(src),
+            1 - sd,
+            NodeId::new(dst),
+            2,
+            PacketClass::Request,
+        )
+        .expect("all devices are alive in this plan");
+    }
+    let quiesced = if event {
+        sim.run_until_quiescent(200_000)
+    } else {
+        sim.run_until_quiescent_cycle_exact(200_000)
+    };
+    assert!(quiesced, "fabric soak must quiesce");
+    let dies = sim.dies();
+    let fp = SoakFingerprint {
+        cycle: sim.cycle(),
+        stats: sim.stats().clone(),
+        mesh_stats: dies.iter().map(|d| d.mesh().stats().clone()).collect(),
+        outcomes: sim.outcomes(),
+    };
+    (fp, dies.iter().map(|d| d.mesh().steps()).collect())
+}
+
+/// The event engine's saving as an exact, noise-free count: how many
+/// cycles still run through a full step. The cycle-exact reference steps
+/// every cycle; the event engine must reach the same fingerprint while
+/// stepping at most a third of them. The pinned counts catch any change in
+/// what the skips cover, including the O(1) cost of a quiet fabric die.
+#[test]
+fn event_engine_step_counts_are_pinned() {
+    let _guard = EngineGuard::take();
+    let (fp, steps) = idle_heavy_mesh_soak(true);
+    let (reference, reference_steps) = idle_heavy_mesh_soak(false);
+    assert_eq!(fp, reference, "mesh soak diverged across engines");
+    assert_eq!(reference_steps, reference.cycle);
+    assert_eq!(
+        (steps, fp.cycle),
+        (66, 103_593),
+        "mesh soak step count moved"
+    );
+    assert!(steps * 3 <= fp.cycle);
+
+    let (fp, steps) = faulted_fabric_soak(true);
+    let (reference, reference_steps) = faulted_fabric_soak(false);
+    assert_eq!(fp, reference, "fabric soak diverged across engines");
+    assert_eq!(reference_steps, vec![reference.cycle; 4]);
+    assert_eq!(
+        (steps.as_slice(), fp.cycle),
+        (&[169, 132, 2, 2][..], 2_327),
+        "fabric soak step counts moved"
+    );
+    let total: u64 = steps.iter().sum();
+    assert!(total * 3 <= 4 * fp.cycle);
 }

@@ -16,7 +16,11 @@
 //! 3. **Ring failover takes the long way within a latency bound.** With
 //!    the direct link dead, a ring delivers 100% of the severed pair's
 //!    traffic over the 3-hop detour, and the latency uplift stays within
-//!    the serialization bound of two extra link crossings.
+//!    the serialization bound of two extra link crossings. Under a
+//!    congesting soak no topology loses a transfer fault-free, and the
+//!    ring loses none with the link dying mid-traffic; hidden from routing,
+//!    the link's breaker finds it within the chaos detection oracle's
+//!    6,000-cycle bound.
 //! 4. **Recording is read-only and the stall identity spans the fabric.**
 //!    A profiled multi-device run returns bit-identical outcomes/stats to
 //!    an unprofiled one, and for every delivered message `source_wait +
@@ -26,7 +30,8 @@
 use gnoc_core::faults::{FabricLinkFault, LinkFaultKind};
 use gnoc_core::noc::{LossReason, NodeId, PacketClass, TransferOutcome};
 use gnoc_core::{
-    FabricConfig, FabricSim, FabricTopology, FaultGenConfig, FaultPlan, ProfileReport,
+    FabricConfig, FabricHealthConfig, FabricHealthMonitor, FabricSim, FabricTopology,
+    FaultGenConfig, FaultPlan, ProfileReport,
 };
 use proptest::prelude::*;
 
@@ -237,6 +242,56 @@ fn ring_dead_link_takes_the_long_way_within_a_latency_bound() {
         faulted.stats().latency_max <= bound,
         "detour latency {} exceeds bound {bound}",
         faulted.stats().latency_max
+    );
+
+    // A congesting soak: 256 random transfers on the 5x5 dies, whose
+    // fault-free drain takes ~500 cycles. Fault-free, no topology loses one.
+    let soak = |topology, plan: &FaultPlan| {
+        let mut sim =
+            FabricSim::with_faults(FabricConfig::new(4, topology), plan).expect("plan fits");
+        submit_traffic(&mut sim, 4, 11, 256);
+        assert!(sim.run_until_quiescent(200_000));
+        sim
+    };
+    for topology in [
+        FabricTopology::Line,
+        FabricTopology::Ring,
+        FabricTopology::FullyConnected,
+        FabricTopology::Switch,
+    ] {
+        let lost = soak(topology, &FaultPlan::none()).stats().lost_total();
+        assert_eq!(lost, 0, "benign {topology} soak loses nothing");
+    }
+
+    // The same soak with the ring's 0<->1 link dying mid-traffic: all still
+    // deliver, and the ones in flight at the onset are rerouted.
+    const ONSET: u64 = 200;
+    plan.fabric.links[0].onset = ONSET;
+    let sim = soak(FabricTopology::Ring, &plan);
+    assert_eq!(
+        sim.stats().lost_total(),
+        0,
+        "mid-traffic failover loses nothing"
+    );
+    assert!(
+        sim.stats().reroutes > 0,
+        "the dead link must force a reroute"
+    );
+
+    // Hidden from routing, the dead link must be found by its breaker
+    // within the chaos detection oracle's 6,000-cycle bound.
+    const DETECT_BOUND: u64 = 6_000;
+    let mut cfg = FabricConfig::new(4, FabricTopology::Ring);
+    cfg.self_healing = true;
+    let mut sim = FabricSim::with_faults(cfg, &plan).expect("plan fits the ring");
+    let mut monitor = FabricHealthMonitor::new(&sim, FabricHealthConfig::default());
+    monitor.run_detection(&mut sim, ONSET + DETECT_BOUND);
+    let detected = monitor.detected_links(&sim);
+    assert!(
+        detected
+            .iter()
+            .any(|&(a, b, at)| (a, b) == (0, 1) && (ONSET..=ONSET + DETECT_BOUND).contains(&at)),
+        "the dead 0<->1 link must be detected within {DETECT_BOUND} cycles: {detected:?}"
     );
 }
 
