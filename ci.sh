@@ -9,6 +9,19 @@ cargo fmt --all -- --check
 echo "== cargo clippy (workspace, warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== one hash owner: splitmix64 and FNV-1a constants in one file =="
+# gnoc-telemetry's hash module owns the splitmix64 stream and finaliser and
+# the FNV-1a digest; every other crate, test and example imports them.
+# perfbench/ is a separate workspace and is not scanned.
+for constant in 'bf58_?476d_?1ce4_?e5b9' 'cbf2_?9ce4_?8422_?2325'; do
+    owners="$(grep -rliE "$constant" crates tests examples || true)"
+    if [ "$(printf '%s\n' "$owners" | grep -c .)" -ne 1 ]; then
+        echo "constant /$constant/ must appear in exactly one file, found:"
+        printf '%s\n' "$owners"
+        exit 1
+    fi
+done
+
 echo "== tier-1: cargo build --release && cargo test -q (GNOC_JOBS=2) =="
 cargo build --release
 # GNOC_JOBS=2 routes every env-resolved worker pool through the parallel

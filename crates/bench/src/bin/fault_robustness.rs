@@ -14,17 +14,8 @@
 
 use gnoc_bench::header;
 use gnoc_core::microbench::bandwidth::{aggregate_fabric_gbps, aggregate_memory_gbps};
-use gnoc_core::noc::{ArbiterKind, MeshConfig, NodeId, PacketClass, ReliableMesh, RetryConfig};
+use gnoc_core::noc::{mesh_soak, ArbiterKind, MeshConfig, PacketClass, ReliableMesh, RetryConfig};
 use gnoc_core::{device_for_preset, CheckpointedCampaign, FaultGenConfig, FaultPlan, LatencyProbe};
-
-/// splitmix64 step — a tiny deterministic traffic stream.
-fn mix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 fn main() {
     let metrics = gnoc_bench::FigureMetrics::from_args(env!("CARGO_BIN_NAME"));
@@ -83,16 +74,8 @@ fn main() {
         )
         .expect("generated plans validate");
         rm.mesh_mut().set_telemetry(metrics.handle().clone());
-        let mut state = 0xfeed_beef_u64;
-        let mut submitted = 0;
-        while submitted < TRANSFERS {
-            let src = (mix(&mut state) % 36) as u32;
-            let dst = (mix(&mut state) % 36) as u32;
-            if src == dst {
-                continue;
-            }
-            rm.submit(NodeId(src), NodeId(dst), 1, PacketClass::Request);
-            submitted += 1;
+        for (src, dst) in mesh_soak(0xfeed_beef, 36).take(TRANSFERS) {
+            rm.submit(src, dst, 1, PacketClass::Request);
         }
         assert!(
             rm.run_until_quiescent(5_000_000),

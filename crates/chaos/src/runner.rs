@@ -12,8 +12,9 @@ use crate::ChaosError;
 use gnoc_core::faults::LinkFaultKind;
 use gnoc_core::health::run_slice_detection_for_spec;
 use gnoc_core::noc::{NodeId, PacketClass, RouteOrder};
+use gnoc_core::telemetry::hash::{fnv1a64, SplitMix64};
 use gnoc_core::telemetry::TelemetryHandle;
-use gnoc_core::trace::{fnv1a64, from_hex, to_hex, TraceHeader, TraceReader, TraceTap};
+use gnoc_core::trace::{from_hex, to_hex, TraceHeader, TraceReader, TraceTap};
 use gnoc_core::{
     device_for_preset, spec_for_preset, ArbiterKind, CheckpointedCampaign, FabricConfig,
     FabricHealthConfig, FabricHealthMonitor, FabricSim, FaultPlan, HealthConfig, MeshConfig,
@@ -51,19 +52,6 @@ const SLICE_DETECTION_WINDOWS: u64 = 16;
 /// crosses the margin on the first probe (the 900-cycle penalty dwarfs the
 /// 300-cycle margin) and the leaky bucket needs two failing windows.
 const SLICE_DETECTION_WINDOW_BOUND: u64 = 3;
-
-/// A tiny splitmix64 stream for deterministic traffic generation.
-struct SplitMix(u64);
-
-impl SplitMix {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-}
 
 /// FNV-1a digest of a fault plan's canonical JSON — the identity a trace
 /// header pins so a replay against the wrong plan is refused, not silently
@@ -601,7 +589,7 @@ fn device_phase(
 /// 1–4 flits, drawn from the seeded splitmix stream.
 fn submit_mesh_traffic(rm: &mut ReliableMesh, cfg: &ChaosConfig, seed: u64) -> Result<(), String> {
     let n = u64::from(cfg.width) * u64::from(cfg.height);
-    let mut rng = SplitMix(seed ^ 0x6368_616f_735f_7278);
+    let mut rng = SplitMix64::new(seed ^ 0x6368_616f_735f_7278);
     for i in 0..cfg.transfers {
         let src = rng.next() % n;
         let dst = (src + 1 + rng.next() % (n - 1)) % n;
@@ -647,7 +635,7 @@ fn fabric_config(cfg: &ChaosConfig) -> FabricConfig {
 fn submit_fabric_traffic(sim: &mut FabricSim, cfg: &ChaosConfig, seed: u64) -> Result<(), String> {
     let n = u64::from(cfg.width) * u64::from(cfg.height);
     let devs = u64::from(cfg.devices);
-    let mut rng = SplitMix(seed ^ 0x6368_616f_735f_7278);
+    let mut rng = SplitMix64::new(seed ^ 0x6368_616f_735f_7278);
     for i in 0..cfg.transfers {
         let src_dev = (rng.next() % devs) as u32;
         let dst_dev = (rng.next() % devs) as u32;
@@ -1413,7 +1401,7 @@ fn write_profile(
     }
     rm.mesh_mut().attach_flight_recorder();
     let n = u64::from(cfg.width) * u64::from(cfg.height);
-    let mut rng = SplitMix(seed ^ 0x6368_616f_735f_7278);
+    let mut rng = SplitMix64::new(seed ^ 0x6368_616f_735f_7278);
     for i in 0..cfg.transfers {
         let src = rng.next() % n;
         let dst = (src + 1 + rng.next() % (n - 1)) % n;

@@ -13,11 +13,13 @@ use gnoc_cli::{
 use gnoc_core::microbench::bandwidth::{aggregate_fabric_gbps, aggregate_memory_gbps};
 use gnoc_core::noc::loadcurve::{hier_load_curve, mesh_load_curve, SweepConfig};
 use gnoc_core::noc::{check_mesh_dims, NodeId, PacketClass, ReliableMesh, RetryConfig};
+use gnoc_core::noc::{fabric_soak, mesh_soak};
 use gnoc_core::noc::{run_fairness_recorded, run_memsim_traced, HierConfig, MeshConfig};
 use gnoc_core::noc::{ArbiterKind, FairnessConfig, MemSimConfig};
 use gnoc_core::sidechannel::covert::{
     bits_of, bytes_of, channel_snr, transmit, CovertChannelConfig,
 };
+use gnoc_core::telemetry::hash::SplitMix64;
 use gnoc_core::workloads::replay::{replay, ReplayConfig};
 use gnoc_core::workloads::{bfs, gaussian};
 use gnoc_core::{
@@ -1005,22 +1007,16 @@ fn run_profile(
     rm.mesh_mut().set_telemetry(telemetry.clone());
     rm.mesh_mut().attach_flight_recorder();
 
-    // The same splitmix64 traffic stream as `gnoc mesh --faults`, with
-    // varied packet lengths so serialization stalls show up in the profile.
+    // The splitmix64 stream of `gnoc mesh --faults`, with varied packet
+    // lengths so serialization stalls show up in the profile. The length is
+    // drawn before the equal-endpoint skip, unlike `mesh_soak`.
     let nodes = (width * height) as u64;
-    let mut state = seed;
-    let mut next = move || {
-        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    };
+    let mut rng = SplitMix64::new(seed);
     let mut submitted = 0usize;
     while submitted < transfers {
-        let src = (next() % nodes) as u32;
-        let dst = (next() % nodes) as u32;
-        let flits = 1 + (next() % 4) as u32;
+        let src = (rng.next() % nodes) as u32;
+        let dst = (rng.next() % nodes) as u32;
+        let flits = 1 + (rng.next() % 4) as u32;
         if src == dst {
             continue;
         }
@@ -1293,7 +1289,9 @@ fn run_faulted_mesh(
         rm.mesh_mut().attach_flight_recorder();
     }
 
-    submit_mesh_soak_traffic(&mut rm, nodes, seed, transfers);
+    for (src, dst) in mesh_soak(seed, nodes).take(transfers) {
+        rm.submit(src, dst, 1, PacketClass::Request);
+    }
 
     let quiesced = rm.run_until_quiescent(2_000_000);
     let s = rm.stats().clone();
@@ -1358,30 +1356,6 @@ fn run_faulted_mesh(
     EXIT_OK
 }
 
-/// The `gnoc mesh` splitmix64 traffic stream keyed by the seed, shared by
-/// the live faulted soak and `gnoc trace record mesh` so a recording
-/// captures exactly the run it stands in for.
-fn submit_mesh_soak_traffic(rm: &mut ReliableMesh, nodes: u64, seed: u64, transfers: usize) {
-    let mut state = seed;
-    let mut next = move || {
-        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    };
-    let mut submitted = 0usize;
-    while submitted < transfers {
-        let src = (next() % nodes) as u32;
-        let dst = (next() % nodes) as u32;
-        if src == dst {
-            continue;
-        }
-        rm.submit(NodeId(src), NodeId(dst), 1, PacketClass::Request);
-        submitted += 1;
-    }
-}
-
 /// Resolves a topology name the parser already validated.
 fn parse_topology(name: &str) -> Result<FabricTopology, String> {
     FabricTopology::parse(name)
@@ -1399,9 +1373,7 @@ struct FabricRunArgs {
     self_heal: bool,
 }
 
-/// Submits `transfers` seed-deterministic transfers with uniform-random
-/// device and node endpoints (same-device pairs included, so die-local and
-/// cross-device traffic mix) and varied packet lengths.
+/// Submits the first `transfers` transfers of the seeded [`fabric_soak`].
 fn submit_cli_fabric_traffic(
     sim: &mut FabricSim,
     devices: u32,
@@ -1409,35 +1381,16 @@ fn submit_cli_fabric_traffic(
     seed: u64,
     transfers: usize,
 ) -> Result<(), String> {
-    let devs = u64::from(devices);
-    let mut state = seed;
-    let mut next = move || {
-        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    };
-    let mut submitted = 0usize;
-    while submitted < transfers {
-        let src_dev = (next() % devs) as u32;
-        let dst_dev = (next() % devs) as u32;
-        let src = (next() % nodes) as u32;
-        let dst = (next() % nodes) as u32;
-        if src_dev == dst_dev && src == dst {
-            continue;
-        }
-        let flits = 1 + (next() % 4) as u32;
+    for t in fabric_soak(seed, devices, nodes).take(transfers) {
         sim.submit(
-            src_dev,
-            NodeId(src),
-            dst_dev,
-            NodeId(dst),
-            flits,
+            t.src_dev,
+            t.src,
+            t.dst_dev,
+            t.dst,
+            t.flits,
             PacketClass::Request,
         )
         .map_err(|e| e.to_string())?;
-        submitted += 1;
     }
     Ok(())
 }
@@ -1700,7 +1653,9 @@ fn record_trace(
             .map_err(|e| e.to_string()));
             rm.mesh_mut().set_telemetry(telemetry.clone());
             rm.attach_trace_tap(tap);
-            submit_mesh_soak_traffic(&mut rm, (cfg.width * cfg.height) as u64, *seed, *transfers);
+            for (src, dst) in mesh_soak(*seed, (cfg.width * cfg.height) as u64).take(*transfers) {
+                rm.submit(src, dst, 1, PacketClass::Request);
+            }
             let quiesced = rm.run_until_quiescent(2_000_000);
             let line = try_or_fail!(trace_digest::mesh_stats_line(&rm));
             let tap = rm.take_trace_tap().expect("tap attached above");
@@ -2344,10 +2299,9 @@ fn print_chaos_run(run: &ChaosRun) -> bool {
 fn run_faults(action: FaultsAction) -> u8 {
     match action {
         FaultsAction::Gen { out, cfg } => {
-            try_or_fail!(check_mesh_dims(cfg.width as usize, cfg.height as usize));
             // try_generate validates every knob first, so a bad flag value
-            // (e.g. --flaky-prob 1.5) is a hard error naming the field
-            // instead of a silently saved invalid plan.
+            // (e.g. --flaky-prob 1.5) or an oversized mesh is a hard error
+            // naming the field instead of a silently saved invalid plan.
             let plan = try_or_fail!(FaultPlan::try_generate(&cfg).map_err(|e| e.to_string()));
             try_or_fail!(plan.save(&out).map_err(|e| e.to_string()), EXIT_IO);
             println!("{out}: {}", plan.summary());
@@ -2360,6 +2314,8 @@ fn run_faults(action: FaultsAction) -> u8 {
             devices,
             topology,
         } => {
+            // An oversized mesh is invalid input (exit 2), not a plan that
+            // fails its check (exit 1), so it is rejected before loading.
             try_or_fail!(check_mesh_dims(width as usize, height as usize));
             let plan = match FaultPlan::load(&path) {
                 Ok(p) => p,

@@ -309,3 +309,114 @@ fn oversized_replay_job_fails_without_killing_the_daemon() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Runs the `gnoc` binary, asserts it exits 0, and returns its stdout.
+fn gnoc_ok(args: &[&str]) -> String {
+    let (code, stdout) = submit(args);
+    assert_eq!(code, 0, "gnoc {}", args.join(" "));
+    stdout
+}
+
+/// The number right after `label` in `text`, e.g. `"42"` from `"x 42 y"`.
+fn number_after<'a>(text: &'a str, label: &str) -> &'a str {
+    let start = text
+        .find(label)
+        .unwrap_or_else(|| panic!("{label:?} in {text}"))
+        + label.len();
+    let rest = text[start..].trim_start();
+    let end = rest
+        .find(|c: char| !(c.is_ascii_digit() || c == '.'))
+        .unwrap_or(rest.len());
+    &rest[..end]
+}
+
+/// A serve soak job, run by `run::execute` as the daemon runs it, submits
+/// the same transfers as the equivalent one-shot run: a `mesh` job matches
+/// `gnoc trace record mesh`, and a `fabric` job matches `gnoc fabric`, on
+/// the same seed and transfer count (and devices and topology). Delivered,
+/// lost and mean latency must agree.
+#[test]
+fn serve_soak_jobs_match_the_one_shot_cli() {
+    use gnoc_serve::run::execute;
+    let dir = scratch("parity");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let ckpt = dir.join("ckpt.json");
+    let job = |spec: JobSpec| -> serde::Value {
+        let payload = execute(&spec, &ckpt, 0).result.expect("soak job runs");
+        serde_json::from_str(&payload).expect("payload is JSON")
+    };
+    let num = |v: &serde::Value, key: &str| v.field(key).ok().and_then(serde::Value::as_f64);
+
+    for (seed, transfers) in [(1u64, 200usize), (5, 800)] {
+        let payload = job(JobSpec::Mesh {
+            seed,
+            transfers,
+            plan: None,
+        });
+        let (trc, stats_path) = (dir.join("mesh.trc"), dir.join("mesh-stats.json"));
+        gnoc_ok(&[
+            "trace",
+            "record",
+            "mesh",
+            "--seed",
+            &seed.to_string(),
+            "--transfers",
+            &transfers.to_string(),
+            "--out",
+            trc.to_str().unwrap(),
+            "--stats",
+            stats_path.to_str().unwrap(),
+        ]);
+        let line: serde::Value =
+            serde_json::from_str(&std::fs::read_to_string(&stats_path).unwrap()).unwrap();
+        let stats = line.field("stats").expect("stats object");
+        let stat = |key| num(stats, key).expect("numeric stat");
+        let delivered = stat("delivered");
+        let lost = stat("lost_unroutable") + stat("lost_retries_exhausted") + stat("lost_watchdog");
+        let mean = stat("latency_sum") / delivered;
+        let what = format!("mesh seed {seed}");
+        assert_eq!(num(&payload, "delivered"), Some(delivered), "{what}");
+        assert_eq!(num(&payload, "lost"), Some(lost), "{what}");
+        assert_eq!(
+            format!("{:.6}", num(&payload, "mean_latency").unwrap()),
+            format!("{mean:.6}"),
+            "{what}"
+        );
+    }
+
+    for (devices, topology, seed, transfers) in
+        [(2u32, "ring", 1u64, 256usize), (4, "fully", 9, 400)]
+    {
+        let payload = job(JobSpec::Fabric {
+            devices,
+            topology: topology.to_owned(),
+            seed,
+            transfers,
+        });
+        let stdout = gnoc_ok(&[
+            "fabric",
+            "--devices",
+            &devices.to_string(),
+            "--topology",
+            topology,
+            "--seed",
+            &seed.to_string(),
+            "--transfers",
+            &transfers.to_string(),
+            "--cycles",
+            "2000000",
+        ]);
+        // "transfers: N submitted (C cross-device), D delivered, L lost"
+        let cli = |label| number_after(&stdout, label).parse::<f64>().ok();
+        let what = format!("{devices}x{topology} seed {seed}");
+        assert_eq!(num(&payload, "delivered"), cli("cross-device),"), "{what}");
+        assert_eq!(num(&payload, "lost"), cli("delivered,"), "{what}");
+        assert_eq!(
+            format!("{:.1}", num(&payload, "mean_latency").unwrap()),
+            number_after(&stdout, "latency:   mean"),
+            "{what}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

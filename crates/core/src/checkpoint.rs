@@ -55,6 +55,7 @@ use gnoc_analysis::{correlation_matrix, Summary};
 use gnoc_engine::GpuDevice;
 use gnoc_faults::FaultPlan;
 use gnoc_microbench::LatencyProbe;
+use gnoc_telemetry::hash::{mix64, GOLDEN_GAMMA};
 use gnoc_telemetry::{TelemetryHandle, TraceEvent, SUBSYSTEM_CAMPAIGN};
 use gnoc_topo::{GpuSpec, SmId};
 use serde::{Deserialize, Serialize};
@@ -192,10 +193,7 @@ pub fn device_for_preset(
 /// lets [`CheckpointedCampaign`] resume bit-identically and lets the parallel
 /// runners compute rows on any worker in any order with identical results.
 pub fn row_seed(seed: u64, sm: usize) -> u64 {
-    let mut z = seed ^ (sm as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    mix64(seed ^ (sm as u64).wrapping_mul(GOLDEN_GAMMA))
 }
 
 /// Just the version field — parsed first so that files written by older

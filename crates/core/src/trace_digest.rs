@@ -12,7 +12,7 @@ use crate::LatencyCampaign;
 use gnoc_fabric::FabricSim;
 use gnoc_faults::FaultPlan;
 use gnoc_noc::ReliableMesh;
-use gnoc_trace::fnv1a64;
+use gnoc_telemetry::hash::fnv1a64;
 
 /// FNV-1a 64 of a fault plan's canonical JSON: the identity a trace header
 /// pins via `plan_fnv`. `None` (no `--faults` flag) digests to 0, so a
@@ -52,16 +52,12 @@ pub fn fabric_stats_line(sim: &FabricSim) -> Result<String, String> {
 /// the same digest the daemon's campaign payload reports as `matrix_fnv`.
 #[must_use]
 pub fn campaign_matrix_fnv(matrix: &[Vec<f64>]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for row in matrix {
-        for v in row {
-            for b in v.to_bits().to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-    }
-    h
+    let bytes: Vec<u8> = matrix
+        .iter()
+        .flatten()
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .collect();
+    fnv1a64(&bytes)
 }
 
 /// Canonical stats line for a finished latency campaign.

@@ -7,18 +7,18 @@
 //! methodology needs — finding sets of addresses that all map to one target
 //! slice (the `M[s]` tables of Algorithms 1 and 2).
 
+use gnoc_telemetry::hash::SplitMix64;
 use gnoc_topo::{CachePolicy, Hierarchy, MpId, PartitionId, SliceId};
 use serde::{Deserialize, Serialize};
 
 /// Cache-line size in bytes; addresses handled by the map are line addresses.
 pub const LINE_BYTES: u64 = 128;
 
-/// SplitMix64 finaliser — a high-quality 64-bit mixing function.
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+/// The slice hash of a line address: the first splitmix64 draw seeded
+/// with it.
+#[inline]
+fn line_hash(line: u64) -> u64 {
+    SplitMix64::new(line).next()
 }
 
 /// Errors disabling L2 slices in an [`AddressMap`].
@@ -168,7 +168,7 @@ impl AddressMap {
     /// With fused-off slices the hash runs over the enabled list, so homes
     /// land only on survivors.
     pub fn home_slice(&self, line: u64) -> SliceId {
-        self.enabled[(mix64(line) % self.enabled.len() as u64) as usize]
+        self.enabled[(line_hash(line) % self.enabled.len() as u64) as usize]
     }
 
     /// The home memory partition of a line address (where its DRAM lives).
@@ -189,7 +189,7 @@ impl AddressMap {
             CachePolicy::PartitionLocal => {
                 let local = &self.partition_slices[requester.index()];
                 // Salt so the local spread is independent of the global hash.
-                let idx = mix64(line ^ 0xa5a5_5a5a_dead_beef) % local.len() as u64;
+                let idx = line_hash(line ^ 0xa5a5_5a5a_dead_beef) % local.len() as u64;
                 local[idx as usize]
             }
         }
@@ -460,7 +460,7 @@ mod tests {
             // The enabled-list remap is the identity on a pristine device.
             assert_eq!(
                 pristine.home_slice(line).index() as u64,
-                super::mix64(line) % h.num_slices() as u64
+                super::line_hash(line) % h.num_slices() as u64
             );
         }
     }

@@ -9,16 +9,15 @@
 //! average fails here.
 
 use gnoc_engine::{AccessKind, Calibration, FlowSolution, FlowSpec, GpuDevice};
+use gnoc_telemetry::hash::fnv1a64;
 use gnoc_topo::{CachePolicy, GpcId, GpuSpec, PartitionId, SliceId, SmId};
 
-fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 fn bits_digest(values: &[f64]) -> u64 {
-    fnv1a(values.iter().flat_map(|v| v.to_bits().to_le_bytes()))
+    let bytes: Vec<u8> = values
+        .iter()
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .collect();
+    fnv1a64(&bytes)
 }
 
 /// Everything a case pins.
@@ -47,7 +46,7 @@ fn pin(flows: &[FlowSpec], sol: &FlowSolution) -> Pin {
         latencies: bits_digest(&sol.latencies_cycles),
         total_bits: sol.total_gbps.to_bits(),
         bottlenecks: listed.len(),
-        bottleneck_digest: fnv1a(listed.join(";").into_bytes()),
+        bottleneck_digest: fnv1a64(listed.join(";").as_bytes()),
     }
 }
 

@@ -3,30 +3,9 @@
 use crate::config::{FabricConfig, FabricError};
 use gnoc_faults::{FabricFaults, FaultPlan, LinkFaultKind};
 use gnoc_noc::{LossReason, Mesh, NodeId, PacketClass, ReliableMesh, TransferId, TransferOutcome};
+use gnoc_telemetry::hash::{SplitMix64, GOLDEN_GAMMA};
 use gnoc_telemetry::{FlightRecorder, StallKind, FABRIC_PORT};
 use serde::{Deserialize, Serialize};
-
-/// Deterministic splitmix64 stream for fabric-link fault draws. Only
-/// probabilistic faults (flaky links) and link probes advance it, so benign
-/// plans draw nothing.
-#[derive(Debug, Clone)]
-struct SplitMix(u64);
-
-impl SplitMix {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform draw in `[0, 1)` (53 mantissa bits, same scheme as the rand
-    /// shim).
-    fn next_f64(&mut self) -> f64 {
-        (self.next() >> 11) as f64 * (1.0 / 9_007_199_254_740_992.0)
-    }
-}
 
 /// Salt xored into the plan seed for the fabric's private RNG stream, so
 /// fabric draws never alias the per-die mesh streams.
@@ -167,7 +146,9 @@ pub struct FabricSim {
     routes: Vec<Vec<Option<u32>>>,
     transfers: Vec<FabricTransfer>,
     now: u64,
-    rng: SplitMix,
+    /// Fabric-link fault draws. Only probabilistic faults (flaky links) and
+    /// link probes advance it, so benign plans draw nothing.
+    rng: SplitMix64,
     fabric_faults: FabricFaults,
     /// Sorted distinct fabric fault onsets not yet applied.
     pending_onsets: Vec<u64>,
@@ -216,7 +197,7 @@ impl FabricSim {
             let mut die_plan = plan.clone();
             die_plan.seed = plan
                 .seed
-                .wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(u64::from(d)));
+                .wrapping_add(GOLDEN_GAMMA.wrapping_mul(u64::from(d)));
             die_plan.fabric = FabricFaults::default();
             // Note: `cfg.self_healing` governs only *fabric* routing. The
             // dies stay fault-aware — the fabric health monitor watches
@@ -284,7 +265,7 @@ impl FabricSim {
             routes: Vec::new(),
             transfers: Vec::new(),
             now: 0,
-            rng: SplitMix(plan.seed ^ FABRIC_RNG_SALT),
+            rng: SplitMix64::new(plan.seed ^ FABRIC_RNG_SALT),
             fabric_faults: plan.fabric.clone(),
             pending_onsets,
             device_dead: vec![false; cfg.devices as usize],
@@ -1020,16 +1001,10 @@ impl FabricSim {
     /// every transfer (in submission order — the determinism anchor), then
     /// advances every die in lockstep. On the event engine a die whose own
     /// [`ReliableMesh::quiet_bound`] proves this cycle a no-op is advanced
-    /// by its O(1) skip instead of a full step, bit-identically.
+    /// by its O(1) skip instead of a full step, bit-identically; with it
+    /// disabled every die steps on every cycle.
     pub fn step(&mut self) {
-        self.step_dies(gnoc_noc::event_skip_enabled());
-    }
-
-    /// [`FabricSim::step`], with `skip_quiet_dies` choosing whether a die
-    /// that provably cannot act this cycle is skipped rather than stepped.
-    /// The cycle-exact reference passes `false`, so it steps every die on
-    /// every cycle.
-    fn step_dies(&mut self, skip_quiet_dies: bool) {
+        let skip_quiet_dies = gnoc_noc::event_skip_enabled();
         let now = self.now;
         self.apply_onsets(now);
         for idx in 0..self.transfers.len() {
@@ -1169,10 +1144,10 @@ impl FabricSim {
     /// Steps until every submitted transfer resolves or `max_cycles` elapse.
     /// Returns `true` when fully quiescent.
     ///
-    /// Runs on the event-driven engine: spans where every transfer is
-    /// waiting (fabric backoffs, die ACK timeouts, watchdog countdowns) are
-    /// skipped, bit-identically to
-    /// [`FabricSim::run_until_quiescent_cycle_exact`].
+    /// On the event engine, spans where every transfer is waiting (fabric
+    /// backoffs, die ACK timeouts, watchdog countdowns) are skipped; with it
+    /// disabled ([`gnoc_noc::set_event_skip_enabled`]) every cycle is
+    /// stepped. The two are bit-identical.
     pub fn run_until_quiescent(&mut self, max_cycles: u64) -> bool {
         let start = self.now;
         let end = start.saturating_add(max_cycles);
@@ -1181,16 +1156,6 @@ impl FabricSim {
             if self.outstanding > 0 {
                 self.skip_quiet(end);
             }
-        }
-        self.outstanding == 0
-    }
-
-    /// The cycle-exact reference for [`FabricSim::run_until_quiescent`]:
-    /// identical observables, every cycle stepped.
-    pub fn run_until_quiescent_cycle_exact(&mut self, max_cycles: u64) -> bool {
-        let start = self.now;
-        while self.outstanding > 0 && self.now - start < max_cycles {
-            self.step_dies(false);
         }
         self.outstanding == 0
     }

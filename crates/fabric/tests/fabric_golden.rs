@@ -12,15 +12,17 @@
 //! The values were captured before dies whose own quiet bound proves a
 //! cycle inert stopped running the full reliable step, and before routers
 //! kept a queued-packet count, so any drift in which die or router acts on
-//! which cycle fails here. The cycle-exact run must match the same pins.
+//! which cycle fails here. The cycle-exact engine (the event skip disabled)
+//! must match the same pins.
 
 use gnoc_analysis::profile::ProfileReport;
 use gnoc_fabric::{FabricConfig, FabricSim};
 use gnoc_faults::{FaultGenConfig, FaultPlan};
-use gnoc_noc::{NodeId, PacketClass};
+use gnoc_noc::{set_event_skip_enabled, NodeId, PacketClass};
+use gnoc_telemetry::hash::{fnv1a64, SplitMix64};
 use gnoc_telemetry::FlightRecorder;
 use gnoc_topo::FabricTopology;
-use gnoc_trace::{fnv1a64, TraceHeader, TraceTap};
+use gnoc_trace::{TraceHeader, TraceTap};
 
 const SIDE: u32 = 5;
 const WAVES: u64 = 8;
@@ -30,14 +32,6 @@ const WAVE_TRANSFERS: u64 = 12;
 /// retries and fabric crossings.
 const WAVE_CYCLES: [u64; 3] = [40, 250, 90];
 const MAX_CYCLES: u64 = 2_000_000;
-
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Everything a case pins.
 #[derive(Debug, PartialEq, Eq)]
@@ -88,8 +82,9 @@ struct Case {
 }
 
 /// Builds the case's fabric with its recorders and tap attached, drives
-/// the waves, and reduces the finished run to a [`Pin`].
-fn run(c: Case, cycle_exact: bool) -> Pin {
+/// the waves on the event engine or the cycle-exact one, and reduces the
+/// finished run to a [`Pin`].
+fn run(c: Case, event: bool) -> Pin {
     let Case {
         seed,
         devices,
@@ -117,10 +112,11 @@ fn run(c: Case, cycle_exact: bool) -> Pin {
     sim.attach_trace_tap(TraceTap::in_memory(&header));
 
     let nodes = u64::from(SIDE * SIDE);
-    let mut state = seed;
+    let mut rng = SplitMix64::new(seed);
+    set_event_skip_enabled(event);
     for wave in 0..WAVES {
         for _ in 0..WAVE_TRANSFERS {
-            let r = splitmix(&mut state);
+            let r = rng.next();
             // Each wave leans on one source device so the others idle.
             let src_dev = if r.is_multiple_of(3) {
                 (wave % u64::from(devices)) as u32
@@ -158,12 +154,9 @@ fn run(c: Case, cycle_exact: bool) -> Pin {
         } else {
             WAVE_CYCLES[(wave % 3) as usize]
         };
-        if cycle_exact {
-            sim.run_until_quiescent_cycle_exact(budget);
-        } else {
-            sim.run_until_quiescent(budget);
-        }
+        sim.run_until_quiescent(budget);
     }
+    set_event_skip_enabled(true);
     assert_eq!(sim.outstanding(), 0, "the last wave must quiesce");
 
     let cycles = sim.cycle();
@@ -253,7 +246,7 @@ fn faulted_fabrics_match_the_golden_pins() {
         (case(15, 4, Ring, true), expected(4596, [9452983018660992149, 4221200976224946375, 2972700810130681874, 15813131325183981122, 12294749006686988620])),
     ];
     for (c, want) in cases {
-        assert_eq!(run(c, false), want, "{c:?}");
-        assert_eq!(run(c, true), want, "cycle-exact {c:?}");
+        assert_eq!(run(c, true), want, "{c:?}");
+        assert_eq!(run(c, false), want, "cycle-exact {c:?}");
     }
 }

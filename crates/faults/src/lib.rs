@@ -302,9 +302,37 @@ impl Default for FaultPlan {
     }
 }
 
+/// Largest mesh [`check_mesh_dims`] accepts, in routers (64×64). The
+/// fault-aware reroute tables take `n² · 5` bytes, ~84 MB here.
+pub const MAX_NODES: usize = 4_096;
+
+/// The one mesh-size rule: a `width × height` mesh has at most
+/// [`MAX_NODES`] routers. Returns the router count. The product is checked,
+/// not wrapped, and is taken before anything is sized by it: the
+/// dimensions may come from a flag, a plan generator config or an untrusted
+/// trace header.
+///
+/// # Errors
+///
+/// Returns [`FaultPlanError::MeshTooLarge`] when the mesh is larger than
+/// [`MAX_NODES`] or its router count overflows.
+pub fn check_mesh_dims(width: usize, height: usize) -> Result<usize, FaultPlanError> {
+    match width.checked_mul(height) {
+        Some(n) if n <= MAX_NODES => Ok(n),
+        _ => Err(FaultPlanError::MeshTooLarge { width, height }),
+    }
+}
+
 /// Errors validating or loading a [`FaultPlan`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum FaultPlanError {
+    /// The mesh has more than [`MAX_NODES`] routers.
+    MeshTooLarge {
+        /// Routers per row.
+        width: usize,
+        /// Routers per column.
+        height: usize,
+    },
     /// A link or stall names a router outside the mesh.
     RouterOutOfRange {
         /// The offending router index.
@@ -382,6 +410,10 @@ pub enum FaultPlanError {
 impl std::fmt::Display for FaultPlanError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            Self::MeshTooLarge { width, height } => write!(
+                f,
+                "mesh {width}x{height} too large: more than {MAX_NODES} routers"
+            ),
             Self::RouterOutOfRange {
                 router,
                 num_routers,
@@ -461,15 +493,15 @@ impl FaultPlan {
     }
 
     /// Validates the NoC part of the plan against a `width`×`height` mesh:
-    /// indices in range, links on the die, probabilities sane, no duplicate
-    /// directed link, and the surviving mesh (with every dead link at full
-    /// onset removed) still connected.
+    /// the mesh within [`MAX_NODES`], indices in range, links on the die,
+    /// probabilities sane, no duplicate directed link, and the surviving
+    /// mesh (with every dead link at full onset removed) still connected.
     ///
     /// # Errors
     ///
     /// Returns the first [`FaultPlanError`] found.
     pub fn validate_for_mesh(&self, width: u32, height: u32) -> Result<(), FaultPlanError> {
-        let num_routers = width * height;
+        let num_routers = check_mesh_dims(width as usize, height as usize)? as u32;
         let mut seen = std::collections::HashSet::new();
         for l in &self.links {
             if l.router >= num_routers {
@@ -622,6 +654,7 @@ impl FaultPlan {
     }
 
     /// Generates a random plan from `cfg`, deterministically in `cfg.seed`.
+    /// `cfg` is trusted; [`FaultPlan::try_generate`] validates it first.
     ///
     /// Dead links are chosen so the surviving mesh remains connected: edges
     /// are visited in a seeded random order and an edge whose removal would
@@ -1094,11 +1127,11 @@ impl FaultGenConfig {
     }
 
     /// Validates every generator knob before a plan is built, naming the
-    /// offending field: mesh dimensions non-zero, all fractions and
-    /// probabilities in `[0, 1]`, region centre on the die, and the slice
-    /// request leaving at least one slice alive. `faults gen` runs this so a
-    /// typo like `--flaky-prob 1.5` is a hard error instead of a silently
-    /// saved invalid plan.
+    /// offending field: mesh dimensions non-zero and within [`MAX_NODES`],
+    /// all fractions and probabilities in `[0, 1]`, region centre on the
+    /// die, and the slice request leaving at least one slice alive.
+    /// `faults gen` runs this so a typo like `--flaky-prob 1.5` is a hard
+    /// error instead of a silently saved invalid plan.
     ///
     /// # Errors
     ///
@@ -1108,6 +1141,7 @@ impl FaultGenConfig {
         if self.width == 0 || self.height == 0 {
             return Err(field(if self.width == 0 { "width" } else { "height" }, 0.0));
         }
+        check_mesh_dims(self.width as usize, self.height as usize)?;
         if !(0.0..=1.0).contains(&self.dead_link_fraction) {
             return Err(field("dead_link_fraction", self.dead_link_fraction));
         }
@@ -1771,6 +1805,37 @@ mod tests {
             onset: 0,
         });
         assert!(fabric_connected(4, FabricTopology::FullyConnected, &dev));
+    }
+
+    /// Mesh sizes are checked, not wrapped, before anything is sized by
+    /// them: a `u32` router count overflowing (65,536²) or one that fits
+    /// but would allocate without bound (60,000²) is a typed error from
+    /// both fault-plan entry points, never a panic or a huge allocation.
+    #[test]
+    fn oversized_meshes_are_typed_errors() {
+        let too_large = |width, height| Some(FaultPlanError::MeshTooLarge { width, height });
+        for (w, h) in [
+            (65_536u32, 65_536u32),
+            (65_536, 65_537),
+            (60_000, 60_000),
+            (65, 64),
+        ] {
+            let (wu, hu) = (w as usize, h as usize);
+            let cfg = FaultGenConfig::benign(1, w, h);
+            assert_eq!(
+                FaultPlan::none().validate_for_mesh(w, h).err(),
+                too_large(wu, hu)
+            );
+            assert_eq!(cfg.validate().err(), too_large(wu, hu));
+            assert_eq!(FaultPlan::try_generate(&cfg).err(), too_large(wu, hu));
+        }
+        assert_eq!(
+            check_mesh_dims(usize::MAX, 2).err(),
+            too_large(usize::MAX, 2)
+        );
+        assert_eq!(check_mesh_dims(64, 64), Ok(MAX_NODES));
+        FaultPlan::none().validate_for_mesh(64, 64).unwrap();
+        FaultPlan::try_generate(&FaultGenConfig::benign(1, 64, 64)).unwrap();
     }
 
     #[test]

@@ -55,5 +55,6 @@ pub use mesh::{
 pub use packet::{NodeId, Packet, PacketClass};
 pub use reliable::{ReliabilityStats, ReliableMesh, RetryConfig, TransferId, TransferOutcome};
 pub use traffic::{
-    run_fairness, run_fairness_recorded, run_fairness_traced, FairnessConfig, FairnessResult,
+    fabric_soak, mesh_soak, run_fairness, run_fairness_recorded, run_fairness_traced,
+    FairnessConfig, FairnessResult, SoakTransfer,
 };

@@ -31,9 +31,7 @@ const WEST: usize = 4;
 /// vectors such as [`MeshStats::link_drops`] are indexed
 /// `router * NUM_PORTS + port`.
 pub const NUM_PORTS: usize = 5;
-/// Largest mesh [`check_mesh_dims`] accepts, in routers (64×64). The
-/// fault-aware reroute tables take `n² · NUM_PORTS` bytes, ~84 MB here.
-pub const MAX_NODES: usize = 4_096;
+pub use gnoc_faults::MAX_NODES;
 
 /// Dimension order used by deterministic routing.
 ///
@@ -118,20 +116,16 @@ impl MeshConfig {
     }
 }
 
-/// The one mesh-size rule: a `width × height` mesh has at most
-/// [`MAX_NODES`] routers. Returns the router count. The product is checked,
-/// not wrapped, and is taken before anything is sized by it: the
-/// dimensions may come from a flag or an untrusted trace header.
+/// [`gnoc_faults::check_mesh_dims`], the one mesh-size rule, as a
+/// configuration error. Returns the router count.
 ///
 /// # Errors
 ///
 /// Returns [`NocError::Config`] when the mesh is larger than
 /// [`MAX_NODES`] or its router count overflows.
 pub fn check_mesh_dims(width: usize, height: usize) -> Result<usize, NocError> {
-    match width.checked_mul(height) {
-        Some(n) if n <= MAX_NODES => Ok(n),
-        _ => Err(NocError::Config("mesh too large: more than 4096 routers")),
-    }
+    gnoc_faults::check_mesh_dims(width, height)
+        .map_err(|_| NocError::Config("mesh too large: more than 4096 routers"))
 }
 
 /// The mesh output port a fault-plan [`Direction`] maps to.
@@ -343,19 +337,6 @@ impl MeshStats {
     }
 }
 
-/// Slot for the workload record tap. A tap has exactly one owner — it is a
-/// streaming file handle — so cloning a mesh (golden twins, differential
-/// oracles) detaches the tap in the clone rather than double-writing the
-/// trace.
-#[derive(Debug, Default)]
-struct TapSlot(Option<Box<gnoc_trace::TraceTap>>);
-
-impl Clone for TapSlot {
-    fn clone(&self) -> Self {
-        Self(None)
-    }
-}
-
 /// One arbitration grant: phase 1 of [`Mesh::step_inner`] decides it,
 /// phase 2 applies it.
 #[derive(Debug, Clone, Copy)]
@@ -371,7 +352,7 @@ const GRANTED: u8 = UNREACHABLE - 1;
 
 /// Working buffers of [`Mesh::step_inner`], kept across cycles so a warm
 /// step allocates nothing. Every buffer is rewritten before it is read each
-/// cycle, so a cloned mesh starts with an empty scratch, like [`TapSlot`].
+/// cycle, so a cloned mesh starts with an empty scratch.
 #[derive(Debug, Default)]
 struct StepScratch {
     /// Route-once slot array, indexed like the queues ([`Mesh::slot`]):
@@ -441,10 +422,6 @@ pub struct Mesh {
     /// by default so unprofiled runs pay one pointer of state and a handful
     /// of `is_some` branches per cycle.
     recorder: Option<Box<FlightRecorder>>,
-    /// Workload record tap (`gnoc-trace`): observes every successful
-    /// injection. Like the flight recorder it cannot influence the
-    /// simulation, so tapped runs stay byte-identical to bare ones.
-    trace_tap: TapSlot,
     /// Per-cycle working buffers of [`Mesh::step_inner`].
     scratch: StepScratch,
     /// Self-healing mode: fault onsets do *not* recompute the next-hop
@@ -511,7 +488,6 @@ impl Mesh {
             occupancy: 0,
             quiet_until: 0,
             recorder: None,
-            trace_tap: TapSlot(None),
             scratch: StepScratch::default(),
             self_heal: false,
             #[cfg(feature = "bug-hooks")]
@@ -916,97 +892,6 @@ impl Mesh {
         self.recorder.take()
     }
 
-    /// Attaches a workload record tap: every subsequent successful
-    /// injection is appended to the trace (retransmissions included when a
-    /// reliability layer drives this mesh — tap the [`crate::ReliableMesh`]
-    /// instead to capture logical transfers once).
-    pub fn attach_trace_tap(&mut self, tap: gnoc_trace::TraceTap) {
-        self.trace_tap = TapSlot(Some(Box::new(tap)));
-    }
-
-    /// The attached workload record tap, if any.
-    pub fn trace_tap(&self) -> Option<&gnoc_trace::TraceTap> {
-        self.trace_tap.0.as_deref()
-    }
-
-    /// Detaches and returns the workload record tap for finalization.
-    pub fn take_trace_tap(&mut self) -> Option<gnoc_trace::TraceTap> {
-        self.trace_tap.0.take().map(|b| *b)
-    }
-
-    /// Replays a recorded injection stream: runs the mesh to each event's
-    /// recorded cycle on the event engine ([`Mesh::run`]) and re-injects
-    /// it. On a mesh built from the trace header's configuration and plan
-    /// this reproduces the recorded run bit for bit. A truncated trace
-    /// replays its complete prefix and reports the truncation in
-    /// [`gnoc_trace::ReplayOutcome::truncated`].
-    ///
-    /// # Errors
-    ///
-    /// [`gnoc_trace::ReplayError::Trace`] on a corrupt stream;
-    /// [`gnoc_trace::ReplayError::Event`] when an event does not fit this
-    /// mesh (non-zero device, node out of range, full injection buffer) —
-    /// never a panic.
-    pub fn replay_from<R: std::io::Read>(
-        &mut self,
-        reader: &mut gnoc_trace::TraceReader<R>,
-    ) -> Result<gnoc_trace::ReplayOutcome, gnoc_trace::ReplayError> {
-        use gnoc_trace::{ReplayError, ReplayOutcome, TraceError};
-        let mut replayed = 0u64;
-        loop {
-            match reader.next_event() {
-                Ok(Some(ev)) => {
-                    let fail = |reason: String| ReplayError::Event {
-                        index: replayed,
-                        reason,
-                    };
-                    if ev.src_dev != 0 || ev.dst_dev != 0 {
-                        return Err(fail(format!(
-                            "mesh replay saw device ({}, {}) — a fabric trace?",
-                            ev.src_dev, ev.dst_dev
-                        )));
-                    }
-                    let n = self.cfg.num_nodes() as u32;
-                    if ev.src >= n || ev.dst >= n {
-                        return Err(fail(format!(
-                            "node ({}, {}) out of range for {} terminals",
-                            ev.src, ev.dst, n
-                        )));
-                    }
-                    let class = PacketClass::from_trace_code(ev.class)
-                        .ok_or_else(|| fail(format!("unknown packet class {}", ev.class)))?;
-                    self.run(ev.cycle.saturating_sub(self.cycle));
-                    if !self.try_inject_with_birth(
-                        NodeId::new(ev.src),
-                        NodeId::new(ev.dst),
-                        ev.flits,
-                        class,
-                        ev.cycle,
-                    ) {
-                        return Err(fail(format!(
-                            "injection buffer at node {} full at cycle {}",
-                            ev.src, ev.cycle
-                        )));
-                    }
-                    replayed += 1;
-                }
-                Ok(None) => {
-                    return Ok(ReplayOutcome {
-                        replayed,
-                        truncated: None,
-                    })
-                }
-                Err(TraceError::TruncatedTail { chunk, offset }) => {
-                    return Ok(ReplayOutcome {
-                        replayed,
-                        truncated: Some((chunk, offset)),
-                    })
-                }
-                Err(e) => return Err(ReplayError::Trace(e)),
-            }
-        }
-    }
-
     /// Attempts to inject a packet at `src`; returns `false` when the local
     /// input buffer is full (the terminal must retry later).
     pub fn try_inject(&mut self, src: NodeId, dst: NodeId, flits: u32, class: PacketClass) -> bool {
@@ -1061,17 +946,6 @@ impl Mesh {
         self.occupancy += 1;
         self.quiet_until = self.cycle;
         self.stats.injected_by_src[src.index()] += 1;
-        if let Some(tap) = self.trace_tap.0.as_deref_mut() {
-            tap.record(&gnoc_trace::TraceEvent {
-                cycle: birth,
-                src_dev: 0,
-                src: src.index() as u32,
-                dst_dev: 0,
-                dst: dst.index() as u32,
-                flits,
-                class: class.trace_code(),
-            });
-        }
         if let Some(rec) = self.recorder.as_deref_mut() {
             rec.on_inject(
                 id,
@@ -1993,10 +1867,11 @@ impl Mesh {
             })
     }
 
-    /// Runs `cycles` steps on the event-driven engine: cycle-exact stepping
-    /// whenever the mesh can act, next-event skips across spans proven
-    /// inert. Bit-identical to [`Mesh::run_cycle_exact`] on every
-    /// observable.
+    /// Runs `cycles` cycles: a full step whenever the mesh can act and, on
+    /// the event engine, a next-event skip across each span proven inert.
+    /// With the event engine disabled ([`set_event_skip_enabled`]) every
+    /// cycle is stepped: that is the cycle-exact reference, and the two are
+    /// bit-identical on every observable.
     pub fn run(&mut self, cycles: u64) {
         let target = self.cycle.saturating_add(cycles);
         while self.cycle < target {
@@ -2004,14 +1879,6 @@ impl Mesh {
             if self.cycle < target {
                 self.step();
             }
-        }
-    }
-
-    /// The reference engine: every cycle is stepped, none skipped. Kept for
-    /// differential testing and benchmarking against [`Mesh::run`].
-    pub fn run_cycle_exact(&mut self, cycles: u64) {
-        for _ in 0..cycles {
-            self.step();
         }
     }
 
@@ -2359,13 +2226,17 @@ mod tests {
         for event in [true, false] {
             let mut m = small();
             m.apply_fault_plan(&plan).unwrap();
-            m.run_cycle_exact(20); // step across the onset
-                                   // 0 → 2 routes through router 1.
+            // Step across the onset; 0 → 2 routes through router 1.
+            for _ in 0..20 {
+                m.step();
+            }
             m.try_inject(NodeId::new(0), NodeId::new(2), 1, PacketClass::Request);
             if event {
                 m.run(500);
             } else {
-                m.run_cycle_exact(500);
+                for _ in 0..500 {
+                    m.step();
+                }
             }
             assert_eq!(m.stats().delivered_total, 0, "the stall never ends");
             assert_eq!(m.in_flight(), 1);
@@ -2603,7 +2474,9 @@ mod tests {
                 // comparison is valid regardless of the global toggle.
                 m.run(5_000);
             } else {
-                m.run_cycle_exact(5_000);
+                for _ in 0..5_000 {
+                    m.step();
+                }
             }
             let rec = m.take_flight_recorder().unwrap();
             (

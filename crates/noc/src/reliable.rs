@@ -668,9 +668,10 @@ impl ReliableMesh {
     /// resolution even on a deadlocked mesh, so `false` means `max_cycles`
     /// was smaller than the watchdog window.
     ///
-    /// Runs on the event-driven engine: idle spans (ACK-timeout waits,
-    /// watchdog countdowns) are skipped, bit-identically to
-    /// [`ReliableMesh::run_until_quiescent_cycle_exact`].
+    /// On the event engine, idle spans (ACK-timeout waits, watchdog
+    /// countdowns) are skipped; with it disabled
+    /// ([`crate::set_event_skip_enabled`]) every cycle is stepped. The two
+    /// are bit-identical.
     pub fn run_until_quiescent(&mut self, max_cycles: u64) -> bool {
         let start = self.mesh.cycle();
         let end = start.saturating_add(max_cycles);
@@ -679,18 +680,6 @@ impl ReliableMesh {
             if self.outstanding > 0 {
                 self.skip_quiet(end);
             }
-        }
-        self.outstanding == 0
-    }
-
-    /// The cycle-exact reference for [`ReliableMesh::run_until_quiescent`]:
-    /// identical observables, every cycle stepped. Kept for differential
-    /// testing and benchmarking.
-    pub fn run_until_quiescent_cycle_exact(&mut self, max_cycles: u64) -> bool {
-        let start = self.mesh.cycle();
-        let end = start.saturating_add(max_cycles);
-        while self.outstanding > 0 && self.mesh.cycle() < end {
-            self.step();
         }
         self.outstanding == 0
     }

@@ -5,10 +5,16 @@
 //! traffic towards the MCs at saturation. Under round-robin arbitration the
 //! per-node accepted throughput differs by up to ≈ 2.4×; age-based
 //! arbitration equalises it.
+//!
+//! It also owns the seeded soak traffic the CLI, the serve daemon and the
+//! fabric tests submit: [`mesh_soak`] for one die and [`fabric_soak`] for a
+//! multi-device fabric, both drawn from a [`SplitMix64`] stream keyed by
+//! the run's seed, so a seed names the same transfers on every surface.
 
 use crate::arbiter::ArbiterKind;
 use crate::mesh::{Mesh, MeshConfig};
 use crate::packet::{NodeId, PacketClass};
+use gnoc_telemetry::hash::SplitMix64;
 use gnoc_telemetry::TelemetryHandle;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -145,6 +151,62 @@ pub fn run_fairness_recorded(
         },
         mesh.take_flight_recorder(),
     )
+}
+
+/// The single-die soak: endless `(src, dst)` pairs over `nodes` terminals.
+/// Each pair draws `src` then `dst`; a pair with `src == dst` is skipped.
+/// Every transfer is a one-flit [`PacketClass::Request`].
+pub fn mesh_soak(seed: u64, nodes: u64) -> impl Iterator<Item = (NodeId, NodeId)> {
+    let mut rng = SplitMix64::new(seed);
+    std::iter::from_fn(move || loop {
+        let src = (rng.next() % nodes) as u32;
+        let dst = (rng.next() % nodes) as u32;
+        if src != dst {
+            return Some((NodeId(src), NodeId(dst)));
+        }
+    })
+}
+
+/// One transfer of the [`fabric_soak`]: device and on-die endpoints and a
+/// length of 1–4 flits. Every transfer is a [`PacketClass::Request`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SoakTransfer {
+    /// Source device.
+    pub src_dev: u32,
+    /// Source node on the source device.
+    pub src: NodeId,
+    /// Destination device.
+    pub dst_dev: u32,
+    /// Destination node on the destination device.
+    pub dst: NodeId,
+    /// Packet length in flits.
+    pub flits: u32,
+}
+
+/// The multi-device soak: endless transfers over `devices` dies of `nodes`
+/// terminals each. Each draws `src_dev`, `dst_dev`, `src`, `dst`, skips a
+/// transfer from a node to itself, then draws its flits. Same-device pairs
+/// are kept, so die-local and cross-device traffic mix.
+pub fn fabric_soak(seed: u64, devices: u32, nodes: u64) -> impl Iterator<Item = SoakTransfer> {
+    let devs = u64::from(devices);
+    let mut rng = SplitMix64::new(seed);
+    std::iter::from_fn(move || loop {
+        let src_dev = (rng.next() % devs) as u32;
+        let dst_dev = (rng.next() % devs) as u32;
+        let src = (rng.next() % nodes) as u32;
+        let dst = (rng.next() % nodes) as u32;
+        if src_dev == dst_dev && src == dst {
+            continue;
+        }
+        let flits = 1 + (rng.next() % 4) as u32;
+        return Some(SoakTransfer {
+            src_dev,
+            src: NodeId(src),
+            dst_dev,
+            dst: NodeId(dst),
+            flits,
+        });
+    })
 }
 
 #[cfg(test)]

@@ -12,25 +12,12 @@
 
 use gnoc_faults::{Direction, FaultPlan, LinkFault, LinkFaultKind, RouterStall};
 use gnoc_noc::{ArbiterKind, Mesh, MeshConfig, NodeId, PacketClass, RouteOrder};
+use gnoc_telemetry::hash::{fnv1a64, SplitMix64};
 use gnoc_telemetry::{MetricRegistry, StallBreakdown};
 
 const MCS: u32 = 6;
 const NODES: u32 = 36;
 const TRAFFIC_CYCLES: u64 = 1_500;
-
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
 
 /// Everything a case pins.
 #[derive(Debug, PartialEq, Eq)]
@@ -52,14 +39,14 @@ struct Pin {
 /// links and the VC split matters), and the MCs take turns to stop
 /// ejecting. Then it drains.
 fn drive(m: &mut Mesh, seed: u64) {
-    let mut s = seed;
+    let mut rng = SplitMix64::new(seed);
     for cycle in 0..TRAFFIC_CYCLES {
         for mc in 0..MCS {
             let ejecting = (cycle / 50 + u64::from(mc)) % 5 != 0;
             m.set_ejection_enabled(NodeId::new(mc), ejecting);
         }
         for node in 0..NODES {
-            let r = splitmix(&mut s);
+            let r = rng.next();
             let src = NodeId::new(node);
             let mc = NodeId::new(((r >> 8) % u64::from(MCS)) as u32);
             let any = NodeId::new(((r >> 8) % u64::from(NODES)) as u32);
@@ -91,7 +78,7 @@ fn pin(mut m: Mesh) -> Pin {
     }
     let s = m.stats();
     Pin {
-        stats: fnv1a(format!("{s:?}").as_bytes()),
+        stats: fnv1a64(format!("{s:?}").as_bytes()),
         delivered: s.delivered_total,
         latency_sum: s.latency_sum,
         grants: registry.counter("noc.arbiter.grants"),

@@ -21,7 +21,7 @@
 //! a corrupt result is recomputed, never served.
 
 use crate::protocol::{json_str, SCHEMA};
-use gnoc_core::trace::fnv1a64;
+use gnoc_core::telemetry::hash::fnv1a64;
 use serde::Value;
 use std::path::{Path, PathBuf};
 

@@ -21,7 +21,7 @@
 //! runners with fixed formatting; byte-identity of payloads is the
 //! determinism contract the daemon, cache, and journal all preserve.
 
-use gnoc_core::trace::fnv1a64;
+use gnoc_core::telemetry::hash::fnv1a64;
 use gnoc_core::FaultPlan;
 use gnoc_core::LatencyProbe;
 use serde::{Deserialize, Value};

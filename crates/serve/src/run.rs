@@ -12,7 +12,7 @@
 
 use crate::protocol::{json_str, JobSpec};
 use gnoc_chaos::{run_chaos, ChaosConfig, ChaosOptions};
-use gnoc_core::noc::{NodeId, PacketClass};
+use gnoc_core::noc::{fabric_soak, mesh_soak, PacketClass};
 use gnoc_core::telemetry::TelemetryHandle;
 use gnoc_core::{
     ArbiterKind, CheckpointedCampaign, FabricConfig, FabricSim, FabricTopology, FaultPlan,
@@ -42,17 +42,6 @@ fn fail(msg: String) -> ExecOutcome {
         resumed_rows: 0,
         result: Err(msg),
     }
-}
-
-/// Deterministic splitmix64 stream, shared by the mesh and fabric soaks
-/// (the same generator the one-shot CLI uses, so seeds mean the same thing
-/// through the daemon).
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Executes `spec`. `ckpt` is the per-key checkpoint path campaigns persist
@@ -163,15 +152,7 @@ fn run_campaign(
     let rows = result.matrix.len();
     let cols = result.matrix.first().map_or(0, Vec::len);
     let grand = result.grand_mean();
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for row in &result.matrix {
-        for v in row {
-            for b in v.to_bits().to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-    }
+    let h = gnoc_core::trace_digest::campaign_matrix_fnv(&result.matrix);
     // `summary` reproduces the one-shot `gnoc campaign` output line exactly
     // (both the full and the degraded form).
     let summary = if degraded {
@@ -207,17 +188,10 @@ fn run_mesh(seed: u64, transfers: usize, plan: Option<&FaultPlan>) -> ExecOutcom
         Ok(rm) => rm,
         Err(e) => return fail(format!("mesh setup: {e}")),
     };
-    let nodes = (cfg.width * cfg.height) as u64;
-    let mut state = seed;
-    let mut submitted = 0usize;
-    while submitted < transfers {
-        let src = (splitmix(&mut state) % nodes) as u32;
-        let dst = (splitmix(&mut state) % nodes) as u32;
-        if src == dst {
-            continue;
-        }
-        rm.submit(NodeId(src), NodeId(dst), 1, PacketClass::Request);
-        submitted += 1;
+    // The one-shot CLI's soak traffic, so a seed means the same transfers
+    // through the daemon.
+    for (src, dst) in mesh_soak(seed, (cfg.width * cfg.height) as u64).take(transfers) {
+        rm.submit(src, dst, 1, PacketClass::Request);
     }
     let quiesced = rm.run_until_quiescent(2_000_000);
     if !quiesced {
@@ -293,29 +267,17 @@ fn run_fabric_job(devices: u32, topology: &str, seed: u64, transfers: usize) -> 
         Ok(sim) => sim,
         Err(e) => return fail(format!("fabric setup: {e}")),
     };
-    let devs = u64::from(devices);
-    let mut state = seed;
-    let mut submitted = 0usize;
-    while submitted < transfers {
-        let src_dev = (splitmix(&mut state) % devs) as u32;
-        let dst_dev = (splitmix(&mut state) % devs) as u32;
-        let src = (splitmix(&mut state) % nodes) as u32;
-        let dst = (splitmix(&mut state) % nodes) as u32;
-        if src_dev == dst_dev && src == dst {
-            continue;
-        }
-        let flits = 1 + (splitmix(&mut state) % 4) as u32;
+    for t in fabric_soak(seed, devices, nodes).take(transfers) {
         if let Err(e) = sim.submit(
-            src_dev,
-            NodeId(src),
-            dst_dev,
-            NodeId(dst),
-            flits,
+            t.src_dev,
+            t.src,
+            t.dst_dev,
+            t.dst,
+            t.flits,
             PacketClass::Request,
         ) {
             return fail(format!("fabric submit: {e}"));
         }
-        submitted += 1;
     }
     let quiesced = sim.run_until_quiescent(2_000_000);
     if !quiesced {

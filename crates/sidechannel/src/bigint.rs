@@ -240,6 +240,7 @@ fn shr1_limbs(a: &mut [u64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gnoc_telemetry::hash::SplitMix64;
 
     fn big(v: u64) -> BigUint {
         BigUint::from_u64(v)
@@ -332,24 +333,16 @@ mod tests {
         r
     }
 
-    fn splitmix(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
     /// A random operand of 1–4 limbs; each limb is random, zero, all ones or
     /// a single bit, so carries, borrows and exact top-bit alignments occur.
-    fn random_operand(state: &mut u64) -> BigUint {
-        let limbs = 1 + (splitmix(state) % 4) as usize;
+    fn random_operand(rng: &mut SplitMix64) -> BigUint {
+        let limbs = 1 + (rng.next() % 4) as usize;
         let v = (0..limbs)
-            .map(|_| match splitmix(state) % 6 {
+            .map(|_| match rng.next() % 6 {
                 0 => 0,
                 1 => u64::MAX,
-                2 => 1 << (splitmix(state) % 64),
-                _ => splitmix(state),
+                2 => 1 << (rng.next() % 64),
+                _ => rng.next(),
             })
             .collect();
         BigUint::from_limbs(v)
@@ -364,10 +357,10 @@ mod tests {
 
     #[test]
     fn rem_matches_reference_and_u128_on_random_operands() {
-        let mut state = 0x5eed;
+        let mut rng = SplitMix64::new(0x5eed);
         for _ in 0..5_000 {
-            let a = random_operand(&mut state);
-            let mut m = random_operand(&mut state);
+            let a = random_operand(&mut rng);
+            let mut m = random_operand(&mut rng);
             if m.is_zero() {
                 m = big(1);
             }

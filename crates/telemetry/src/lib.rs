@@ -21,6 +21,8 @@
 //!   Perfetto-loadable Chrome trace.
 //! * [`IdMap`] / [`IdSet`] — deterministic id-keyed tables ([`IdHasher`])
 //!   shared by the recorder and the simulators' per-packet maps.
+//! * [`hash`] — the one owner of the seeded [`hash::SplitMix64`] stream,
+//!   its [`hash::mix64`] finaliser and the [`hash::fnv1a64`] digest.
 //! * [`TelemetryHandle`] — the cheaply-cloneable handle threaded through
 //!   `GpuDevice`, `Mesh`, `memsim`, and the campaign layer. Disabled by
 //!   default: a no-op handle costs one branch per call site and never
@@ -29,6 +31,7 @@
 
 mod flight;
 mod handle;
+pub mod hash;
 mod hist;
 mod id_hash;
 mod registry;

@@ -33,6 +33,13 @@
 //! chunk whose CRC, length, type, or varint framing is wrong decodes as
 //! [`TraceError::CorruptChunk`] naming the chunk index and byte offset:
 //! nothing after it can be trusted, and callers must refuse to replay.
+//!
+//! # Digests
+//!
+//! The header's `plan_fnv` and the footer's `stats_fnv` are FNV-1a 64
+//! digests that the recording caller computes with
+//! `gnoc_telemetry::hash::fnv1a64`; this crate stores and compares them but
+//! hashes nothing itself. Chunk integrity is its own CRC32.
 
 use std::fmt;
 use std::fs::File;
@@ -60,20 +67,8 @@ const CHUNK_EVENTS: u8 = 2;
 const CHUNK_FOOTER: u8 = 3;
 
 // ---------------------------------------------------------------------------
-// Hashes
+// Checksums
 // ---------------------------------------------------------------------------
-
-/// FNV-1a 64-bit: the workspace's one content hash, used for fault-plan and
-/// stats digests here and for the serve cache's keys and payload checks.
-#[must_use]
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// CRC32 (IEEE 802.3, reflected) over `bytes`.
 #[must_use]
@@ -1235,13 +1230,6 @@ fn hex_val(b: u8) -> Option<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv_vector() {
-        // Published FNV-1a 64 test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-    }
 
     fn sample_header() -> TraceHeader {
         TraceHeader::fabric(4, "ring", 6, 6, 42, 64, 0xdead_beef)

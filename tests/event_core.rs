@@ -14,20 +14,24 @@
 //! 4. 2–4-device fabrics over generated inter-device plans, bare and with
 //!    a flight recorder on the fabric and on every die;
 //! 5. trace replays whose submissions sit thousands of cycles apart, for
-//!    the mesh, the reliable mesh and the fabric;
+//!    the reliable mesh and the fabric;
 //! 6. full chaos reports, across the `--jobs {1, 2, 7}` sweep;
 //! 7. the exact number of cycles the event engine still steps in full on
 //!    an idle-heavy mesh soak and a faulted 4-die fabric soak.
 //!
-//! The engine toggle is process-global, so every test serializes on one
-//! mutex and restores the default (event) engine on exit, panic included.
+//! The cycle-exact reference is the same run loop with the event engine
+//! disabled (`set_event_skip_enabled(false)`); a bare mesh's reference arm
+//! steps every cycle itself. The engine toggle is process-global, so every
+//! test serializes on one mutex and restores the default (event) engine on
+//! exit, panic included.
 
 use gnoc_chaos::{run_chaos, ChaosConfig, ChaosOptions};
 use gnoc_core::faults::{Direction, LinkFault, LinkFaultKind, RouterStall};
 use gnoc_core::noc::{
-    set_event_skip_enabled, ArbiterKind, MeshConfig, MeshStats, NodeId, PacketClass,
+    fabric_soak, set_event_skip_enabled, ArbiterKind, MeshConfig, MeshStats, NodeId, PacketClass,
     ReliabilityStats, ReliableMesh, RetryConfig, RouteOrder, TransferOutcome,
 };
+use gnoc_core::telemetry::hash::SplitMix64;
 use gnoc_core::telemetry::{TelemetryHandle, TraceEvent, TraceSink};
 use gnoc_core::trace::{TraceHeader, TraceReader, TraceTap};
 use gnoc_core::{
@@ -58,15 +62,6 @@ impl Drop for EngineGuard<'_> {
     fn drop(&mut self) {
         set_event_skip_enabled(true);
     }
-}
-
-/// splitmix64 step — the same deterministic traffic recipe the CLI drives.
-fn mix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// A generated plan with everything the event core must preserve across
@@ -113,12 +108,12 @@ fn mesh_runs_bit_identical_across_generated_plans() {
         let build = || {
             let mut m = Mesh::try_new(mesh_cfg()).expect("valid config");
             m.apply_fault_plan(&plan).expect("plan fits the mesh");
-            let mut state = seed;
+            let mut rng = SplitMix64::new(seed);
             for _ in 0..80 {
-                let src = (mix(&mut state) % 36) as u32;
-                let dst = (mix(&mut state) % 36) as u32;
+                let src = (rng.next() % 36) as u32;
+                let dst = (rng.next() % 36) as u32;
                 if src != dst {
-                    let flits = 1 + (mix(&mut state) % 4) as u32;
+                    let flits = 1 + (rng.next() % 4) as u32;
                     m.try_inject(
                         NodeId::new(src),
                         NodeId::new(dst),
@@ -132,7 +127,9 @@ fn mesh_runs_bit_identical_across_generated_plans() {
         let mut event = build();
         let mut cycle = build();
         event.run(8_000);
-        cycle.run_cycle_exact(8_000);
+        for _ in 0..8_000 {
+            cycle.step();
+        }
         assert_eq!(event.cycle(), cycle.cycle(), "seed {seed}: clock diverged");
         assert_eq!(event.stats(), cycle.stats(), "seed {seed}: stats diverged");
         assert_eq!(
@@ -154,14 +151,15 @@ fn reliable_mesh_soaks_bit_identical_across_seeds() {
     for seed in 0..25u64 {
         let plan = FaultPlan::generate(&gen_cfg(seed, 6, 6, 1));
         let soak = |event: bool| {
+            set_event_skip_enabled(event);
             let mut rm = ReliableMesh::with_faults(mesh_cfg(), &plan, RetryConfig::default())
                 .expect("plan fits the mesh");
-            let mut state = seed ^ 0xabcd;
+            let mut rng = SplitMix64::new(seed ^ 0xabcd);
             for _ in 0..48 {
-                let src = (mix(&mut state) % 36) as u32;
-                let dst = (mix(&mut state) % 36) as u32;
+                let src = (rng.next() % 36) as u32;
+                let dst = (rng.next() % 36) as u32;
                 if src != dst {
-                    let flits = 1 + (mix(&mut state) % 4) as u32;
+                    let flits = 1 + (rng.next() % 4) as u32;
                     rm.submit(
                         NodeId::new(src),
                         NodeId::new(dst),
@@ -170,13 +168,8 @@ fn reliable_mesh_soaks_bit_identical_across_seeds() {
                     );
                 }
             }
-            let quiesced = if event {
-                rm.run_until_quiescent(60_000)
-            } else {
-                rm.run_until_quiescent_cycle_exact(60_000)
-            };
             (
-                quiesced,
+                rm.run_until_quiescent(60_000),
                 rm.mesh().cycle(),
                 rm.stats().clone(),
                 rm.outcomes(),
@@ -209,10 +202,10 @@ fn flight_recorder_jsonl_is_byte_identical() {
         let mut rm = ReliableMesh::with_faults(mesh_cfg(), &plan, RetryConfig::default())
             .expect("plan fits the mesh");
         rm.mesh_mut().attach_flight_recorder();
-        let mut state = 17u64;
+        let mut rng = SplitMix64::new(17u64);
         for _ in 0..48 {
-            let src = (mix(&mut state) % 36) as u32;
-            let dst = (mix(&mut state) % 36) as u32;
+            let src = (rng.next() % 36) as u32;
+            let dst = (rng.next() % 36) as u32;
             if src != dst {
                 rm.submit(NodeId::new(src), NodeId::new(dst), 2, PacketClass::Request);
             }
@@ -251,17 +244,17 @@ fn max_vc_mesh_bit_identical_across_engines() {
             let mut m = Mesh::try_new(cfg).expect("12 VCs is legal");
             m.apply_fault_plan(&plan).expect("plan fits the mesh");
             m.attach_flight_recorder();
-            let mut state = seed;
+            let mut rng = SplitMix64::new(seed);
             for wave in 1..=6u64 {
                 for _ in 0..24 {
-                    let src = (mix(&mut state) % 36) as u32;
-                    let dst = (mix(&mut state) % 36) as u32;
-                    let class = if mix(&mut state).is_multiple_of(2) {
+                    let src = (rng.next() % 36) as u32;
+                    let dst = (rng.next() % 36) as u32;
+                    let class = if rng.next().is_multiple_of(2) {
                         PacketClass::Request
                     } else {
                         PacketClass::Reply
                     };
-                    let flits = 1 + (mix(&mut state) % 4) as u32;
+                    let flits = 1 + (rng.next() % 4) as u32;
                     m.try_inject(NodeId::new(src), NodeId::new(dst), flits, class);
                 }
                 let target = m.cycle() + 400 * wave;
@@ -306,37 +299,22 @@ fn fabric_soaks_bit_identical_across_devices() {
         for seed in 0..8u64 {
             let plan = FaultPlan::generate(&gen_cfg(seed, 5, 5, devices));
             let soak = |event: bool| {
+                set_event_skip_enabled(event);
                 let mut sim =
                     FabricSim::with_faults(FabricConfig::new(devices, FabricTopology::Ring), &plan)
                         .expect("plan fits the fabric");
-                let nodes = 25u64;
-                let mut state = seed ^ u64::from(devices) << 32;
-                let mut submitted = 0;
-                while submitted < 24 {
-                    let sd = (mix(&mut state) % u64::from(devices)) as u32;
-                    let dd = (mix(&mut state) % u64::from(devices)) as u32;
-                    let src = (mix(&mut state) % nodes) as u32;
-                    let dst = (mix(&mut state) % nodes) as u32;
-                    if sd == dd && src == dst {
-                        continue;
-                    }
-                    let flits = 1 + (mix(&mut state) % 4) as u32;
+                for t in fabric_soak(seed ^ u64::from(devices) << 32, devices, 25).take(24) {
                     sim.submit(
-                        sd,
-                        NodeId::new(src),
-                        dd,
-                        NodeId::new(dst),
-                        flits,
+                        t.src_dev,
+                        t.src,
+                        t.dst_dev,
+                        t.dst,
+                        t.flits,
                         PacketClass::Request,
                     )
                     .expect("all devices are alive in this plan");
-                    submitted += 1;
                 }
-                let quiesced = if event {
-                    sim.run_until_quiescent(200_000)
-                } else {
-                    sim.run_until_quiescent_cycle_exact(200_000)
-                };
+                let quiesced = sim.run_until_quiescent(200_000);
                 let die_cycles: Vec<u64> = sim.dies().iter().map(|d| d.mesh().cycle()).collect();
                 (
                     quiesced,
@@ -380,20 +358,19 @@ fn recorded_fabric_dies_bit_identical_across_engines() {
                     // routed into one are dropped instead of rerouted.
                     die.set_self_healing(seed % 2 == 1);
                 }
-                let mut state = seed ^ 0x5eed ^ u64::from(devices) << 40;
+                let mut rng = SplitMix64::new(seed ^ 0x5eed ^ u64::from(devices) << 40);
                 for wave in 0..8u64 {
                     for _ in 0..14 {
                         // Each wave leans on one device, so the rest idle.
-                        let sd = if mix(&mut state).is_multiple_of(2) {
+                        let sd = if rng.next().is_multiple_of(2) {
                             (wave % u64::from(devices)) as u32
                         } else {
-                            (mix(&mut state) % u64::from(devices)) as u32
+                            (rng.next() % u64::from(devices)) as u32
                         };
-                        let dd =
-                            (sd + 1 + (mix(&mut state) % u64::from(devices - 1)) as u32) % devices;
-                        let src = (mix(&mut state) % 25) as u32;
-                        let dst = (mix(&mut state) % 25) as u32;
-                        let flits = 1 + (mix(&mut state) % 4) as u32;
+                        let dd = (sd + 1 + (rng.next() % u64::from(devices - 1)) as u32) % devices;
+                        let src = (rng.next() % 25) as u32;
+                        let dst = (rng.next() % 25) as u32;
+                        let flits = 1 + (rng.next() % 4) as u32;
                         sim.submit(
                             sd,
                             NodeId::new(src),
@@ -409,11 +386,7 @@ fn recorded_fabric_dies_bit_identical_across_engines() {
                     } else {
                         80 + 420 * (wave % 2)
                     };
-                    if event {
-                        sim.run_until_quiescent(budget);
-                    } else {
-                        sim.run_until_quiescent_cycle_exact(budget);
-                    }
+                    sim.run_until_quiescent(budget);
                 }
                 let mut lines = Vec::new();
                 for d in 0..devices {
@@ -459,11 +432,11 @@ fn recorded_fabric_dies_bit_identical_across_engines() {
 /// Submission cycles of the sparse replay traces: ten events, 2,000 to
 /// 4,000 cycles apart, so replay catch-up is mostly idle time.
 fn sparse_cycles(seed: u64) -> Vec<u64> {
-    let mut state = seed;
+    let mut rng = SplitMix64::new(seed);
     let mut at = 0;
     (0..10)
         .map(|_| {
-            at += 2_000 + mix(&mut state) % 2_000;
+            at += 2_000 + rng.next() % 2_000;
             at
         })
         .collect()
@@ -476,13 +449,13 @@ fn assert_replays_match(
     what: &str,
     bytes: &[u8],
     recorded: &str,
-    replay: impl Fn(&mut TraceReader<std::io::Cursor<Vec<u8>>>, bool) -> String,
+    replay: impl Fn(&mut TraceReader<std::io::Cursor<Vec<u8>>>) -> String,
 ) {
     for event in [true, false] {
         set_event_skip_enabled(event);
         let mut reader = TraceReader::from_bytes(bytes.to_vec()).expect("trace opens");
         assert_eq!(
-            replay(&mut reader, event),
+            replay(&mut reader),
             recorded,
             "{what}: replay (event engine {event}) diverged from the recording"
         );
@@ -493,7 +466,7 @@ fn assert_replays_match(
 /// Record → replay with submissions thousands of cycles apart: the replay
 /// catch-up between events rides the event engine (step, then skip capped
 /// at the event's cycle), and must reproduce the recording under both
-/// engines — for the bare mesh, the reliable mesh and a 4-device fabric.
+/// engines — for the reliable mesh and a 4-device fabric.
 #[test]
 fn sparse_trace_replays_bit_identical_across_engines() {
     let _guard = EngineGuard::take();
@@ -503,34 +476,7 @@ fn sparse_trace_replays_bit_identical_across_engines() {
 
     // Each recording reaches the next submission on the event engine; the
     // cycle-exact replay then checks it against every cycle stepped.
-    let mut m = Mesh::try_new(mesh_cfg()).expect("valid config");
-    m.apply_fault_plan(&plan).expect("plan fits the mesh");
-    m.attach_trace_tap(TraceTap::in_memory(&TraceHeader::mesh(6, 6, seed, 10, 0)));
-    let mut state = seed;
-    for &at in &cycles {
-        m.run(at - m.cycle());
-        let src = (mix(&mut state) % 36) as u32;
-        let dst = (src + 1 + (mix(&mut state) % 35) as u32) % 36;
-        assert!(m.try_inject(NodeId::new(src), NodeId::new(dst), 2, PacketClass::Request));
-    }
-    assert!(m.drain(50_000));
-    let mesh_line = |m: &Mesh| format!("{}{:?}", m.cycle(), m.stats());
-    let recorded = mesh_line(&m);
-    let bytes = m
-        .take_trace_tap()
-        .expect("tap attached")
-        .finish_bytes(0)
-        .expect("in-memory finalize");
-    assert_replays_match("mesh", &bytes, &recorded, |reader, _| {
-        let mut m = Mesh::try_new(mesh_cfg()).expect("valid config");
-        m.apply_fault_plan(&plan).expect("plan fits the mesh");
-        let outcome = m.replay_from(reader).expect("trace replays");
-        assert_eq!(outcome.replayed, 10);
-        assert!(m.drain(50_000));
-        mesh_line(&m)
-    });
-
-    // Reliable mesh.
+    let mut rng = SplitMix64::new(seed);
     let mut rm = ReliableMesh::with_faults(mesh_cfg(), &plan, RetryConfig::default())
         .expect("plan fits the mesh");
     rm.attach_trace_tap(TraceTap::in_memory(&TraceHeader::mesh(6, 6, seed, 10, 0)));
@@ -539,8 +485,8 @@ fn sparse_trace_replays_bit_identical_across_engines() {
             rm.step();
             rm.skip_quiet(at);
         }
-        let src = (mix(&mut state) % 36) as u32;
-        let dst = (src + 1 + (mix(&mut state) % 35) as u32) % 36;
+        let src = (rng.next() % 36) as u32;
+        let dst = (src + 1 + (rng.next() % 35) as u32) % 36;
         rm.submit(NodeId::new(src), NodeId::new(dst), 3, PacketClass::Request);
     }
     assert!(rm.run_until_quiescent(200_000));
@@ -550,16 +496,12 @@ fn sparse_trace_replays_bit_identical_across_engines() {
         .expect("tap attached")
         .finish_bytes(0)
         .expect("in-memory finalize");
-    assert_replays_match("reliable mesh", &bytes, &recorded, |reader, event| {
+    assert_replays_match("reliable mesh", &bytes, &recorded, |reader| {
         let mut rm = ReliableMesh::with_faults(mesh_cfg(), &plan, RetryConfig::default())
             .expect("plan fits the mesh");
         let outcome = rm.replay_from(reader).expect("trace replays");
         assert_eq!(outcome.replayed, 10);
-        assert!(if event {
-            rm.run_until_quiescent(200_000)
-        } else {
-            rm.run_until_quiescent_cycle_exact(200_000)
-        });
+        assert!(rm.run_until_quiescent(200_000));
         trace_digest::mesh_stats_line(&rm).expect("stats serialize")
     });
 
@@ -578,10 +520,10 @@ fn sparse_trace_replays_bit_identical_across_engines() {
             sim.step();
             sim.skip_quiet(at);
         }
-        let sd = (mix(&mut state) % 4) as u32;
-        let dd = (sd + 1 + (mix(&mut state) % 3) as u32) % 4;
-        let src = (mix(&mut state) % 25) as u32;
-        let dst = (mix(&mut state) % 25) as u32;
+        let sd = (rng.next() % 4) as u32;
+        let dd = (sd + 1 + (rng.next() % 3) as u32) % 4;
+        let src = (rng.next() % 25) as u32;
+        let dst = (rng.next() % 25) as u32;
         sim.submit(
             sd,
             NodeId::new(src),
@@ -599,15 +541,11 @@ fn sparse_trace_replays_bit_identical_across_engines() {
         .expect("tap attached")
         .finish_bytes(0)
         .expect("in-memory finalize");
-    assert_replays_match("fabric", &bytes, &recorded, |reader, event| {
+    assert_replays_match("fabric", &bytes, &recorded, |reader| {
         let mut sim = build();
         let outcome = sim.replay_from(reader).expect("trace replays");
         assert_eq!(outcome.replayed, 10);
-        assert!(if event {
-            sim.run_until_quiescent(200_000)
-        } else {
-            sim.run_until_quiescent_cycle_exact(200_000)
-        });
+        assert!(sim.run_until_quiescent(200_000));
         trace_digest::fabric_stats_line(&sim).expect("stats serialize")
     });
 }
@@ -733,11 +671,11 @@ fn faulted_fabric_soak(event: bool) -> (SoakFingerprint<FabricStats>, Vec<u64>) 
     });
     let mut sim = FabricSim::with_faults(FabricConfig::new(4, FabricTopology::Ring), &plan)
         .expect("plan fits the fabric");
-    let mut state = 9u64;
+    let mut rng = SplitMix64::new(9u64);
     for _ in 0..24 {
-        let sd = (mix(&mut state) % 2) as u32;
-        let src = (mix(&mut state) % 25) as u32;
-        let dst = (mix(&mut state) % 25) as u32;
+        let sd = (rng.next() % 2) as u32;
+        let src = (rng.next() % 25) as u32;
+        let dst = (rng.next() % 25) as u32;
         sim.submit(
             sd,
             NodeId::new(src),
@@ -748,12 +686,7 @@ fn faulted_fabric_soak(event: bool) -> (SoakFingerprint<FabricStats>, Vec<u64>) 
         )
         .expect("all devices are alive in this plan");
     }
-    let quiesced = if event {
-        sim.run_until_quiescent(200_000)
-    } else {
-        sim.run_until_quiescent_cycle_exact(200_000)
-    };
-    assert!(quiesced, "fabric soak must quiesce");
+    assert!(sim.run_until_quiescent(200_000), "fabric soak must quiesce");
     let dies = sim.dies();
     let fp = SoakFingerprint {
         cycle: sim.cycle(),

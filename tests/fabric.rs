@@ -28,46 +28,26 @@
 //!    charged to the `fabric_hop` stall class.
 
 use gnoc_core::faults::{FabricLinkFault, LinkFaultKind};
-use gnoc_core::noc::{LossReason, NodeId, PacketClass, TransferOutcome};
+use gnoc_core::noc::{fabric_soak, LossReason, NodeId, PacketClass, TransferOutcome};
 use gnoc_core::{
     FabricConfig, FabricHealthConfig, FabricHealthMonitor, FabricSim, FabricTopology,
     FaultGenConfig, FaultPlan, ProfileReport,
 };
 use proptest::prelude::*;
 
-/// splitmix64 step — the same deterministic traffic recipe the CLI drives.
-fn mix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Uniform-random cross-die traffic over every device pair.
+/// The CLI's fabric soak traffic: uniform-random over every device pair.
 fn submit_traffic(sim: &mut FabricSim, devices: u32, seed: u64, transfers: usize) {
     let nodes = (sim.config().mesh.width * sim.config().mesh.height) as u64;
-    let mut state = seed;
-    let mut submitted = 0;
-    while submitted < transfers {
-        let src_dev = (mix(&mut state) % u64::from(devices)) as u32;
-        let dst_dev = (mix(&mut state) % u64::from(devices)) as u32;
-        let src = (mix(&mut state) % nodes) as u32;
-        let dst = (mix(&mut state) % nodes) as u32;
-        if src_dev == dst_dev && src == dst {
-            continue;
-        }
-        let flits = 1 + (mix(&mut state) % 4) as u32;
+    for t in fabric_soak(seed, devices, nodes).take(transfers) {
         sim.submit(
-            src_dev,
-            NodeId::new(src),
-            dst_dev,
-            NodeId::new(dst),
-            flits,
+            t.src_dev,
+            t.src,
+            t.dst_dev,
+            t.dst,
+            t.flits,
             PacketClass::Request,
         )
         .expect("generated endpoints are in range");
-        submitted += 1;
     }
 }
 

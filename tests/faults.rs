@@ -14,20 +14,11 @@
 
 use gnoc_core::faults::mesh_connected;
 use gnoc_core::noc::{
-    ArbiterKind, MeshConfig, NodeId, PacketClass, ReliabilityStats, ReliableMesh, RetryConfig,
+    mesh_soak, ArbiterKind, MeshConfig, PacketClass, ReliabilityStats, ReliableMesh, RetryConfig,
     RouteOrder, TransferOutcome,
 };
 use gnoc_core::{FaultGenConfig, FaultPlan};
 use proptest::prelude::*;
-
-/// splitmix64 step — deterministic traffic independent of the fault RNG.
-fn mix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 const TRANSFERS: usize = 48;
 
@@ -48,17 +39,10 @@ fn run_plan(
     };
     let mut rm = ReliableMesh::with_faults(cfg, plan, RetryConfig::default())
         .expect("generated plans validate for their own geometry");
+    // Traffic seeded apart from the fault RNG.
     let nodes = (width * height) as u64;
-    let mut state = plan.seed ^ 0xd1b5_4a32_d192_ed03;
-    let mut submitted = 0;
-    while submitted < TRANSFERS {
-        let src = (mix(&mut state) % nodes) as u32;
-        let dst = (mix(&mut state) % nodes) as u32;
-        if src == dst {
-            continue;
-        }
-        rm.submit(NodeId(src), NodeId(dst), 1, PacketClass::Request);
-        submitted += 1;
+    for (src, dst) in mesh_soak(plan.seed ^ 0xd1b5_4a32_d192_ed03, nodes).take(TRANSFERS) {
+        rm.submit(src, dst, 1, PacketClass::Request);
     }
     let quiesced = rm.run_until_quiescent(3_000_000);
     (quiesced, rm.outcomes(), rm.stats().clone())
@@ -202,16 +186,8 @@ fn retry_counts_are_monotone_in_drop_rate() {
             };
             let mut rm = ReliableMesh::with_faults(cfg, &plan, RetryConfig::default())
                 .expect("flaky-only plans validate");
-            let mut state = seed ^ 0x5e7a_11ab_1e5e_ed05;
-            let mut submitted = 0;
-            while submitted < 200 {
-                let src = (mix(&mut state) % 25) as u32;
-                let dst = (mix(&mut state) % 25) as u32;
-                if src == dst {
-                    continue;
-                }
-                rm.submit(NodeId(src), NodeId(dst), 1, PacketClass::Request);
-                submitted += 1;
+            for (src, dst) in mesh_soak(seed ^ 0x5e7a_11ab_1e5e_ed05, 25).take(200) {
+                rm.submit(src, dst, 1, PacketClass::Request);
             }
             assert!(rm.run_until_quiescent(3_000_000));
             total_retries += rm.stats().retries;

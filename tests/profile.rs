@@ -19,6 +19,7 @@ use gnoc_core::noc::{
     run_fairness, run_fairness_recorded, ArbiterKind, FairnessConfig, MeshConfig, NodeId,
     PacketClass, ReliableMesh, RetryConfig, RouteOrder,
 };
+use gnoc_core::telemetry::hash::SplitMix64;
 use gnoc_core::telemetry::{parse_jsonl_line, TelemetryHandle, TraceEvent, TraceSink};
 use gnoc_core::{FaultGenConfig, FaultPlan, FlightRecorder, ProfileReport, StallKind};
 use proptest::prelude::*;
@@ -35,15 +36,6 @@ impl TraceSink for LineSink {
         self.lines
             .push(serde_json::to_string(event).expect("trace event serializes"));
     }
-}
-
-/// splitmix64 step — the same deterministic traffic the CLI drives.
-fn mix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 fn require(ev: &TraceEvent, keys: &[&str]) {
@@ -173,12 +165,13 @@ fn record_faulted_soak(
     let mut rm = ReliableMesh::with_faults(cfg, plan, RetryConfig::default()).expect("plan fits");
     rm.mesh_mut().attach_flight_recorder();
     let nodes = u64::from(width) * u64::from(height);
-    let mut state = seed;
+    // The `gnoc profile` recipe: the length is drawn before the skip.
+    let mut rng = SplitMix64::new(seed);
     let mut submitted = 0usize;
     while submitted < transfers {
-        let src = (mix(&mut state) % nodes) as u32;
-        let dst = (mix(&mut state) % nodes) as u32;
-        let flits = 1 + (mix(&mut state) % 4) as u32;
+        let src = (rng.next() % nodes) as u32;
+        let dst = (rng.next() % nodes) as u32;
+        let flits = 1 + (rng.next() % 4) as u32;
         if src == dst {
             continue;
         }

@@ -14,21 +14,14 @@
 //! 3. **Schema drift is rejected loudly**: a bumped version number fails
 //!    with an error naming both the found and the supported schema.
 
-use gnoc_core::noc::{ArbiterKind, MeshConfig, NodeId, PacketClass, ReliableMesh, RetryConfig};
+use gnoc_core::noc::{
+    fabric_soak, mesh_soak, ArbiterKind, MeshConfig, PacketClass, ReliableMesh, RetryConfig,
+};
 use gnoc_core::trace::{
     validate_stream, TraceError, TraceHeader, TraceReader, TraceTap, TRACE_SCHEMA,
 };
 use gnoc_core::trace_digest;
 use gnoc_core::{FabricConfig, FabricSim, FabricTopology, FaultGenConfig, FaultPlan};
-
-/// splitmix64 step — the same deterministic traffic recipe the CLI drives.
-fn mix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 fn gen_cfg(seed: u64, width: u32, height: u32, devices: u32) -> FaultGenConfig {
     FaultGenConfig {
@@ -76,17 +69,8 @@ fn record_mesh(plan: &FaultPlan, seed: u64, transfers: usize) -> (Vec<u8>, Strin
         0,
     );
     rm.attach_trace_tap(TraceTap::in_memory(&header));
-    let nodes = (cfg.width * cfg.height) as u64;
-    let mut state = seed;
-    let mut submitted = 0;
-    while submitted < transfers {
-        let src = (mix(&mut state) % nodes) as u32;
-        let dst = (mix(&mut state) % nodes) as u32;
-        if src == dst {
-            continue;
-        }
-        rm.submit(NodeId::new(src), NodeId::new(dst), 1, PacketClass::Request);
-        submitted += 1;
+    for (src, dst) in mesh_soak(seed, (cfg.width * cfg.height) as u64).take(transfers) {
+        rm.submit(src, dst, 1, PacketClass::Request);
     }
     assert!(rm.run_until_quiescent(2_000_000), "seed {seed}: no quiesce");
     let line = trace_digest::mesh_stats_line(&rm).expect("stats serialize");
@@ -144,27 +128,16 @@ fn fabric_record_replay_bit_identical_2_to_4_devices() {
             let header = TraceHeader::fabric(devices, "ring", w, h, seed, 24, 0);
             sim.attach_trace_tap(TraceTap::in_memory(&header));
             let nodes = u64::from(w) * u64::from(h);
-            let mut state = seed ^ u64::from(devices) << 32;
-            let mut submitted = 0;
-            while submitted < 24 {
-                let sd = (mix(&mut state) % u64::from(devices)) as u32;
-                let dd = (mix(&mut state) % u64::from(devices)) as u32;
-                let src = (mix(&mut state) % nodes) as u32;
-                let dst = (mix(&mut state) % nodes) as u32;
-                if sd == dd && src == dst {
-                    continue;
-                }
-                let flits = 1 + (mix(&mut state) % 4) as u32;
+            for t in fabric_soak(seed ^ u64::from(devices) << 32, devices, nodes).take(24) {
                 sim.submit(
-                    sd,
-                    NodeId::new(src),
-                    dd,
-                    NodeId::new(dst),
-                    flits,
+                    t.src_dev,
+                    t.src,
+                    t.dst_dev,
+                    t.dst,
+                    t.flits,
                     PacketClass::Request,
                 )
                 .expect("all devices are alive in this plan");
-                submitted += 1;
             }
             assert!(sim.run_until_quiescent(2_000_000));
             let recorded_line = trace_digest::fabric_stats_line(&sim).expect("stats serialize");
