@@ -59,6 +59,9 @@ pub struct Crossbar {
     next_id: u64,
     ejected: Vec<Packet>,
     stats: CrossbarStats,
+    /// One output's arbitration candidates, `(input, birth)`, kept across
+    /// cycles so a warm step allocates nothing.
+    candidates: Vec<(usize, u64)>,
 }
 
 impl Crossbar {
@@ -91,6 +94,7 @@ impl Crossbar {
                 injected_by_src: vec![0; cfg.inputs],
                 ..CrossbarStats::default()
             },
+            candidates: Vec::new(),
         }
     }
 
@@ -135,7 +139,8 @@ impl Crossbar {
 
     /// Packets delivered since the last drain.
     pub fn drain_ejected(&mut self) -> Vec<Packet> {
-        std::mem::take(&mut self.ejected)
+        // Copied out rather than taken, so the buffer keeps its capacity.
+        self.ejected.drain(..).collect()
     }
 
     /// Advances one cycle: each free output picks among the input-queue heads
@@ -145,15 +150,15 @@ impl Crossbar {
             if self.output_busy_until[out] > self.cycle {
                 continue;
             }
-            let mut candidates: Vec<(usize, u64)> = Vec::new();
+            self.candidates.clear();
             for (input, q) in self.queues.iter().enumerate() {
                 if let Some(head) = q.front() {
                     if head.dst.index() == out {
-                        candidates.push((input, head.birth));
+                        self.candidates.push((input, head.birth));
                     }
                 }
             }
-            if let Some(winner) = self.arbiters[out].pick(&candidates) {
+            if let Some(winner) = self.arbiters[out].pick(&self.candidates) {
                 // Invariant: every candidate was a non-empty queue head.
                 let Some(packet) = self.queues[winner].pop_front() else {
                     debug_assert!(false, "granted input queue is empty");

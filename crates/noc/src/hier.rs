@@ -68,6 +68,14 @@ pub struct HierCrossbar {
     next_id: u64,
     ejected: Vec<Packet>,
     stats: CrossbarStats,
+    /// Working buffers of [`HierCrossbar::step`], kept across cycles so a
+    /// warm step allocates nothing: one arbitration's candidates, each
+    /// global candidate's position in its uplink queue (indexed by uplink
+    /// port, written for every candidate before it is read), and the
+    /// terminals one cluster already granted this cycle.
+    candidates: Vec<(usize, u64)>,
+    positions: Vec<usize>,
+    granted: Vec<bool>,
 }
 
 impl HierCrossbar {
@@ -110,6 +118,9 @@ impl HierCrossbar {
                 injected_by_src: vec![0; n],
                 ..CrossbarStats::default()
             },
+            candidates: Vec::new(),
+            positions: vec![usize::MAX; cfg.clusters * cfg.uplink_speedup],
+            granted: vec![false; cfg.terminals_per_cluster],
         }
     }
 
@@ -168,7 +179,8 @@ impl HierCrossbar {
 
     /// Packets delivered since the last drain.
     pub fn drain_ejected(&mut self) -> Vec<Packet> {
-        std::mem::take(&mut self.ejected)
+        // Copied out rather than taken, so the buffer keeps its capacity.
+        self.ejected.drain(..).collect()
     }
 
     /// Advances one cycle: global stage first (on queued uplink packets),
@@ -182,8 +194,7 @@ impl HierCrossbar {
             if self.output_busy_until[out] > self.cycle {
                 continue;
             }
-            let mut candidates = Vec::new();
-            let mut positions = vec![usize::MAX; self.cfg.clusters * self.cfg.uplink_speedup];
+            self.candidates.clear();
             for c in 0..self.cfg.clusters {
                 for p in 0..self.cfg.uplink_speedup {
                     let port = c * self.cfg.uplink_speedup + p;
@@ -192,12 +203,12 @@ impl HierCrossbar {
                         .enumerate()
                         .find(|(_, pkt)| pkt.dst.index() == out)
                     {
-                        positions[port] = pos;
-                        candidates.push((port, pkt.birth));
+                        self.positions[port] = pos;
+                        self.candidates.push((port, pkt.birth));
                     }
                 }
             }
-            if let Some(winner) = self.output_arbiters[out].pick(&candidates) {
+            if let Some(winner) = self.output_arbiters[out].pick(&self.candidates) {
                 let (c, p) = (
                     winner / self.cfg.uplink_speedup,
                     winner % self.cfg.uplink_speedup,
@@ -206,7 +217,7 @@ impl HierCrossbar {
                 // `candidates`, and each candidate recorded its queue
                 // position. Skip the grant (losing one cycle, not the run)
                 // if that ever breaks.
-                let Some(packet) = self.uplink_queues[c][p].remove(positions[winner]) else {
+                let Some(packet) = self.uplink_queues[c][p].remove(self.positions[winner]) else {
                     debug_assert!(false, "granted uplink lost its candidate packet");
                     continue;
                 };
@@ -223,7 +234,7 @@ impl HierCrossbar {
             let base = c * self.cfg.terminals_per_cluster;
             // Track terminals already granted this cycle so two ports of the
             // same cluster never pull from one queue simultaneously.
-            let mut granted = vec![false; self.cfg.terminals_per_cluster];
+            self.granted.fill(false);
             for p in 0..self.cfg.uplink_speedup {
                 if self.uplink_busy_until[c][p] > self.cycle {
                     continue;
@@ -231,17 +242,17 @@ impl HierCrossbar {
                 if self.uplink_queues[c][p].len() >= self.cfg.buffer_packets {
                     continue;
                 }
-                let mut candidates = Vec::new();
-                for (t, taken) in granted.iter().enumerate() {
+                self.candidates.clear();
+                for (t, taken) in self.granted.iter().enumerate() {
                     if *taken {
                         continue;
                     }
                     if let Some(head) = self.term_queues[base + t].front() {
-                        candidates.push((t, head.birth));
+                        self.candidates.push((t, head.birth));
                     }
                 }
-                if let Some(winner) = self.uplink_arbiters[c][p].pick(&candidates) {
-                    granted[winner] = true;
+                if let Some(winner) = self.uplink_arbiters[c][p].pick(&self.candidates) {
+                    self.granted[winner] = true;
                     // Invariant: every candidate was a non-empty queue head.
                     let Some(packet) = self.term_queues[base + winner].pop_front() else {
                         debug_assert!(false, "granted terminal queue is empty");

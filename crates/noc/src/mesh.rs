@@ -347,31 +347,6 @@ struct Move {
     out_port: usize,
 }
 
-/// Route-slot mark of a queue head that won arbitration this cycle.
-const GRANTED: u8 = UNREACHABLE - 1;
-
-/// Working buffers of [`Mesh::step_inner`], kept across cycles so a warm
-/// step allocates nothing. Every buffer is rewritten before it is read each
-/// cycle, so a cloned mesh starts with an empty scratch.
-#[derive(Debug, Default)]
-struct StepScratch {
-    /// Route-once slot array, indexed like the queues ([`Mesh::slot`]):
-    /// the output port the queue's head routes to, [`GRANTED`]
-    /// once it wins arbitration, [`UNREACHABLE`] for an empty queue, a head
-    /// with no surviving route, or any queue of a stalled router.
-    routes: Vec<u8>,
-    /// One output's arbitration candidates, `(slot, birth)`.
-    candidates: Vec<(usize, u64)>,
-    /// This cycle's grants, router then output ascending.
-    moves: Vec<Move>,
-}
-
-impl Clone for StepScratch {
-    fn clone(&self) -> Self {
-        Self::default()
-    }
-}
-
 /// A cycle-level 2D mesh.
 #[derive(Debug, Clone)]
 pub struct Mesh {
@@ -383,6 +358,15 @@ pub struct Mesh {
     /// route, arbitrate, drop or charge, and the per-router passes of
     /// [`Mesh::step`] and [`Mesh::skip_idle_to`] skip it.
     queued: Vec<usize>,
+    /// The output port each queue's head routes to under the current
+    /// routing function, one per slot; [`UNREACHABLE`] for an empty queue
+    /// or a head with no surviving route. [`Mesh::refresh_head`] keeps it
+    /// whenever a head or the routing function changes.
+    head_route: Vec<u8>,
+    /// Arbitration requests, one mask per link `router * NUM_PORTS + port`:
+    /// bit `in_port * vcs + vc` is set while that router-local slot's head
+    /// routes to the output. Kept together with `head_route`.
+    requests: Vec<u64>,
     /// Output arbiters, one per link `router * NUM_PORTS + port`.
     arbiters: Vec<Arbiter>,
     /// Cycle each output's wormhole serialisation ends, one per link.
@@ -422,8 +406,9 @@ pub struct Mesh {
     /// by default so unprofiled runs pay one pointer of state and a handful
     /// of `is_some` branches per cycle.
     recorder: Option<Box<FlightRecorder>>,
-    /// Per-cycle working buffers of [`Mesh::step_inner`].
-    scratch: StepScratch,
+    /// This cycle's grants, router then output ascending. Cleared before
+    /// each phase 1 and kept across cycles, so a warm step allocates nothing.
+    moves: Vec<Move>,
     /// Self-healing mode: fault onsets do *not* recompute the next-hop
     /// tables (the mesh is not told about its faults); packets routed into a
     /// dead link are dropped at the transmit side and counted per-link, so
@@ -465,6 +450,8 @@ impl Mesh {
                 .take(n * NUM_PORTS * cfg.vcs)
                 .collect(),
             queued: vec![0; n],
+            head_route: vec![UNREACHABLE; n * NUM_PORTS * cfg.vcs],
+            requests: vec![0; n * NUM_PORTS],
             arbiters: vec![Arbiter::new(cfg.arbiter); n * NUM_PORTS],
             output_busy_until: vec![0; n * NUM_PORTS],
             cycle: 0,
@@ -488,7 +475,7 @@ impl Mesh {
             occupancy: 0,
             quiet_until: 0,
             recorder: None,
-            scratch: StepScratch::default(),
+            moves: Vec::new(),
             self_heal: false,
             #[cfg(feature = "bug-hooks")]
             greedy_routing: false,
@@ -713,6 +700,7 @@ impl Mesh {
                 let tables = self.interned_route_tables(&self.routing_dead_set(f));
                 if self.fully_routable(&tables) {
                     f.routes = Some(tables);
+                    self.refresh_all_heads(f);
                     self.stats.reroutes += 1;
                     self.quiet_until = self.cycle;
                     self.telemetry.emit_with(|| {
@@ -751,6 +739,7 @@ impl Mesh {
                 } else {
                     None
                 };
+                self.refresh_all_heads(f);
                 self.stats.reroutes += 1;
                 self.quiet_until = self.cycle;
                 self.telemetry.emit_with(|| {
@@ -942,6 +931,11 @@ impl Mesh {
             class,
         });
         self.queued[src.index()] += 1;
+        if self.queues[slot].len() == 1 {
+            let faults = self.faults.take();
+            self.refresh_head(faults.as_deref(), src.index(), slot);
+            self.faults = faults;
+        }
         self.next_id += 1;
         self.occupancy += 1;
         self.quiet_until = self.cycle;
@@ -981,6 +975,8 @@ impl Mesh {
 
     /// Packets currently buffered anywhere in the mesh. O(1): the count is
     /// maintained incrementally at injection, ejection, and every loss.
+    /// Debug builds also recompute the per-router counts, every cached head
+    /// route and every request mask, and assert they match.
     pub fn in_flight(&self) -> usize {
         debug_assert_eq!(
             self.occupancy,
@@ -994,6 +990,22 @@ impl Mesh {
                     .map(VecDeque::len)
                     .sum::<usize>()),
             "a router's queued count diverged from its queues"
+        );
+        debug_assert!(
+            (0..self.queued.len()).all(|r| (self.slot(r, 0, 0)..self.slot(r + 1, 0, 0))
+                .all(|slot| self.head_route[slot]
+                    == self.head_route_of(self.faults.as_deref(), r, slot))),
+            "a cached head route diverged from the routing function"
+        );
+        debug_assert!(
+            self.requests.iter().enumerate().all(|(link, &mask)| {
+                let (r, out) = (link / NUM_PORTS, link % NUM_PORTS);
+                let first = self.slot(r, 0, 0);
+                mask == (first..self.slot(r + 1, 0, 0))
+                    .filter(|&slot| usize::from(self.head_route[slot]) == out)
+                    .fold(0, |m, slot| m | 1 << (slot - first))
+            }),
+            "a request mask diverged from the cached head routes"
         );
         self.occupancy
     }
@@ -1256,6 +1268,7 @@ impl Mesh {
         }
         if changed && !self.self_heal {
             f.routes = Some(self.interned_route_tables(&self.routing_dead_set(f)));
+            self.refresh_all_heads(f);
             self.stats.reroutes += 1;
             let dead = f.link_dead.iter().filter(|d| **d).count();
             self.telemetry.emit_with(|| {
@@ -1275,27 +1288,23 @@ impl Mesh {
             if self.queued[r] == 0 {
                 continue;
             }
-            for in_port in 0..NUM_PORTS {
-                for vc in 0..self.cfg.vcs {
-                    let slot = self.slot(r, in_port, vc);
-                    let Some(head) = self.queues[slot].front() else {
-                        continue;
-                    };
-                    let Some(out) = self.route_current(Some(f), r, in_port, head.dst.index())
-                    else {
-                        continue;
-                    };
-                    if out == LOCAL || !f.link_dead[r * NUM_PORTS + out] {
-                        continue;
-                    }
-                    let Some(packet) = self.queues[slot].pop_front() else {
-                        continue;
-                    };
-                    self.queued[r] -= 1;
-                    self.occupancy -= 1;
-                    self.stats.link_drops[r * NUM_PORTS + out] += 1;
-                    self.lost.push((packet, LossReason::DeadLink));
+            for slot in self.slot(r, 0, 0)..self.slot(r + 1, 0, 0) {
+                let out = self.head_route[slot];
+                if out == UNREACHABLE || usize::from(out) == LOCAL {
+                    continue;
                 }
+                let link = r * NUM_PORTS + usize::from(out);
+                if !f.link_dead[link] {
+                    continue;
+                }
+                let Some(packet) = self.queues[slot].pop_front() else {
+                    continue;
+                };
+                self.queued[r] -= 1;
+                self.occupancy -= 1;
+                self.refresh_head(Some(f), r, slot);
+                self.stats.link_drops[link] += 1;
+                self.lost.push((packet, LossReason::DeadLink));
             }
         }
     }
@@ -1305,30 +1314,26 @@ impl Mesh {
     /// queue drains over the following cycles, exactly as a real ejection
     /// path would time out stuck wormholes one at a time.
     fn drop_unroutable_heads(&mut self, f: &FaultState) {
-        let Some(routes) = f.routes.as_ref() else {
+        // Dimension-ordered routing reaches every destination.
+        if f.routes.is_none() {
             return;
-        };
+        }
         for r in 0..self.queued.len() {
             if self.queued[r] == 0 {
                 continue;
             }
-            for in_port in 0..NUM_PORTS {
-                for vc in 0..self.cfg.vcs {
-                    let slot = self.slot(r, in_port, vc);
-                    let Some(head) = self.queues[slot].front() else {
-                        continue;
-                    };
-                    if routes[head.dst.index()][r * NUM_PORTS + in_port] != UNREACHABLE {
-                        continue;
-                    }
-                    let Some(packet) = self.queues[slot].pop_front() else {
-                        continue;
-                    };
-                    self.queued[r] -= 1;
-                    self.occupancy -= 1;
-                    self.stats.dropped_unroutable += 1;
-                    self.lost.push((packet, LossReason::Unroutable));
+            for slot in self.slot(r, 0, 0)..self.slot(r + 1, 0, 0) {
+                if self.head_route[slot] != UNREACHABLE {
+                    continue;
                 }
+                let Some(packet) = self.queues[slot].pop_front() else {
+                    continue;
+                };
+                self.queued[r] -= 1;
+                self.occupancy -= 1;
+                self.refresh_head(Some(f), r, slot);
+                self.stats.dropped_unroutable += 1;
+                self.lost.push((packet, LossReason::Unroutable));
             }
         }
     }
@@ -1359,6 +1364,50 @@ impl Mesh {
             return (port != UNREACHABLE).then_some(port as usize);
         }
         Some(self.route(node, dst))
+    }
+
+    /// The output port the head of `slot`, one of `router`'s, routes to
+    /// under the routing function of `f` ([`Mesh::route_current`]), or
+    /// [`UNREACHABLE`] for an empty queue or a head with no surviving route.
+    fn head_route_of(&self, f: Option<&FaultState>, router: usize, slot: usize) -> u8 {
+        let in_port = slot / self.cfg.vcs % NUM_PORTS;
+        self.queues[slot]
+            .front()
+            .and_then(|head| self.route_current(f, router, in_port, head.dst.index()))
+            .map_or(UNREACHABLE, |out| out as u8)
+    }
+
+    /// Re-routes the head of `slot`, one of `router`'s, and moves its
+    /// request bit to the new output: the one setter of `head_route` and
+    /// `requests`. It runs wherever a queue's head changes (a push into an
+    /// empty queue, every pop) and, through [`Mesh::refresh_all_heads`],
+    /// wherever the routing function changes.
+    fn refresh_head(&mut self, f: Option<&FaultState>, router: usize, slot: usize) {
+        let route = self.head_route_of(f, router, slot);
+        let bit = 1u64 << (slot - self.slot(router, 0, 0));
+        let link = router * NUM_PORTS;
+        let old = self.head_route[slot];
+        if old != UNREACHABLE {
+            self.requests[link + usize::from(old)] &= !bit;
+        }
+        if route != UNREACHABLE {
+            self.requests[link + usize::from(route)] |= bit;
+        }
+        self.head_route[slot] = route;
+    }
+
+    /// Re-routes every queue head after the routing function changed: a
+    /// dead-link onset (including onset-0 links at plan application), a
+    /// quarantine or a release. Empty routers hold no head to re-route.
+    fn refresh_all_heads(&mut self, f: &FaultState) {
+        for r in 0..self.queued.len() {
+            if self.queued[r] == 0 {
+                continue;
+            }
+            for slot in self.slot(r, 0, 0)..self.slot(r + 1, 0, 0) {
+                self.refresh_head(Some(f), r, slot);
+            }
+        }
     }
 
     /// Rolls the probabilistic faults for one packet crossing `link`.
@@ -1406,18 +1455,12 @@ impl Mesh {
     /// per-cycle attribution pass and the event engine's span-batched
     /// charging (the span bound guarantees every input to this function is
     /// constant across the skipped cycles).
-    fn classify_stall(
-        &self,
-        faults: Option<&FaultState>,
-        r: usize,
-        in_port: usize,
-        vc: usize,
-        head: &Packet,
-    ) -> StallKind {
+    fn classify_stall(&self, faults: Option<&FaultState>, r: usize, slot: usize) -> StallKind {
         if faults.is_some_and(|f| self.is_stalled(f, r)) {
             return StallKind::RouterStall;
         }
-        match self.route_current(faults, r, in_port, head.dst.index()) {
+        let route = self.head_route[slot];
+        match (route != UNREACHABLE).then_some(usize::from(route)) {
             None => StallKind::RouterStall,
             Some(out)
                 if out != LOCAL && faults.is_some_and(|f| f.link_dead[r * NUM_PORTS + out]) =>
@@ -1430,6 +1473,7 @@ impl Mesh {
             Some(out) if out == LOCAL && !self.ejection_enabled[r] => StallKind::Backpressure,
             Some(out)
                 if out != LOCAL && {
+                    let vc = slot % self.cfg.vcs;
                     let down = self.slot(self.neighbour(r, out), Self::entry_port(out), vc);
                     self.queues[down].len() >= self.cfg.buffer_packets
                 } =>
@@ -1441,30 +1485,33 @@ impl Mesh {
     }
 
     /// Charges `n` cycles of its [`Mesh::classify_stall`] cause to every
-    /// waiting queue head: every head, or with `routes` every head whose
-    /// slot is not [`GRANTED`].
+    /// waiting queue head: every head not granted by one of `moves`, which
+    /// are in router order as phase 1 leaves them.
     fn charge_waiting_heads(
         &self,
         faults: Option<&FaultState>,
         rec: &mut FlightRecorder,
-        routes: Option<&[u8]>,
+        moves: &[Move],
         n: u64,
     ) {
+        let mut moves = moves.iter().peekable();
         for r in 0..self.queued.len() {
             if self.queued[r] == 0 {
                 continue;
             }
-            for in_port in 0..NUM_PORTS {
-                for vc in 0..self.cfg.vcs {
-                    let slot = self.slot(r, in_port, vc);
-                    let Some(head) = self.queues[slot].front() else {
-                        continue;
-                    };
-                    if routes.is_some_and(|routes| routes[slot] == GRANTED) {
-                        continue;
-                    }
-                    let kind = self.classify_stall(faults, r, in_port, vc, head);
-                    rec.charge_n(head.id, kind, n);
+            let first = self.slot(r, 0, 0);
+            // The router's grant mask over its router-local slots. Every
+            // move's router holds the granted head, so none is skipped.
+            let mut granted = 0u64;
+            while let Some(m) = moves.next_if(|m| m.router == r) {
+                granted |= 1 << (m.slot - first);
+            }
+            for slot in first..self.slot(r + 1, 0, 0) {
+                let Some(head) = self.queues[slot].front() else {
+                    continue;
+                };
+                if granted & 1 << (slot - first) == 0 {
+                    rec.charge_n(head.id, self.classify_stall(faults, r, slot), n);
                 }
             }
         }
@@ -1518,79 +1565,68 @@ impl Mesh {
             }
         }
 
-        // Phase 1: arbitration decisions on a consistent snapshot. Each
-        // queue head is routed once into the slot array; each output then
-        // arbitrates among the slots routed to it that have downstream credit
-        // on their own VC. The credit read needs no same-cycle reservation:
-        // exactly one (router, output) pair feeds each downstream (router,
-        // entry port), and it grants at most once per cycle.
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.routes.resize(self.queues.len(), UNREACHABLE);
-        scratch.moves.clear();
+        // Phase 1: arbitration decisions on a consistent snapshot. Every
+        // queue head was routed once, when it became the head, into
+        // `head_route` and its output's `requests` mask. Each free output
+        // with requests arbitrates among the requesting slots that have
+        // downstream credit on their own VC. The credit read needs no
+        // same-cycle reservation: exactly one (router, output) pair feeds
+        // each downstream (router, entry port), and it grants at most once
+        // per cycle.
+        let mut moves = std::mem::take(&mut self.moves);
+        moves.clear();
+        // Bit `in_port * vcs` of every input port: shifted left by `vc`,
+        // the router-local slots of VC `vc`.
+        let vc_lanes = (0..NUM_PORTS).fold(0u64, |lanes, port| lanes | 1 << (port * vcs));
+        let mut candidates = [(0usize, 0u64); Arbiter::MAX_INPUTS];
         for r in 0..self.queued.len() {
-            let (first, end) = (self.slot(r, 0, 0), self.slot(r + 1, 0, 0));
             if self.queued[r] == 0 || faults.as_deref().is_some_and(|f| self.is_stalled(f, r)) {
-                scratch.routes[first..end].fill(UNREACHABLE);
                 continue;
             }
-            // Bit `out` set: some head routes to output `out`.
-            let mut wanted = 0u8;
-            for in_port in 0..NUM_PORTS {
-                for vc in 0..vcs {
-                    let slot = self.slot(r, in_port, vc);
-                    let route = self.queues[slot]
-                        .front()
-                        .and_then(|head| {
-                            self.route_current(faults.as_deref(), r, in_port, head.dst.index())
-                        })
-                        .map_or(UNREACHABLE, |out| out as u8);
-                    scratch.routes[slot] = route;
-                    if route != UNREACHABLE {
-                        wanted |= 1 << route;
-                    }
-                }
-            }
-            if wanted == 0 {
-                continue;
-            }
+            let first = self.slot(r, 0, 0);
             for out in 0..NUM_PORTS {
                 let link = r * NUM_PORTS + out;
-                if wanted & (1 << out) == 0 || self.output_busy_until[link] > self.cycle {
+                let mut requests = self.requests[link];
+                if requests == 0 || self.output_busy_until[link] > self.cycle {
                     continue;
                 }
-                if out == LOCAL && !self.ejection_enabled[r] {
-                    continue;
-                }
-                // Downstream input queue `out` feeds, per VC.
-                let down = (out != LOCAL).then(|| (self.neighbour(r, out), Self::entry_port(out)));
-                if down.is_some() && faults.as_deref().is_some_and(|f| f.link_dead[link]) {
-                    continue;
-                }
-                // Candidates in slot order: heads routed to `out` with
-                // downstream credit on the packet's own VC. Arbiter inputs
-                // are the router-local slot `in_port * vcs + vc`.
-                scratch.candidates.clear();
-                for slot in first..end {
-                    if usize::from(scratch.routes[slot]) != out {
+                if out == LOCAL {
+                    if !self.ejection_enabled[r] {
                         continue;
                     }
-                    if let Some((down, entry)) = down {
-                        let credit = self.slot(down, entry, slot % vcs);
-                        if self.queues[credit].len() >= self.cfg.buffer_packets {
-                            continue;
+                } else {
+                    if faults.as_deref().is_some_and(|f| f.link_dead[link]) {
+                        continue;
+                    }
+                    // Drop the VCs whose downstream input queue is full.
+                    let (down, entry) = (self.neighbour(r, out), Self::entry_port(out));
+                    for vc in 0..vcs {
+                        let lane = vc_lanes << vc;
+                        if requests & lane != 0
+                            && self.queues[self.slot(down, entry, vc)].len()
+                                >= self.cfg.buffer_packets
+                        {
+                            requests &= !lane;
                         }
                     }
-                    let Some(head) = self.queues[slot].front() else {
+                }
+                // Candidates in slot order; arbiter inputs are the
+                // router-local slot `in_port * vcs + vc`.
+                let mut count = 0;
+                while requests != 0 {
+                    let input = requests.trailing_zeros() as usize;
+                    requests &= requests - 1;
+                    let Some(head) = self.queues[first + input].front() else {
                         continue;
                     };
-                    scratch.candidates.push((slot - first, head.birth));
+                    candidates[count] = (input, head.birth);
+                    count += 1;
                 }
-                if scratch.candidates.is_empty() {
+                if count == 0 {
                     continue;
                 }
-                if let Some(winner) = self.arbiters[link].pick(&scratch.candidates) {
-                    scratch.routes[first + winner] = GRANTED;
-                    scratch.moves.push(Move {
+                if let Some(winner) = self.arbiters[link].pick(&candidates[..count]) {
+                    moves.push(Move {
                         router: r,
                         slot: first + winner,
                         vc: winner % vcs,
@@ -1602,21 +1638,20 @@ impl Mesh {
 
         // Stall attribution: a read-only classification pass over the same
         // snapshot phase 1 arbitrated on (nothing has been popped or pushed
-        // yet), so each waiting queue head — every head not marked
-        // [`GRANTED`] in the slot array — is charged exactly one cause per
-        // cycle. The decision loop above is untouched — the recorder can
-        // observe but never perturb.
+        // yet), so each waiting queue head — every head no move grants — is
+        // charged exactly one cause per cycle. The decision loop above is
+        // untouched — the recorder can observe but never perturb.
         if let Some(rec) = rec.as_deref_mut() {
-            self.charge_waiting_heads(faults.as_deref(), rec, Some(&scratch.routes), 1);
+            self.charge_waiting_heads(faults.as_deref(), rec, &moves, 1);
         }
 
         // Phase 2: apply moves. The move list order is deterministic, so the
         // per-move fault draws below consume the plan RNG reproducibly.
-        let moved = !scratch.moves.is_empty();
+        let moved = !moves.is_empty();
         if moved {
             self.last_progress = self.cycle;
         }
-        for &m in &scratch.moves {
+        for &m in &moves {
             // Invariant: arbitration granted a queue head it just observed.
             let Some(packet) = self.queues[m.slot].pop_front() else {
                 debug_assert!(false, "arbitration winner vanished before apply");
@@ -1626,6 +1661,7 @@ impl Mesh {
             // it ejects or dies on the hop.
             self.queued[m.router] -= 1;
             self.occupancy -= 1;
+            self.refresh_head(faults.as_deref(), m.router, m.slot);
             // The flits occupy the wire whether or not they survive the hop.
             let link = m.router * NUM_PORTS + m.out_port;
             self.output_busy_until[link] = self.cycle + u64::from(packet.flits);
@@ -1680,10 +1716,13 @@ impl Mesh {
                 self.queues[slot].push_back(packet);
                 self.queued[down] += 1;
                 self.occupancy += 1;
+                if self.queues[slot].len() == 1 {
+                    self.refresh_head(faults.as_deref(), down, slot);
+                }
             }
         }
 
-        self.scratch = scratch;
+        self.moves = moves;
         self.faults = faults;
         self.recorder = rec;
         self.cycle += 1;
@@ -1836,7 +1875,7 @@ impl Mesh {
         // `activity_bound` guarantees), so one classification per head,
         // charged n times, matches n per-cycle passes byte for byte.
         if let Some(mut rec) = self.recorder.take() {
-            self.charge_waiting_heads(self.faults.as_deref(), &mut rec, None, n);
+            self.charge_waiting_heads(self.faults.as_deref(), &mut rec, &[], n);
             self.recorder = Some(rec);
         }
         self.close_windows_to(target);
@@ -2576,6 +2615,95 @@ mod tests {
             &a.faults.as_deref().unwrap().plan,
             &b.faults.as_deref().unwrap().plan
         ));
+    }
+
+    /// The cached head routes and request masks stay coherent at every site
+    /// that changes a queue head or the routing function: injection into an
+    /// empty queue, the phase-2 pop and push, both phase-0 drop passes, a
+    /// dead-link onset, a quarantine, a release and a router stall window.
+    /// `in_flight` recomputes both in debug builds and asserts they match.
+    #[test]
+    fn head_routes_stay_coherent_at_every_refresh_site() {
+        let mut plan = gnoc_faults::FaultPlan::none();
+        // 1 ↔ 2 dies at 60; 7 → 8 and 5 → 8 die at 100, so nothing can
+        // enter 8 any more.
+        for (router, dir, onset) in [
+            (1, gnoc_faults::Direction::East, 60),
+            (2, gnoc_faults::Direction::West, 60),
+            (7, gnoc_faults::Direction::East, 100),
+            (5, gnoc_faults::Direction::North, 100),
+        ] {
+            plan.links.push(gnoc_faults::LinkFault {
+                router,
+                dir,
+                kind: gnoc_faults::LinkFaultKind::Dead,
+                onset,
+            });
+        }
+        // Router 1 holds its heads across the 60 onset, so the two it
+        // injects at 35 still point at the dying 1 → 2 link when the routing
+        // function changes.
+        plan.routers = vec![gnoc_faults::RouterStall {
+            router: 1,
+            onset: 30,
+            duration: 40,
+        }];
+        for event in [true, false] {
+            for self_heal in [false, true] {
+                let mut m = Mesh::new(small().cfg.with_vcs(2));
+                m.set_self_healing(self_heal);
+                m.apply_fault_plan(&plan).unwrap();
+                for cycle in 0..400u64 {
+                    match cycle {
+                        35 => {
+                            for (dst, class) in [(2, PacketClass::Request), (5, PacketClass::Reply)]
+                            {
+                                assert!(m.try_inject(NodeId::new(1), NodeId::new(dst), 1, class));
+                            }
+                        }
+                        40 => m.quarantine_link(0, gnoc_faults::Direction::North).unwrap(),
+                        80 => m.release_link(0, gnoc_faults::Direction::North).unwrap(),
+                        _ => {}
+                    }
+                    if cycle < 300 {
+                        for k in 0..2 {
+                            let src = (cycle * 7 + k * 4 + 1) % 9;
+                            let dst = (cycle * 5 + k * 2 + 3) % 9;
+                            if src == 1 {
+                                continue;
+                            }
+                            let class = if (cycle + k) % 2 == 0 {
+                                PacketClass::Request
+                            } else {
+                                PacketClass::Reply
+                            };
+                            let _ = m.try_inject(
+                                NodeId::new(src as u32),
+                                NodeId::new(dst as u32),
+                                1 + (cycle % 3) as u32,
+                                class,
+                            );
+                            let _ = m.in_flight();
+                        }
+                    }
+                    if event {
+                        m.run(1);
+                    } else {
+                        m.step();
+                    }
+                    let _ = m.in_flight();
+                }
+                let s = m.stats();
+                let label = format!("event {event}, self-healing {self_heal}");
+                assert!(s.delivered_total > 0, "{label}");
+                assert_eq!(s.reroutes, if self_heal { 2 } else { 4 }, "{label}");
+                if self_heal {
+                    assert!(s.link_drops.iter().sum::<u64>() > 0, "{label}");
+                } else {
+                    assert!(s.dropped_unroutable > 0, "{label}");
+                }
+            }
+        }
     }
 
     /// O(1) `in_flight` stays consistent through injection, movement,

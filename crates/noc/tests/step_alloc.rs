@@ -1,9 +1,13 @@
 //! A warm, fault-free, recorder-free `Mesh::step` makes no heap allocation:
 //! its working buffers live in the mesh, and queues and the ejection buffer
-//! keep their capacity from cycle to cycle. Building a mesh makes a fixed
-//! number of allocations, whatever its size.
+//! keep their capacity from cycle to cycle. Warm `Crossbar` and
+//! `HierCrossbar` steps allocate nothing either. Building a mesh makes a
+//! fixed number of allocations, whatever its size.
 
-use gnoc_noc::{ArbiterKind, Mesh, MeshConfig, NodeId, PacketClass};
+use gnoc_noc::{
+    ArbiterKind, Crossbar, CrossbarConfig, HierConfig, HierCrossbar, Mesh, MeshConfig, NodeId,
+    PacketClass,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -82,6 +86,62 @@ fn warm_step_allocates_nothing() {
         }
         assert!(m.stats().delivered_total > 10_000, "the mesh must be busy");
         assert_eq!(step_allocs, 0, "{arbiter:?}: warm steps allocated");
+    }
+}
+
+#[test]
+fn warm_crossbar_steps_allocate_nothing() {
+    for arbiter in [ArbiterKind::RoundRobin, ArbiterKind::AgeBased] {
+        let hier_cfg = HierConfig {
+            arbiter,
+            ..HierConfig::gpu_like()
+        };
+        let terminals = hier_cfg.num_terminals();
+        let mut xbar = Crossbar::new(CrossbarConfig {
+            inputs: terminals,
+            outputs: hier_cfg.outputs,
+            buffer_packets: hier_cfg.buffer_packets,
+            arbiter,
+        });
+        let mut hier = HierCrossbar::new(hier_cfg);
+        let mut state = 1u64;
+        let (mut xbar_allocs, mut hier_allocs) = (0, 0);
+        for cycle in 0..3_000u64 {
+            // Every terminal offers a packet of 1-4 flits to a random output.
+            for src in 0..terminals {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let src = NodeId::new(src as u32);
+                let dst = NodeId::new(((state >> 33) % hier_cfg.outputs as u64) as u32);
+                let flits = 1 + (state >> 40) as u32 % 4;
+                let _ = xbar.try_inject(src, dst, flits, PacketClass::Request);
+                let _ = hier.try_inject(src, dst, flits, PacketClass::Request);
+            }
+            let before = allocations();
+            xbar.step();
+            let between = allocations();
+            hier.step();
+            if cycle >= 2_000 {
+                xbar_allocs += between - before;
+                hier_allocs += allocations() - between;
+            }
+            drop(xbar.drain_ejected());
+            drop(hier.drain_ejected());
+        }
+        assert!(
+            xbar.stats().delivered_total > 1_000,
+            "the crossbar must be busy"
+        );
+        assert!(
+            hier.stats().delivered_total > 1_000,
+            "the hierarchy must be busy"
+        );
+        assert_eq!(xbar_allocs, 0, "{arbiter:?}: warm crossbar steps allocated");
+        assert_eq!(
+            hier_allocs, 0,
+            "{arbiter:?}: warm hierarchical steps allocated"
+        );
     }
 }
 

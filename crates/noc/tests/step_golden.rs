@@ -1,14 +1,16 @@
 //! Golden pins for `Mesh::step`.
 //!
 //! Saturated 6×6 meshes under MC-bound many-to-few traffic (the Fig. 21/23
-//! regime) for every arbiter × VC count × route order, plus one faulted
-//! 2-VC mesh (flaky link, mid-run dead link, router stall) with the flight
-//! recorder attached. Each case pins the final `MeshStats` (as a digest plus
-//! headline counters), the total arbiter grants and the recorder's stall
-//! charges. The values were captured from the reference step before its
-//! phase 1 was rewritten to route each queue head once, so any drift in
-//! arbitration order, candidate order, credit checks, fault draws or stall
-//! attribution fails here.
+//! regime) for every arbiter × VC count × route order, plus two faulted,
+//! recorded 2-VC meshes: one told about its faults (flaky link, mid-run
+//! dead link, router stall) and one self-healing mesh whose links are
+//! quarantined and released mid-run. Each case pins the final `MeshStats`
+//! (as a digest plus headline counters), the total arbiter grants and the
+//! recorder's stall charges. The values were captured from a step that
+//! re-routed every waiting head on every cycle, before heads were routed
+//! once when they reach the front of their queue, so any drift in
+//! arbitration order, candidate order, credit checks, route refreshes,
+//! fault draws or stall attribution fails here.
 
 use gnoc_faults::{Direction, FaultPlan, LinkFault, LinkFaultKind, RouterStall};
 use gnoc_noc::{ArbiterKind, Mesh, MeshConfig, NodeId, PacketClass, RouteOrder};
@@ -37,10 +39,11 @@ struct Pin {
 /// the time, MCs offer 4-flit replies to random nodes half the time and
 /// compute nodes a sixteenth of the time (so requests and replies share
 /// links and the VC split matters), and the MCs take turns to stop
-/// ejecting. Then it drains.
-fn drive(m: &mut Mesh, seed: u64) {
+/// ejecting. `hook` runs before every traffic cycle's step. Then it drains.
+fn drive(m: &mut Mesh, seed: u64, mut hook: impl FnMut(&mut Mesh, u64)) {
     let mut rng = SplitMix64::new(seed);
     for cycle in 0..TRAFFIC_CYCLES {
+        hook(m, cycle);
         for mc in 0..MCS {
             let ejecting = (cycle / 50 + u64::from(mc)) % 5 != 0;
             m.set_ejection_enabled(NodeId::new(mc), ejecting);
@@ -65,8 +68,12 @@ fn drive(m: &mut Mesh, seed: u64) {
     assert!(m.drain(20_000), "the mesh must drain once traffic stops");
 }
 
-fn pin(mut m: Mesh) -> Pin {
-    drive(&mut m, 0x5EED);
+fn pin(m: Mesh) -> Pin {
+    pin_with(m, |_, _| {})
+}
+
+fn pin_with(mut m: Mesh, hook: impl FnMut(&mut Mesh, u64)) -> Pin {
+    drive(&mut m, 0x5EED, hook);
     let mut registry = MetricRegistry::new();
     m.export_metrics(&mut registry);
     let mut stalls = StallBreakdown::default();
@@ -206,6 +213,56 @@ fn faulted_recorded_mesh_matches_the_golden_pin() {
             26724,
             76,
             [47502, 9024, 117019, 1326, 457042]
+        )
+    );
+}
+
+/// A recorded 2-VC self-healing mesh. The router is not told that the
+/// 20 ↔ 26 link pair dies at cycle 300, so heads routed into it die at the
+/// transmit side until the pair is quarantined at 500. A healthy link is
+/// quarantined at 700 and released at 1,000, and 20 North, still dead, is
+/// released at 1,200, so its transmit-side drops resume.
+#[test]
+fn self_healing_recorded_mesh_matches_the_golden_pin() {
+    let mut plan = FaultPlan::none();
+    plan.seed = 9;
+    plan.links = vec![
+        LinkFault {
+            router: 20,
+            dir: Direction::North,
+            kind: LinkFaultKind::Dead,
+            onset: 300,
+        },
+        LinkFault {
+            router: 26,
+            dir: Direction::South,
+            kind: LinkFaultKind::Dead,
+            onset: 300,
+        },
+    ];
+    let mut m = Mesh::new(config(ArbiterKind::RoundRobin, 2, RouteOrder::Xy));
+    m.set_self_healing(true);
+    m.apply_fault_plan(&plan).unwrap();
+    m.attach_flight_recorder();
+    let got = pin_with(m, |m, cycle| match cycle {
+        500 => {
+            m.quarantine_link(20, Direction::North).unwrap();
+            m.quarantine_link(26, Direction::South).unwrap();
+        }
+        700 => m.quarantine_link(14, Direction::East).unwrap(),
+        1_000 => m.release_link(14, Direction::East).unwrap(),
+        1_200 => m.release_link(20, Direction::North).unwrap(),
+        _ => {}
+    });
+    assert_eq!(
+        got,
+        expected(
+            9449944368041773564,
+            5947,
+            658829,
+            29754,
+            176,
+            [53549, 10750, 113507, 43, 465140]
         )
     );
 }
