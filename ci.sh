@@ -8,6 +8,9 @@ cargo fmt --all -- --check
 
 echo "== cargo clippy (workspace, warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
+# gnoc-chaos forwards bug-hooks to gnoc-noc and gnoc-fabric, so this also
+# lints the feature-gated bug injection code the workspace pass skips.
+cargo clippy -p gnoc-chaos --features bug-hooks --all-targets -- -D warnings
 
 echo "== one hash owner: splitmix64 and FNV-1a constants in one file =="
 # gnoc-telemetry's hash module owns the splitmix64 stream and finaliser and

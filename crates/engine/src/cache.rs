@@ -6,7 +6,9 @@
 //! (partition, line) pairs are resident, with FIFO replacement bounded by the
 //! device's L2 capacity.
 
-use std::collections::{HashMap, VecDeque};
+use gnoc_telemetry::IdHasher;
+use std::collections::{HashSet, VecDeque};
+use std::hash::BuildHasherDefault;
 
 /// Key identifying one cached copy: the die partition whose L2 holds it plus
 /// the line address. Globally-shared devices use partition 0 for every line.
@@ -22,9 +24,13 @@ pub enum L2Outcome {
 }
 
 /// FIFO-replacement residency tracker for the device's L2.
+///
+/// `resident` is keyed with the deterministic [`IdHasher`]: it is only
+/// probed, inserted into and removed from, never iterated, and FIFO order
+/// lives in `order`, so its hash order reaches no output.
 #[derive(Debug, Clone, Default)]
 pub struct L2State {
-    resident: HashMap<ResidencyKey, ()>,
+    resident: HashSet<ResidencyKey, BuildHasherDefault<IdHasher>>,
     order: VecDeque<ResidencyKey>,
     capacity_lines: usize,
 }
@@ -38,7 +44,7 @@ impl L2State {
     pub fn new(capacity_lines: usize) -> Self {
         assert!(capacity_lines > 0, "L2 capacity must be non-zero");
         Self {
-            resident: HashMap::new(),
+            resident: HashSet::default(),
             order: VecDeque::new(),
             capacity_lines,
         }
@@ -61,14 +67,14 @@ impl L2State {
 
     /// Whether `key` is currently resident, without touching state.
     pub fn contains(&self, key: ResidencyKey) -> bool {
-        self.resident.contains_key(&key)
+        self.resident.contains(&key)
     }
 
     /// Performs an access: returns [`L2Outcome::Hit`] if resident, otherwise
     /// installs the line (evicting FIFO if full) and returns
     /// [`L2Outcome::Miss`].
     pub fn access(&mut self, key: ResidencyKey) -> L2Outcome {
-        if self.resident.contains_key(&key) {
+        if self.resident.contains(&key) {
             L2Outcome::Hit
         } else {
             self.install(key);
@@ -79,7 +85,7 @@ impl L2State {
     /// Warms `key` without reporting an outcome (the warm-up loop of
     /// Algorithm 1).
     pub fn warm(&mut self, key: ResidencyKey) {
-        if !self.resident.contains_key(&key) {
+        if !self.resident.contains(&key) {
             self.install(key);
         }
     }
@@ -96,7 +102,7 @@ impl L2State {
                 self.resident.remove(&victim);
             }
         }
-        self.resident.insert(key, ());
+        self.resident.insert(key);
         self.order.push_back(key);
     }
 }

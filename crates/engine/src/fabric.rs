@@ -20,9 +20,11 @@
 
 use crate::calib::{Calibration, UNLIMITED};
 use crate::latency;
+use gnoc_telemetry::IdHasher;
 use gnoc_topo::{CpcId, Floorplan, GpcId, Hierarchy, MpId, PartitionId, SliceId, SmId, TpcId};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
 /// What a flow does at the L2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -127,6 +129,18 @@ const RHO_CLAMP: f64 = 0.95;
 /// Iterations whose rates are averaged to produce the reported solution.
 const AVERAGE_TAIL: usize = 6;
 
+/// Most resources one flow's path visits: Little, SM port, TPC, CPC, GPC
+/// total, GPC port, two partition fabrics, the central link, MP port, slice
+/// and DRAM.
+const MAX_PATH: usize = 12;
+/// A static resource carrying the same flows as a larger one stands in for
+/// it in the max-min fill when its capacity is smaller by at least this
+/// fraction (see [`WaterFill::new`]).
+const DOMINANCE_MARGIN: f64 = 1e-6;
+
+/// A table keyed by small ids: only probed, never iterated.
+type IdKeyed<K> = HashMap<K, usize, BuildHasherDefault<IdHasher>>;
+
 struct Resource {
     kind: ResourceKind,
     direction: Direction,
@@ -151,6 +165,10 @@ impl Csr {
         }
     }
 
+    fn rows(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
     /// Closes the row being pushed.
     fn end_row(&mut self) {
         self.offsets.push(self.items.len());
@@ -160,21 +178,37 @@ impl Csr {
         &self.items[self.offsets[i]..self.offsets[i + 1]]
     }
 
-    /// The transpose: row `r` of the result lists, in ascending order, the
-    /// rows of `self` that contain `r`. `counts[r]` must be the number of
-    /// such rows.
-    fn transpose(&self, counts: &[usize]) -> Self {
-        let mut offsets = Vec::with_capacity(counts.len() + 1);
-        offsets.push(0);
-        for &c in counts {
-            offsets.push(offsets[offsets.len() - 1] + c);
+    /// The same rows with every item mapped through `f`, in order, dropping
+    /// the items it maps to `None`.
+    fn filter_map(&self, f: impl Fn(usize) -> Option<usize>) -> Self {
+        let mut out = Self::with_capacity(self.rows(), self.items.len());
+        for i in 0..self.rows() {
+            out.items.extend(self.row(i).iter().filter_map(|&r| f(r)));
+            out.end_row();
         }
-        let mut next = offsets[..counts.len()].to_vec();
-        let mut items = vec![0; self.items.len()];
-        for i in 0..self.offsets.len() - 1 {
+        out
+    }
+
+    /// The transpose: row `r < n` of the result lists, in ascending order,
+    /// the rows of `self` that contain `r`. Every item must be below `n`.
+    fn transpose(&self, n: usize) -> Self {
+        // `offsets[r]` starts at the end of row `r` and counts down to its
+        // start as the rows of `self` are placed, last first.
+        let mut offsets = vec![0; n + 1];
+        for &r in &self.items {
+            offsets[r] += 1;
+        }
+        let mut end = 0;
+        for o in &mut offsets[..n] {
+            end += *o;
+            *o = end;
+        }
+        offsets[n] = end;
+        let mut items = vec![0; end];
+        for i in (0..self.rows()).rev() {
             for &r in self.row(i) {
-                items[next[r]] = i;
-                next[r] += 1;
+                offsets[r] -= 1;
+                items[offsets[r]] = i;
             }
         }
         Self { offsets, items }
@@ -270,27 +304,27 @@ impl FabricModel {
         }
     }
 
-    /// Appends the ordered resource kinds a flow traverses (excluding its
-    /// dynamic per-SM Little resource, which is added separately) to `path`.
-    fn path(&self, flow: &FlowSpec, path: &mut Vec<ResourceKind>) {
+    /// Visits, in order, the resource kinds a flow traverses (excluding its
+    /// dynamic per-SM Little resource, which is added separately).
+    fn path(&self, flow: &FlowSpec, mut visit: impl FnMut(ResourceKind)) {
         let sm = self.hierarchy.sm(flow.sm);
         let slice = self.hierarchy.slice(flow.slice);
-        path.push(ResourceKind::SmPort(flow.sm));
-        path.push(ResourceKind::Tpc(sm.tpc));
+        visit(ResourceKind::SmPort(flow.sm));
+        visit(ResourceKind::Tpc(sm.tpc));
         if self.hierarchy.has_cpc_level() {
-            path.push(ResourceKind::Cpc(sm.cpc));
+            visit(ResourceKind::Cpc(sm.cpc));
         }
-        path.push(ResourceKind::GpcTotal(sm.gpc));
-        path.push(ResourceKind::GpcPort(sm.gpc, slice.mp));
-        path.push(ResourceKind::PartitionFabric(sm.partition));
+        visit(ResourceKind::GpcTotal(sm.gpc));
+        visit(ResourceKind::GpcPort(sm.gpc, slice.mp));
+        visit(ResourceKind::PartitionFabric(sm.partition));
         if sm.partition != slice.partition {
-            path.push(ResourceKind::InterPartition(sm.partition, slice.partition));
-            path.push(ResourceKind::PartitionFabric(slice.partition));
+            visit(ResourceKind::InterPartition(sm.partition, slice.partition));
+            visit(ResourceKind::PartitionFabric(slice.partition));
         }
-        path.push(ResourceKind::MpPort(slice.mp));
-        path.push(ResourceKind::Slice(flow.slice));
+        visit(ResourceKind::MpPort(slice.mp));
+        visit(ResourceKind::Slice(flow.slice));
         if flow.kind == AccessKind::ReadMiss {
-            path.push(ResourceKind::Dram(slice.mp));
+            visit(ResourceKind::Dram(slice.mp));
         }
     }
 
@@ -310,16 +344,14 @@ impl FabricModel {
         }
 
         // ---- Build the resource table. -------------------------------------
-        let mut index: HashMap<(ResourceKind, Direction), usize> = HashMap::new();
-        let mut resources: Vec<Resource> = Vec::new();
-        // Flows per resource; a path never visits a resource twice.
-        let mut counts: Vec<usize> = Vec::new();
-        // At most 12 resources per flow: Little, SM port, TPC, CPC, GPC
-        // total, GPC port, two partition fabrics, the central link, MP port,
-        // slice and DRAM.
-        let mut flow_paths = Csr::with_capacity(flows.len(), flows.len() * 12);
-        let mut sm_little: HashMap<(SmId, Direction), usize> = HashMap::new();
-        let mut kinds = Vec::new();
+        let mut index: IdKeyed<(ResourceKind, Direction)> =
+            IdKeyed::with_capacity_and_hasher(MAX_PATH, Default::default());
+        let mut resources: Vec<Resource> = Vec::with_capacity(MAX_PATH);
+        let mut flow_paths = Csr::with_capacity(flows.len(), flows.len() * MAX_PATH);
+        let mut sm_little: IdKeyed<(SmId, Direction)> = IdKeyed::default();
+        // The Little budgets, and the resources with a queueing delay.
+        let mut littles = Vec::new();
+        let mut queued = Vec::new();
 
         for flow in flows {
             let dir = if flow.kind.is_reply_limited() {
@@ -329,48 +361,53 @@ impl FabricModel {
             };
             // Dynamic per-SM Little's-law budget.
             let little_id = *sm_little.entry((flow.sm, dir)).or_insert_with(|| {
+                littles.push(resources.len());
                 resources.push(Resource {
                     kind: ResourceKind::SmLittle(flow.sm),
                     direction: dir,
                     capacity: f64::INFINITY,
                     queue_cycles: 0.0,
                 });
-                counts.push(0);
                 resources.len() - 1
             });
-            counts[little_id] += 1;
             flow_paths.items.push(little_id);
 
-            kinds.clear();
-            self.path(flow, &mut kinds);
-            for &kind in &kinds {
+            self.path(flow, |kind| {
                 let Some(cap) = self.capacity(kind, dir) else {
-                    continue;
+                    return;
                 };
                 let rid = *index.entry((kind, dir)).or_insert_with(|| {
+                    let queue_cycles = self.queue_cycles(kind);
+                    if queue_cycles != 0.0 {
+                        queued.push(resources.len());
+                    }
                     resources.push(Resource {
                         kind,
                         direction: dir,
                         capacity: cap,
-                        queue_cycles: self.queue_cycles(kind),
+                        queue_cycles,
                     });
-                    counts.push(0);
                     resources.len() - 1
                 });
-                counts[rid] += 1;
                 flow_paths.items.push(rid);
-            }
+            });
             flow_paths.end_row();
         }
         // Each resource's flows in ascending order: the order every load
-        // and Little's-law sum runs in.
-        let members = flow_paths.transpose(&counts);
+        // and Little's-law sum runs in. A path never visits a resource twice.
+        let members = flow_paths.transpose(resources.len());
+        // Each flow's queueing resources in path order. The other resources
+        // add +0.0 to its latency, which is exact.
+        let queued_paths =
+            flow_paths.filter_map(|r| (resources[r].queue_cycles != 0.0).then_some(r));
 
         let base_lat: Vec<f64> = flows.iter().map(|f| self.base_latency(f)).collect();
         let byte_cycles = |bytes: f64| bytes * self.clock_ghz; // GB/s per (1/cycles)
+        let flow_mlp = byte_cycles(self.calib.flow_mlp_bytes);
+        let sm_mlp = byte_cycles(self.calib.sm_mlp_bytes);
 
         // ---- Damped fixed point between delays and max-min rates. ----------
-        let mut fill = WaterFill::new(flows.len(), counts);
+        let mut fill = WaterFill::new(&resources, &littles, &members, &flow_paths);
         let mut delays = vec![0.0f64; resources.len()];
         let mut lat = vec![0.0f64; flows.len()];
         let mut flow_cap = vec![0.0f64; flows.len()];
@@ -383,32 +420,25 @@ impl FabricModel {
             // Effective latency and cap (flat service cap + per-destination
             // Little) per flow.
             for (fi, (l, cap)) in lat.iter_mut().zip(&mut flow_cap).enumerate() {
-                *l = base_lat[fi] + flow_paths.row(fi).iter().map(|&r| delays[r]).sum::<f64>();
-                *cap = self
-                    .calib
-                    .flow_port_gbps
-                    .min(byte_cycles(self.calib.flow_mlp_bytes) / *l);
+                *l = base_lat[fi] + queued_paths.row(fi).iter().map(|&r| delays[r]).sum::<f64>();
+                *cap = self.calib.flow_port_gbps.min(flow_mlp / *l);
             }
-            // Per-SM Little budgets: MLP bytes spread across that SM's flows.
-            for (ri, res) in resources.iter_mut().enumerate() {
-                if let ResourceKind::SmLittle(_) = res.kind {
-                    // MLP bytes shared across the SM's flows: total rate is
-                    // MLP × mean(1/latency) — the multi-destination form of
-                    // Little's law with an even in-flight split.
-                    let sm_flows = members.row(ri);
-                    let inv_lat_sum: f64 = sm_flows.iter().map(|&fi| 1.0 / lat[fi]).sum();
-                    let n = sm_flows.len() as f64;
-                    res.capacity = byte_cycles(self.calib.sm_mlp_bytes) * (inv_lat_sum / n);
-                }
+            // Per-SM Little budgets: MLP bytes shared across the SM's flows,
+            // so the total rate is MLP × mean(1/latency) — the
+            // multi-destination form of Little's law with an even in-flight
+            // split.
+            for (budget, &ri) in fill.capacity.iter_mut().zip(&littles) {
+                let sm_flows = members.row(ri);
+                let inv_lat_sum: f64 = sm_flows.iter().map(|&fi| 1.0 / lat[fi]).sum();
+                let n = sm_flows.len() as f64;
+                *budget = sm_mlp * (inv_lat_sum / n);
             }
 
-            let iter_rates = fill.run(&resources, &flow_paths, &flow_cap);
+            let iter_rates = fill.run(&flow_cap);
 
             // Update queueing delays from utilisation.
-            for (ri, res) in resources.iter().enumerate() {
-                if res.queue_cycles == 0.0 {
-                    continue;
-                }
+            for &ri in &queued {
+                let res = &resources[ri];
                 let load: f64 = members.row(ri).iter().map(|&fi| iter_rates[fi]).sum();
                 let rho = (load / res.capacity).min(RHO_CLAMP);
                 let target = res.queue_cycles * rho / (1.0 - rho);
@@ -446,55 +476,107 @@ impl FabricModel {
 }
 
 /// Progressive-filling max-min fair allocation: all active flows grow at the
-/// same rate until a resource (or per-flow cap) saturates, which freezes the
-/// flows it carries; repeat until every flow is frozen.
+/// same rate until a constraint (or per-flow cap) saturates, which freezes
+/// the flows it carries; repeat until every flow is frozen.
 ///
 /// The buffers live across the fixed-point iterations of one solve, so an
 /// allocation runs without touching the heap.
 struct WaterFill {
     rate: Vec<f64>,
     active: Vec<bool>,
+    /// Per constraint: the Little budgets first, in the solve's `littles`
+    /// order (set before every run), then the static resources that can
+    /// bind.
+    capacity: Vec<f64>,
     rem: Vec<f64>,
     cnt: Vec<usize>,
-    /// Flows per resource: where `cnt` starts every run.
+    /// Flows per constraint: where `cnt` starts every run.
     cnt_init: Vec<usize>,
+    /// Each flow's constraints.
+    paths: Csr,
 }
 
 impl WaterFill {
-    fn new(num_flows: usize, cnt_init: Vec<usize>) -> Self {
+    /// Sets the fill up over every Little budget and each static resource
+    /// that no other resource with the same flows dominates.
+    ///
+    /// Resources with identical flow sets always hold equal `cnt`, and each
+    /// fill step subtracts the same `inc * cnt` from both. Rounding is
+    /// monotone, so one that starts with no more capacity never has more
+    /// `rem` left: the larger one can neither set `inc` below it nor pass the
+    /// `EPS` exhaustion test without it, provided both tests scale alike.
+    /// They do at equal capacity (only one copy is kept), and a smaller
+    /// capacity at least [`DOMINANCE_MARGIN`] below keeps `rem` apart by far
+    /// more than the `EPS` thresholds differ. Dropping the larger one thus
+    /// changes no bit of the allocation.
+    fn new(resources: &[Resource], littles: &[usize], members: &Csr, flow_paths: &Csr) -> Self {
+        let mut dense: Vec<Option<usize>> = vec![None; resources.len()];
+        let mut capacity = vec![f64::INFINITY; littles.len()];
+        let mut cnt_init: Vec<usize> = littles.iter().map(|&r| members.row(r).len()).collect();
+        for (d, &r) in littles.iter().enumerate() {
+            dense[r] = Some(d);
+        }
+        // Static resources grouped by flow set, smallest capacity first.
+        let mut statics: Vec<usize> = (0..resources.len())
+            .filter(|&r| dense[r].is_none())
+            .collect();
+        statics.sort_unstable_by(|&a, &b| {
+            members
+                .row(a)
+                .cmp(members.row(b))
+                .then(resources[a].capacity.total_cmp(&resources[b].capacity))
+        });
+        for group in statics.chunk_by(|&a, &b| members.row(a) == members.row(b)) {
+            let floor = resources[group[0]].capacity;
+            let mut prev = f64::NAN;
+            for &r in group {
+                let cap = resources[r].capacity;
+                let dominated =
+                    cap == prev || (floor < cap && floor <= cap * (1.0 - DOMINANCE_MARGIN));
+                prev = cap;
+                if !dominated {
+                    dense[r] = Some(capacity.len());
+                    capacity.push(cap);
+                    cnt_init.push(members.row(r).len());
+                }
+            }
+        }
+        let num_flows = flow_paths.rows();
         Self {
             rate: vec![0.0; num_flows],
             active: vec![true; num_flows],
-            rem: vec![0.0; cnt_init.len()],
+            rem: vec![0.0; capacity.len()],
+            capacity,
             cnt: cnt_init.clone(),
             cnt_init,
+            paths: flow_paths.filter_map(|r| dense[r]),
         }
     }
 
     /// One allocation against the current capacities and per-flow caps;
     /// returns the rates, valid until the next run.
-    fn run(&mut self, resources: &[Resource], flow_paths: &Csr, flow_cap: &[f64]) -> &[f64] {
+    fn run(&mut self, flow_cap: &[f64]) -> &[f64] {
         let Self {
             rate,
             active,
+            capacity,
             rem,
             cnt,
             cnt_init,
+            paths,
         } = self;
         let nf = flow_cap.len();
         rate.fill(0.0);
         active.fill(true);
         let mut n_active = nf;
-        for (r, res) in rem.iter_mut().zip(resources) {
-            *r = res.capacity;
-        }
+        rem.copy_from_slice(capacity);
         cnt.copy_from_slice(cnt_init);
 
         const EPS: f64 = 1e-9;
         while n_active > 0 {
             // Smallest equal increment any constraint allows.
             let mut inc = f64::INFINITY;
-            for ri in 0..resources.len() {
+            for ri in 0..capacity.len() {
                 if cnt[ri] > 0 {
                     inc = inc.min(rem[ri] / cnt[ri] as f64);
                 }
@@ -518,17 +600,15 @@ impl WaterFill {
             }
 
             // Freeze flows that hit their own cap or sit on an exhausted
-            // resource.
+            // constraint.
             let mut froze_any = false;
             for fi in 0..nf {
                 if !active[fi] {
                     continue;
                 }
-                let path = flow_paths.row(fi);
+                let path = paths.row(fi);
                 let capped = rate[fi] + EPS >= flow_cap[fi];
-                let exhausted = path
-                    .iter()
-                    .any(|&r| rem[r] <= EPS * resources[r].capacity.max(1.0));
+                let exhausted = path.iter().any(|&r| rem[r] <= EPS * capacity[r].max(1.0));
                 if capped || exhausted {
                     active[fi] = false;
                     n_active -= 1;

@@ -6,7 +6,9 @@
 //! utilisation bits. The values were captured from the allocating solver
 //! before it moved to reused scratch buffers and a flat path array, so any
 //! change in the order of a float sum, a `min`/`max` call or the tail
-//! average fails here.
+//! average fails here. The Fig. 12 rows and the tied-capacity calibrations
+//! were captured before the max-min fill dropped constraints that cannot
+//! bind, so they pin that pruning to the unpruned solver's bits.
 
 use gnoc_engine::{AccessKind, Calibration, FlowSolution, FlowSpec, GpuDevice};
 use gnoc_telemetry::hash::fnv1a64;
@@ -113,15 +115,29 @@ fn cases(dev: &GpuDevice) -> Vec<(&'static str, Vec<FlowSpec>)> {
         ),
     ];
     if h.num_partitions() > 1 {
-        let far = h.slices_in_partition(PartitionId::new(1 - p0.index() as u32))[1];
+        let p1 = PartitionId::new(1 - p0.index() as u32);
+        let far = h.slices_in_partition(p1)[1];
         out.push(("single_far", vec![flow(sm0, far, AccessKind::ReadHit)]));
+        // Two partition-local flows that share no resource: static
+        // resources whose flow sets have equal size but differ, the first
+        // set's tightest capacity (a write port) below the second's.
+        let far_sm = h.sms_in_partition(p1)[0];
+        out.push((
+            "disjoint_pair",
+            vec![
+                flow(sm0, near, AccessKind::Write),
+                flow(far_sm, far, AccessKind::ReadHit),
+            ],
+        ));
     }
     out
 }
 
-fn compute(dev: &GpuDevice, label: &str) -> Vec<(String, Pin)> {
+/// Solves the cases of `dev` whose names `keep` accepts.
+fn compute(dev: &GpuDevice, label: &str, keep: impl Fn(&str) -> bool) -> Vec<(String, Pin)> {
     cases(dev)
         .into_iter()
+        .filter(|(name, _)| keep(name))
         .map(|(name, flows)| {
             let sol = dev.solve_bandwidth(&flows);
             (format!("{label}/{name}"), pin(&flows, &sol))
@@ -161,19 +177,55 @@ const fn p(
     }
 }
 
+/// A Fig. 12 row: one single-flow read solve per slice `sm` can reach,
+/// folded into one pin (`total_bits` digests the per-solve totals).
+fn fig12_row(dev: &GpuDevice, label: &str, sm: SmId) -> (String, Pin) {
+    let (mut rates, mut latencies, mut totals, mut listed) = (vec![], vec![], vec![], vec![]);
+    let slices = reachable(dev, sm);
+    for &slice in &slices {
+        let flows = [flow(sm, slice, AccessKind::ReadHit)];
+        let sol = dev.solve_bandwidth(&flows);
+        rates.extend(&sol.rates_gbps);
+        latencies.extend(&sol.latencies_cycles);
+        totals.push(sol.total_gbps);
+        listed.extend(
+            sol.bottlenecks
+                .iter()
+                .map(|(kind, dir, util)| format!("{kind:?}/{dir:?}/{:016x}", util.to_bits())),
+        );
+    }
+    let pin = Pin {
+        flows: slices.len(),
+        rates: bits_digest(&rates),
+        latencies: bits_digest(&latencies),
+        total_bits: bits_digest(&totals),
+        bottlenecks: listed.len(),
+        bottleneck_digest: fnv1a64(listed.join(";").as_bytes()),
+    };
+    (format!("{label}/fig12_row_sm{}", sm.index()), pin)
+}
+
+/// The cases of `dev` cheap enough to repeat per calibration, plus a Fig. 12
+/// row of SM 0.
+fn small_cases(dev: &GpuDevice, label: &str) -> Vec<(String, Pin)> {
+    let mut got = compute(dev, label, |name| !name.starts_with("aggregate_"));
+    got.push(fig12_row(dev, label, SmId::new(0)));
+    got
+}
+
 #[test]
 fn v100_solutions_are_bit_identical() {
-    check(compute(&GpuDevice::v100(0), "v100"), &V100);
+    check(compute(&GpuDevice::v100(0), "v100", |_| true), &V100);
 }
 
 #[test]
 fn a100_solutions_are_bit_identical() {
-    check(compute(&GpuDevice::a100(0), "a100"), &A100);
+    check(compute(&GpuDevice::a100(0), "a100", |_| true), &A100);
 }
 
 #[test]
 fn h100_solutions_are_bit_identical() {
-    check(compute(&GpuDevice::h100(0), "h100"), &H100);
+    check(compute(&GpuDevice::h100(0), "h100", |_| true), &H100);
 }
 
 #[test]
@@ -184,13 +236,44 @@ fn zero_queueing_ablation_is_bit_identical() {
         calib.slice_queue_cycles = 0.0;
         let label = format!("{}-noq", spec.name.to_lowercase());
         let dev = GpuDevice::with_calibration(spec, calib, 0).unwrap();
-        got.extend(
-            compute(&dev, &label)
-                .into_iter()
-                .filter(|(n, _)| n.ends_with("gpc_to_slice") || n.ends_with("aggregate_hit")),
-        );
+        got.extend(compute(&dev, &label, |name| {
+            name == "gpc_to_slice" || name == "aggregate_hit"
+        }));
     }
     check(got, &ABLATION);
+}
+
+#[test]
+fn fig12_rows_are_bit_identical() {
+    let got = [
+        (GpuDevice::v100(0), "v100"),
+        (GpuDevice::a100(0), "a100"),
+        (GpuDevice::h100(0), "h100"),
+    ]
+    .iter()
+    .map(|(dev, label)| fig12_row(dev, label, SmId::new(0)))
+    .collect();
+    check(got, &FIG12);
+}
+
+/// Calibrations where an SM port and its TPC carry the same flows at equal
+/// capacity (`tpc_read_speedup = 1`, `tpc_write_speedup = 1`), and where the
+/// TPC's capacity exceeds the port's by less than one part in 10⁶, so
+/// neither can stand in for the other in the max-min fill.
+#[test]
+fn tied_capacity_calibrations_are_bit_identical() {
+    let mut got = Vec::new();
+    for spec in [GpuSpec::v100(), GpuSpec::a100(), GpuSpec::h100()] {
+        for (tag, speedup) in [("tie", 1.0), ("near", 1.0 + 1e-7)] {
+            let mut calib = Calibration::for_spec(&spec);
+            calib.tpc_read_speedup = speedup;
+            calib.tpc_write_speedup = speedup;
+            let label = format!("{}-{tag}", spec.name.to_lowercase());
+            let dev = GpuDevice::with_calibration(spec.clone(), calib, 0).unwrap();
+            got.extend(small_cases(&dev, &label));
+        }
+    }
+    check(got, &TIES);
 }
 
 const V100: [(&str, Pin); 6] = [
@@ -261,7 +344,7 @@ const V100: [(&str, Pin); 6] = [
         ),
     ),
 ];
-const A100: [(&str, Pin); 7] = [
+const A100: [(&str, Pin); 8] = [
     (
         "a100/single_near",
         p(
@@ -339,8 +422,19 @@ const A100: [(&str, Pin); 7] = [
             14695981039346656037,
         ),
     ),
+    (
+        "a100/disjoint_pair",
+        p(
+            2,
+            12737622907187366205,
+            16214069586060999053,
+            4635132883987385549,
+            2,
+            15224932241027108199,
+        ),
+    ),
 ];
-const H100: [(&str, Pin); 7] = [
+const H100: [(&str, Pin); 8] = [
     (
         "h100/single_near",
         p(
@@ -418,6 +512,17 @@ const H100: [(&str, Pin); 7] = [
             14695981039346656037,
         ),
     ),
+    (
+        "h100/disjoint_pair",
+        p(
+            2,
+            11730815849163593135,
+            18008270889462644671,
+            4638074297494011904,
+            1,
+            609306262473941651,
+        ),
+    ),
 ];
 const ABLATION: [(&str, Pin); 4] = [
     (
@@ -462,6 +567,461 @@ const ABLATION: [(&str, Pin); 4] = [
             4659888179111379070,
             2,
             13132501040919664685,
+        ),
+    ),
+];
+const FIG12: [(&str, Pin); 3] = [
+    (
+        "v100/fig12_row_sm0",
+        p(
+            32,
+            8017245062361247653,
+            14128430410145387505,
+            8017245062361247653,
+            0,
+            14695981039346656037,
+        ),
+    ),
+    (
+        "a100/fig12_row_sm0",
+        p(
+            80,
+            9069926188583256116,
+            7332918565780375343,
+            9069926188583256116,
+            34,
+            8747055613159971454,
+        ),
+    ),
+    (
+        "h100/fig12_row_sm0",
+        p(
+            40,
+            4557730712370003887,
+            16549357770908132280,
+            4557730712370003887,
+            0,
+            14695981039346656037,
+        ),
+    ),
+];
+const TIES: [(&str, Pin); 38] = [
+    (
+        "v100-tie/single_near",
+        p(
+            1,
+            12019988397894790657,
+            482732555607960619,
+            4630010039411251610,
+            0,
+            14695981039346656037,
+        ),
+    ),
+    (
+        "v100-tie/gpc_to_slice",
+        p(
+            14,
+            8510351829582659649,
+            15847642073883301030,
+            4635681760191971327,
+            1,
+            16473169892475194932,
+        ),
+    ),
+    (
+        "v100-tie/gpc_writes",
+        p(
+            448,
+            1054912031990229029,
+            10531497649700128316,
+            4637652085028945889,
+            1,
+            5403959289623795605,
+        ),
+    ),
+    (
+        "v100-tie/duplicates",
+        p(
+            5,
+            10358271800785942908,
+            1883653777148906952,
+            4634626229029306368,
+            1,
+            16566779118422520867,
+        ),
+    ),
+    (
+        "v100-tie/fig12_row_sm0",
+        p(
+            32,
+            8017245062361247653,
+            14128430410145387505,
+            8017245062361247653,
+            0,
+            14695981039346656037,
+        ),
+    ),
+    (
+        "v100-near/single_near",
+        p(
+            1,
+            12019988397894790657,
+            482732555607960619,
+            4630010039411251610,
+            0,
+            14695981039346656037,
+        ),
+    ),
+    (
+        "v100-near/gpc_to_slice",
+        p(
+            14,
+            8510351829582659649,
+            15847642073883301030,
+            4635681760191971327,
+            1,
+            16473169892475194932,
+        ),
+    ),
+    (
+        "v100-near/gpc_writes",
+        p(
+            448,
+            1054912031990229029,
+            10531497649700128316,
+            4637652085028945889,
+            1,
+            5403959289623795605,
+        ),
+    ),
+    (
+        "v100-near/duplicates",
+        p(
+            5,
+            11729128368305774979,
+            14603031444780525486,
+            4634626229521887578,
+            1,
+            16566779118422520867,
+        ),
+    ),
+    (
+        "v100-near/fig12_row_sm0",
+        p(
+            32,
+            8017245062361247653,
+            14128430410145387505,
+            8017245062361247653,
+            0,
+            14695981039346656037,
+        ),
+    ),
+    (
+        "a100-tie/single_near",
+        p(
+            1,
+            8846230486841400211,
+            10594150537481723279,
+            4630784095597205914,
+            2,
+            12671667567269734731,
+        ),
+    ),
+    (
+        "a100-tie/gpc_to_slice",
+        p(
+            14,
+            12985476188917020645,
+            18014875328629910044,
+            4635329916471083007,
+            1,
+            1422506143907891149,
+        ),
+    ),
+    (
+        "a100-tie/gpc_writes",
+        p(
+            1120,
+            5167971204116858917,
+            16799216013328601058,
+            4641592734702895104,
+            1,
+            15593027936814124032,
+        ),
+    ),
+    (
+        "a100-tie/duplicates",
+        p(
+            5,
+            8493073631527684215,
+            5984764042147079208,
+            4630784095597205914,
+            1,
+            16566779118422520867,
+        ),
+    ),
+    (
+        "a100-tie/single_far",
+        p(
+            1,
+            16519143527118259849,
+            8544308835952637872,
+            4627780381192370076,
+            0,
+            14695981039346656037,
+        ),
+    ),
+    (
+        "a100-tie/fig12_row_sm0",
+        p(
+            80,
+            9069926188583256116,
+            7332918565780375343,
+            9069926188583256116,
+            68,
+            9318901114544119540,
+        ),
+    ),
+    (
+        "a100-near/single_near",
+        p(
+            1,
+            8846230486841400211,
+            10594150537481723279,
+            4630784095597205914,
+            2,
+            6002002422536689802,
+        ),
+    ),
+    (
+        "a100-near/gpc_to_slice",
+        p(
+            14,
+            12985476188917020645,
+            18014875328629910044,
+            4635329916471083007,
+            1,
+            1422506143907891149,
+        ),
+    ),
+    (
+        "a100-near/gpc_writes",
+        p(
+            1120,
+            5167971204116858917,
+            16799216013328601058,
+            4641592734702895104,
+            1,
+            15593027936814124032,
+        ),
+    ),
+    (
+        "a100-near/duplicates",
+        p(
+            5,
+            14939231587673723629,
+            9835328900069832804,
+            4630784096155933743,
+            1,
+            16566779118422520867,
+        ),
+    ),
+    (
+        "a100-near/single_far",
+        p(
+            1,
+            16519143527118259849,
+            8544308835952637872,
+            4627780381192370076,
+            0,
+            14695981039346656037,
+        ),
+    ),
+    (
+        "a100-near/fig12_row_sm0",
+        p(
+            80,
+            9069926188583256116,
+            7332918565780375343,
+            9069926188583256116,
+            68,
+            13969262056039320086,
+        ),
+    ),
+    (
+        "h100-tie/single_near",
+        p(
+            1,
+            9997493270591537987,
+            6355926953992121723,
+            4633922541587529729,
+            0,
+            14695981039346656037,
+        ),
+    ),
+    (
+        "h100-tie/gpc_to_slice",
+        p(
+            18,
+            15604646347719972549,
+            16659137603355372199,
+            4638777984935788546,
+            1,
+            10888329652240334600,
+        ),
+    ),
+    (
+        "h100-tie/gpc_writes",
+        p(
+            720,
+            15270071248885656325,
+            17107254763827923183,
+            4646448178051153806,
+            1,
+            5359204768317988636,
+        ),
+    ),
+    (
+        "h100-tie/duplicates",
+        p(
+            5,
+            6875595275625816406,
+            15791816135243023646,
+            4634485491540951040,
+            1,
+            16566779118422520867,
+        ),
+    ),
+    (
+        "h100-tie/single_far",
+        p(
+            1,
+            6455058878093416013,
+            3984731921337293557,
+            4630563045640578886,
+            0,
+            14695981039346656037,
+        ),
+    ),
+    (
+        "h100-tie/fig12_row_sm0",
+        p(
+            40,
+            4557730712370003887,
+            16549357770908132280,
+            4557730712370003887,
+            0,
+            14695981039346656037,
+        ),
+    ),
+    (
+        "h100-near/single_near",
+        p(
+            1,
+            9997493270591537987,
+            6355926953992121723,
+            4633922541587529729,
+            0,
+            14695981039346656037,
+        ),
+    ),
+    (
+        "h100-near/gpc_to_slice",
+        p(
+            18,
+            15604646347719972549,
+            16659137603355372199,
+            4638777984935788546,
+            1,
+            10888329652240334600,
+        ),
+    ),
+    (
+        "h100-near/gpc_writes",
+        p(
+            720,
+            15270071248885656325,
+            17107254763827923183,
+            4646448178051153806,
+            1,
+            5359204768317988636,
+        ),
+    ),
+    (
+        "h100-near/duplicates",
+        p(
+            5,
+            6127494082590677229,
+            9145897893964096058,
+            4634485492019458501,
+            1,
+            16566779118422520867,
+        ),
+    ),
+    (
+        "h100-near/single_far",
+        p(
+            1,
+            6455058878093416013,
+            3984731921337293557,
+            4630563045640578886,
+            0,
+            14695981039346656037,
+        ),
+    ),
+    (
+        "h100-near/fig12_row_sm0",
+        p(
+            40,
+            4557730712370003887,
+            16549357770908132280,
+            4557730712370003887,
+            0,
+            14695981039346656037,
+        ),
+    ),
+    (
+        "a100-tie/disjoint_pair",
+        p(
+            2,
+            12737622907187366205,
+            16214069586060999053,
+            4635132883987385549,
+            4,
+            12271314347153765540,
+        ),
+    ),
+    (
+        "a100-near/disjoint_pair",
+        p(
+            2,
+            12737622907187366205,
+            16214069586060999053,
+            4635132883987385549,
+            4,
+            16449560756569226741,
+        ),
+    ),
+    (
+        "h100-tie/disjoint_pair",
+        p(
+            2,
+            11730815849163593135,
+            18008270889462644671,
+            4638074297494011904,
+            2,
+            14652205980650070729,
+        ),
+    ),
+    (
+        "h100-near/disjoint_pair",
+        p(
+            2,
+            11730815849163593135,
+            18008270889462644671,
+            4638074297494011904,
+            2,
+            7639909600417034092,
         ),
     ),
 ];

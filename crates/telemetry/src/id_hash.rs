@@ -1,16 +1,22 @@
 //! Deterministic hashing for simulator-assigned `u64` ids.
 //!
 //! Packet and message ids are handed out by the simulators themselves
-//! (sequential counters), so they need neither SipHash's flood resistance
-//! nor `RandomState`'s per-process seed. One multiply by an odd 64-bit
-//! constant spreads consecutive ids across both the bucket bits and the
-//! tag bits of the hash table. Every map keyed this way is looked up and
-//! removed from, never iterated, so hash order cannot reach any output.
+//! (sequential counters) and L2 line addresses by the engine's address
+//! tables, so they need neither SipHash's flood resistance nor
+//! `RandomState`'s per-process seed. One multiply by an odd 64-bit constant spreads
+//! consecutive ids across the product's bits. A multiply only carries bits
+//! upward, though, and the table picks buckets from the hash's low bits, so
+//! `finish` rotates the product's well-mixed high bits down: keys that
+//! differ only in high bits, such as line addresses at a power-of-two
+//! stride, still land in different buckets. Every map keyed this way is
+//! looked up and removed from, never iterated, so hash order cannot reach
+//! any output.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// Multiplicative hasher for `u64` ids (the FxHash mixing step).
+/// Multiplicative hasher for `u64` ids (the FxHash mixing step). Composite
+/// keys of small integers and enums (`u32`, `usize`) mix one word per field.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct IdHasher(u64);
 
@@ -24,13 +30,22 @@ impl IdHasher {
 
 impl Hasher for IdHasher {
     fn finish(&self) -> u64 {
-        self.0
+        self.0.rotate_left(26)
     }
 
     fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.mix(u64::from(b));
         }
+    }
+
+    fn write_u32(&mut self, id: u32) {
+        self.mix(u64::from(id));
+    }
+
+    /// Also what enum discriminants (`write_isize`) hash through.
+    fn write_usize(&mut self, id: usize) {
+        self.mix(id as u64);
     }
 
     fn write_u64(&mut self, id: u64) {
@@ -53,8 +68,22 @@ mod tests {
     fn hash_is_fixed_across_processes() {
         let h = BuildHasherDefault::<IdHasher>::default();
         assert_eq!(h.hash_one(0u64), 0);
-        assert_eq!(h.hash_one(1u64), 0x517c_c1b7_2722_0a95);
+        assert_eq!(h.hash_one(1u64), 0x517c_c1b7_2722_0a95u64.rotate_left(26));
         assert_ne!(h.hash_one(2u64), h.hash_one(3u64));
+    }
+
+    #[test]
+    fn strided_keys_spread_over_buckets() {
+        // Keys 2^20 apart: without the final rotation all 4,096 hash to the
+        // same low 12 bits, i.e. to one bucket of a 4,096-bucket table. The
+        // same holds for (partition, line) residency keys.
+        let h = BuildHasherDefault::<IdHasher>::default();
+        let ids: IdSet = (0..4_096u64).map(|i| h.hash_one(i << 20) & 0xfff).collect();
+        let lines: IdSet = (0..4_096u64)
+            .map(|i| h.hash_one((1u32, i << 20)) & 0xfff)
+            .collect();
+        assert!(ids.len() > 2_000, "{} buckets", ids.len());
+        assert!(lines.len() > 2_000, "{} buckets", lines.len());
     }
 
     #[test]
