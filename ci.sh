@@ -25,6 +25,15 @@ for constant in 'bf58_?476d_?1ce4_?e5b9' 'cbf2_?9ce4_?8422_?2325'; do
     fi
 done
 
+echo "== one run path per experiment: no _traced/_recorded/_shared variants =="
+# Each experiment has one public run function that takes its telemetry
+# handle, recorder flag or network organisation as arguments; a family of
+# entry points that only thread one of those through must not grow back.
+if grep -rnE 'pub fn run[a-z_]*_(traced|recorded|shared)\b' crates/*/src; then
+    echo "run-function variants found above: pass the handle or flag instead"
+    exit 1
+fi
+
 echo "== tier-1: cargo build --release && cargo test -q (GNOC_JOBS=2) =="
 cargo build --release
 # GNOC_JOBS=2 routes every env-resolved worker pool through the parallel

@@ -21,6 +21,8 @@ use crate::heatmap::render_heatmap;
 use crate::svg;
 use gnoc_telemetry::{FlightRecorder, HopRecord, MessageRecord, StallBreakdown, PORT_NAMES};
 use serde::Value;
+use std::io;
+use std::path::{Path, PathBuf};
 
 /// Schema version stamped into profile JSON artifacts.
 pub const PROFILE_SCHEMA: u64 = 1;
@@ -268,17 +270,6 @@ impl ProfileReport {
             .collect()
     }
 
-    /// Per-router stall-cycle matrix (`height` rows × `width` columns).
-    pub fn stall_matrix(&self) -> Vec<Vec<f64>> {
-        (0..self.height)
-            .map(|y| {
-                (0..self.width)
-                    .map(|x| self.routers[y * self.width + x].stalls.total() as f64)
-                    .collect()
-            })
-            .collect()
-    }
-
     /// ASCII utilization heatmap (routers laid out as the mesh).
     pub fn utilization_heatmap_ascii(&self) -> String {
         let m = self.utilization_matrix();
@@ -298,6 +289,28 @@ impl ProfileReport {
             640,
             480,
         )
+    }
+
+    /// Writes the profile to `path` and `rec`'s Chrome trace-event JSON
+    /// (loadable at ui.perfetto.dev) beside it at `<path>.trace.json`,
+    /// returning the trace's path. An error names the file it failed on.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first write that failed.
+    pub fn write_with_trace(&self, rec: &FlightRecorder, path: &Path) -> io::Result<PathBuf> {
+        let failed = |what: &str, file: &Path, e: io::Error| {
+            io::Error::new(
+                e.kind(),
+                format!("cannot write {what} {}: {e}", file.display()),
+            )
+        };
+        std::fs::write(path, self.to_json_pretty()).map_err(|e| failed("profile", path, e))?;
+        let mut name = path.file_name().unwrap_or_default().to_os_string();
+        name.push(".trace.json");
+        let trace = path.with_file_name(name);
+        std::fs::write(&trace, rec.chrome_trace()).map_err(|e| failed("trace", &trace, e))?;
+        Ok(trace)
     }
 
     /// The machine-readable profile, `"schema": 1` first. This is the file

@@ -2,7 +2,8 @@
 //! NoC↔MEM interface is the bottleneck, vs a provisioned interface.
 
 use gnoc_bench::{compare, header, sparkline};
-use gnoc_core::noc::{run_memsim, run_memsim_shared, run_memsim_traced, MemSimConfig};
+use gnoc_core::noc::{run_memsim, MemSimConfig, MemSimNets};
+use gnoc_core::TelemetryHandle;
 
 fn main() {
     let metrics = gnoc_bench::FigureMetrics::from_args(env!("CARGO_BIN_NAME"));
@@ -21,7 +22,7 @@ fn main() {
             MemSimConfig::provisioned(),
         ),
     ] {
-        let r = run_memsim_traced(cfg, 21, metrics.handle().clone());
+        let r = run_memsim(cfg, 21, MemSimNets::Split, metrics.handle());
         println!("\n{label}:");
         println!(
             "  channel-0 utilisation over time: {}",
@@ -39,7 +40,13 @@ fn main() {
             r.replies_delivered
         );
     }
-    let under = run_memsim(MemSimConfig::underprovisioned(), 21);
+    let off = TelemetryHandle::disabled();
+    let under = run_memsim(
+        MemSimConfig::underprovisioned(),
+        21,
+        MemSimNets::Split,
+        &off,
+    );
     compare(
         "under-provisioned mean utilisation",
         "≈20%",
@@ -47,7 +54,7 @@ fn main() {
     );
 
     // Extension: one physical network with 2 VCs instead of two networks.
-    let shared = run_memsim_shared(MemSimConfig::provisioned(), 21);
+    let shared = run_memsim(MemSimConfig::provisioned(), 21, MemSimNets::Shared, &off);
     println!(
         "\nextension — single shared network (2 VCs, provisioned): mean {:.0}% \
          (shared links make replies steal request bandwidth)",

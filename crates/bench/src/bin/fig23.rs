@@ -2,7 +2,7 @@
 //! MCs) under round-robin vs age-based arbitration.
 
 use gnoc_bench::{compare, header, series};
-use gnoc_core::noc::{run_fairness_traced, ArbiterKind, FairnessConfig};
+use gnoc_core::noc::{run_fairness, ArbiterKind, FairnessConfig};
 
 fn main() {
     let metrics = gnoc_bench::FigureMetrics::from_args(env!("CARGO_BIN_NAME"));
@@ -11,7 +11,12 @@ fn main() {
         "round-robin: up to ≈2.4× spread across nodes; age-based: uniform",
     );
     for arbiter in [ArbiterKind::RoundRobin, ArbiterKind::AgeBased] {
-        let r = run_fairness_traced(FairnessConfig::paper(arbiter), 23, metrics.handle().clone());
+        let (r, _) = run_fairness(
+            FairnessConfig::paper(arbiter),
+            23,
+            metrics.handle().clone(),
+            false,
+        );
         println!("\n{arbiter:?} (packets/cycle per compute node, MCs on row 0):");
         for row in 0..5 {
             println!(

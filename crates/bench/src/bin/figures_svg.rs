@@ -8,8 +8,10 @@
 use gnoc_bench::header;
 use gnoc_core::analysis::svg::{self, Series};
 use gnoc_core::microbench::bandwidth::sms_to_slice_gbps;
-use gnoc_core::noc::{run_fairness, run_memsim, ArbiterKind, FairnessConfig, MemSimConfig};
-use gnoc_core::{GpuDevice, LatencyCampaign, LatencyProbe, PartitionId, SmId};
+use gnoc_core::noc::{
+    run_fairness, run_memsim, ArbiterKind, FairnessConfig, MemSimConfig, MemSimNets,
+};
+use gnoc_core::{GpuDevice, LatencyCampaign, LatencyProbe, PartitionId, SmId, TelemetryHandle};
 use std::fs;
 use std::path::Path;
 
@@ -121,7 +123,7 @@ fn main() -> std::io::Result<()> {
         ("under-provisioned", MemSimConfig::underprovisioned()),
         ("provisioned", MemSimConfig::provisioned()),
     ] {
-        let r = run_memsim(cfg, 21);
+        let r = run_memsim(cfg, 21, MemSimNets::Split, &TelemetryHandle::disabled());
         series.push(Series {
             name: name.into(),
             points: r
@@ -144,7 +146,12 @@ fn main() -> std::io::Result<()> {
 
     // ---- Fig. 23: per-node throughput bars. ---------------------------------
     for arbiter in [ArbiterKind::RoundRobin, ArbiterKind::AgeBased] {
-        let r = run_fairness(FairnessConfig::paper(arbiter), 23);
+        let (r, _) = run_fairness(
+            FairnessConfig::paper(arbiter),
+            23,
+            TelemetryHandle::disabled(),
+            false,
+        );
         let bars: Vec<(String, f64)> = r
             .throughput
             .iter()

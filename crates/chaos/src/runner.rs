@@ -18,7 +18,7 @@ use gnoc_core::trace::{from_hex, to_hex, TraceHeader, TraceReader, TraceTap};
 use gnoc_core::{
     device_for_preset, spec_for_preset, ArbiterKind, CheckpointedCampaign, FabricConfig,
     FabricHealthConfig, FabricHealthMonitor, FabricSim, FaultPlan, HealthConfig, MeshConfig,
-    ReliableMesh, SelfHealingMesh, WorkerPool,
+    ProfileReport, ReliableMesh, SelfHealingMesh, WorkerPool,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -443,15 +443,7 @@ fn iteration_body(
         // Single-VC wormhole buffers: legitimate for independent transfers
         // (no request/reply coupling) and exactly the surface the historical
         // reroute-deadlock bug lived on, so the progress oracle keeps bite.
-        let mesh_cfg = MeshConfig {
-            width: cfg.width as usize,
-            height: cfg.height as usize,
-            buffer_packets: 4,
-            arbiter: ArbiterKind::RoundRobin,
-            route_order: RouteOrder::Xy,
-            vcs: 1,
-        };
-        match ReliableMesh::with_faults(mesh_cfg, plan, cfg.retry) {
+        match ReliableMesh::with_faults(mesh_config(cfg), plan, cfg.retry) {
             Err(e) => violations.push(Violation {
                 oracle: OracleKind::Delivery,
                 seed,
@@ -610,19 +602,25 @@ fn submit_mesh_traffic(rm: &mut ReliableMesh, cfg: &ChaosConfig, seed: u64) -> R
     Ok(())
 }
 
-/// The fabric configuration a multi-device chaos iteration runs under: the
-/// same per-die mesh and retry policy as the single-die soak, on the
-/// configured device count and topology.
-fn fabric_config(cfg: &ChaosConfig) -> FabricConfig {
-    let mut fc = FabricConfig::new(cfg.devices, cfg.fabric_topology());
-    fc.mesh = MeshConfig {
+/// The mesh every chaos soak runs on: the single die, and each die of a
+/// multi-device fabric.
+fn mesh_config(cfg: &ChaosConfig) -> MeshConfig {
+    MeshConfig {
         width: cfg.width as usize,
         height: cfg.height as usize,
         buffer_packets: 4,
         arbiter: ArbiterKind::RoundRobin,
         route_order: RouteOrder::Xy,
         vcs: 1,
-    };
+    }
+}
+
+/// The fabric configuration a multi-device chaos iteration runs under: the
+/// same per-die mesh and retry policy as the single-die soak, on the
+/// configured device count and topology.
+fn fabric_config(cfg: &ChaosConfig) -> FabricConfig {
+    let mut fc = FabricConfig::new(cfg.devices, cfg.fabric_topology());
+    fc.mesh = mesh_config(cfg);
     fc.retry = cfg.retry;
     fc
 }
@@ -759,15 +757,7 @@ fn check_replay_mesh(
         .finish_bytes(recorded)
         .map_err(|e| format!("harness: trace capture failed: {e}"))?;
 
-    let mesh_cfg = MeshConfig {
-        width: cfg.width as usize,
-        height: cfg.height as usize,
-        buffer_packets: 4,
-        arbiter: ArbiterKind::RoundRobin,
-        route_order: RouteOrder::Xy,
-        vcs: 1,
-    };
-    let mut twin = ReliableMesh::with_faults(mesh_cfg, plan, cfg.retry)
+    let mut twin = ReliableMesh::with_faults(mesh_config(cfg), plan, cfg.retry)
         .map_err(|e| format!("harness: replay twin construction failed: {e}"))?;
     #[cfg(feature = "bug-hooks")]
     if cfg.greedy_reroute_bug {
@@ -865,16 +855,9 @@ fn detection_phase(cfg: &ChaosConfig, seed: u64, plan: &FaultPlan) -> Result<(),
     let mut problems: Vec<String> = Vec::new();
 
     // Link detection on a self-healing mesh (same geometry as the soak).
-    let mesh_cfg = MeshConfig {
-        width: cfg.width as usize,
-        height: cfg.height as usize,
-        buffer_packets: 4,
-        arbiter: ArbiterKind::RoundRobin,
-        route_order: RouteOrder::Xy,
-        vcs: 1,
-    };
-    let mut healer = SelfHealingMesh::new(mesh_cfg, plan, cfg.retry, HealthConfig::default())
-        .map_err(|e| format!("harness: self-healing mesh rejected the plan: {e}"))?;
+    let mut healer =
+        SelfHealingMesh::new(mesh_config(cfg), plan, cfg.retry, HealthConfig::default())
+            .map_err(|e| format!("harness: self-healing mesh rejected the plan: {e}"))?;
     let last_onset = plan.links.iter().map(|l| l.onset).max().unwrap_or(0);
     healer
         .run_detection(last_onset + DETECTION_RUN_MARGIN)
@@ -1140,15 +1123,7 @@ fn record_soak_trace(cfg: &ChaosConfig, seed: u64, plan: &FaultPlan) -> Option<S
         let digest = fabric_fingerprint(&sim);
         tap.finish_bytes(digest).ok().map(|b| to_hex(&b))
     } else {
-        let mesh_cfg = MeshConfig {
-            width: cfg.width as usize,
-            height: cfg.height as usize,
-            buffer_packets: 4,
-            arbiter: ArbiterKind::RoundRobin,
-            route_order: RouteOrder::Xy,
-            vcs: 1,
-        };
-        let mut rm = ReliableMesh::with_faults(mesh_cfg, plan, cfg.retry).ok()?;
+        let mut rm = ReliableMesh::with_faults(mesh_config(cfg), plan, cfg.retry).ok()?;
         #[cfg(feature = "bug-hooks")]
         if cfg.greedy_reroute_bug {
             rm.mesh_mut().enable_greedy_reroute_bug();
@@ -1195,15 +1170,7 @@ fn verify_embedded_trace(cfg: &ChaosConfig, plan: &FaultPlan, hex: &str) -> Resu
         twin.run_until_quiescent(cfg.soak_cycle_budget);
         fabric_fingerprint(&twin)
     } else {
-        let mesh_cfg = MeshConfig {
-            width: cfg.width as usize,
-            height: cfg.height as usize,
-            buffer_packets: 4,
-            arbiter: ArbiterKind::RoundRobin,
-            route_order: RouteOrder::Xy,
-            vcs: 1,
-        };
-        let mut twin = ReliableMesh::with_faults(mesh_cfg, plan, cfg.retry)
+        let mut twin = ReliableMesh::with_faults(mesh_config(cfg), plan, cfg.retry)
             .map_err(|e| format!("twin construction failed: {e}"))?;
         #[cfg(feature = "bug-hooks")]
         if cfg.greedy_reroute_bug {
@@ -1370,11 +1337,16 @@ pub fn run_chaos(
     })
 }
 
-/// Replays `seed`'s NoC soak with a flight recorder attached (same config,
+/// Replays `seed`'s soak with a flight recorder attached (same config,
 /// plan, and traffic recipe as [`run_iteration`]'s first phase), annotates
 /// the seed's oracle violations on the timeline, and writes the
 /// stall-attribution profile to `path` plus a Chrome trace to
 /// `<path>.trace.json`. Returns the trace's cycle window.
+///
+/// A multi-device soak is recorded on the fabric layer (die legs appear as
+/// source wait and final-hop residency; crossings are charged to the
+/// `fabric` stall class), so its profile's router axis is the fabric node
+/// id — devices first, then the switch when the topology has one.
 fn write_profile(
     cfg: &ChaosConfig,
     seed: u64,
@@ -1382,107 +1354,37 @@ fn write_profile(
     violations: &[Violation],
     path: &Path,
 ) -> Result<TraceWindow, ChaosError> {
-    if cfg.devices >= 2 {
-        return write_fabric_profile(cfg, seed, plan, violations, path);
-    }
-    let mesh_cfg = MeshConfig {
-        width: cfg.width as usize,
-        height: cfg.height as usize,
-        buffer_packets: 4,
-        arbiter: ArbiterKind::RoundRobin,
-        route_order: RouteOrder::Xy,
-        vcs: 1,
+    let (mut rec, width, height, cycles) = if cfg.devices >= 2 {
+        let fc = fabric_config(cfg);
+        let nodes = fc.topology.node_count(fc.devices) as usize;
+        let mut sim = FabricSim::with_faults(fc, plan)
+            .map_err(|e| ChaosError::Config(format!("profile replay: {e}")))?;
+        #[cfg(feature = "bug-hooks")]
+        if cfg.fabric_stuck_crossing_bug {
+            sim.enable_stuck_crossing_bug();
+        }
+        sim.attach_flight_recorder();
+        let _ = submit_fabric_traffic(&mut sim, cfg, seed);
+        sim.run_until_quiescent(cfg.soak_cycle_budget);
+        let rec = sim.take_flight_recorder().expect("recorder attached above");
+        (rec, nodes, 1, sim.cycle())
+    } else {
+        let mut rm = ReliableMesh::with_faults(mesh_config(cfg), plan, cfg.retry)
+            .map_err(|e| ChaosError::Config(format!("profile replay: {e}")))?;
+        #[cfg(feature = "bug-hooks")]
+        if cfg.greedy_reroute_bug {
+            rm.mesh_mut().enable_greedy_reroute_bug();
+        }
+        rm.mesh_mut().attach_flight_recorder();
+        let _ = submit_mesh_traffic(&mut rm, cfg, seed);
+        rm.run_until_quiescent(cfg.soak_cycle_budget);
+        let rec = rm
+            .mesh_mut()
+            .take_flight_recorder()
+            .expect("recorder attached above");
+        let (width, height) = (cfg.width as usize, cfg.height as usize);
+        (rec, width, height, rm.mesh().cycle())
     };
-    let mut rm = ReliableMesh::with_faults(mesh_cfg, plan, cfg.retry)
-        .map_err(|e| ChaosError::Config(format!("profile replay: {e}")))?;
-    #[cfg(feature = "bug-hooks")]
-    if cfg.greedy_reroute_bug {
-        rm.mesh_mut().enable_greedy_reroute_bug();
-    }
-    rm.mesh_mut().attach_flight_recorder();
-    let n = u64::from(cfg.width) * u64::from(cfg.height);
-    let mut rng = SplitMix64::new(seed ^ 0x6368_616f_735f_7278);
-    for i in 0..cfg.transfers {
-        let src = rng.next() % n;
-        let dst = (src + 1 + rng.next() % (n - 1)) % n;
-        let flits = 1 + (rng.next() % 4) as u32;
-        let class = if i % 2 == 0 {
-            PacketClass::Request
-        } else {
-            PacketClass::Reply
-        };
-        if rm
-            .submit_checked(
-                NodeId::new(src as u32),
-                NodeId::new(dst as u32),
-                flits,
-                class,
-            )
-            .is_err()
-        {
-            break;
-        }
-    }
-    rm.run_until_quiescent(cfg.soak_cycle_budget);
-    let cycles = rm.mesh().cycle();
-    if let Some(rec) = rm.mesh_mut().flight_recorder_mut() {
-        for v in violations {
-            rec.note(
-                gnoc_core::telemetry::TraceEvent::new(cycles, "chaos", "oracle_violation")
-                    .with("oracle", v.oracle.name())
-                    .with("seed", v.seed)
-                    .with("detail", v.detail.clone()),
-            );
-        }
-    }
-    let rec = rm
-        .mesh_mut()
-        .take_flight_recorder()
-        .expect("recorder attached above");
-    let report = gnoc_core::analysis::profile::ProfileReport::from_recorder(
-        &rec,
-        cfg.width as usize,
-        cfg.height as usize,
-        cycles,
-        5,
-    );
-    std::fs::write(path, report.to_json_pretty()).map_err(|e| ChaosError::Io(e.to_string()))?;
-    let mut trace_name = path.file_name().unwrap_or_default().to_os_string();
-    trace_name.push(".trace.json");
-    let trace_path = path.with_file_name(trace_name);
-    std::fs::write(&trace_path, rec.chrome_trace()).map_err(|e| ChaosError::Io(e.to_string()))?;
-    Ok(TraceWindow {
-        profile: path.display().to_string(),
-        start: 0,
-        end: cycles,
-    })
-}
-
-/// Fabric counterpart of [`write_profile`]: replays `seed`'s fabric soak
-/// with a flight recorder attached to the fabric layer (die legs appear as
-/// source wait and final-hop residency; crossings are charged to the
-/// `fabric` stall class). The profile's router axis is the fabric node id —
-/// devices first, then the switch when the topology has one.
-fn write_fabric_profile(
-    cfg: &ChaosConfig,
-    seed: u64,
-    plan: &FaultPlan,
-    violations: &[Violation],
-    path: &Path,
-) -> Result<TraceWindow, ChaosError> {
-    let fc = fabric_config(cfg);
-    let nodes = fc.topology.node_count(fc.devices) as usize;
-    let mut sim = FabricSim::with_faults(fc, plan)
-        .map_err(|e| ChaosError::Config(format!("profile replay: {e}")))?;
-    #[cfg(feature = "bug-hooks")]
-    if cfg.fabric_stuck_crossing_bug {
-        sim.enable_stuck_crossing_bug();
-    }
-    sim.attach_flight_recorder();
-    let _ = submit_fabric_traffic(&mut sim, cfg, seed);
-    sim.run_until_quiescent(cfg.soak_cycle_budget);
-    let cycles = sim.cycle();
-    let mut rec = sim.take_flight_recorder().expect("recorder attached above");
     for v in violations {
         rec.note(
             gnoc_core::telemetry::TraceEvent::new(cycles, "chaos", "oracle_violation")
@@ -1491,13 +1393,9 @@ fn write_fabric_profile(
                 .with("detail", v.detail.clone()),
         );
     }
-    let report =
-        gnoc_core::analysis::profile::ProfileReport::from_recorder(&rec, nodes, 1, cycles, 5);
-    std::fs::write(path, report.to_json_pretty()).map_err(|e| ChaosError::Io(e.to_string()))?;
-    let mut trace_name = path.file_name().unwrap_or_default().to_os_string();
-    trace_name.push(".trace.json");
-    let trace_path = path.with_file_name(trace_name);
-    std::fs::write(&trace_path, rec.chrome_trace()).map_err(|e| ChaosError::Io(e.to_string()))?;
+    ProfileReport::from_recorder(&rec, width, height, cycles, 5)
+        .write_with_trace(&rec, path)
+        .map_err(|e| ChaosError::Io(e.to_string()))?;
     Ok(TraceWindow {
         profile: path.display().to_string(),
         start: 0,

@@ -10,6 +10,7 @@ use gnoc_chaos::ChaosConfig;
 use gnoc_core::{
     CtaScheduler, FabricTopology, FaultGenConfig, FlakyBurst, GpuSpec, LatencyProbe, RegionFault,
 };
+use std::cell::RefCell;
 
 /// Exit code: the command succeeded (for checks: the property holds).
 pub const EXIT_OK: u8 = 0;
@@ -788,13 +789,23 @@ EXIT CODES:
         socket could not be reached
 ";
 
-/// Reads `--flag value` pairs and boolean `--flag`s from `args`.
+/// Reads `--flag value` pairs and boolean `--flag`s from `args`, noting
+/// every flag looked up so that [`parse`] can reject the rest.
 struct Flags<'a> {
     args: &'a [String],
+    looked_up: RefCell<Vec<&'a str>>,
 }
 
 impl<'a> Flags<'a> {
-    fn value_of(&self, flag: &str) -> Result<Option<&'a str>, String> {
+    fn new(args: &'a [String]) -> Self {
+        Self {
+            args,
+            looked_up: RefCell::new(Vec::new()),
+        }
+    }
+
+    fn value_of(&self, flag: &'a str) -> Result<Option<&'a str>, String> {
+        self.looked_up.borrow_mut().push(flag);
         for (i, a) in self.args.iter().enumerate() {
             if a == flag {
                 return match self.args.get(i + 1) {
@@ -806,17 +817,28 @@ impl<'a> Flags<'a> {
         Ok(None)
     }
 
-    fn has(&self, flag: &str) -> bool {
+    fn has(&self, flag: &'a str) -> bool {
+        self.looked_up.borrow_mut().push(flag);
         self.args.iter().any(|a| a == flag)
     }
 
-    fn parse_num<T: std::str::FromStr>(&self, flag: &str, default: T) -> Result<T, String> {
+    fn parse_num<T: std::str::FromStr>(&self, flag: &'a str, default: T) -> Result<T, String> {
         match self.value_of(flag)? {
             Some(v) => v
                 .parse()
                 .map_err(|_| format!("flag {flag}: '{v}' is not a valid number")),
             None => Ok(default),
         }
+    }
+
+    /// The first `--flag` in `args` that was never looked up. A flag's value
+    /// never starts with `--`, so every such token names a flag.
+    fn first_unread(&self) -> Option<&'a str> {
+        let looked_up = self.looked_up.borrow();
+        self.args
+            .iter()
+            .map(String::as_str)
+            .find(|a| a.starts_with("--") && !looked_up.contains(a))
     }
 }
 
@@ -848,7 +870,7 @@ fn parse_seed_range(s: &str) -> Result<std::ops::Range<u64>, String> {
 /// `default_devices`) and `--topology T` (defaulting to `ring`), validating
 /// the combination up front so a bad pairing (e.g. p2p with 3 devices)
 /// fails at parse time with exit code 2.
-fn parse_fabric_flags(flags: &Flags, default_devices: u32) -> Result<(u32, String), String> {
+fn parse_fabric_flags(flags: &Flags<'_>, default_devices: u32) -> Result<(u32, String), String> {
     let devices: u32 = flags.parse_num("--devices", default_devices)?;
     let topology = flags.value_of("--topology")?.unwrap_or("ring").to_owned();
     let Some(topo) = FabricTopology::parse(&topology) else {
@@ -871,14 +893,23 @@ fn parse_fabric_flags(flags: &Flags, default_devices: u32) -> Result<(u32, Strin
 ///
 /// # Errors
 ///
-/// Returns a human-readable message for unknown commands, bad GPU names, or
-/// malformed flags.
+/// Returns a human-readable message for unknown commands, bad GPU names,
+/// malformed flags, or a flag the command does not read.
 pub fn parse(args: &[String]) -> Result<Command, String> {
     let Some(cmd) = args.first() else {
         return Ok(Command::Help);
     };
-    let rest = &args[1..];
-    let flags = Flags { args: rest };
+    let flags = Flags::new(&args[1..]);
+    let command = parse_command(cmd, &flags)?;
+    match flags.first_unread() {
+        Some(flag) => Err(format!("unknown flag {flag} for `{cmd}`")),
+        None => Ok(command),
+    }
+}
+
+/// Builds `cmd` from its arguments, looking up the flags it reads.
+fn parse_command(cmd: &str, flags: &Flags<'_>) -> Result<Command, String> {
+    let rest = flags.args;
     if cmd == "stats" {
         let path = rest
             .first()
@@ -892,7 +923,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             .ok_or_else(|| "missing GPU argument".to_owned())
             .and_then(|s| GpuChoice::parse(s))
     };
-    match cmd.as_str() {
+    match cmd {
         "help" | "--help" | "-h" => Ok(Command::Help),
         "info" => Ok(Command::Info {
             gpu: gpu_positional()?,
@@ -938,7 +969,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 Some("age") => true,
                 Some(other) => return Err(format!("unknown arbiter '{other}' (rr|age)")),
             };
-            let (devices, topology) = parse_fabric_flags(&flags, 1)?;
+            let (devices, topology) = parse_fabric_flags(flags, 1)?;
             Ok(Command::Mesh {
                 age_based,
                 seed: flags.parse_num("--seed", 1u64)?,
@@ -949,7 +980,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             })
         }
         "fabric" => {
-            let (devices, topology) = parse_fabric_flags(&flags, 2)?;
+            let (devices, topology) = parse_fabric_flags(flags, 2)?;
             if devices < 2 {
                 return Err(
                     "fabric needs --devices >= 2 (use `gnoc mesh` for a single die)".to_owned(),
@@ -1098,7 +1129,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                         .filter(|a| !a.starts_with("--"))
                         .ok_or_else(|| "faults check needs a plan path".to_owned())?
                         .clone();
-                    let (devices, topology) = parse_fabric_flags(&flags, 1)?;
+                    let (devices, topology) = parse_fabric_flags(flags, 1)?;
                     FaultsAction::Check {
                         path,
                         width: flags.parse_num("--width", 6u32)?,
@@ -1124,7 +1155,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                         Some("none") => None,
                         Some(g) => Some(GpuChoice::parse(g)?.preset_name().to_owned()),
                     };
-                    let (devices, topology) = parse_fabric_flags(&flags, defaults.devices)?;
+                    let (devices, topology) = parse_fabric_flags(flags, defaults.devices)?;
                     ChaosAction::Run {
                         seeds: match flags.value_of("--seeds")? {
                             Some(s) => parse_seed_range(s)?,
@@ -1200,7 +1231,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                             transfers: flags.parse_num("--transfers", 2000usize)?,
                         },
                         Some("fabric") => {
-                            let (devices, topology) = parse_fabric_flags(&flags, 2)?;
+                            let (devices, topology) = parse_fabric_flags(flags, 2)?;
                             if devices < 2 {
                                 return Err("trace record fabric needs --devices >= 2 \
                                      (use `trace record mesh` for a single die)"
@@ -1263,7 +1294,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 Some("age") => true,
                 Some(other) => return Err(format!("unknown arbiter '{other}' (rr|age)")),
             };
-            let (devices, topology) = parse_fabric_flags(&flags, 1)?;
+            let (devices, topology) = parse_fabric_flags(flags, 1)?;
             Ok(Command::Profile {
                 width: flags.parse_num("--width", 6u32)?,
                 height: flags.parse_num("--height", 6u32)?,
@@ -1636,6 +1667,18 @@ mod tests {
                 seed: 5
             }
         );
+    }
+
+    #[test]
+    fn flags_the_command_does_not_read_are_rejected() {
+        let err = parse(&argv("memsim --provisoned")).unwrap_err();
+        assert!(err.contains("--provisoned"), "{err}");
+        assert!(parse(&argv("stats m.json --seed 1")).is_err());
+        assert!(parse(&argv("faults gen --out p.json --region-center 3")).is_err());
+        assert!(parse(&argv(
+            "faults gen --out p.json --region-radius 1 --region-center 3"
+        ))
+        .is_ok());
     }
 
     #[test]

@@ -14,7 +14,7 @@ use gnoc_core::microbench::bandwidth::{aggregate_fabric_gbps, aggregate_memory_g
 use gnoc_core::noc::loadcurve::{hier_load_curve, mesh_load_curve, SweepConfig};
 use gnoc_core::noc::{check_mesh_dims, NodeId, PacketClass, ReliableMesh, RetryConfig};
 use gnoc_core::noc::{fabric_soak, mesh_soak};
-use gnoc_core::noc::{run_fairness_recorded, run_memsim_traced, HierConfig, MeshConfig};
+use gnoc_core::noc::{run_fairness, run_memsim, HierConfig, MemSimNets, MeshConfig};
 use gnoc_core::noc::{ArbiterKind, FairnessConfig, MemSimConfig};
 use gnoc_core::sidechannel::covert::{
     bits_of, bytes_of, channel_snr, transmit, CovertChannelConfig,
@@ -240,7 +240,7 @@ fn run(
                 working_set_lines: 2,
                 samples: 6,
             };
-            let campaign = LatencyCampaign::run_traced(&mut dev, &probe, telemetry);
+            let campaign = LatencyCampaign::run(&mut dev, &probe);
             let report = infer_placement(&campaign, &dev, 2.5);
             println!(
                 "{}: grand mean latency {:.0} cycles over {}x{} pairs",
@@ -354,8 +354,7 @@ fn run(
                 );
             }
             let fairness = FairnessConfig::paper(arbiter);
-            let (r, rec) =
-                run_fairness_recorded(fairness, seed, telemetry.clone(), profile.is_some());
+            let (r, rec) = run_fairness(fairness, seed, telemetry.clone(), profile.is_some());
             println!("6x6 mesh, 30 compute nodes → 6 MCs, {arbiter:?} arbitration:");
             for row in 0..5 {
                 let cells: Vec<String> = (0..6)
@@ -609,7 +608,7 @@ fn run(
             } else {
                 MemSimConfig::underprovisioned()
             };
-            let r = run_memsim_traced(cfg, seed, telemetry.clone());
+            let r = run_memsim(cfg, seed, MemSimNets::Split, telemetry);
             println!(
                 "request/reply memory simulation ({}):",
                 if provisioned {
@@ -2041,19 +2040,16 @@ fn write_profile_artifacts(
     path: &Path,
 ) -> Result<(), u8> {
     let report = ProfileReport::from_recorder(rec, width, height, cycles, slowest);
-    if let Err(e) = std::fs::write(path, report.to_json_pretty()) {
-        eprintln!("error: cannot write profile {}: {e}", path.display());
-        return Err(EXIT_IO);
+    match report.write_with_trace(rec, path) {
+        Ok(trace) => {
+            println!("profile: {} (trace: {})", path.display(), trace.display());
+            Ok(())
+        }
+        Err(e) => {
+            eprintln!("error: {e}");
+            Err(EXIT_IO)
+        }
     }
-    let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(".trace.json");
-    let trace = path.with_file_name(name);
-    if let Err(e) = std::fs::write(&trace, rec.chrome_trace()) {
-        eprintln!("error: cannot write trace {}: {e}", trace.display());
-        return Err(EXIT_IO);
-    }
-    println!("profile: {} (trace: {})", path.display(), trace.display());
-    Ok(())
 }
 
 /// Writes the campaign-side `--profile` artifact. The engine models latency

@@ -122,6 +122,24 @@ fn usage_errors_and_flag_contradictions_exit_invalid_input() {
 }
 
 #[test]
+fn unknown_subcommand_flags_exit_invalid_input() {
+    // A misspelt flag must not silently run the default configuration.
+    for (args, flag) in [
+        (&["memsim", "--provisoned"][..], "--provisoned"),
+        (&["latency", "v100", "--bogus", "3"][..], "--bogus"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_gnoc"))
+            .args(args)
+            .output()
+            .expect("spawn gnoc");
+        assert_eq!(out.status.code(), Some(EXIT_INVALID_INPUT), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} must not run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(flag), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
 fn trace_subcommands_pin_all_four_exit_codes() {
     let trc = scratch("trace.trc");
     let trc_arg = trc.to_str().unwrap();

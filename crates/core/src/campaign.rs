@@ -4,7 +4,7 @@
 use gnoc_analysis::{correlation_clusters, correlation_matrix, pearson, rand_index, Summary};
 use gnoc_engine::GpuDevice;
 use gnoc_microbench::LatencyProbe;
-use gnoc_telemetry::{SpanTimer, TelemetryHandle, TraceEvent, SUBSYSTEM_CAMPAIGN};
+use gnoc_telemetry::{SpanTimer, TraceEvent, SUBSYSTEM_CAMPAIGN};
 use gnoc_topo::{GpcId, SmId};
 use serde::{Deserialize, Serialize};
 
@@ -24,33 +24,25 @@ pub struct LatencyCampaign {
 impl LatencyCampaign {
     /// Runs Algorithm 1 over every (SM, visible slice) pair and computes the
     /// derived statistics.
+    ///
+    /// When the device's telemetry is enabled, the probe layer records
+    /// per-SM progress events and the run finishes a `span.campaign.latency`
+    /// wall-clock timer plus `campaign.virtual_cycles` (the device's
+    /// accumulated model time) into the registry — the dual clocks of the
+    /// paper's methodology: host-side wall time around the launch,
+    /// device-side `clock()` cycles inside it.
     pub fn run(dev: &mut GpuDevice, probe: &LatencyProbe) -> Self {
+        let telemetry = dev.telemetry().clone();
+        let timer = SpanTimer::start("campaign.latency");
+        let start_cycle = dev.virtual_cycle();
         let matrix = probe.matrix(dev);
         let sm_summaries = matrix.iter().map(|row| Summary::of(row)).collect();
         let correlation = correlation_matrix(&matrix);
-        Self {
+        let result = Self {
             matrix,
             sm_summaries,
             correlation,
-        }
-    }
-
-    /// Runs the campaign with telemetry: attaches `telemetry` to the device
-    /// (leaving it attached, so later work on the same device keeps
-    /// reporting), records per-SM progress events via the probe layer, and
-    /// finishes a `span.campaign.latency` wall-clock timer plus
-    /// `campaign.virtual_cycles` (the device's accumulated model time) into
-    /// the registry — the dual clocks of the paper's methodology: host-side
-    /// wall time around the launch, device-side `clock()` cycles inside it.
-    pub fn run_traced(
-        dev: &mut GpuDevice,
-        probe: &LatencyProbe,
-        telemetry: &TelemetryHandle,
-    ) -> Self {
-        dev.set_telemetry(telemetry.clone());
-        let timer = SpanTimer::start("campaign.latency");
-        let start_cycle = dev.virtual_cycle();
-        let result = Self::run(dev, probe);
+        };
         let virtual_cycles = dev.virtual_cycle() - start_cycle;
         telemetry.with(|t| {
             t.registry
@@ -298,12 +290,13 @@ mod tests {
 
     #[test]
     fn traced_campaign_reports_all_three_clocks() {
-        use gnoc_telemetry::{MemorySink, Telemetry};
+        use gnoc_telemetry::{MemorySink, Telemetry, TelemetryHandle};
 
         let sink = MemorySink::new();
         let telemetry = TelemetryHandle::attach(Telemetry::with_sink(Box::new(sink.clone())));
         let mut dev = GpuDevice::v100(0);
-        let c = LatencyCampaign::run_traced(&mut dev, &quick_probe(), &telemetry);
+        dev.set_telemetry(telemetry.clone());
+        let c = LatencyCampaign::run(&mut dev, &quick_probe());
 
         let reg = telemetry.snapshot_registry().unwrap();
         assert!(reg.counter("campaign.virtual_cycles") > 0);

@@ -91,8 +91,8 @@ pub use gnoc_health::{
 };
 pub use gnoc_microbench::{input_speedups, LatencyProbe, SpeedupReport};
 pub use gnoc_noc::{
-    run_fairness, run_memsim, ArbiterKind, FairnessConfig, LossReason, MemSimConfig, Mesh,
-    MeshConfig, NocError, ReliableMesh, RetryConfig, TransferOutcome,
+    run_fairness, run_memsim, ArbiterKind, FairnessConfig, LossReason, MemSimConfig, MemSimNets,
+    Mesh, MeshConfig, NocError, ReliableMesh, RetryConfig, TransferOutcome,
 };
 pub use gnoc_par::{resolve_jobs, PoolPanic, WorkerPool};
 pub use gnoc_sidechannel::{

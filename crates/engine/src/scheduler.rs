@@ -7,7 +7,6 @@
 //! assigned round-robin, but starting from a random SM each launch, which
 //! randomises each block's NoC latency between runs at zero hardware cost.
 
-use gnoc_telemetry::{TelemetryHandle, TraceEvent, SUBSYSTEM_ENGINE};
 use gnoc_topo::SmId;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -59,31 +58,6 @@ impl CtaScheduler {
         (0..num_blocks)
             .map(|b| sms[(start + b) % sms.len()])
             .collect()
-    }
-
-    /// Like [`CtaScheduler::assign`], but records the placement decision on
-    /// `telemetry`: one `engine.sched.launches` count plus a `placement`
-    /// trace event naming the policy and the rotation start it drew.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sms` is empty.
-    pub fn assign_traced<R: Rng + ?Sized>(
-        self,
-        num_blocks: usize,
-        sms: &[SmId],
-        rng: &mut R,
-        telemetry: &TelemetryHandle,
-    ) -> Vec<SmId> {
-        let assignment = self.assign(num_blocks, sms, rng);
-        telemetry.counter_add("engine.sched.launches", 1);
-        telemetry.emit_with(|| {
-            TraceEvent::new(0, SUBSYSTEM_ENGINE, "placement")
-                .with("policy", format!("{self:?}"))
-                .with("blocks", num_blocks)
-                .with("start_sm", assignment.first().map_or(0, |sm| sm.index()))
-        });
-        assignment
     }
 }
 
@@ -152,30 +126,6 @@ mod tests {
         );
         let wide = CtaScheduler::RandomWindow { span: 10_000 }.assign(1, &sms, &mut rng)[0];
         assert!(wide.index() < 32);
-    }
-
-    #[test]
-    fn traced_assign_records_placement() {
-        use gnoc_telemetry::{MemorySink, Telemetry, TelemetryHandle};
-
-        let sink = MemorySink::new();
-        let telemetry = TelemetryHandle::attach(Telemetry::with_sink(Box::new(sink.clone())));
-        let mut rng = StdRng::seed_from_u64(11);
-        let sms = sms(8);
-        let traced = CtaScheduler::RandomSeed.assign_traced(4, &sms, &mut rng, &telemetry);
-        // Same rng seed, untraced path: identical placement.
-        let mut rng2 = StdRng::seed_from_u64(11);
-        assert_eq!(traced, CtaScheduler::RandomSeed.assign(4, &sms, &mut rng2));
-
-        let reg = telemetry.snapshot_registry().unwrap();
-        assert_eq!(reg.counter("engine.sched.launches"), 1);
-        let events = sink.snapshot();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].event, "placement");
-        assert_eq!(
-            events[0].field("start_sm").map(|f| f.to_string()),
-            Some(traced[0].index().to_string())
-        );
     }
 
     #[test]

@@ -380,11 +380,6 @@ impl FabricSim {
         self.recorder = Some(Box::default());
     }
 
-    /// The attached recorder, if any.
-    pub fn flight_recorder(&self) -> Option<&FlightRecorder> {
-        self.recorder.as_deref()
-    }
-
     /// Detaches and returns the recorder.
     pub fn take_flight_recorder(&mut self) -> Option<Box<FlightRecorder>> {
         self.recorder.take()
@@ -396,11 +391,6 @@ impl FabricSim {
     /// recorded run is byte-identical to an untapped one.
     pub fn attach_trace_tap(&mut self, tap: gnoc_trace::TraceTap) {
         self.trace_tap = Some(Box::new(tap));
-    }
-
-    /// The attached workload record tap, if any.
-    pub fn trace_tap(&self) -> Option<&gnoc_trace::TraceTap> {
-        self.trace_tap.as_deref()
     }
 
     /// Detaches and returns the workload record tap for finalization.

@@ -39,13 +39,6 @@ pub fn sms_to_slice_gbps(dev: &mut GpuDevice, sms: &[SmId], slice: SliceId) -> f
     (total + dev.bandwidth_jitter(bw_sigma(sms.len()))).max(0.0)
 }
 
-/// Measured bandwidth of `sms` streaming reads spread over `slices`.
-pub fn sms_to_slices_gbps(dev: &mut GpuDevice, sms: &[SmId], slices: &[SliceId]) -> f64 {
-    let flows = cross_flows(sms, slices, AccessKind::ReadHit);
-    let total = dev.solve_bandwidth(&flows).total_gbps;
-    (total + dev.bandwidth_jitter(bw_sigma(sms.len()))).max(0.0)
-}
-
 /// Per-slice bandwidth profile of a single SM (paper Fig. 12): one
 /// measurement per reachable slice, each with the slice as sole target.
 pub fn sm_slice_profile_gbps(dev: &mut GpuDevice, sm: SmId) -> Vec<f64> {

@@ -18,11 +18,16 @@
 //! - [`priorwork`] — the Fig. 22 "network wall" survey.
 //!
 //! ```
-//! use gnoc_noc::{run_fairness, FairnessConfig, ArbiterKind};
+//! use gnoc_noc::{run_fairness, run_memsim, ArbiterKind, FairnessConfig, MemSimConfig, MemSimNets};
+//! use gnoc_telemetry::TelemetryHandle;
 //!
-//! let rr = run_fairness(FairnessConfig::paper(ArbiterKind::RoundRobin), 0);
-//! let age = run_fairness(FairnessConfig::paper(ArbiterKind::AgeBased), 0);
-//! assert!(age.unfairness < rr.unfairness);
+//! let off = TelemetryHandle::disabled();
+//! let fairness = |arbiter| run_fairness(FairnessConfig::paper(arbiter), 0, off.clone(), false).0;
+//! assert!(fairness(ArbiterKind::AgeBased).unfairness < fairness(ArbiterKind::RoundRobin).unfairness);
+//!
+//! let under = run_memsim(MemSimConfig::underprovisioned(), 0, MemSimNets::Split, &off);
+//! let provisioned = run_memsim(MemSimConfig::provisioned(), 0, MemSimNets::Split, &off);
+//! assert!(provisioned.mean_utilization > under.mean_utilization);
 //! ```
 
 #![warn(missing_docs)]
@@ -44,10 +49,7 @@ pub use arbiter::{Arbiter, ArbiterKind};
 pub use crossbar::{Crossbar, CrossbarConfig, CrossbarStats};
 pub use error::{LossReason, NocError};
 pub use hier::{HierConfig, HierCrossbar};
-pub use memsim::{
-    run_memsim, run_memsim_shared, run_memsim_shared_traced, run_memsim_traced, MemSimConfig,
-    MemSimResult,
-};
+pub use memsim::{run_memsim, MemSimConfig, MemSimNets, MemSimResult};
 pub use mesh::{
     check_mesh_dims, event_skip_enabled, set_event_skip_enabled, Mesh, MeshConfig, MeshStats,
     RouteOrder, MAX_NODES, NUM_PORTS,
@@ -55,6 +57,5 @@ pub use mesh::{
 pub use packet::{NodeId, Packet, PacketClass};
 pub use reliable::{ReliabilityStats, ReliableMesh, RetryConfig, TransferId, TransferOutcome};
 pub use traffic::{
-    fabric_soak, mesh_soak, run_fairness, run_fairness_recorded, run_fairness_traced,
-    FairnessConfig, FairnessResult, SoakTransfer,
+    fabric_soak, mesh_soak, run_fairness, FairnessConfig, FairnessResult, SoakTransfer,
 };

@@ -103,59 +103,50 @@ struct MemoryController {
     busy_cycles_total: u64,
 }
 
-/// Runs the request/reply simulation on **two physical networks** (the
-/// conventional GPU organisation). Bottom-row mesh nodes host the MCs.
-pub fn run_memsim(cfg: MemSimConfig, seed: u64) -> MemSimResult {
-    run_memsim_traced(cfg, seed, TelemetryHandle::disabled())
+/// The network organisation a memory-system simulation runs on. Bottom-row
+/// mesh nodes host the MCs in both.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MemSimNets {
+    /// Two physical networks (the conventional GPU organisation): requests
+    /// on one, replies on a second that routes Y-first so that replies
+    /// leaving the MC row fan out over the columns instead of all
+    /// funnelling along row 0.
+    Split,
+    /// One physical network with two virtual channels (requests on VC 0,
+    /// replies on VC 1) — a cheaper organisation where both classes share
+    /// every link's bandwidth. The VC split prevents protocol deadlock; the
+    /// shared links mean reply data steals request bandwidth, so
+    /// utilisation is generally at or below [`MemSimNets::Split`].
+    Shared,
 }
 
-/// [`run_memsim`] with a telemetry handle attached to both networks: mesh
-/// queue-depth samples, MC reply-queue back-pressure stall counters
-/// (`noc.memsim.mc_backpressure_stalls`), reply-interface injection stalls,
-/// per-window utilisation trace events, and the meshes' exported metrics all
-/// land on the handle.
-pub fn run_memsim_traced(cfg: MemSimConfig, seed: u64, telemetry: TelemetryHandle) -> MemSimResult {
-    let mut req_net = Mesh::new(cfg.mesh);
-    // The reply network routes Y-first so that replies leaving the MC row
-    // fan out over the columns instead of all funnelling along row 0.
-    let mut reply_net = Mesh::new(MeshConfig {
-        route_order: RouteOrder::Yx,
-        ..cfg.mesh
-    });
+/// Runs the request/reply simulation on `nets`. `telemetry` is attached to
+/// every network: mesh queue-depth samples, MC reply-queue back-pressure
+/// stall counters (`noc.memsim.mc_backpressure_stalls`), reply-interface
+/// injection stalls, per-window utilisation trace events, and the meshes'
+/// exported metrics all land on it. A disabled handle costs nothing and
+/// leaves the result bit-identical.
+pub fn run_memsim(
+    cfg: MemSimConfig,
+    seed: u64,
+    nets: MemSimNets,
+    telemetry: &TelemetryHandle,
+) -> MemSimResult {
+    let (mut req_net, mut reply_net) = match nets {
+        MemSimNets::Split => (
+            Mesh::new(cfg.mesh),
+            Some(Mesh::new(MeshConfig {
+                route_order: RouteOrder::Yx,
+                ..cfg.mesh
+            })),
+        ),
+        MemSimNets::Shared => (Mesh::new(MeshConfig { vcs: 2, ..cfg.mesh }), None),
+    };
     req_net.set_telemetry(telemetry.clone());
-    reply_net.set_telemetry(telemetry.clone());
-    run_memsim_on(cfg, seed, req_net, reply_net, telemetry)
-}
+    if let Some(net) = &mut reply_net {
+        net.set_telemetry(telemetry.clone());
+    }
 
-/// Runs the request/reply simulation on **one physical network** with two
-/// virtual channels (requests on VC 0, replies on VC 1) — a cheaper
-/// organisation where both classes share every link's bandwidth. The VC
-/// split prevents protocol deadlock; the shared links mean reply data
-/// steals request bandwidth, so utilisation is generally at or below the
-/// two-network configuration.
-pub fn run_memsim_shared(cfg: MemSimConfig, seed: u64) -> MemSimResult {
-    run_memsim_shared_traced(cfg, seed, TelemetryHandle::disabled())
-}
-
-/// [`run_memsim_shared`] with a telemetry handle attached to the shared
-/// network (same instrumentation as [`run_memsim_traced`]).
-pub fn run_memsim_shared_traced(
-    cfg: MemSimConfig,
-    seed: u64,
-    telemetry: TelemetryHandle,
-) -> MemSimResult {
-    let mut shared = Mesh::new(MeshConfig { vcs: 2, ..cfg.mesh });
-    shared.set_telemetry(telemetry.clone());
-    run_memsim_shared_impl(cfg, seed, shared, telemetry)
-}
-
-fn run_memsim_on(
-    cfg: MemSimConfig,
-    seed: u64,
-    mut req_net: Mesh,
-    mut reply_net: Mesh,
-    telemetry: TelemetryHandle,
-) -> MemSimResult {
     let mut rng = StdRng::seed_from_u64(seed);
     let width = cfg.mesh.width;
     let n = cfg.mesh.num_nodes();
@@ -204,10 +195,7 @@ fn run_memsim_on(
         }
 
         req_net.step();
-        for pkt in req_net.drain_ejected() {
-            let mc = &mut mcs[pkt.dst.index()];
-            mc.pending.push_back((pkt.src, pkt.id));
-        }
+        replies_delivered += dispatch_ejected(&mut req_net, &mut mcs, measuring);
 
         // DRAM service + reply generation.
         for mc in &mut mcs {
@@ -230,22 +218,21 @@ fn run_memsim_on(
             }
         }
 
-        // Reply injection into the reply network (the NoC↔MEM interface).
+        // Reply injection (the NoC↔MEM interface), then the reply network's
+        // cycle when replies travel on their own network.
+        let reply_out = reply_net.as_mut().unwrap_or(&mut req_net);
         for mc in &mut mcs {
             if let Some(&requester) = mc.reply_queue.front() {
-                if reply_net.try_inject(mc.node, requester, cfg.reply_flits, PacketClass::Reply) {
+                if reply_out.try_inject(mc.node, requester, cfg.reply_flits, PacketClass::Reply) {
                     mc.reply_queue.pop_front();
                 } else if measuring {
                     reply_inject_stalls += 1;
                 }
             }
         }
-
-        reply_net.step();
-        if measuring {
-            replies_delivered += reply_net.drain_ejected().len() as u64;
-        } else {
-            reply_net.drain_ejected();
+        if let Some(net) = &mut reply_net {
+            net.step();
+            replies_delivered += dispatch_ejected(net, &mut mcs, measuring);
         }
 
         // Utilisation window bookkeeping (channel 0).
@@ -265,36 +252,8 @@ fn run_memsim_on(
 
     let busy_total: u64 = mcs.iter().map(|m| m.busy_cycles_total).sum();
     let mean_utilization = busy_total as f64 / (cfg.measure * width as u64) as f64;
-    export_memsim_metrics(
-        &telemetry,
-        mc_backpressure_stalls,
-        reply_inject_stalls,
-        requests_injected,
-        replies_delivered,
-        mean_utilization,
-        &[&req_net, &reply_net],
-    );
-    MemSimResult {
-        utilization_timeline: timeline,
-        mean_utilization,
-        replies_delivered,
-        requests_injected,
-    }
-}
-
-/// Flushes end-of-run memsim counters plus each network's mesh metrics into
-/// the telemetry registry (mesh counters aggregate across the networks;
-/// gauges reflect the last network exported).
-#[allow(clippy::too_many_arguments)]
-fn export_memsim_metrics(
-    telemetry: &TelemetryHandle,
-    mc_backpressure_stalls: u64,
-    reply_inject_stalls: u64,
-    requests_injected: u64,
-    replies_delivered: u64,
-    mean_utilization: f64,
-    nets: &[&Mesh],
-) {
+    // Mesh counters aggregate across the networks; gauges reflect the last
+    // network exported.
     telemetry.with(|t| {
         t.registry
             .counter_add("noc.memsim.mc_backpressure_stalls", mc_backpressure_stalls);
@@ -306,133 +265,10 @@ fn export_memsim_metrics(
             .counter_add("noc.memsim.replies", replies_delivered);
         t.registry
             .gauge_set("noc.memsim.mean_utilization", mean_utilization);
-        for net in nets {
+        for net in std::iter::once(&req_net).chain(&reply_net) {
             net.export_metrics(&mut t.registry);
         }
     });
-}
-
-fn run_memsim_shared_impl(
-    cfg: MemSimConfig,
-    seed: u64,
-    mut net: Mesh,
-    telemetry: TelemetryHandle,
-) -> MemSimResult {
-    use crate::packet::Packet;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let width = cfg.mesh.width;
-    let n = cfg.mesh.num_nodes();
-    let compute: Vec<NodeId> = (width as u32..n as u32).map(NodeId::new).collect();
-    let mut mcs: Vec<MemoryController> = (0..width as u32)
-        .map(|i| MemoryController {
-            node: NodeId::new(i),
-            pending: VecDeque::new(),
-            dram_busy_until: 0,
-            reply_queue: VecDeque::new(),
-            busy_cycles_window: 0,
-            busy_cycles_total: 0,
-        })
-        .collect();
-
-    let mut timeline = Vec::new();
-    let mut requests_injected = 0u64;
-    let mut replies_delivered = 0u64;
-    let mut mc_backpressure_stalls = 0u64;
-    let mut reply_inject_stalls = 0u64;
-    let total = cfg.warmup + cfg.measure;
-
-    for cycle in 0..total {
-        let measuring = cycle >= cfg.warmup;
-
-        for &src in &compute {
-            if rng.gen::<f64>() < cfg.inject_rate {
-                let dst = NodeId::new(rng.gen_range(0..width) as u32);
-                if net.try_inject(src, dst, cfg.request_flits, PacketClass::Request) && measuring {
-                    requests_injected += 1;
-                }
-            }
-        }
-
-        // MC back-pressure gates request intake at the MC nodes.
-        for mc in &mcs {
-            let accepting = mc.reply_queue.len() < cfg.mc_reply_queue;
-            net.set_ejection_enabled(mc.node, accepting);
-            if !accepting && measuring {
-                mc_backpressure_stalls += 1;
-            }
-        }
-
-        net.step();
-        let ejected: Vec<Packet> = net.drain_ejected();
-        for pkt in ejected {
-            match pkt.class {
-                PacketClass::Request => {
-                    mcs[pkt.dst.index()].pending.push_back((pkt.src, pkt.id));
-                }
-                PacketClass::Reply => {
-                    if measuring {
-                        replies_delivered += 1;
-                    }
-                }
-            }
-        }
-
-        for mc in &mut mcs {
-            if mc.dram_busy_until > cycle {
-                if measuring {
-                    mc.busy_cycles_window += 1;
-                    mc.busy_cycles_total += 1;
-                }
-                continue;
-            }
-            if mc.reply_queue.len() < cfg.mc_reply_queue {
-                if let Some((requester, _)) = mc.pending.pop_front() {
-                    mc.dram_busy_until = cycle + cfg.dram_service_cycles;
-                    mc.reply_queue.push_back(requester);
-                    if measuring {
-                        mc.busy_cycles_window += 1;
-                        mc.busy_cycles_total += 1;
-                    }
-                }
-            }
-        }
-
-        // Reply injection onto the shared network (VC 1).
-        for mc in &mut mcs {
-            if let Some(&requester) = mc.reply_queue.front() {
-                if net.try_inject(mc.node, requester, cfg.reply_flits, PacketClass::Reply) {
-                    mc.reply_queue.pop_front();
-                } else if measuring {
-                    reply_inject_stalls += 1;
-                }
-            }
-        }
-
-        if measuring && (cycle - cfg.warmup + 1).is_multiple_of(cfg.window) {
-            let util = mcs[0].busy_cycles_window as f64 / cfg.window as f64;
-            timeline.push(util);
-            telemetry.emit_with(|| {
-                TraceEvent::new(cycle, SUBSYSTEM_NOC, "utilization_window")
-                    .with("channel", 0u64)
-                    .with("utilization", util)
-            });
-            for mc in &mut mcs {
-                mc.busy_cycles_window = 0;
-            }
-        }
-    }
-
-    let busy_total: u64 = mcs.iter().map(|m| m.busy_cycles_total).sum();
-    let mean_utilization = busy_total as f64 / (cfg.measure * width as u64) as f64;
-    export_memsim_metrics(
-        &telemetry,
-        mc_backpressure_stalls,
-        reply_inject_stalls,
-        requests_injected,
-        replies_delivered,
-        mean_utilization,
-        &[&net],
-    );
     MemSimResult {
         utilization_timeline: timeline,
         mean_utilization,
@@ -441,14 +277,37 @@ fn run_memsim_shared_impl(
     }
 }
 
+/// Drains `net`'s ejected packets: requests join their MC's DRAM queue,
+/// replies are counted. Returns the replies to count, which are none
+/// outside the measurement window.
+fn dispatch_ejected(net: &mut Mesh, mcs: &mut [MemoryController], measuring: bool) -> u64 {
+    let mut replies = 0;
+    for pkt in net.drain_ejected() {
+        match pkt.class {
+            PacketClass::Request => mcs[pkt.dst.index()].pending.push_back((pkt.src, pkt.id)),
+            PacketClass::Reply if measuring => replies += 1,
+            PacketClass::Reply => {}
+        }
+    }
+    replies
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn split(cfg: MemSimConfig, seed: u64) -> MemSimResult {
+        run_memsim(cfg, seed, MemSimNets::Split, &TelemetryHandle::disabled())
+    }
+
+    fn shared(cfg: MemSimConfig, seed: u64) -> MemSimResult {
+        run_memsim(cfg, seed, MemSimNets::Shared, &TelemetryHandle::disabled())
+    }
+
     #[test]
     fn underprovisioned_reply_interface_starves_dram() {
         // Fig. 21: reply bottleneck keeps average utilisation low …
-        let r = run_memsim(MemSimConfig::underprovisioned(), 1);
+        let r = split(MemSimConfig::underprovisioned(), 1);
         assert!(
             r.mean_utilization < 0.45,
             "expected starved DRAM, got {:.2}",
@@ -475,7 +334,7 @@ mod tests {
     fn provisioned_reply_interface_sustains_dram() {
         // Implication #4: real GPUs provision the interface; utilisation is
         // high (the paper's real-GPU measurements exceed 85 %).
-        let r = run_memsim(MemSimConfig::provisioned(), 1);
+        let r = split(MemSimConfig::provisioned(), 1);
         assert!(
             r.mean_utilization > 0.8,
             "expected sustained DRAM, got {:.2}",
@@ -485,15 +344,15 @@ mod tests {
 
     #[test]
     fn provisioning_strictly_helps() {
-        let under = run_memsim(MemSimConfig::underprovisioned(), 2);
-        let prov = run_memsim(MemSimConfig::provisioned(), 2);
+        let under = split(MemSimConfig::underprovisioned(), 2);
+        let prov = split(MemSimConfig::provisioned(), 2);
         assert!(prov.mean_utilization > under.mean_utilization + 0.2);
         assert!(prov.replies_delivered > under.replies_delivered);
     }
 
     #[test]
     fn replies_do_not_exceed_requests() {
-        let r = run_memsim(MemSimConfig::underprovisioned(), 3);
+        let r = split(MemSimConfig::underprovisioned(), 3);
         assert!(r.replies_delivered <= r.requests_injected + 2_000);
     }
 
@@ -501,7 +360,7 @@ mod tests {
     fn shared_network_runs_without_deadlock() {
         // One physical mesh with 2 VCs carries both classes; it must keep
         // delivering replies for the whole run.
-        let r = run_memsim_shared(MemSimConfig::provisioned(), 6);
+        let r = shared(MemSimConfig::provisioned(), 6);
         assert!(r.replies_delivered > 10_000, "{}", r.replies_delivered);
         assert!(r.mean_utilization > 0.4, "{}", r.mean_utilization);
     }
@@ -509,8 +368,8 @@ mod tests {
     #[test]
     fn shared_network_is_at_most_as_fast_as_two_networks() {
         // Replies steal request bandwidth on shared links.
-        let two = run_memsim(MemSimConfig::provisioned(), 7);
-        let one = run_memsim_shared(MemSimConfig::provisioned(), 7);
+        let two = split(MemSimConfig::provisioned(), 7);
+        let one = shared(MemSimConfig::provisioned(), 7);
         assert!(
             one.mean_utilization <= two.mean_utilization + 0.03,
             "shared {:.2} vs dual {:.2}",
@@ -521,7 +380,7 @@ mod tests {
 
     #[test]
     fn traced_run_reports_backpressure_and_windows() {
-        use gnoc_telemetry::{MemorySink, Telemetry, TelemetryHandle};
+        use gnoc_telemetry::{MemorySink, Telemetry};
 
         let sink = MemorySink::new();
         let telemetry = TelemetryHandle::attach(Telemetry::with_sink(Box::new(sink.clone())));
@@ -530,9 +389,9 @@ mod tests {
             measure: 2_000,
             ..MemSimConfig::underprovisioned()
         };
-        let r = run_memsim_traced(cfg, 1, telemetry.clone());
+        let r = run_memsim(cfg, 1, MemSimNets::Split, &telemetry);
         // Untraced run with the same seed must be bit-identical.
-        assert_eq!(r, run_memsim(cfg, 1));
+        assert_eq!(r, split(cfg, 1));
 
         let reg = telemetry.snapshot_registry().unwrap();
         assert!(
@@ -557,7 +416,7 @@ mod tests {
     #[test]
     fn timeline_has_expected_length() {
         let cfg = MemSimConfig::underprovisioned();
-        let r = run_memsim(cfg, 4);
+        let r = split(cfg, 4);
         assert_eq!(
             r.utilization_timeline.len() as u64,
             cfg.measure / cfg.window

@@ -390,8 +390,6 @@ pub struct Mesh {
     lost: Vec<(Packet, LossReason)>,
     /// Ids of in-flight packets whose payload was corrupted.
     corrupted: IdSet,
-    /// Last cycle on which any packet moved — drives the external watchdog.
-    last_progress: u64,
     /// Packets currently buffered anywhere, kept incrementally so
     /// [`Mesh::in_flight`] — and the quiescence checks that poll it every
     /// cycle — are O(1) instead of walking every queue.
@@ -471,7 +469,6 @@ impl Mesh {
             faults: None,
             lost: Vec::new(),
             corrupted: IdSet::default(),
-            last_progress: 0,
             occupancy: 0,
             quiet_until: 0,
             recorder: None,
@@ -551,11 +548,6 @@ impl Mesh {
     /// The mesh's configuration.
     pub fn config(&self) -> &MeshConfig {
         &self.cfg
-    }
-
-    /// The applied fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_deref().map(|f| f.plan.as_ref())
     }
 
     /// Whether a packet freshly injected at `src` can currently reach `dst`
@@ -1008,12 +1000,6 @@ impl Mesh {
             "a request mask diverged from the cached head routes"
         );
         self.occupancy
-    }
-
-    /// Cycles since any packet last moved — the external deadlock watchdog's
-    /// input signal.
-    pub fn cycles_since_progress(&self) -> u64 {
-        self.cycle.saturating_sub(self.last_progress)
     }
 
     /// The queue of `(router, port, vc)`, slot
@@ -1648,9 +1634,6 @@ impl Mesh {
         // Phase 2: apply moves. The move list order is deterministic, so the
         // per-move fault draws below consume the plan RNG reproducibly.
         let moved = !moves.is_empty();
-        if moved {
-            self.last_progress = self.cycle;
-        }
         for &m in &moves {
             // Invariant: arbitration granted a queue head it just observed.
             let Some(packet) = self.queues[m.slot].pop_front() else {

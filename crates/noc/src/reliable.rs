@@ -351,11 +351,6 @@ impl ReliableMesh {
         self.trace_tap = Some(Box::new(tap));
     }
 
-    /// The attached record tap, if any.
-    pub fn trace_tap(&self) -> Option<&TraceTap> {
-        self.trace_tap.as_deref()
-    }
-
     /// Detaches and returns the record tap for finalization.
     pub fn take_trace_tap(&mut self) -> Option<TraceTap> {
         self.trace_tap.take().map(|b| *b)

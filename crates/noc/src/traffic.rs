@@ -65,26 +65,13 @@ impl FairnessConfig {
 
 /// Runs the Fig. 23 experiment: bottom-row nodes are MCs, every other node
 /// injects uniform-random traffic to a random MC.
-pub fn run_fairness(cfg: FairnessConfig, seed: u64) -> FairnessResult {
-    run_fairness_traced(cfg, seed, TelemetryHandle::disabled())
-}
-
-/// [`run_fairness`] with a telemetry handle attached to the mesh (queue-depth
-/// sampling during the run, link/arbiter metrics and per-node throughput
-/// spread exported afterwards).
-pub fn run_fairness_traced(
-    cfg: FairnessConfig,
-    seed: u64,
-    telemetry: TelemetryHandle,
-) -> FairnessResult {
-    run_fairness_recorded(cfg, seed, telemetry, false).0
-}
-
-/// [`run_fairness_traced`] with an optional flight recorder on the mesh.
-/// The recorder observes phase decisions without participating in them, so
-/// the returned [`FairnessResult`] is bit-identical whether or not `record`
-/// is set.
-pub fn run_fairness_recorded(
+///
+/// `telemetry` is attached to the mesh (queue-depth sampling during the
+/// run, link/arbiter metrics and per-node throughput spread exported
+/// afterwards). With `record` set, a flight recorder rides on the mesh and
+/// is returned; it observes phase decisions without participating in them,
+/// so the [`FairnessResult`] is bit-identical either way.
+pub fn run_fairness(
     cfg: FairnessConfig,
     seed: u64,
     telemetry: TelemetryHandle,
@@ -213,10 +200,14 @@ pub fn fabric_soak(seed: u64, devices: u32, nodes: u64) -> impl Iterator<Item = 
 mod tests {
     use super::*;
 
+    fn fairness(cfg: FairnessConfig, seed: u64) -> FairnessResult {
+        run_fairness(cfg, seed, TelemetryHandle::disabled(), false).0
+    }
+
     #[test]
     fn round_robin_mesh_is_unfair() {
         // Fig. 23a: locally fair arbitration starves distant nodes.
-        let r = run_fairness(FairnessConfig::paper(ArbiterKind::RoundRobin), 1);
+        let r = fairness(FairnessConfig::paper(ArbiterKind::RoundRobin), 1);
         assert!(
             r.unfairness > 1.6,
             "expected significant unfairness, got {:.2}",
@@ -228,7 +219,7 @@ mod tests {
     #[test]
     fn age_based_mesh_is_fair() {
         // Fig. 23b: age-based arbitration provides global fairness.
-        let r = run_fairness(FairnessConfig::paper(ArbiterKind::AgeBased), 1);
+        let r = fairness(FairnessConfig::paper(ArbiterKind::AgeBased), 1);
         assert!(
             r.unfairness < 1.25,
             "expected near-uniform throughput, got {:.2}",
@@ -238,8 +229,8 @@ mod tests {
 
     #[test]
     fn age_based_beats_round_robin_on_fairness() {
-        let rr = run_fairness(FairnessConfig::paper(ArbiterKind::RoundRobin), 7);
-        let age = run_fairness(FairnessConfig::paper(ArbiterKind::AgeBased), 7);
+        let rr = fairness(FairnessConfig::paper(ArbiterKind::RoundRobin), 7);
+        let age = fairness(FairnessConfig::paper(ArbiterKind::AgeBased), 7);
         assert!(age.unfairness < rr.unfairness);
     }
 
@@ -247,7 +238,7 @@ mod tests {
     fn total_throughput_is_mc_bound() {
         // 6 MCs with 1-flit packets accept at most 6 packets/cycle; the
         // saturated mesh should come close.
-        let r = run_fairness(FairnessConfig::paper(ArbiterKind::RoundRobin), 3);
+        let r = fairness(FairnessConfig::paper(ArbiterKind::RoundRobin), 3);
         let total: f64 = r.throughput.iter().sum();
         assert!(total <= 6.0 + 1e-9);
         assert!(total > 3.0, "mesh should sustain load: {total:.2}");
@@ -261,8 +252,8 @@ mod tests {
             measure: 2_000,
             ..FairnessConfig::paper(ArbiterKind::RoundRobin)
         };
-        let r = run_fairness_traced(cfg, 1, telemetry.clone());
-        assert_eq!(r, run_fairness(cfg, 1), "tracing must not perturb the run");
+        let (r, _) = run_fairness(cfg, 1, telemetry.clone(), false);
+        assert_eq!(r, fairness(cfg, 1), "tracing must not perturb the run");
         let reg = telemetry.snapshot_registry().unwrap();
         let max = reg.gauge("noc.fairness.throughput_max").unwrap();
         let min = reg.gauge("noc.fairness.throughput_min").unwrap();
@@ -278,8 +269,8 @@ mod tests {
             measure: 1_000,
             ..FairnessConfig::paper(ArbiterKind::RoundRobin)
         };
-        let bare = run_fairness(cfg, 3);
-        let (recorded, rec) = run_fairness_recorded(cfg, 3, TelemetryHandle::disabled(), true);
+        let bare = fairness(cfg, 3);
+        let (recorded, rec) = run_fairness(cfg, 3, TelemetryHandle::disabled(), true);
         assert_eq!(bare, recorded, "recording must not perturb the run");
         let rec = rec.unwrap();
         assert!(!rec.finished().is_empty());
@@ -290,8 +281,8 @@ mod tests {
 
     #[test]
     fn results_are_seed_deterministic() {
-        let a = run_fairness(FairnessConfig::paper(ArbiterKind::RoundRobin), 5);
-        let b = run_fairness(FairnessConfig::paper(ArbiterKind::RoundRobin), 5);
+        let a = fairness(FairnessConfig::paper(ArbiterKind::RoundRobin), 5);
+        let b = fairness(FairnessConfig::paper(ArbiterKind::RoundRobin), 5);
         assert_eq!(a.throughput, b.throughput);
     }
 }

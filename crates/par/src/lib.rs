@@ -109,12 +109,6 @@ impl WorkerPool {
         Self::new(1)
     }
 
-    /// A pool sized by [`resolve_jobs`] with no explicit override
-    /// (`GNOC_JOBS`, then available parallelism).
-    pub fn from_env() -> Self {
-        Self::new(resolve_jobs(None))
-    }
-
     /// Attaches telemetry: each batch records `par.tasks` /
     /// `par.batches`, and every worker its own `par.worker.N.tasks`.
     pub fn set_telemetry(&mut self, telemetry: TelemetryHandle) {

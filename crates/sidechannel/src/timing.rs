@@ -6,7 +6,7 @@
 //! the paper's subject (Fig. 17).
 
 use gnoc_engine::GpuDevice;
-use gnoc_topo::{PartitionId, SliceId, SmId};
+use gnoc_topo::{SliceId, SmId};
 
 /// Extra cycles per additional coalesced memory transaction once the first
 /// transaction's latency is paid (the slope of Fig. 17a).
@@ -72,15 +72,10 @@ pub fn two_sm_op_cycles(dev: &GpuDevice, sm_a: SmId, sm_b: SmId) -> f64 {
     RSA_OP_COMPUTE_CYCLES + mean_lat(sm_a) + mean_lat(sm_b) + sync
 }
 
-/// Convenience: the die partition of an SM (used when selecting experiment
-/// SM sets).
-pub fn partition_of(dev: &GpuDevice, sm: SmId) -> PartitionId {
-    dev.hierarchy().sm(sm).partition
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gnoc_topo::PartitionId;
 
     #[test]
     fn warp_time_grows_linearly_with_unique_lines() {

@@ -43,12 +43,6 @@ impl Telemetry {
             sink.flush();
         }
     }
-
-    /// Removes and returns the sink (e.g. to recover a `MemorySink`'s
-    /// buffered events after a run).
-    pub fn take_sink(&mut self) -> Option<Box<dyn TraceSink>> {
-        self.sink.take()
-    }
 }
 
 /// Handle carried by instrumented components (`GpuDevice`, `Mesh`,

@@ -162,15 +162,6 @@ impl LogHistogram {
         self.count = self.count.saturating_add(other.count);
         self.sum = self.sum.saturating_add(other.sum);
     }
-
-    /// Non-empty `(bucket_lo, count)` pairs, for rendering.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(b, &c)| (bucket_lo(b), c))
-    }
 }
 
 /// Upper bound on bucket count, exposed for tests.

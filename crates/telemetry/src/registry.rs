@@ -133,10 +133,6 @@ impl MetricRegistry {
         self.wall.get(name)
     }
 
-    pub fn wall_hists(&self) -> impl Iterator<Item = (&str, &LogHistogram)> {
-        self.wall.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
         self.counters.iter().map(|(k, &v)| (k.as_str(), v))
     }

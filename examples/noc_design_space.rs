@@ -6,13 +6,19 @@
 
 use gnoc_core::noc::{
     priorwork, run_fairness, run_memsim, ArbiterKind, Crossbar, CrossbarConfig, FairnessConfig,
-    MemSimConfig, NodeId, PacketClass,
+    MemSimConfig, MemSimNets, NodeId, PacketClass,
 };
+use gnoc_core::TelemetryHandle;
 
 fn main() {
     println!("=== Fig. 23: per-node throughput on a 6x6 mesh, 30 compute -> 6 MCs ===");
     for arbiter in [ArbiterKind::RoundRobin, ArbiterKind::AgeBased] {
-        let r = run_fairness(FairnessConfig::paper(arbiter), 1);
+        let (r, _) = run_fairness(
+            FairnessConfig::paper(arbiter),
+            1,
+            TelemetryHandle::disabled(),
+            false,
+        );
         println!("{arbiter:?}: unfairness (max/min) = {:.2}", r.unfairness);
         for row in 0..5 {
             let cells: Vec<String> = (0..6)
@@ -65,7 +71,7 @@ fn main() {
             MemSimConfig::provisioned(),
         ),
     ] {
-        let r = run_memsim(cfg, 3);
+        let r = run_memsim(cfg, 3, MemSimNets::Split, &TelemetryHandle::disabled());
         let spark: String = r
             .utilization_timeline
             .iter()

@@ -3,13 +3,27 @@
 
 use gnoc_core::noc::{
     priorwork, run_fairness, run_memsim, ArbiterKind, Crossbar, CrossbarConfig, FairnessConfig,
-    MemSimConfig, NodeId, PacketClass,
+    FairnessResult, MemSimConfig, MemSimNets, MemSimResult, NodeId, PacketClass,
 };
 use gnoc_core::sidechannel::timing::{two_sm_op_cycles, warp_read_cycles};
 use gnoc_core::{
     infer_placement, run_aes_attack, run_rsa_attack, AesAttackConfig, CtaScheduler, GpuDevice,
-    LatencyCampaign, LatencyProbe, PartitionId, RsaAttackConfig, SmId,
+    LatencyCampaign, LatencyProbe, PartitionId, RsaAttackConfig, SmId, TelemetryHandle,
 };
+
+fn memsim(cfg: MemSimConfig, seed: u64) -> MemSimResult {
+    run_memsim(cfg, seed, MemSimNets::Split, &TelemetryHandle::disabled())
+}
+
+fn fairness(arbiter: ArbiterKind, seed: u64) -> FairnessResult {
+    run_fairness(
+        FairnessConfig::paper(arbiter),
+        seed,
+        TelemetryHandle::disabled(),
+        false,
+    )
+    .0
+}
 
 const KEY: [u8; 16] = [
     0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf, 0x4f, 0x3c,
@@ -129,8 +143,8 @@ fn implication_4_noc_must_not_bottleneck_memory_or_l2() {
     // Simulators that under-provision the reply interface see fluctuating,
     // ≈20–30 % memory utilisation (Fig. 21); the real-GPU-style provisioned
     // interface sustains the channel.
-    let under = run_memsim(MemSimConfig::underprovisioned(), 4);
-    let provisioned = run_memsim(MemSimConfig::provisioned(), 4);
+    let under = memsim(MemSimConfig::underprovisioned(), 4);
+    let provisioned = memsim(MemSimConfig::provisioned(), 4);
     assert!(
         under.mean_utilization < 0.40,
         "under-provisioned utilisation {:.2}",
@@ -173,7 +187,7 @@ fn implication_5_interface_bandwidth_is_the_first_order_knob() {
             reply_flits,
             ..MemSimConfig::underprovisioned()
         };
-        let r = run_memsim(cfg, 5);
+        let r = memsim(cfg, 5);
         assert!(
             r.mean_utilization >= last - 0.02,
             "wider interface must not hurt: {reply_flits} flits -> {:.2} (prev {last:.2})",
@@ -193,11 +207,11 @@ fn implication_5_interface_bandwidth_is_the_first_order_knob() {
 #[test]
 fn implication_6_mesh_unfairness_vs_single_hop_uniformity() {
     // Multi-hop mesh with locally fair arbitration: large throughput spread.
-    let rr = run_fairness(FairnessConfig::paper(ArbiterKind::RoundRobin), 2);
+    let rr = fairness(ArbiterKind::RoundRobin, 2);
     assert!(rr.unfairness > 1.6, "mesh unfairness {:.2}", rr.unfairness);
 
     // Age-based arbitration restores global fairness at added complexity.
-    let age = run_fairness(FairnessConfig::paper(ArbiterKind::AgeBased), 2);
+    let age = fairness(ArbiterKind::AgeBased, 2);
     assert!(age.unfairness < 1.25, "age-based {:.2}", age.unfairness);
 
     // A single-hop crossbar (the hierarchical-crossbar building block real

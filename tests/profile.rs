@@ -16,8 +16,8 @@
 //!    without participating in them.
 
 use gnoc_core::noc::{
-    run_fairness, run_fairness_recorded, ArbiterKind, FairnessConfig, MeshConfig, NodeId,
-    PacketClass, ReliableMesh, RetryConfig, RouteOrder,
+    run_fairness, ArbiterKind, FairnessConfig, MeshConfig, NodeId, PacketClass, ReliableMesh,
+    RetryConfig, RouteOrder,
 };
 use gnoc_core::telemetry::hash::SplitMix64;
 use gnoc_core::telemetry::{parse_jsonl_line, TelemetryHandle, TraceEvent, TraceSink};
@@ -55,7 +55,7 @@ fn streamed_jsonl_matches_the_golden_schema() {
         measure: 600,
         ..FairnessConfig::paper(ArbiterKind::RoundRobin)
     };
-    let (_, rec) = run_fairness_recorded(cfg, 11, TelemetryHandle::disabled(), true);
+    let (_, rec) = run_fairness(cfg, 11, TelemetryHandle::disabled(), true);
     let rec = rec.expect("recorder was attached");
     let mut sink = LineSink::default();
     rec.stream_to(&mut sink);
@@ -207,8 +207,8 @@ proptest! {
             measure: 500,
             ..FairnessConfig::paper(arbiter)
         };
-        let bare = run_fairness(cfg, seed);
-        let (recorded, rec) = run_fairness_recorded(cfg, seed, TelemetryHandle::disabled(), true);
+        let (bare, _) = run_fairness(cfg, seed, TelemetryHandle::disabled(), false);
+        let (recorded, rec) = run_fairness(cfg, seed, TelemetryHandle::disabled(), true);
         prop_assert!(bare == recorded, "recording must not perturb the run");
         let rec = rec.expect("recorder was attached");
         prop_assert!(!rec.finished().is_empty());

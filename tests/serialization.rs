@@ -4,6 +4,7 @@
 
 use gnoc_core::engine::Calibration;
 use gnoc_core::noc::{run_fairness, ArbiterKind, FairnessConfig, MemSimConfig};
+use gnoc_core::TelemetryHandle;
 use gnoc_core::{
     infer_placement, GpuDevice, GpuSpec, LatencyCampaign, LatencyProbe, SliceId, SmId,
 };
@@ -58,13 +59,15 @@ fn campaign_results_round_trip() {
 
 #[test]
 fn noc_results_round_trip() {
-    let fairness = run_fairness(
+    let (fairness, _) = run_fairness(
         FairnessConfig {
             warmup: 200,
             measure: 500,
             ..FairnessConfig::paper(ArbiterKind::RoundRobin)
         },
         1,
+        TelemetryHandle::disabled(),
+        false,
     );
     let back = round_trip(&fairness);
     assert_eq!(back, fairness);

@@ -2,7 +2,7 @@
 //! the JSONL trace schema, and end-to-end coverage of all three instrumented
 //! subsystems (engine, noc, campaign) on one shared handle.
 
-use gnoc_core::noc::{run_memsim_traced, MemSimConfig};
+use gnoc_core::noc::{run_memsim, MemSimConfig, MemSimNets};
 use gnoc_core::telemetry::{
     parse_jsonl_line, JsonlWriter, LogHistogram, MemorySink, Telemetry, TelemetryHandle,
     SUBSYSTEM_CAMPAIGN, SUBSYSTEM_ENGINE, SUBSYSTEM_NOC,
@@ -98,7 +98,7 @@ fn memsim_trace_round_trips_through_jsonl_schema() {
         let mut t = Telemetry::new();
         t.set_sink(Box::new(JsonlWriter::create(&path).expect("temp jsonl")));
         let telemetry = TelemetryHandle::attach(t);
-        run_memsim_traced(tiny_memsim(), 9, telemetry.clone());
+        run_memsim(tiny_memsim(), 9, MemSimNets::Split, &telemetry);
         telemetry.flush();
     }
     let text = std::fs::read_to_string(&path).expect("trace file readable");
@@ -132,8 +132,9 @@ fn one_handle_collects_all_three_subsystems() {
         working_set_lines: 2,
         samples: 2,
     };
-    LatencyCampaign::run_traced(&mut dev, &probe, &telemetry);
-    run_memsim_traced(tiny_memsim(), 5, telemetry.clone());
+    dev.set_telemetry(telemetry.clone());
+    LatencyCampaign::run(&mut dev, &probe);
+    run_memsim(tiny_memsim(), 5, MemSimNets::Split, &telemetry);
 
     let reg = telemetry.snapshot_registry().unwrap();
     assert!(reg.counter("engine.reads") > 0, "engine subsystem");
