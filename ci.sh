@@ -34,6 +34,15 @@ if grep -rnE 'pub fn run[a-z_]*_(traced|recorded|shared)\b' crates/*/src; then
     exit 1
 fi
 
+echo "== one grant path in the mesh: no arbiter candidate array =="
+# Mesh::step grants from the per-output request masks through
+# Arbiter::grant; a candidate list copied out of the queues only to be
+# handed to an arbiter must not grow back in the mesh.
+if grep -nF 'candidates[' crates/noc/src/mesh.rs; then
+    echo "candidate array found above: grant from the request mask instead"
+    exit 1
+fi
+
 echo "== tier-1: cargo build --release && cargo test -q (GNOC_JOBS=2) =="
 cargo build --release
 # GNOC_JOBS=2 routes every env-resolved worker pool through the parallel

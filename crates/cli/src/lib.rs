@@ -804,17 +804,21 @@ impl<'a> Flags<'a> {
         }
     }
 
+    /// The value after `flag`, or `None` when it is absent. A value flag
+    /// given twice is an error rather than a silent choice of one value.
     fn value_of(&self, flag: &'a str) -> Result<Option<&'a str>, String> {
         self.looked_up.borrow_mut().push(flag);
-        for (i, a) in self.args.iter().enumerate() {
-            if a == flag {
-                return match self.args.get(i + 1) {
-                    Some(v) if !v.starts_with("--") => Ok(Some(v)),
-                    _ => Err(format!("flag {flag} needs a value")),
-                };
-            }
+        let mut at = (0..self.args.len()).filter(|&i| self.args[i] == flag);
+        let Some(i) = at.next() else {
+            return Ok(None);
+        };
+        if at.next().is_some() {
+            return Err(format!("flag {flag} given more than once"));
         }
-        Ok(None)
+        match self.args.get(i + 1) {
+            Some(v) if !v.starts_with("--") => Ok(Some(v)),
+            _ => Err(format!("flag {flag} needs a value")),
+        }
     }
 
     fn has(&self, flag: &'a str) -> bool {

@@ -140,6 +140,28 @@ fn unknown_subcommand_flags_exit_invalid_input() {
 }
 
 #[test]
+fn repeated_value_flags_exit_invalid_input() {
+    // Two values for one flag must not silently run with the first.
+    for args in [
+        &["memsim", "--seed", "2", "--seed", "9"][..],
+        &["latency", "v100", "--sm", "3", "--seed", "1", "--sm", "4"][..],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_gnoc"))
+            .args(args)
+            .output()
+            .expect("spawn gnoc");
+        assert_eq!(out.status.code(), Some(EXIT_INVALID_INPUT), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} must not run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("given more than once"),
+            "{args:?}: {stderr}"
+        );
+        assert!(stderr.contains(args[args.len() - 2]), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
 fn trace_subcommands_pin_all_four_exit_codes() {
     let trc = scratch("trace.trc");
     let trc_arg = trc.to_str().unwrap();

@@ -1008,7 +1008,11 @@ impl FabricSim {
             // transfer reports a bound of `now` and steps.
             if skip_quiet_dies && die.quiet_bound() > now {
                 die.skip_quiet(now + 1);
-            } else {
+            }
+            // The die skips nothing if another thread turned the
+            // process-wide event engine off since `skip_quiet_dies` was
+            // read; stepping the cycle instead is the reference behaviour.
+            if die.mesh().cycle() == now {
                 die.step();
             }
             debug_assert_eq!(
@@ -1119,9 +1123,15 @@ impl FabricSim {
             }
         }
         // Advance the dies in lockstep to exactly the fabric bound: each
-        // die's quiet bound is >= `bound`, so its skip lands on it.
+        // die's quiet bound is >= `bound`, so its skip lands on it. A die
+        // that skipped short because another thread turned the event
+        // engine off mid-loop steps the rest of its proven-quiet span, which
+        // is bit-identical.
         for die in &mut self.dies {
             die.skip_quiet(bound);
+            while die.mesh().cycle() < bound {
+                die.step();
+            }
             debug_assert_eq!(
                 die.mesh().cycle(),
                 bound,

@@ -9,7 +9,7 @@
 //! with at least one candidate, so the round-robin rotation (`rr_next`)
 //! advances exactly as many times under the event core's next-event skip as
 //! under cycle-exact stepping — skipped spans are, by construction, spans
-//! in which `pick` would never have been called. This is what keeps
+//! in which `grant` would never have been called. This is what keeps
 //! arbitration (and therefore every downstream fairness figure)
 //! bit-identical across engines; see DESIGN.md §8.2.
 
@@ -33,8 +33,8 @@ pub struct Arbiter {
 }
 
 impl Arbiter {
-    /// Number of distinct input indices the round-robin rotation covers;
-    /// inputs at or beyond it alias onto lower ones and break fairness.
+    /// Number of inputs an arbiter serves: one bit each of a `u64` request
+    /// mask. Networks reject configurations that would need more.
     pub(crate) const MAX_INPUTS: usize = 64;
 
     /// Creates an arbiter of the given kind.
@@ -52,46 +52,59 @@ impl Arbiter {
         self.grants
     }
 
-    /// Picks a winner among `candidates` — `(input index, packet birth)`
-    /// pairs — or `None` when empty. Updates round-robin state.
-    pub fn pick(&mut self, candidates: &[(usize, u64)]) -> Option<usize> {
-        if candidates.is_empty() {
+    /// Grants one input of `requests`, a mask with bit `i` set while input
+    /// `i` requests, or `None` when the mask is empty. Round-robin grants
+    /// the first set bit at or after the rotating pointer and moves the
+    /// pointer past it; age-based grants the minimum `(birth_of(input),
+    /// input)` over the set bits and calls `birth_of` for those only. This
+    /// is the one selection rule: [`Arbiter::pick`] folds its candidate
+    /// list into a mask and grants here.
+    pub fn grant(&mut self, requests: u64, birth_of: impl Fn(usize) -> u64) -> Option<usize> {
+        if requests == 0 {
             return None;
         }
         let winner = match self.kind {
             ArbiterKind::RoundRobin => {
-                // First candidate at or after the rotating pointer. Seeding
-                // the scan with candidates[0] keeps this branch panic-free.
-                let key_of = |input: usize| {
-                    input
-                        .wrapping_sub(self.rr_next)
-                        .wrapping_add(Self::MAX_INPUTS)
-                        % Self::MAX_INPUTS
-                };
-                let mut w = candidates[0].0;
-                let mut best_key = key_of(w);
-                for &(input, _) in &candidates[1..] {
-                    let key = key_of(input);
-                    if key < best_key {
-                        best_key = key;
-                        w = input;
-                    }
-                }
+                // Rotating the pointer's bit down to bit 0 makes the
+                // lowest set bit the first request at or after it.
+                let offset = requests.rotate_right(self.rr_next as u32).trailing_zeros() as usize;
+                let w = (self.rr_next + offset) % Self::MAX_INPUTS;
                 self.rr_next = (w + 1) % Self::MAX_INPUTS;
                 w
             }
-            // `min_by_key` is `Some` whenever candidates is non-empty, which
-            // the guard above established; `?` degrades to a no-grant rather
-            // than aborting if that invariant ever breaks.
             ArbiterKind::AgeBased => {
-                candidates
-                    .iter()
-                    .min_by_key(|&&(input, birth)| (birth, input))?
-                    .0
+                // Set bits come out in ascending input order, so keeping
+                // the first of equal births breaks ties to the lower input.
+                let mut rest = requests;
+                let mut w = rest.trailing_zeros() as usize;
+                let mut oldest = birth_of(w);
+                rest &= rest - 1;
+                while rest != 0 {
+                    let input = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    let birth = birth_of(input);
+                    if birth < oldest {
+                        (w, oldest) = (input, birth);
+                    }
+                }
+                w
             }
         };
         self.grants += 1;
         Some(winner)
+    }
+
+    /// Picks a winner among `candidates` — `(input index, packet birth)`
+    /// pairs with distinct inputs below 64 — or `None` when empty, by the
+    /// rule of [`Arbiter::grant`].
+    pub fn pick(&mut self, candidates: &[(usize, u64)]) -> Option<usize> {
+        let mut births = [0u64; Self::MAX_INPUTS];
+        let mut requests = 0u64;
+        for &(input, birth) in candidates {
+            requests |= 1 << input;
+            births[input] = birth;
+        }
+        self.grant(requests, |input| births[input])
     }
 }
 
@@ -133,6 +146,85 @@ mod tests {
         let mut a = Arbiter::new(ArbiterKind::RoundRobin);
         assert_eq!(a.pick(&[]), None);
         assert_eq!(a.grants(), 0);
+    }
+
+    /// The list-based rule `grant` replaced: round-robin grants the
+    /// candidate with the minimum rotation key, age-based the minimum
+    /// `(birth, input)`.
+    fn reference(kind: ArbiterKind, rr_next: usize, candidates: &[(usize, u64)]) -> usize {
+        let key_of = |input: usize| {
+            input
+                .wrapping_sub(rr_next)
+                .wrapping_add(Arbiter::MAX_INPUTS)
+                % Arbiter::MAX_INPUTS
+        };
+        let (input, _) = match kind {
+            ArbiterKind::RoundRobin => candidates.iter().min_by_key(|&&(input, _)| key_of(input)),
+            ArbiterKind::AgeBased => candidates
+                .iter()
+                .min_by_key(|&&(input, birth)| (birth, input)),
+        }
+        .expect("a non-empty candidate list");
+        *input
+    }
+
+    #[test]
+    fn mask_grant_matches_the_candidate_list_rule() {
+        let mut rng = gnoc_telemetry::hash::SplitMix64::new(21);
+        for kind in [ArbiterKind::RoundRobin, ArbiterKind::AgeBased] {
+            let mut calls = 0;
+            let mut a = Arbiter::new(kind);
+            for case in 0..20_000 {
+                let requests = match case % 4 {
+                    // A single requester, anywhere, including bit 63.
+                    0 => 1 << (rng.next() % 64),
+                    // The top and bottom bits, so round-robin wraps 63 → 0.
+                    1 => 1 << 63 | 1 | rng.next() & rng.next(),
+                    _ => rng.next() & rng.next(),
+                };
+                if requests == 0 {
+                    assert_eq!(a.grant(requests, |_| 0), None);
+                    continue;
+                }
+                // Few distinct births, so ties are common.
+                let births: Vec<u64> = (0..64).map(|_| rng.next() % 4).collect();
+                a.rr_next = match case % 8 {
+                    1 => 63,
+                    5 => 0,
+                    _ => (rng.next() % 64) as usize,
+                };
+                let candidates: Vec<(usize, u64)> = (0..64)
+                    .filter(|&i| requests & 1 << i != 0)
+                    .map(|i| (i, births[i]))
+                    .collect();
+                let want = reference(kind, a.rr_next, &candidates);
+                let rr_next = a.rr_next;
+                let got = a.grant(requests, |i| births[i]);
+                calls += 1;
+                assert_eq!(got, Some(want), "{kind:?} {requests:#x} from {rr_next}");
+                if kind == ArbiterKind::RoundRobin {
+                    assert_eq!(a.rr_next, (want + 1) % 64);
+                }
+                assert_eq!(a.grants(), calls);
+            }
+        }
+    }
+
+    #[test]
+    fn round_robin_wraps_from_the_top_input() {
+        let mut a = Arbiter::new(ArbiterKind::RoundRobin);
+        let requests = 1 << 63 | 1 << 2;
+        assert_eq!(a.grant(requests, |_| 0), Some(2));
+        assert_eq!(a.grant(requests, |_| 0), Some(63));
+        assert_eq!(a.grant(requests, |_| 0), Some(2));
+    }
+
+    #[test]
+    fn age_based_ties_go_to_the_lowest_input() {
+        let mut a = Arbiter::new(ArbiterKind::AgeBased);
+        let requests = 1 << 40 | 1 << 9 | 1 << 3;
+        assert_eq!(a.grant(requests, |i| if i == 3 { 8 } else { 7 }), Some(9));
+        assert_eq!(a.grant(requests, |_| 7), Some(3));
     }
 
     #[test]

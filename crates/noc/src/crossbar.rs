@@ -69,11 +69,16 @@ impl Crossbar {
     ///
     /// # Panics
     ///
-    /// Panics if any dimension or buffer size is zero.
+    /// Panics if any dimension or buffer size is zero, or with more inputs
+    /// than an arbiter serves (64).
     pub fn new(cfg: CrossbarConfig) -> Self {
         assert!(
             cfg.inputs > 0 && cfg.outputs > 0,
             "crossbar must be non-empty"
+        );
+        assert!(
+            cfg.inputs <= Arbiter::MAX_INPUTS,
+            "crossbar has more inputs than an arbiter serves"
         );
         assert!(
             cfg.buffer_packets > 0,
@@ -240,6 +245,15 @@ mod tests {
         x.try_inject(NodeId::new(1), NodeId::new(1), 1, PacketClass::Request);
         x.step();
         assert_eq!(x.stats().delivered_total, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "more inputs than an arbiter serves")]
+    fn oversized_crossbar_rejected() {
+        let _ = Crossbar::new(CrossbarConfig {
+            inputs: 65,
+            ..xbar().cfg
+        });
     }
 
     #[test]

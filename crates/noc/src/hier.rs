@@ -83,13 +83,20 @@ impl HierCrossbar {
     ///
     /// # Panics
     ///
-    /// Panics if any dimension, the speedup or the buffer size is zero.
+    /// Panics if any dimension, the speedup or the buffer size is zero, or
+    /// if a cluster's terminals or the global switch's uplinks outnumber
+    /// the inputs an arbiter serves (64).
     pub fn new(cfg: HierConfig) -> Self {
         assert!(
             cfg.clusters > 0 && cfg.terminals_per_cluster > 0 && cfg.outputs > 0,
             "network must be non-empty"
         );
         assert!(cfg.uplink_speedup > 0, "need at least one uplink port");
+        assert!(
+            cfg.terminals_per_cluster <= Arbiter::MAX_INPUTS
+                && cfg.clusters.saturating_mul(cfg.uplink_speedup) <= Arbiter::MAX_INPUTS,
+            "a stage has more inputs than an arbiter serves"
+        );
         assert!(
             cfg.buffer_packets > 0,
             "buffers must hold at least 1 packet"
@@ -284,6 +291,12 @@ mod tests {
             uplink_speedup: speedup,
             ..HierConfig::gpu_like()
         })
+    }
+
+    #[test]
+    #[should_panic(expected = "more inputs than an arbiter serves")]
+    fn oversized_global_stage_rejected() {
+        let _ = net(13);
     }
 
     #[test]

@@ -151,6 +151,9 @@ fn dir_of(port: usize) -> Direction {
 
 /// Sentinel in the reroute tables for "no surviving path".
 const UNREACHABLE: u8 = u8::MAX;
+/// Sentinel in [`Mesh`]'s downstream-slot table for a link with no far
+/// end: the local port and ports off the mesh edge.
+const NO_LINK: u32 = u32::MAX;
 
 /// Process-wide engine selector. When enabled (the default),
 /// [`Mesh::skip_idle_to`] may fast-forward across spans it has proven inert;
@@ -367,6 +370,20 @@ pub struct Mesh {
     /// bit `in_port * vcs + vc` is set while that router-local slot's head
     /// routes to the output. Kept together with `head_route`.
     requests: Vec<u64>,
+    /// Requested outputs, one mask per router: bit `port` is set while the
+    /// request mask of link `router * NUM_PORTS + port` is non-zero. Kept
+    /// together with `requests`.
+    requested_ports: Vec<u8>,
+    /// Each node's `(x, y)` = `(node % width, node / width)`, built once so
+    /// routing never divides.
+    xy: Vec<(u16, u16)>,
+    /// The slot of VC 0 of the input queue each link feeds downstream, one
+    /// per link; [`NO_LINK`] for the local port and mesh-edge ports. Built
+    /// once: the credit check and phase 2's push add the VC to it.
+    down_slot: Vec<u32>,
+    /// `(in_port, vc)` of each router-local slot `in_port * vcs + vc` (the
+    /// arbiter input index), so the step never divides by `vcs`.
+    local_slots: [(u8, u8); Arbiter::MAX_INPUTS],
     /// Output arbiters, one per link `router * NUM_PORTS + port`.
     arbiters: Vec<Arbiter>,
     /// Cycle each output's wormhole serialisation ends, one per link.
@@ -440,7 +457,7 @@ impl Mesh {
     pub fn try_new(cfg: MeshConfig) -> Result<Self, NocError> {
         cfg.validate()?;
         let n = cfg.num_nodes();
-        Ok(Self {
+        let mut mesh = Self {
             cfg,
             // Not `vec!`: cloning hundreds of empty deques one by one costs
             // more than the rest of the build.
@@ -450,6 +467,12 @@ impl Mesh {
             queued: vec![0; n],
             head_route: vec![UNREACHABLE; n * NUM_PORTS * cfg.vcs],
             requests: vec![0; n * NUM_PORTS],
+            requested_ports: vec![0; n],
+            xy: Self::node_xy(cfg),
+            // Filled below: it is built from the neighbour function, which
+            // reads `xy`.
+            down_slot: Vec::new(),
+            local_slots: Self::local_slot_table(cfg.vcs),
             arbiters: vec![Arbiter::new(cfg.arbiter); n * NUM_PORTS],
             output_busy_until: vec![0; n * NUM_PORTS],
             cycle: 0,
@@ -476,7 +499,36 @@ impl Mesh {
             self_heal: false,
             #[cfg(feature = "bug-hooks")]
             greedy_routing: false,
-        })
+        };
+        mesh.down_slot = mesh.down_slots();
+        Ok(mesh)
+    }
+
+    /// The `xy` table of a mesh with configuration `cfg`.
+    fn node_xy(cfg: MeshConfig) -> Vec<(u16, u16)> {
+        // `MeshConfig::validate` caps the mesh at `MAX_NODES` routers, so
+        // both coordinates fit a `u16`.
+        (0..cfg.num_nodes())
+            .map(|node| ((node % cfg.width) as u16, (node / cfg.width) as u16))
+            .collect()
+    }
+
+    /// The `local_slots` table for `vcs` virtual channels per port.
+    fn local_slot_table(vcs: usize) -> [(u8, u8); Arbiter::MAX_INPUTS] {
+        // `MeshConfig::validate` keeps `NUM_PORTS * vcs` within the table.
+        std::array::from_fn(|input| ((input / vcs) as u8, (input % vcs) as u8))
+    }
+
+    /// The `down_slot` table, from [`Mesh::neighbour_checked`].
+    fn down_slots(&self) -> Vec<u32> {
+        (0..self.xy.len() * NUM_PORTS)
+            .map(|link| {
+                let (r, port) = (link / NUM_PORTS, link % NUM_PORTS);
+                self.neighbour_checked(r, port).map_or(NO_LINK, |down| {
+                    self.slot(down, Self::entry_port(port), 0) as u32
+                })
+            })
+            .collect()
     }
 
     /// **Test hook (feature `bug-hooks`).** Re-introduces the pre-up*/down*
@@ -968,7 +1020,8 @@ impl Mesh {
     /// Packets currently buffered anywhere in the mesh. O(1): the count is
     /// maintained incrementally at injection, ejection, and every loss.
     /// Debug builds also recompute the per-router counts, every cached head
-    /// route and every request mask, and assert they match.
+    /// route, every request and requested-port mask, and the geometry
+    /// tables, and assert they match.
     pub fn in_flight(&self) -> usize {
         debug_assert_eq!(
             self.occupancy,
@@ -999,6 +1052,21 @@ impl Mesh {
             }),
             "a request mask diverged from the cached head routes"
         );
+        debug_assert!(
+            self.requested_ports.iter().enumerate().all(|(r, &ports)| {
+                ports
+                    == (0..NUM_PORTS)
+                        .filter(|&out| self.requests[r * NUM_PORTS + out] != 0)
+                        .fold(0, |m, out| m | 1 << out)
+            }),
+            "a requested-port mask diverged from the request masks"
+        );
+        debug_assert!(
+            self.xy == Self::node_xy(self.cfg)
+                && self.down_slot == self.down_slots()
+                && self.local_slots == Self::local_slot_table(self.cfg.vcs),
+            "a geometry table diverged from the mesh configuration"
+        );
         self.occupancy
     }
 
@@ -1020,7 +1088,8 @@ impl Mesh {
     }
 
     fn coords(&self, node: usize) -> (usize, usize) {
-        (node % self.cfg.width, node / self.cfg.width)
+        let (x, y) = self.xy[node];
+        (usize::from(x), usize::from(y))
     }
 
     /// Dimension-ordered routing: returns the output port at `node` for a
@@ -1049,13 +1118,13 @@ impl Mesh {
         first.or(second).unwrap_or(LOCAL)
     }
 
+    /// The router `port` of `node` feeds; the port must lead into the mesh.
     fn neighbour(&self, node: usize, port: usize) -> usize {
-        let (x, y) = self.coords(node);
         match port {
-            NORTH => x + (y + 1) * self.cfg.width,
-            SOUTH => x + (y - 1) * self.cfg.width,
-            EAST => (x + 1) + y * self.cfg.width,
-            WEST => (x - 1) + y * self.cfg.width,
+            NORTH => node + self.cfg.width,
+            SOUTH => node - self.cfg.width,
+            EAST => node + 1,
+            WEST => node - 1,
             _ => unreachable!("no neighbour through the local port"),
         }
     }
@@ -1356,7 +1425,7 @@ impl Mesh {
     /// under the routing function of `f` ([`Mesh::route_current`]), or
     /// [`UNREACHABLE`] for an empty queue or a head with no surviving route.
     fn head_route_of(&self, f: Option<&FaultState>, router: usize, slot: usize) -> u8 {
-        let in_port = slot / self.cfg.vcs % NUM_PORTS;
+        let in_port = usize::from(self.local_slots[slot - self.slot(router, 0, 0)].0);
         self.queues[slot]
             .front()
             .and_then(|head| self.route_current(f, router, in_port, head.dst.index()))
@@ -1364,10 +1433,10 @@ impl Mesh {
     }
 
     /// Re-routes the head of `slot`, one of `router`'s, and moves its
-    /// request bit to the new output: the one setter of `head_route` and
-    /// `requests`. It runs wherever a queue's head changes (a push into an
-    /// empty queue, every pop) and, through [`Mesh::refresh_all_heads`],
-    /// wherever the routing function changes.
+    /// request bit to the new output: the one setter of `head_route`,
+    /// `requests` and `requested_ports`. It runs wherever a queue's head
+    /// changes (a push into an empty queue, every pop) and, through
+    /// [`Mesh::refresh_all_heads`], wherever the routing function changes.
     fn refresh_head(&mut self, f: Option<&FaultState>, router: usize, slot: usize) {
         let route = self.head_route_of(f, router, slot);
         let bit = 1u64 << (slot - self.slot(router, 0, 0));
@@ -1375,9 +1444,13 @@ impl Mesh {
         let old = self.head_route[slot];
         if old != UNREACHABLE {
             self.requests[link + usize::from(old)] &= !bit;
+            if self.requests[link + usize::from(old)] == 0 {
+                self.requested_ports[router] &= !(1 << old);
+            }
         }
         if route != UNREACHABLE {
             self.requests[link + usize::from(route)] |= bit;
+            self.requested_ports[router] |= 1 << route;
         }
         self.head_route[slot] = route;
     }
@@ -1459,8 +1532,8 @@ impl Mesh {
             Some(out) if out == LOCAL && !self.ejection_enabled[r] => StallKind::Backpressure,
             Some(out)
                 if out != LOCAL && {
-                    let vc = slot % self.cfg.vcs;
-                    let down = self.slot(self.neighbour(r, out), Self::entry_port(out), vc);
+                    let vc = self.local_slots[slot - self.slot(r, 0, 0)].1;
+                    let down = self.down_slot[r * NUM_PORTS + out] as usize + usize::from(vc);
                     self.queues[down].len() >= self.cfg.buffer_packets
                 } =>
             {
@@ -1525,9 +1598,9 @@ impl Mesh {
     /// the arbitration inputs changes while the mesh is untouched except the
     /// cycle counter itself — every following cycle is identical until the
     /// first cycle-dependent threshold ([`Mesh::activity_bound`]) passes.
-    /// The arbiters' round-robin state is preserved exactly: `pick` is only
-    /// ever called with a non-empty candidate list and always grants, so a
-    /// quiet cycle makes zero `pick` calls under both engines.
+    /// The arbiters' round-robin state is preserved exactly: `grant` only
+    /// moves it when it grants, and a quiet cycle grants nothing under
+    /// either engine.
     fn step_inner(&mut self) -> bool {
         let vcs = self.cfg.vcs;
         // The recorder, like the fault state, is taken out of `self` so the
@@ -1553,29 +1626,31 @@ impl Mesh {
 
         // Phase 1: arbitration decisions on a consistent snapshot. Every
         // queue head was routed once, when it became the head, into
-        // `head_route` and its output's `requests` mask. Each free output
-        // with requests arbitrates among the requesting slots that have
-        // downstream credit on their own VC. The credit read needs no
-        // same-cycle reservation: exactly one (router, output) pair feeds
-        // each downstream (router, entry port), and it grants at most once
-        // per cycle.
+        // `head_route`, its output's `requests` mask and the router's
+        // `requested_ports`. Each free requested output arbitrates among the
+        // requesting slots that have downstream credit on their own VC. The
+        // credit read needs no same-cycle reservation: exactly one (router,
+        // output) pair feeds each downstream (router, entry port), and it
+        // grants at most once per cycle.
         let mut moves = std::mem::take(&mut self.moves);
         moves.clear();
         // Bit `in_port * vcs` of every input port: shifted left by `vc`,
         // the router-local slots of VC `vc`.
         let vc_lanes = (0..NUM_PORTS).fold(0u64, |lanes, port| lanes | 1 << (port * vcs));
-        let mut candidates = [(0usize, 0u64); Arbiter::MAX_INPUTS];
         for r in 0..self.queued.len() {
-            if self.queued[r] == 0 || faults.as_deref().is_some_and(|f| self.is_stalled(f, r)) {
+            let mut ports = self.requested_ports[r];
+            if ports == 0 || faults.as_deref().is_some_and(|f| self.is_stalled(f, r)) {
                 continue;
             }
             let first = self.slot(r, 0, 0);
-            for out in 0..NUM_PORTS {
+            while ports != 0 {
+                let out = ports.trailing_zeros() as usize;
+                ports &= ports - 1;
                 let link = r * NUM_PORTS + out;
-                let mut requests = self.requests[link];
-                if requests == 0 || self.output_busy_until[link] > self.cycle {
+                if self.output_busy_until[link] > self.cycle {
                     continue;
                 }
+                let mut requests = self.requests[link];
                 if out == LOCAL {
                     if !self.ejection_enabled[r] {
                         continue;
@@ -1585,37 +1660,29 @@ impl Mesh {
                         continue;
                     }
                     // Drop the VCs whose downstream input queue is full.
-                    let (down, entry) = (self.neighbour(r, out), Self::entry_port(out));
+                    let down = self.down_slot[link] as usize;
                     for vc in 0..vcs {
                         let lane = vc_lanes << vc;
                         if requests & lane != 0
-                            && self.queues[self.slot(down, entry, vc)].len()
-                                >= self.cfg.buffer_packets
+                            && self.queues[down + vc].len() >= self.cfg.buffer_packets
                         {
                             requests &= !lane;
                         }
                     }
                 }
-                // Candidates in slot order; arbiter inputs are the
-                // router-local slot `in_port * vcs + vc`.
-                let mut count = 0;
-                while requests != 0 {
-                    let input = requests.trailing_zeros() as usize;
-                    requests &= requests - 1;
-                    let Some(head) = self.queues[first + input].front() else {
-                        continue;
-                    };
-                    candidates[count] = (input, head.birth);
-                    count += 1;
-                }
-                if count == 0 {
-                    continue;
-                }
-                if let Some(winner) = self.arbiters[link].pick(&candidates[..count]) {
+                // Arbiter inputs are the router-local slots
+                // `in_port * vcs + vc`; every requesting slot holds a head.
+                let queues = &self.queues;
+                let birth_of = |input: usize| {
+                    queues[first + input]
+                        .front()
+                        .map_or(u64::MAX, |head| head.birth)
+                };
+                if let Some(winner) = self.arbiters[link].grant(requests, birth_of) {
                     moves.push(Move {
                         router: r,
                         slot: first + winner,
-                        vc: winner % vcs,
+                        vc: usize::from(self.local_slots[winner].1),
                         out_port: out,
                     });
                 }
@@ -1686,16 +1753,14 @@ impl Mesh {
                 }
                 self.ejected.push(packet);
             } else {
-                let (down, entry) = (
-                    self.neighbour(m.router, m.out_port),
-                    Self::entry_port(m.out_port),
-                );
+                let down = self.neighbour(m.router, m.out_port);
                 if let Some(rec) = rec.as_deref_mut() {
                     // The packet becomes visible to the downstream router's
                     // arbitration on the next cycle.
+                    let entry = Self::entry_port(m.out_port);
                     rec.on_enqueue(packet.id, down as u32, entry as u8, self.cycle + 1);
                 }
-                let slot = self.slot(down, entry, m.vc);
+                let slot = self.down_slot[link] as usize + m.vc;
                 self.queues[slot].push_back(packet);
                 self.queued[down] += 1;
                 self.occupancy += 1;
@@ -1801,8 +1866,9 @@ impl Mesh {
     }
 
     /// The earliest future cycle at which a currently-quiet mesh could
-    /// behave differently: an output's wormhole serialisation ending, a
-    /// router stall window starting or ending, or a dead-link onset firing.
+    /// behave differently: a requested output's wormhole serialisation
+    /// ending, a router stall window starting or ending, or a dead-link
+    /// onset firing.
     /// Everything else in the arbitration inputs is cycle-independent, so a
     /// quiet mesh stays quiet — with constant stall classifications —
     /// strictly before this bound.
@@ -1813,9 +1879,17 @@ impl Mesh {
         // is `>= cycle` — a threshold equal to the current cycle clamps the
         // bound to "now" and forbids any skip.
         let mut bound = u64::MAX;
-        for &busy in &self.output_busy_until {
-            if busy >= self.cycle && busy < bound {
-                bound = busy;
+        // Only a requested output's serialisation can matter: a head that
+        // arrives at an idle output is a move or an injection, and either
+        // resets `quiet_until`.
+        for (r, mut ports) in self.requested_ports.iter().copied().enumerate() {
+            while ports != 0 {
+                let out = ports.trailing_zeros() as usize;
+                ports &= ports - 1;
+                let busy = self.output_busy_until[r * NUM_PORTS + out];
+                if busy >= self.cycle && busy < bound {
+                    bound = busy;
+                }
             }
         }
         if let Some(f) = self.faults.as_deref() {
@@ -2600,11 +2674,12 @@ mod tests {
         ));
     }
 
-    /// The cached head routes and request masks stay coherent at every site
-    /// that changes a queue head or the routing function: injection into an
-    /// empty queue, the phase-2 pop and push, both phase-0 drop passes, a
-    /// dead-link onset, a quarantine, a release and a router stall window.
-    /// `in_flight` recomputes both in debug builds and asserts they match.
+    /// The cached head routes, request masks and requested-port masks stay
+    /// coherent at every site that changes a queue head or the routing
+    /// function: injection into an empty queue, the phase-2 pop and push,
+    /// both phase-0 drop passes, a dead-link onset, a quarantine, a release
+    /// and a router stall window. `in_flight` recomputes all three, and the
+    /// geometry tables, in debug builds and asserts they match.
     #[test]
     fn head_routes_stay_coherent_at_every_refresh_site() {
         let mut plan = gnoc_faults::FaultPlan::none();

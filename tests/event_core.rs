@@ -711,7 +711,7 @@ fn event_engine_step_counts_are_pinned() {
     assert_eq!(reference_steps, reference.cycle);
     assert_eq!(
         (steps, fp.cycle),
-        (66, 103_593),
+        (61, 103_593),
         "mesh soak step count moved"
     );
     assert!(steps * 3 <= fp.cycle);
@@ -722,7 +722,7 @@ fn event_engine_step_counts_are_pinned() {
     assert_eq!(reference_steps, vec![reference.cycle; 4]);
     assert_eq!(
         (steps.as_slice(), fp.cycle),
-        (&[169, 132, 2, 2][..], 2_327),
+        (&[149, 117, 2, 2][..], 2_327),
         "fabric soak step counts moved"
     );
     let total: u64 = steps.iter().sum();
