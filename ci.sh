@@ -43,6 +43,16 @@ if grep -nF 'candidates[' crates/noc/src/mesh.rs; then
     exit 1
 fi
 
+echo "== one breaker-window monitor: no per-resource monitors or health configs =="
+# gnoc-health's WindowMonitor drives mesh links, L2 slices and fabric links
+# through one loop, with thresholds that are documented constants; the
+# per-resource monitor types and their config structs must not grow back.
+if grep -rnE 'LinkHealthMonitor|SliceHealthMonitor|FabricHealthMonitor|HealthConfig|BreakerConfig' \
+    crates tests examples; then
+    echo "per-resource monitor or health config found above: use WindowMonitor"
+    exit 1
+fi
+
 echo "== tier-1: cargo build --release && cargo test -q (GNOC_JOBS=2) =="
 cargo build --release
 # GNOC_JOBS=2 routes every env-resolved worker pool through the parallel
@@ -93,6 +103,28 @@ for engine in cycle event; do
         --report "$tmp/fabric-prof-$engine.json" > /dev/null
 done
 cmp "$tmp/fabric-prof-cycle.json" "$tmp/fabric-prof-event.json"
+# The breaker monitors poll on window boundaries the event engine must not
+# skip past: health with slice probing, the mesh self-heal warm-up and a
+# self-healing 4-device ring print the same breaker logs on both cores.
+cargo run --release -q -p gnoc-cli --bin gnoc -- \
+    faults gen --seed 3 --dead-frac 0.05 --flaky 2 --flaky-prob 0.3 \
+    --slices 32 --disable-slices 2 --out "$tmp/heal-plan.json" > /dev/null
+cargo run --release -q -p gnoc-cli --bin gnoc -- \
+    faults gen --seed 5 --devices 4 --topology ring --width 5 --height 5 \
+    --dead-fabric-links 1 --flaky-fabric-links 1 --fabric-flaky-prob 0.3 \
+    --out "$tmp/heal-fabric-plan.json" > /dev/null
+for engine in cycle event; do
+    cargo run --release -q -p gnoc-cli --bin gnoc -- --engine "$engine" \
+        health --faults "$tmp/heal-plan.json" --device v100 > "$tmp/heal-health-$engine.txt"
+    cargo run --release -q -p gnoc-cli --bin gnoc -- --engine "$engine" \
+        mesh --self-heal --faults "$tmp/heal-plan.json" > "$tmp/heal-mesh-$engine.txt"
+    cargo run --release -q -p gnoc-cli --bin gnoc -- --engine "$engine" \
+        fabric --devices 4 --topology ring --self-heal \
+        --faults "$tmp/heal-fabric-plan.json" > "$tmp/heal-fabric-$engine.txt"
+done
+for run in health mesh fabric; do
+    cmp "$tmp/heal-$run-cycle.txt" "$tmp/heal-$run-event.txt"
+done
 
 echo "== profile: bounded gnoc profile smoke on a chaos-style soak =="
 # Same traffic recipe the chaos harness soaks with, bounded transfer count;

@@ -9,6 +9,7 @@ use crate::oracle::{
 };
 use crate::shrink::{ddmin, decompose};
 use crate::ChaosError;
+use gnoc_core::fabric::{detected_links, run_detection, FabricLinks};
 use gnoc_core::faults::LinkFaultKind;
 use gnoc_core::health::run_slice_detection_for_spec;
 use gnoc_core::noc::{NodeId, PacketClass, RouteOrder};
@@ -17,8 +18,8 @@ use gnoc_core::telemetry::TelemetryHandle;
 use gnoc_core::trace::{from_hex, to_hex, TraceHeader, TraceReader, TraceTap};
 use gnoc_core::{
     device_for_preset, spec_for_preset, ArbiterKind, CheckpointedCampaign, FabricConfig,
-    FabricHealthConfig, FabricHealthMonitor, FabricSim, FaultPlan, HealthConfig, MeshConfig,
-    ProfileReport, ReliableMesh, SelfHealingMesh, WorkerPool,
+    FabricMonitor, FabricSim, FaultPlan, MeshConfig, ProfileReport, ReliableMesh, SelfHealingMesh,
+    WorkerPool,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -855,9 +856,8 @@ fn detection_phase(cfg: &ChaosConfig, seed: u64, plan: &FaultPlan) -> Result<(),
     let mut problems: Vec<String> = Vec::new();
 
     // Link detection on a self-healing mesh (same geometry as the soak).
-    let mut healer =
-        SelfHealingMesh::new(mesh_config(cfg), plan, cfg.retry, HealthConfig::default())
-            .map_err(|e| format!("harness: self-healing mesh rejected the plan: {e}"))?;
+    let mut healer = SelfHealingMesh::new(mesh_config(cfg), plan, cfg.retry)
+        .map_err(|e| format!("harness: self-healing mesh rejected the plan: {e}"))?;
     let last_onset = plan.links.iter().map(|l| l.onset).max().unwrap_or(0);
     healer
         .run_detection(last_onset + DETECTION_RUN_MARGIN)
@@ -878,15 +878,10 @@ fn detection_phase(cfg: &ChaosConfig, seed: u64, plan: &FaultPlan) -> Result<(),
     // must find them from probe latencies.
     if let Some(device) = &cfg.device {
         let spec = spec_for_preset(device).map_err(|e| format!("harness: {e}"))?;
-        let (_dev, monitor) = run_slice_detection_for_spec(
-            spec,
-            plan,
-            seed,
-            HealthConfig::default(),
-            SLICE_DETECTION_WINDOWS,
-        )
-        .map_err(|e| format!("harness: slice detection failed: {e}"))?;
-        problems.extend(score_slice_detection(plan, &monitor.detected_slices()));
+        let (_dev, monitor) =
+            run_slice_detection_for_spec(spec, plan, seed, SLICE_DETECTION_WINDOWS)
+                .map_err(|e| format!("harness: slice detection failed: {e}"))?;
+        problems.extend(score_slice_detection(plan, &monitor.detected()));
     }
 
     if problems.is_empty() {
@@ -951,7 +946,7 @@ fn fabric_detection(cfg: &ChaosConfig, plan: &FaultPlan) -> Result<Vec<String>, 
     fc.self_healing = true;
     let mut sim = FabricSim::with_faults(fc, plan)
         .map_err(|e| format!("harness: self-healing fabric rejected the plan: {e}"))?;
-    let mut monitor = FabricHealthMonitor::new(&sim, FabricHealthConfig::default());
+    let mut monitor = FabricMonitor::new(FabricLinks::new(&sim));
     let last_onset = plan
         .fabric
         .links
@@ -961,12 +956,8 @@ fn fabric_detection(cfg: &ChaosConfig, plan: &FaultPlan) -> Result<Vec<String>, 
         .chain(plan.fabric.dead_switch)
         .max()
         .unwrap_or(0);
-    monitor.run_detection(&mut sim, last_onset + DETECTION_RUN_MARGIN);
-    Ok(score_fabric_detection(
-        cfg,
-        plan,
-        &monitor.detected_links(&sim),
-    ))
+    run_detection(&mut monitor, &mut sim, last_onset + DETECTION_RUN_MARGIN);
+    Ok(score_fabric_detection(cfg, plan, &detected_links(&monitor)))
 }
 
 /// Scores fabric-link detections against the plan's ground truth. A
@@ -1028,17 +1019,17 @@ fn score_fabric_detection(
 /// Scores a detected-slice set against `plan.disabled_slices`: false
 /// positives on healthy slices, misses on disabled ones, and first-open
 /// windows past [`SLICE_DETECTION_WINDOW_BOUND`].
-fn score_slice_detection(plan: &FaultPlan, found: &[(u32, u64)]) -> Vec<String> {
+fn score_slice_detection(plan: &FaultPlan, found: &[(usize, u64)]) -> Vec<String> {
     let mut problems = Vec::new();
     for &(slice, window) in found {
-        if !plan.disabled_slices.contains(&slice) {
+        if !plan.disabled_slices.contains(&(slice as u32)) {
             problems.push(format!(
                 "false positive: breaker for healthy slice {slice} opened in window {window}"
             ));
         }
     }
     for &slice in &plan.disabled_slices {
-        match found.iter().find(|&&(s, _)| s == slice) {
+        match found.iter().find(|&&(s, _)| s == slice as usize) {
             None => problems.push(format!("miss: faulty slice {slice} never detected")),
             Some(&(_, window)) if window > SLICE_DETECTION_WINDOW_BOUND => {
                 problems.push(format!(

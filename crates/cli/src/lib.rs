@@ -787,6 +787,9 @@ EXIT CODES:
         plan, or a request the daemon rejected as invalid
     3   I/O error — a file could not be read or written, or the daemon
         socket could not be reached
+    A closed stdout (gnoc info v100 | head -1) ends a command by SIGPIPE,
+    like any Unix filter; serve, submit and batch ignore SIGPIPE, so a
+    hung-up peer is an I/O error there.
 ";
 
 /// Reads `--flag value` pairs and boolean `--flag`s from `args`, noting
@@ -1446,8 +1449,8 @@ fn parse_command(cmd: &str, flags: &Flags<'_>) -> Result<Command, String> {
 ///
 /// # Errors
 ///
-/// Returns a human-readable message for a global flag without a value or any
-/// [`parse`] error.
+/// Returns a human-readable message for a global flag without a value or
+/// given more than once, or any [`parse`] error.
 pub fn parse_invocation(args: &[String]) -> Result<Invocation, String> {
     let mut trace = None;
     let mut metrics = None;
@@ -1458,6 +1461,21 @@ pub fn parse_invocation(args: &[String]) -> Result<Invocation, String> {
     let mut remaining: Vec<String> = Vec::with_capacity(args.len());
     let mut it = args.iter();
     while let Some(a) = it.next() {
+        let given = match a.as_str() {
+            "--engine" => engine.is_some(),
+            "--jobs" => jobs.is_some(),
+            "--trace" => trace.is_some(),
+            "--metrics" => metrics.is_some(),
+            "--faults" => faults.is_some(),
+            "--profile" => profile.is_some(),
+            _ => {
+                remaining.push(a.clone());
+                continue;
+            }
+        };
+        if given {
+            return Err(format!("flag {a} given more than once"));
+        }
         if a == "--engine" {
             match it.next().map(String::as_str) {
                 Some("cycle") => engine = Some(EngineChoice::Cycle),
@@ -1485,11 +1503,7 @@ pub fn parse_invocation(args: &[String]) -> Result<Invocation, String> {
             "--trace" => &mut trace,
             "--metrics" => &mut metrics,
             "--faults" => &mut faults,
-            "--profile" => &mut profile,
-            _ => {
-                remaining.push(a.clone());
-                continue;
-            }
+            _ => &mut profile,
         };
         match it.next() {
             Some(v) if !v.starts_with("--") => *slot = Some(v.clone()),

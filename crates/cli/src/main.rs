@@ -10,6 +10,7 @@ use gnoc_cli::{
     TraceAction, TraceTarget, WorkloadKind, EXIT_CHECK_FAILED, EXIT_INVALID_INPUT, EXIT_IO,
     EXIT_OK, USAGE,
 };
+use gnoc_core::fabric::{health_report, poll_window, run_detection, FabricLinks};
 use gnoc_core::microbench::bandwidth::{aggregate_fabric_gbps, aggregate_memory_gbps};
 use gnoc_core::noc::loadcurve::{hier_load_curve, mesh_load_curve, SweepConfig};
 use gnoc_core::noc::{check_mesh_dims, NodeId, PacketClass, ReliableMesh, RetryConfig};
@@ -24,9 +25,9 @@ use gnoc_core::workloads::replay::{replay, ReplayConfig};
 use gnoc_core::workloads::{bfs, gaussian};
 use gnoc_core::{
     fabric_connected, mesh_connected, resolve_jobs, AccessKind, AesAttackConfig,
-    CheckpointedCampaign, CtaScheduler, FabricConfig, FabricHealthConfig, FabricHealthMonitor,
-    FabricSim, FabricTopology, FaultPlan, GpuDevice, HealthConfig, LatencyCampaign, LatencyProbe,
-    RsaAttackConfig, SelfHealingMesh, SliceId, SmId, Summary, WorkerPool,
+    CheckpointedCampaign, CtaScheduler, FabricConfig, FabricMonitor, FabricSim, FabricTopology,
+    FaultPlan, GpuDevice, LatencyCampaign, LatencyProbe, RsaAttackConfig, SelfHealingMesh, SliceId,
+    SmId, Summary, WorkerPool,
 };
 use gnoc_core::{infer_placement, input_speedups, run_aes_attack, run_rsa_attack};
 use gnoc_core::{
@@ -41,6 +42,31 @@ use gnoc_serve::{
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+/// Restores the default SIGPIPE action, so a command whose reader has gone
+/// (`gnoc info v100 | head -1`) stops quietly like any Unix filter instead of
+/// panicking in `println!`. The socket commands (`serve`, `submit`, `batch`)
+/// keep Rust's ignored SIGPIPE, so a peer that hangs up is an `EPIPE` I/O
+/// error there rather than a kill. No `libc` dependency: `signal(2)` is
+/// declared directly, as `gnoc_serve` does for SIGTERM.
+#[cfg(unix)]
+fn restore_default_sigpipe() {
+    // SIGPIPE is 13 and SIG_DFL is 0 on every platform this builds for
+    // (Linux/macOS).
+    const SIGPIPE: i32 = 13;
+    const SIG_DFL: usize = 0;
+    extern "C" {
+        fn signal(signum: i32, handler: usize) -> usize;
+    }
+    // SAFETY: resetting a signal to its default action installs no handler
+    // and touches no Rust state.
+    unsafe {
+        signal(SIGPIPE, SIG_DFL);
+    }
+}
+
+#[cfg(not(unix))]
+fn restore_default_sigpipe() {}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let inv = match parse_invocation(&args) {
@@ -50,6 +76,12 @@ fn main() -> ExitCode {
             return ExitCode::from(EXIT_INVALID_INPUT);
         }
     };
+    if !matches!(
+        inv.command,
+        Command::Serve { .. } | Command::Submit { .. } | Command::Batch { .. }
+    ) {
+        restore_default_sigpipe();
+    }
 
     // `--engine` overrides the NoC core (default: event, or GNOC_ENGINE).
     // Both engines are bit-identical; the flag only trades wall time.
@@ -1167,13 +1199,8 @@ fn run_health(
         route_order: gnoc_core::noc::RouteOrder::Xy,
         vcs: 1,
     };
-    let mut healer = try_or_fail!(SelfHealingMesh::new(
-        mesh_cfg,
-        plan,
-        RetryConfig::default(),
-        HealthConfig::default(),
-    )
-    .map_err(|e| format!("plan does not fit a {width}x{height} mesh: {e}")));
+    let mut healer = try_or_fail!(SelfHealingMesh::new(mesh_cfg, plan, RetryConfig::default())
+        .map_err(|e| format!("plan does not fit a {width}x{height} mesh: {e}")));
     try_or_fail!(healer
         .run_detection(cycles)
         .map_err(|e| format!("detection run failed: {e}")));
@@ -1213,12 +1240,11 @@ fn run_health(
             gpu.spec(),
             plan,
             seed,
-            HealthConfig::default(),
             windows,
         )
         .map_err(|e| format!("slice detection on {}: {e}", gpu.preset_name())))
         .1;
-        let found = monitor.detected_slices();
+        let found = monitor.detected();
         println!(
             "{} slice probe ({windows} windows): {} slice breaker(s) opened",
             gpu.preset_name(),
@@ -1250,13 +1276,9 @@ fn run_faulted_mesh(
     let cfg = MeshConfig::paper_6x6(arbiter);
     let nodes = (cfg.width * cfg.height) as u64;
     let mut rm = if self_heal {
-        let mut healer = try_or_fail!(SelfHealingMesh::new(
-            cfg,
-            plan,
-            RetryConfig::default(),
-            HealthConfig::default()
-        )
-        .map_err(|e| e.to_string()));
+        let mut healer = try_or_fail!(
+            SelfHealingMesh::new(cfg, plan, RetryConfig::default()).map_err(|e| e.to_string())
+        );
         if profile.is_some() {
             // Attach before the warm-up so the trace shows the healing
             // episode itself: patrol traffic, breaker transitions, and the
@@ -1416,13 +1438,13 @@ fn run_fabric(args: &FabricRunArgs, plan: Option<&FaultPlan>, profile: Option<&P
     }
     let mut monitor = args
         .self_heal
-        .then(|| FabricHealthMonitor::new(&sim, FabricHealthConfig::default()));
+        .then(|| FabricMonitor::new(FabricLinks::new(&sim)));
     if let Some(m) = monitor.as_mut() {
         // Warm-up patrol before user traffic, mirroring `mesh --self-heal`:
         // detect, quarantine, and reroute while only probe packets are at
         // risk.
-        m.run_detection(&mut sim, 20_000);
-        let report = m.report(&sim);
+        run_detection(m, &mut sim, 20_000);
+        let report = health_report(m, &sim);
         println!(
             "self-heal warm-up: {} window(s), {} breaker transition(s)",
             report.windows,
@@ -1470,7 +1492,7 @@ fn run_fabric(args: &FabricRunArgs, plan: Option<&FaultPlan>, profile: Option<&P
         // onsets are detected and failed over too.
         while sim.outstanding() > 0 && sim.cycle() - start < args.cycles {
             sim.step();
-            m.poll(&mut sim);
+            poll_window(m, &mut sim);
         }
         sim.outstanding() == 0
     } else {
@@ -1516,7 +1538,7 @@ fn run_fabric(args: &FabricRunArgs, plan: Option<&FaultPlan>, profile: Option<&P
         s.latency_max
     );
     if let Some(m) = &monitor {
-        let report = m.report(&sim);
+        let report = health_report(m, &sim);
         for d in &report.detections {
             println!(
                 "  detected:  {} (first opened at cycle {}, now {})",

@@ -3,7 +3,7 @@
 //! ci.sh) branch on these values, so a drift here is an interface break even
 //! when the human-readable output looks fine.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use gnoc_chaos::{ChaosConfig, OracleKind, Reproducer, REPRODUCER_VERSION};
@@ -141,10 +141,20 @@ fn unknown_subcommand_flags_exit_invalid_input() {
 
 #[test]
 fn repeated_value_flags_exit_invalid_input() {
-    // Two values for one flag must not silently run with the first.
+    // Two values for one flag must not silently run with either of them,
+    // for subcommand flags and the global flags alike.
+    let a = scratch("repeated-a.json");
+    let b = scratch("repeated-b.json");
+    let (a, b) = (a.to_str().unwrap(), b.to_str().unwrap());
     for args in [
         &["memsim", "--seed", "2", "--seed", "9"][..],
         &["latency", "v100", "--sm", "3", "--seed", "1", "--sm", "4"][..],
+        &["memsim", "--trace", a, "--trace", b][..],
+        &["memsim", "--metrics", a, "--metrics", b][..],
+        &["mesh", "--faults", a, "--faults", b][..],
+        &["memsim", "--jobs", "2", "--jobs", "3"][..],
+        &["mesh", "--profile", a, "--profile", b][..],
+        &["memsim", "--engine", "cycle", "--engine", "event"][..],
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_gnoc"))
             .args(args)
@@ -159,6 +169,22 @@ fn repeated_value_flags_exit_invalid_input() {
         );
         assert!(stderr.contains(args[args.len() - 2]), "{args:?}: {stderr}");
     }
+    assert!(!Path::new(a).exists() && !Path::new(b).exists());
+}
+
+#[test]
+fn closed_stdout_stops_quietly() {
+    // `gnoc info v100 | head -1`: the reader is gone before the first write.
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_gnoc"))
+        .args(["info", "v100"])
+        .stdout(writer)
+        .output()
+        .expect("spawn gnoc");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
 }
 
 #[test]

@@ -17,8 +17,8 @@
 //! | Workloads | [`workloads`] | BFS / Gaussian / streaming traces |
 //! | Observability | [`telemetry`] | [`TelemetryHandle`], [`MetricRegistry`], [`JsonlWriter`] |
 //! | Parallel execution | [`par`] | [`WorkerPool`], [`resolve_jobs`], [`LatencyCampaign::run_par`] |
-//! | Self-healing | [`health`] | [`SelfHealingMesh`], [`CircuitBreaker`], [`HealthConfig`] |
-//! | Multi-GPU fabric | [`fabric`] | [`FabricSim`], [`FabricTopology`], [`FabricHealthMonitor`] |
+//! | Self-healing | [`health`] | [`SelfHealingMesh`], [`CircuitBreaker`], [`WindowMonitor`] |
+//! | Multi-GPU fabric | [`fabric`] | [`FabricSim`], [`FabricTopology`], [`FabricMonitor`] |
 //!
 //! Quick start (the paper's Observation #1 in five lines):
 //!
@@ -79,16 +79,13 @@ pub use gnoc_engine::{
     AccessKind, AddressMap, Calibration, CtaScheduler, FabricModel, FlowSpec, GpuDevice,
 };
 pub use gnoc_fabric::{
-    FabricConfig, FabricHealthMonitor, FabricHealthReport, FabricSim, FabricStats, FabricTransferId,
+    FabricConfig, FabricHealthReport, FabricMonitor, FabricSim, FabricStats, FabricTransferId,
 };
 pub use gnoc_faults::{
     fabric_connected, mesh_connected, FabricFaults, FaultGenConfig, FaultPlan, FaultPlanError,
     FlakyBurst, FloorSweep, RegionFault, SweepError,
 };
-pub use gnoc_health::{
-    BreakerConfig, BreakerState, CircuitBreaker, FabricHealthConfig, HealthConfig, HealthReport,
-    SelfHealingMesh,
-};
+pub use gnoc_health::{BreakerState, CircuitBreaker, HealthReport, SelfHealingMesh, WindowMonitor};
 pub use gnoc_microbench::{input_speedups, LatencyProbe, SpeedupReport};
 pub use gnoc_noc::{
     run_fairness, run_memsim, ArbiterKind, FairnessConfig, LossReason, MemSimConfig, MemSimNets,

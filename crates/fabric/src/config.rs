@@ -39,7 +39,7 @@ pub struct FabricConfig {
     pub hop_retry_backoff_cycles: u64,
     /// When `true`, fabric routing does **not** see the fault plan: routes
     /// avoid only quarantined links (driven by
-    /// [`FabricHealthMonitor`](crate::FabricHealthMonitor)), mirroring
+    /// [`FabricMonitor`](crate::FabricMonitor)), mirroring
     /// `Mesh::set_self_healing`. When `false` (the default), routes react to
     /// fault onsets the cycle they manifest.
     pub self_healing: bool,

@@ -19,7 +19,8 @@
 //! - routing is per-destination BFS trees recomputed at onsets (fault-aware
 //!   mode) or at quarantine changes (self-healing mode) — loop-free by
 //!   construction, the inter-device analogue of up*/down*;
-//! - [`FabricHealthMonitor`] watches per-link drop windows with
+//! - a [`FabricMonitor`] (`gnoc-health`'s [`gnoc_health::WindowMonitor`]
+//!   over [`FabricLinks`]) watches per-link drop windows with
 //!   [`gnoc_health::CircuitBreaker`]s, quarantines faulty links with
 //!   incremental reroute, refuses disconnecting quarantines, and reports
 //!   unreachable devices as explicit degraded coverage;
@@ -52,11 +53,13 @@ mod health;
 mod sim;
 
 pub use config::{FabricConfig, FabricError};
-pub use health::{FabricHealthMonitor, FabricHealthReport};
+pub use health::{
+    detected_links, health_report, poll_window, run_detection, FabricHealthReport, FabricLinks,
+    FabricMonitor,
+};
 pub use sim::{FabricSim, FabricStats, FabricTransferId};
 
 // Re-export the pieces callers almost always need alongside the simulator.
-pub use gnoc_health::FabricHealthConfig;
 pub use gnoc_topo::FabricTopology;
 
 #[cfg(test)]
@@ -319,9 +322,9 @@ mod tests {
         let mut cfg = ring4();
         cfg.self_healing = true;
         let mut fab = FabricSim::with_faults(cfg, &plan).unwrap();
-        let mut mon = FabricHealthMonitor::new(&fab, FabricHealthConfig::default());
-        mon.run_detection(&mut fab, 20_000);
-        let report = mon.report(&fab);
+        let mut mon = FabricMonitor::new(FabricLinks::new(&fab));
+        run_detection(&mut mon, &mut fab, 20_000);
+        let report = health_report(&mon, &fab);
         assert!(
             report
                 .detections
@@ -364,9 +367,9 @@ mod tests {
             fab.quarantine_fabric_link(0),
             Err(FabricError::QuarantineWouldPartition { a: 0, b: 1 })
         );
-        let mut mon = FabricHealthMonitor::new(&fab, FabricHealthConfig::default());
-        mon.run_detection(&mut fab, 4_000);
-        let report = mon.report(&fab);
+        let mut mon = FabricMonitor::new(FabricLinks::new(&fab));
+        run_detection(&mut mon, &mut fab, 4_000);
+        let report = health_report(&mon, &fab);
         assert!(report.refusals > 0, "refusals must be reported");
         assert!(report.quarantined.is_empty());
         assert_eq!(

@@ -29,35 +29,18 @@ impl std::fmt::Display for BreakerState {
     }
 }
 
-/// Breaker tuning. The defaults are justified against the paper's
-/// calibration bands in DESIGN.md: two failing windows separate a real
-/// fault from a one-off blip, and the doubling cooldown keeps a permanently
-/// dead resource from consuming more than a logarithmic number of probes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct BreakerConfig {
-    /// Failure score (leaky bucket) that trips `Closed → Open`. Failing
-    /// windows add one, clean windows drain one, so isolated blips never
-    /// trip but a persistent fault always does.
-    pub failure_windows: u32,
-    /// Windows spent `Open` before the first `HalfOpen` probation.
-    pub cooldown_windows: u32,
-    /// Consecutive clean probes that close a `HalfOpen` breaker.
-    pub probe_successes: u32,
-    /// Cap on the doubling cooldown — the flap-prevention hysteresis: each
-    /// failed probation doubles the next cooldown up to this bound.
-    pub max_cooldown_windows: u32,
-}
-
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        Self {
-            failure_windows: 2,
-            cooldown_windows: 8,
-            probe_successes: 3,
-            max_cooldown_windows: 64,
-        }
-    }
-}
+/// Failure score (leaky bucket) that trips `Closed → Open`. Failing windows
+/// add one and clean windows drain one, so an isolated blip never trips but
+/// a persistent fault does within two windows (DESIGN.md §5).
+pub const FAILURE_WINDOWS: u32 = 2;
+/// Windows spent `Open` before the first `HalfOpen` probation.
+pub const COOLDOWN_WINDOWS: u32 = 8;
+/// Cap on the doubling cooldown — the flap-prevention hysteresis: each
+/// failed probation doubles the next cooldown up to this bound, so a dead
+/// resource costs a logarithmic number of probes.
+pub const MAX_COOLDOWN_WINDOWS: u32 = 64;
+/// Consecutive clean probes that close a `HalfOpen` breaker.
+pub const PROBE_SUCCESSES: u32 = 3;
 
 /// One recorded state change.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -71,7 +54,6 @@ pub struct Transition {
 /// A deterministic three-state circuit breaker for one resource.
 #[derive(Debug, Clone)]
 pub struct CircuitBreaker {
-    cfg: BreakerConfig,
     state: BreakerState,
     /// Leaky-bucket failure score while `Closed`.
     failures: u32,
@@ -83,15 +65,20 @@ pub struct CircuitBreaker {
     probe_streak: u32,
 }
 
+impl Default for CircuitBreaker {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl CircuitBreaker {
-    /// A closed breaker with the given tuning.
-    pub fn new(cfg: BreakerConfig) -> Self {
+    /// A closed breaker.
+    pub fn new() -> Self {
         Self {
-            cfg,
             state: BreakerState::Closed,
             failures: 0,
             cooldown_left: 0,
-            cooldown: cfg.cooldown_windows.max(1),
+            cooldown: COOLDOWN_WINDOWS,
             probe_streak: 0,
         }
     }
@@ -116,7 +103,7 @@ impl CircuitBreaker {
             BreakerState::Closed => {
                 if failing {
                     self.failures += 1;
-                    if self.failures >= self.cfg.failure_windows.max(1) {
+                    if self.failures >= FAILURE_WINDOWS {
                         self.state = BreakerState::Open;
                         self.cooldown_left = self.cooldown;
                         return Some(Transition {
@@ -155,10 +142,10 @@ impl CircuitBreaker {
         }
         if ok {
             self.probe_streak += 1;
-            if self.probe_streak >= self.cfg.probe_successes.max(1) {
+            if self.probe_streak >= PROBE_SUCCESSES {
                 self.state = BreakerState::Closed;
                 self.failures = 0;
-                self.cooldown = self.cfg.cooldown_windows.max(1);
+                self.cooldown = COOLDOWN_WINDOWS;
                 return Some(Transition {
                     from: BreakerState::HalfOpen,
                     to: BreakerState::Closed,
@@ -167,7 +154,7 @@ impl CircuitBreaker {
             None
         } else {
             self.state = BreakerState::Open;
-            self.cooldown = (self.cooldown * 2).min(self.cfg.max_cooldown_windows.max(1));
+            self.cooldown = (self.cooldown * 2).min(MAX_COOLDOWN_WINDOWS);
             self.cooldown_left = self.cooldown;
             Some(Transition {
                 from: BreakerState::HalfOpen,
@@ -182,7 +169,7 @@ mod tests {
     use super::*;
 
     fn breaker() -> CircuitBreaker {
-        CircuitBreaker::new(BreakerConfig::default())
+        CircuitBreaker::new()
     }
 
     #[test]

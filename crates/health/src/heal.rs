@@ -3,14 +3,13 @@
 //!
 //! [`SelfHealingMesh`] owns a [`ReliableMesh`] in self-healing mode (the
 //! fault plan is physically applied but routing is *not* told about it) plus
-//! a [`LinkHealthMonitor`]. It keeps a round of patrol transfers in flight —
-//! one transfer per adjacent router pair, so every directed link carries
-//! traffic — and polls the monitor every [`HealthConfig::window_cycles`]
-//! cycles. Detection therefore emerges purely from observed drop counters.
+//! a [`WindowMonitor`] over its [`MeshLinks`]. It keeps a round of patrol
+//! transfers in flight — one transfer per adjacent router pair, so every
+//! directed link carries traffic — and polls the monitor every
+//! [`WINDOW_CYCLES`](crate::WINDOW_CYCLES) cycles. Detection therefore
+//! emerges purely from observed drop counters.
 
-use crate::monitor::{
-    Detection, HealthConfig, LinkHealthMonitor, SliceHealthMonitor, TransitionRecord,
-};
+use crate::monitor::{Detection, L2Slices, MeshLinks, Quarantine, TransitionRecord, WindowMonitor};
 use gnoc_engine::{DeviceError, GpuDevice};
 use gnoc_faults::{Direction, FaultPlan};
 use gnoc_noc::{Mesh, MeshConfig, NocError, NodeId, PacketClass, ReliableMesh, RetryConfig};
@@ -67,9 +66,7 @@ pub struct HealthReport {
 #[derive(Debug)]
 pub struct SelfHealingMesh {
     rm: ReliableMesh,
-    monitor: LinkHealthMonitor,
-    cfg: HealthConfig,
-    next_window: u64,
+    monitor: WindowMonitor<MeshLinks>,
     patrol: Vec<(NodeId, NodeId)>,
     patrol_rounds: u64,
 }
@@ -87,7 +84,6 @@ impl SelfHealingMesh {
         mesh_cfg: MeshConfig,
         plan: &FaultPlan,
         retry: RetryConfig,
-        health: HealthConfig,
     ) -> Result<Self, NocError> {
         let mut mesh = Mesh::try_new(mesh_cfg)?;
         mesh.set_self_healing(true);
@@ -95,9 +91,7 @@ impl SelfHealingMesh {
         let num_routers = mesh_cfg.width * mesh_cfg.height;
         Ok(Self {
             rm: ReliableMesh::new(mesh, retry),
-            monitor: LinkHealthMonitor::new(num_routers, health),
-            cfg: health,
-            next_window: health.window_cycles.max(1),
+            monitor: WindowMonitor::new(MeshLinks::new(num_routers)),
             patrol: patrol_pairs(mesh_cfg.width, mesh_cfg.height),
             patrol_rounds: 0,
         })
@@ -111,11 +105,6 @@ impl SelfHealingMesh {
     /// Mutable access (telemetry attachment etc.).
     pub fn rm_mut(&mut self) -> &mut ReliableMesh {
         &mut self.rm
-    }
-
-    /// The link monitor.
-    pub fn monitor(&self) -> &LinkHealthMonitor {
-        &self.monitor
     }
 
     /// Consumes the healer, returning the underlying reliable mesh with its
@@ -132,29 +121,21 @@ impl SelfHealingMesh {
     /// Propagates monitor reconfiguration errors.
     pub fn step(&mut self) -> Result<(), NocError> {
         self.rm.step();
-        if self.rm.mesh().cycle() >= self.next_window {
-            let seen = self.monitor.transitions().len();
-            self.monitor.poll(&mut self.rm)?;
-            // Breaker transitions land on the flight-recorder timeline, so a
-            // profiled healing episode shows quarantine decisions alongside
-            // the per-message stalls they cause and cure.
-            if self.rm.mesh().flight_recorder().is_some() {
-                let new: Vec<gnoc_telemetry::TraceEvent> = self.monitor.transitions()[seen..]
-                    .iter()
-                    .map(|t| {
-                        gnoc_telemetry::TraceEvent::new(t.at, "health", "breaker_transition")
-                            .with("resource", t.resource.clone())
-                            .with("from", format!("{:?}", t.from))
-                            .with("to", format!("{:?}", t.to))
-                    })
-                    .collect();
-                if let Some(rec) = self.rm.mesh_mut().flight_recorder_mut() {
-                    for e in new {
-                        rec.note(e);
-                    }
-                }
+        let seen = self.monitor.transitions().len();
+        let now = self.rm.mesh().cycle();
+        self.monitor.poll_due(&mut self.rm, now)?;
+        // Breaker transitions land on the flight-recorder timeline, so a
+        // profiled healing episode shows quarantine decisions alongside the
+        // per-message stalls they cause and cure.
+        if let Some(rec) = self.rm.mesh_mut().flight_recorder_mut() {
+            for t in &self.monitor.transitions()[seen..] {
+                rec.note(
+                    gnoc_telemetry::TraceEvent::new(t.at, "health", "breaker_transition")
+                        .with("resource", t.resource.clone())
+                        .with("from", format!("{:?}", t.from))
+                        .with("to", format!("{:?}", t.to)),
+                );
             }
-            self.next_window = self.rm.mesh().cycle() + self.cfg.window_cycles.max(1);
         }
         Ok(())
     }
@@ -181,7 +162,7 @@ impl SelfHealingMesh {
                 // post-cycle hits `next_window` still runs (and polls) live,
                 // exactly as under cycle-exact stepping.
                 self.rm
-                    .skip_quiet(run_cycles.min(self.next_window.saturating_sub(1)));
+                    .skip_quiet(run_cycles.min(self.monitor.next_window().saturating_sub(1)));
             }
         }
         Ok(())
@@ -207,7 +188,7 @@ impl SelfHealingMesh {
                 .monitor
                 .refused()
                 .iter()
-                .map(|(r, d)| format!("link {r}:{d:?}"))
+                .map(|&idx| self.monitor.resources().name(idx))
                 .collect(),
             delivered: stats.delivered,
             lost: stats.lost_total(),
@@ -218,7 +199,14 @@ impl SelfHealingMesh {
 
     /// Links whose breaker first opened, as `(router, dir, cycle)` triples.
     pub fn detected_links(&self) -> Vec<(u32, Direction, u64)> {
-        self.monitor.detected_links()
+        self.monitor
+            .detected()
+            .into_iter()
+            .map(|(idx, at)| {
+                let (router, dir) = MeshLinks::link(idx);
+                (router, dir, at)
+            })
+            .collect()
     }
 }
 
@@ -231,11 +219,10 @@ impl SelfHealingMesh {
 /// Propagates [`DeviceError`] from release remaps.
 pub fn run_slice_detection(
     dev: &mut GpuDevice,
-    cfg: HealthConfig,
     windows: u64,
-) -> Result<SliceHealthMonitor, DeviceError> {
+) -> Result<WindowMonitor<L2Slices>, DeviceError> {
     let sm = SmId::new(0);
-    let mut monitor = SliceHealthMonitor::new(dev.hierarchy().num_slices(), sm, cfg);
+    let mut monitor = WindowMonitor::new(L2Slices::new(dev.hierarchy().num_slices(), sm));
     for _ in 0..windows {
         monitor.poll(dev)?;
     }
@@ -252,10 +239,9 @@ pub fn run_slice_detection_for_spec(
     spec: GpuSpec,
     plan: &FaultPlan,
     seed: u64,
-    cfg: HealthConfig,
     windows: u64,
-) -> Result<(GpuDevice, SliceHealthMonitor), DeviceError> {
+) -> Result<(GpuDevice, WindowMonitor<L2Slices>), DeviceError> {
     let mut dev = GpuDevice::with_latent_faults(spec, plan, seed)?;
-    let monitor = run_slice_detection(&mut dev, cfg, windows)?;
+    let monitor = run_slice_detection(&mut dev, windows)?;
     Ok((dev, monitor))
 }

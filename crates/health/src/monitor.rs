@@ -1,90 +1,45 @@
-//! Per-link and per-slice health monitors.
+//! One breaker-window monitor for every kind of monitored resource.
 //!
-//! Monitors consume only *behavioral* telemetry — per-link drop counters
-//! ([`MeshStats::link_drops`]) and timed probe reads — never the ground-truth
-//! [`gnoc_faults::FaultPlan`]. Each monitored resource gets its own
-//! [`CircuitBreaker`]; an Open breaker quarantines the resource (incremental
-//! reroute for links, address-hash remap for slices) and HalfOpen probation
-//! tests recovery.
+//! A [`WindowMonitor`] consumes only *behavioral* telemetry — per-link drop
+//! counters ([`MeshStats::link_drops`]) and timed probe reads — never the
+//! ground-truth [`gnoc_faults::FaultPlan`]. Each monitored resource gets its
+//! own [`CircuitBreaker`]; an Open breaker quarantines the resource
+//! (incremental reroute for links, address-hash remap for slices) and
+//! HalfOpen probation tests recovery. What a resource is, how its window
+//! verdict is formed and how it is quarantined is the [`Quarantine`]
+//! implementation: [`MeshLinks`], [`L2Slices`] and `gnoc-fabric`'s fabric
+//! links.
 //!
 //! [`MeshStats::link_drops`]: gnoc_noc::MeshStats
 
-use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
+use crate::breaker::{BreakerState, CircuitBreaker, Transition};
 use gnoc_engine::{DeviceError, GpuDevice};
 use gnoc_faults::Direction;
 use gnoc_noc::{NocError, ReliableMesh, NUM_PORTS};
 use gnoc_topo::{SliceId, SmId};
 use serde::{Deserialize, Serialize};
 
-/// Health-layer tuning shared by the link and slice monitors.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct HealthConfig {
-    /// Cycles between monitor polls (one breaker window).
-    pub window_cycles: u64,
-    /// Packet drops within one window that mark a link's window as failing.
-    pub link_drop_threshold: u64,
-    /// Breaker state-machine tuning.
-    pub breaker: BreakerConfig,
-    /// Cycles above the calibrated per-slice hit latency that mark a slice
-    /// probe as failing. Must sit well above measurement jitter and well
-    /// below the latent-fault penalty; see DESIGN.md.
-    pub slice_margin_cycles: f64,
-    /// EWMA smoothing factor for slice probe latencies (weight of the newest
-    /// observation).
-    pub slice_ewma_alpha: f64,
-    /// Timed probe reads per slice per window.
-    pub slice_probe_reads: u32,
-}
-
-impl Default for HealthConfig {
-    fn default() -> Self {
-        Self {
-            window_cycles: 256,
-            link_drop_threshold: 1,
-            breaker: BreakerConfig::default(),
-            slice_margin_cycles: 300.0,
-            slice_ewma_alpha: 0.5,
-            slice_probe_reads: 2,
-        }
-    }
-}
-
-/// Health-layer tuning for inter-device fabric links, consumed by
-/// `gnoc-fabric`'s per-fabric-link monitor. Kept here, next to the die-level
-/// [`HealthConfig`], so the two detection policies are tuned side by side.
-///
-/// Fabric links differ from mesh links in two ways that shape the defaults
-/// (justified in DESIGN.md): crossings are much rarer than per-cycle flit
-/// hops, so one window sees few chances to fail and the drop threshold must
-/// stay at 1; and a fabric retransmission is far more expensive than a mesh
-/// retry, so the breaker uses the same hysteresis but the fabric layer sizes
-/// its retry budget to outlive `failure_windows` full windows of drops.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FabricHealthConfig {
-    /// Cycles between fabric monitor polls (one breaker window).
-    pub window_cycles: u64,
-    /// Crossing drops within one window that mark a fabric link's window as
-    /// failing.
-    pub link_drop_threshold: u64,
-    /// Breaker state-machine tuning (shared hysteresis discipline with the
-    /// die-level monitors).
-    pub breaker: BreakerConfig,
-}
-
-impl Default for FabricHealthConfig {
-    fn default() -> Self {
-        Self {
-            window_cycles: 256,
-            link_drop_threshold: 1,
-            breaker: BreakerConfig::default(),
-        }
-    }
-}
+/// Cycles between monitor polls of mesh and fabric links: one breaker
+/// window.
+pub const WINDOW_CYCLES: u64 = 256;
+/// Drops within one window that mark a mesh or fabric link's window as
+/// failing. A healthy link under the retry layers never drops, so one drop
+/// is already a high-confidence signal (DESIGN.md §5).
+pub const DROP_THRESHOLD: u64 = 1;
+/// Cycles above the calibrated per-slice hit latency that mark a slice
+/// probe as failing: well above measurement jitter, well below the
+/// latent-fault penalty (DESIGN.md §5).
+pub const SLICE_MARGIN_CYCLES: f64 = 300.0;
+/// EWMA weight of the newest slice probe observation.
+pub const SLICE_EWMA_ALPHA: f64 = 0.5;
+/// Timed probe reads per slice per window.
+pub const SLICE_PROBE_READS: u32 = 2;
 
 /// One breaker transition, stamped with when and for which resource.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TransitionRecord {
-    /// Mesh cycle (links) or window index (slices) of the transition.
+    /// Mesh or fabric cycle (links) or window index (slices) of the
+    /// transition.
     pub at: u64,
     /// Human-readable resource name, e.g. `link 7:East` or `slice 12`.
     pub resource: String,
@@ -99,115 +54,152 @@ pub struct TransitionRecord {
 pub struct Detection {
     /// Resource name, matching [`TransitionRecord::resource`].
     pub resource: String,
-    /// When the breaker first opened (mesh cycle for links, window index for
-    /// slices).
+    /// When the breaker first opened, stamped like
+    /// [`TransitionRecord::at`].
     pub first_open_at: u64,
     /// Breaker state at the end of the run.
     pub state: BreakerState,
 }
 
-fn dir_of_port(port: usize) -> Option<Direction> {
-    match port {
-        1 => Some(Direction::North),
-        2 => Some(Direction::East),
-        3 => Some(Direction::South),
-        4 => Some(Direction::West),
-        _ => None,
-    }
+/// A set of resources one [`WindowMonitor`] watches, indexed `0..count()`,
+/// together with the per-resource baseline its window verdict needs.
+///
+/// The two associated consts and the method bodies carry every difference
+/// between resource kinds; none of them is a setting.
+pub trait Quarantine {
+    /// What the resources live in: the mesh, the device or the fabric.
+    type Host;
+    /// A host error that aborts the window.
+    type Error;
+    /// Whether a resource entering `HalfOpen` is probed in that same window.
+    const PROBE_ON_ENTRY: bool = false;
+    /// Whether a failed probe asks for quarantine again, counting another
+    /// refusal if the host still refuses.
+    const REQUARANTINE_ON_FAILED_PROBE: bool = false;
+
+    /// Number of resources.
+    fn count(&self) -> usize;
+    /// Display name of resource `idx`, used in every record and report.
+    fn name(&self, idx: usize) -> String;
+    /// Stamp for the transitions of window number `window`.
+    fn stamp(&self, host: &Self::Host, window: u64) -> u64;
+    /// Whether resource `idx`, whose breaker is in `state`, failed this
+    /// window. Asked every window in every state; only a `Closed` verdict
+    /// moves the breaker.
+    fn verdict(&mut self, host: &mut Self::Host, idx: usize, state: BreakerState) -> bool;
+    /// Takes resource `idx` out of service; `Ok(false)` when the host
+    /// refuses because that would disconnect or empty its pool.
+    fn quarantine(&mut self, host: &mut Self::Host, idx: usize) -> Result<bool, Self::Error>;
+    /// One `HalfOpen` probe of resource `idx`: `true` when it passed.
+    fn probe(&mut self, host: &mut Self::Host, idx: usize) -> Result<bool, Self::Error>;
+    /// Returns resource `idx` to service after a passed probation.
+    fn release(&mut self, host: &mut Self::Host, idx: usize) -> Result<(), Self::Error>;
 }
 
-/// Watches every directed mesh link through its drop counter and drives one
-/// breaker per link.
+/// One [`CircuitBreaker`] per resource of `R`, driven one window at a time:
+/// verdict → `on_window` → quarantine or refusal, or `HalfOpen` → probe →
+/// release. Keeps the transition log, first-open stamps and refusals.
 #[derive(Debug)]
-pub struct LinkHealthMonitor {
-    cfg: HealthConfig,
-    /// One breaker per `router * NUM_PORTS + port` slot (LOCAL slots idle).
+pub struct WindowMonitor<R> {
+    resources: R,
     breakers: Vec<CircuitBreaker>,
-    last_drops: Vec<u64>,
-    windows: u64,
     transitions: Vec<TransitionRecord>,
     first_open: Vec<Option<u64>>,
-    /// Links whose quarantine was refused because it would disconnect the
-    /// mesh — detected but left in service.
-    refused: Vec<(u32, Direction)>,
+    /// Resources whose quarantine was refused, once per refusal.
+    refused: Vec<usize>,
+    windows: u64,
+    next_window: u64,
 }
 
-impl LinkHealthMonitor {
-    /// A monitor for a mesh with `num_routers` routers.
-    pub fn new(num_routers: usize, cfg: HealthConfig) -> Self {
-        let n = num_routers * NUM_PORTS;
+impl<R: Quarantine> WindowMonitor<R> {
+    /// A monitor with every breaker closed; its first cycle-paced window
+    /// ends at cycle [`WINDOW_CYCLES`].
+    pub fn new(resources: R) -> Self {
+        let n = resources.count();
         Self {
-            cfg,
-            breakers: vec![CircuitBreaker::new(cfg.breaker); n],
-            last_drops: vec![0; n],
-            windows: 0,
+            resources,
+            breakers: vec![CircuitBreaker::new(); n],
             transitions: Vec::new(),
             first_open: vec![None; n],
             refused: Vec::new(),
+            windows: 0,
+            next_window: WINDOW_CYCLES,
         }
     }
 
-    /// Runs one health window: reads drop deltas, advances every breaker,
-    /// and applies quarantine / probe / release actions on the mesh.
+    /// Runs one window over every resource in index order.
     ///
     /// # Errors
     ///
-    /// Propagates [`NocError`] from mesh reconfiguration, except
-    /// [`NocError::QuarantineWouldDisconnect`], which is recorded as a
-    /// refusal and leaves the link in service.
-    pub fn poll(&mut self, rm: &mut ReliableMesh) -> Result<(), NocError> {
-        let cycle = rm.mesh().cycle();
-        let drops = rm.mesh().stats().link_drops.clone();
-        debug_assert_eq!(drops.len(), self.breakers.len());
-        #[allow(clippy::needless_range_loop)] // idx addresses four parallel arrays
+    /// Propagates the host errors of [`Quarantine`]; refusals are recorded,
+    /// not returned.
+    pub fn poll(&mut self, host: &mut R::Host) -> Result<(), R::Error> {
+        let at = self.resources.stamp(host, self.windows);
         for idx in 0..self.breakers.len() {
-            let Some(dir) = dir_of_port(idx % NUM_PORTS) else {
-                continue;
-            };
-            let router = (idx / NUM_PORTS) as u32;
-            let delta = drops[idx].saturating_sub(self.last_drops[idx]);
-            let breaker = &mut self.breakers[idx];
-            match breaker.state() {
-                BreakerState::Closed | BreakerState::Open => {
-                    let failing = delta >= self.cfg.link_drop_threshold.max(1);
-                    if let Some(t) = breaker.on_window(failing) {
-                        self.transitions.push(TransitionRecord {
-                            at: cycle,
-                            resource: link_name(router, dir),
-                            from: t.from,
-                            to: t.to,
-                        });
-                        if t.to == BreakerState::Open {
-                            self.first_open[idx].get_or_insert(cycle);
-                            match rm.mesh_mut().quarantine_link(router, dir) {
-                                Ok(()) => {}
-                                Err(NocError::QuarantineWouldDisconnect { .. }) => {
-                                    self.refused.push((router, dir));
-                                }
-                                Err(e) => return Err(e),
-                            }
-                        }
+            let entry = self.breakers[idx].state();
+            let failing = self.resources.verdict(host, idx, entry);
+            if entry != BreakerState::HalfOpen {
+                if let Some(t) = self.breakers[idx].on_window(failing) {
+                    self.record(idx, at, t);
+                    if t.to == BreakerState::Open {
+                        self.quarantine(host, idx)?;
                     }
                 }
-                BreakerState::HalfOpen => {
-                    let ok = rm.mesh_mut().probe_link(router, dir)?;
-                    if let Some(t) = self.breakers[idx].on_probe(ok) {
-                        self.transitions.push(TransitionRecord {
-                            at: cycle,
-                            resource: link_name(router, dir),
-                            from: t.from,
-                            to: t.to,
-                        });
-                        if t.to == BreakerState::Closed {
-                            rm.mesh_mut().release_link(router, dir)?;
-                        }
+            }
+            let probing = entry == BreakerState::HalfOpen || R::PROBE_ON_ENTRY;
+            if probing && self.breakers[idx].state() == BreakerState::HalfOpen {
+                let ok = self.resources.probe(host, idx)?;
+                if let Some(t) = self.breakers[idx].on_probe(ok) {
+                    self.record(idx, at, t);
+                    if t.to == BreakerState::Closed {
+                        self.resources.release(host, idx)?;
+                    } else if R::REQUARANTINE_ON_FAILED_PROBE {
+                        self.quarantine(host, idx)?;
                     }
                 }
             }
         }
-        self.last_drops = drops;
         self.windows += 1;
         Ok(())
+    }
+
+    /// Runs a window if cycle `now` has reached the next window boundary,
+    /// then schedules the following one [`WINDOW_CYCLES`] later: the pacing
+    /// of the cycle-driven mesh and fabric links.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::poll`].
+    pub fn poll_due(&mut self, host: &mut R::Host, now: u64) -> Result<(), R::Error> {
+        if now >= self.next_window {
+            self.poll(host)?;
+            self.next_window = now + WINDOW_CYCLES;
+        }
+        Ok(())
+    }
+
+    fn record(&mut self, idx: usize, at: u64, t: Transition) {
+        if t.to == BreakerState::Open {
+            self.first_open[idx].get_or_insert(at);
+        }
+        self.transitions.push(TransitionRecord {
+            at,
+            resource: self.resources.name(idx),
+            from: t.from,
+            to: t.to,
+        });
+    }
+
+    fn quarantine(&mut self, host: &mut R::Host, idx: usize) -> Result<(), R::Error> {
+        if !self.resources.quarantine(host, idx)? {
+            self.refused.push(idx);
+        }
+        Ok(())
+    }
+
+    /// The monitored resource set.
+    pub fn resources(&self) -> &R {
+        &self.resources
     }
 
     /// Every breaker transition so far, in poll order.
@@ -215,198 +207,193 @@ impl LinkHealthMonitor {
         &self.transitions
     }
 
-    /// Links whose breaker has ever opened, with first-open cycle.
+    /// Resources whose breaker has ever opened, with first-open stamp and
+    /// current state.
     pub fn detections(&self) -> Vec<Detection> {
-        self.first_open
-            .iter()
-            .enumerate()
-            .filter_map(|(idx, at)| {
-                let at = (*at)?;
-                let dir = dir_of_port(idx % NUM_PORTS)?;
-                Some(Detection {
-                    resource: link_name((idx / NUM_PORTS) as u32, dir),
-                    first_open_at: at,
-                    state: self.breakers[idx].state(),
-                })
+        self.detected()
+            .into_iter()
+            .map(|(idx, first_open_at)| Detection {
+                resource: self.resources.name(idx),
+                first_open_at,
+                state: self.breakers[idx].state(),
             })
             .collect()
     }
 
-    /// Links whose breaker first opened, as `(router, dir, cycle)` triples.
-    pub fn detected_links(&self) -> Vec<(u32, Direction, u64)> {
+    /// Resources whose breaker has ever opened, as `(index, first-open
+    /// stamp)` pairs in index order.
+    pub fn detected(&self) -> Vec<(usize, u64)> {
         self.first_open
             .iter()
             .enumerate()
-            .filter_map(|(idx, at)| {
-                let at = (*at)?;
-                let dir = dir_of_port(idx % NUM_PORTS)?;
-                Some(((idx / NUM_PORTS) as u32, dir, at))
-            })
+            .filter_map(|(idx, at)| Some((idx, (*at)?)))
             .collect()
     }
 
-    /// Quarantine refusals (would disconnect the mesh).
-    pub fn refused(&self) -> &[(u32, Direction)] {
+    /// Indices of refused quarantines, one entry per refusal.
+    pub fn refused(&self) -> &[usize] {
         &self.refused
+    }
+
+    /// Breaker state of resource `idx`.
+    pub fn state(&self, idx: usize) -> BreakerState {
+        self.breakers[idx].state()
     }
 
     /// Completed health windows.
     pub fn windows(&self) -> u64 {
         self.windows
     }
+
+    /// The cycle at which [`Self::poll_due`] next runs a window.
+    pub fn next_window(&self) -> u64 {
+        self.next_window
+    }
 }
 
-fn link_name(router: u32, dir: Direction) -> String {
-    format!("link {router}:{dir:?}")
-}
-
-/// Watches every L2 slice through timed probe reads and drives one breaker
-/// per slice. The failing criterion is a latency EWMA sitting more than
-/// [`HealthConfig::slice_margin_cycles`] above the device's calibrated hit
-/// latency for that (SM, slice) pair.
+/// Every directed mesh link, watched through its drop counter: resource
+/// `idx` is router `idx / 4`'s link in direction `Direction::ALL[idx % 4]`.
+/// Links off the mesh edge are included and never drop. Transitions are
+/// stamped with the mesh cycle.
 #[derive(Debug)]
-pub struct SliceHealthMonitor {
-    cfg: HealthConfig,
+pub struct MeshLinks {
+    last_drops: Vec<u64>,
+}
+
+impl MeshLinks {
+    /// The links of a mesh with `num_routers` routers.
+    pub fn new(num_routers: usize) -> Self {
+        Self {
+            last_drops: vec![0; num_routers * Direction::ALL.len()],
+        }
+    }
+
+    /// The `(router, direction)` of resource `idx`.
+    pub(crate) fn link(idx: usize) -> (u32, Direction) {
+        ((idx / 4) as u32, Direction::ALL[idx % 4])
+    }
+}
+
+impl Quarantine for MeshLinks {
+    type Host = ReliableMesh;
+    type Error = NocError;
+
+    fn count(&self) -> usize {
+        self.last_drops.len()
+    }
+
+    fn name(&self, idx: usize) -> String {
+        let (router, dir) = Self::link(idx);
+        format!("link {router}:{dir:?}")
+    }
+
+    fn stamp(&self, rm: &ReliableMesh, _window: u64) -> u64 {
+        rm.mesh().cycle()
+    }
+
+    fn verdict(&mut self, rm: &mut ReliableMesh, idx: usize, _state: BreakerState) -> bool {
+        // Drop counters are per `router * NUM_PORTS + port`, with the four
+        // link ports after LOCAL in `Direction::ALL` order.
+        let drops = rm.mesh().stats().link_drops[(idx / 4) * NUM_PORTS + 1 + idx % 4];
+        let last = std::mem::replace(&mut self.last_drops[idx], drops);
+        drops.saturating_sub(last) >= DROP_THRESHOLD
+    }
+
+    fn quarantine(&mut self, rm: &mut ReliableMesh, idx: usize) -> Result<bool, NocError> {
+        let (router, dir) = Self::link(idx);
+        match rm.mesh_mut().quarantine_link(router, dir) {
+            Ok(()) => Ok(true),
+            Err(NocError::QuarantineWouldDisconnect { .. }) => Ok(false),
+            Err(e) => Err(e),
+        }
+    }
+
+    fn probe(&mut self, rm: &mut ReliableMesh, idx: usize) -> Result<bool, NocError> {
+        let (router, dir) = Self::link(idx);
+        rm.mesh_mut().probe_link(router, dir)
+    }
+
+    fn release(&mut self, rm: &mut ReliableMesh, idx: usize) -> Result<(), NocError> {
+        let (router, dir) = Self::link(idx);
+        rm.mesh_mut().release_link(router, dir)
+    }
+}
+
+/// Every L2 slice, watched through timed probe reads from one SM: a window
+/// fails when the latency EWMA sits more than [`SLICE_MARGIN_CYCLES`] above
+/// the device's calibrated hit latency for that (SM, slice) pair. Probe
+/// reads advance the device RNG, so the verdict is read only while the
+/// breaker is `Closed`. Transitions are stamped with the window index.
+#[derive(Debug)]
+pub struct L2Slices {
     /// The SM issuing probe reads.
     sm: SmId,
-    breakers: Vec<CircuitBreaker>,
     ewma: Vec<Option<f64>>,
-    windows: u64,
-    transitions: Vec<TransitionRecord>,
-    first_open: Vec<Option<u64>>,
-    /// Slices whose quarantine was refused (would empty the L2 or a
-    /// partition) — detected but left in service.
-    refused: Vec<u32>,
 }
 
-impl SliceHealthMonitor {
-    /// A monitor probing from `sm` over `num_slices` slices.
-    pub fn new(num_slices: usize, sm: SmId, cfg: HealthConfig) -> Self {
+impl L2Slices {
+    /// `num_slices` slices probed from `sm`.
+    pub fn new(num_slices: usize, sm: SmId) -> Self {
         Self {
-            cfg,
             sm,
-            breakers: vec![CircuitBreaker::new(cfg.breaker); num_slices],
             ewma: vec![None; num_slices],
-            windows: 0,
-            transitions: Vec::new(),
-            first_open: vec![None; num_slices],
-            refused: Vec::new(),
         }
     }
 
-    /// Runs one health window of probe reads against `dev`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DeviceError`] from the release remap; quarantine
-    /// refusals ([`DeviceError`] from the disable remap) are recorded and
-    /// leave the slice in service.
-    pub fn poll(&mut self, dev: &mut GpuDevice) -> Result<(), DeviceError> {
-        let window = self.windows;
-        for idx in 0..self.breakers.len() {
-            let slice = SliceId::new(idx as u32);
-            let expected = dev.hit_cycles_mean(self.sm, slice);
-            let limit = expected + self.cfg.slice_margin_cycles;
-            match self.breakers[idx].state() {
-                BreakerState::Closed => {
-                    let reads = self.cfg.slice_probe_reads.max(1);
-                    let mut sum = 0u64;
-                    for _ in 0..reads {
-                        sum += dev.probe_slice_latency(self.sm, slice);
-                    }
-                    let obs = sum as f64 / f64::from(reads);
-                    let alpha = self.cfg.slice_ewma_alpha.clamp(0.0, 1.0);
-                    let ewma = match self.ewma[idx] {
-                        Some(prev) => alpha * obs + (1.0 - alpha) * prev,
-                        None => obs,
-                    };
-                    self.ewma[idx] = Some(ewma);
-                    let failing = ewma > limit;
-                    if let Some(t) = self.breakers[idx].on_window(failing) {
-                        self.transitions.push(TransitionRecord {
-                            at: window,
-                            resource: slice_name(idx),
-                            from: t.from,
-                            to: t.to,
-                        });
-                        self.first_open[idx].get_or_insert(window);
-                        if dev.quarantine_slice(slice).is_err() {
-                            self.refused.push(idx as u32);
-                        }
-                    }
-                }
-                BreakerState::Open => {
-                    if let Some(t) = self.breakers[idx].on_window(false) {
-                        self.transitions.push(TransitionRecord {
-                            at: window,
-                            resource: slice_name(idx),
-                            from: t.from,
-                            to: t.to,
-                        });
-                    }
-                }
-                BreakerState::HalfOpen => {
-                    let obs = dev.probe_slice_latency(self.sm, slice) as f64;
-                    let ok = obs <= limit;
-                    if let Some(t) = self.breakers[idx].on_probe(ok) {
-                        self.transitions.push(TransitionRecord {
-                            at: window,
-                            resource: slice_name(idx),
-                            from: t.from,
-                            to: t.to,
-                        });
-                        if t.to == BreakerState::Closed {
-                            dev.release_slice(slice)?;
-                            self.ewma[idx] = None;
-                        }
-                    }
-                }
-            }
+    fn limit(&self, dev: &GpuDevice, idx: usize) -> f64 {
+        dev.hit_cycles_mean(self.sm, SliceId::new(idx as u32)) + SLICE_MARGIN_CYCLES
+    }
+}
+
+impl Quarantine for L2Slices {
+    type Host = GpuDevice;
+    type Error = DeviceError;
+
+    fn count(&self) -> usize {
+        self.ewma.len()
+    }
+
+    fn name(&self, idx: usize) -> String {
+        format!("slice {idx}")
+    }
+
+    fn stamp(&self, _dev: &GpuDevice, window: u64) -> u64 {
+        window
+    }
+
+    fn verdict(&mut self, dev: &mut GpuDevice, idx: usize, state: BreakerState) -> bool {
+        if state != BreakerState::Closed {
+            return false;
         }
-        self.windows += 1;
+        let slice = SliceId::new(idx as u32);
+        let sum: u64 = (0..SLICE_PROBE_READS)
+            .map(|_| dev.probe_slice_latency(self.sm, slice))
+            .sum();
+        let obs = sum as f64 / f64::from(SLICE_PROBE_READS);
+        let ewma = match self.ewma[idx] {
+            Some(prev) => SLICE_EWMA_ALPHA * obs + (1.0 - SLICE_EWMA_ALPHA) * prev,
+            None => obs,
+        };
+        self.ewma[idx] = Some(ewma);
+        ewma > self.limit(dev, idx)
+    }
+
+    fn quarantine(&mut self, dev: &mut GpuDevice, idx: usize) -> Result<bool, DeviceError> {
+        match dev.quarantine_slice(SliceId::new(idx as u32)) {
+            Ok(()) => Ok(true),
+            Err(DeviceError::Slices(_)) => Ok(false),
+            Err(e) => Err(e),
+        }
+    }
+
+    fn probe(&mut self, dev: &mut GpuDevice, idx: usize) -> Result<bool, DeviceError> {
+        let obs = dev.probe_slice_latency(self.sm, SliceId::new(idx as u32)) as f64;
+        Ok(obs <= self.limit(dev, idx))
+    }
+
+    fn release(&mut self, dev: &mut GpuDevice, idx: usize) -> Result<(), DeviceError> {
+        dev.release_slice(SliceId::new(idx as u32))?;
+        self.ewma[idx] = None;
         Ok(())
     }
-
-    /// Every breaker transition so far, in poll order.
-    pub fn transitions(&self) -> &[TransitionRecord] {
-        &self.transitions
-    }
-
-    /// Slices whose breaker has ever opened, with first-open window.
-    pub fn detections(&self) -> Vec<Detection> {
-        self.first_open
-            .iter()
-            .enumerate()
-            .filter_map(|(idx, at)| {
-                Some(Detection {
-                    resource: slice_name(idx),
-                    first_open_at: (*at)?,
-                    state: self.breakers[idx].state(),
-                })
-            })
-            .collect()
-    }
-
-    /// Slices whose breaker first opened, as `(slice, window)` pairs.
-    pub fn detected_slices(&self) -> Vec<(u32, u64)> {
-        self.first_open
-            .iter()
-            .enumerate()
-            .filter_map(|(idx, at)| Some((idx as u32, (*at)?)))
-            .collect()
-    }
-
-    /// Quarantine refusals (remap rejected).
-    pub fn refused(&self) -> &[u32] {
-        &self.refused
-    }
-
-    /// Completed health windows.
-    pub fn windows(&self) -> u64 {
-        self.windows
-    }
-}
-
-fn slice_name(idx: usize) -> String {
-    format!("slice {idx}")
 }

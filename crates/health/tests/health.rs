@@ -2,7 +2,7 @@
 //! plan; everything is inferred from drop counters and probe latencies.
 
 use gnoc_faults::{Direction, FaultGenConfig, FaultPlan, LinkFault, LinkFaultKind};
-use gnoc_health::{BreakerState, HealthConfig, SelfHealingMesh};
+use gnoc_health::{BreakerState, SelfHealingMesh};
 use gnoc_noc::{ArbiterKind, MeshConfig, RetryConfig};
 use gnoc_topo::GpuSpec;
 
@@ -11,13 +11,7 @@ fn mesh_cfg() -> MeshConfig {
 }
 
 fn healer(plan: &FaultPlan) -> SelfHealingMesh {
-    SelfHealingMesh::new(
-        mesh_cfg(),
-        plan,
-        RetryConfig::default(),
-        HealthConfig::default(),
-    )
-    .unwrap()
+    SelfHealingMesh::new(mesh_cfg(), plan, RetryConfig::default()).unwrap()
 }
 
 #[test]
@@ -178,15 +172,9 @@ fn health_report_round_trips_through_json() {
 fn latent_faulty_slices_are_detected_and_quarantined() {
     let mut plan = FaultPlan::none();
     plan.disabled_slices = vec![3, 17];
-    let (dev, monitor) = gnoc_health::run_slice_detection_for_spec(
-        GpuSpec::v100(),
-        &plan,
-        42,
-        HealthConfig::default(),
-        20,
-    )
-    .unwrap();
-    let detected: Vec<u32> = monitor.detected_slices().iter().map(|&(s, _)| s).collect();
+    let (dev, monitor) =
+        gnoc_health::run_slice_detection_for_spec(GpuSpec::v100(), &plan, 42, 20).unwrap();
+    let detected: Vec<usize> = monitor.detected().iter().map(|&(s, _)| s).collect();
     assert_eq!(detected, vec![3, 17], "exactly the faulty slices must open");
     assert_eq!(dev.quarantined_slices(), &[3, 17]);
     // Probes against a still-faulty slice keep failing, so no breaker may
@@ -196,22 +184,17 @@ fn latent_faulty_slices_are_detected_and_quarantined() {
     }
     // Detection latency: the penalty dwarfs the margin, so the leaky bucket
     // fills in the first two windows.
-    for &(_, window) in &monitor.detected_slices() {
+    for &(_, window) in &monitor.detected() {
         assert!(window <= 2, "slice detection too slow: window {window}");
     }
 }
 
 #[test]
 fn healthy_device_has_no_slice_detections() {
-    let (dev, monitor) = gnoc_health::run_slice_detection_for_spec(
-        GpuSpec::v100(),
-        &FaultPlan::none(),
-        7,
-        HealthConfig::default(),
-        25,
-    )
-    .unwrap();
-    assert!(monitor.detected_slices().is_empty());
+    let (dev, monitor) =
+        gnoc_health::run_slice_detection_for_spec(GpuSpec::v100(), &FaultPlan::none(), 7, 25)
+            .unwrap();
+    assert!(monitor.detected().is_empty());
     assert!(dev.quarantined_slices().is_empty());
 }
 

@@ -27,11 +27,12 @@
 //!    stalls + transit == latency` holds exactly, with cross-device time
 //!    charged to the `fabric_hop` stall class.
 
+use gnoc_core::fabric::{detected_links, run_detection, FabricLinks};
 use gnoc_core::faults::{FabricLinkFault, LinkFaultKind};
 use gnoc_core::noc::{fabric_soak, LossReason, NodeId, PacketClass, TransferOutcome};
 use gnoc_core::{
-    FabricConfig, FabricHealthConfig, FabricHealthMonitor, FabricSim, FabricTopology,
-    FaultGenConfig, FaultPlan, ProfileReport,
+    FabricConfig, FabricMonitor, FabricSim, FabricTopology, FaultGenConfig, FaultPlan,
+    ProfileReport,
 };
 use proptest::prelude::*;
 
@@ -264,9 +265,9 @@ fn ring_dead_link_takes_the_long_way_within_a_latency_bound() {
     let mut cfg = FabricConfig::new(4, FabricTopology::Ring);
     cfg.self_healing = true;
     let mut sim = FabricSim::with_faults(cfg, &plan).expect("plan fits the ring");
-    let mut monitor = FabricHealthMonitor::new(&sim, FabricHealthConfig::default());
-    monitor.run_detection(&mut sim, ONSET + DETECT_BOUND);
-    let detected = monitor.detected_links(&sim);
+    let mut monitor = FabricMonitor::new(FabricLinks::new(&sim));
+    run_detection(&mut monitor, &mut sim, ONSET + DETECT_BOUND);
+    let detected = detected_links(&monitor);
     assert!(
         detected
             .iter()
