@@ -25,6 +25,18 @@ for constant in 'bf58_?476d_?1ce4_?e5b9' 'cbf2_?9ce4_?8422_?2325'; do
     fi
 done
 
+echo "== one home for the bandwidth arithmetic: MLP budgets read in two files =="
+# calib.rs sets the in-flight byte budgets and FabricModel (fabric.rs) turns
+# them into Little's-law rates; a second copy of that formula in microbench
+# or a figure binary would drift from the solver's.
+readers="$(grep -rlE '\b(flow|sm)_mlp_bytes\b' crates tests examples \
+    | grep -vxE 'crates/engine/src/(calib|fabric)\.rs' || true)"
+if [ -n "$readers" ]; then
+    echo "flow_mlp_bytes/sm_mlp_bytes read outside calib.rs and fabric.rs:"
+    printf '%s\n' "$readers"
+    exit 1
+fi
+
 echo "== one run path per experiment: no _traced/_recorded/_shared variants =="
 # Each experiment has one public run function that takes its telemetry
 # handle, recorder flag or network organisation as arguments; a family of

@@ -17,6 +17,8 @@
 //! [`FabricModel::solve`] resolves a set of concurrent flows against all three
 //! mechanisms: it iterates a damped fixed point between queueing delays and a
 //! progressive-filling **max-min fair** allocation over the link capacities.
+//! A lone flow, where that allocation is a single `min`, runs the same
+//! iteration in closed form.
 
 use crate::calib::{Calibration, UNLIMITED};
 use crate::latency;
@@ -42,6 +44,15 @@ impl AccessKind {
     /// Whether this flow's payload moves on the reply network (L2 → SM).
     pub fn is_reply_limited(self) -> bool {
         matches!(self, AccessKind::ReadHit | AccessKind::ReadMiss)
+    }
+
+    /// The direction whose capacities limit this flow.
+    fn direction(self) -> Direction {
+        if self.is_reply_limited() {
+            Direction::Reply
+        } else {
+            Direction::Request
+        }
     }
 }
 
@@ -128,6 +139,15 @@ const DELAY_DAMPING: f64 = 0.35;
 const RHO_CLAMP: f64 = 0.95;
 /// Iterations whose rates are averaged to produce the reported solution.
 const AVERAGE_TAIL: usize = 6;
+/// Utilisation from which a resource is listed as a bottleneck.
+const BOTTLENECK_UTIL: f64 = 0.99;
+
+/// A queueing resource's next damped delay, cycles, under `load` GB/s.
+fn next_delay(delay: f64, load: f64, capacity: f64, queue_cycles: f64) -> f64 {
+    let rho = (load / capacity).min(RHO_CLAMP);
+    let target = queue_cycles * rho / (1.0 - rho);
+    DELAY_DAMPING * target + (1.0 - DELAY_DAMPING) * delay
+}
 
 /// Most resources one flow's path visits: Little, SM port, TPC, CPC, GPC
 /// total, GPC port, two partition fabrics, the central link, MP port, slice
@@ -328,12 +348,98 @@ impl FabricModel {
         }
     }
 
+    /// The per-flow and per-SM in-flight byte budgets as rates, GB/s per
+    /// (1/cycles): dividing one by a latency in cycles gives GB/s.
+    fn mlp(&self) -> (f64, f64) {
+        let byte_cycles = |bytes: f64| bytes * self.clock_ghz;
+        (
+            byte_cycles(self.calib.flow_mlp_bytes),
+            byte_cycles(self.calib.sm_mlp_bytes),
+        )
+    }
+
     /// Solves the steady-state rates of `flows` under max-min fairness with
     /// Little's-law and queueing feedback.
     ///
     /// The result is deterministic. Duplicate `(sm, slice, kind)` entries are
     /// legal and act as independent warps sharing the same path.
     pub fn solve(&self, flows: &[FlowSpec]) -> FlowSolution {
+        match flows {
+            [flow] => self.solve_lone(flow),
+            _ => self.solve_general(flows),
+        }
+    }
+
+    /// [`Self::solve`] for one flow, bit for bit, without the resource
+    /// table or the water fill (DESIGN.md §8.5, "Lone flows").
+    ///
+    /// Every static resource on the path carries just this flow, so the
+    /// fill holds the Little budget and the smallest static capacity, and
+    /// its first step freezes the flow at the smallest of those and its own
+    /// cap. Each queueing resource's load is that rate.
+    fn solve_lone(&self, flow: &FlowSpec) -> FlowSolution {
+        let dir = flow.kind.direction();
+        // The static resources in path order with their capacities, and the
+        // queueing ones among them as (capacity, queue cycles).
+        let mut statics = [(ResourceKind::SmPort(flow.sm), 0.0f64); MAX_PATH];
+        let mut queued = [(0.0f64, 0.0f64); MAX_PATH];
+        let (mut n_statics, mut n_queued) = (0, 0);
+        let mut floor = f64::INFINITY;
+        self.path(flow, |kind| {
+            let Some(cap) = self.capacity(kind, dir) else {
+                return;
+            };
+            statics[n_statics] = (kind, cap);
+            n_statics += 1;
+            floor = floor.min(cap);
+            let queue_cycles = self.queue_cycles(kind);
+            if queue_cycles != 0.0 {
+                queued[n_queued] = (cap, queue_cycles);
+                n_queued += 1;
+            }
+        });
+        let (statics, queued) = (&statics[..n_statics], &queued[..n_queued]);
+
+        let base_lat = self.base_latency(flow);
+        let (flow_mlp, sm_mlp) = self.mlp();
+        let mut delays = [0.0f64; MAX_PATH];
+        let delays = &mut delays[..n_queued];
+        let mut lat = 0.0;
+        let mut rate = 0.0;
+        for iter in 0..FIXED_POINT_ITERS {
+            lat = base_lat + delays.iter().sum::<f64>();
+            let flow_cap = self.calib.flow_port_gbps.min(flow_mlp / lat);
+            let budget = sm_mlp * (1.0 / lat);
+            // The fill's one step: the same `min`s from infinity, the same
+            // `max(0.0)`, added to a rate that starts at `0.0`.
+            let iter_rate = 0.0 + f64::INFINITY.min(budget).min(floor).min(flow_cap).max(0.0);
+            for (&(capacity, queue_cycles), delay) in queued.iter().zip(delays.iter_mut()) {
+                *delay = next_delay(*delay, iter_rate, capacity, queue_cycles);
+            }
+            if iter + AVERAGE_TAIL >= FIXED_POINT_ITERS {
+                rate += iter_rate / AVERAGE_TAIL as f64;
+            }
+        }
+
+        let mut bottlenecks: Vec<(ResourceKind, Direction, f64)> = statics
+            .iter()
+            .filter_map(|&(kind, capacity)| {
+                let util = rate / capacity;
+                (util >= BOTTLENECK_UTIL).then_some((kind, dir, util))
+            })
+            .collect();
+        bottlenecks.sort_by(|a, b| b.2.partial_cmp(&a.2).expect("finite utilisation"));
+        FlowSolution {
+            rates_gbps: vec![rate],
+            latencies_cycles: vec![lat],
+            total_gbps: rate,
+            bottlenecks,
+        }
+    }
+
+    /// [`Self::solve`] for any number of flows: the damped fixed point over
+    /// the full resource table and the max-min water fill.
+    fn solve_general(&self, flows: &[FlowSpec]) -> FlowSolution {
         if flows.is_empty() {
             return FlowSolution {
                 rates_gbps: Vec::new(),
@@ -354,11 +460,7 @@ impl FabricModel {
         let mut queued = Vec::new();
 
         for flow in flows {
-            let dir = if flow.kind.is_reply_limited() {
-                Direction::Reply
-            } else {
-                Direction::Request
-            };
+            let dir = flow.kind.direction();
             // Dynamic per-SM Little's-law budget.
             let little_id = *sm_little.entry((flow.sm, dir)).or_insert_with(|| {
                 littles.push(resources.len());
@@ -402,9 +504,7 @@ impl FabricModel {
             flow_paths.filter_map(|r| (resources[r].queue_cycles != 0.0).then_some(r));
 
         let base_lat: Vec<f64> = flows.iter().map(|f| self.base_latency(f)).collect();
-        let byte_cycles = |bytes: f64| bytes * self.clock_ghz; // GB/s per (1/cycles)
-        let flow_mlp = byte_cycles(self.calib.flow_mlp_bytes);
-        let sm_mlp = byte_cycles(self.calib.sm_mlp_bytes);
+        let (flow_mlp, sm_mlp) = self.mlp();
 
         // ---- Damped fixed point between delays and max-min rates. ----------
         let mut fill = WaterFill::new(&resources, &littles, &members, &flow_paths);
@@ -440,9 +540,7 @@ impl FabricModel {
             for &ri in &queued {
                 let res = &resources[ri];
                 let load: f64 = members.row(ri).iter().map(|&fi| iter_rates[fi]).sum();
-                let rho = (load / res.capacity).min(RHO_CLAMP);
-                let target = res.queue_cycles * rho / (1.0 - rho);
-                delays[ri] = DELAY_DAMPING * target + (1.0 - DELAY_DAMPING) * delays[ri];
+                delays[ri] = next_delay(delays[ri], load, res.capacity, res.queue_cycles);
             }
 
             // Average the tail iterations to smooth any residual oscillation.
@@ -460,7 +558,7 @@ impl FabricModel {
             .filter_map(|(ri, r)| {
                 let load: f64 = members.row(ri).iter().map(|&fi| rates[fi]).sum();
                 let util = load / r.capacity;
-                (util >= 0.99).then_some((r.kind, r.direction, util))
+                (util >= BOTTLENECK_UTIL).then_some((r.kind, r.direction, util))
             })
             .collect();
         bottlenecks.sort_by(|a, b| b.2.partial_cmp(&a.2).expect("finite utilisation"));
@@ -912,5 +1010,135 @@ mod tests {
         let flows = vec![read_hit(0, 0)];
         let sol = m.solve(&flows);
         assert!(sol.rates_gbps[0] <= Calibration::volta().flow_port_gbps + 1e-6);
+    }
+
+    type SolutionBits = (Vec<u64>, Vec<u64>, u64, Vec<(ResourceKind, Direction, u64)>);
+
+    /// The bits of everything a solution reports.
+    fn bits(sol: &FlowSolution) -> SolutionBits {
+        let raw = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+        (
+            raw(&sol.rates_gbps),
+            raw(&sol.latencies_cycles),
+            sol.total_gbps.to_bits(),
+            sol.bottlenecks
+                .iter()
+                .map(|&(kind, dir, util)| (kind, dir, util.to_bits()))
+                .collect(),
+        )
+    }
+
+    const KINDS: [AccessKind; 3] = [AccessKind::ReadHit, AccessKind::ReadMiss, AccessKind::Write];
+
+    /// Asserts that the closed form gives the fixed point's bits for `flow`.
+    fn assert_lone_flow_exact(m: &FabricModel, flow: FlowSpec) {
+        let flows = [flow];
+        assert_eq!(
+            bits(&m.solve(&flows)),
+            bits(&m.solve_general(&flows)),
+            "{flow:?}"
+        );
+    }
+
+    #[test]
+    fn lone_flows_match_the_fixed_point_on_every_preset() {
+        let mut solved = 0;
+        for spec in GpuSpec::paper_presets() {
+            let m = model(&spec);
+            let h = spec.hierarchy();
+            for sm in SmId::range(h.num_sms()) {
+                for slice in SliceId::range(h.num_slices()) {
+                    for kind in KINDS {
+                        assert_lone_flow_exact(&m, FlowSpec { sm, slice, kind });
+                        solved += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(solved, 65_280);
+    }
+
+    /// Draws one calibration value from its mode: the preset's value,
+    /// `UNLIMITED`, a value `tie` shared with every other field in that
+    /// mode, a value just inside the dominance margin above `tie`, or a
+    /// value of its own.
+    fn pick(mode: u8, preset: f64, tie: f64, own: f64) -> f64 {
+        match mode % 5 {
+            0 => preset,
+            1 => UNLIMITED,
+            2 => tie,
+            3 => tie * (1.0 + DOMINANCE_MARGIN / 10.0),
+            _ => own,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn lone_flows_match_the_fixed_point_on_random_calibrations(
+            preset in 0usize..3,
+            modes in proptest::any::<[u8; 19]>(),
+            values in proptest::collection::vec(1.0f64..300.0, 20),
+            picks in proptest::collection::vec(
+                (proptest::any::<u32>(), proptest::any::<u32>(), 0usize..3),
+                8,
+            ),
+        ) {
+            let spec = GpuSpec::paper_presets().swap_remove(preset);
+            let mut c = Calibration::for_spec(&spec);
+            let tie = values[19];
+            // Speedups scale the SM ports: a tie is a speedup of 1 (the TPC
+            // or CPC capacity equals the port's), an own value 0.01-3.
+            let speedup = |mode: u8, preset: f64, own: f64| match mode % 5 {
+                2 => 1.0,
+                3 => 1.0 + DOMINANCE_MARGIN / 10.0,
+                _ => pick(mode, preset, tie, own / 100.0),
+            };
+            c.sm_read_port_gbps = pick(modes[0], c.sm_read_port_gbps, tie, values[0]);
+            c.sm_write_port_gbps = pick(modes[1], c.sm_write_port_gbps, tie, values[1]);
+            c.tpc_read_speedup = speedup(modes[2], c.tpc_read_speedup, values[2]);
+            c.tpc_write_speedup = speedup(modes[3], c.tpc_write_speedup, values[3]);
+            c.cpc_read_speedup = speedup(modes[4], c.cpc_read_speedup, values[4]);
+            c.cpc_write_speedup = speedup(modes[5], c.cpc_write_speedup, values[5]);
+            c.gpc_port_gbps = pick(modes[6], c.gpc_port_gbps, tie, values[6]);
+            c.gpc_total_gbps = pick(modes[7], c.gpc_total_gbps, tie, values[7]);
+            c.gpc_total_write_gbps = pick(modes[8], c.gpc_total_write_gbps, tie, values[8]);
+            c.partition_fabric_gbps =
+                pick(modes[9], c.partition_fabric_gbps, tie, values[9]);
+            c.inter_partition_gbps = pick(modes[10], c.inter_partition_gbps, tie, values[10]);
+            c.slice_gbps = pick(modes[11], c.slice_gbps, tie, values[11]);
+            c.mp_port_gbps = pick(modes[12], c.mp_port_gbps, tie, values[12]);
+            c.flow_port_gbps = pick(modes[13], c.flow_port_gbps, tie, values[13]);
+            // Queueing constants: modes 1-3 switch the delay off.
+            let queue = |mode: u8, preset: f64, own: f64| match mode % 5 {
+                0 => preset,
+                1..=3 => 0.0,
+                _ => own,
+            };
+            c.slice_queue_cycles = queue(modes[14], c.slice_queue_cycles, values[14]);
+            c.gpc_port_queue_cycles = queue(modes[15], c.gpc_port_queue_cycles, values[15]);
+            let dram = pick(modes[16], c.dram_gbps_per_mp(&spec), tie, values[16]);
+            // In-flight budgets of 50-15,000 bytes, so that the SM's Little
+            // budget, the flow's cap or a static capacity can each bind.
+            let mlp = |mode: u8, preset: f64, own: f64| match mode % 2 {
+                0 => preset,
+                _ => own * 50.0,
+            };
+            c.sm_mlp_bytes = mlp(modes[17], c.sm_mlp_bytes, values[17]);
+            c.flow_mlp_bytes = mlp(modes[18], c.flow_mlp_bytes, values[18]);
+            let h = spec.hierarchy();
+            let m = FabricModel::new(h.clone(), spec.floorplan(), c, spec.clock_ghz, dram);
+            for &(sm, slice, kind) in &picks {
+                assert_lone_flow_exact(
+                    &m,
+                    FlowSpec {
+                        sm: SmId::new(sm % h.num_sms() as u32),
+                        slice: SliceId::new(slice % h.num_slices() as u32),
+                        kind: KINDS[kind],
+                    },
+                );
+            }
+        }
     }
 }

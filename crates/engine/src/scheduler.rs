@@ -47,17 +47,32 @@ impl CtaScheduler {
         sms: &[SmId],
         rng: &mut R,
     ) -> Vec<SmId> {
+        let start = self.start(sms, rng);
+        (0..num_blocks)
+            .map(|b| sms[(start + b) % sms.len()])
+            .collect()
+    }
+
+    /// The SM of a one-block launch: `assign(1, sms, rng)[0]`, with the same
+    /// draws from `rng`, without the `Vec`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sms` is empty.
+    pub fn assign_one<R: Rng + ?Sized>(self, sms: &[SmId], rng: &mut R) -> SmId {
+        sms[self.start(sms, rng)]
+    }
+
+    /// The position in `sms` of the launch's first block.
+    fn start<R: Rng + ?Sized>(self, sms: &[SmId], rng: &mut R) -> usize {
         assert!(!sms.is_empty(), "cannot schedule onto zero SMs");
-        let start = match self {
+        match self {
             CtaScheduler::Static => 0,
             CtaScheduler::RandomSeed => rng.gen_range(0..sms.len()),
             CtaScheduler::RandomWindow { span } => {
                 rng.gen_range(0..(span as usize).clamp(1, sms.len()))
             }
-        };
-        (0..num_blocks)
-            .map(|b| sms[(start + b) % sms.len()])
-            .collect()
+        }
     }
 }
 
@@ -126,6 +141,24 @@ mod tests {
         );
         let wide = CtaScheduler::RandomWindow { span: 10_000 }.assign(1, &sms, &mut rng)[0];
         assert!(wide.index() < 32);
+    }
+
+    #[test]
+    fn assign_one_is_the_first_block_with_the_same_draws() {
+        let sms = sms(32);
+        for policy in [
+            CtaScheduler::Static,
+            CtaScheduler::RandomSeed,
+            CtaScheduler::RandomWindow { span: 5 },
+        ] {
+            let (mut a, mut b) = (StdRng::seed_from_u64(6), StdRng::seed_from_u64(6));
+            for _ in 0..50 {
+                assert_eq!(
+                    policy.assign_one(&sms, &mut a),
+                    policy.assign(1, &sms, &mut b)[0]
+                );
+            }
+        }
     }
 
     #[test]

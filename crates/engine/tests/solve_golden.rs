@@ -8,7 +8,9 @@
 //! change in the order of a float sum, a `min`/`max` call or the tail
 //! average fails here. The Fig. 12 rows and the tied-capacity calibrations
 //! were captured before the max-min fill dropped constraints that cannot
-//! bind, so they pin that pruning to the unpruned solver's bits.
+//! bind, so they pin that pruning to the unpruned solver's bits. The
+//! lone-flow rows were captured from the fixed point before one-flow solves
+//! took a closed form.
 
 use gnoc_engine::{AccessKind, Calibration, FlowSolution, FlowSpec, GpuDevice};
 use gnoc_telemetry::hash::fnv1a64;
@@ -177,13 +179,18 @@ const fn p(
     }
 }
 
-/// A Fig. 12 row: one single-flow read solve per slice `sm` can reach,
-/// folded into one pin (`total_bits` digests the per-solve totals).
-fn fig12_row(dev: &GpuDevice, label: &str, sm: SmId) -> (String, Pin) {
+/// One single-flow solve of `kind` from `sm` per slice in `slices`, folded
+/// into one pin (`total_bits` digests the per-solve totals).
+fn lone_flow_row(
+    dev: &GpuDevice,
+    name: String,
+    sm: SmId,
+    kind: AccessKind,
+    slices: &[SliceId],
+) -> (String, Pin) {
     let (mut rates, mut latencies, mut totals, mut listed) = (vec![], vec![], vec![], vec![]);
-    let slices = reachable(dev, sm);
-    for &slice in &slices {
-        let flows = [flow(sm, slice, AccessKind::ReadHit)];
+    for &slice in slices {
+        let flows = [flow(sm, slice, kind)];
         let sol = dev.solve_bandwidth(&flows);
         rates.extend(&sol.rates_gbps);
         latencies.extend(&sol.latencies_cycles);
@@ -202,7 +209,13 @@ fn fig12_row(dev: &GpuDevice, label: &str, sm: SmId) -> (String, Pin) {
         bottlenecks: listed.len(),
         bottleneck_digest: fnv1a64(listed.join(";").as_bytes()),
     };
-    (format!("{label}/fig12_row_sm{}", sm.index()), pin)
+    (name, pin)
+}
+
+/// A Fig. 12 row: one single-flow read solve per slice `sm` can reach.
+fn fig12_row(dev: &GpuDevice, label: &str, sm: SmId) -> (String, Pin) {
+    let name = format!("{label}/fig12_row_sm{}", sm.index());
+    lone_flow_row(dev, name, sm, AccessKind::ReadHit, &reachable(dev, sm))
 }
 
 /// The cases of `dev` cheap enough to repeat per calibration, plus a Fig. 12
@@ -254,6 +267,32 @@ fn fig12_rows_are_bit_identical() {
     .map(|(dev, label)| fig12_row(dev, label, SmId::new(0)))
     .collect();
     check(got, &FIG12);
+}
+
+/// Lone flows beyond the Fig. 12 rows: SM 0's misses (the DRAM resource)
+/// and writes (the request direction) to every slice it reaches, and on
+/// H100 its reads from all 80 slices, the other partition's included. Pinned
+/// from the max-min fixed point before lone flows took a closed form.
+#[test]
+fn lone_flow_rows_are_bit_identical() {
+    let sm0 = SmId::new(0);
+    let mut got = Vec::new();
+    for (dev, label) in [
+        (GpuDevice::v100(0), "v100"),
+        (GpuDevice::a100(0), "a100"),
+        (GpuDevice::h100(0), "h100"),
+    ] {
+        let slices = reachable(&dev, sm0);
+        for (kind, tag) in [(AccessKind::ReadMiss, "miss"), (AccessKind::Write, "write")] {
+            let name = format!("{label}/{tag}_row_sm0");
+            got.push(lone_flow_row(&dev, name, sm0, kind, &slices));
+        }
+    }
+    let h100 = GpuDevice::h100(0);
+    let every: Vec<SliceId> = SliceId::range(h100.hierarchy().num_slices()).collect();
+    let name = "h100/hit_row_sm0_all_slices".to_string();
+    got.push(lone_flow_row(&h100, name, sm0, AccessKind::ReadHit, &every));
+    check(got, &LONE);
 }
 
 /// Calibrations where an SM port and its TPC carry the same flows at equal
@@ -1022,6 +1061,86 @@ const TIES: [(&str, Pin); 38] = [
             4638074297494011904,
             2,
             7639909600417034092,
+        ),
+    ),
+];
+
+const LONE: [(&str, Pin); 7] = [
+    (
+        "v100/miss_row_sm0",
+        p(
+            32,
+            15488782373028159277,
+            18445298234264700438,
+            15488782373028159277,
+            0,
+            14695981039346656037,
+        ),
+    ),
+    (
+        "v100/write_row_sm0",
+        p(
+            32,
+            12366743295349002533,
+            18398269821638718621,
+            12366743295349002533,
+            32,
+            8273321070302230268,
+        ),
+    ),
+    (
+        "a100/miss_row_sm0",
+        p(
+            80,
+            16229558526806287299,
+            8790355487388728404,
+            16229558526806287299,
+            0,
+            14695981039346656037,
+        ),
+    ),
+    (
+        "a100/write_row_sm0",
+        p(
+            80,
+            11941679970230353846,
+            5019325337304655478,
+            11941679970230353846,
+            40,
+            9394400998566740404,
+        ),
+    ),
+    (
+        "h100/miss_row_sm0",
+        p(
+            40,
+            1903374053789246841,
+            18017172857184519995,
+            1903374053789246841,
+            0,
+            14695981039346656037,
+        ),
+    ),
+    (
+        "h100/write_row_sm0",
+        p(
+            40,
+            11149410090494864933,
+            15760231365598144312,
+            11149410090494864933,
+            40,
+            6768113403420620996,
+        ),
+    ),
+    (
+        "h100/hit_row_sm0_all_slices",
+        p(
+            80,
+            17496050089216598412,
+            4210820995539380644,
+            17496050089216598412,
+            0,
+            14695981039346656037,
         ),
     ),
 ];

@@ -32,8 +32,12 @@ pub fn reachable_slices(dev: &GpuDevice, sm: SmId) -> Vec<SliceId> {
 }
 
 /// Measured bandwidth (GB/s, with jitter) of `sms` streaming reads that hit
-/// in `slice`.
+/// in `slice`. No SMs move no bytes: that reads exactly 0 and draws no
+/// jitter.
 pub fn sms_to_slice_gbps(dev: &mut GpuDevice, sms: &[SmId], slice: SliceId) -> f64 {
+    if sms.is_empty() {
+        return 0.0;
+    }
     let flows = cross_flows(sms, &[slice], AccessKind::ReadHit);
     let total = dev.solve_bandwidth(&flows).total_gbps;
     (total + dev.bandwidth_jitter(bw_sigma(sms.len()))).max(0.0)
@@ -99,6 +103,21 @@ mod tests {
         let s = Summary::of(&samples);
         assert!((32.0..36.0).contains(&s.mean), "{s}");
         assert!(s.stddev < 0.5, "distribution should be tight: {s}");
+    }
+
+    #[test]
+    fn zero_sms_measure_zero_and_draw_no_jitter() {
+        let mut dev = GpuDevice::v100(0);
+        let mut fresh = GpuDevice::v100(0);
+        for slice in SliceId::range(32) {
+            assert_eq!(sms_to_slice_gbps(&mut dev, &[], slice), 0.0);
+        }
+        // The jitter stream is where a fresh device's is.
+        let sm = [SmId::new(0)];
+        assert_eq!(
+            sms_to_slice_gbps(&mut dev, &sm, SliceId::new(0)).to_bits(),
+            sms_to_slice_gbps(&mut fresh, &sm, SliceId::new(0)).to_bits()
+        );
     }
 
     #[test]

@@ -106,25 +106,25 @@ pub fn run_aes_attack(dev: &mut GpuDevice, cfg: &AesAttackConfig, seed: u64) -> 
     let mut times = Vec::with_capacity(cfg.samples);
     let mut ct_bytes: Vec<[u8; WARP_SIZE]> = Vec::with_capacity(cfg.samples);
     for _ in 0..cfg.samples {
-        let sm = cfg.scheduler.assign(1, &all_sms, &mut rng)[0];
+        let sm = cfg.scheduler.assign_one(&all_sms, &mut rng);
         let mut warp_ct = [0u8; WARP_SIZE];
-        let mut traces = Vec::with_capacity(WARP_SIZE);
+        // Per byte position, the table line each thread's lookup touches.
+        let mut lines = [[0u8; WARP_SIZE]; 16];
         for (t, slot) in warp_ct.iter_mut().enumerate() {
             let mut pt = [0u8; 16];
             rng.fill(&mut pt);
             let (ct, trace) = aes.encrypt_block_traced(pt);
             *slot = ct[cfg.position];
-            traces.push(trace);
-            let _ = t;
+            for (position, (group, &idx)) in
+                lines.iter_mut().zip(&trace.last_round_indices).enumerate()
+            {
+                group[t] = table_line(position, idx);
+            }
         }
         // Kernel time: one coalesced transaction group per byte position.
         let mut time = 0.0;
-        for position in 0..16 {
-            let lines: Vec<u8> = traces
-                .iter()
-                .map(|tr| table_line(position, tr.last_round_indices[position]))
-                .collect();
-            time += warp_read_cycles(dev, sm, &lines);
+        for group in &lines {
+            time += warp_read_cycles(dev, sm, group);
         }
         times.push(time);
         ct_bytes.push(warp_ct);

@@ -25,19 +25,27 @@ pub const TABLE_BASE_LINE: u64 = 0x4000_0000;
 /// latency (placement-dependent) plus the serialisation term. Measurement
 /// jitter comes from the device's seeded noise stream.
 pub fn warp_read_cycles(dev: &mut GpuDevice, sm: SmId, table_lines: &[u8]) -> f64 {
-    let mut unique: Vec<u8> = table_lines.to_vec();
-    unique.sort_unstable();
-    unique.dedup();
-    if unique.is_empty() {
+    // One bit per line. Words low to high, each word's set bits lowest
+    // first, visit the unique lines in ascending order.
+    let mut seen = [0u64; 4];
+    for &line in table_lines {
+        seen[usize::from(line >> 6)] |= 1 << (line & 63);
+    }
+    let unique: u32 = seen.iter().map(|w| w.count_ones()).sum();
+    if unique == 0 {
         return 0.0;
     }
     let mut slowest = 0.0f64;
-    for &line in &unique {
-        let addr = TABLE_BASE_LINE + u64::from(line);
-        dev.warm_line(sm, addr);
-        slowest = slowest.max(dev.timed_read(sm, addr) as f64);
+    for (w, &word) in (0u64..).zip(&seen) {
+        let mut bits = word;
+        while bits != 0 {
+            let addr = TABLE_BASE_LINE + w * 64 + u64::from(bits.trailing_zeros());
+            bits &= bits - 1;
+            dev.warm_line(sm, addr);
+            slowest = slowest.max(dev.timed_read(sm, addr) as f64);
+        }
     }
-    slowest + (unique.len() as f64 - 1.0) * ISSUE_GAP_CYCLES
+    slowest + (f64::from(unique) - 1.0) * ISSUE_GAP_CYCLES
 }
 
 /// Fixed (compute) cycles of one `square()`/`multiply()` kernel invocation,
@@ -121,6 +129,43 @@ mod tests {
             (far - near).abs() > 15.0,
             "placement shift expected: {near} vs {far}"
         );
+    }
+
+    #[test]
+    fn line_bitset_reads_like_a_sorted_deduplicated_list() {
+        // The reference: copy, sort and dedup, then read in that order.
+        fn reference(dev: &mut GpuDevice, sm: SmId, table_lines: &[u8]) -> f64 {
+            let mut unique = table_lines.to_vec();
+            unique.sort_unstable();
+            unique.dedup();
+            if unique.is_empty() {
+                return 0.0;
+            }
+            let mut slowest = 0.0f64;
+            for &line in &unique {
+                let addr = TABLE_BASE_LINE + u64::from(line);
+                dev.warm_line(sm, addr);
+                slowest = slowest.max(dev.timed_read(sm, addr) as f64);
+            }
+            slowest + (unique.len() as f64 - 1.0) * ISSUE_GAP_CYCLES
+        }
+        let (mut dev, mut refdev) = (GpuDevice::a100(4), GpuDevice::a100(4));
+        let sets: [&[u8]; 6] = [
+            &[255, 64, 63, 200, 64, 0, 128, 127, 191, 192],
+            &[31, 7, 7, 7, 30],
+            &[0],
+            &[255],
+            &[],
+            &[65, 129, 193, 1, 1, 65],
+        ];
+        for (i, lines) in sets.iter().cycle().take(60).enumerate() {
+            let sm = SmId::new((i * 13 % 108) as u32);
+            assert_eq!(
+                warp_read_cycles(&mut dev, sm, lines).to_bits(),
+                reference(&mut refdev, sm, lines).to_bits(),
+                "{lines:?}"
+            );
+        }
     }
 
     #[test]
