@@ -65,6 +65,19 @@ if grep -rnE 'LinkHealthMonitor|SliceHealthMonitor|FabricHealthMonitor|HealthCon
     exit 1
 fi
 
+echo "== one soak builder and one replay loop: no restated budgets, dies or event loops =="
+# gnoc_core::soak owns the soak budget and die the CLI and the daemon run,
+# and gnoc_trace::replay_into is the one loop over a trace's events; a
+# restated budget, a die literal or a second event loop must not grow back.
+if grep -rnE 'run_until_quiescent\(2_000_000\)|buffer_packets: 4' crates/cli/src crates/serve/src; then
+    echo "restated soak budget or die literal found above: use gnoc_core::soak"
+    exit 1
+fi
+if grep -rnF 'next_event()' crates tests examples | grep -v '^crates/trace/src/'; then
+    echo "trace event loop found above: drive the trace through gnoc_trace::replay_into"
+    exit 1
+fi
+
 echo "== tier-1: cargo build --release && cargo test -q (GNOC_JOBS=2) =="
 cargo build --release
 # GNOC_JOBS=2 routes every env-resolved worker pool through the parallel

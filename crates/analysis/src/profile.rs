@@ -309,7 +309,7 @@ impl ProfileReport {
         let mut name = path.file_name().unwrap_or_default().to_os_string();
         name.push(".trace.json");
         let trace = path.with_file_name(name);
-        std::fs::write(&trace, rec.chrome_trace()).map_err(|e| failed("trace", &trace, e))?;
+        write_chrome_trace(rec, &trace).map_err(|e| failed("trace", &trace, e))?;
         Ok(trace)
     }
 
@@ -521,6 +521,18 @@ impl ProfileReport {
         }
         out
     }
+}
+
+/// Streams `rec`'s Chrome trace-event JSON into a new file at `path`
+/// through a buffer, without holding the trace in memory.
+///
+/// # Errors
+///
+/// The create, write or flush that failed.
+pub fn write_chrome_trace(rec: &FlightRecorder, path: &Path) -> io::Result<()> {
+    let mut out = io::BufWriter::new(std::fs::File::create(path)?);
+    rec.write_chrome_trace(&mut out)?;
+    io::Write::flush(&mut out)
 }
 
 #[cfg(test)]

@@ -9,17 +9,17 @@ use crate::oracle::{
 };
 use crate::shrink::{ddmin, decompose};
 use crate::ChaosError;
-use gnoc_core::fabric::{detected_links, run_detection, FabricLinks};
+use gnoc_core::fabric::{detected_links, run_detection, FabricError, FabricLinks};
 use gnoc_core::faults::LinkFaultKind;
 use gnoc_core::health::run_slice_detection_for_spec;
-use gnoc_core::noc::{NodeId, PacketClass, RouteOrder};
+use gnoc_core::noc::{NodeId, PacketClass};
 use gnoc_core::telemetry::hash::{fnv1a64, SplitMix64};
 use gnoc_core::telemetry::TelemetryHandle;
 use gnoc_core::trace::{from_hex, to_hex, TraceHeader, TraceReader, TraceTap};
 use gnoc_core::{
     device_for_preset, spec_for_preset, ArbiterKind, CheckpointedCampaign, FabricConfig,
-    FabricMonitor, FabricSim, FaultPlan, MeshConfig, ProfileReport, ReliableMesh, SelfHealingMesh,
-    WorkerPool,
+    FabricMonitor, FabricSim, FaultPlan, MeshConfig, NocError, ProfileReport, ReliableMesh,
+    SelfHealingMesh, WorkerPool,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -444,17 +444,13 @@ fn iteration_body(
         // Single-VC wormhole buffers: legitimate for independent transfers
         // (no request/reply coupling) and exactly the surface the historical
         // reroute-deadlock bug lived on, so the progress oracle keeps bite.
-        match ReliableMesh::with_faults(mesh_config(cfg), plan, cfg.retry) {
+        match soak_mesh(cfg, plan) {
             Err(e) => violations.push(Violation {
                 oracle: OracleKind::Delivery,
                 seed,
                 detail: format!("harness: mesh rejected a generated plan: {e}"),
             }),
             Ok(mut rm) => {
-                #[cfg(feature = "bug-hooks")]
-                if cfg.greedy_reroute_bug {
-                    rm.mesh_mut().enable_greedy_reroute_bug();
-                }
                 if cfg.replay {
                     rm.attach_trace_tap(TraceTap::in_memory(&mesh_trace_header(cfg, seed, plan)));
                 }
@@ -481,7 +477,13 @@ fn iteration_body(
                         if cfg.replay {
                             record(
                                 OracleKind::Replay,
-                                check_replay_mesh(cfg, plan, &mut rm, quiesced),
+                                check_replay(
+                                    cfg,
+                                    plan,
+                                    rm.take_trace_tap(),
+                                    mesh_fingerprint(&rm),
+                                    quiesced,
+                                ),
                                 &mut violations,
                                 &mut passes,
                             );
@@ -609,11 +611,32 @@ fn mesh_config(cfg: &ChaosConfig) -> MeshConfig {
     MeshConfig {
         width: cfg.width as usize,
         height: cfg.height as usize,
-        buffer_packets: 4,
-        arbiter: ArbiterKind::RoundRobin,
-        route_order: RouteOrder::Xy,
-        vcs: 1,
+        ..MeshConfig::paper_6x6(ArbiterKind::RoundRobin)
     }
+}
+
+/// The single-die soak mesh under `plan`, with the greedy-reroute bug hook
+/// armed when the config asks for it.
+fn soak_mesh(cfg: &ChaosConfig, plan: &FaultPlan) -> Result<ReliableMesh, NocError> {
+    #[allow(unused_mut)]
+    let mut rm = ReliableMesh::with_faults(mesh_config(cfg), plan, cfg.retry)?;
+    #[cfg(feature = "bug-hooks")]
+    if cfg.greedy_reroute_bug {
+        rm.mesh_mut().enable_greedy_reroute_bug();
+    }
+    Ok(rm)
+}
+
+/// The multi-device soak fabric under `plan`, with the stuck-crossing bug
+/// hook armed when the config asks for it.
+fn soak_fabric(cfg: &ChaosConfig, plan: &FaultPlan) -> Result<FabricSim, FabricError> {
+    #[allow(unused_mut)]
+    let mut sim = FabricSim::with_faults(fabric_config(cfg), plan)?;
+    #[cfg(feature = "bug-hooks")]
+    if cfg.fabric_stuck_crossing_bug {
+        sim.enable_stuck_crossing_bug();
+    }
+    Ok(sim)
 }
 
 /// The fabric configuration a multi-device chaos iteration runs under: the
@@ -676,8 +699,7 @@ fn fabric_soak_phase(
     seed: u64,
     plan: &FaultPlan,
 ) -> Vec<(OracleKind, Result<(), String>)> {
-    let fc = fabric_config(cfg);
-    let mut sim = match FabricSim::with_faults(fc.clone(), plan) {
+    let mut sim = match soak_fabric(cfg, plan) {
         Err(e) => {
             return vec![(
                 OracleKind::Delivery,
@@ -686,10 +708,6 @@ fn fabric_soak_phase(
         }
         Ok(sim) => sim,
     };
-    #[cfg(feature = "bug-hooks")]
-    if cfg.fabric_stuck_crossing_bug {
-        sim.enable_stuck_crossing_bug();
-    }
     if cfg.replay {
         sim.attach_trace_tap(TraceTap::in_memory(&fabric_trace_header(cfg, seed, plan)));
     }
@@ -706,7 +724,7 @@ fn fabric_soak_phase(
         seed: plan.seed,
         ..FaultPlan::default()
     };
-    let mut golden = match FabricSim::with_faults(fc, &golden_plan) {
+    let mut golden = match FabricSim::with_faults(fabric_config(cfg), &golden_plan) {
         Err(e) => {
             return vec![(
                 OracleKind::Differential,
@@ -732,111 +750,80 @@ fn fabric_soak_phase(
     if cfg.replay {
         results.push((
             OracleKind::Replay,
-            check_replay_fabric(cfg, plan, &mut sim, quiesced),
+            check_replay(
+                cfg,
+                plan,
+                sim.take_trace_tap(),
+                fabric_fingerprint(&sim),
+                quiesced,
+            ),
         ));
     }
     results
 }
 
-/// The recorded-vs-replayed oracle for the NoC soak: finalizes the trace the
-/// soak just recorded, replays it into a freshly built twin (same plan, same
-/// bug hooks), runs the twin under the same cycle budget, and demands an
-/// identical outcome fingerprint. Any nondeterminism between recording and
-/// replaying — in the trace codec, the replay driver, or the simulator
-/// itself — surfaces here as a violation.
-fn check_replay_mesh(
+/// The recorded-vs-replayed oracle: seals the trace the soak just recorded
+/// (`tap`) with the soak's outcome fingerprint `recorded`, replays it into
+/// a freshly built twin (same plan, same bug hooks) under the same cycle
+/// budget, and demands an identical outcome. Any nondeterminism between
+/// recording and replaying — in the trace codec, the replay driver, or the
+/// simulator itself — surfaces here as a violation.
+fn check_replay(
     cfg: &ChaosConfig,
     plan: &FaultPlan,
-    rm: &mut ReliableMesh,
+    tap: Option<TraceTap>,
+    recorded: u64,
     quiesced: bool,
 ) -> Result<(), String> {
-    let tap = rm
-        .take_trace_tap()
-        .ok_or_else(|| "harness: replay oracle ran without a record tap".to_string())?;
-    let recorded = mesh_fingerprint(rm);
+    let tap = tap.ok_or_else(|| "harness: replay oracle ran without a record tap".to_string())?;
     let bytes = tap
         .finish_bytes(recorded)
         .map_err(|e| format!("harness: trace capture failed: {e}"))?;
-
-    let mut twin = ReliableMesh::with_faults(mesh_config(cfg), plan, cfg.retry)
-        .map_err(|e| format!("harness: replay twin construction failed: {e}"))?;
-    #[cfg(feature = "bug-hooks")]
-    if cfg.greedy_reroute_bug {
-        twin.mesh_mut().enable_greedy_reroute_bug();
-    }
     let mut reader = TraceReader::from_bytes(bytes)
         .map_err(|e| format!("recorded trace failed to parse: {e}"))?;
-    let outcome = twin
-        .replay_from(&mut reader)
-        .map_err(|e| format!("replay diverged at submit time: {e}"))?;
-    if let Some((chunk, offset)) = outcome.truncated {
-        return Err(format!(
-            "in-memory trace reported truncation at chunk {chunk}, offset {offset}"
-        ));
-    }
-    let twin_quiesced = twin.run_until_quiescent(cfg.soak_cycle_budget);
+    let (replayed, twin_quiesced, events) = replay_twin(cfg, plan, &mut reader)?;
     if twin_quiesced != quiesced {
         return Err(format!(
             "replayed quiescence {twin_quiesced} != recorded {quiesced}"
         ));
     }
-    let replayed = mesh_fingerprint(&twin);
     if replayed != recorded {
         return Err(format!(
             "replayed outcome fingerprint {replayed:016x} != recorded {recorded:016x} \
-             over {} events",
-            outcome.replayed
+             over {events} events"
         ));
     }
     Ok(())
 }
 
-/// Fabric counterpart of [`check_replay_mesh`].
-fn check_replay_fabric(
+/// Replays a trace into a freshly built twin of the seed's soak (same plan,
+/// same bug hooks) and runs it under the soak's cycle budget. Returns the
+/// twin's outcome fingerprint, whether it quiesced, and the events
+/// replayed; a truncated trace is an error.
+fn replay_twin(
     cfg: &ChaosConfig,
     plan: &FaultPlan,
-    sim: &mut FabricSim,
-    quiesced: bool,
-) -> Result<(), String> {
-    let tap = sim
-        .take_trace_tap()
-        .ok_or_else(|| "harness: replay oracle ran without a record tap".to_string())?;
-    let recorded = fabric_fingerprint(sim);
-    let bytes = tap
-        .finish_bytes(recorded)
-        .map_err(|e| format!("harness: trace capture failed: {e}"))?;
-
-    let mut twin = FabricSim::with_faults(fabric_config(cfg), plan)
-        .map_err(|e| format!("harness: replay twin construction failed: {e}"))?;
-    #[cfg(feature = "bug-hooks")]
-    if cfg.fabric_stuck_crossing_bug {
-        twin.enable_stuck_crossing_bug();
-    }
-    let mut reader = TraceReader::from_bytes(bytes)
-        .map_err(|e| format!("recorded trace failed to parse: {e}"))?;
-    let outcome = twin
-        .replay_from(&mut reader)
-        .map_err(|e| format!("replay diverged at submit time: {e}"))?;
+    reader: &mut TraceReader<std::io::Cursor<Vec<u8>>>,
+) -> Result<(u64, bool, u64), String> {
+    let built = |e: String| format!("harness: replay twin construction failed: {e}");
+    let (outcome, quiesced, fingerprint) = if cfg.devices >= 2 {
+        let mut twin = soak_fabric(cfg, plan).map_err(|e| built(e.to_string()))?;
+        let outcome = twin.replay_from(reader);
+        let quiesced = twin.run_until_quiescent(cfg.soak_cycle_budget);
+        (outcome, quiesced, fabric_fingerprint(&twin))
+    } else {
+        let mut twin = soak_mesh(cfg, plan).map_err(|e| built(e.to_string()))?;
+        let outcome = twin.replay_from(reader);
+        let quiesced = twin.run_until_quiescent(cfg.soak_cycle_budget);
+        (outcome, quiesced, mesh_fingerprint(&twin))
+    };
+    let outcome = outcome.map_err(|e| format!("replay diverged at submit time: {e}"))?;
     if let Some((chunk, offset)) = outcome.truncated {
         return Err(format!(
-            "in-memory trace reported truncation at chunk {chunk}, offset {offset}"
+            "trace reported truncation at chunk {chunk}, offset {offset}"
         ));
     }
-    let twin_quiesced = twin.run_until_quiescent(cfg.soak_cycle_budget);
-    if twin_quiesced != quiesced {
-        return Err(format!(
-            "replayed quiescence {twin_quiesced} != recorded {quiesced}"
-        ));
-    }
-    let replayed = fabric_fingerprint(&twin);
-    if replayed != recorded {
-        return Err(format!(
-            "replayed outcome fingerprint {replayed:016x} != recorded {recorded:016x} \
-             over {} events",
-            outcome.replayed
-        ));
-    }
-    Ok(())
+    Ok((fingerprint, quiesced, outcome.replayed))
 }
 
 /// The hidden-plan detection phase: the plan is physically applied but
@@ -1101,31 +1088,20 @@ pub fn replay(repro: &Reproducer) -> IterationOutcome {
 /// reproducers. `None` when the soak cannot be reconstructed under this
 /// plan (the reproducer is still valid without the artifact).
 fn record_soak_trace(cfg: &ChaosConfig, seed: u64, plan: &FaultPlan) -> Option<String> {
-    if cfg.devices >= 2 {
-        let mut sim = FabricSim::with_faults(fabric_config(cfg), plan).ok()?;
-        #[cfg(feature = "bug-hooks")]
-        if cfg.fabric_stuck_crossing_bug {
-            sim.enable_stuck_crossing_bug();
-        }
+    let (tap, digest) = if cfg.devices >= 2 {
+        let mut sim = soak_fabric(cfg, plan).ok()?;
         sim.attach_trace_tap(TraceTap::in_memory(&fabric_trace_header(cfg, seed, plan)));
         submit_fabric_traffic(&mut sim, cfg, seed).ok()?;
         sim.run_until_quiescent(cfg.soak_cycle_budget);
-        let tap = sim.take_trace_tap()?;
-        let digest = fabric_fingerprint(&sim);
-        tap.finish_bytes(digest).ok().map(|b| to_hex(&b))
+        (sim.take_trace_tap()?, fabric_fingerprint(&sim))
     } else {
-        let mut rm = ReliableMesh::with_faults(mesh_config(cfg), plan, cfg.retry).ok()?;
-        #[cfg(feature = "bug-hooks")]
-        if cfg.greedy_reroute_bug {
-            rm.mesh_mut().enable_greedy_reroute_bug();
-        }
+        let mut rm = soak_mesh(cfg, plan).ok()?;
         rm.attach_trace_tap(TraceTap::in_memory(&mesh_trace_header(cfg, seed, plan)));
         submit_mesh_traffic(&mut rm, cfg, seed).ok()?;
         rm.run_until_quiescent(cfg.soak_cycle_budget);
-        let tap = rm.take_trace_tap()?;
-        let digest = mesh_fingerprint(&rm);
-        tap.finish_bytes(digest).ok().map(|b| to_hex(&b))
-    }
+        (rm.take_trace_tap()?, mesh_fingerprint(&rm))
+    };
+    tap.finish_bytes(digest).ok().map(|b| to_hex(&b))
 }
 
 /// Decodes a reproducer's embedded trace, checks it was recorded against
@@ -1143,41 +1119,7 @@ fn verify_embedded_trace(cfg: &ChaosConfig, plan: &FaultPlan, hex: &str) -> Resu
              reproducer carries plan {expected_plan:016x}"
         ));
     }
-    let replayed_digest = if cfg.devices >= 2 {
-        let mut twin = FabricSim::with_faults(fabric_config(cfg), plan)
-            .map_err(|e| format!("twin construction failed: {e}"))?;
-        #[cfg(feature = "bug-hooks")]
-        if cfg.fabric_stuck_crossing_bug {
-            twin.enable_stuck_crossing_bug();
-        }
-        let outcome = twin
-            .replay_from(&mut reader)
-            .map_err(|e| format!("replay failed: {e}"))?;
-        if let Some((chunk, offset)) = outcome.truncated {
-            return Err(format!(
-                "embedded trace is truncated at chunk {chunk}, offset {offset}"
-            ));
-        }
-        twin.run_until_quiescent(cfg.soak_cycle_budget);
-        fabric_fingerprint(&twin)
-    } else {
-        let mut twin = ReliableMesh::with_faults(mesh_config(cfg), plan, cfg.retry)
-            .map_err(|e| format!("twin construction failed: {e}"))?;
-        #[cfg(feature = "bug-hooks")]
-        if cfg.greedy_reroute_bug {
-            twin.mesh_mut().enable_greedy_reroute_bug();
-        }
-        let outcome = twin
-            .replay_from(&mut reader)
-            .map_err(|e| format!("replay failed: {e}"))?;
-        if let Some((chunk, offset)) = outcome.truncated {
-            return Err(format!(
-                "embedded trace is truncated at chunk {chunk}, offset {offset}"
-            ));
-        }
-        twin.run_until_quiescent(cfg.soak_cycle_budget);
-        mesh_fingerprint(&twin)
-    };
+    let (replayed_digest, _, _) = replay_twin(cfg, plan, &mut reader)?;
     let sealed = reader
         .footer()
         .ok_or_else(|| "trace has no footer".to_string())?
@@ -1348,24 +1290,16 @@ fn write_profile(
     let (mut rec, width, height, cycles) = if cfg.devices >= 2 {
         let fc = fabric_config(cfg);
         let nodes = fc.topology.node_count(fc.devices) as usize;
-        let mut sim = FabricSim::with_faults(fc, plan)
+        let mut sim = soak_fabric(cfg, plan)
             .map_err(|e| ChaosError::Config(format!("profile replay: {e}")))?;
-        #[cfg(feature = "bug-hooks")]
-        if cfg.fabric_stuck_crossing_bug {
-            sim.enable_stuck_crossing_bug();
-        }
         sim.attach_flight_recorder();
         let _ = submit_fabric_traffic(&mut sim, cfg, seed);
         sim.run_until_quiescent(cfg.soak_cycle_budget);
         let rec = sim.take_flight_recorder().expect("recorder attached above");
         (rec, nodes, 1, sim.cycle())
     } else {
-        let mut rm = ReliableMesh::with_faults(mesh_config(cfg), plan, cfg.retry)
-            .map_err(|e| ChaosError::Config(format!("profile replay: {e}")))?;
-        #[cfg(feature = "bug-hooks")]
-        if cfg.greedy_reroute_bug {
-            rm.mesh_mut().enable_greedy_reroute_bug();
-        }
+        let mut rm =
+            soak_mesh(cfg, plan).map_err(|e| ChaosError::Config(format!("profile replay: {e}")))?;
         rm.mesh_mut().attach_flight_recorder();
         let _ = submit_mesh_traffic(&mut rm, cfg, seed);
         rm.run_until_quiescent(cfg.soak_cycle_budget);

@@ -10,24 +10,25 @@ use gnoc_cli::{
     TraceAction, TraceTarget, WorkloadKind, EXIT_CHECK_FAILED, EXIT_INVALID_INPUT, EXIT_IO,
     EXIT_OK, USAGE,
 };
+use gnoc_core::analysis::profile::write_chrome_trace;
 use gnoc_core::fabric::{health_report, poll_window, run_detection, FabricLinks};
 use gnoc_core::microbench::bandwidth::{aggregate_fabric_gbps, aggregate_memory_gbps};
 use gnoc_core::noc::loadcurve::{hier_load_curve, mesh_load_curve, SweepConfig};
 use gnoc_core::noc::{check_mesh_dims, NodeId, PacketClass, ReliableMesh, RetryConfig};
-use gnoc_core::noc::{fabric_soak, mesh_soak};
 use gnoc_core::noc::{run_fairness, run_memsim, HierConfig, MemSimNets, MeshConfig};
 use gnoc_core::noc::{ArbiterKind, FairnessConfig, MemSimConfig};
 use gnoc_core::sidechannel::covert::{
     bits_of, bytes_of, channel_snr, transmit, CovertChannelConfig,
 };
+use gnoc_core::soak::{FabricSoak, MeshSoak, SOAK_CYCLE_BUDGET};
 use gnoc_core::telemetry::hash::SplitMix64;
 use gnoc_core::workloads::replay::{replay, ReplayConfig};
 use gnoc_core::workloads::{bfs, gaussian};
 use gnoc_core::{
     fabric_connected, mesh_connected, resolve_jobs, AccessKind, AesAttackConfig,
-    CheckpointedCampaign, CtaScheduler, FabricConfig, FabricMonitor, FabricSim, FabricTopology,
-    FaultPlan, GpuDevice, LatencyCampaign, LatencyProbe, RsaAttackConfig, SelfHealingMesh, SliceId,
-    SmId, Summary, WorkerPool,
+    CheckpointedCampaign, CtaScheduler, FabricMonitor, FabricTopology, FaultPlan, GpuDevice,
+    LatencyCampaign, LatencyProbe, RsaAttackConfig, SelfHealingMesh, SliceId, SmId, Summary,
+    WorkerPool,
 };
 use gnoc_core::{infer_placement, input_speedups, run_aes_attack, run_rsa_attack};
 use gnoc_core::{
@@ -39,6 +40,8 @@ use gnoc_serve::client::{
 use gnoc_serve::{
     install_termination_flag, serve_stdin, Engine, JobSpec, ServeConfig, ServeError, SocketServer,
 };
+use std::fs::File;
+use std::io::BufReader;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -274,13 +277,7 @@ fn run(
             };
             let campaign = LatencyCampaign::run(&mut dev, &probe);
             let report = infer_placement(&campaign, &dev, 2.5);
-            println!(
-                "{}: grand mean latency {:.0} cycles over {}x{} pairs",
-                dev.spec().name,
-                campaign.grand_mean(),
-                campaign.matrix.len(),
-                campaign.matrix.first().map_or(0, Vec::len)
-            );
+            println!("{}", campaign.summary_line(&dev.spec().name, false, false));
             println!(
                 "position recovery (corr vs proximity): {:.2}",
                 report.position_recovery_r
@@ -369,16 +366,15 @@ fn run(
             if devices >= 2 {
                 // Multi-device: the same soak, but cross-device over the
                 // inter-device fabric (paper dies joined by --topology).
-                let args = FabricRunArgs {
+                let mut soak = FabricSoak::new(
                     devices,
-                    topology: try_or_fail!(parse_topology(&topology)),
-                    mesh: MeshConfig::paper_6x6(arbiter),
+                    try_or_fail!(parse_topology(&topology)),
+                    MeshConfig::paper_6x6(arbiter),
                     seed,
                     transfers,
-                    cycles: 2_000_000,
-                    self_heal,
-                };
-                return run_fabric(&args, plan, profile);
+                );
+                soak.cfg.self_healing = self_heal;
+                return run_fabric(&soak, plan, profile);
             }
             if let Some(plan) = plan {
                 return run_faulted_mesh(
@@ -415,23 +411,20 @@ fn run(
             cycles,
             self_heal,
         } => {
-            let args = FabricRunArgs {
+            let mut soak = FabricSoak::new(
                 devices,
-                topology: try_or_fail!(parse_topology(&topology)),
-                mesh: MeshConfig {
+                try_or_fail!(parse_topology(&topology)),
+                MeshConfig {
                     width: width as usize,
                     height: height as usize,
-                    buffer_packets: 4,
-                    arbiter: ArbiterKind::RoundRobin,
-                    route_order: gnoc_core::noc::RouteOrder::Xy,
-                    vcs: 1,
+                    ..MeshConfig::paper_6x6(ArbiterKind::RoundRobin)
                 },
                 seed,
                 transfers,
-                cycles,
-                self_heal,
-            };
-            return run_fabric(&args, plan, profile);
+            );
+            soak.cycles = cycles;
+            soak.cfg.self_healing = self_heal;
+            return run_fabric(&soak, plan, profile);
         }
 
         Command::Chaos { action } => return run_chaos_action(action, telemetry, pool, profile),
@@ -477,15 +470,7 @@ fn run(
                 let (result, coverage) = try_or_fail!(campaign
                     .run_degraded(path, deadline_rows)
                     .map_err(|e| e.to_string()));
-                println!(
-                    "{preset}: grand mean latency {:.0} cycles (degraded campaign{})",
-                    result.grand_mean(),
-                    if plan.is_some() {
-                        ", fault plan applied"
-                    } else {
-                        ""
-                    }
-                );
+                println!("{}", result.summary_line(preset, true, plan.is_some()));
                 println!(
                     "coverage: {}/{} rows measured ({:.0}%), {} quarantined, {} unreached",
                     coverage.measured,
@@ -515,17 +500,7 @@ fn run(
             let result = try_or_fail!(campaign
                 .run_to_completion_par(path, pool)
                 .map_err(|e| e.to_string()));
-            println!(
-                "{preset}: grand mean latency {:.0} cycles over {}x{} pairs{}",
-                result.grand_mean(),
-                result.matrix.len(),
-                result.matrix.first().map_or(0, Vec::len),
-                if plan.is_some() {
-                    " (fault plan applied)"
-                } else {
-                    ""
-                }
-            );
+            println!("{}", result.summary_line(preset, false, plan.is_some()));
             if let Some(p) = path {
                 println!("checkpoint: {}", p.display());
             }
@@ -1026,10 +1001,7 @@ fn run_profile(
     let cfg = MeshConfig {
         width,
         height,
-        buffer_packets: 4,
-        arbiter,
-        route_order: gnoc_core::noc::RouteOrder::Xy,
-        vcs: 1,
+        ..MeshConfig::paper_6x6(arbiter)
     };
     let benign = FaultPlan::none();
     let plan = plan.unwrap_or(&benign);
@@ -1054,26 +1026,40 @@ fn run_profile(
         rm.submit(NodeId(src), NodeId(dst), flits, PacketClass::Request);
         submitted += 1;
     }
-    let quiesced = rm.run_until_quiescent(2_000_000);
-    let cycles = rm.mesh().cycle();
+    let quiesced = rm.run_until_quiescent(SOAK_CYCLE_BUDGET);
     let rec = rm
         .mesh_mut()
         .take_flight_recorder()
         .expect("recorder attached above");
+    let report = ProfileReport::from_recorder(&rec, width, height, rm.mesh().cycle(), slowest);
+    let stuck = (!quiesced).then(|| ("mesh", rm.outstanding()));
+    finish_profile(&report, &rec, outputs, stuck)
+}
 
-    let report = ProfileReport::from_recorder(&rec, width, height, cycles, slowest);
+/// Prints a finished `gnoc profile` run and writes its artifacts; `stuck`
+/// names the simulator and its outstanding transfers when it failed to
+/// quiesce.
+fn finish_profile(
+    report: &ProfileReport,
+    rec: &FlightRecorder,
+    outputs: &ProfileOutputs,
+    stuck: Option<(&str, usize)>,
+) -> u8 {
     print!("{}", report.render_text());
-    if let Err(code) = write_profile_outputs(&report, &rec, outputs) {
+    if let Err(code) = write_profile_outputs(report, rec, outputs) {
         return code;
     }
-    if !quiesced {
-        eprintln!(
-            "error: mesh failed to quiesce (outstanding {})",
-            rm.outstanding()
-        );
-        return EXIT_CHECK_FAILED;
-    }
-    EXIT_OK
+    quiesce_exit(stuck)
+}
+
+/// A finished soak's exit code: 1, with a diagnostic, when `stuck` names
+/// the simulator and the transfers it still has outstanding.
+fn quiesce_exit(stuck: Option<(&str, usize)>) -> u8 {
+    let Some((what, outstanding)) = stuck else {
+        return EXIT_OK;
+    };
+    eprintln!("error: {what} failed to quiesce (outstanding {outstanding})");
+    EXIT_CHECK_FAILED
 }
 
 /// Writes the optional `gnoc profile` artifacts (report, Perfetto trace,
@@ -1097,7 +1083,10 @@ fn write_profile_outputs(
         println!("report: {path}");
     }
     if let Some(path) = &outputs.perfetto {
-        write_or_fail!(path, rec.chrome_trace(), "trace");
+        if let Err(e) = write_chrome_trace(rec, Path::new(path)) {
+            eprintln!("error: cannot write trace {path}: {e}");
+            return Err(EXIT_IO);
+        }
         println!("perfetto trace: {path} (load at ui.perfetto.dev)");
     }
     if let Some(path) = &outputs.jsonl {
@@ -1135,44 +1124,25 @@ fn run_fabric_profile(
     outputs: &ProfileOutputs,
     plan: Option<&FaultPlan>,
 ) -> u8 {
-    let benign = FaultPlan::none();
-    let plan = plan.unwrap_or(&benign);
-    let mut cfg = FabricConfig::new(devices, topology);
-    cfg.mesh = MeshConfig {
-        width,
-        height,
-        buffer_packets: 4,
-        arbiter,
-        route_order: gnoc_core::noc::RouteOrder::Xy,
-        vcs: 1,
-    };
-    let mut sim = try_or_fail!(FabricSim::with_faults(cfg, plan)
-        .map_err(|e| format!("cannot build the {devices}-device {topology} fabric: {e}")));
-    sim.attach_flight_recorder();
-    try_or_fail!(submit_cli_fabric_traffic(
-        &mut sim,
+    let soak = FabricSoak::new(
         devices,
-        (width * height) as u64,
+        topology,
+        MeshConfig {
+            width,
+            height,
+            ..MeshConfig::paper_6x6(arbiter)
+        },
         seed,
-        transfers
-    ));
-    let quiesced = sim.run_until_quiescent(2_000_000);
-    let cycles = sim.cycle();
+        transfers,
+    );
+    let mut sim = try_or_fail!(soak.build(plan));
+    sim.attach_flight_recorder();
+    let quiesced = try_or_fail!(soak.run(&mut sim));
     let rec = sim.take_flight_recorder().expect("recorder attached above");
     let fabric_nodes = topology.node_count(devices) as usize;
-    let report = ProfileReport::from_recorder(&rec, fabric_nodes, 1, cycles, slowest);
-    print!("{}", report.render_text());
-    if let Err(code) = write_profile_outputs(&report, &rec, outputs) {
-        return code;
-    }
-    if !quiesced {
-        eprintln!(
-            "error: fabric failed to quiesce (outstanding {})",
-            sim.outstanding()
-        );
-        return EXIT_CHECK_FAILED;
-    }
-    EXIT_OK
+    let report = ProfileReport::from_recorder(&rec, fabric_nodes, 1, sim.cycle(), slowest);
+    let stuck = (!quiesced).then(|| ("fabric", sim.outstanding()));
+    finish_profile(&report, &rec, outputs, stuck)
 }
 
 /// `gnoc health`: online fault detection. The `--faults` plan (or an empty
@@ -1194,10 +1164,7 @@ fn run_health(
     let mesh_cfg = MeshConfig {
         width: width as usize,
         height: height as usize,
-        buffer_packets: 4,
-        arbiter: ArbiterKind::RoundRobin,
-        route_order: gnoc_core::noc::RouteOrder::Xy,
-        vcs: 1,
+        ..MeshConfig::paper_6x6(ArbiterKind::RoundRobin)
     };
     let mut healer = try_or_fail!(SelfHealingMesh::new(mesh_cfg, plan, RetryConfig::default())
         .map_err(|e| format!("plan does not fit a {width}x{height} mesh: {e}")));
@@ -1273,8 +1240,8 @@ fn run_faulted_mesh(
     telemetry: &TelemetryHandle,
     profile: Option<&Path>,
 ) -> u8 {
-    let cfg = MeshConfig::paper_6x6(arbiter);
-    let nodes = (cfg.width * cfg.height) as u64;
+    let soak = MeshSoak::paper(arbiter, seed, transfers);
+    let cfg = soak.cfg;
     let mut rm = if self_heal {
         let mut healer = try_or_fail!(
             SelfHealingMesh::new(cfg, plan, RetryConfig::default()).map_err(|e| e.to_string())
@@ -1301,20 +1268,14 @@ fn run_faulted_mesh(
         );
         healer.into_mesh()
     } else {
-        try_or_fail!(
-            ReliableMesh::with_faults(cfg, plan, RetryConfig::default()).map_err(|e| e.to_string())
-        )
+        try_or_fail!(soak.build(Some(plan)))
     };
     rm.mesh_mut().set_telemetry(telemetry.clone());
     if profile.is_some() && rm.mesh().flight_recorder().is_none() {
         rm.mesh_mut().attach_flight_recorder();
     }
 
-    for (src, dst) in mesh_soak(seed, nodes).take(transfers) {
-        rm.submit(src, dst, 1, PacketClass::Request);
-    }
-
-    let quiesced = rm.run_until_quiescent(2_000_000);
+    let quiesced = soak.run(&mut rm);
     let s = rm.stats().clone();
     let m = rm.mesh().stats().clone();
     println!(
@@ -1367,53 +1328,13 @@ fn run_faulted_mesh(
             return code;
         }
     }
-    if !quiesced {
-        eprintln!(
-            "error: mesh failed to quiesce (outstanding {})",
-            rm.outstanding()
-        );
-        return EXIT_CHECK_FAILED;
-    }
-    EXIT_OK
+    quiesce_exit((!quiesced).then(|| ("mesh", rm.outstanding())))
 }
 
 /// Resolves a topology name the parser already validated.
 fn parse_topology(name: &str) -> Result<FabricTopology, String> {
     FabricTopology::parse(name)
         .ok_or_else(|| format!("unknown topology '{name}' (p2p|line|ring|fully|switch)"))
-}
-
-/// What `gnoc fabric` (and `gnoc mesh --devices N`) runs.
-struct FabricRunArgs {
-    devices: u32,
-    topology: FabricTopology,
-    mesh: MeshConfig,
-    seed: u64,
-    transfers: usize,
-    cycles: u64,
-    self_heal: bool,
-}
-
-/// Submits the first `transfers` transfers of the seeded [`fabric_soak`].
-fn submit_cli_fabric_traffic(
-    sim: &mut FabricSim,
-    devices: u32,
-    nodes: u64,
-    seed: u64,
-    transfers: usize,
-) -> Result<(), String> {
-    for t in fabric_soak(seed, devices, nodes).take(transfers) {
-        sim.submit(
-            t.src_dev,
-            t.src,
-            t.dst_dev,
-            t.dst,
-            t.flits,
-            PacketClass::Request,
-        )
-        .map_err(|e| e.to_string())?;
-    }
-    Ok(())
 }
 
 /// `gnoc fabric` (and `gnoc mesh --devices N`): a cross-device soak over
@@ -1423,21 +1344,16 @@ fn submit_cli_fabric_traffic(
 /// hidden from fabric routing and per-link breakers detect, quarantine,
 /// and reroute online instead, refusing any quarantine that would
 /// partition the surviving devices.
-fn run_fabric(args: &FabricRunArgs, plan: Option<&FaultPlan>, profile: Option<&Path>) -> u8 {
+fn run_fabric(soak: &FabricSoak, plan: Option<&FaultPlan>, profile: Option<&Path>) -> u8 {
     let benign = FaultPlan::none();
     let plan = plan.unwrap_or(&benign);
-    let mut cfg = FabricConfig::new(args.devices, args.topology);
-    cfg.mesh = args.mesh;
-    cfg.self_healing = args.self_heal;
-    let mut sim = try_or_fail!(FabricSim::with_faults(cfg, plan).map_err(|e| format!(
-        "cannot build the {}-device {} fabric: {e}",
-        args.devices, args.topology
-    )));
+    let cfg = &soak.cfg;
+    let mut sim = try_or_fail!(soak.build(Some(plan)));
     if profile.is_some() {
         sim.attach_flight_recorder();
     }
-    let mut monitor = args
-        .self_heal
+    let mut monitor = cfg
+        .self_healing
         .then(|| FabricMonitor::new(FabricLinks::new(&sim)));
     if let Some(m) = monitor.as_mut() {
         // Warm-up patrol before user traffic, mirroring `mesh --self-heal`:
@@ -1478,36 +1394,29 @@ fn run_fabric(args: &FabricRunArgs, plan: Option<&FaultPlan>, profile: Option<&P
         }
     }
 
-    let nodes = (args.mesh.width * args.mesh.height) as u64;
-    try_or_fail!(submit_cli_fabric_traffic(
-        &mut sim,
-        args.devices,
-        nodes,
-        args.seed,
-        args.transfers
-    ));
-    let start = sim.cycle();
     let quiesced = if let Some(m) = monitor.as_mut() {
         // Keep the breakers polling during the soak so mid-traffic fault
         // onsets are detected and failed over too.
-        while sim.outstanding() > 0 && sim.cycle() - start < args.cycles {
+        try_or_fail!(soak.submit(&mut sim));
+        let start = sim.cycle();
+        while sim.outstanding() > 0 && sim.cycle() - start < soak.cycles {
             sim.step();
             poll_window(m, &mut sim);
         }
         sim.outstanding() == 0
     } else {
-        sim.run_until_quiescent(args.cycles)
+        try_or_fail!(soak.run(&mut sim))
     };
 
     let s = sim.stats().clone();
     println!(
         "{}-device {} fabric, {}x{} dies, plan [{}], {} routing:",
-        args.devices,
-        args.topology,
-        args.mesh.width,
-        args.mesh.height,
+        cfg.devices,
+        cfg.topology,
+        cfg.mesh.width,
+        cfg.mesh.height,
         plan.summary(),
-        if args.self_heal {
+        if cfg.self_healing {
             "self-healing"
         } else {
             "fault-aware"
@@ -1556,19 +1465,12 @@ fn run_fabric(args: &FabricRunArgs, plan: Option<&FaultPlan>, profile: Option<&P
     if let Some(path) = profile {
         let cycles = sim.cycle();
         let rec = sim.take_flight_recorder().expect("recorder attached above");
-        let fabric_nodes = args.topology.node_count(args.devices) as usize;
+        let fabric_nodes = cfg.topology.node_count(cfg.devices) as usize;
         if let Err(code) = write_profile_artifacts(&rec, fabric_nodes, 1, cycles, 5, path) {
             return code;
         }
     }
-    if !quiesced {
-        eprintln!(
-            "error: fabric failed to quiesce (outstanding {})",
-            sim.outstanding()
-        );
-        return EXIT_CHECK_FAILED;
-    }
-    EXIT_OK
+    quiesce_exit((!quiesced).then(|| ("fabric", sim.outstanding())))
 }
 
 // ---------------------------------------------------------------------------
@@ -1576,10 +1478,9 @@ fn run_fabric(args: &FabricRunArgs, plan: Option<&FaultPlan>, profile: Option<&P
 // ---------------------------------------------------------------------------
 
 use gnoc_core::trace::{
-    validate_stream, ReplayError, ReplayOutcome, TraceError, TraceHeader, TraceKind, TraceReader,
-    TraceTap,
+    validate_stream, ReplayError, TraceError, TraceHeader, TraceKind, TraceReader, TraceTap,
 };
-use gnoc_core::trace_digest;
+use gnoc_core::trace_digest::{self, ReplayFailure, Verdict};
 
 /// Maps a trace-stream error onto the documented exit codes: I/O failure →
 /// 3, wrong magic or schema → 2 (retrying the same file cannot succeed;
@@ -1591,17 +1492,6 @@ fn trace_error_code(e: &TraceError) -> u8 {
         TraceError::Io(_) => EXIT_IO,
         TraceError::BadMagic { .. } | TraceError::SchemaVersion { .. } => EXIT_INVALID_INPUT,
         TraceError::CorruptChunk { .. } | TraceError::TruncatedTail { .. } => EXIT_CHECK_FAILED,
-    }
-}
-
-/// Maps a replay-driver error: stream problems keep their trace code; a
-/// CRC-valid event that does not fit the simulator (wrong node range) is a
-/// crafted or mismatched trace — invalid input.
-fn replay_error_exit(e: &ReplayError) -> u8 {
-    eprintln!("error: {e}");
-    match e {
-        ReplayError::Trace(t) => trace_error_code(t),
-        ReplayError::Event { .. } => EXIT_INVALID_INPUT,
     }
 }
 
@@ -1648,45 +1538,29 @@ fn record_trace(
     telemetry: &TelemetryHandle,
 ) -> u8 {
     let plan_fnv = trace_digest::plan_digest(plan);
-    let benign = FaultPlan::none();
-    match target {
+    let open = |header: TraceHeader| {
+        TraceTap::to_file(out, &header)
+            .map_err(|e| format!("cannot create trace {}: {e}", out.display()))
+    };
+    // Mesh and fabric recordings are exactly the `gnoc mesh --faults` and
+    // `gnoc fabric` soaks with the tap recording each submission (fabric
+    // self-heal runs are not recordable: the breaker poll loop lives
+    // outside the injected stream). A campaign injects no transfers: the
+    // header re-instantiates the run and the footer pins the latency-matrix
+    // digest.
+    let (kind, tap, line, quiesced) = match target {
         TraceTarget::Mesh { seed, transfers } => {
-            // Exactly the `gnoc mesh --faults` soak (paper 6x6, round-robin,
-            // default retry policy), with the tap recording each submission.
-            let cfg = MeshConfig::paper_6x6(ArbiterKind::RoundRobin);
-            let header = TraceHeader::mesh(
-                cfg.width as u32,
-                cfg.height as u32,
-                *seed,
-                *transfers as u64,
-                plan_fnv,
-            );
-            let tap = try_or_fail!(
-                TraceTap::to_file(out, &header)
-                    .map_err(|e| format!("cannot create trace {}: {e}", out.display())),
-                EXIT_IO
-            );
-            let mut rm = try_or_fail!(ReliableMesh::with_faults(
-                cfg,
-                plan.unwrap_or(&benign),
-                RetryConfig::default()
-            )
-            .map_err(|e| e.to_string()));
+            let soak = MeshSoak::paper(ArbiterKind::RoundRobin, *seed, *transfers);
+            let (w, h) = (soak.cfg.width as u32, soak.cfg.height as u32);
+            let header = TraceHeader::mesh(w, h, *seed, *transfers as u64, plan_fnv);
+            let tap = try_or_fail!(open(header), EXIT_IO);
+            let mut rm = try_or_fail!(soak.build(plan));
             rm.mesh_mut().set_telemetry(telemetry.clone());
             rm.attach_trace_tap(tap);
-            for (src, dst) in mesh_soak(*seed, (cfg.width * cfg.height) as u64).take(*transfers) {
-                rm.submit(src, dst, 1, PacketClass::Request);
-            }
-            let quiesced = rm.run_until_quiescent(2_000_000);
-            let line = try_or_fail!(trace_digest::mesh_stats_line(&rm));
+            let quiesced = soak.run(&mut rm);
             let tap = rm.take_trace_tap().expect("tap attached above");
-            let events = tap.events();
-            try_or_fail!(
-                tap.finish_file(trace_digest::line_digest(&line))
-                    .map_err(|e| format!("cannot finalize trace {}: {e}", out.display())),
-                EXIT_IO
-            );
-            finish_recording("mesh", out, events, &line, stats_out, quiesced)
+            let line = try_or_fail!(trace_digest::mesh_stats_line(&rm));
+            ("mesh", tap, line, quiesced)
         }
         TraceTarget::Fabric {
             devices,
@@ -1697,19 +1571,7 @@ fn record_trace(
             transfers,
             cycles,
         } => {
-            // Exactly the `gnoc fabric` soak with fault-aware routing
-            // (self-heal runs are not recordable: the breaker poll loop
-            // lives outside the injected stream).
             let topo = try_or_fail!(parse_topology(topology));
-            let mut cfg = FabricConfig::new(*devices, topo);
-            cfg.mesh = MeshConfig {
-                width: *width as usize,
-                height: *height as usize,
-                buffer_packets: 4,
-                arbiter: ArbiterKind::RoundRobin,
-                route_order: gnoc_core::noc::RouteOrder::Xy,
-                vcs: 1,
-            };
             let header = TraceHeader::fabric(
                 *devices,
                 topology,
@@ -1719,28 +1581,20 @@ fn record_trace(
                 *transfers as u64,
                 plan_fnv,
             );
-            let tap = try_or_fail!(
-                TraceTap::to_file(out, &header)
-                    .map_err(|e| format!("cannot create trace {}: {e}", out.display())),
-                EXIT_IO
-            );
-            let mut sim = try_or_fail!(FabricSim::with_faults(cfg, plan.unwrap_or(&benign))
-                .map_err(|e| format!("cannot build the {devices}-device {topology} fabric: {e}")));
+            let tap = try_or_fail!(open(header), EXIT_IO);
+            let die = MeshConfig {
+                width: *width as usize,
+                height: *height as usize,
+                ..MeshConfig::paper_6x6(ArbiterKind::RoundRobin)
+            };
+            let mut soak = FabricSoak::new(*devices, topo, die, *seed, *transfers);
+            soak.cycles = *cycles;
+            let mut sim = try_or_fail!(soak.build(plan));
             sim.attach_trace_tap(tap);
-            let nodes = u64::from(*width) * u64::from(*height);
-            try_or_fail!(submit_cli_fabric_traffic(
-                &mut sim, *devices, nodes, *seed, *transfers
-            ));
-            let quiesced = sim.run_until_quiescent(*cycles);
-            let line = try_or_fail!(trace_digest::fabric_stats_line(&sim));
+            let quiesced = try_or_fail!(soak.run(&mut sim));
             let tap = sim.take_trace_tap().expect("tap attached above");
-            let events = tap.events();
-            try_or_fail!(
-                tap.finish_file(trace_digest::line_digest(&line))
-                    .map_err(|e| format!("cannot finalize trace {}: {e}", out.display())),
-                EXIT_IO
-            );
-            finish_recording("fabric", out, events, &line, stats_out, quiesced)
+            let line = try_or_fail!(trace_digest::fabric_stats_line(&sim));
+            ("fabric", tap, line, quiesced)
         }
         TraceTarget::Campaign {
             gpu,
@@ -1748,21 +1602,14 @@ fn record_trace(
             lines,
             samples,
         } => {
-            // A campaign injects no transfers: the trace is header+footer,
-            // the header re-instantiates the run and the footer pins the
-            // latency-matrix digest.
             let preset = gpu.preset_name();
+            let header =
+                TraceHeader::campaign(preset, *seed, *lines as u32, *samples as u32, plan_fnv);
+            let tap = try_or_fail!(open(header), EXIT_IO);
             let probe = LatencyProbe {
                 working_set_lines: *lines,
                 samples: *samples,
             };
-            let header =
-                TraceHeader::campaign(preset, *seed, *lines as u32, *samples as u32, plan_fnv);
-            let tap = try_or_fail!(
-                TraceTap::to_file(out, &header)
-                    .map_err(|e| format!("cannot create trace {}: {e}", out.display())),
-                EXIT_IO
-            );
             let mut campaign =
                 try_or_fail!(
                     CheckpointedCampaign::new(preset, *seed, probe, plan.cloned())
@@ -1771,33 +1618,24 @@ fn record_trace(
             campaign.set_telemetry(telemetry.clone());
             let result = try_or_fail!(campaign.run_to_completion(None).map_err(|e| e.to_string()));
             let line = trace_digest::campaign_stats_line(preset, &result);
-            try_or_fail!(
-                tap.finish_file(trace_digest::line_digest(&line))
-                    .map_err(|e| format!("cannot finalize trace {}: {e}", out.display())),
-                EXIT_IO
-            );
-            finish_recording("campaign", out, 0, &line, stats_out, true)
+            ("campaign", tap, line, true)
         }
-    }
-}
-
-fn finish_recording(
-    kind: &str,
-    out: &Path,
-    events: u64,
-    line: &str,
-    stats_out: Option<&Path>,
-    quiesced: bool,
-) -> u8 {
+    };
+    let events = tap.events();
+    let digest = trace_digest::line_digest(&line);
+    try_or_fail!(
+        tap.finish_file(digest)
+            .map_err(|e| format!("cannot finalize trace {}: {e}", out.display())),
+        EXIT_IO
+    );
     if let Some(p) = stats_out {
-        if let Err(code) = write_stats_line(p, line) {
+        if let Err(code) = write_stats_line(p, &line) {
             return code;
         }
     }
     println!(
-        "recorded {kind} trace: {} ({events} event(s), stats digest {:016x})",
-        out.display(),
-        trace_digest::line_digest(line)
+        "recorded {kind} trace: {} ({events} event(s), stats digest {digest:016x})",
+        out.display()
     );
     if !quiesced {
         eprintln!(
@@ -1809,164 +1647,86 @@ fn finish_recording(
     EXIT_OK
 }
 
+fn open_trace(path: &Path) -> Result<TraceReader<BufReader<File>>, u8> {
+    TraceReader::open(path).map_err(|e| {
+        eprintln!("error: cannot open trace {}: {e}", path.display());
+        trace_error_code(&e)
+    })
+}
+
 fn replay_trace(
     path: &Path,
     stats_out: Option<&Path>,
     plan: Option<&FaultPlan>,
     telemetry: &TelemetryHandle,
 ) -> u8 {
-    let mut reader = match TraceReader::open(path) {
+    let mut reader = match open_trace(path) {
         Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: cannot open trace {}: {e}", path.display());
-            return trace_error_code(&e);
-        }
+        Err(code) => return code,
     };
-    let header = reader.header().clone();
-    let plan_fnv = trace_digest::plan_digest(plan);
-    if header.plan_fnv != plan_fnv {
-        eprintln!(
-            "error: trace was recorded against fault plan {:016x} but this \
-             invocation supplies {:016x}; pass the recording's --faults plan",
-            header.plan_fnv, plan_fnv
-        );
-        return EXIT_INVALID_INPUT;
-    }
-    let benign = FaultPlan::none();
-    let mesh_cfg = MeshConfig {
-        width: header.width as usize,
-        height: header.height as usize,
-        buffer_packets: 4,
-        arbiter: ArbiterKind::RoundRobin,
-        route_order: gnoc_core::noc::RouteOrder::Xy,
-        vcs: 1,
-    };
-    match header.kind {
-        TraceKind::Mesh => {
-            let mut rm = try_or_fail!(ReliableMesh::with_faults(
-                mesh_cfg,
-                plan.unwrap_or(&benign),
-                RetryConfig::default()
-            )
-            .map_err(|e| e.to_string()));
-            rm.mesh_mut().set_telemetry(telemetry.clone());
-            let outcome = match rm.replay_from(&mut reader) {
-                Ok(o) => o,
-                Err(e) => return replay_error_exit(&e),
-            };
-            rm.run_until_quiescent(2_000_000);
-            let line = try_or_fail!(trace_digest::mesh_stats_line(&rm));
-            let recorded = reader.footer().map(|f| f.stats_fnv);
-            finish_replay("mesh", &line, stats_out, &outcome, recorded)
-        }
-        TraceKind::Fabric => {
-            let topo = try_or_fail!(parse_topology(&header.topology));
-            let mut cfg = FabricConfig::new(header.devices, topo);
-            cfg.mesh = mesh_cfg;
-            let mut sim = try_or_fail!(
-                FabricSim::with_faults(cfg, plan.unwrap_or(&benign)).map_err(|e| e.to_string())
+    let r = match trace_digest::replay(&mut reader, plan, telemetry) {
+        Ok(r) => r,
+        Err(ReplayFailure::PlanMismatch { recorded, supplied }) => {
+            eprintln!(
+                "error: trace was recorded against fault plan {recorded:016x} but this \
+                 invocation supplies {supplied:016x}; pass the recording's --faults plan"
             );
-            let outcome = match sim.replay_from(&mut reader) {
-                Ok(o) => o,
-                Err(e) => return replay_error_exit(&e),
-            };
-            sim.run_until_quiescent(2_000_000);
-            let line = try_or_fail!(trace_digest::fabric_stats_line(&sim));
-            let recorded = reader.footer().map(|f| f.stats_fnv);
-            finish_replay("fabric", &line, stats_out, &outcome, recorded)
+            return EXIT_INVALID_INPUT;
         }
-        TraceKind::Campaign => {
-            // No events to drive — CRC-check the (empty) stream, then
-            // re-run the campaign from the header and compare digests.
-            let summary = match validate_stream(&mut reader) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return trace_error_code(&e);
-                }
+        Err(ReplayFailure::Replay(e)) => {
+            eprintln!("error: {e}");
+            // Stream problems keep their trace code; a CRC-valid event that
+            // does not fit the simulator is a crafted or mismatched trace.
+            return match e {
+                ReplayError::Trace(t) => trace_error_code(&t),
+                ReplayError::Event { .. } => EXIT_INVALID_INPUT,
             };
-            let device = header.device.clone().unwrap_or_default();
-            let probe = LatencyProbe {
-                working_set_lines: header.lines as usize,
-                samples: header.samples as usize,
-            };
-            let mut campaign =
-                try_or_fail!(
-                    CheckpointedCampaign::new(&device, header.seed, probe, plan.cloned())
-                        .map_err(|e| e.to_string())
-                );
-            campaign.set_telemetry(telemetry.clone());
-            let result = try_or_fail!(campaign.run_to_completion(None).map_err(|e| e.to_string()));
-            let line = trace_digest::campaign_stats_line(&device, &result);
-            let outcome = ReplayOutcome {
-                replayed: summary.events,
-                truncated: summary.truncated,
-            };
-            let recorded = summary.complete.then_some(summary.stats_fnv);
-            finish_replay("campaign", &line, stats_out, &outcome, recorded)
         }
-    }
-}
-
-fn finish_replay(
-    kind: &str,
-    line: &str,
-    stats_out: Option<&Path>,
-    outcome: &ReplayOutcome,
-    recorded: Option<u64>,
-) -> u8 {
+        Err(ReplayFailure::Setup { reason, .. }) => {
+            eprintln!("error: {reason}");
+            return EXIT_INVALID_INPUT;
+        }
+    };
     if let Some(p) = stats_out {
-        if let Err(code) = write_stats_line(p, line) {
+        if let Err(code) = write_stats_line(p, &r.line) {
             return code;
         }
     }
-    let digest = trace_digest::line_digest(line);
-    if let Some((chunk, offset)) = outcome.truncated {
-        eprintln!(
-            "warning: trace truncated in chunk {chunk} at byte offset {offset}; \
-             replayed the complete prefix"
-        );
-        println!(
-            "replayed {kind} prefix: {} event(s), stats digest {digest:016x} \
-             (no footer to compare)",
-            outcome.replayed
-        );
-        return EXIT_OK;
-    }
-    match recorded {
-        Some(rec) if rec == digest => {
-            println!(
-                "replayed {kind} trace: {} event(s), stats digest {digest:016x} \
-                 matches the recording",
-                outcome.replayed
+    let (kind, events, digest) = (r.kind.name(), r.events, r.digest);
+    match r.verdict {
+        Verdict::Truncated { chunk, offset } => {
+            eprintln!(
+                "warning: trace truncated in chunk {chunk} at byte offset {offset}; \
+                 replayed the complete prefix"
             );
-            EXIT_OK
+            println!(
+                "replayed {kind} prefix: {events} event(s), stats digest {digest:016x} \
+                 (no footer to compare)"
+            );
         }
-        Some(rec) => {
+        Verdict::Matches => println!(
+            "replayed {kind} trace: {events} event(s), stats digest {digest:016x} \
+             matches the recording"
+        ),
+        Verdict::Unsealed => println!(
+            "replayed {kind} trace: {events} event(s), stats digest {digest:016x} \
+             (recording sealed no digest)"
+        ),
+        Verdict::Divergent { recorded } => {
             eprintln!(
                 "error: divergent replay: stats digest {digest:016x} does not \
-                 match the recorded {rec:016x}"
+                 match the recorded {recorded:016x}"
             );
-            EXIT_CHECK_FAILED
-        }
-        None => {
-            println!(
-                "replayed {kind} trace: {} event(s), stats digest {digest:016x} \
-                 (recording sealed no digest)",
-                outcome.replayed
-            );
-            EXIT_OK
+            return EXIT_CHECK_FAILED;
         }
     }
+    EXIT_OK
 }
 
 fn validate_trace(path: &Path) -> u8 {
-    let mut reader = match TraceReader::open(path) {
+    let mut reader = match open_trace(path) {
         Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: cannot open trace {}: {e}", path.display());
-            return trace_error_code(&e);
-        }
+        Err(code) => return code,
     };
     match validate_stream(&mut reader) {
         Ok(s) if s.complete => {
@@ -2001,12 +1761,9 @@ fn validate_trace(path: &Path) -> u8 {
 }
 
 fn trace_info(path: &Path) -> u8 {
-    let mut reader = match TraceReader::open(path) {
+    let mut reader = match open_trace(path) {
         Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: cannot open trace {}: {e}", path.display());
-            return trace_error_code(&e);
-        }
+        Err(code) => return code,
     };
     let h = reader.header().clone();
     println!("kind:      {}", h.kind.name());

@@ -70,6 +70,28 @@ impl LatencyCampaign {
         total / n as f64
     }
 
+    /// The one-line result `gnoc campaign` prints and the daemon's
+    /// `campaign` payload carries as its `summary`: the grand mean over the
+    /// full matrix, or over what a `degraded` run measured, and whether a
+    /// fault plan was applied.
+    #[must_use]
+    pub fn summary_line(&self, device: &str, degraded: bool, plan_applied: bool) -> String {
+        let head = format!(
+            "{device}: grand mean latency {:.0} cycles",
+            self.grand_mean()
+        );
+        match (degraded, plan_applied) {
+            (true, false) => format!("{head} (degraded campaign)"),
+            (true, true) => format!("{head} (degraded campaign, fault plan applied)"),
+            (false, plan) => format!(
+                "{head} over {}x{} pairs{}",
+                self.matrix.len(),
+                self.matrix.first().map_or(0, Vec::len),
+                if plan { " (fault plan applied)" } else { "" }
+            ),
+        }
+    }
+
     /// Mean latency profile of each GPC (rows averaged over the GPC's SMs).
     /// Only meaningful when all SMs see the same slice set (every preset
     /// does within a partition).

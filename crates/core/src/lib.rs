@@ -41,6 +41,7 @@
 mod campaign;
 mod checkpoint;
 mod parallel;
+pub mod soak;
 pub mod trace_digest;
 
 /// Crash-safe file primitives, re-exported from `gnoc-faults` (the lowest

@@ -1,7 +1,7 @@
 //! Fabric configuration and error types.
 
 use gnoc_faults::FaultPlanError;
-use gnoc_noc::{ArbiterKind, MeshConfig, NocError, RetryConfig, RouteOrder};
+use gnoc_noc::{ArbiterKind, MeshConfig, NocError, RetryConfig};
 use gnoc_topo::FabricTopology;
 use serde::{Deserialize, Serialize};
 
@@ -55,10 +55,7 @@ impl FabricConfig {
             mesh: MeshConfig {
                 width: 5,
                 height: 5,
-                buffer_packets: 4,
-                arbiter: ArbiterKind::RoundRobin,
-                route_order: RouteOrder::Xy,
-                vcs: 1,
+                ..MeshConfig::paper_6x6(ArbiterKind::RoundRobin)
             },
             retry: RetryConfig::default(),
             link_latency_cycles: 8,

@@ -398,70 +398,21 @@ impl FabricSim {
         self.trace_tap.take().map(|b| *b)
     }
 
-    /// Replays a recorded submission stream into this fabric: every event
-    /// is re-submitted in order (first advancing the simulation to the
-    /// event's recorded cycle on the event engine: step, then skip capped
-    /// at that cycle), reproducing the recorded run bit for bit when the
-    /// fabric was built from the trace header's configuration and plan.
-    ///
-    /// A truncated trace replays its complete prefix and reports the
-    /// truncation point in [`gnoc_trace::ReplayOutcome::truncated`]; the
-    /// caller decides whether that is a warning or an error.
+    /// Replays a recorded submission stream into this fabric through
+    /// [`gnoc_trace::replay_into`]: advancing on the event engine (step,
+    /// then skip capped at the event's cycle) and re-submitting each event,
+    /// it reproduces the recorded run bit for bit when the fabric was built
+    /// from the trace header's configuration and plan.
     ///
     /// # Errors
     ///
-    /// [`gnoc_trace::ReplayError::Trace`] on a corrupt or unreadable
-    /// stream; [`gnoc_trace::ReplayError::Event`] when a CRC-valid event
-    /// does not fit this fabric (device or node out of range) — never a
-    /// panic.
+    /// As [`gnoc_trace::replay_into`]; an out-of-range device or node is a
+    /// [`gnoc_trace::ReplayError::Event`].
     pub fn replay_from<R: std::io::Read>(
         &mut self,
         reader: &mut gnoc_trace::TraceReader<R>,
     ) -> Result<gnoc_trace::ReplayOutcome, gnoc_trace::ReplayError> {
-        use gnoc_trace::{ReplayError, ReplayOutcome, TraceError};
-        let mut replayed = 0u64;
-        loop {
-            match reader.next_event() {
-                Ok(Some(ev)) => {
-                    let class = PacketClass::from_trace_code(ev.class).ok_or_else(|| {
-                        ReplayError::Event {
-                            index: replayed,
-                            reason: format!("unknown packet class {}", ev.class),
-                        }
-                    })?;
-                    while self.now < ev.cycle {
-                        self.step();
-                        self.skip_quiet(ev.cycle);
-                    }
-                    self.submit(
-                        ev.src_dev,
-                        NodeId::new(ev.src),
-                        ev.dst_dev,
-                        NodeId::new(ev.dst),
-                        ev.flits,
-                        class,
-                    )
-                    .map_err(|e| ReplayError::Event {
-                        index: replayed,
-                        reason: e.to_string(),
-                    })?;
-                    replayed += 1;
-                }
-                Ok(None) => {
-                    return Ok(ReplayOutcome {
-                        replayed,
-                        truncated: None,
-                    })
-                }
-                Err(TraceError::TruncatedTail { chunk, offset }) => {
-                    return Ok(ReplayOutcome {
-                        replayed,
-                        truncated: Some((chunk, offset)),
-                    })
-                }
-                Err(e) => return Err(ReplayError::Trace(e)),
-            }
-        }
+        gnoc_trace::replay_into(self, reader)
     }
 
     /// Submits a transfer from `(src_dev, src)` to `(dst_dev, dst)`.
@@ -1158,5 +1109,39 @@ impl FabricSim {
             }
         }
         self.outstanding == 0
+    }
+}
+
+impl gnoc_trace::ReplayTarget for FabricSim {
+    type Class = PacketClass;
+
+    fn decode_class(code: u8) -> Option<PacketClass> {
+        PacketClass::from_trace_code(code)
+    }
+
+    fn now(&self) -> u64 {
+        self.now
+    }
+
+    fn advance(&mut self, until: u64) {
+        self.step();
+        self.skip_quiet(until);
+    }
+
+    fn submit_event(
+        &mut self,
+        ev: &gnoc_trace::TraceEvent,
+        class: PacketClass,
+    ) -> Result<(), String> {
+        self.submit(
+            ev.src_dev,
+            NodeId::new(ev.src),
+            ev.dst_dev,
+            NodeId::new(ev.dst),
+            ev.flits,
+            class,
+        )
+        .map(drop)
+        .map_err(|e| e.to_string())
     }
 }

@@ -18,7 +18,8 @@ use crate::packet::{NodeId, PacketClass};
 use gnoc_faults::FaultPlan;
 use gnoc_telemetry::{IdMap, MetricRegistry, TraceEvent, SUBSYSTEM_NOC};
 use gnoc_trace::{
-    ReplayError, ReplayOutcome, TraceError, TraceEvent as TapEvent, TraceReader, TraceTap,
+    replay_into, ReplayError, ReplayOutcome, ReplayTarget, TraceEvent as TapEvent, TraceReader,
+    TraceTap,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -356,70 +357,21 @@ impl ReliableMesh {
         self.trace_tap.take().map(|b| *b)
     }
 
-    /// Replays a recorded submission stream into this mesh: every event is
-    /// re-submitted in order (first advancing the simulation to the event's
-    /// recorded cycle on the event engine: step, then skip capped at that
-    /// cycle), reproducing the recorded run bit for bit when the mesh was
-    /// built from the trace header's configuration and plan.
-    ///
-    /// A truncated trace replays its complete prefix and reports the
-    /// truncation point in [`ReplayOutcome::truncated`]; the caller decides
-    /// whether that is a warning or an error.
+    /// Replays a recorded submission stream into this mesh through
+    /// [`gnoc_trace::replay_into`]: advancing on the event engine (step,
+    /// then skip capped at the event's cycle) and re-submitting each event,
+    /// it reproduces the recorded run bit for bit when the mesh was built
+    /// from the trace header's configuration and plan.
     ///
     /// # Errors
     ///
-    /// [`ReplayError::Trace`] on a corrupt or unreadable stream;
-    /// [`ReplayError::Event`] when a CRC-valid event does not fit this mesh
-    /// (non-zero device, node out of range) — never a panic.
+    /// As [`gnoc_trace::replay_into`]; an event for a non-zero device (a
+    /// fabric trace) or an out-of-range node is a [`ReplayError::Event`].
     pub fn replay_from<R: std::io::Read>(
         &mut self,
         reader: &mut TraceReader<R>,
     ) -> Result<ReplayOutcome, ReplayError> {
-        let mut replayed = 0u64;
-        loop {
-            match reader.next_event() {
-                Ok(Some(ev)) => {
-                    if ev.src_dev != 0 || ev.dst_dev != 0 {
-                        return Err(ReplayError::Event {
-                            index: replayed,
-                            reason: format!(
-                                "mesh replay saw device ({}, {}) — a fabric trace?",
-                                ev.src_dev, ev.dst_dev
-                            ),
-                        });
-                    }
-                    while self.mesh.cycle() < ev.cycle {
-                        self.step();
-                        self.skip_quiet(ev.cycle);
-                    }
-                    let class = PacketClass::from_trace_code(ev.class).ok_or_else(|| {
-                        ReplayError::Event {
-                            index: replayed,
-                            reason: format!("unknown packet class {}", ev.class),
-                        }
-                    })?;
-                    self.submit_checked(NodeId::new(ev.src), NodeId::new(ev.dst), ev.flits, class)
-                        .map_err(|e| ReplayError::Event {
-                            index: replayed,
-                            reason: e.to_string(),
-                        })?;
-                    replayed += 1;
-                }
-                Ok(None) => {
-                    return Ok(ReplayOutcome {
-                        replayed,
-                        truncated: None,
-                    })
-                }
-                Err(TraceError::TruncatedTail { chunk, offset }) => {
-                    return Ok(ReplayOutcome {
-                        replayed,
-                        truncated: Some((chunk, offset)),
-                    })
-                }
-                Err(e) => return Err(ReplayError::Trace(e)),
-            }
-        }
+        replay_into(self, reader)
     }
 
     /// Current state of a transfer.
@@ -700,6 +652,39 @@ impl ReliableMesh {
         registry.gauge_set("noc.retry.latency.mean", self.stats.mean_latency());
         registry.gauge_set("noc.retry.latency.p99", self.stats.latency_quantile(0.99));
         registry.gauge_set("noc.retry.latency.max", self.stats.latency_max as f64);
+    }
+}
+
+impl ReplayTarget for ReliableMesh {
+    type Class = PacketClass;
+
+    fn decode_class(code: u8) -> Option<PacketClass> {
+        PacketClass::from_trace_code(code)
+    }
+
+    fn admit(&self, ev: &TapEvent) -> Result<(), String> {
+        if ev.src_dev != 0 || ev.dst_dev != 0 {
+            return Err(format!(
+                "mesh replay saw device ({}, {}) — a fabric trace?",
+                ev.src_dev, ev.dst_dev
+            ));
+        }
+        Ok(())
+    }
+
+    fn now(&self) -> u64 {
+        self.mesh.cycle()
+    }
+
+    fn advance(&mut self, until: u64) {
+        self.step();
+        self.skip_quiet(until);
+    }
+
+    fn submit_event(&mut self, ev: &TapEvent, class: PacketClass) -> Result<(), String> {
+        self.submit_checked(NodeId::new(ev.src), NodeId::new(ev.dst), ev.flits, class)
+            .map(drop)
+            .map_err(|e| e.to_string())
     }
 }
 

@@ -79,9 +79,12 @@ fn recorded_fairness_run_is_pinned_bit_for_bit() {
         bytes.extend_from_slice(&n.0.to_le_bytes());
     }
     bytes.extend_from_slice(&r.unfairness.to_bits().to_le_bytes());
-    let trace = rec.expect("recorder attached").chrome_trace();
+    let mut trace = Vec::new();
+    rec.expect("recorder attached")
+        .write_chrome_trace(&mut trace)
+        .unwrap();
     assert_eq!(
-        (fnv1a64(&bytes), fnv1a64(trace.as_bytes()), trace.len()),
+        (fnv1a64(&bytes), fnv1a64(&trace), trace.len()),
         (0xd88c6397d5a84a44, 0xee097fbc3ddde17f, 9_020_762)
     );
 }

@@ -6,17 +6,22 @@
 //! strings — field order and float formatting never depend on library
 //! versions or parse/re-serialize round trips — so byte-identity holds
 //! across `--jobs` counts, cache round trips, and crash resumes. Every
-//! payload carries a `summary` field whose text matches the corresponding
-//! one-shot CLI output line exactly, which is what lets ci.sh pin "daemon
-//! result == one-shot result" with a plain `cmp`.
+//! payload carries a one-line `summary`. A campaign's is the line
+//! `gnoc campaign` prints ([`gnoc_core::LatencyCampaign::summary_line`]),
+//! which lets ci.sh pin "daemon result == one-shot result" with a plain
+//! `cmp`; the mesh, fabric, chaos and replay summaries have their own
+//! wording. The mesh and fabric jobs run the CLI's soaks
+//! ([`gnoc_core::soak`]) and a replay job is [`trace_digest::replay`], the
+//! path `gnoc trace replay` takes.
 
 use crate::protocol::{json_str, JobSpec};
 use gnoc_chaos::{run_chaos, ChaosConfig, ChaosOptions};
-use gnoc_core::noc::{fabric_soak, mesh_soak, PacketClass};
+use gnoc_core::soak::{FabricSoak, MeshSoak, SOAK_CYCLE_BUDGET};
 use gnoc_core::telemetry::TelemetryHandle;
+use gnoc_core::trace::TraceReader;
+use gnoc_core::trace_digest::{self, ReplayFailure, Verdict};
 use gnoc_core::{
-    ArbiterKind, CheckpointedCampaign, FabricConfig, FabricSim, FabricTopology, FaultPlan,
-    LatencyProbe, MeshConfig, ReliableMesh, RetryConfig,
+    ArbiterKind, CheckpointedCampaign, FabricConfig, FabricTopology, FaultPlan, LatencyProbe,
 };
 use std::path::Path;
 
@@ -152,24 +157,8 @@ fn run_campaign(
     let rows = result.matrix.len();
     let cols = result.matrix.first().map_or(0, Vec::len);
     let grand = result.grand_mean();
-    let h = gnoc_core::trace_digest::campaign_matrix_fnv(&result.matrix);
-    // `summary` reproduces the one-shot `gnoc campaign` output line exactly
-    // (both the full and the degraded form).
-    let summary = if degraded {
-        format!(
-            "{device}: grand mean latency {grand:.0} cycles (degraded campaign{})",
-            if has_plan { ", fault plan applied" } else { "" }
-        )
-    } else {
-        format!(
-            "{device}: grand mean latency {grand:.0} cycles over {rows}x{cols} pairs{}",
-            if has_plan {
-                " (fault plan applied)"
-            } else {
-                ""
-            }
-        )
-    };
+    let h = trace_digest::campaign_matrix_fnv(&result.matrix);
+    let summary = result.summary_line(device, degraded, has_plan);
     ok(
         resumed,
         format!(
@@ -181,20 +170,12 @@ fn run_campaign(
 }
 
 fn run_mesh(seed: u64, transfers: usize, plan: Option<&FaultPlan>) -> ExecOutcome {
-    let cfg = MeshConfig::paper_6x6(ArbiterKind::RoundRobin);
-    let benign = FaultPlan::none();
-    let plan = plan.unwrap_or(&benign);
-    let mut rm = match ReliableMesh::with_faults(cfg, plan, RetryConfig::default()) {
+    let soak = MeshSoak::paper(ArbiterKind::RoundRobin, seed, transfers);
+    let mut rm = match soak.build(plan) {
         Ok(rm) => rm,
         Err(e) => return fail(format!("mesh setup: {e}")),
     };
-    // The one-shot CLI's soak traffic, so a seed means the same transfers
-    // through the daemon.
-    for (src, dst) in mesh_soak(seed, (cfg.width * cfg.height) as u64).take(transfers) {
-        rm.submit(src, dst, 1, PacketClass::Request);
-    }
-    let quiesced = rm.run_until_quiescent(2_000_000);
-    if !quiesced {
+    if !soak.run(&mut rm) {
         return fail(format!(
             "mesh failed to quiesce (outstanding {})",
             rm.outstanding()
@@ -261,25 +242,20 @@ fn run_fabric_job(devices: u32, topology: &str, seed: u64, transfers: usize) -> 
     let Some(topo) = FabricTopology::parse(topology) else {
         return fail(format!("unknown fabric topology {topology:?}"));
     };
-    let cfg = FabricConfig::new(devices, topo);
-    let nodes = (cfg.mesh.width * cfg.mesh.height) as u64;
-    let mut sim = match FabricSim::with_faults(cfg, &FaultPlan::none()) {
+    let soak = FabricSoak {
+        cfg: FabricConfig::new(devices, topo),
+        seed,
+        transfers,
+        cycles: SOAK_CYCLE_BUDGET,
+    };
+    let mut sim = match soak.build(None) {
         Ok(sim) => sim,
         Err(e) => return fail(format!("fabric setup: {e}")),
     };
-    for t in fabric_soak(seed, devices, nodes).take(transfers) {
-        if let Err(e) = sim.submit(
-            t.src_dev,
-            t.src,
-            t.dst_dev,
-            t.dst,
-            t.flits,
-            PacketClass::Request,
-        ) {
-            return fail(format!("fabric submit: {e}"));
-        }
-    }
-    let quiesced = sim.run_until_quiescent(2_000_000);
+    let quiesced = match soak.run(&mut sim) {
+        Ok(q) => q,
+        Err(e) => return fail(format!("fabric submit: {e}")),
+    };
     if !quiesced {
         return fail(format!(
             "fabric failed to quiesce (outstanding {})",
@@ -310,133 +286,48 @@ fn run_fabric_job(devices: u32, topology: &str, seed: u64, transfers: usize) -> 
     )
 }
 
-/// Replays a hex-encoded trace artifact in-process and verifies the
-/// final-state digest against the sealed footer. A divergent digest, a
+/// Replays a hex-encoded trace artifact in-process through
+/// [`trace_digest::replay`] and reports its verdict. A divergent digest, a
 /// corrupt chunk, or a fault-plan mismatch fails the job; a truncated tail
 /// succeeds with `"complete":false` (the salvage contract the CLI's
 /// `gnoc trace replay` also honors).
 fn run_replay_job(trace_hex: &str, plan: Option<&FaultPlan>) -> ExecOutcome {
-    use gnoc_core::trace::{validate_stream, TraceKind, TraceReader};
-    use gnoc_core::trace_digest;
-
-    let bytes = match gnoc_core::trace::from_hex(trace_hex) {
-        Ok(b) => b,
-        Err(e) => return fail(format!("replay: {e}")),
-    };
-    let mut reader = match TraceReader::from_bytes(bytes) {
+    let reader = gnoc_core::trace::from_hex(trace_hex)
+        .and_then(|bytes| TraceReader::from_bytes(bytes).map_err(|e| e.to_string()));
+    let mut reader = match reader {
         Ok(r) => r,
         Err(e) => return fail(format!("replay: {e}")),
     };
-    let header = reader.header().clone();
-    let plan_fnv = trace_digest::plan_digest(plan);
-    if header.plan_fnv != plan_fnv {
-        return fail(format!(
-            "replay: trace was recorded against fault plan {:016x} but the job supplies {plan_fnv:016x}",
-            header.plan_fnv
-        ));
-    }
-    let benign = FaultPlan::none();
-    let mesh_cfg = MeshConfig {
-        width: header.width as usize,
-        height: header.height as usize,
-        buffer_packets: 4,
-        arbiter: ArbiterKind::RoundRobin,
-        route_order: gnoc_core::noc::RouteOrder::Xy,
-        vcs: 1,
-    };
-    // (events replayed, truncation point, canonical stats line, sealed digest)
-    let (events, truncated, line, recorded) = match header.kind {
-        TraceKind::Mesh => {
-            let mut rm = match ReliableMesh::with_faults(
-                mesh_cfg,
-                plan.unwrap_or(&benign),
-                RetryConfig::default(),
-            ) {
-                Ok(rm) => rm,
-                Err(e) => return fail(format!("replay mesh setup: {e}")),
-            };
-            let outcome = match rm.replay_from(&mut reader) {
-                Ok(o) => o,
-                Err(e) => return fail(format!("replay: {e}")),
-            };
-            rm.run_until_quiescent(2_000_000);
-            let line = match trace_digest::mesh_stats_line(&rm) {
-                Ok(l) => l,
-                Err(e) => return fail(format!("replay: {e}")),
-            };
-            let recorded = reader.footer().map(|f| f.stats_fnv);
-            (outcome.replayed, outcome.truncated, line, recorded)
+    let r = match trace_digest::replay(&mut reader, plan, &TelemetryHandle::disabled()) {
+        Ok(r) => r,
+        Err(ReplayFailure::PlanMismatch { recorded, supplied }) => {
+            return fail(format!(
+                "replay: trace was recorded against fault plan {recorded:016x} but the job supplies {supplied:016x}"
+            ))
         }
-        TraceKind::Fabric => {
-            let Some(topo) = FabricTopology::parse(&header.topology) else {
-                return fail(format!(
-                    "replay: unknown fabric topology {:?}",
-                    header.topology
-                ));
-            };
-            let mut cfg = FabricConfig::new(header.devices, topo);
-            cfg.mesh = mesh_cfg;
-            let mut sim = match FabricSim::with_faults(cfg, plan.unwrap_or(&benign)) {
-                Ok(sim) => sim,
-                Err(e) => return fail(format!("replay fabric setup: {e}")),
-            };
-            let outcome = match sim.replay_from(&mut reader) {
-                Ok(o) => o,
-                Err(e) => return fail(format!("replay: {e}")),
-            };
-            sim.run_until_quiescent(2_000_000);
-            let line = match trace_digest::fabric_stats_line(&sim) {
-                Ok(l) => l,
-                Err(e) => return fail(format!("replay: {e}")),
-            };
-            let recorded = reader.footer().map(|f| f.stats_fnv);
-            (outcome.replayed, outcome.truncated, line, recorded)
-        }
-        TraceKind::Campaign => {
-            let summary = match validate_stream(&mut reader) {
-                Ok(s) => s,
-                Err(e) => return fail(format!("replay: {e}")),
-            };
-            let device = header.device.clone().unwrap_or_default();
-            let probe = LatencyProbe {
-                working_set_lines: header.lines as usize,
-                samples: header.samples as usize,
-            };
-            let mut campaign =
-                match CheckpointedCampaign::new(&device, header.seed, probe, plan.cloned()) {
-                    Ok(c) => c,
-                    Err(e) => return fail(format!("replay campaign setup: {e}")),
-                };
-            let result = match campaign.run_to_completion(None) {
-                Ok(r) => r,
-                Err(e) => return fail(format!("replay campaign: {e}")),
-            };
-            let line = trace_digest::campaign_stats_line(&device, &result);
-            let recorded = summary.complete.then_some(summary.stats_fnv);
-            (summary.events, summary.truncated, line, recorded)
+        Err(ReplayFailure::Replay(e)) => return fail(format!("replay: {e}")),
+        Err(ReplayFailure::Setup { stage, reason }) => {
+            return fail(format!("replay {stage}: {reason}"))
         }
     };
-    let digest = trace_digest::line_digest(&line);
-    let kind = header.kind.name();
-    if truncated.is_none() {
-        if let Some(rec) = recorded {
-            if rec != 0 && rec != digest {
-                return fail(format!(
-                    "replay: divergent {kind} replay: stats digest {digest:016x} does not match the recorded {rec:016x}"
-                ));
-            }
-        }
-    }
-    let complete = truncated.is_none();
-    let summary = if complete {
-        format!(
-            "replay {kind}: {events} event(s), stats digest {digest:016x} matches the recording"
-        )
-    } else {
-        format!(
+    let (kind, events, digest) = (r.kind.name(), r.events, r.digest);
+    let summary = match r.verdict {
+        Verdict::Truncated { .. } => format!(
             "replay {kind} prefix: {events} event(s), stats digest {digest:016x} (truncated trace)"
-        )
+        ),
+        Verdict::Matches => format!(
+            "replay {kind}: {events} event(s), stats digest {digest:016x} matches the recording"
+        ),
+        Verdict::Unsealed => format!(
+            "replay {kind}: {events} event(s), stats digest {digest:016x} (recording sealed no digest)"
+        ),
+        Verdict::Divergent { recorded } => {
+            return fail(format!(
+                "replay: divergent {kind} replay: stats digest {digest:016x} does not match the recorded {recorded:016x}"
+            ))
+        }
     };
+    let complete = !matches!(r.verdict, Verdict::Truncated { .. });
     ok(
         0,
         format!(

@@ -25,7 +25,7 @@
 
 use crate::trace::{TraceEvent, TraceSink};
 use crate::{IdMap, SUBSYSTEM_NOC};
-use std::fmt::Write as _;
+use std::io;
 
 /// Port-index → name mapping: `gnoc-noc`'s mesh port layout (local, north,
 /// east, south, west) plus the inter-device fabric port (`gnoc-fabric`
@@ -242,7 +242,7 @@ impl MessageRecord {
 /// take it back out and feed it to `gnoc-analysis` (stall attribution,
 /// critical paths) or export it directly:
 /// [`FlightRecorder::stream_to`] for the repo's JSONL schema,
-/// [`FlightRecorder::chrome_trace`] for a Perfetto-loadable trace.
+/// [`FlightRecorder::write_chrome_trace`] for a Perfetto-loadable trace.
 #[derive(Debug, Clone, Default)]
 pub struct FlightRecorder {
     /// In-flight messages (never iterated — determinism is unaffected by
@@ -426,13 +426,19 @@ impl FlightRecorder {
         sink.flush();
     }
 
-    /// Renders the recording as Chrome trace-event JSON (an array of event
+    /// Writes the recording as Chrome trace-event JSON (an array of event
     /// objects), loadable in Perfetto / `chrome://tracing`. One track per
     /// router plus a `protocol` track for annotations; one complete (`X`)
     /// slice per hop carrying the stall breakdown in `args`; instant events
     /// for inject / deliver / loss. Timestamps are virtual cycles, reported
-    /// as if one cycle were one microsecond.
-    pub fn chrome_trace(&self) -> String {
+    /// as if one cycle were one microsecond. Events stream to `out` one at
+    /// a time, so the trace is never held in memory; wrap a file in a
+    /// `BufWriter`.
+    ///
+    /// # Errors
+    ///
+    /// The first write `out` refused.
+    pub fn write_chrome_trace<W: io::Write>(&self, out: &mut W) -> io::Result<()> {
         let mut tids: Vec<u32> = self
             .done
             .iter()
@@ -442,34 +448,34 @@ impl FlightRecorder {
         tids.dedup();
         let protocol_tid = tids.last().map_or(0, |t| t + 1);
 
-        let mut events: Vec<String> = Vec::new();
+        // Every event but the first is preceded by ",\n".
+        out.write_all(b"[\n")?;
         for &tid in &tids {
-            events.push(format!(
+            writeln!(
+                out,
                 "{{\"ph\":\"M\",\"pid\":0,\"tid\":{tid},\"name\":\"thread_name\",\
-                 \"args\":{{\"name\":\"router {tid}\"}}}}"
-            ));
+                 \"args\":{{\"name\":\"router {tid}\"}}}},"
+            )?;
         }
-        events.push(format!(
+        write!(
+            out,
             "{{\"ph\":\"M\",\"pid\":0,\"tid\":{protocol_tid},\"name\":\"thread_name\",\
              \"args\":{{\"name\":\"protocol\"}}}}"
-        ));
+        )?;
 
         for m in &self.done {
-            let mut e = String::new();
-            let _ = write!(
-                e,
-                "{{\"name\":\"inject msg{}\",\"ph\":\"i\",\"ts\":{},\"pid\":0,\
+            write!(
+                out,
+                ",\n{{\"name\":\"inject msg{}\",\"ph\":\"i\",\"ts\":{},\"pid\":0,\
                  \"tid\":{},\"s\":\"t\",\"args\":{{\"src\":{},\"dst\":{},\"flits\":{},\
                  \"birth\":{}}}}}",
                 m.id, m.inject, m.src, m.src, m.dst, m.flits, m.birth
-            );
-            events.push(e);
+            )?;
             for h in &m.hops {
                 let grant = h.grant.unwrap_or(m.end);
-                let mut e = String::new();
-                let _ = write!(
-                    e,
-                    "{{\"name\":\"msg{} {}\\u2192{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
+                write!(
+                    out,
+                    ",\n{{\"name\":\"msg{} {}\\u2192{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
                      \"pid\":0,\"tid\":{},\"args\":{{\"msg\":{},\"in\":\"{}\",\
                      \"serialization\":{},\"contention\":{},\"backpressure\":{},\
                      \"router_stall\":{},\"fabric_hop\":{},\"queued\":{}}}}}",
@@ -491,40 +497,39 @@ impl FlightRecorder {
                     h.router_stall,
                     h.fabric_hop,
                     h.queued
-                );
-                events.push(e);
+                )?;
             }
             if m.delivered {
-                events.push(format!(
-                    "{{\"name\":\"deliver msg{}\",\"ph\":\"i\",\"ts\":{},\"pid\":0,\
+                write!(
+                    out,
+                    ",\n{{\"name\":\"deliver msg{}\",\"ph\":\"i\",\"ts\":{},\"pid\":0,\
                      \"tid\":{},\"s\":\"t\",\"args\":{{\"latency\":{}}}}}",
                     m.id,
                     m.end,
                     m.dst,
                     m.latency()
-                ));
+                )?;
             } else {
-                events.push(format!(
-                    "{{\"name\":\"lost msg{} ({})\",\"ph\":\"i\",\"ts\":{},\"pid\":0,\
+                write!(
+                    out,
+                    ",\n{{\"name\":\"lost msg{} ({})\",\"ph\":\"i\",\"ts\":{},\"pid\":0,\
                      \"tid\":{},\"s\":\"t\",\"args\":{{}}}}",
                     m.id,
                     m.loss.as_deref().unwrap_or("unknown"),
                     m.end,
                     m.hops.last().map_or(0, |h| h.router)
-                ));
+                )?;
             }
         }
         for n in &self.notes {
-            events.push(format!(
-                "{{\"name\":\"{}\",\"ph\":\"i\",\"ts\":{},\"pid\":0,\"tid\":{},\
+            write!(
+                out,
+                ",\n{{\"name\":\"{}\",\"ph\":\"i\",\"ts\":{},\"pid\":0,\"tid\":{},\
                  \"s\":\"t\",\"args\":{{}}}}",
                 n.event, n.cycle, protocol_tid
-            ));
+            )?;
         }
-        let mut out = String::from("[\n");
-        out.push_str(&events.join(",\n"));
-        out.push_str("\n]\n");
-        out
+        out.write_all(b"\n]\n")
     }
 }
 
@@ -604,7 +609,10 @@ mod tests {
     fn chrome_trace_is_valid_json_array() {
         let mut rec = FlightRecorder::new();
         record_one(&mut rec);
-        let json = rec.chrome_trace();
+        let mut bytes = Vec::new();
+        rec.write_chrome_trace(&mut bytes)
+            .expect("Vec accepts every write");
+        let json = String::from_utf8(bytes).expect("trace is UTF-8");
         let v: serde::Value = serde_json::from_str(&json).expect("chrome trace parses");
         let serde::Value::Array(events) = v else {
             panic!("chrome trace must be a JSON array");

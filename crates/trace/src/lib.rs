@@ -1132,6 +1132,90 @@ impl From<TraceError> for ReplayError {
     }
 }
 
+/// A simulator a recorded submission stream can be driven into. The
+/// stream walk itself is [`replay_into`]; a target only says how to check,
+/// advance and submit.
+pub trait ReplayTarget {
+    /// The simulator's packet class.
+    type Class;
+
+    /// Decodes [`TraceEvent::class`]; `None` rejects the event.
+    fn decode_class(code: u8) -> Option<Self::Class>;
+
+    /// Rejects an event this simulator cannot take, before it advances.
+    ///
+    /// # Errors
+    ///
+    /// Why the event does not fit.
+    fn admit(&self, _ev: &TraceEvent) -> Result<(), String> {
+        Ok(())
+    }
+
+    /// The simulator's current cycle.
+    fn now(&self) -> u64;
+
+    /// One step, then an idle skip capped at `until`.
+    fn advance(&mut self, until: u64);
+
+    /// Submits one admitted event.
+    ///
+    /// # Errors
+    ///
+    /// Why the simulator refused it (device or node out of range).
+    fn submit_event(&mut self, ev: &TraceEvent, class: Self::Class) -> Result<(), String>;
+}
+
+/// Replays a recorded submission stream into `target`: every event is
+/// re-submitted in order, first advancing the simulation to the event's
+/// recorded cycle. Built from the trace header's configuration and plan,
+/// the target reproduces the recorded run bit for bit.
+///
+/// A truncated trace replays its complete prefix and reports the
+/// truncation point in [`ReplayOutcome::truncated`]; the caller decides
+/// whether that is a warning or an error.
+///
+/// # Errors
+///
+/// [`ReplayError::Trace`] on a corrupt or unreadable stream;
+/// [`ReplayError::Event`] when a CRC-valid event does not fit the target
+/// (unknown class, device or node out of range) — never a panic.
+pub fn replay_into<T: ReplayTarget + ?Sized, R: Read>(
+    target: &mut T,
+    reader: &mut TraceReader<R>,
+) -> Result<ReplayOutcome, ReplayError> {
+    let mut replayed = 0u64;
+    loop {
+        let ev = match reader.next_event() {
+            Ok(Some(ev)) => ev,
+            Ok(None) => {
+                return Ok(ReplayOutcome {
+                    replayed,
+                    truncated: None,
+                })
+            }
+            Err(TraceError::TruncatedTail { chunk, offset }) => {
+                return Ok(ReplayOutcome {
+                    replayed,
+                    truncated: Some((chunk, offset)),
+                })
+            }
+            Err(e) => return Err(ReplayError::Trace(e)),
+        };
+        let reject = |reason| ReplayError::Event {
+            index: replayed,
+            reason,
+        };
+        target.admit(&ev).map_err(reject)?;
+        let class = T::decode_class(ev.class)
+            .ok_or_else(|| reject(format!("unknown packet class {}", ev.class)))?;
+        while target.now() < ev.cycle {
+            target.advance(ev.cycle);
+        }
+        target.submit_event(&ev, class).map_err(reject)?;
+        replayed += 1;
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Validation
 // ---------------------------------------------------------------------------
