@@ -14,15 +14,27 @@
 //! kept a queued-packet count, so any drift in which die or router acts on
 //! which cycle fails here. The cycle-exact engine (the event skip disabled)
 //! must match the same pins.
+//!
+//! `charge_closures_match_the_golden_pins` covers each place a fabric
+//! transfer's `FabricHop` waiting charges close (a crossing grant, an
+//! ingress delivery, a destination-die delivery, each kind of loss, a
+//! quarantine under the self-heal monitor and a recorder taken mid-run)
+//! with the recorder's full per-hop records in the pin. Those values were
+//! captured while every transfer was still polled and charged on every
+//! cycle. Both tests flip the process-wide engine switch, so they hold
+//! [`ENGINE`] while they run.
 
 use gnoc_analysis::profile::ProfileReport;
-use gnoc_fabric::{FabricConfig, FabricSim};
-use gnoc_faults::{FaultGenConfig, FaultPlan};
+use gnoc_fabric::{
+    health_report, poll_window, FabricConfig, FabricLinks, FabricMonitor, FabricSim,
+};
+use gnoc_faults::{DeviceFault, FabricLinkFault, FaultGenConfig, FaultPlan, LinkFaultKind};
 use gnoc_noc::{set_event_skip_enabled, NodeId, PacketClass};
 use gnoc_telemetry::hash::{fnv1a64, SplitMix64};
 use gnoc_telemetry::FlightRecorder;
 use gnoc_topo::FabricTopology;
 use gnoc_trace::{TraceHeader, TraceTap};
+use std::sync::Mutex;
 
 const SIDE: u32 = 5;
 const WAVES: u64 = 8;
@@ -32,6 +44,16 @@ const WAVE_TRANSFERS: u64 = 12;
 /// retries and fabric crossings.
 const WAVE_CYCLES: [u64; 3] = [40, 250, 90];
 const MAX_CYCLES: u64 = 2_000_000;
+
+/// Serialises the tests of this binary: each flips the process-wide event
+/// engine switch.
+static ENGINE: Mutex<()> = Mutex::new(());
+
+fn engine_lock() -> std::sync::MutexGuard<'static, ()> {
+    ENGINE
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 /// Everything a case pins.
 #[derive(Debug, PartialEq, Eq)]
@@ -237,6 +259,7 @@ fn faulted_fabrics_match_the_golden_pins() {
         topology,
         self_healing_dies,
     };
+    let _lock = engine_lock();
     #[rustfmt::skip]
     let cases = [
         (case(11, 2, Ring, false), expected(1117, [3484858301858657256, 12148553815430366061, 13250242986961983902, 13646862349691912032, 11296691691907018982])),
@@ -248,5 +271,198 @@ fn faulted_fabrics_match_the_golden_pins() {
     for (c, want) in cases {
         assert_eq!(run(c, true), want, "{c:?}");
         assert_eq!(run(c, false), want, "cycle-exact {c:?}");
+    }
+}
+
+/// Where a case's fabric transfers stop accruing `FabricHop` charges.
+#[derive(Debug, Clone, Copy)]
+enum Closure {
+    /// Crossing grants, ingress deliveries at node 0 and destination-die
+    /// deliveries on a healthy ring with busy links.
+    Deliveries,
+    /// Flaky links with a two-attempt hop budget: `RetriesExhausted`.
+    RetriesExhausted,
+    /// Two dead links isolate a device mid-run: no route at the next hop.
+    NoRoute,
+    /// A device dies mid-run and strands what it sources or sinks.
+    DeviceOnset,
+    /// A hidden dead link with an unbounded hop budget: the fabric
+    /// watchdog writes the stuck crossings off.
+    Watchdog,
+    /// A hidden dead link found, quarantined and routed around by the
+    /// self-heal monitor.
+    Quarantine,
+    /// The recorder taken mid-run with transfers still open, then a
+    /// second one attached and taken at the end.
+    MidRunTake,
+}
+
+/// What a charge-closure case pins.
+#[derive(Debug, PartialEq, Eq)]
+struct ClosurePin {
+    /// Final fabric cycle.
+    cycle: u64,
+    /// FNV-1a of the `FabricStats` and the outcome vector in `Debug` form.
+    fabric: u64,
+    /// FNV-1a of every taken recorder's `ProfileReport` totals and counts.
+    profile: u64,
+    /// FNV-1a of every taken recorder in `Debug` form: each message's hops
+    /// with their `fabric_hop` charges, open messages included.
+    hops: u64,
+}
+
+/// Submits `n` cross-device transfers drawn from `seed`; about a third
+/// start at the egress port and a third end at the ingress port.
+fn cross_traffic(sim: &mut FabricSim, seed: u64, n: u32) {
+    let devices = u64::from(sim.config().devices);
+    let nodes = u64::from(SIDE * SIDE);
+    let mut rng = SplitMix64::new(seed);
+    for _ in 0..n {
+        let r = rng.next();
+        let src_dev = r % devices;
+        let dst_dev = (src_dev + 1 + (r >> 8) % (devices - 1)) % devices;
+        let node = |shift: u32| {
+            if (r >> shift).is_multiple_of(3) {
+                0
+            } else {
+                ((r >> (shift + 4)) % nodes) as u32
+            }
+        };
+        sim.submit(
+            src_dev as u32,
+            NodeId::new(node(16)),
+            dst_dev as u32,
+            NodeId::new(node(32)),
+            1 + ((r >> 56) % 4) as u32,
+            PacketClass::Request,
+        )
+        .expect("endpoints in range");
+    }
+}
+
+fn link(a: u32, b: u32, kind: LinkFaultKind, onset: u64) -> FabricLinkFault {
+    FabricLinkFault { a, b, kind, onset }
+}
+
+/// Runs one charge-closure case on the event engine or the cycle-exact one.
+fn closure_run(c: Closure, event: bool) -> ClosurePin {
+    use FabricTopology::{PointToPoint, Ring};
+    let mut plan = FaultPlan::none();
+    let mut cfg = FabricConfig::new(4, Ring);
+    match c {
+        Closure::Deliveries | Closure::MidRunTake => {}
+        Closure::RetriesExhausted => {
+            cfg.max_hop_retries = 2;
+            let flaky = LinkFaultKind::Flaky { drop_prob: 0.6 };
+            plan.fabric.links = vec![link(0, 1, flaky, 0), link(2, 3, flaky, 0)];
+        }
+        Closure::NoRoute => {
+            let dead = LinkFaultKind::Dead;
+            plan.fabric.links = vec![link(1, 2, dead, 30), link(2, 3, dead, 30)];
+        }
+        Closure::DeviceOnset => {
+            plan.fabric.devices = vec![DeviceFault {
+                device: 3,
+                onset: 45,
+            }]
+        }
+        Closure::Watchdog => {
+            cfg = FabricConfig::new(2, PointToPoint);
+            cfg.self_healing = true;
+            cfg.max_hop_retries = u32::MAX;
+            cfg.retry.watchdog_cycles = 200;
+            plan.fabric.links = vec![link(0, 1, LinkFaultKind::Dead, 20)];
+        }
+        Closure::Quarantine => {
+            cfg.self_healing = true;
+            plan.fabric.links = vec![link(1, 2, LinkFaultKind::Dead, 0)];
+        }
+    }
+    let topology = cfg.topology;
+    let devices = cfg.devices;
+    let mut sim = FabricSim::with_faults(cfg, &plan).expect("plan fits");
+    sim.attach_flight_recorder();
+    cross_traffic(&mut sim, 40 + c as u64, 40);
+
+    set_event_skip_enabled(event);
+    let mut recorders = Vec::new();
+    let mut health = String::new();
+    match c {
+        Closure::Quarantine => {
+            let mut monitor = FabricMonitor::new(FabricLinks::new(&sim));
+            let end = 20_000;
+            while sim.outstanding() > 0 && sim.cycle() < end {
+                sim.step();
+                poll_window(&mut monitor, &mut sim);
+                if sim.outstanding() > 0 {
+                    sim.skip_quiet(end.min(monitor.next_window().saturating_sub(1)));
+                }
+            }
+            health = format!("{:?}", health_report(&monitor, &sim));
+        }
+        Closure::MidRunTake => {
+            sim.run_until_quiescent(60);
+            recorders.push(sim.take_flight_recorder().expect("recorder attached"));
+            sim.attach_flight_recorder();
+            cross_traffic(&mut sim, 99, 12);
+            sim.run_until_quiescent(MAX_CYCLES);
+        }
+        _ => {
+            sim.run_until_quiescent(MAX_CYCLES);
+        }
+    }
+    set_event_skip_enabled(true);
+    assert_eq!(sim.outstanding(), 0, "{c:?} must quiesce");
+    recorders.push(sim.take_flight_recorder().expect("recorder attached"));
+    let s = sim.stats();
+    let covered = match c {
+        Closure::Deliveries => s.delivered == s.submitted && s.fabric_hops > s.submitted,
+        Closure::RetriesExhausted => s.lost_fabric_retries > 0 && s.delivered > 0,
+        Closure::NoRoute | Closure::DeviceOnset => s.lost_partitioned > 0 && s.delivered > 0,
+        Closure::Watchdog => s.lost_watchdog > 0 && s.delivered > 0,
+        Closure::Quarantine => !sim.quarantined_fabric_links().is_empty() && s.delivered > 0,
+        Closure::MidRunTake => recorders[0].open_count() > 0,
+    };
+    assert!(covered, "{c:?} misses its closure: {s:?}");
+
+    let cycles = sim.cycle();
+    let fabric_nodes = topology.node_count(devices) as usize;
+    let mut profile = String::new();
+    let mut hops = String::new();
+    for rec in &recorders {
+        profile += &profile_bytes(rec, fabric_nodes, 1, cycles);
+        hops += &format!("{rec:?}");
+    }
+    let fabric = format!("{:?}{:?}{health}", sim.stats(), sim.outcomes());
+    ClosurePin {
+        cycle: cycles,
+        fabric: fnv1a64(fabric.as_bytes()),
+        profile: fnv1a64(profile.as_bytes()),
+        hops: fnv1a64(hops.as_bytes()),
+    }
+}
+
+#[test]
+fn charge_closures_match_the_golden_pins() {
+    let _lock = engine_lock();
+    let pin = |cycle, [fabric, profile, hops]: [u64; 3]| ClosurePin {
+        cycle,
+        fabric,
+        profile,
+        hops,
+    };
+    #[rustfmt::skip]
+    let cases = [
+        (Closure::Deliveries, pin(157, [17128819620417753821, 16827127845736617159, 13852712353955353547])),
+        (Closure::RetriesExhausted, pin(142, [5018933246740745268, 13104763855197597587, 10320770040008257896])),
+        (Closure::NoRoute, pin(153, [4474763398302227278, 17761860158111902454, 16953200970531731898])),
+        (Closure::DeviceOnset, pin(114, [4904115664305181562, 10654383187861044469, 12440047726059773894])),
+        (Closure::Watchdog, pin(439, [12977174204880003955, 11882890242243094465, 17943065145314656923])),
+        (Closure::Quarantine, pin(625, [4933385338666259615, 13711495393679491614, 16391877794811589451])),
+        (Closure::MidRunTake, pin(147, [11359671837750686041, 15668825741908756083, 2208161691783709285])),
+    ];
+    for (c, want) in cases {
+        assert_eq!(closure_run(c, true), want, "{c:?}");
+        assert_eq!(closure_run(c, false), want, "cycle-exact {c:?}");
     }
 }
