@@ -55,6 +55,16 @@ if grep -nF 'candidates[' crates/noc/src/mesh.rs; then
     exit 1
 fi
 
+echo "== one charge path in the fabric: no per-cycle FabricHop charges =="
+# FabricSim polls only the transfers with an event due and hands a waiting
+# transfer's FabricHop cycles to the recorder in one charge_n when its hop
+# closes (FabricSim::charge_through); a per-cycle charge call must not grow
+# back.
+if grep -nF '.charge(' crates/fabric/src/sim.rs; then
+    echo "per-cycle recorder charge found above: charge through charge_through"
+    exit 1
+fi
+
 echo "== one breaker-window monitor: no per-resource monitors or health configs =="
 # gnoc-health's WindowMonitor drives mesh links, L2 slices and fabric links
 # through one loop, with thresholds that are documented constants; the
@@ -116,7 +126,8 @@ GNOC_ENGINE=cycle cargo run --release -q -p gnoc-cli --bin gnoc -- \
     chaos run --seeds 0..6 --report "$tmp/chaos_cyc.json" > /dev/null
 cmp "$tmp/chaos_evt.json" "$tmp/chaos_cyc.json"
 # A faulted 4-device fabric profile: the event engine skips quiet dies and
-# empty routers, the cycle-exact one steps every die every cycle.
+# empty routers, the cycle-exact one steps every die every cycle. The
+# Chrome traces carry every hop's fabric_hop charge.
 cargo run --release -q -p gnoc-cli --bin gnoc -- \
     faults gen --devices 4 --topology ring --width 5 --height 5 --flaky 3 \
     --stalls 1 --flaky-fabric-links 1 --dead-fabric-links 1 \
@@ -125,9 +136,11 @@ for engine in cycle event; do
     cargo run --release -q -p gnoc-cli --bin gnoc -- \
         --engine "$engine" --faults "$tmp/fabric-plan.json" profile --devices 4 \
         --width 5 --height 5 --transfers 300 \
-        --report "$tmp/fabric-prof-$engine.json" > /dev/null
+        --report "$tmp/fabric-prof-$engine.json" \
+        --perfetto "$tmp/fabric-prof-$engine.trace.json" > /dev/null
 done
 cmp "$tmp/fabric-prof-cycle.json" "$tmp/fabric-prof-event.json"
+cmp "$tmp/fabric-prof-cycle.trace.json" "$tmp/fabric-prof-event.trace.json"
 # The breaker monitors poll on window boundaries the event engine must not
 # skip past: health with slice probing, the mesh self-heal warm-up and a
 # self-healing 4-device ring print the same breaker logs on both cores.

@@ -6,6 +6,8 @@ use gnoc_noc::{LossReason, Mesh, NodeId, PacketClass, ReliableMesh, TransferId, 
 use gnoc_telemetry::hash::{SplitMix64, GOLDEN_GAMMA};
 use gnoc_telemetry::{FlightRecorder, StallKind, FABRIC_PORT};
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Salt xored into the plan seed for the fabric's private RNG stream, so
 /// fabric draws never alias the per-die mesh streams.
@@ -74,6 +76,49 @@ struct FabricTransfer {
     birth: u64,
     leg: Leg,
     state: TransferOutcome,
+    /// The first cycle whose `FabricHop` waiting charge has not been handed
+    /// to the recorder yet (see [`FabricSim::charge_through`]).
+    charged_to: u64,
+}
+
+impl FabricTransfer {
+    /// Whether the transfer accrues a `FabricHop` charge on each cycle it
+    /// waits: in a fabric leg, or on the destination die of a cross-device
+    /// transfer.
+    fn accrues_charges(&self) -> bool {
+        match self.leg {
+            Leg::Fabric { .. } => true,
+            Leg::DestDie(_) => self.src_dev != self.dst_dev,
+            Leg::SourceDie(_) | Leg::Done => false,
+        }
+    }
+}
+
+/// The transfers a [`FabricSim::step`] polls: a bitset over transfer
+/// indices, walked in ascending order so polls keep submission order.
+#[derive(Debug, Default)]
+struct DueSet {
+    words: Vec<u64>,
+}
+
+impl DueSet {
+    fn insert(&mut self, idx: usize) {
+        let w = idx / 64;
+        if w >= self.words.len() {
+            self.words.resize(w + 1, 0);
+        }
+        self.words[w] |= 1 << (idx % 64);
+    }
+
+    fn contains(&self, idx: usize) -> bool {
+        self.words
+            .get(idx / 64)
+            .is_some_and(|w| w & (1 << (idx % 64)) != 0)
+    }
+
+    fn is_empty(&self) -> bool {
+        self.words.iter().all(|&w| w == 0)
+    }
 }
 
 /// Aggregate fabric statistics.
@@ -145,6 +190,18 @@ pub struct FabricSim {
     /// `routes[node][dst_device]` = next fabric node, `None` = unreachable.
     routes: Vec<Vec<Option<u32>>>,
     transfers: Vec<FabricTransfer>,
+    /// Transfers with an event due at `now`: a fabric leg whose `ready_at`
+    /// came, a leg blocked last cycle, a die leg its die just resolved.
+    due: DueSet,
+    /// `(ready_at, transfer)` for fabric legs waiting out a crossing or a
+    /// backoff. An entry whose transfer has since resolved or moved on to
+    /// another `ready_at` is stale and dropped when it surfaces.
+    timers: BinaryHeap<Reverse<(u64, usize)>>,
+    /// Per die, the fabric transfer behind each of the die's transfers, by
+    /// die transfer index: routes the die's resolution log to the due set.
+    die_owners: Vec<Vec<usize>>,
+    /// Transfer polls so far (see [`FabricSim::polls`]).
+    polls: u64,
     now: u64,
     /// Fabric-link fault draws. Only probabilistic faults (flaky links) and
     /// link probes advance it, so benign plans draw nothing.
@@ -264,6 +321,10 @@ impl FabricSim {
             adj,
             routes: Vec::new(),
             transfers: Vec::new(),
+            due: DueSet::default(),
+            timers: BinaryHeap::new(),
+            die_owners: vec![Vec::new(); cfg.devices as usize],
+            polls: 0,
             now: 0,
             rng: SplitMix64::new(plan.seed ^ FABRIC_RNG_SALT),
             fabric_faults: plan.fabric.clone(),
@@ -312,6 +373,14 @@ impl FabricSim {
     /// Unresolved transfers.
     pub fn outstanding(&self) -> usize {
         self.outstanding
+    }
+
+    /// Transfer polls so far: how many times a step examined one transfer.
+    /// Only a transfer with a due event is polled, on either engine, so
+    /// this is the fabric's share of the work as an exact, host-independent
+    /// count.
+    pub fn polls(&self) -> u64 {
+        self.polls
     }
 
     /// The per-device dies, in device order.
@@ -380,8 +449,14 @@ impl FabricSim {
         self.recorder = Some(Box::default());
     }
 
-    /// Detaches and returns the recorder.
+    /// Detaches and returns the recorder, with every open transfer's
+    /// waiting cycles up to the current cycle charged.
     pub fn take_flight_recorder(&mut self) -> Option<Box<FlightRecorder>> {
+        if self.recorder.is_some() {
+            for idx in 0..self.transfers.len() {
+                self.charge_through(idx, self.now);
+            }
+        }
         self.recorder.take()
     }
 
@@ -464,22 +539,21 @@ impl FabricSim {
         let cross = src_dev != dst_dev;
         let leg = if !cross {
             // Same-device traffic rides the die directly.
-            let tid = self.dies[src_dev as usize].submit(src, dst, flits, class);
-            Leg::DestDie(tid)
+            Leg::DestDie(self.die_submit(src_dev, id.0, src, dst, flits, class))
         } else if src.index() == 0 {
             // Already at the egress port: straight into the fabric. The
             // recorder sees the injection now (source_wait = 0).
             if let Some(rec) = self.recorder.as_deref_mut() {
                 rec.on_inject(id.0 as u64, src_dev, dst_dev, flits, birth, birth);
             }
+            self.due.insert(id.0);
             Leg::Fabric {
                 at: src_dev,
                 ready_at: birth,
                 attempts: 0,
             }
         } else {
-            let tid = self.dies[src_dev as usize].submit(src, NodeId::new(0), flits, class);
-            Leg::SourceDie(tid)
+            Leg::SourceDie(self.die_submit(src_dev, id.0, src, NodeId::new(0), flits, class))
         };
         self.transfers.push(FabricTransfer {
             src_dev,
@@ -490,6 +564,7 @@ impl FabricSim {
             birth,
             leg,
             state: TransferOutcome::InFlight,
+            charged_to: birth,
         });
         self.stats.submitted += 1;
         if cross {
@@ -497,6 +572,24 @@ impl FabricSim {
         }
         self.outstanding += 1;
         Ok(id)
+    }
+
+    /// Submits fabric transfer `idx`'s leg on die `dev`, noting the owner
+    /// so the die's resolution of it wakes the transfer.
+    fn die_submit(
+        &mut self,
+        dev: u32,
+        idx: usize,
+        src: NodeId,
+        dst: NodeId,
+        flits: u32,
+        class: PacketClass,
+    ) -> TransferId {
+        let tid = self.dies[dev as usize].submit(src, dst, flits, class);
+        let owners = &mut self.die_owners[dev as usize];
+        debug_assert_eq!(tid.index(), owners.len(), "only the fabric submits");
+        owners.push(idx);
+        tid
     }
 
     /// Current state of a transfer.
@@ -714,11 +807,16 @@ impl FabricSim {
         }
     }
 
+    /// Resolves transfer `idx` lost at `now`. A crossing that drains its
+    /// retry budget and a watchdog write-off were waiting on `now` too, so
+    /// they charge it; a partition (no route, a dead-device onset) does not.
     fn resolve_lost(&mut self, idx: usize, reason: LossReason, now: u64) {
-        let t = &mut self.transfers[idx];
-        if t.state.is_resolved() {
+        if self.transfers[idx].state.is_resolved() {
             return;
         }
+        let charged_now = matches!(reason, LossReason::RetriesExhausted | LossReason::Watchdog);
+        self.charge_through(idx, now + u64::from(charged_now));
+        let t = &mut self.transfers[idx];
         t.state = TransferOutcome::Lost { reason };
         t.leg = Leg::Done;
         match reason {
@@ -735,10 +833,11 @@ impl FabricSim {
     }
 
     fn resolve_die_lost(&mut self, idx: usize, reason: LossReason, now: u64) {
-        let t = &mut self.transfers[idx];
-        if t.state.is_resolved() {
+        if self.transfers[idx].state.is_resolved() {
             return;
         }
+        self.charge_through(idx, now);
+        let t = &mut self.transfers[idx];
         t.state = TransferOutcome::Lost { reason };
         t.leg = Leg::Done;
         self.stats.lost_die += 1;
@@ -747,6 +846,26 @@ impl FabricSim {
         if let Some(rec) = self.recorder.as_deref_mut() {
             rec.on_lost(idx as u64, now, &format!("{reason:?}"));
         }
+    }
+
+    /// Hands the recorder transfer `idx`'s `FabricHop` waiting charges for
+    /// the cycles in `[charged_to, upto)`. A transfer accrues one charge on
+    /// every cycle it spends in a fabric leg or, crossing devices, on its
+    /// destination die, except the cycles of its crossing grants, of its
+    /// delivery and of a loss that charges nothing; this is called before
+    /// each of those closes the hop, so the recorder sees the same counts
+    /// as if every cycle had been charged as it passed.
+    fn charge_through(&mut self, idx: usize, upto: u64) {
+        let t = &mut self.transfers[idx];
+        if upto <= t.charged_to {
+            return;
+        }
+        if t.accrues_charges() {
+            if let Some(rec) = self.recorder.as_deref_mut() {
+                rec.charge_n(idx as u64, StallKind::FabricHop, upto - t.charged_to);
+            }
+        }
+        t.charged_to = upto;
     }
 
     fn resolve_delivered(&mut self, idx: usize, now: u64) {
@@ -763,10 +882,11 @@ impl FabricSim {
         self.last_progress = now;
     }
 
-    /// One poll of transfer `idx` at cycle `now`. Returns `true` if the
-    /// transfer should be polled again this cycle (a leg transition that can
-    /// make progress immediately).
+    /// One poll of transfer `idx` at cycle `now`, made only when it has an
+    /// event due. Returns `true` if the transfer should be polled again
+    /// this cycle (a leg transition that can make progress immediately).
     fn poll_transfer(&mut self, idx: usize, now: u64) -> bool {
+        self.polls += 1;
         let leg = self.transfers[idx].leg;
         match leg {
             Leg::Done => false,
@@ -775,17 +895,18 @@ impl FabricSim {
                 match self.dies[dev as usize].outcome(tid) {
                     TransferOutcome::Delivered { .. } => {
                         // Reached the egress port: enter the fabric.
-                        let t = &self.transfers[idx];
+                        let t = &mut self.transfers[idx];
+                        t.leg = Leg::Fabric {
+                            at: t.src_dev,
+                            ready_at: now,
+                            attempts: 0,
+                        };
+                        t.charged_to = now;
                         let (src_dev, dst_dev, flits, birth) =
                             (t.src_dev, t.dst_dev, t.flits, t.birth);
                         if let Some(rec) = self.recorder.as_deref_mut() {
                             rec.on_inject(idx as u64, src_dev, dst_dev, flits, birth, now);
                         }
-                        self.transfers[idx].leg = Leg::Fabric {
-                            at: src_dev,
-                            ready_at: now,
-                            attempts: 0,
-                        };
                         self.last_progress = now;
                         true
                     }
@@ -802,10 +923,7 @@ impl FabricSim {
                 attempts,
             } => {
                 if now < ready_at {
-                    if let Some(rec) = self.recorder.as_deref_mut() {
-                        rec.charge(idx as u64, StallKind::FabricHop);
-                    }
-                    return false;
+                    return false; // its timer wakes it
                 }
                 let dst_dev = self.transfers[idx].dst_dev;
                 if at == dst_dev {
@@ -814,6 +932,7 @@ impl FabricSim {
                     let (dst, flits, class) = (t.dst, t.flits, t.class);
                     if dst.index() == 0 {
                         // Already at the ingress port: delivered.
+                        self.charge_through(idx, now);
                         if let Some(rec) = self.recorder.as_deref_mut() {
                             rec.on_grant(idx as u64, 0, now);
                             rec.on_deliver(idx as u64, now);
@@ -821,12 +940,9 @@ impl FabricSim {
                         self.resolve_delivered(idx, now);
                         return false;
                     }
-                    let tid = self.dies[dst_dev as usize].submit(NodeId::new(0), dst, flits, class);
+                    let tid = self.die_submit(dst_dev, idx, NodeId::new(0), dst, flits, class);
                     self.transfers[idx].leg = Leg::DestDie(tid);
                     self.last_progress = now;
-                    if let Some(rec) = self.recorder.as_deref_mut() {
-                        rec.charge(idx as u64, StallKind::FabricHop);
-                    }
                     return false;
                 }
                 // Route one hop.
@@ -840,21 +956,12 @@ impl FabricSim {
                     .map(|&(_, li)| li)
                     .expect("route follows an adjacency edge");
                 let link = &self.links[li];
-                if link.quarantined {
-                    // Stale route (recompute is pending this cycle ordering)
-                    // — treat as a blocked cycle; the fresh table is used on
-                    // the next poll.
-                    if let Some(rec) = self.recorder.as_deref_mut() {
-                        rec.charge(idx as u64, StallKind::FabricHop);
-                    }
-                    return false;
-                }
                 let dir = usize::from(at != link.a);
-                if link.busy_until[dir] > now {
-                    // The link is serializing an earlier packet.
-                    if let Some(rec) = self.recorder.as_deref_mut() {
-                        rec.charge(idx as u64, StallKind::FabricHop);
-                    }
+                if link.quarantined || link.busy_until[dir] > now {
+                    // A stale route (recompute is pending this cycle
+                    // ordering) or a link serializing an earlier packet: a
+                    // blocked cycle, tried again on the next one.
+                    self.due.insert(idx);
                     return false;
                 }
                 // Attempt the crossing. Drops (dead or flaky link) are
@@ -871,9 +978,6 @@ impl FabricSim {
                 if dead || flaky_drop {
                     self.link_drops[li] += 1;
                     self.stats.fabric_retries += 1;
-                    if let Some(rec) = self.recorder.as_deref_mut() {
-                        rec.charge(idx as u64, StallKind::FabricHop);
-                    }
                     if attempts + 1 > self.cfg.max_hop_retries {
                         self.resolve_lost(idx, LossReason::RetriesExhausted, now);
                     } else {
@@ -883,11 +987,7 @@ impl FabricSim {
                         if self.stuck_crossing_bug {
                             backoff = u64::MAX;
                         }
-                        self.transfers[idx].leg = Leg::Fabric {
-                            at,
-                            ready_at: now.saturating_add(backoff),
-                            attempts: attempts + 1,
-                        };
+                        self.wait_at(idx, at, now.saturating_add(backoff), attempts + 1);
                     }
                     return false;
                 }
@@ -896,15 +996,14 @@ impl FabricSim {
                 let arrive = now + ser + self.cfg.link_latency_cycles;
                 self.stats.fabric_hops += 1;
                 self.last_progress = now;
+                // The grant cycle is not a waiting cycle.
+                self.charge_through(idx, now);
+                self.transfers[idx].charged_to = now + 1;
                 if let Some(rec) = self.recorder.as_deref_mut() {
                     rec.on_grant(idx as u64, FABRIC_PORT, now);
                     rec.on_enqueue(idx as u64, next, FABRIC_PORT, now + 1);
                 }
-                self.transfers[idx].leg = Leg::Fabric {
-                    at: next,
-                    ready_at: arrive,
-                    attempts: 0,
-                };
+                self.wait_at(idx, next, arrive, 0);
                 false
             }
             Leg::DestDie(tid) => {
@@ -913,6 +1012,7 @@ impl FabricSim {
                 match self.dies[dev as usize].outcome(tid) {
                     TransferOutcome::Delivered { .. } => {
                         if cross {
+                            self.charge_through(idx, now);
                             if let Some(rec) = self.recorder.as_deref_mut() {
                                 rec.on_grant(idx as u64, 0, now);
                                 rec.on_deliver(idx as u64, now);
@@ -925,22 +1025,55 @@ impl FabricSim {
                         self.resolve_die_lost(idx, reason, now);
                         false
                     }
-                    _ => {
-                        if cross {
-                            if let Some(rec) = self.recorder.as_deref_mut() {
-                                rec.charge(idx as u64, StallKind::FabricHop);
-                            }
-                        }
-                        false
-                    }
+                    _ => false,
                 }
             }
         }
     }
 
-    /// Advances the whole fabric one cycle: applies fault onsets, polls
-    /// every transfer (in submission order — the determinism anchor), then
-    /// advances every die in lockstep. On the event engine a die whose own
+    /// Parks transfer `idx` at fabric node `at` until `ready_at`, with a
+    /// timer to wake it then.
+    fn wait_at(&mut self, idx: usize, at: u32, ready_at: u64, attempts: u32) {
+        self.transfers[idx].leg = Leg::Fabric {
+            at,
+            ready_at,
+            attempts,
+        };
+        self.timers.push(Reverse((ready_at, idx)));
+    }
+
+    /// Whether timer `(at, idx)` still wakes its transfer: the transfer
+    /// waits in a fabric leg until exactly `at`.
+    fn timer_live(&self, at: u64, idx: usize) -> bool {
+        matches!(self.transfers[idx].leg, Leg::Fabric { ready_at, .. } if ready_at == at)
+    }
+
+    /// The earliest live timer, dropping stale entries from the top.
+    fn next_timer(&mut self) -> Option<u64> {
+        while let Some(&Reverse((at, idx))) = self.timers.peek() {
+            if self.timer_live(at, idx) {
+                return Some(at);
+            }
+            self.timers.pop();
+        }
+        None
+    }
+
+    /// Moves every transfer whose timer has come by `now` into the due set.
+    fn fire_timers(&mut self, now: u64) {
+        while self.next_timer().is_some_and(|at| at <= now) {
+            if let Some(Reverse((_, idx))) = self.timers.pop() {
+                self.due.insert(idx);
+            }
+        }
+    }
+
+    /// Advances the whole fabric one cycle: applies fault onsets, polls the
+    /// transfers with an event due (in submission order, the determinism
+    /// anchor), then advances every die in lockstep and wakes the transfers
+    /// whose die leg the die just resolved. A transfer with nothing due is
+    /// not polled: its waiting charges are handed to the recorder when its
+    /// hop closes. On the event engine a die whose own
     /// [`ReliableMesh::quiet_bound`] proves this cycle a no-op is advanced
     /// by its O(1) skip instead of a full step, bit-identically; with it
     /// disabled every die steps on every cycle.
@@ -948,13 +1081,21 @@ impl FabricSim {
         let skip_quiet_dies = gnoc_noc::event_skip_enabled();
         let now = self.now;
         self.apply_onsets(now);
-        for idx in 0..self.transfers.len() {
-            // A leg transition (die → fabric) may immediately take its first
-            // fabric hop in the same cycle.
-            while self.poll_transfer(idx, now) {}
+        self.fire_timers(now);
+        for w in 0..self.due.words.len() {
+            // A blocked leg re-arms itself in this word for the next cycle;
+            // the taken copy keeps it from being polled twice in this one.
+            let mut bits = std::mem::take(&mut self.due.words[w]);
+            while bits != 0 {
+                let idx = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                // A leg transition (die → fabric) may immediately take its
+                // first fabric hop in the same cycle.
+                while self.poll_transfer(idx, now) {}
+            }
         }
         self.check_watchdog(now);
-        for die in &mut self.dies {
+        for (die, owners) in self.dies.iter_mut().zip(&self.die_owners) {
             // The polls above ran first, so a die they just handed a
             // transfer reports a bound of `now` and steps.
             if skip_quiet_dies && die.quiet_bound() > now {
@@ -971,8 +1112,38 @@ impl FabricSim {
                 now + 1,
                 "die fell out of lockstep during a fabric step"
             );
+            for tid in die.drain_resolved() {
+                self.due.insert(owners[tid.index()]);
+            }
         }
         self.now += 1;
+        self.debug_assert_due_coherent();
+    }
+
+    /// Debug builds: every transfer the full scan of every transfer would
+    /// find actionable at `now` is in the due set or, in a fabric leg, has
+    /// a timer at its `ready_at`.
+    fn debug_assert_due_coherent(&self) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        let mut timed = vec![false; self.transfers.len()];
+        for &Reverse((at, idx)) in &self.timers {
+            timed[idx] |= self.timer_live(at, idx);
+        }
+        for (idx, t) in self.transfers.iter().enumerate() {
+            let woken = match t.leg {
+                Leg::Done => true,
+                Leg::Fabric { .. } => timed[idx],
+                Leg::SourceDie(tid) => !self.dies[t.src_dev as usize].outcome(tid).is_resolved(),
+                Leg::DestDie(tid) => !self.dies[t.dst_dev as usize].outcome(tid).is_resolved(),
+            };
+            assert!(
+                woken || self.due.contains(idx),
+                "transfer {idx} ({:?}) is actionable but neither due nor timed",
+                t.leg
+            );
+        }
     }
 
     /// The fabric-level watchdog: the die legs are covered by each die's own
@@ -995,15 +1166,15 @@ impl FabricSim {
 
     /// Event-driven fast-forward across a fabric-quiet span, to at most
     /// `limit`. A span is skippable only when *every* layer is provably
-    /// inert: no pending fault onset, no fabric watchdog boundary, every
-    /// in-fabric transfer still waiting out its `ready_at`, every die's own
-    /// protocol quiet (ACK timeouts, watchdogs, mesh activity all bounded).
-    /// The dies are then fast-forwarded in lockstep to the same cycle and
-    /// the per-cycle `FabricHop` waiting charges are batch-replicated, so
-    /// the result is bit-identical to stepping cycle by cycle. No-op under
-    /// the cycle-exact engine.
+    /// inert: no transfer due, no pending fault onset, no fabric watchdog
+    /// boundary, no fabric-leg timer, every die's own protocol quiet (ACK
+    /// timeouts, watchdogs, mesh activity all bounded). The dies are then
+    /// fast-forwarded in lockstep to the same cycle. The waiting transfers'
+    /// `FabricHop` charges for the span are handed over when their hops
+    /// close, so the result is bit-identical to stepping cycle by cycle.
+    /// No-op under the cycle-exact engine.
     pub fn skip_quiet(&mut self, limit: u64) {
-        if !gnoc_noc::event_skip_enabled() {
+        if !gnoc_noc::event_skip_enabled() || !self.due.is_empty() {
             return;
         }
         let now = self.now;
@@ -1019,65 +1190,22 @@ impl FabricSim {
                     .saturating_add(1),
             );
         }
-        for t in &self.transfers {
-            if t.state.is_resolved() {
-                continue;
-            }
-            match t.leg {
-                Leg::Done => {}
-                Leg::Fabric { ready_at, .. } => {
-                    if ready_at <= now {
-                        return; // crossing attempt due this very cycle
-                    }
-                    bound = bound.min(ready_at);
-                }
-                // Die-resident legs: an already-resolved die transfer would
-                // transition on the next poll, so it forbids skipping; an
-                // unresolved one can only resolve through die activity,
-                // which the per-die quiet bounds below cap.
-                Leg::SourceDie(tid) => {
-                    if self.dies[t.src_dev as usize].outcome(tid).is_resolved() {
-                        return;
-                    }
-                }
-                Leg::DestDie(tid) => {
-                    if self.dies[t.dst_dev as usize].outcome(tid).is_resolved() {
-                        return;
-                    }
-                }
-            }
+        if let Some(at) = self.next_timer() {
+            bound = bound.min(at);
         }
+        // A die-resident leg can only resolve through die activity, which
+        // the per-die quiet bounds cap.
         for die in &self.dies {
             bound = bound.min(die.quiet_bound());
         }
         if bound <= now {
             return;
         }
-        let n = bound - now;
-        // Batch-replicate the per-cycle waiting charges the skipped polls
-        // would have made: every unresolved in-fabric transfer and every
-        // cross-device transfer waiting on its destination die charges one
-        // FabricHop per cycle.
-        if let Some(rec) = self.recorder.as_deref_mut() {
-            for (idx, t) in self.transfers.iter().enumerate() {
-                if t.state.is_resolved() {
-                    continue;
-                }
-                let waiting = match t.leg {
-                    Leg::Fabric { .. } => true,
-                    Leg::DestDie(_) => t.src_dev != t.dst_dev,
-                    _ => false,
-                };
-                if waiting {
-                    rec.charge_n(idx as u64, StallKind::FabricHop, n);
-                }
-            }
-        }
         // Advance the dies in lockstep to exactly the fabric bound: each
         // die's quiet bound is >= `bound`, so its skip lands on it. A die
         // that skipped short because another thread turned the event
         // engine off mid-loop steps the rest of its proven-quiet span, which
-        // is bit-identical.
+        // is bit-identical and resolves nothing.
         for die in &mut self.dies {
             die.skip_quiet(bound);
             while die.mesh().cycle() < bound {
@@ -1090,6 +1218,7 @@ impl FabricSim {
             );
         }
         self.now = bound;
+        self.debug_assert_due_coherent();
     }
 
     /// Steps until every submitted transfer resolves or `max_cycles` elapse.

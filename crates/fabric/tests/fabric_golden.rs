@@ -295,6 +295,9 @@ enum Closure {
     /// The recorder taken mid-run with transfers still open, then a
     /// second one attached and taken at the end.
     MidRunTake,
+    /// Hung endpoints on two dies: cross-device transfers lost on their
+    /// destination die.
+    DieLoss,
 }
 
 /// What a charge-closure case pins.
@@ -350,7 +353,7 @@ fn closure_run(c: Closure, event: bool) -> ClosurePin {
     let mut plan = FaultPlan::none();
     let mut cfg = FabricConfig::new(4, Ring);
     match c {
-        Closure::Deliveries | Closure::MidRunTake => {}
+        Closure::Deliveries | Closure::DieLoss | Closure::MidRunTake => {}
         Closure::RetriesExhausted => {
             cfg.max_hop_retries = 2;
             let flaky = LinkFaultKind::Flaky { drop_prob: 0.6 };
@@ -383,6 +386,25 @@ fn closure_run(c: Closure, event: bool) -> ClosurePin {
     let mut sim = FabricSim::with_faults(cfg, &plan).expect("plan fits");
     sim.attach_flight_recorder();
     cross_traffic(&mut sim, 40 + c as u64, 40);
+    if let Closure::DieLoss = c {
+        for (dev, node) in [(1, 7), (2, 12)] {
+            sim.die_mut(dev)
+                .set_ejection_enabled(NodeId::new(node), false);
+            for src_dev in (0..devices).filter(|&d| d != dev) {
+                for src in [0, 6] {
+                    sim.submit(
+                        src_dev,
+                        NodeId::new(src),
+                        dev,
+                        NodeId::new(node),
+                        2,
+                        PacketClass::Request,
+                    )
+                    .expect("endpoints in range");
+                }
+            }
+        }
+    }
 
     set_event_skip_enabled(event);
     let mut recorders = Vec::new();
@@ -419,6 +441,7 @@ fn closure_run(c: Closure, event: bool) -> ClosurePin {
         Closure::Deliveries => s.delivered == s.submitted && s.fabric_hops > s.submitted,
         Closure::RetriesExhausted => s.lost_fabric_retries > 0 && s.delivered > 0,
         Closure::NoRoute | Closure::DeviceOnset => s.lost_partitioned > 0 && s.delivered > 0,
+        Closure::DieLoss => s.lost_die > 0 && s.delivered > 0,
         Closure::Watchdog => s.lost_watchdog > 0 && s.delivered > 0,
         Closure::Quarantine => !sim.quarantined_fabric_links().is_empty() && s.delivered > 0,
         Closure::MidRunTake => recorders[0].open_count() > 0,
@@ -460,6 +483,7 @@ fn charge_closures_match_the_golden_pins() {
         (Closure::Watchdog, pin(439, [12977174204880003955, 11882890242243094465, 17943065145314656923])),
         (Closure::Quarantine, pin(625, [4933385338666259615, 13711495393679491614, 16391877794811589451])),
         (Closure::MidRunTake, pin(147, [11359671837750686041, 15668825741908756083, 2208161691783709285])),
+        (Closure::DieLoss, pin(20105, [2474259138296158189, 11626142806197785353, 10072590886543470126])),
     ];
     for (c, want) in cases {
         assert_eq!(closure_run(c, true), want, "{c:?}");

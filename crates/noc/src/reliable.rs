@@ -211,6 +211,10 @@ pub struct ReliableMesh {
     /// Last cycle with protocol-level activity (delivery, NACK, loss).
     last_activity: u64,
     tripped: bool,
+    /// Transfers the latest step resolved, in resolution order (see
+    /// [`ReliableMesh::drain_resolved`]). Cleared at the start of every
+    /// step, so it never holds more than one step's resolutions.
+    resolved: Vec<TransferId>,
     /// Workload record tap (`gnoc trace record`): observes every submit,
     /// boxed and absent by default so untapped runs pay one pointer.
     trace_tap: Option<Box<TraceTap>>,
@@ -230,6 +234,7 @@ impl ReliableMesh {
             next_deadline: u64::MAX,
             last_activity: 0,
             tripped: false,
+            resolved: Vec::new(),
             trace_tap: None,
         }
     }
@@ -384,6 +389,17 @@ impl ReliableMesh {
         self.transfers.iter().map(|t| t.state).collect()
     }
 
+    /// Drains the transfers the latest [`ReliableMesh::step`] resolved, in
+    /// resolution order: each delivery, retry-budget loss, unroutable loss
+    /// and watchdog write-off exactly once. A suppressed late duplicate
+    /// and a NACKed corrupt copy resolve nothing and are not listed. A
+    /// composite simulation (the fabric) reads this after each step to wake
+    /// only the legs whose outcome changed, instead of polling every
+    /// outcome on every cycle.
+    pub fn drain_resolved(&mut self) -> std::vec::Drain<'_, TransferId> {
+        self.resolved.drain(..)
+    }
+
     fn timeout_for(&self, attempts: u32) -> u64 {
         let exp = attempts.saturating_sub(1).min(20);
         self.cfg
@@ -451,11 +467,13 @@ impl ReliableMesh {
             self.stats.lost_retries_exhausted += 1;
             self.outstanding -= 1;
             self.last_activity = now;
+            self.resolved.push(TransferId(idx));
         }
     }
 
     /// Advances the wrapped mesh one cycle and runs the protocol reactions.
     pub fn step(&mut self) {
+        self.resolved.clear();
         self.inject_pending();
         self.mesh.step();
         // Events drained below happened during the step, i.e. at cycle-1.
@@ -491,6 +509,7 @@ impl ReliableMesh {
             self.stats.record_latency(latency);
             self.outstanding -= 1;
             self.last_activity = now;
+            self.resolved.push(TransferId(idx));
         }
 
         for (pkt, reason) in self.mesh.drain_lost() {
@@ -514,6 +533,7 @@ impl ReliableMesh {
                     self.transfers[idx].state = TransferOutcome::Lost { reason };
                     self.stats.lost_unroutable += 1;
                     self.outstanding -= 1;
+                    self.resolved.push(TransferId(idx));
                 }
             }
             // Silent drops (flaky / transient): the sender has no way to
@@ -554,12 +574,13 @@ impl ReliableMesh {
         self.stats.watchdog_trips += 1;
         self.tripped = true;
         let mut written_off = 0u64;
-        for t in &mut self.transfers {
+        for (idx, t) in self.transfers.iter_mut().enumerate() {
             if !t.state.is_resolved() {
                 t.state = TransferOutcome::Lost {
                     reason: LossReason::Watchdog,
                 };
                 written_off += 1;
+                self.resolved.push(TransferId(idx));
             }
         }
         self.stats.lost_watchdog += written_off;
@@ -881,6 +902,166 @@ mod tests {
         // Exactly-once: every transfer resolved exactly one way, and the
         // mesh delivered at least one packet per delivered transfer.
         assert!(rm.mesh().stats().delivered_total >= s.delivered);
+    }
+
+    /// Steps `rm` until it quiesces, checking after every step that
+    /// [`ReliableMesh::drain_resolved`] names exactly the transfers that
+    /// step resolved; returns the concatenated log.
+    fn step_logged(rm: &mut ReliableMesh, max_steps: u64) -> Vec<TransferId> {
+        let mut log = Vec::new();
+        for _ in 0..max_steps {
+            if rm.outstanding() == 0 {
+                break;
+            }
+            let before = rm.outcomes();
+            rm.step();
+            let drained: Vec<TransferId> = rm.drain_resolved().collect();
+            let mut named: Vec<usize> = drained.iter().map(|t| t.index()).collect();
+            named.sort_unstable();
+            let resolved: Vec<usize> = (0..before.len())
+                .filter(|&i| !before[i].is_resolved() && rm.outcome(TransferId(i)).is_resolved())
+                .collect();
+            assert_eq!(named, resolved, "the log must name what the step resolved");
+            assert_eq!(rm.drain_resolved().count(), 0, "a drain empties the log");
+            log.extend(drained);
+        }
+        assert_eq!(rm.outstanding(), 0, "the run must quiesce");
+        log
+    }
+
+    fn lost(reason: LossReason) -> TransferOutcome {
+        TransferOutcome::Lost { reason }
+    }
+
+    #[test]
+    fn resolution_log_reports_every_resolution_path_once() {
+        // Deliveries.
+        let mut rm = ReliableMesh::new(Mesh::new(mesh_cfg()), RetryConfig::default());
+        let ids: Vec<TransferId> = (0..9u32)
+            .map(|src| {
+                rm.submit(
+                    NodeId::new(src),
+                    NodeId::new(8 - src),
+                    1,
+                    PacketClass::Request,
+                )
+            })
+            .collect();
+        let mut log = step_logged(&mut rm, 10_000);
+        log.sort_unstable_by_key(|t| t.index());
+        assert_eq!(log, ids);
+
+        // A retry budget drained on an always-dropping link.
+        let mut plan = FaultPlan::none();
+        plan.seed = 7;
+        plan.links = vec![LinkFault {
+            router: 0,
+            dir: Direction::East,
+            kind: LinkFaultKind::Flaky { drop_prob: 1.0 },
+            onset: 0,
+        }];
+        let cfg = RetryConfig {
+            base_timeout_cycles: 16,
+            max_timeout_cycles: 64,
+            ..RetryConfig::default()
+        };
+        let mut rm = ReliableMesh::with_faults(mesh_cfg(), &plan, cfg).unwrap();
+        let id = rm.submit(NodeId::new(0), NodeId::new(2), 1, PacketClass::Request);
+        assert_eq!(step_logged(&mut rm, 100_000), vec![id]);
+        assert_eq!(rm.outcome(id), lost(LossReason::RetriesExhausted));
+
+        // No surviving path: both links into router 8 are dead.
+        let mut plan = FaultPlan::none();
+        plan.links = [(7, Direction::East), (5, Direction::North)]
+            .into_iter()
+            .map(|(router, dir)| LinkFault {
+                router,
+                dir,
+                kind: LinkFaultKind::Dead,
+                onset: 0,
+            })
+            .collect();
+        let mut rm = ReliableMesh::with_faults(mesh_cfg(), &plan, RetryConfig::default()).unwrap();
+        let id = rm.submit(NodeId::new(0), NodeId::new(8), 1, PacketClass::Request);
+        assert_eq!(step_logged(&mut rm, 100_000), vec![id]);
+        assert_eq!(rm.outcome(id), lost(LossReason::Unroutable));
+
+        // A watchdog write-off of a hung endpoint's traffic.
+        let mut rm = ReliableMesh::new(
+            Mesh::new(mesh_cfg()),
+            RetryConfig {
+                max_retries: u32::MAX,
+                base_timeout_cycles: 8,
+                max_timeout_cycles: 8,
+                watchdog_cycles: 400,
+            },
+        );
+        rm.mesh_mut().set_ejection_enabled(NodeId::new(2), false);
+        let a = rm.submit(NodeId::new(0), NodeId::new(2), 1, PacketClass::Request);
+        let b = rm.submit(NodeId::new(6), NodeId::new(2), 1, PacketClass::Request);
+        assert_eq!(step_logged(&mut rm, 50_000), vec![a, b]);
+        assert_eq!(rm.outcome(b), lost(LossReason::Watchdog));
+    }
+
+    #[test]
+    fn resolution_log_skips_late_duplicates_and_nacks() {
+        // Timeouts far below the round trip: late duplicates arrive after
+        // their transfer resolved.
+        let cfg = RetryConfig {
+            max_retries: 8,
+            base_timeout_cycles: 2,
+            max_timeout_cycles: 4,
+            ..RetryConfig::default()
+        };
+        let mut rm = ReliableMesh::new(Mesh::new(mesh_cfg()), cfg);
+        for i in 0..20u32 {
+            rm.submit(
+                NodeId::new(i % 9),
+                NodeId::new((i * 5 + 3) % 9),
+                2,
+                PacketClass::Request,
+            );
+        }
+        let mut log = step_logged(&mut rm, 100_000);
+        assert!(rm.stats().duplicates_suppressed > 0);
+        log.sort_unstable_by_key(|t| t.index());
+        log.dedup();
+        assert_eq!(log.len(), 20, "every transfer is named exactly once");
+
+        // Corrupt ejections are NACKed and retried, not resolved.
+        let mut plan = FaultPlan::none();
+        plan.seed = 21;
+        plan.transient = TransientFaults {
+            drop_prob: 0.0,
+            corrupt_prob: 0.4,
+            onset: 0,
+        };
+        let cfg = RetryConfig {
+            max_retries: 32,
+            ..RetryConfig::default()
+        };
+        let mut rm = ReliableMesh::with_faults(mesh_cfg(), &plan, cfg).unwrap();
+        for src in 0..9u32 {
+            rm.submit(NodeId::new(src), NodeId::new(4), 1, PacketClass::Request);
+        }
+        let log = step_logged(&mut rm, 200_000);
+        assert!(rm.stats().corrupt_retries > 0);
+        assert_eq!(log.len(), 9, "only the clean deliveries are named");
+    }
+
+    #[test]
+    fn resolution_log_is_empty_after_a_step_that_resolves_nothing() {
+        let mut rm = ReliableMesh::new(Mesh::new(mesh_cfg()), RetryConfig::default());
+        let id = rm.submit(NodeId::new(0), NodeId::new(8), 1, PacketClass::Request);
+        rm.step();
+        assert_eq!(rm.drain_resolved().count(), 0, "still in flight");
+        while rm.outstanding() > 0 {
+            rm.step();
+        }
+        // Left undrained, the delivery is cleared by the next step.
+        rm.step();
+        assert_eq!(rm.drain_resolved().count(), 0);
+        assert!(matches!(rm.outcome(id), TransferOutcome::Delivered { .. }));
     }
 
     #[test]

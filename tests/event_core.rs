@@ -659,8 +659,8 @@ fn idle_heavy_mesh_soak(event: bool) -> (SoakFingerprint<ReliabilityStats>, u64)
 /// A faulted 4-die ring fabric soak: generated die and fabric faults from
 /// cycle 0 (flaky links at 35 % drop), with all 24 transfers between
 /// devices 0 and 1, so devices 2 and 3 sit quiet throughout. Returns the
-/// fingerprint and each die's full steps.
-fn faulted_fabric_soak(event: bool) -> (SoakFingerprint<FabricStats>, Vec<u64>) {
+/// fingerprint, each die's full steps and the fabric's transfer polls.
+fn faulted_fabric_soak(event: bool) -> (SoakFingerprint<FabricStats>, Vec<u64>, u64) {
     set_event_skip_enabled(event);
     let plan = FaultPlan::generate(&FaultGenConfig {
         onset: 0,
@@ -694,7 +694,8 @@ fn faulted_fabric_soak(event: bool) -> (SoakFingerprint<FabricStats>, Vec<u64>) 
         mesh_stats: dies.iter().map(|d| d.mesh().stats().clone()).collect(),
         outcomes: sim.outcomes(),
     };
-    (fp, dies.iter().map(|d| d.mesh().steps()).collect())
+    let steps = dies.iter().map(|d| d.mesh().steps()).collect();
+    (fp, steps, sim.polls())
 }
 
 /// The event engine's saving as an exact, noise-free count: how many
@@ -702,6 +703,8 @@ fn faulted_fabric_soak(event: bool) -> (SoakFingerprint<FabricStats>, Vec<u64>) 
 /// every cycle; the event engine must reach the same fingerprint while
 /// stepping at most a third of them. The pinned counts catch any change in
 /// what the skips cover, including the O(1) cost of a quiet fabric die.
+/// The fabric's transfer polls are pinned the same way: a step polls only
+/// the transfers with an event due.
 #[test]
 fn event_engine_step_counts_are_pinned() {
     let _guard = EngineGuard::take();
@@ -716,8 +719,8 @@ fn event_engine_step_counts_are_pinned() {
     );
     assert!(steps * 3 <= fp.cycle);
 
-    let (fp, steps) = faulted_fabric_soak(true);
-    let (reference, reference_steps) = faulted_fabric_soak(false);
+    let (fp, steps, polls) = faulted_fabric_soak(true);
+    let (reference, reference_steps, reference_polls) = faulted_fabric_soak(false);
     assert_eq!(fp, reference, "fabric soak diverged across engines");
     assert_eq!(reference_steps, vec![reference.cycle; 4]);
     assert_eq!(
@@ -727,4 +730,11 @@ fn event_engine_step_counts_are_pinned() {
     );
     let total: u64 = steps.iter().sum();
     assert!(total * 3 <= 4 * fp.cycle);
+    // Polling every transfer on every stepped cycle made 6,647 polls here
+    // on the event engine (55,871 on the cycle-exact one). Both engines
+    // now poll the same due events.
+    const FULL_SCAN_POLLS: u64 = 6_647;
+    assert_eq!(reference_polls, polls, "the engines polled differently");
+    assert_eq!(polls, 780, "fabric soak poll count moved");
+    assert!(polls * 2 <= FULL_SCAN_POLLS);
 }
