@@ -46,12 +46,12 @@ if grep -rnE 'pub fn run[a-z_]*_(traced|recorded|shared)\b' crates/*/src; then
     exit 1
 fi
 
-echo "== one grant path in the mesh: no arbiter candidate array =="
-# Mesh::step grants from the per-output request masks through
-# Arbiter::grant; a candidate list copied out of the queues only to be
-# handed to an arbiter must not grow back in the mesh.
-if grep -nF 'candidates[' crates/noc/src/mesh.rs; then
-    echo "candidate array found above: grant from the request mask instead"
+echo "== one grant path in every network: no arbiter candidate array or pick =="
+# Mesh, Crossbar and both HierCrossbar stages grant from request masks
+# through Arbiter::grant; a candidate list copied out of the queues only to
+# be handed to an arbiter must not grow back in any network.
+if grep -rnE 'candidates\[|\.pick\(' crates/noc/src; then
+    echo "candidate array or pick found above: grant from the request mask instead"
     exit 1
 fi
 
@@ -85,6 +85,20 @@ if grep -rnE 'run_until_quiescent\(2_000_000\)|buffer_packets: 4' crates/cli/src
 fi
 if grep -rnF 'next_event()' crates tests examples | grep -v '^crates/trace/src/'; then
     echo "trace event loop found above: drive the trace through gnoc_trace::replay_into"
+    exit 1
+fi
+
+echo "== one engine owner: the engine is per simulator, read once by the CLI =="
+# Each simulator carries its gnoc_noc::Engine; the CLI resolves --engine and
+# GNOC_ENGINE once and hands the value down. A process-wide engine switch,
+# a library read of GNOC_ENGINE or the old global setter must not grow back.
+if grep -rnE 'OnceLock<Atomic|static [A-Z_]*(ENGINE|EVENT)[A-Z_]*\b|"GNOC_ENGINE"' \
+    crates tests examples | grep -v '^crates/cli/'; then
+    echo "engine global or GNOC_ENGINE read found above: pass an Engine to the simulator"
+    exit 1
+fi
+if grep -rnF 'set_event_skip_enabled' crates tests examples perfbench/src; then
+    echo "process-wide engine setter found above: call set_engine on the simulator"
     exit 1
 fi
 

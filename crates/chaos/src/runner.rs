@@ -12,7 +12,7 @@ use crate::ChaosError;
 use gnoc_core::fabric::{detected_links, run_detection, FabricError, FabricLinks};
 use gnoc_core::faults::LinkFaultKind;
 use gnoc_core::health::run_slice_detection_for_spec;
-use gnoc_core::noc::{NodeId, PacketClass};
+use gnoc_core::noc::{Engine, NodeId, PacketClass};
 use gnoc_core::telemetry::hash::{fnv1a64, SplitMix64};
 use gnoc_core::telemetry::TelemetryHandle;
 use gnoc_core::trace::{from_hex, to_hex, TraceHeader, TraceReader, TraceTap};
@@ -354,6 +354,9 @@ pub struct ChaosOptions {
     /// attached; the fuzzing iterations themselves are untouched, so the
     /// report stays bit-identical to an unprofiled run.
     pub profile: Option<PathBuf>,
+    /// The NoC engine every simulator of the run steps on. Never changes
+    /// the report, only wall time.
+    pub engine: Engine,
 }
 
 /// Outcome of [`run_chaos`].
@@ -378,9 +381,10 @@ pub fn run_iteration(
     seed: u64,
     plan: &FaultPlan,
     run_device: bool,
+    engine: Engine,
 ) -> IterationOutcome {
     let caught = catch_unwind(AssertUnwindSafe(|| {
-        iteration_body(cfg, seed, plan, run_device)
+        iteration_body(cfg, seed, plan, run_device, engine)
     }));
     match caught {
         Ok((violations, passes)) => IterationOutcome {
@@ -417,6 +421,7 @@ fn iteration_body(
     seed: u64,
     plan: &FaultPlan,
     run_device: bool,
+    engine: Engine,
 ) -> (Vec<Violation>, Vec<OracleKind>) {
     let mut violations = Vec::new();
     let mut passes = Vec::new();
@@ -432,73 +437,23 @@ fn iteration_body(
         }),
     };
 
-    // --- Fabric soak: multi-device configs route the soak through the
-    // inter-device fabric instead of a lone die (the dies still run,
-    // composed under every transfer's first and last leg). ---
-    if cfg.devices >= 2 {
-        for (kind, result) in fabric_soak_phase(cfg, seed, plan) {
-            record(kind, result, &mut violations, &mut passes);
-        }
+    // --- Soak: multi-device configs route it through the inter-device
+    // fabric instead of a lone die (the dies still run, composed under
+    // every transfer's first and last leg). ---
+    let soak = if cfg.devices >= 2 {
+        fabric_soak_phase(cfg, seed, plan, engine)
     } else {
-        // --- NoC soak: reliable delivery over the faulted mesh. ---
-        // Single-VC wormhole buffers: legitimate for independent transfers
-        // (no request/reply coupling) and exactly the surface the historical
-        // reroute-deadlock bug lived on, so the progress oracle keeps bite.
-        match soak_mesh(cfg, plan) {
-            Err(e) => violations.push(Violation {
-                oracle: OracleKind::Delivery,
-                seed,
-                detail: format!("harness: mesh rejected a generated plan: {e}"),
-            }),
-            Ok(mut rm) => {
-                if cfg.replay {
-                    rm.attach_trace_tap(TraceTap::in_memory(&mesh_trace_header(cfg, seed, plan)));
-                }
-                match submit_mesh_traffic(&mut rm, cfg, seed) {
-                    Err(detail) => violations.push(Violation {
-                        oracle: OracleKind::Delivery,
-                        seed,
-                        detail,
-                    }),
-                    Ok(()) => {
-                        let quiesced = rm.run_until_quiescent(cfg.soak_cycle_budget);
-                        record(
-                            OracleKind::Delivery,
-                            check_delivery(u64::from(cfg.transfers), quiesced, &rm),
-                            &mut violations,
-                            &mut passes,
-                        );
-                        record(
-                            OracleKind::Progress,
-                            check_progress(quiesced, &rm),
-                            &mut violations,
-                            &mut passes,
-                        );
-                        if cfg.replay {
-                            record(
-                                OracleKind::Replay,
-                                check_replay(
-                                    cfg,
-                                    plan,
-                                    rm.take_trace_tap(),
-                                    mesh_fingerprint(&rm),
-                                    quiesced,
-                                ),
-                                &mut violations,
-                                &mut passes,
-                            );
-                        }
-                    }
-                }
-            }
-        }
+        mesh_soak_phase(cfg, seed, plan, engine)
+    };
+    for (kind, result) in soak {
+        record(kind, result, &mut violations, &mut passes);
     }
 
     // --- Hidden-plan detection oracle. ---
     if cfg.detection {
         record(
             OracleKind::Detection,
-            detection_phase(cfg, seed, plan),
+            detection_phase(cfg, seed, plan, engine),
             &mut violations,
             &mut passes,
         );
@@ -617,9 +572,13 @@ fn mesh_config(cfg: &ChaosConfig) -> MeshConfig {
 
 /// The single-die soak mesh under `plan`, with the greedy-reroute bug hook
 /// armed when the config asks for it.
-fn soak_mesh(cfg: &ChaosConfig, plan: &FaultPlan) -> Result<ReliableMesh, NocError> {
-    #[allow(unused_mut)]
+fn soak_mesh(
+    cfg: &ChaosConfig,
+    plan: &FaultPlan,
+    engine: Engine,
+) -> Result<ReliableMesh, NocError> {
     let mut rm = ReliableMesh::with_faults(mesh_config(cfg), plan, cfg.retry)?;
+    rm.set_engine(engine);
     #[cfg(feature = "bug-hooks")]
     if cfg.greedy_reroute_bug {
         rm.mesh_mut().enable_greedy_reroute_bug();
@@ -629,9 +588,13 @@ fn soak_mesh(cfg: &ChaosConfig, plan: &FaultPlan) -> Result<ReliableMesh, NocErr
 
 /// The multi-device soak fabric under `plan`, with the stuck-crossing bug
 /// hook armed when the config asks for it.
-fn soak_fabric(cfg: &ChaosConfig, plan: &FaultPlan) -> Result<FabricSim, FabricError> {
-    #[allow(unused_mut)]
+fn soak_fabric(
+    cfg: &ChaosConfig,
+    plan: &FaultPlan,
+    engine: Engine,
+) -> Result<FabricSim, FabricError> {
     let mut sim = FabricSim::with_faults(fabric_config(cfg), plan)?;
+    sim.set_engine(engine);
     #[cfg(feature = "bug-hooks")]
     if cfg.fabric_stuck_crossing_bug {
         sim.enable_stuck_crossing_bug();
@@ -690,6 +653,46 @@ fn submit_fabric_traffic(sim: &mut FabricSim, cfg: &ChaosConfig, seed: u64) -> R
     Ok(())
 }
 
+/// The NoC soak: reliable delivery over the faulted mesh, checked by the
+/// delivery and progress oracles (and the replay oracle when asked).
+/// Single-VC wormhole buffers: legitimate for independent transfers (no
+/// request/reply coupling) and exactly the surface the historical
+/// reroute-deadlock bug lived on, so the progress oracle keeps bite.
+fn mesh_soak_phase(
+    cfg: &ChaosConfig,
+    seed: u64,
+    plan: &FaultPlan,
+    engine: Engine,
+) -> Vec<(OracleKind, Result<(), String>)> {
+    let mut rm = match soak_mesh(cfg, plan, engine) {
+        Err(e) => {
+            let detail = format!("harness: mesh rejected a generated plan: {e}");
+            return vec![(OracleKind::Delivery, Err(detail))];
+        }
+        Ok(rm) => rm,
+    };
+    if cfg.replay {
+        rm.attach_trace_tap(TraceTap::in_memory(&mesh_trace_header(cfg, seed, plan)));
+    }
+    if let Err(detail) = submit_mesh_traffic(&mut rm, cfg, seed) {
+        return vec![(OracleKind::Delivery, Err(detail))];
+    }
+    let quiesced = rm.run_until_quiescent(cfg.soak_cycle_budget);
+    let mut results = vec![
+        (
+            OracleKind::Delivery,
+            check_delivery(u64::from(cfg.transfers), quiesced, &rm),
+        ),
+        (OracleKind::Progress, check_progress(quiesced, &rm)),
+    ];
+    if cfg.replay {
+        let tap = rm.take_trace_tap();
+        let replay = check_replay(cfg, plan, tap, mesh_fingerprint(&rm), quiesced, engine);
+        results.push((OracleKind::Replay, replay));
+    }
+    results
+}
+
 /// The multi-device analogue of the NoC soak: deterministic cross-device
 /// traffic over the faulted fabric, checked by the fabric delivery and
 /// progress oracles, plus a golden (fault-free, same traffic) replay for
@@ -698,8 +701,9 @@ fn fabric_soak_phase(
     cfg: &ChaosConfig,
     seed: u64,
     plan: &FaultPlan,
+    engine: Engine,
 ) -> Vec<(OracleKind, Result<(), String>)> {
-    let mut sim = match soak_fabric(cfg, plan) {
+    let mut sim = match soak_fabric(cfg, plan, engine) {
         Err(e) => {
             return vec![(
                 OracleKind::Delivery,
@@ -733,6 +737,7 @@ fn fabric_soak_phase(
         }
         Ok(sim) => sim,
     };
+    golden.set_engine(engine);
     let _ = submit_fabric_traffic(&mut golden, cfg, seed);
     golden.run_until_quiescent(cfg.soak_cycle_budget);
 
@@ -748,16 +753,9 @@ fn fabric_soak_phase(
         ),
     ];
     if cfg.replay {
-        results.push((
-            OracleKind::Replay,
-            check_replay(
-                cfg,
-                plan,
-                sim.take_trace_tap(),
-                fabric_fingerprint(&sim),
-                quiesced,
-            ),
-        ));
+        let tap = sim.take_trace_tap();
+        let replay = check_replay(cfg, plan, tap, fabric_fingerprint(&sim), quiesced, engine);
+        results.push((OracleKind::Replay, replay));
     }
     results
 }
@@ -774,6 +772,7 @@ fn check_replay(
     tap: Option<TraceTap>,
     recorded: u64,
     quiesced: bool,
+    engine: Engine,
 ) -> Result<(), String> {
     let tap = tap.ok_or_else(|| "harness: replay oracle ran without a record tap".to_string())?;
     let bytes = tap
@@ -781,7 +780,7 @@ fn check_replay(
         .map_err(|e| format!("harness: trace capture failed: {e}"))?;
     let mut reader = TraceReader::from_bytes(bytes)
         .map_err(|e| format!("recorded trace failed to parse: {e}"))?;
-    let (replayed, twin_quiesced, events) = replay_twin(cfg, plan, &mut reader)?;
+    let (replayed, twin_quiesced, events) = replay_twin(cfg, plan, &mut reader, engine)?;
     if twin_quiesced != quiesced {
         return Err(format!(
             "replayed quiescence {twin_quiesced} != recorded {quiesced}"
@@ -804,15 +803,16 @@ fn replay_twin(
     cfg: &ChaosConfig,
     plan: &FaultPlan,
     reader: &mut TraceReader<std::io::Cursor<Vec<u8>>>,
+    engine: Engine,
 ) -> Result<(u64, bool, u64), String> {
     let built = |e: String| format!("harness: replay twin construction failed: {e}");
     let (outcome, quiesced, fingerprint) = if cfg.devices >= 2 {
-        let mut twin = soak_fabric(cfg, plan).map_err(|e| built(e.to_string()))?;
+        let mut twin = soak_fabric(cfg, plan, engine).map_err(|e| built(e.to_string()))?;
         let outcome = twin.replay_from(reader);
         let quiesced = twin.run_until_quiescent(cfg.soak_cycle_budget);
         (outcome, quiesced, fabric_fingerprint(&twin))
     } else {
-        let mut twin = soak_mesh(cfg, plan).map_err(|e| built(e.to_string()))?;
+        let mut twin = soak_mesh(cfg, plan, engine).map_err(|e| built(e.to_string()))?;
         let outcome = twin.replay_from(reader);
         let quiesced = twin.run_until_quiescent(cfg.soak_cycle_budget);
         (outcome, quiesced, mesh_fingerprint(&twin))
@@ -839,12 +839,18 @@ fn replay_twin(
 ///
 /// Flaky links sit between the two: detecting one is correct (it is a real
 /// fault), missing one is tolerated (drops are probabilistic).
-fn detection_phase(cfg: &ChaosConfig, seed: u64, plan: &FaultPlan) -> Result<(), String> {
+fn detection_phase(
+    cfg: &ChaosConfig,
+    seed: u64,
+    plan: &FaultPlan,
+    engine: Engine,
+) -> Result<(), String> {
     let mut problems: Vec<String> = Vec::new();
 
     // Link detection on a self-healing mesh (same geometry as the soak).
     let mut healer = SelfHealingMesh::new(mesh_config(cfg), plan, cfg.retry)
         .map_err(|e| format!("harness: self-healing mesh rejected the plan: {e}"))?;
+    healer.set_engine(engine);
     let last_onset = plan.links.iter().map(|l| l.onset).max().unwrap_or(0);
     healer
         .run_detection(last_onset + DETECTION_RUN_MARGIN)
@@ -857,7 +863,7 @@ fn detection_phase(cfg: &ChaosConfig, seed: u64, plan: &FaultPlan) -> Result<(),
     // drop-window breakers must find every dead inter-device link from
     // crossing-drop evidence alone.
     if cfg.devices >= 2 {
-        problems.extend(fabric_detection(cfg, plan)?);
+        problems.extend(fabric_detection(cfg, plan, engine)?);
     }
 
     // Slice detection on a latent-fault device, when one is configured. The
@@ -928,11 +934,16 @@ fn score_link_detection(
 /// blind to the plan, reacting only to monitor quarantines) patrolled by
 /// the per-link breaker monitor until every onset has had
 /// [`DETECTION_RUN_MARGIN`] cycles to surface.
-fn fabric_detection(cfg: &ChaosConfig, plan: &FaultPlan) -> Result<Vec<String>, String> {
+fn fabric_detection(
+    cfg: &ChaosConfig,
+    plan: &FaultPlan,
+    engine: Engine,
+) -> Result<Vec<String>, String> {
     let mut fc = fabric_config(cfg);
     fc.self_healing = true;
     let mut sim = FabricSim::with_faults(fc, plan)
         .map_err(|e| format!("harness: self-healing fabric rejected the plan: {e}"))?;
+    sim.set_engine(engine);
     let mut monitor = FabricMonitor::new(FabricLinks::new(&sim));
     let last_onset = plan
         .fabric
@@ -1047,9 +1058,10 @@ pub fn shrink_violation(
     plan: &FaultPlan,
     oracle: OracleKind,
     run_device: bool,
+    engine: Engine,
 ) -> FaultPlan {
     let fails = |candidate: &FaultPlan| {
-        run_iteration(cfg, seed, candidate, run_device)
+        run_iteration(cfg, seed, candidate, run_device, engine)
             .violations
             .iter()
             .any(|v| v.oracle == oracle)
@@ -1063,15 +1075,16 @@ pub fn shrink_violation(
 /// and replayed into a fresh twin, and the twin's outcome fingerprint is
 /// checked against the digest the recording run sealed into the trace
 /// footer — a mismatch is reported as an [`OracleKind::Replay`] violation.
-pub fn replay(repro: &Reproducer) -> IterationOutcome {
+pub fn replay(repro: &Reproducer, engine: Engine) -> IterationOutcome {
     let mut outcome = run_iteration(
         &repro.config,
         repro.seed,
         &repro.plan,
         repro.config.device.is_some(),
+        engine,
     );
     if let Some(hex) = &repro.traffic_trace {
-        match verify_embedded_trace(&repro.config, &repro.plan, hex) {
+        match verify_embedded_trace(&repro.config, &repro.plan, hex, engine) {
             Ok(()) => outcome.passes.push(OracleKind::Replay),
             Err(detail) => outcome.violations.push(Violation {
                 oracle: OracleKind::Replay,
@@ -1087,15 +1100,20 @@ pub fn replay(repro: &Reproducer) -> IterationOutcome {
 /// the finished trace, hex-encoded — the replayable artifact embedded in
 /// reproducers. `None` when the soak cannot be reconstructed under this
 /// plan (the reproducer is still valid without the artifact).
-fn record_soak_trace(cfg: &ChaosConfig, seed: u64, plan: &FaultPlan) -> Option<String> {
+fn record_soak_trace(
+    cfg: &ChaosConfig,
+    seed: u64,
+    plan: &FaultPlan,
+    engine: Engine,
+) -> Option<String> {
     let (tap, digest) = if cfg.devices >= 2 {
-        let mut sim = soak_fabric(cfg, plan).ok()?;
+        let mut sim = soak_fabric(cfg, plan, engine).ok()?;
         sim.attach_trace_tap(TraceTap::in_memory(&fabric_trace_header(cfg, seed, plan)));
         submit_fabric_traffic(&mut sim, cfg, seed).ok()?;
         sim.run_until_quiescent(cfg.soak_cycle_budget);
         (sim.take_trace_tap()?, fabric_fingerprint(&sim))
     } else {
-        let mut rm = soak_mesh(cfg, plan).ok()?;
+        let mut rm = soak_mesh(cfg, plan, engine).ok()?;
         rm.attach_trace_tap(TraceTap::in_memory(&mesh_trace_header(cfg, seed, plan)));
         submit_mesh_traffic(&mut rm, cfg, seed).ok()?;
         rm.run_until_quiescent(cfg.soak_cycle_budget);
@@ -1107,7 +1125,12 @@ fn record_soak_trace(cfg: &ChaosConfig, seed: u64, plan: &FaultPlan) -> Option<S
 /// Decodes a reproducer's embedded trace, checks it was recorded against
 /// this plan, replays it into a fresh twin, and compares the twin's outcome
 /// fingerprint with the digest sealed into the trace footer.
-fn verify_embedded_trace(cfg: &ChaosConfig, plan: &FaultPlan, hex: &str) -> Result<(), String> {
+fn verify_embedded_trace(
+    cfg: &ChaosConfig,
+    plan: &FaultPlan,
+    hex: &str,
+    engine: Engine,
+) -> Result<(), String> {
     let bytes = from_hex(hex).map_err(|e| format!("undecodable hex: {e}"))?;
     let mut reader =
         TraceReader::from_bytes(bytes).map_err(|e| format!("unreadable trace: {e}"))?;
@@ -1119,7 +1142,7 @@ fn verify_embedded_trace(cfg: &ChaosConfig, plan: &FaultPlan, hex: &str) -> Resu
              reproducer carries plan {expected_plan:016x}"
         ));
     }
-    let (replayed_digest, _, _) = replay_twin(cfg, plan, &mut reader)?;
+    let (replayed_digest, _, _) = replay_twin(cfg, plan, &mut reader, engine)?;
     let sealed = reader
         .footer()
         .ok_or_else(|| "trace has no footer".to_string())?
@@ -1196,9 +1219,7 @@ pub fn run_chaos(
         // report folding, state saves — happens below, in seed order.
         let take = batch_size.min(pending.len());
         let batch: Vec<u64> = pending[..take].to_vec();
-        let results = pool.par_map(&batch, |&seed| {
-            process_seed(cfg, seed, num_slices, opts.shrink)
-        });
+        let results = pool.par_map(&batch, |&seed| process_seed(cfg, seed, num_slices, opts));
 
         for sr in results {
             pending.remove(0);
@@ -1226,6 +1247,7 @@ pub fn run_chaos(
                         &sr.records[0].plan,
                         &sr.outcome.violations,
                         path,
+                        opts.engine,
                     )?;
                     profiled = Some((sr.seed, window));
                 }
@@ -1237,7 +1259,7 @@ pub fn run_chaos(
                         .as_ref()
                         .filter(|(seed, _)| *seed == rec.seed)
                         .map(|(_, w)| w);
-                    rec.reproducer = Some(write_reproducer(dir, cfg, &rec, trace)?);
+                    rec.reproducer = Some(write_reproducer(dir, cfg, &rec, trace, opts.engine)?);
                 }
                 report.violations.push(rec);
             }
@@ -1258,7 +1280,7 @@ pub fn run_chaos(
         if profiled.is_none() {
             if let Some(&seed) = report.completed_seeds.first() {
                 let plan = cfg.plan_for_seed(seed, num_slices);
-                write_profile(cfg, seed, &plan, &[], path)?;
+                write_profile(cfg, seed, &plan, &[], path, opts.engine)?;
             }
         }
     }
@@ -1286,11 +1308,12 @@ fn write_profile(
     plan: &FaultPlan,
     violations: &[Violation],
     path: &Path,
+    engine: Engine,
 ) -> Result<TraceWindow, ChaosError> {
     let (mut rec, width, height, cycles) = if cfg.devices >= 2 {
         let fc = fabric_config(cfg);
         let nodes = fc.topology.node_count(fc.devices) as usize;
-        let mut sim = soak_fabric(cfg, plan)
+        let mut sim = soak_fabric(cfg, plan, engine)
             .map_err(|e| ChaosError::Config(format!("profile replay: {e}")))?;
         sim.attach_flight_recorder();
         let _ = submit_fabric_traffic(&mut sim, cfg, seed);
@@ -1298,8 +1321,8 @@ fn write_profile(
         let rec = sim.take_flight_recorder().expect("recorder attached above");
         (rec, nodes, 1, sim.cycle())
     } else {
-        let mut rm =
-            soak_mesh(cfg, plan).map_err(|e| ChaosError::Config(format!("profile replay: {e}")))?;
+        let mut rm = soak_mesh(cfg, plan, engine)
+            .map_err(|e| ChaosError::Config(format!("profile replay: {e}")))?;
         rm.mesh_mut().attach_flight_recorder();
         let _ = submit_mesh_traffic(&mut rm, cfg, seed);
         rm.run_until_quiescent(cfg.soak_cycle_budget);
@@ -1339,12 +1362,12 @@ struct SeedOutcome {
 
 /// The pure per-seed work of a chaos run: plan generation, the iteration,
 /// and (when requested) shrinking each violation. Safe to run on any worker
-/// because its result depends only on `(cfg, seed, num_slices, shrink)`.
-fn process_seed(cfg: &ChaosConfig, seed: u64, num_slices: u32, shrink: bool) -> SeedOutcome {
+/// because its result depends only on `(cfg, seed, num_slices, opts.shrink)`.
+fn process_seed(cfg: &ChaosConfig, seed: u64, num_slices: u32, opts: &ChaosOptions) -> SeedOutcome {
     let plan = cfg.plan_for_seed(seed, num_slices);
     let run_device =
         cfg.device.is_some() && cfg.device_every > 0 && seed.is_multiple_of(cfg.device_every);
-    let outcome = run_iteration(cfg, seed, &plan, run_device);
+    let outcome = run_iteration(cfg, seed, &plan, run_device, opts.engine);
     let atoms_before = decompose(&plan, cfg.width, cfg.height).len();
     let records = outcome
         .violations
@@ -1360,8 +1383,8 @@ fn process_seed(cfg: &ChaosConfig, seed: u64, num_slices: u32, shrink: bool) -> 
                 atoms_after: None,
                 reproducer: None,
             };
-            if shrink {
-                let shrunk = shrink_violation(cfg, seed, &plan, v.oracle, run_device);
+            if opts.shrink {
+                let shrunk = shrink_violation(cfg, seed, &plan, v.oracle, run_device, opts.engine);
                 rec.atoms_after = Some(decompose(&shrunk, cfg.width, cfg.height).len());
                 rec.shrunk = Some(shrunk);
             }
@@ -1381,13 +1404,14 @@ fn write_reproducer(
     cfg: &ChaosConfig,
     rec: &ViolationRecord,
     trace: Option<&TraceWindow>,
+    engine: Engine,
 ) -> Result<String, ChaosError> {
     std::fs::create_dir_all(dir).map_err(|e| ChaosError::Io(e.to_string()))?;
     let path = dir.join(format!("repro-{}-seed{}.json", rec.oracle.name(), rec.seed));
     let plan = rec.shrunk.clone().unwrap_or_else(|| rec.plan.clone());
     // Re-record the failing soak against the embedded plan so the artifact
     // replays against exactly what the reproducer ships.
-    let traffic_trace = record_soak_trace(cfg, rec.seed, &plan);
+    let traffic_trace = record_soak_trace(cfg, rec.seed, &plan, engine);
     let repro = Reproducer {
         version: REPRODUCER_VERSION,
         oracle: rec.oracle,
@@ -1418,7 +1442,7 @@ mod tests {
     fn benign_iteration_passes_the_noc_oracles() {
         let cfg = noc_only();
         let plan = cfg.plan_for_seed(0, 0);
-        let out = run_iteration(&cfg, 0, &plan, false);
+        let out = run_iteration(&cfg, 0, &plan, false, Engine::Event);
         assert!(out.is_clean(), "violations: {:?}", out.violations);
         assert!(out.passes.contains(&OracleKind::Delivery));
         assert!(out.passes.contains(&OracleKind::Progress));
@@ -1506,7 +1530,7 @@ mod tests {
         };
         for seed in 0..5 {
             let plan = cfg.plan_for_seed(seed, 0);
-            let out = run_iteration(&cfg, seed, &plan, false);
+            let out = run_iteration(&cfg, seed, &plan, false, Engine::Event);
             assert!(
                 out.is_clean(),
                 "seed {seed} violations: {:?}",
@@ -1533,7 +1557,7 @@ mod tests {
         };
         for seed in 0..6 {
             let plan = cfg.plan_for_seed(seed, 0);
-            let out = run_iteration(&cfg, seed, &plan, false);
+            let out = run_iteration(&cfg, seed, &plan, false, Engine::Event);
             assert!(
                 out.violations
                     .iter()
@@ -1559,7 +1583,7 @@ mod tests {
         };
         for seed in 0..4 {
             let plan = cfg.plan_for_seed(seed, 0);
-            let out = run_iteration(&cfg, seed, &plan, false);
+            let out = run_iteration(&cfg, seed, &plan, false, Engine::Event);
             assert!(
                 out.violations
                     .iter()
@@ -1578,7 +1602,7 @@ mod tests {
     fn reproducer_embedded_trace_round_trips_through_replay() {
         let cfg = noc_only();
         let plan = cfg.plan_for_seed(3, 0);
-        let hex = record_soak_trace(&cfg, 3, &plan).expect("soak should record");
+        let hex = record_soak_trace(&cfg, 3, &plan, Engine::Event).expect("soak should record");
         let repro = Reproducer {
             version: REPRODUCER_VERSION,
             oracle: OracleKind::Delivery,
@@ -1590,7 +1614,7 @@ mod tests {
             trace: None,
             traffic_trace: Some(hex.clone()),
         };
-        let out = replay(&repro);
+        let out = replay(&repro, Engine::Event);
         assert!(
             out.passes.contains(&OracleKind::Replay),
             "embedded trace failed to verify: {:?}",
@@ -1599,7 +1623,7 @@ mod tests {
 
         // The same trace against a different plan is refused, not replayed.
         let other_plan = cfg.plan_for_seed(4, 0);
-        let err = verify_embedded_trace(&cfg, &other_plan, &hex)
+        let err = verify_embedded_trace(&cfg, &other_plan, &hex, Engine::Event)
             .expect_err("plan digest mismatch must be detected");
         assert!(err.contains("recorded against plan"), "{err}");
     }
@@ -1610,7 +1634,7 @@ mod tests {
             let cfg = fabric_only(4, topology);
             for seed in 0..5 {
                 let plan = cfg.plan_for_seed(seed, 0);
-                let out = run_iteration(&cfg, seed, &plan, false);
+                let out = run_iteration(&cfg, seed, &plan, false, Engine::Event);
                 assert!(
                     out.is_clean(),
                     "{topology} seed {seed}: {:?}",
@@ -1628,8 +1652,8 @@ mod tests {
         let cfg = fabric_only(3, "ring");
         for seed in 0..5 {
             let plan = cfg.plan_for_seed(seed, 0);
-            let a = run_iteration(&cfg, seed, &plan, false);
-            let b = run_iteration(&cfg, seed, &plan, false);
+            let a = run_iteration(&cfg, seed, &plan, false, Engine::Event);
+            let b = run_iteration(&cfg, seed, &plan, false, Engine::Event);
             assert_eq!(a, b, "seed {seed}");
         }
     }
@@ -1642,7 +1666,7 @@ mod tests {
         };
         for seed in 0..5 {
             let plan = cfg.plan_for_seed(seed, 0);
-            let out = run_iteration(&cfg, seed, &plan, false);
+            let out = run_iteration(&cfg, seed, &plan, false, Engine::Event);
             assert!(out.is_clean(), "seed {seed}: {:?}", out.violations);
             assert!(out.passes.contains(&OracleKind::Detection));
         }
@@ -1705,14 +1729,14 @@ mod tests {
         // nothing ever drops there.) With the lost-wakeup bug armed, the
         // first transfer whose crossing drops hangs forever.
         let plan = cfg.plan_for_seed(2, 0);
-        let out = run_iteration(&cfg, 2, &plan, false);
+        let out = run_iteration(&cfg, 2, &plan, false, Engine::Event);
         let progress: Vec<_> = out
             .violations
             .iter()
             .filter(|v| v.oracle == OracleKind::Progress)
             .collect();
         assert!(!progress.is_empty(), "violations: {:?}", out.violations);
-        let shrunk = shrink_violation(&cfg, 2, &plan, OracleKind::Progress, false);
+        let shrunk = shrink_violation(&cfg, 2, &plan, OracleKind::Progress, false, Engine::Event);
         let atoms = decompose(&shrunk, cfg.width, cfg.height);
         assert!(
             atoms.len() <= 3,
@@ -1730,8 +1754,8 @@ mod tests {
         let cfg = noc_only();
         for seed in [1, 2, 3, 4] {
             let plan = cfg.plan_for_seed(seed, 0);
-            let a = run_iteration(&cfg, seed, &plan, false);
-            let b = run_iteration(&cfg, seed, &plan, false);
+            let a = run_iteration(&cfg, seed, &plan, false, Engine::Event);
+            let b = run_iteration(&cfg, seed, &plan, false, Engine::Event);
             assert_eq!(a, b, "seed {seed}");
         }
     }
@@ -1785,7 +1809,7 @@ mod tests {
             shrink: false,
             repro_dir: None,
             jobs: 1,
-            profile: None,
+            ..ChaosOptions::default()
         };
         let run = run_chaos(&cfg, &opts, &TelemetryHandle::disabled()).unwrap();
         assert!(!run.finished);

@@ -2,6 +2,7 @@
 //! concealed from the health layer, which must infer faults from behavior.
 
 use gnoc_chaos::{run_chaos, run_iteration, ChaosConfig, ChaosOptions, OracleKind};
+use gnoc_core::noc::Engine;
 use gnoc_core::telemetry::TelemetryHandle;
 
 fn detect_cfg() -> ChaosConfig {
@@ -50,7 +51,7 @@ fn dead_slice_archetype_passes_detection_with_a_device() {
         .num_slices() as u32;
     let plan = cfg.plan_for_seed(4, num_slices);
     assert_eq!(plan.disabled_slices.len(), 2, "archetype precondition");
-    let out = run_iteration(&cfg, 4, &plan, false);
+    let out = run_iteration(&cfg, 4, &plan, false, Engine::Event);
     assert!(
         out.is_clean(),
         "slice detection violations: {:?}",

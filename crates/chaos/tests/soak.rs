@@ -165,6 +165,7 @@ fn parallel_soak_state_resumes_bit_identically() {
 mod bug_hooks {
     use super::*;
     use gnoc_chaos::{decompose, replay, run_iteration, shrink_violation, Reproducer};
+    use gnoc_core::noc::Engine;
 
     /// Seeds whose fault plans trigger the reintroduced deadlock under
     /// `buggy_cfg`, found by `scan_for_bug_seeds`. Both are dead+flaky+
@@ -204,7 +205,7 @@ mod bug_hooks {
             };
             for seed in 0..15u64 {
                 let plan = cfg.plan_for_seed(seed, 0);
-                let out = run_iteration(&cfg, seed, &plan, false);
+                let out = run_iteration(&cfg, seed, &plan, false, Engine::Event);
                 let progress = out
                     .violations
                     .iter()
@@ -225,7 +226,7 @@ mod bug_hooks {
         let mut caught = 0;
         for &seed in BUG_SEEDS {
             let plan = cfg.plan_for_seed(seed, 0);
-            let out = run_iteration(&cfg, seed, &plan, false);
+            let out = run_iteration(&cfg, seed, &plan, false, Engine::Event);
             let Some(v) = out
                 .violations
                 .iter()
@@ -235,7 +236,14 @@ mod bug_hooks {
             };
             caught += 1;
 
-            let shrunk = shrink_violation(&cfg, seed, &plan, OracleKind::Progress, false);
+            let shrunk = shrink_violation(
+                &cfg,
+                seed,
+                &plan,
+                OracleKind::Progress,
+                false,
+                Engine::Event,
+            );
             let atoms = decompose(&shrunk, cfg.width, cfg.height).len();
             assert!(
                 atoms <= 3,
@@ -253,7 +261,7 @@ mod bug_hooks {
                 trace: None,
                 traffic_trace: None,
             };
-            let replayed = replay(&repro);
+            let replayed = replay(&repro, Engine::Event);
             assert!(
                 replayed
                     .violations
@@ -278,7 +286,7 @@ mod bug_hooks {
         };
         for &seed in BUG_SEEDS {
             let plan = cfg.plan_for_seed(seed, 0);
-            let out = run_iteration(&cfg, seed, &plan, false);
+            let out = run_iteration(&cfg, seed, &plan, false, Engine::Event);
             assert!(
                 out.is_clean(),
                 "seed {seed} violates even without the bug: {:?}",

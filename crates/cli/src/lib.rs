@@ -7,6 +7,7 @@
 #![warn(missing_docs)]
 
 use gnoc_chaos::ChaosConfig;
+use gnoc_core::noc::Engine;
 use gnoc_core::{
     CtaScheduler, FabricTopology, FaultGenConfig, FlakyBurst, GpuSpec, LatencyProbe, RegionFault,
 };
@@ -575,20 +576,20 @@ pub struct Invocation {
     /// path. Supported by `mesh`, `campaign`, and `chaos run`; recording
     /// never changes any printed or written result.
     pub profile: Option<String>,
-    /// NoC core engine: `None` keeps the default (event, or the
-    /// `GNOC_ENGINE` env var), `Some` forces it. Never changes results —
-    /// the event engine is bit-identical to cycle-exact stepping — only
-    /// wall time.
-    pub engine: Option<EngineChoice>,
+    /// NoC core engine: `None` falls back to `GNOC_ENGINE`, then event
+    /// ([`resolve_engine`]). Never changes results — the event engine is
+    /// bit-identical to cycle-exact stepping — only wall time.
+    pub engine: Option<Engine>,
 }
 
-/// Which NoC core drives the simulation clock.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineChoice {
-    /// Step every cycle, including quiet ones (the reference core).
-    Cycle,
-    /// Skip provably-quiet spans in O(1) (the default core).
-    Event,
+/// The engine every simulator of a run steps on: `--engine` when given,
+/// else cycle when the `GNOC_ENGINE` environment variable is `cycle`, else
+/// event. The one place that variable is read.
+pub fn resolve_engine(flag: Option<Engine>) -> Engine {
+    flag.unwrap_or_else(|| match std::env::var("GNOC_ENGINE").as_deref() {
+        Ok("cycle") => Engine::Cycle,
+        _ => Engine::Event,
+    })
 }
 
 /// Which workload `gnoc replay` generates.
@@ -695,12 +696,12 @@ GLOBAL FLAGS (every subcommand):
                             ui.perfetto.dev lands at <file>.trace.json.
                             Timestamps are virtual cycles, so recorded runs
                             stay bit-identical to unrecorded ones
-    --engine <cycle|event>  NoC core: event (default) skips provably-quiet
-                            cycles in O(1); cycle steps every cycle. Results
-                            are bit-identical either way — stats, profiles,
-                            figures, and chaos reports match byte for byte —
-                            only wall time changes. GNOC_ENGINE=cycle sets
-                            the same default from the environment
+    --engine <cycle|event>  NoC core of every simulator in the run: event
+                            (default) skips provably-quiet cycles in O(1);
+                            cycle steps every cycle. Results are bit-identical
+                            either way; only wall time changes. Without the
+                            flag, GNOC_ENGINE=cycle selects cycle. Library
+                            callers such as the figure binaries run on event
 
 PROFILING:
     gnoc profile flight-records a mesh soak: every message gets a causal
@@ -1478,8 +1479,8 @@ pub fn parse_invocation(args: &[String]) -> Result<Invocation, String> {
         }
         if a == "--engine" {
             match it.next().map(String::as_str) {
-                Some("cycle") => engine = Some(EngineChoice::Cycle),
-                Some("event") => engine = Some(EngineChoice::Event),
+                Some("cycle") => engine = Some(Engine::Cycle),
+                Some("event") => engine = Some(Engine::Event),
                 Some(v) if !v.starts_with("--") => {
                     return Err(format!("flag --engine: '{v}' is not 'cycle' or 'event'"));
                 }
@@ -2293,10 +2294,10 @@ mod tests {
     #[test]
     fn engine_global_flag_parses_anywhere_and_validates() {
         let inv = parse_invocation(&argv("mesh --engine cycle --transfers 40")).unwrap();
-        assert_eq!(inv.engine, Some(EngineChoice::Cycle));
+        assert_eq!(inv.engine, Some(Engine::Cycle));
         assert!(matches!(inv.command, Command::Mesh { transfers: 40, .. }));
         let inv = parse_invocation(&argv("--engine event chaos run --seeds 0..2")).unwrap();
-        assert_eq!(inv.engine, Some(EngineChoice::Event));
+        assert_eq!(inv.engine, Some(Engine::Event));
         let inv = parse_invocation(&argv("mesh")).unwrap();
         assert_eq!(inv.engine, None);
         assert!(parse_invocation(&argv("mesh --engine")).is_err());

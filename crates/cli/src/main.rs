@@ -6,15 +6,15 @@ use gnoc_chaos::{
     ChaosOptions, ChaosRun, Reproducer,
 };
 use gnoc_cli::{
-    parse_invocation, AttackKind, ChaosAction, Command, FaultsAction, GpuChoice, SubmitWhat,
-    TraceAction, TraceTarget, WorkloadKind, EXIT_CHECK_FAILED, EXIT_INVALID_INPUT, EXIT_IO,
-    EXIT_OK, USAGE,
+    parse_invocation, resolve_engine, AttackKind, ChaosAction, Command, FaultsAction, GpuChoice,
+    SubmitWhat, TraceAction, TraceTarget, WorkloadKind, EXIT_CHECK_FAILED, EXIT_INVALID_INPUT,
+    EXIT_IO, EXIT_OK, USAGE,
 };
 use gnoc_core::analysis::profile::write_chrome_trace;
 use gnoc_core::fabric::{health_report, poll_window, run_detection, FabricLinks};
 use gnoc_core::microbench::bandwidth::{aggregate_fabric_gbps, aggregate_memory_gbps};
 use gnoc_core::noc::loadcurve::{hier_load_curve, mesh_load_curve, SweepConfig};
-use gnoc_core::noc::{check_mesh_dims, NodeId, PacketClass, ReliableMesh, RetryConfig};
+use gnoc_core::noc::{check_mesh_dims, Engine, NodeId, PacketClass, RetryConfig};
 use gnoc_core::noc::{run_fairness, run_memsim, HierConfig, MemSimNets, MeshConfig};
 use gnoc_core::noc::{ArbiterKind, FairnessConfig, MemSimConfig};
 use gnoc_core::sidechannel::covert::{
@@ -38,7 +38,7 @@ use gnoc_serve::client::{
     envelope_field_str, envelope_type, extract_payload, payload_summary, request_over_socket,
 };
 use gnoc_serve::{
-    install_termination_flag, serve_stdin, Engine, JobSpec, ServeConfig, ServeError, SocketServer,
+    install_termination_flag, serve_stdin, JobSpec, ServeConfig, ServeError, SocketServer,
 };
 use std::fs::File;
 use std::io::BufReader;
@@ -86,11 +86,10 @@ fn main() -> ExitCode {
         restore_default_sigpipe();
     }
 
-    // `--engine` overrides the NoC core (default: event, or GNOC_ENGINE).
-    // Both engines are bit-identical; the flag only trades wall time.
-    if let Some(engine) = inv.engine {
-        gnoc_core::noc::set_event_skip_enabled(matches!(engine, gnoc_cli::EngineChoice::Event));
-    }
+    // The NoC core every simulator of the run steps on (--engine >
+    // GNOC_ENGINE > event). Both engines are bit-identical; it only trades
+    // wall time.
+    let engine = resolve_engine(inv.engine);
 
     // `--trace`/`--metrics` turn telemetry on; otherwise every instrumented
     // call site stays on the zero-cost disabled path.
@@ -131,7 +130,14 @@ fn main() -> ExitCode {
     };
 
     let profile = inv.profile.as_deref().map(Path::new);
-    let code = run(inv.command, plan.as_ref(), &telemetry, &pool, profile);
+    let code = run(
+        inv.command,
+        plan.as_ref(),
+        &telemetry,
+        &pool,
+        profile,
+        engine,
+    );
 
     telemetry.flush();
     if let Some(path) = &inv.metrics {
@@ -200,6 +206,7 @@ fn run(
     telemetry: &TelemetryHandle,
     pool: &WorkerPool,
     profile: Option<&Path>,
+    engine: Engine,
 ) -> u8 {
     match cmd {
         Command::Help => print!("{USAGE}"),
@@ -372,14 +379,14 @@ fn run(
                     MeshConfig::paper_6x6(arbiter),
                     seed,
                     transfers,
+                    engine,
                 );
                 soak.cfg.self_healing = self_heal;
                 return run_fabric(&soak, plan, profile);
             }
             if let Some(plan) = plan {
-                return run_faulted_mesh(
-                    plan, arbiter, seed, transfers, self_heal, telemetry, profile,
-                );
+                let soak = MeshSoak::paper(arbiter, seed, transfers, engine);
+                return run_faulted_mesh(plan, &soak, self_heal, telemetry, profile);
             }
             let fairness = FairnessConfig::paper(arbiter);
             let (r, rec) = run_fairness(fairness, seed, telemetry.clone(), profile.is_some());
@@ -421,15 +428,18 @@ fn run(
                 },
                 seed,
                 transfers,
+                engine,
             );
             soak.cycles = cycles;
             soak.cfg.self_healing = self_heal;
             return run_fabric(&soak, plan, profile);
         }
 
-        Command::Chaos { action } => return run_chaos_action(action, telemetry, pool, profile),
+        Command::Chaos { action } => {
+            return run_chaos_action(action, telemetry, pool, profile, engine)
+        }
 
-        Command::Trace { action } => return run_trace_action(action, plan, telemetry),
+        Command::Trace { action } => return run_trace_action(action, plan, telemetry, engine),
 
         Command::Campaign {
             gpu,
@@ -646,7 +656,7 @@ fn run(
             device,
             windows,
             seed,
-        } => return run_health(width, height, cycles, device, windows, seed, plan),
+        } => return run_health(width, height, cycles, device, windows, seed, plan, engine),
 
         Command::Profile {
             width,
@@ -673,31 +683,23 @@ fn run(
                 jsonl,
                 svg,
             };
+            let die = MeshConfig {
+                width: width as usize,
+                height: height as usize,
+                ..MeshConfig::paper_6x6(arbiter)
+            };
             if devices >= 2 {
-                return run_fabric_profile(
-                    devices,
-                    try_or_fail!(parse_topology(&topology)),
-                    width as usize,
-                    height as usize,
-                    arbiter,
-                    seed,
-                    transfers,
-                    slowest,
-                    &outputs,
-                    plan,
-                );
+                let topology = try_or_fail!(parse_topology(&topology));
+                let soak = FabricSoak::new(devices, topology, die, seed, transfers, engine);
+                return run_fabric_profile(&soak, slowest, &outputs, plan);
             }
-            return run_profile(
-                width as usize,
-                height as usize,
-                arbiter,
+            let soak = MeshSoak {
+                cfg: die,
                 seed,
                 transfers,
-                slowest,
-                &outputs,
-                plan,
-                telemetry,
-            );
+                engine,
+            };
+            return run_profile(&soak, slowest, &outputs, plan, telemetry);
         }
 
         Command::Serve {
@@ -719,6 +721,7 @@ fn run(
                 max_transfers,
                 row_delay_ms,
                 jobs: pool.jobs(),
+                engine,
             };
             return run_serve(cfg, socket.as_deref(), telemetry);
         }
@@ -739,7 +742,7 @@ fn run(
 /// serve the line protocol on a Unix socket or stdin until drained.
 fn run_serve(cfg: ServeConfig, socket: Option<&str>, telemetry: &TelemetryHandle) -> u8 {
     let state = cfg.state_dir.display().to_string();
-    let engine = match Engine::open(cfg, telemetry.clone()) {
+    let engine = match gnoc_serve::Engine::open(cfg, telemetry.clone()) {
         Ok(engine) => engine,
         Err(ServeError::Config(msg)) => {
             eprintln!("error: {msg}");
@@ -986,26 +989,16 @@ struct ProfileOutputs {
 /// went, the hottest links, a per-router utilization heatmap, and the
 /// critical path of the slowest transfers. All timestamps are virtual
 /// cycles, so every artifact is bit-identical across runs and `--jobs`.
-#[allow(clippy::too_many_arguments)]
 fn run_profile(
-    width: usize,
-    height: usize,
-    arbiter: ArbiterKind,
-    seed: u64,
-    transfers: usize,
+    soak: &MeshSoak,
     slowest: usize,
     outputs: &ProfileOutputs,
     plan: Option<&FaultPlan>,
     telemetry: &TelemetryHandle,
 ) -> u8 {
-    let cfg = MeshConfig {
-        width,
-        height,
-        ..MeshConfig::paper_6x6(arbiter)
-    };
-    let benign = FaultPlan::none();
-    let plan = plan.unwrap_or(&benign);
-    let mut rm = try_or_fail!(ReliableMesh::with_faults(cfg, plan, RetryConfig::default())
+    let (width, height) = (soak.cfg.width, soak.cfg.height);
+    let mut rm = try_or_fail!(soak
+        .build(plan)
         .map_err(|e| format!("plan does not fit a {width}x{height} mesh: {e}")));
     rm.mesh_mut().set_telemetry(telemetry.clone());
     rm.mesh_mut().attach_flight_recorder();
@@ -1014,9 +1007,9 @@ fn run_profile(
     // lengths so serialization stalls show up in the profile. The length is
     // drawn before the equal-endpoint skip, unlike `mesh_soak`.
     let nodes = (width * height) as u64;
-    let mut rng = SplitMix64::new(seed);
+    let mut rng = SplitMix64::new(soak.seed);
     let mut submitted = 0usize;
-    while submitted < transfers {
+    while submitted < soak.transfers {
         let src = (rng.next() % nodes) as u32;
         let dst = (rng.next() % nodes) as u32;
         let flits = 1 + (rng.next() % 4) as u32;
@@ -1111,35 +1104,17 @@ fn write_profile_outputs(
 /// reduce it the same way. The profile grid is the fabric node graph (one
 /// column per device, plus the switch node when present); fabric-hop
 /// serialization shows up as its own stall class in the attribution.
-#[allow(clippy::too_many_arguments)]
 fn run_fabric_profile(
-    devices: u32,
-    topology: FabricTopology,
-    width: usize,
-    height: usize,
-    arbiter: ArbiterKind,
-    seed: u64,
-    transfers: usize,
+    soak: &FabricSoak,
     slowest: usize,
     outputs: &ProfileOutputs,
     plan: Option<&FaultPlan>,
 ) -> u8 {
-    let soak = FabricSoak::new(
-        devices,
-        topology,
-        MeshConfig {
-            width,
-            height,
-            ..MeshConfig::paper_6x6(arbiter)
-        },
-        seed,
-        transfers,
-    );
     let mut sim = try_or_fail!(soak.build(plan));
     sim.attach_flight_recorder();
     let quiesced = try_or_fail!(soak.run(&mut sim));
     let rec = sim.take_flight_recorder().expect("recorder attached above");
-    let fabric_nodes = topology.node_count(devices) as usize;
+    let fabric_nodes = soak.cfg.topology.node_count(soak.cfg.devices) as usize;
     let report = ProfileReport::from_recorder(&rec, fabric_nodes, 1, sim.cycle(), slowest);
     let stuck = (!quiesced).then(|| ("fabric", sim.outstanding()));
     finish_profile(&report, &rec, outputs, stuck)
@@ -1150,6 +1125,7 @@ fn run_fabric_profile(
 /// infer faults from behavioral telemetry, quarantine them, and report what
 /// it found. With `--device`, the plan's disabled slices are additionally
 /// planted as latent device faults for the slice monitors to find.
+#[allow(clippy::too_many_arguments)]
 fn run_health(
     width: u32,
     height: u32,
@@ -1158,6 +1134,7 @@ fn run_health(
     windows: u64,
     seed: u64,
     plan: Option<&FaultPlan>,
+    engine: Engine,
 ) -> u8 {
     let benign = FaultPlan::none();
     let plan = plan.unwrap_or(&benign);
@@ -1168,6 +1145,7 @@ fn run_health(
     };
     let mut healer = try_or_fail!(SelfHealingMesh::new(mesh_cfg, plan, RetryConfig::default())
         .map_err(|e| format!("plan does not fit a {width}x{height} mesh: {e}")));
+    healer.set_engine(engine);
     try_or_fail!(healer
         .run_detection(cycles)
         .map_err(|e| format!("detection run failed: {e}")));
@@ -1227,25 +1205,23 @@ fn run_health(
 /// `gnoc mesh --faults plan.json`: retrying delivery over a degraded mesh.
 ///
 /// Submits uniform-random (but seed-deterministic) transfers through a
-/// [`ReliableMesh`] with the plan applied, then reports delivery, loss,
-/// retry, and tail-latency figures; `--metrics` captures the `noc.retry.*`
-/// counters. With `--self-heal` the plan is hidden from routing and the
-/// health layer quarantines what it detects instead.
+/// [`gnoc_core::ReliableMesh`] with the plan applied, then reports
+/// delivery, loss, retry, and tail-latency figures; `--metrics` captures
+/// the `noc.retry.*` counters. With `--self-heal` the plan is hidden from
+/// routing and the health layer quarantines what it detects instead.
 fn run_faulted_mesh(
     plan: &FaultPlan,
-    arbiter: ArbiterKind,
-    seed: u64,
-    transfers: usize,
+    soak: &MeshSoak,
     self_heal: bool,
     telemetry: &TelemetryHandle,
     profile: Option<&Path>,
 ) -> u8 {
-    let soak = MeshSoak::paper(arbiter, seed, transfers);
     let cfg = soak.cfg;
     let mut rm = if self_heal {
         let mut healer = try_or_fail!(
             SelfHealingMesh::new(cfg, plan, RetryConfig::default()).map_err(|e| e.to_string())
         );
+        healer.set_engine(soak.engine);
         if profile.is_some() {
             // Attach before the warm-up so the trace shows the healing
             // episode itself: patrol traffic, breaker transitions, and the
@@ -1279,8 +1255,9 @@ fn run_faulted_mesh(
     let s = rm.stats().clone();
     let m = rm.mesh().stats().clone();
     println!(
-        "6x6 mesh under fault plan [{}], {arbiter:?} arbitration:",
-        plan.summary()
+        "6x6 mesh under fault plan [{}], {:?} arbitration:",
+        plan.summary(),
+        cfg.arbiter
     );
     println!(
         "  transfers: {} submitted, {} delivered, {} lost",
@@ -1499,6 +1476,7 @@ fn run_trace_action(
     action: TraceAction,
     plan: Option<&FaultPlan>,
     telemetry: &TelemetryHandle,
+    engine: Engine,
 ) -> u8 {
     match action {
         TraceAction::Record { target, out, stats } => record_trace(
@@ -1507,12 +1485,14 @@ fn run_trace_action(
             stats.as_deref().map(Path::new),
             plan,
             telemetry,
+            engine,
         ),
         TraceAction::Replay { path, stats } => replay_trace(
             Path::new(&path),
             stats.as_deref().map(Path::new),
             plan,
             telemetry,
+            engine,
         ),
         TraceAction::Validate { path } => validate_trace(Path::new(&path)),
         TraceAction::Info { path } => trace_info(Path::new(&path)),
@@ -1536,6 +1516,7 @@ fn record_trace(
     stats_out: Option<&Path>,
     plan: Option<&FaultPlan>,
     telemetry: &TelemetryHandle,
+    engine: Engine,
 ) -> u8 {
     let plan_fnv = trace_digest::plan_digest(plan);
     let open = |header: TraceHeader| {
@@ -1550,7 +1531,7 @@ fn record_trace(
     // digest.
     let (kind, tap, line, quiesced) = match target {
         TraceTarget::Mesh { seed, transfers } => {
-            let soak = MeshSoak::paper(ArbiterKind::RoundRobin, *seed, *transfers);
+            let soak = MeshSoak::paper(ArbiterKind::RoundRobin, *seed, *transfers, engine);
             let (w, h) = (soak.cfg.width as u32, soak.cfg.height as u32);
             let header = TraceHeader::mesh(w, h, *seed, *transfers as u64, plan_fnv);
             let tap = try_or_fail!(open(header), EXIT_IO);
@@ -1587,7 +1568,7 @@ fn record_trace(
                 height: *height as usize,
                 ..MeshConfig::paper_6x6(ArbiterKind::RoundRobin)
             };
-            let mut soak = FabricSoak::new(*devices, topo, die, *seed, *transfers);
+            let mut soak = FabricSoak::new(*devices, topo, die, *seed, *transfers, engine);
             soak.cycles = *cycles;
             let mut sim = try_or_fail!(soak.build(plan));
             sim.attach_trace_tap(tap);
@@ -1659,12 +1640,13 @@ fn replay_trace(
     stats_out: Option<&Path>,
     plan: Option<&FaultPlan>,
     telemetry: &TelemetryHandle,
+    engine: Engine,
 ) -> u8 {
     let mut reader = match open_trace(path) {
         Ok(r) => r,
         Err(code) => return code,
     };
-    let r = match trace_digest::replay(&mut reader, plan, telemetry) {
+    let r = match trace_digest::replay(&mut reader, plan, telemetry, engine) {
         Ok(r) => r,
         Err(ReplayFailure::PlanMismatch { recorded, supplied }) => {
             eprintln!(
@@ -1911,6 +1893,7 @@ fn run_chaos_action(
     telemetry: &TelemetryHandle,
     pool: &WorkerPool,
     profile: Option<&Path>,
+    engine: Engine,
 ) -> u8 {
     match action {
         ChaosAction::Run {
@@ -1930,6 +1913,7 @@ fn run_chaos_action(
                 repro_dir: repro_dir.map(PathBuf::from),
                 jobs: pool.jobs(),
                 profile: profile.map(Path::to_path_buf),
+                engine,
             };
             let run = match run_chaos(&cfg, &opts, telemetry) {
                 Ok(run) => run,
@@ -1969,7 +1953,7 @@ fn run_chaos_action(
                 repro.oracle,
                 repro.plan.summary()
             );
-            let out = replay_reproducer(&repro);
+            let out = replay_reproducer(&repro, engine);
             for v in &out.violations {
                 println!("  VIOLATION [{}]: {}", v.oracle, v.detail);
             }
@@ -1992,7 +1976,7 @@ fn run_chaos_action(
             };
             try_or_fail!(repro.config.validate().map_err(|e| e.to_string()));
             let run_device = repro.config.device.is_some();
-            let fires = run_iteration(&repro.config, repro.seed, &repro.plan, run_device)
+            let fires = run_iteration(&repro.config, repro.seed, &repro.plan, run_device, engine)
                 .violations
                 .iter()
                 .any(|v| v.oracle == repro.oracle);
@@ -2011,6 +1995,7 @@ fn run_chaos_action(
                 &repro.plan,
                 repro.oracle,
                 run_device,
+                engine,
             );
             let after = decompose(&repro.plan, repro.config.width, repro.config.height).len();
             let out_path = out.unwrap_or(path);

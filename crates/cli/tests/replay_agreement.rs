@@ -182,7 +182,7 @@ fn cli_and_daemon_agree_on_every_trace() {
 /// paths call it unsealed, and neither claims a match or a divergence.
 #[test]
 fn zero_footer_digest_is_unsealed_on_both_paths() {
-    let soak = MeshSoak::paper(ArbiterKind::RoundRobin, 3, 50);
+    let soak = MeshSoak::paper(ArbiterKind::RoundRobin, 3, 50, Default::default());
     let header = TraceHeader::mesh(6, 6, soak.seed, soak.transfers as u64, 0);
     let mut rm = soak.build(None).unwrap();
     rm.attach_trace_tap(TraceTap::in_memory(&header));

@@ -6,7 +6,7 @@
 use gnoc_fabric::{FabricConfig, FabricSim};
 use gnoc_faults::FaultPlan;
 use gnoc_noc::{
-    fabric_soak, mesh_soak, ArbiterKind, MeshConfig, PacketClass, ReliableMesh, RetryConfig,
+    fabric_soak, mesh_soak, ArbiterKind, Engine, MeshConfig, PacketClass, ReliableMesh, RetryConfig,
 };
 use gnoc_topo::FabricTopology;
 
@@ -24,31 +24,37 @@ pub struct MeshSoak {
     pub seed: u64,
     /// Transfers submitted.
     pub transfers: usize,
+    /// The engine the mesh steps on.
+    pub engine: Engine,
 }
 
 impl MeshSoak {
     /// The soak on the paper's 6×6 mesh (Fig. 23).
     #[must_use]
-    pub fn paper(arbiter: ArbiterKind, seed: u64, transfers: usize) -> Self {
+    pub fn paper(arbiter: ArbiterKind, seed: u64, transfers: usize, engine: Engine) -> Self {
         Self {
             cfg: MeshConfig::paper_6x6(arbiter),
             seed,
             transfers,
+            engine,
         }
     }
 
-    /// Builds the mesh with `plan` applied (no plan: a fault-free mesh).
+    /// Builds the mesh with `plan` applied (no plan: a fault-free mesh),
+    /// on the soak's engine.
     ///
     /// # Errors
     ///
     /// Says why the mesh size or the plan does not fit.
     pub fn build(&self, plan: Option<&FaultPlan>) -> Result<ReliableMesh, String> {
-        ReliableMesh::with_faults(
+        let mut rm = ReliableMesh::with_faults(
             self.cfg,
             plan.unwrap_or(&FaultPlan::none()),
             RetryConfig::default(),
         )
-        .map_err(|e| e.to_string())
+        .map_err(|e| e.to_string())?;
+        rm.set_engine(self.engine);
+        Ok(rm)
     }
 
     /// Submits the soak's transfers into `rm` and runs it until quiescent
@@ -74,6 +80,8 @@ pub struct FabricSoak {
     pub transfers: usize,
     /// Cycle budget of [`FabricSoak::run`].
     pub cycles: u64,
+    /// The engine every die steps on.
+    pub engine: Engine,
 }
 
 impl FabricSoak {
@@ -86,6 +94,7 @@ impl FabricSoak {
         die: MeshConfig,
         seed: u64,
         transfers: usize,
+        engine: Engine,
     ) -> Self {
         let mut cfg = FabricConfig::new(devices, topology);
         cfg.mesh = die;
@@ -94,21 +103,26 @@ impl FabricSoak {
             seed,
             transfers,
             cycles: SOAK_CYCLE_BUDGET,
+            engine,
         }
     }
 
-    /// Builds the fabric with `plan` applied (no plan: a fault-free fabric).
+    /// Builds the fabric with `plan` applied (no plan: a fault-free fabric),
+    /// on the soak's engine.
     ///
     /// # Errors
     ///
     /// Says why the configuration or the plan does not fit.
     pub fn build(&self, plan: Option<&FaultPlan>) -> Result<FabricSim, String> {
-        FabricSim::with_faults(self.cfg.clone(), plan.unwrap_or(&FaultPlan::none())).map_err(|e| {
-            format!(
-                "cannot build the {}-device {} fabric: {e}",
-                self.cfg.devices, self.cfg.topology
-            )
-        })
+        let mut sim = FabricSim::with_faults(self.cfg.clone(), plan.unwrap_or(&FaultPlan::none()))
+            .map_err(|e| {
+                format!(
+                    "cannot build the {}-device {} fabric: {e}",
+                    self.cfg.devices, self.cfg.topology
+                )
+            })?;
+        sim.set_engine(self.engine);
+        Ok(sim)
     }
 
     /// Submits the soak's transfers into `sim` without running it.

@@ -14,7 +14,7 @@ use crate::{CheckpointedCampaign, LatencyCampaign};
 use gnoc_fabric::FabricSim;
 use gnoc_faults::FaultPlan;
 use gnoc_microbench::LatencyProbe;
-use gnoc_noc::{ArbiterKind, MeshConfig, ReliableMesh};
+use gnoc_noc::{ArbiterKind, Engine, MeshConfig, ReliableMesh};
 use gnoc_telemetry::hash::fnv1a64;
 use gnoc_telemetry::TelemetryHandle;
 use gnoc_topo::FabricTopology;
@@ -151,8 +151,9 @@ pub enum ReplayFailure {
 /// Replays a trace: checks `plan` against the header, rebuilds the mesh,
 /// fabric or campaign the header describes, drives the recorded events
 /// into it, quiesces it under [`SOAK_CYCLE_BUDGET`] and compares the
-/// digest of its stats line with the sealed one. A footer digest of 0
-/// reads as [`Verdict::Unsealed`], never as a match or a divergence.
+/// digest of its stats line with the sealed one. Meshes and fabrics step
+/// on `engine`. A footer digest of 0 reads as [`Verdict::Unsealed`], never
+/// as a match or a divergence.
 ///
 /// # Errors
 ///
@@ -161,6 +162,7 @@ pub fn replay<R: Read>(
     reader: &mut TraceReader<R>,
     plan: Option<&FaultPlan>,
     telemetry: &TelemetryHandle,
+    engine: Engine,
 ) -> Result<Replayed, ReplayFailure> {
     let setup = |stage| move |reason| ReplayFailure::Setup { stage, reason };
     let header = reader.header().clone();
@@ -183,6 +185,7 @@ pub fn replay<R: Read>(
                 cfg: die,
                 seed: header.seed,
                 transfers,
+                engine,
             };
             let mut rm = soak.build(plan).map_err(setup("mesh setup"))?;
             rm.mesh_mut().set_telemetry(telemetry.clone());
@@ -194,7 +197,14 @@ pub fn replay<R: Read>(
             let topology = FabricTopology::parse(&header.topology)
                 .ok_or_else(|| format!("unknown fabric topology {:?}", header.topology))
                 .map_err(setup("fabric setup"))?;
-            let soak = FabricSoak::new(header.devices, topology, die, header.seed, transfers);
+            let soak = FabricSoak::new(
+                header.devices,
+                topology,
+                die,
+                header.seed,
+                transfers,
+                engine,
+            );
             let mut sim = soak.build(plan).map_err(setup("fabric setup"))?;
             let outcome = sim.replay_from(reader).map_err(ReplayFailure::Replay)?;
             sim.run_until_quiescent(SOAK_CYCLE_BUDGET);

@@ -431,8 +431,9 @@ mod tests {
         // of `u64` must saturate, not overflow into a zero-cycle watchdog.
         let mut cfg = FabricConfig::new(2, FabricTopology::PointToPoint);
         cfg.retry.watchdog_cycles = 1 << 63;
-        for event in [true, false] {
+        for engine in [gnoc_noc::Engine::Event, gnoc_noc::Engine::Cycle] {
             let mut fab = FabricSim::new(cfg.clone()).unwrap();
+            fab.set_engine(engine);
             let id = fab
                 .submit(
                     0,
@@ -443,12 +444,7 @@ mod tests {
                     PacketClass::Request,
                 )
                 .unwrap();
-            // The engine toggle is process-wide: restore the default before
-            // asserting, so a failure cannot leave other tests on it.
-            gnoc_noc::set_event_skip_enabled(event);
-            let quiesced = fab.run_until_quiescent(50_000);
-            gnoc_noc::set_event_skip_enabled(true);
-            assert!(quiesced);
+            assert!(fab.run_until_quiescent(50_000));
             assert!(matches!(fab.outcome(id), TransferOutcome::Delivered { .. }));
             assert_eq!(fab.stats().lost_watchdog, 0);
         }

@@ -397,6 +397,14 @@ impl FabricSim {
         &self.dies[device as usize]
     }
 
+    /// Selects the engine of every die in one call, so no die can run on
+    /// another engine than its fabric ([`gnoc_noc::Mesh::set_engine`]).
+    pub fn set_engine(&mut self, engine: gnoc_noc::Engine) {
+        for die in &mut self.dies {
+            die.set_engine(engine);
+        }
+    }
+
     /// Mutable access to one device's die (telemetry attachment etc.).
     ///
     /// # Panics
@@ -956,11 +964,13 @@ impl FabricSim {
                     .map(|&(_, li)| li)
                     .expect("route follows an adjacency edge");
                 let link = &self.links[li];
+                // Quarantine recomputes the routes at once, and routing
+                // avoids quarantined links.
+                debug_assert!(!link.quarantined, "route crosses quarantined link {li}");
                 let dir = usize::from(at != link.a);
-                if link.quarantined || link.busy_until[dir] > now {
-                    // A stale route (recompute is pending this cycle
-                    // ordering) or a link serializing an earlier packet: a
-                    // blocked cycle, tried again on the next one.
+                if link.busy_until[dir] > now {
+                    // A link serializing an earlier packet: a blocked
+                    // cycle, tried again on the next one.
                     self.due.insert(idx);
                     return false;
                 }
@@ -1075,10 +1085,10 @@ impl FabricSim {
     /// not polled: its waiting charges are handed to the recorder when its
     /// hop closes. On the event engine a die whose own
     /// [`ReliableMesh::quiet_bound`] proves this cycle a no-op is advanced
-    /// by its O(1) skip instead of a full step, bit-identically; with it
-    /// disabled every die steps on every cycle.
+    /// by its O(1) skip instead of a full step, bit-identically; on
+    /// [`gnoc_noc::Engine::Cycle`] no die is ever proven quiet, so every die
+    /// steps on every cycle.
     pub fn step(&mut self) {
-        let skip_quiet_dies = gnoc_noc::event_skip_enabled();
         let now = self.now;
         self.apply_onsets(now);
         self.fire_timers(now);
@@ -1098,13 +1108,9 @@ impl FabricSim {
         for (die, owners) in self.dies.iter_mut().zip(&self.die_owners) {
             // The polls above ran first, so a die they just handed a
             // transfer reports a bound of `now` and steps.
-            if skip_quiet_dies && die.quiet_bound() > now {
+            if die.quiet_bound() > now {
                 die.skip_quiet(now + 1);
-            }
-            // The die skips nothing if another thread turned the
-            // process-wide event engine off since `skip_quiet_dies` was
-            // read; stepping the cycle instead is the reference behaviour.
-            if die.mesh().cycle() == now {
+            } else {
                 die.step();
             }
             debug_assert_eq!(
@@ -1172,9 +1178,9 @@ impl FabricSim {
     /// fast-forwarded in lockstep to the same cycle. The waiting transfers'
     /// `FabricHop` charges for the span are handed over when their hops
     /// close, so the result is bit-identical to stepping cycle by cycle.
-    /// No-op under the cycle-exact engine.
+    /// No-op on [`gnoc_noc::Engine::Cycle`]: no die is ever proven quiet.
     pub fn skip_quiet(&mut self, limit: u64) {
-        if !gnoc_noc::event_skip_enabled() || !self.due.is_empty() {
+        if !self.due.is_empty() {
             return;
         }
         let now = self.now;
@@ -1202,15 +1208,9 @@ impl FabricSim {
             return;
         }
         // Advance the dies in lockstep to exactly the fabric bound: each
-        // die's quiet bound is >= `bound`, so its skip lands on it. A die
-        // that skipped short because another thread turned the event
-        // engine off mid-loop steps the rest of its proven-quiet span, which
-        // is bit-identical and resolves nothing.
+        // die's quiet bound is >= `bound`, so its skip lands on it.
         for die in &mut self.dies {
             die.skip_quiet(bound);
-            while die.mesh().cycle() < bound {
-                die.step();
-            }
             debug_assert_eq!(
                 die.mesh().cycle(),
                 bound,
@@ -1225,9 +1225,9 @@ impl FabricSim {
     /// Returns `true` when fully quiescent.
     ///
     /// On the event engine, spans where every transfer is waiting (fabric
-    /// backoffs, die ACK timeouts, watchdog countdowns) are skipped; with it
-    /// disabled ([`gnoc_noc::set_event_skip_enabled`]) every cycle is
-    /// stepped. The two are bit-identical.
+    /// backoffs, die ACK timeouts, watchdog countdowns) are skipped; on
+    /// [`gnoc_noc::Engine::Cycle`] every cycle is stepped. The two are
+    /// bit-identical.
     pub fn run_until_quiescent(&mut self, max_cycles: u64) -> bool {
         let start = self.now;
         let end = start.saturating_add(max_cycles);

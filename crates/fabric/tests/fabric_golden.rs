@@ -12,8 +12,7 @@
 //! The values were captured before dies whose own quiet bound proves a
 //! cycle inert stopped running the full reliable step, and before routers
 //! kept a queued-packet count, so any drift in which die or router acts on
-//! which cycle fails here. The cycle-exact engine (the event skip disabled)
-//! must match the same pins.
+//! which cycle fails here. The cycle-exact engine must match the same pins.
 //!
 //! `charge_closures_match_the_golden_pins` covers each place a fabric
 //! transfer's `FabricHop` waiting charges close (a crossing grant, an
@@ -21,20 +20,18 @@
 //! quarantine under the self-heal monitor and a recorder taken mid-run)
 //! with the recorder's full per-hop records in the pin. Those values were
 //! captured while every transfer was still polled and charged on every
-//! cycle. Both tests flip the process-wide engine switch, so they hold
-//! [`ENGINE`] while they run.
+//! cycle.
 
 use gnoc_analysis::profile::ProfileReport;
 use gnoc_fabric::{
     health_report, poll_window, FabricConfig, FabricLinks, FabricMonitor, FabricSim,
 };
 use gnoc_faults::{DeviceFault, FabricLinkFault, FaultGenConfig, FaultPlan, LinkFaultKind};
-use gnoc_noc::{set_event_skip_enabled, NodeId, PacketClass};
+use gnoc_noc::{Engine, NodeId, PacketClass};
 use gnoc_telemetry::hash::{fnv1a64, SplitMix64};
 use gnoc_telemetry::FlightRecorder;
 use gnoc_topo::FabricTopology;
 use gnoc_trace::{TraceHeader, TraceTap};
-use std::sync::Mutex;
 
 const SIDE: u32 = 5;
 const WAVES: u64 = 8;
@@ -44,16 +41,6 @@ const WAVE_TRANSFERS: u64 = 12;
 /// retries and fabric crossings.
 const WAVE_CYCLES: [u64; 3] = [40, 250, 90];
 const MAX_CYCLES: u64 = 2_000_000;
-
-/// Serialises the tests of this binary: each flips the process-wide event
-/// engine switch.
-static ENGINE: Mutex<()> = Mutex::new(());
-
-fn engine_lock() -> std::sync::MutexGuard<'static, ()> {
-    ENGINE
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 /// Everything a case pins.
 #[derive(Debug, PartialEq, Eq)]
@@ -106,7 +93,7 @@ struct Case {
 /// Builds the case's fabric with its recorders and tap attached, drives
 /// the waves on the event engine or the cycle-exact one, and reduces the
 /// finished run to a [`Pin`].
-fn run(c: Case, event: bool) -> Pin {
+fn run(c: Case, engine: Engine) -> Pin {
     let Case {
         seed,
         devices,
@@ -135,7 +122,7 @@ fn run(c: Case, event: bool) -> Pin {
 
     let nodes = u64::from(SIDE * SIDE);
     let mut rng = SplitMix64::new(seed);
-    set_event_skip_enabled(event);
+    sim.set_engine(engine);
     for wave in 0..WAVES {
         for _ in 0..WAVE_TRANSFERS {
             let r = rng.next();
@@ -178,7 +165,6 @@ fn run(c: Case, event: bool) -> Pin {
         };
         sim.run_until_quiescent(budget);
     }
-    set_event_skip_enabled(true);
     assert_eq!(sim.outstanding(), 0, "the last wave must quiesce");
 
     let cycles = sim.cycle();
@@ -259,7 +245,6 @@ fn faulted_fabrics_match_the_golden_pins() {
         topology,
         self_healing_dies,
     };
-    let _lock = engine_lock();
     #[rustfmt::skip]
     let cases = [
         (case(11, 2, Ring, false), expected(1117, [3484858301858657256, 12148553815430366061, 13250242986961983902, 13646862349691912032, 11296691691907018982])),
@@ -269,8 +254,8 @@ fn faulted_fabrics_match_the_golden_pins() {
         (case(15, 4, Ring, true), expected(4596, [9452983018660992149, 4221200976224946375, 2972700810130681874, 15813131325183981122, 12294749006686988620])),
     ];
     for (c, want) in cases {
-        assert_eq!(run(c, true), want, "{c:?}");
-        assert_eq!(run(c, false), want, "cycle-exact {c:?}");
+        assert_eq!(run(c, Engine::Event), want, "{c:?}");
+        assert_eq!(run(c, Engine::Cycle), want, "cycle-exact {c:?}");
     }
 }
 
@@ -348,7 +333,7 @@ fn link(a: u32, b: u32, kind: LinkFaultKind, onset: u64) -> FabricLinkFault {
 }
 
 /// Runs one charge-closure case on the event engine or the cycle-exact one.
-fn closure_run(c: Closure, event: bool) -> ClosurePin {
+fn closure_run(c: Closure, engine: Engine) -> ClosurePin {
     use FabricTopology::{PointToPoint, Ring};
     let mut plan = FaultPlan::none();
     let mut cfg = FabricConfig::new(4, Ring);
@@ -406,7 +391,7 @@ fn closure_run(c: Closure, event: bool) -> ClosurePin {
         }
     }
 
-    set_event_skip_enabled(event);
+    sim.set_engine(engine);
     let mut recorders = Vec::new();
     let mut health = String::new();
     match c {
@@ -433,7 +418,6 @@ fn closure_run(c: Closure, event: bool) -> ClosurePin {
             sim.run_until_quiescent(MAX_CYCLES);
         }
     }
-    set_event_skip_enabled(true);
     assert_eq!(sim.outstanding(), 0, "{c:?} must quiesce");
     recorders.push(sim.take_flight_recorder().expect("recorder attached"));
     let s = sim.stats();
@@ -467,7 +451,6 @@ fn closure_run(c: Closure, event: bool) -> ClosurePin {
 
 #[test]
 fn charge_closures_match_the_golden_pins() {
-    let _lock = engine_lock();
     let pin = |cycle, [fabric, profile, hops]: [u64; 3]| ClosurePin {
         cycle,
         fabric,
@@ -486,7 +469,7 @@ fn charge_closures_match_the_golden_pins() {
         (Closure::DieLoss, pin(20105, [2474259138296158189, 11626142806197785353, 10072590886543470126])),
     ];
     for (c, want) in cases {
-        assert_eq!(closure_run(c, true), want, "{c:?}");
-        assert_eq!(closure_run(c, false), want, "cycle-exact {c:?}");
+        assert_eq!(closure_run(c, Engine::Event), want, "{c:?}");
+        assert_eq!(closure_run(c, Engine::Cycle), want, "cycle-exact {c:?}");
     }
 }

@@ -107,6 +107,11 @@ impl SelfHealingMesh {
         &mut self.rm
     }
 
+    /// Selects the engine of the monitored mesh ([`ReliableMesh::set_engine`]).
+    pub fn set_engine(&mut self, engine: gnoc_noc::Engine) {
+        self.rm.set_engine(engine);
+    }
+
     /// Consumes the healer, returning the underlying reliable mesh with its
     /// quarantines (and self-healing mode) still in force — for handing
     /// detected-and-healed fabric to ordinary traffic.

@@ -56,9 +56,8 @@ impl Arbiter {
     /// `i` requests, or `None` when the mask is empty. Round-robin grants
     /// the first set bit at or after the rotating pointer and moves the
     /// pointer past it; age-based grants the minimum `(birth_of(input),
-    /// input)` over the set bits and calls `birth_of` for those only. This
-    /// is the one selection rule: [`Arbiter::pick`] folds its candidate
-    /// list into a mask and grants here.
+    /// input)` over the set bits and calls `birth_of` for those only. Every
+    /// network grants through this one rule.
     pub fn grant(&mut self, requests: u64, birth_of: impl Fn(usize) -> u64) -> Option<usize> {
         if requests == 0 {
             return None;
@@ -93,19 +92,6 @@ impl Arbiter {
         self.grants += 1;
         Some(winner)
     }
-
-    /// Picks a winner among `candidates` — `(input index, packet birth)`
-    /// pairs with distinct inputs below 64 — or `None` when empty, by the
-    /// rule of [`Arbiter::grant`].
-    pub fn pick(&mut self, candidates: &[(usize, u64)]) -> Option<usize> {
-        let mut births = [0u64; Self::MAX_INPUTS];
-        let mut requests = 0u64;
-        for &(input, birth) in candidates {
-            requests |= 1 << input;
-            births[input] = birth;
-        }
-        self.grant(requests, |input| births[input])
-    }
 }
 
 #[cfg(test)]
@@ -115,40 +101,36 @@ mod tests {
     #[test]
     fn round_robin_rotates() {
         let mut a = Arbiter::new(ArbiterKind::RoundRobin);
-        let cands = [(0usize, 10u64), (1, 5), (2, 1)];
-        let first = a.pick(&cands).unwrap();
-        let second = a.pick(&cands).unwrap();
-        let third = a.pick(&cands).unwrap();
-        assert_eq!(first, 0);
-        assert_eq!(second, 1);
-        assert_eq!(third, 2);
-        assert_eq!(a.pick(&cands).unwrap(), 0);
+        let births = [10, 5, 1];
+        let grants: Vec<_> = (0..4).map(|_| a.grant(0b111, |i| births[i])).collect();
+        assert_eq!(grants, [Some(0), Some(1), Some(2), Some(0)]);
     }
 
     #[test]
     fn round_robin_skips_absent_inputs() {
         let mut a = Arbiter::new(ArbiterKind::RoundRobin);
-        assert_eq!(a.pick(&[(3, 0)]).unwrap(), 3);
+        assert_eq!(a.grant(1 << 3, |_| 0), Some(3));
         // Pointer is now 4; only inputs 1 and 2 request.
-        assert_eq!(a.pick(&[(1, 0), (2, 0)]).unwrap(), 1);
+        assert_eq!(a.grant(0b110, |_| 0), Some(1));
     }
 
     #[test]
     fn age_based_prefers_oldest() {
         let mut a = Arbiter::new(ArbiterKind::AgeBased);
-        assert_eq!(a.pick(&[(0, 10), (1, 5), (2, 7)]).unwrap(), 1);
+        let births = [10, 5, 7];
+        assert_eq!(a.grant(0b111, |i| births[i]), Some(1));
         // Ties break on input index for determinism.
-        assert_eq!(a.pick(&[(2, 5), (1, 5)]).unwrap(), 1);
+        assert_eq!(a.grant(0b110, |_| 5), Some(1));
     }
 
     #[test]
     fn empty_candidates_yield_none() {
         let mut a = Arbiter::new(ArbiterKind::RoundRobin);
-        assert_eq!(a.pick(&[]), None);
+        assert_eq!(a.grant(0, |_| 0), None);
         assert_eq!(a.grants(), 0);
     }
 
-    /// The list-based rule `grant` replaced: round-robin grants the
+    /// The candidate-list form of `grant`'s rule: round-robin grants the
     /// candidate with the minimum rotation key, age-based the minimum
     /// `(birth, input)`.
     fn reference(kind: ArbiterKind, rr_next: usize, candidates: &[(usize, u64)]) -> usize {
@@ -230,9 +212,9 @@ mod tests {
     #[test]
     fn grants_count_only_winners() {
         let mut a = Arbiter::new(ArbiterKind::AgeBased);
-        assert_eq!(a.pick(&[]), None);
-        a.pick(&[(0, 1)]).unwrap();
-        a.pick(&[(0, 1), (1, 2)]).unwrap();
+        assert_eq!(a.grant(0, |_| 0), None);
+        a.grant(0b1, |_| 1).unwrap();
+        a.grant(0b11, |i| [1, 2][i]).unwrap();
         assert_eq!(a.grants(), 2);
     }
 }

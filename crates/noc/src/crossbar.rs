@@ -59,9 +59,6 @@ pub struct Crossbar {
     next_id: u64,
     ejected: Vec<Packet>,
     stats: CrossbarStats,
-    /// One output's arbitration candidates, `(input, birth)`, kept across
-    /// cycles so a warm step allocates nothing.
-    candidates: Vec<(usize, u64)>,
 }
 
 impl Crossbar {
@@ -99,7 +96,6 @@ impl Crossbar {
                 injected_by_src: vec![0; cfg.inputs],
                 ..CrossbarStats::default()
             },
-            candidates: Vec::new(),
         }
     }
 
@@ -148,23 +144,22 @@ impl Crossbar {
         self.ejected.drain(..).collect()
     }
 
-    /// Advances one cycle: each free output picks among the input-queue heads
-    /// that target it.
+    /// Advances one cycle: each free output grants one of the input-queue
+    /// heads that target it.
     pub fn step(&mut self) {
         for out in 0..self.cfg.outputs {
             if self.output_busy_until[out] > self.cycle {
                 continue;
             }
-            self.candidates.clear();
+            let mut requests = 0u64;
             for (input, q) in self.queues.iter().enumerate() {
-                if let Some(head) = q.front() {
-                    if head.dst.index() == out {
-                        self.candidates.push((input, head.birth));
-                    }
+                if q.front().is_some_and(|head| head.dst.index() == out) {
+                    requests |= 1 << input;
                 }
             }
-            if let Some(winner) = self.arbiters[out].pick(&self.candidates) {
-                // Invariant: every candidate was a non-empty queue head.
+            let birth_of = |input: usize| self.queues[input][0].birth;
+            if let Some(winner) = self.arbiters[out].grant(requests, birth_of) {
+                // Invariant: every requesting input has a queue head.
                 let Some(packet) = self.queues[winner].pop_front() else {
                     debug_assert!(false, "granted input queue is empty");
                     continue;

@@ -68,14 +68,6 @@ pub struct HierCrossbar {
     next_id: u64,
     ejected: Vec<Packet>,
     stats: CrossbarStats,
-    /// Working buffers of [`HierCrossbar::step`], kept across cycles so a
-    /// warm step allocates nothing: one arbitration's candidates, each
-    /// global candidate's position in its uplink queue (indexed by uplink
-    /// port, written for every candidate before it is read), and the
-    /// terminals one cluster already granted this cycle.
-    candidates: Vec<(usize, u64)>,
-    positions: Vec<usize>,
-    granted: Vec<bool>,
 }
 
 impl HierCrossbar {
@@ -125,9 +117,6 @@ impl HierCrossbar {
                 injected_by_src: vec![0; n],
                 ..CrossbarStats::default()
             },
-            candidates: Vec::new(),
-            positions: vec![usize::MAX; cfg.clusters * cfg.uplink_speedup],
-            granted: vec![false; cfg.terminals_per_cluster],
         }
     }
 
@@ -193,38 +182,36 @@ impl HierCrossbar {
     /// Advances one cycle: global stage first (on queued uplink packets),
     /// then cluster uplinks pull from terminal queues.
     pub fn step(&mut self) {
-        // ---- Global stage: outputs pick among uplink-queued packets. ------
+        // ---- Global stage: outputs grant among uplink-queued packets. -----
         // The global switch is virtual-output-queued: an output may pull the
         // *first packet destined to it* from any uplink queue, so one busy
-        // output never head-of-line-blocks traffic for the others.
+        // output never head-of-line-blocks traffic for the others. Uplink
+        // port `c * uplink_speedup + p` is queue `[c][p]`.
+        let speedup = self.cfg.uplink_speedup;
         for out in 0..self.cfg.outputs {
             if self.output_busy_until[out] > self.cycle {
                 continue;
             }
-            self.candidates.clear();
-            for c in 0..self.cfg.clusters {
-                for p in 0..self.cfg.uplink_speedup {
-                    let port = c * self.cfg.uplink_speedup + p;
-                    if let Some((pos, pkt)) = self.uplink_queues[c][p]
-                        .iter()
-                        .enumerate()
-                        .find(|(_, pkt)| pkt.dst.index() == out)
-                    {
-                        self.positions[port] = pos;
-                        self.candidates.push((port, pkt.birth));
-                    }
+            let first_to_out = |port: usize| {
+                let q = &self.uplink_queues[port / speedup][port % speedup];
+                q.iter()
+                    .position(|pkt| pkt.dst.index() == out)
+                    .map(|pos| (pos, q[pos].birth))
+            };
+            let mut requests = 0u64;
+            for port in 0..self.cfg.clusters * speedup {
+                if first_to_out(port).is_some() {
+                    requests |= 1 << port;
                 }
             }
-            if let Some(winner) = self.output_arbiters[out].pick(&self.candidates) {
-                let (c, p) = (
-                    winner / self.cfg.uplink_speedup,
-                    winner % self.cfg.uplink_speedup,
-                );
-                // Invariant: the arbiter only returns indices that were in
-                // `candidates`, and each candidate recorded its queue
-                // position. Skip the grant (losing one cycle, not the run)
-                // if that ever breaks.
-                let Some(packet) = self.uplink_queues[c][p].remove(self.positions[winner]) else {
+            let birth_of = |port: usize| first_to_out(port).map_or(u64::MAX, |(_, birth)| birth);
+            if let Some(winner) = self.output_arbiters[out].grant(requests, birth_of) {
+                // Invariant: every requesting port queues a packet to `out`.
+                // Skip the grant (losing one cycle, not the run) if that
+                // ever breaks.
+                let pos = first_to_out(winner).map(|(pos, _)| pos);
+                let queue = &mut self.uplink_queues[winner / speedup][winner % speedup];
+                let Some(packet) = pos.and_then(|pos| queue.remove(pos)) else {
                     debug_assert!(false, "granted uplink lost its candidate packet");
                     continue;
                 };
@@ -239,28 +226,26 @@ impl HierCrossbar {
         // ---- Cluster stage: each uplink port pulls one terminal head. -----
         for c in 0..self.cfg.clusters {
             let base = c * self.cfg.terminals_per_cluster;
-            // Track terminals already granted this cycle so two ports of the
-            // same cluster never pull from one queue simultaneously.
-            self.granted.fill(false);
-            for p in 0..self.cfg.uplink_speedup {
+            // Terminals with a head, less those already granted this cycle,
+            // so two ports of the same cluster never pull from one queue
+            // simultaneously.
+            let mut requests = 0u64;
+            for t in 0..self.cfg.terminals_per_cluster {
+                if !self.term_queues[base + t].is_empty() {
+                    requests |= 1 << t;
+                }
+            }
+            for p in 0..speedup {
                 if self.uplink_busy_until[c][p] > self.cycle {
                     continue;
                 }
                 if self.uplink_queues[c][p].len() >= self.cfg.buffer_packets {
                     continue;
                 }
-                self.candidates.clear();
-                for (t, taken) in self.granted.iter().enumerate() {
-                    if *taken {
-                        continue;
-                    }
-                    if let Some(head) = self.term_queues[base + t].front() {
-                        self.candidates.push((t, head.birth));
-                    }
-                }
-                if let Some(winner) = self.uplink_arbiters[c][p].pick(&self.candidates) {
-                    self.granted[winner] = true;
-                    // Invariant: every candidate was a non-empty queue head.
+                let birth_of = |t: usize| self.term_queues[base + t][0].birth;
+                if let Some(winner) = self.uplink_arbiters[c][p].grant(requests, birth_of) {
+                    requests &= !(1 << winner);
+                    // Invariant: every requesting terminal has a queue head.
                     let Some(packet) = self.term_queues[base + winner].pop_front() else {
                         debug_assert!(false, "granted terminal queue is empty");
                         continue;

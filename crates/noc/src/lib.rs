@@ -51,8 +51,8 @@ pub use error::{LossReason, NocError};
 pub use hier::{HierConfig, HierCrossbar};
 pub use memsim::{run_memsim, MemSimConfig, MemSimNets, MemSimResult};
 pub use mesh::{
-    check_mesh_dims, event_skip_enabled, set_event_skip_enabled, Mesh, MeshConfig, MeshStats,
-    RouteOrder, MAX_NODES, NUM_PORTS,
+    check_mesh_dims, event_skip_enabled, Engine, Mesh, MeshConfig, MeshStats, RouteOrder,
+    MAX_NODES, NUM_PORTS,
 };
 pub use packet::{NodeId, Packet, PacketClass};
 pub use reliable::{ReliabilityStats, ReliableMesh, RetryConfig, TransferId, TransferOutcome};

@@ -18,7 +18,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Router port indices.
@@ -155,33 +154,25 @@ const UNREACHABLE: u8 = u8::MAX;
 /// end: the local port and ports off the mesh edge.
 const NO_LINK: u32 = u32::MAX;
 
-/// Process-wide engine selector. When enabled (the default),
-/// [`Mesh::skip_idle_to`] may fast-forward across spans it has proven inert;
-/// when disabled every skip call is a no-op and `run`/`run_until_quiescent`
-/// tick cycle by cycle — the reference engine the differential suite and the
-/// ci.sh parity gates compare against. Initialised once from the
-/// `GNOC_ENGINE` environment variable (`cycle` disables, anything else
-/// enables) so whole-process runs can flip engines without threading a flag.
-fn event_skip_cell() -> &'static AtomicBool {
-    static CELL: OnceLock<AtomicBool> = OnceLock::new();
-    CELL.get_or_init(|| {
-        AtomicBool::new(!matches!(
-            std::env::var("GNOC_ENGINE").as_deref(),
-            Ok("cycle")
-        ))
-    })
+/// How a simulator advances its clock. Both engines are bit-identical on
+/// every observable (stats, ejections, traces, recorder output); each
+/// simulator carries its own, so two runs in one process never share one.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum Engine {
+    /// Step every cycle, quiet ones included: the reference engine the
+    /// differential suite and the ci.sh parity gates compare against.
+    Cycle,
+    /// Fast-forward across the spans a step proves inert
+    /// ([`Mesh::skip_idle_to`]).
+    #[default]
+    Event,
 }
 
-/// Whether the event-driven engine (next-event skip) is enabled.
+/// Whether a new simulator starts on the event engine: always, since the
+/// engine is per simulator and defaults to [`Engine::Event`]. Kept for
+/// callers that report which engine a library run used.
 pub fn event_skip_enabled() -> bool {
-    event_skip_cell().load(Ordering::Relaxed)
-}
-
-/// Enables or disables the event-driven engine process-wide. Both engines
-/// are bit-identical on every observable (stats, ejections, traces, recorder
-/// output); this knob exists for differential testing and benchmarking.
-pub fn set_event_skip_enabled(on: bool) {
-    event_skip_cell().store(on, Ordering::Relaxed)
+    Engine::default() == Engine::Event
 }
 
 /// Key of one interned up*/down* table set: the mesh geometry, the routing
@@ -415,8 +406,11 @@ pub struct Mesh {
     /// inert: no packet can move, no loss can occur, and every waiting
     /// head's stall classification is constant until this cycle. `<= cycle`
     /// means "unknown / not quiet". Any external mutation (injection,
-    /// quarantine, ejection toggling, …) resets it to `cycle`.
+    /// quarantine, ejection toggling, …) resets it to `cycle`, and only
+    /// the event engine ever sets it past `cycle`.
     quiet_until: u64,
+    /// How `run` and `drain` advance the clock ([`Mesh::set_engine`]).
+    engine: Engine,
     /// Causal per-message flight recorder (`gnoc profile`), boxed and absent
     /// by default so unprofiled runs pay one pointer of state and a handful
     /// of `is_some` branches per cycle.
@@ -494,6 +488,7 @@ impl Mesh {
             corrupted: IdSet::default(),
             occupancy: 0,
             quiet_until: 0,
+            engine: Engine::default(),
             recorder: None,
             moves: Vec::new(),
             self_heal: false,
@@ -635,6 +630,13 @@ impl Mesh {
     /// Whether self-healing mode is on.
     pub fn self_healing(&self) -> bool {
         self.self_heal
+    }
+
+    /// Selects the engine. A switch mid-run starts from the conservative
+    /// "not quiet", so the next cycle is stepped in full.
+    pub fn set_engine(&mut self, engine: Engine) {
+        self.engine = engine;
+        self.quiet_until = self.cycle;
     }
 
     /// The directed-link index of `(router, dir)`, validated against the
@@ -1583,9 +1585,8 @@ impl Mesh {
         let quiet = self.step_inner();
         self.steps += 1;
         // The bound is only computed when a skip could use it, so the
-        // reference engine's per-cycle cost is unchanged. Re-enabling the
-        // event engine mid-run starts from the conservative "unknown".
-        self.quiet_until = if quiet && event_skip_enabled() {
+        // reference engine's per-cycle cost is unchanged.
+        self.quiet_until = if quiet && self.engine == Engine::Event {
             self.activity_bound()
         } else {
             self.cycle
@@ -1917,11 +1918,8 @@ impl Mesh {
     /// packet moves or dies, no RNG is drawn (fault draws happen only on
     /// moves), stall charges are batch-replicated per waiting head, and
     /// every crossed window boundary is closed at its exact cycle. A no-op
-    /// when the event engine is disabled ([`set_event_skip_enabled`]).
+    /// on [`Engine::Cycle`], which never proves a span inert.
     pub fn skip_idle_to(&mut self, limit: u64) {
-        if !event_skip_enabled() {
-            return;
-        }
         let target = limit.min(self.quiet_until);
         if target <= self.cycle {
             return;
@@ -1965,9 +1963,8 @@ impl Mesh {
 
     /// Runs `cycles` cycles: a full step whenever the mesh can act and, on
     /// the event engine, a next-event skip across each span proven inert.
-    /// With the event engine disabled ([`set_event_skip_enabled`]) every
-    /// cycle is stepped: that is the cycle-exact reference, and the two are
-    /// bit-identical on every observable.
+    /// On [`Engine::Cycle`] every cycle is stepped: that is the cycle-exact
+    /// reference, and the two are bit-identical on every observable.
     pub fn run(&mut self, cycles: u64) {
         let target = self.cycle.saturating_add(cycles);
         while self.cycle < target {
@@ -2566,8 +2563,6 @@ mod tests {
         let run = |event: bool| {
             let mut m = contentious_faulted_mesh();
             if event {
-                // `run` skips only spans `step` proved inert, so the
-                // comparison is valid regardless of the global toggle.
                 m.run(5_000);
             } else {
                 for _ in 0..5_000 {

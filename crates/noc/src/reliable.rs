@@ -13,7 +13,7 @@
 //! dropped.
 
 use crate::error::{LossReason, NocError};
-use crate::mesh::{Mesh, MeshConfig};
+use crate::mesh::{Engine, Mesh, MeshConfig};
 use crate::packet::{NodeId, PacketClass};
 use gnoc_faults::FaultPlan;
 use gnoc_telemetry::{IdMap, MetricRegistry, TraceEvent, SUBSYSTEM_NOC};
@@ -268,6 +268,11 @@ impl ReliableMesh {
     /// Mutable access to the wrapped mesh (telemetry attachment etc.).
     pub fn mesh_mut(&mut self) -> &mut Mesh {
         &mut self.mesh
+    }
+
+    /// Selects the wrapped mesh's engine ([`Mesh::set_engine`]).
+    pub fn set_engine(&mut self, engine: Engine) {
+        self.mesh.set_engine(engine);
     }
 
     /// Statistics so far.
@@ -637,9 +642,8 @@ impl ReliableMesh {
     /// was smaller than the watchdog window.
     ///
     /// On the event engine, idle spans (ACK-timeout waits, watchdog
-    /// countdowns) are skipped; with it disabled
-    /// ([`crate::set_event_skip_enabled`]) every cycle is stepped. The two
-    /// are bit-identical.
+    /// countdowns) are skipped; on [`Engine::Cycle`] every cycle is
+    /// stepped. The two are bit-identical.
     pub fn run_until_quiescent(&mut self, max_cycles: u64) -> bool {
         let start = self.mesh.cycle();
         let end = start.saturating_add(max_cycles);

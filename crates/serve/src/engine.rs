@@ -52,6 +52,9 @@ pub struct ServeConfig {
     pub row_delay_ms: u64,
     /// Worker threads in the execution pool (0 = resolve from environment).
     pub jobs: usize,
+    /// The NoC engine mesh, fabric, chaos and replay jobs step on. Never
+    /// changes a payload, so it is not part of a job's cache key.
+    pub engine: gnoc_core::noc::Engine,
 }
 
 impl ServeConfig {
@@ -66,6 +69,7 @@ impl ServeConfig {
             max_transfers: 0,
             row_delay_ms: 0,
             jobs: 1,
+            engine: gnoc_core::noc::Engine::default(),
         }
     }
 }
@@ -586,13 +590,14 @@ fn scheduler_loop(s: &Shared) {
         // catch_unwind so one panicking simulation is one Failed response,
         // not a dead worker or daemon.
         let ckpt_dir = s.cfg.state_dir.join("ckpt");
-        let row_delay = s.cfg.row_delay_ms;
+        let (row_delay, engine) = (s.cfg.row_delay_ms, s.cfg.engine);
         let outcomes: Vec<run::ExecOutcome> = pool.par_map(&batch, |job| {
             match catch_unwind(AssertUnwindSafe(|| {
-                run::execute(
+                run::execute_on(
                     &job.spec,
                     &ckpt_dir.join(format!("{}.json", job.key)),
                     row_delay,
+                    engine,
                 )
             })) {
                 Ok(outcome) => outcome,

@@ -16,6 +16,7 @@
 
 use crate::protocol::{json_str, JobSpec};
 use gnoc_chaos::{run_chaos, ChaosConfig, ChaosOptions};
+use gnoc_core::noc::Engine as NocEngine;
 use gnoc_core::soak::{FabricSoak, MeshSoak, SOAK_CYCLE_BUDGET};
 use gnoc_core::telemetry::TelemetryHandle;
 use gnoc_core::trace::TraceReader;
@@ -49,10 +50,20 @@ fn fail(msg: String) -> ExecOutcome {
     }
 }
 
-/// Executes `spec`. `ckpt` is the per-key checkpoint path campaigns persist
-/// to; `row_delay_ms` is the testing-only per-row sleep (see
-/// [`crate::ServeConfig::row_delay_ms`]).
+/// Executes `spec` on the default NoC engine ([`execute_on`]).
 pub fn execute(spec: &JobSpec, ckpt: &Path, row_delay_ms: u64) -> ExecOutcome {
+    execute_on(spec, ckpt, row_delay_ms, NocEngine::default())
+}
+
+/// Executes `spec`, stepping its meshes and fabrics on `engine`. `ckpt` is
+/// the per-key checkpoint path campaigns persist to; `row_delay_ms` is the
+/// testing-only per-row sleep (see [`crate::ServeConfig::row_delay_ms`]).
+pub fn execute_on(
+    spec: &JobSpec,
+    ckpt: &Path,
+    row_delay_ms: u64,
+    engine: NocEngine,
+) -> ExecOutcome {
     match spec {
         JobSpec::Campaign {
             device,
@@ -75,19 +86,19 @@ pub fn execute(spec: &JobSpec, ckpt: &Path, row_delay_ms: u64) -> ExecOutcome {
             seed,
             transfers,
             plan,
-        } => run_mesh(*seed, *transfers, plan.as_ref()),
+        } => run_mesh(*seed, *transfers, plan.as_ref(), engine),
         JobSpec::Chaos {
             seed_start,
             seed_count,
             transfers,
-        } => run_chaos_job(*seed_start, *seed_count, *transfers),
+        } => run_chaos_job(*seed_start, *seed_count, *transfers, engine),
         JobSpec::Fabric {
             devices,
             topology,
             seed,
             transfers,
-        } => run_fabric_job(*devices, topology, *seed, *transfers),
-        JobSpec::Replay { trace_hex, plan } => run_replay_job(trace_hex, plan.as_ref()),
+        } => run_fabric_job(*devices, topology, *seed, *transfers, engine),
+        JobSpec::Replay { trace_hex, plan } => run_replay_job(trace_hex, plan.as_ref(), engine),
     }
 }
 
@@ -169,8 +180,13 @@ fn run_campaign(
     )
 }
 
-fn run_mesh(seed: u64, transfers: usize, plan: Option<&FaultPlan>) -> ExecOutcome {
-    let soak = MeshSoak::paper(ArbiterKind::RoundRobin, seed, transfers);
+fn run_mesh(
+    seed: u64,
+    transfers: usize,
+    plan: Option<&FaultPlan>,
+    engine: NocEngine,
+) -> ExecOutcome {
+    let soak = MeshSoak::paper(ArbiterKind::RoundRobin, seed, transfers, engine);
     let mut rm = match soak.build(plan) {
         Ok(rm) => rm,
         Err(e) => return fail(format!("mesh setup: {e}")),
@@ -203,7 +219,12 @@ fn run_mesh(seed: u64, transfers: usize, plan: Option<&FaultPlan>) -> ExecOutcom
     )
 }
 
-fn run_chaos_job(seed_start: u64, seed_count: u64, transfers: u32) -> ExecOutcome {
+fn run_chaos_job(
+    seed_start: u64,
+    seed_count: u64,
+    transfers: u32,
+    engine: NocEngine,
+) -> ExecOutcome {
     let cfg = ChaosConfig {
         device: None, // NoC-only: device oracles are the campaign op's job
         transfers,
@@ -211,6 +232,7 @@ fn run_chaos_job(seed_start: u64, seed_count: u64, transfers: u32) -> ExecOutcom
     };
     let opts = ChaosOptions {
         seeds: (seed_start..seed_start.saturating_add(seed_count)).collect(),
+        engine,
         ..ChaosOptions::default()
     };
     let run = match run_chaos(&cfg, &opts, &TelemetryHandle::disabled()) {
@@ -238,7 +260,13 @@ fn run_chaos_job(seed_start: u64, seed_count: u64, transfers: u32) -> ExecOutcom
     )
 }
 
-fn run_fabric_job(devices: u32, topology: &str, seed: u64, transfers: usize) -> ExecOutcome {
+fn run_fabric_job(
+    devices: u32,
+    topology: &str,
+    seed: u64,
+    transfers: usize,
+    engine: NocEngine,
+) -> ExecOutcome {
     let Some(topo) = FabricTopology::parse(topology) else {
         return fail(format!("unknown fabric topology {topology:?}"));
     };
@@ -247,6 +275,7 @@ fn run_fabric_job(devices: u32, topology: &str, seed: u64, transfers: usize) -> 
         seed,
         transfers,
         cycles: SOAK_CYCLE_BUDGET,
+        engine,
     };
     let mut sim = match soak.build(None) {
         Ok(sim) => sim,
@@ -291,14 +320,14 @@ fn run_fabric_job(devices: u32, topology: &str, seed: u64, transfers: usize) -> 
 /// corrupt chunk, or a fault-plan mismatch fails the job; a truncated tail
 /// succeeds with `"complete":false` (the salvage contract the CLI's
 /// `gnoc trace replay` also honors).
-fn run_replay_job(trace_hex: &str, plan: Option<&FaultPlan>) -> ExecOutcome {
+fn run_replay_job(trace_hex: &str, plan: Option<&FaultPlan>, engine: NocEngine) -> ExecOutcome {
     let reader = gnoc_core::trace::from_hex(trace_hex)
         .and_then(|bytes| TraceReader::from_bytes(bytes).map_err(|e| e.to_string()));
     let mut reader = match reader {
         Ok(r) => r,
         Err(e) => return fail(format!("replay: {e}")),
     };
-    let r = match trace_digest::replay(&mut reader, plan, &TelemetryHandle::disabled()) {
+    let r = match trace_digest::replay(&mut reader, plan, &TelemetryHandle::disabled(), engine) {
         Ok(r) => r,
         Err(ReplayFailure::PlanMismatch { recorded, supplied }) => {
             return fail(format!(

@@ -19,17 +19,15 @@
 //! 7. the exact number of cycles the event engine still steps in full on
 //!    an idle-heavy mesh soak and a faulted 4-die fabric soak.
 //!
-//! The cycle-exact reference is the same run loop with the event engine
-//! disabled (`set_event_skip_enabled(false)`); a bare mesh's reference arm
-//! steps every cycle itself. The engine toggle is process-global, so every
-//! test serializes on one mutex and restores the default (event) engine on
-//! exit, panic included.
+//! The cycle-exact reference is the same run loop on a simulator set to
+//! `Engine::Cycle`; a bare mesh's reference arm steps every cycle itself.
+//! The engine is per simulator, so the tests run in parallel.
 
 use gnoc_chaos::{run_chaos, ChaosConfig, ChaosOptions};
 use gnoc_core::faults::{Direction, LinkFault, LinkFaultKind, RouterStall};
 use gnoc_core::noc::{
-    fabric_soak, set_event_skip_enabled, ArbiterKind, MeshConfig, MeshStats, NodeId, PacketClass,
-    ReliabilityStats, ReliableMesh, RetryConfig, RouteOrder, TransferOutcome,
+    fabric_soak, ArbiterKind, Engine, MeshConfig, MeshStats, NodeId, PacketClass, ReliabilityStats,
+    ReliableMesh, RetryConfig, RouteOrder, TransferOutcome,
 };
 use gnoc_core::telemetry::hash::SplitMix64;
 use gnoc_core::telemetry::{TelemetryHandle, TraceEvent, TraceSink};
@@ -38,31 +36,6 @@ use gnoc_core::{
     trace_digest, FabricConfig, FabricSim, FabricStats, FabricTopology, FaultGenConfig, FaultPlan,
     Mesh,
 };
-use std::sync::Mutex;
-
-/// Serializes tests that read or flip the process-global engine toggle.
-static ENGINE_LOCK: Mutex<()> = Mutex::new(());
-
-/// Holds the lock for a test's duration and restores the default (event)
-/// engine afterwards, even on panic.
-struct EngineGuard<'a> {
-    _lock: std::sync::MutexGuard<'a, ()>,
-}
-
-impl EngineGuard<'_> {
-    fn take() -> Self {
-        let lock = ENGINE_LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        Self { _lock: lock }
-    }
-}
-
-impl Drop for EngineGuard<'_> {
-    fn drop(&mut self) {
-        set_event_skip_enabled(true);
-    }
-}
 
 /// A generated plan with everything the event core must preserve across
 /// skipped spans: dead links, flaky links, router stalls, transients, and
@@ -100,9 +73,18 @@ fn mesh_cfg() -> MeshConfig {
     MeshConfig::paper_6x6(ArbiterKind::RoundRobin).with_vcs(2)
 }
 
+/// Runs `soak` on the event engine and on the cycle-exact one at the same
+/// time, on two threads, and returns `(event, cycle)`.
+fn on_both_engines<T: Send>(soak: impl Fn(Engine) -> T + Sync) -> (T, T) {
+    std::thread::scope(|s| {
+        let event = s.spawn(|| soak(Engine::Event));
+        let cycle = s.spawn(|| soak(Engine::Cycle));
+        (event.join().unwrap(), cycle.join().unwrap())
+    })
+}
+
 #[test]
 fn mesh_runs_bit_identical_across_generated_plans() {
-    let _guard = EngineGuard::take();
     for seed in 0..25u64 {
         let plan = FaultPlan::generate(&gen_cfg(seed, 6, 6, 1));
         let build = || {
@@ -147,13 +129,12 @@ fn mesh_runs_bit_identical_across_generated_plans() {
 
 #[test]
 fn reliable_mesh_soaks_bit_identical_across_seeds() {
-    let _guard = EngineGuard::take();
     for seed in 0..25u64 {
         let plan = FaultPlan::generate(&gen_cfg(seed, 6, 6, 1));
-        let soak = |event: bool| {
-            set_event_skip_enabled(event);
+        let soak = |engine| {
             let mut rm = ReliableMesh::with_faults(mesh_cfg(), &plan, RetryConfig::default())
                 .expect("plan fits the mesh");
+            rm.set_engine(engine);
             let mut rng = SplitMix64::new(seed ^ 0xabcd);
             for _ in 0..48 {
                 let src = (rng.next() % 36) as u32;
@@ -176,7 +157,8 @@ fn reliable_mesh_soaks_bit_identical_across_seeds() {
                 rm.mesh_mut().drain_ejected(),
             )
         };
-        assert_eq!(soak(true), soak(false), "seed {seed}: soak diverged");
+        let (event, cycle) = on_both_engines(soak);
+        assert_eq!(event, cycle, "seed {seed}: soak diverged");
     }
 }
 
@@ -195,12 +177,11 @@ impl TraceSink for LineSink {
 
 #[test]
 fn flight_recorder_jsonl_is_byte_identical() {
-    let _guard = EngineGuard::take();
-    let profile = |event: bool| {
-        set_event_skip_enabled(event);
+    let profile = |engine| {
         let plan = FaultPlan::generate(&gen_cfg(3, 6, 6, 1));
         let mut rm = ReliableMesh::with_faults(mesh_cfg(), &plan, RetryConfig::default())
             .expect("plan fits the mesh");
+        rm.set_engine(engine);
         rm.mesh_mut().attach_flight_recorder();
         let mut rng = SplitMix64::new(17u64);
         for _ in 0..48 {
@@ -219,8 +200,7 @@ fn flight_recorder_jsonl_is_byte_identical() {
         rec.stream_to(&mut sink);
         sink.lines
     };
-    let event_lines = profile(true);
-    let cycle_lines = profile(false);
+    let (event_lines, cycle_lines) = on_both_engines(profile);
     assert!(!event_lines.is_empty());
     assert_eq!(
         event_lines, cycle_lines,
@@ -235,13 +215,12 @@ fn flight_recorder_jsonl_is_byte_identical() {
 /// the queues after every step (in debug builds).
 #[test]
 fn max_vc_mesh_bit_identical_across_engines() {
-    let _guard = EngineGuard::take();
     let cfg = MeshConfig::paper_6x6(ArbiterKind::RoundRobin).with_vcs(12);
     for seed in 0..6u64 {
         let plan = FaultPlan::generate(&gen_cfg(seed, 6, 6, 1));
-        let run = |event: bool| {
-            set_event_skip_enabled(event);
+        let run = |engine| {
             let mut m = Mesh::try_new(cfg).expect("12 VCs is legal");
+            m.set_engine(engine);
             m.apply_fault_plan(&plan).expect("plan fits the mesh");
             m.attach_flight_recorder();
             let mut rng = SplitMix64::new(seed);
@@ -278,8 +257,7 @@ fn max_vc_mesh_bit_identical_across_engines() {
                 sink.lines,
             )
         };
-        let event = run(true);
-        let cycle = run(false);
+        let (event, cycle) = on_both_engines(run);
         assert!(
             event.2.iter().any(|p| p.class == PacketClass::Reply),
             "seed {seed}: no reply reached the highest VC"
@@ -294,15 +272,14 @@ fn max_vc_mesh_bit_identical_across_engines() {
 
 #[test]
 fn fabric_soaks_bit_identical_across_devices() {
-    let _guard = EngineGuard::take();
     for devices in 2..=4u32 {
         for seed in 0..8u64 {
             let plan = FaultPlan::generate(&gen_cfg(seed, 5, 5, devices));
-            let soak = |event: bool| {
-                set_event_skip_enabled(event);
+            let soak = |engine| {
                 let mut sim =
                     FabricSim::with_faults(FabricConfig::new(devices, FabricTopology::Ring), &plan)
                         .expect("plan fits the fabric");
+                sim.set_engine(engine);
                 for t in fabric_soak(seed ^ u64::from(devices) << 32, devices, 25).take(24) {
                     sim.submit(
                         t.src_dev,
@@ -324,9 +301,9 @@ fn fabric_soaks_bit_identical_across_devices() {
                     sim.outcomes(),
                 )
             };
+            let (event, cycle) = on_both_engines(soak);
             assert_eq!(
-                soak(true),
-                soak(false),
+                event, cycle,
                 "devices {devices} seed {seed}: fabric soak diverged"
             );
         }
@@ -341,15 +318,14 @@ fn fabric_soaks_bit_identical_across_devices() {
 /// cycle-exact engine.
 #[test]
 fn recorded_fabric_dies_bit_identical_across_engines() {
-    let _guard = EngineGuard::take();
     for devices in 2..=4u32 {
         for seed in 0..5u64 {
             let plan = FaultPlan::generate(&gen_cfg(seed, 5, 5, devices));
-            let soak = |event: bool| {
-                set_event_skip_enabled(event);
+            let soak = |engine| {
                 let mut sim =
                     FabricSim::with_faults(FabricConfig::new(devices, FabricTopology::Ring), &plan)
                         .expect("plan fits the fabric");
+                sim.set_engine(engine);
                 sim.attach_flight_recorder();
                 for d in 0..devices {
                     let die = sim.die_mut(d);
@@ -415,8 +391,7 @@ fn recorded_fabric_dies_bit_identical_across_engines() {
                     lines,
                 )
             };
-            let event = soak(true);
-            let cycle = soak(false);
+            let (event, cycle) = on_both_engines(soak);
             assert!(
                 event.4.iter().all(|l| !l.is_empty()),
                 "every recorder saw traffic"
@@ -449,18 +424,14 @@ fn assert_replays_match(
     what: &str,
     bytes: &[u8],
     recorded: &str,
-    replay: impl Fn(&mut TraceReader<std::io::Cursor<Vec<u8>>>) -> String,
+    replay: impl Fn(&mut TraceReader<std::io::Cursor<Vec<u8>>>, Engine) -> String + Sync,
 ) {
-    for event in [true, false] {
-        set_event_skip_enabled(event);
+    let (event, cycle) = on_both_engines(|engine| {
         let mut reader = TraceReader::from_bytes(bytes.to_vec()).expect("trace opens");
-        assert_eq!(
-            replay(&mut reader),
-            recorded,
-            "{what}: replay (event engine {event}) diverged from the recording"
-        );
-    }
-    set_event_skip_enabled(true);
+        replay(&mut reader, engine)
+    });
+    assert_eq!(event, recorded, "{what}: event-engine replay diverged");
+    assert_eq!(cycle, recorded, "{what}: cycle-exact replay diverged");
 }
 
 /// Record → replay with submissions thousands of cycles apart: the replay
@@ -469,7 +440,6 @@ fn assert_replays_match(
 /// engines — for the reliable mesh and a 4-device fabric.
 #[test]
 fn sparse_trace_replays_bit_identical_across_engines() {
-    let _guard = EngineGuard::take();
     let seed = 7;
     let plan = FaultPlan::generate(&gen_cfg(seed, 6, 6, 1));
     let cycles = sparse_cycles(seed);
@@ -496,9 +466,10 @@ fn sparse_trace_replays_bit_identical_across_engines() {
         .expect("tap attached")
         .finish_bytes(0)
         .expect("in-memory finalize");
-    assert_replays_match("reliable mesh", &bytes, &recorded, |reader| {
+    assert_replays_match("reliable mesh", &bytes, &recorded, |reader, engine| {
         let mut rm = ReliableMesh::with_faults(mesh_cfg(), &plan, RetryConfig::default())
             .expect("plan fits the mesh");
+        rm.set_engine(engine);
         let outcome = rm.replay_from(reader).expect("trace replays");
         assert_eq!(outcome.replayed, 10);
         assert!(rm.run_until_quiescent(200_000));
@@ -541,8 +512,9 @@ fn sparse_trace_replays_bit_identical_across_engines() {
         .expect("tap attached")
         .finish_bytes(0)
         .expect("in-memory finalize");
-    assert_replays_match("fabric", &bytes, &recorded, |reader| {
+    assert_replays_match("fabric", &bytes, &recorded, |reader, engine| {
         let mut sim = build();
+        sim.set_engine(engine);
         let outcome = sim.replay_from(reader).expect("trace replays");
         assert_eq!(outcome.replayed, 10);
         assert!(sim.run_until_quiescent(200_000));
@@ -552,9 +524,7 @@ fn sparse_trace_replays_bit_identical_across_engines() {
 
 #[test]
 fn chaos_reports_identical_under_both_engines_and_jobs() {
-    let _guard = EngineGuard::take();
-    let run = |event: bool, jobs: usize| {
-        set_event_skip_enabled(event);
+    let run = |engine, jobs| {
         let cfg = ChaosConfig {
             device: None, // NoC-only: device oracles never touch the engine
             ..ChaosConfig::default()
@@ -562,16 +532,17 @@ fn chaos_reports_identical_under_both_engines_and_jobs() {
         let opts = ChaosOptions {
             seeds: (0..10).collect(),
             jobs,
+            engine,
             ..ChaosOptions::default()
         };
         let run = run_chaos(&cfg, &opts, &TelemetryHandle::disabled()).expect("chaos soak runs");
         assert!(run.finished);
         run.report
     };
-    let reference = run(false, 1);
-    for jobs in [1usize, 2, 7] {
+    let reference = run(Engine::Cycle, 1);
+    for jobs in [1, 2, 7] {
         assert_eq!(
-            run(true, jobs),
+            run(Engine::Event, jobs),
             reference,
             "event-engine chaos report diverged at jobs={jobs}"
         );
@@ -591,8 +562,7 @@ struct SoakFingerprint<S> {
 /// whose drops buy long ACK-timeout waits, a router stall at 10k cycles, a
 /// dead link pair at 40k, 120 transfers run to quiescence, then a 100k-cycle
 /// quiet drain. Returns the fingerprint and the cycles stepped in full.
-fn idle_heavy_mesh_soak(event: bool) -> (SoakFingerprint<ReliabilityStats>, u64) {
-    set_event_skip_enabled(event);
+fn idle_heavy_mesh_soak(engine: Engine) -> (SoakFingerprint<ReliabilityStats>, u64) {
     let cfg = MeshConfig {
         width: 8,
         height: 8,
@@ -634,6 +604,7 @@ fn idle_heavy_mesh_soak(event: bool) -> (SoakFingerprint<ReliabilityStats>, u64)
         ..FaultPlan::none()
     };
     let mut rm = ReliableMesh::with_faults(cfg, &plan, retry).expect("plan fits the 8x8 mesh");
+    rm.set_engine(engine);
     for i in 0..120u32 {
         let (src, dst) = ((i * 7) % 64, (i * 13 + 31) % 64);
         if src != dst {
@@ -660,8 +631,7 @@ fn idle_heavy_mesh_soak(event: bool) -> (SoakFingerprint<ReliabilityStats>, u64)
 /// cycle 0 (flaky links at 35 % drop), with all 24 transfers between
 /// devices 0 and 1, so devices 2 and 3 sit quiet throughout. Returns the
 /// fingerprint, each die's full steps and the fabric's transfer polls.
-fn faulted_fabric_soak(event: bool) -> (SoakFingerprint<FabricStats>, Vec<u64>, u64) {
-    set_event_skip_enabled(event);
+fn faulted_fabric_soak(engine: Engine) -> (SoakFingerprint<FabricStats>, Vec<u64>, u64) {
     let plan = FaultPlan::generate(&FaultGenConfig {
         onset: 0,
         onset_storm_span: 0,
@@ -671,6 +641,7 @@ fn faulted_fabric_soak(event: bool) -> (SoakFingerprint<FabricStats>, Vec<u64>, 
     });
     let mut sim = FabricSim::with_faults(FabricConfig::new(4, FabricTopology::Ring), &plan)
         .expect("plan fits the fabric");
+    sim.set_engine(engine);
     let mut rng = SplitMix64::new(9u64);
     for _ in 0..24 {
         let sd = (rng.next() % 2) as u32;
@@ -704,12 +675,11 @@ fn faulted_fabric_soak(event: bool) -> (SoakFingerprint<FabricStats>, Vec<u64>, 
 /// stepping at most a third of them. The pinned counts catch any change in
 /// what the skips cover, including the O(1) cost of a quiet fabric die.
 /// The fabric's transfer polls are pinned the same way: a step polls only
-/// the transfers with an event due.
+/// the transfers with an event due. Each soak's two arms run at the same
+/// time.
 #[test]
 fn event_engine_step_counts_are_pinned() {
-    let _guard = EngineGuard::take();
-    let (fp, steps) = idle_heavy_mesh_soak(true);
-    let (reference, reference_steps) = idle_heavy_mesh_soak(false);
+    let ((fp, steps), (reference, reference_steps)) = on_both_engines(idle_heavy_mesh_soak);
     assert_eq!(fp, reference, "mesh soak diverged across engines");
     assert_eq!(reference_steps, reference.cycle);
     assert_eq!(
@@ -719,8 +689,8 @@ fn event_engine_step_counts_are_pinned() {
     );
     assert!(steps * 3 <= fp.cycle);
 
-    let (fp, steps, polls) = faulted_fabric_soak(true);
-    let (reference, reference_steps, reference_polls) = faulted_fabric_soak(false);
+    let ((fp, steps, polls), (reference, reference_steps, reference_polls)) =
+        on_both_engines(faulted_fabric_soak);
     assert_eq!(fp, reference, "fabric soak diverged across engines");
     assert_eq!(reference_steps, vec![reference.cycle; 4]);
     assert_eq!(
