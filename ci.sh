@@ -55,6 +55,15 @@ if grep -rnE 'candidates\[|\.pick\(' crates/noc/src; then
     exit 1
 fi
 
+echo "== one buffer representation in the mesh: no per-slot packet deques =="
+# Every buffered mesh packet lives in the one packet slab (crates/noc/src/
+# slab.rs), linked into per-slot FIFOs; a deque per slot must not grow back
+# beside it.
+if grep -nF 'VecDeque<Packet>' crates/noc/src/mesh.rs; then
+    echo "per-slot packet deque found above: queue packets in the mesh's packet slab"
+    exit 1
+fi
+
 echo "== one charge path in the fabric: no per-cycle FabricHop charges =="
 # FabricSim polls only the transfers with an event due and hands a waiting
 # transfer's FabricHop cycles to the recorder in one charge_n when its hop

@@ -220,3 +220,53 @@ fn quarantine_restores_patrol_delivery() {
     );
     assert!(report.delivered > 0);
 }
+
+/// A long faulted detection run reports the same on both engines, and the
+/// same as before the retry layer's timeout and watchdog scans started at
+/// the oldest unresolved transfer instead of the first ever submitted: the
+/// scans visit transfers in the same ascending order, so retries queue in
+/// the same order. The values were captured before that change.
+#[test]
+fn long_faulted_detection_report_is_pinned() {
+    let plan = FaultPlan::generate(&FaultGenConfig {
+        dead_link_fraction: 0.05,
+        flaky_links: 2,
+        flaky_drop_prob: 0.3,
+        ..FaultGenConfig::benign(3, 6, 6)
+    });
+    for engine in [gnoc_noc::Engine::Cycle, gnoc_noc::Engine::Event] {
+        let mut h = healer(&plan);
+        h.set_engine(engine);
+        h.run_detection(30_000).unwrap();
+        let r = h.report();
+        let json = serde_json::to_string(&r).unwrap();
+        let summary = (
+            r.patrol_rounds,
+            r.delivered,
+            r.lost,
+            r.retries,
+            r.reroutes,
+            r.transitions.len(),
+            gnoc_telemetry::hash::fnv1a64(json.as_bytes()),
+        );
+        assert_eq!(
+            summary,
+            (3904, 468_478, 0, 34, 12, 64, 14_669_696_760_266_048_355),
+            "{engine:?}"
+        );
+        assert_eq!(
+            r.quarantined_now,
+            [
+                "link 4:North",
+                "link 16:East",
+                "link 17:West",
+                "link 25:North",
+                "link 27:North",
+                "link 31:South",
+                "link 32:East",
+                "link 33:South",
+            ],
+            "{engine:?}"
+        );
+    }
+}

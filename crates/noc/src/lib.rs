@@ -43,6 +43,7 @@ mod mesh;
 mod packet;
 pub mod priorwork;
 mod reliable;
+mod slab;
 mod traffic;
 
 pub use arbiter::{Arbiter, ArbiterKind};

@@ -10,6 +10,7 @@
 use crate::arbiter::{Arbiter, ArbiterKind};
 use crate::error::{LossReason, NocError};
 use crate::packet::{NodeId, Packet, PacketClass};
+use crate::slab::PacketSlab;
 use gnoc_faults::{Direction, FaultPlan, FaultPlanError, LinkFaultKind};
 use gnoc_telemetry::{
     FlightRecorder, IdSet, MetricRegistry, StallKind, TelemetryHandle, TraceEvent, SUBSYSTEM_NOC,
@@ -331,6 +332,19 @@ impl MeshStats {
     }
 }
 
+/// The lane masks of one link `router * NUM_PORTS + port`, over the
+/// router-local slots `in_port * vcs + vc` (the arbiter inputs).
+#[derive(Debug, Clone, Copy, Default)]
+struct LinkLanes {
+    /// Arbitration requests: bit `in_port * vcs + vc` is set while that
+    /// slot's head routes to the output. Kept together with `head_route`.
+    requests: u64,
+    /// The lanes without downstream credit: every bit of VC `vc` is set
+    /// while the downstream input queue of that VC is full. Always zero
+    /// on the local port and on mesh-edge ports.
+    full: u64,
+}
+
 /// One arbitration grant: phase 1 of [`Mesh::step_inner`] decides it,
 /// phase 2 applies it.
 #[derive(Debug, Clone, Copy)]
@@ -345,8 +359,9 @@ struct Move {
 #[derive(Debug, Clone)]
 pub struct Mesh {
     cfg: MeshConfig,
-    /// Input buffers, one per slot ([`Mesh::slot`]).
-    queues: Vec<VecDeque<Packet>>,
+    /// Input buffers: one FIFO per slot ([`Mesh::slot`]), all linked
+    /// through one slab sized by the packets buffered.
+    buffers: PacketSlab,
     /// Packets queued per router across its slots. Every push and pop of a
     /// queue updates it, so a router with a zero count has no queue head to
     /// route, arbitrate, drop or charge, and the per-router passes of
@@ -357,21 +372,25 @@ pub struct Mesh {
     /// or a head with no surviving route. [`Mesh::refresh_head`] keeps it
     /// whenever a head or the routing function changes.
     head_route: Vec<u8>,
-    /// Arbitration requests, one mask per link `router * NUM_PORTS + port`:
-    /// bit `in_port * vcs + vc` is set while that router-local slot's head
-    /// routes to the output. Kept together with `head_route`.
-    requests: Vec<u64>,
+    /// Request and full-lane masks, one pair per link
+    /// `router * NUM_PORTS + port`. The request mask is kept with
+    /// `head_route`; the full mask is set by the push that fills a
+    /// downstream queue and cleared by the pop that frees it.
+    lanes: Vec<LinkLanes>,
     /// Requested outputs, one mask per router: bit `port` is set while the
     /// request mask of link `router * NUM_PORTS + port` is non-zero. Kept
-    /// together with `requests`.
+    /// together with the request masks.
     requested_ports: Vec<u8>,
     /// Each node's `(x, y)` = `(node % width, node / width)`, built once so
     /// routing never divides.
     xy: Vec<(u16, u16)>,
     /// The slot of VC 0 of the input queue each link feeds downstream, one
     /// per link; [`NO_LINK`] for the local port and mesh-edge ports. Built
-    /// once: the credit check and phase 2's push add the VC to it.
+    /// once: phase 2's push adds the VC to it.
     down_slot: Vec<u32>,
+    /// Bit `in_port * vcs` of every input port: shifted left by `vc`, the
+    /// router-local slots of VC `vc`, the lanes one full queue blocks.
+    vc_lanes: u64,
     /// `(in_port, vc)` of each router-local slot `in_port * vcs + vc` (the
     /// arbiter input index), so the step never divides by `vcs`.
     local_slots: [(u8, u8); Arbiter::MAX_INPUTS],
@@ -453,19 +472,16 @@ impl Mesh {
         let n = cfg.num_nodes();
         let mut mesh = Self {
             cfg,
-            // Not `vec!`: cloning hundreds of empty deques one by one costs
-            // more than the rest of the build.
-            queues: std::iter::repeat_with(VecDeque::new)
-                .take(n * NUM_PORTS * cfg.vcs)
-                .collect(),
+            buffers: PacketSlab::new(n * NUM_PORTS * cfg.vcs),
             queued: vec![0; n],
             head_route: vec![UNREACHABLE; n * NUM_PORTS * cfg.vcs],
-            requests: vec![0; n * NUM_PORTS],
+            lanes: vec![LinkLanes::default(); n * NUM_PORTS],
             requested_ports: vec![0; n],
             xy: Self::node_xy(cfg),
             // Filled below: it is built from the neighbour function, which
             // reads `xy`.
             down_slot: Vec::new(),
+            vc_lanes: Self::vc_lane_mask(cfg.vcs),
             local_slots: Self::local_slot_table(cfg.vcs),
             arbiters: vec![Arbiter::new(cfg.arbiter); n * NUM_PORTS],
             output_busy_until: vec![0; n * NUM_PORTS],
@@ -512,6 +528,11 @@ impl Mesh {
     fn local_slot_table(vcs: usize) -> [(u8, u8); Arbiter::MAX_INPUTS] {
         // `MeshConfig::validate` keeps `NUM_PORTS * vcs` within the table.
         std::array::from_fn(|input| ((input / vcs) as u8, (input % vcs) as u8))
+    }
+
+    /// The `vc_lanes` mask for `vcs` virtual channels per port.
+    fn vc_lane_mask(vcs: usize) -> u64 {
+        (0..NUM_PORTS).fold(0, |lanes, port| lanes | 1 << (port * vcs))
     }
 
     /// The `down_slot` table, from [`Mesh::neighbour_checked`].
@@ -929,6 +950,7 @@ impl Mesh {
 
     /// Attempts to inject a packet at `src`; returns `false` when the local
     /// input buffer is full (the terminal must retry later).
+    #[inline]
     pub fn try_inject(&mut self, src: NodeId, dst: NodeId, flits: u32, class: PacketClass) -> bool {
         let birth = self.cycle;
         self.try_inject_with_birth(src, dst, flits, class, birth)
@@ -938,6 +960,7 @@ impl Mesh {
     /// generators stamp packets with their *generation* time so that waiting
     /// in the source queue counts towards age — required for age-based
     /// arbitration to provide global fairness.
+    #[inline]
     pub fn try_inject_with_birth(
         &mut self,
         src: NodeId,
@@ -953,6 +976,11 @@ impl Mesh {
     /// Like [`Mesh::try_inject_with_birth`], but returns the assigned packet
     /// id on success so callers (the reliable-delivery layer) can match
     /// ejections and losses back to their transfers.
+    ///
+    /// Inlined, so a caller's refused injection (the common case at
+    /// saturation) costs the capacity check alone; an accepted one calls
+    /// out to [`Mesh::inject`].
+    #[inline]
     pub fn try_inject_tracked(
         &mut self,
         src: NodeId,
@@ -964,39 +992,49 @@ impl Mesh {
         assert!(src.index() < self.cfg.num_nodes(), "src out of range");
         assert!(dst.index() < self.cfg.num_nodes(), "dst out of range");
         let slot = self.slot(src.index(), LOCAL, self.vc_of(class));
-        if self.queues[slot].len() >= self.cfg.buffer_packets {
+        if self.buffers.len(slot) >= self.cfg.buffer_packets {
             return None;
         }
-        let id = self.next_id;
-        self.queues[slot].push_back(Packet {
-            id,
-            src,
-            dst,
-            flits,
-            birth,
-            class,
-        });
-        self.queued[src.index()] += 1;
-        if self.queues[slot].len() == 1 {
+        Some(self.inject(
+            slot,
+            Packet {
+                id: self.next_id,
+                src,
+                dst,
+                flits,
+                birth,
+                class,
+            },
+        ))
+    }
+
+    /// Queues `packet`, whose id is the next one, at `slot`, which has
+    /// room: the accepting half of [`Mesh::try_inject_tracked`]. Returns
+    /// the packet's id.
+    fn inject(&mut self, slot: usize, packet: Packet) -> u64 {
+        let src = packet.src.index();
+        let len = self.buffers.push(slot, packet);
+        self.queued[src] += 1;
+        if len == 1 {
             let faults = self.faults.take();
-            self.refresh_head(faults.as_deref(), src.index(), slot);
+            self.refresh_head(faults.as_deref(), src, slot);
             self.faults = faults;
         }
         self.next_id += 1;
         self.occupancy += 1;
         self.quiet_until = self.cycle;
-        self.stats.injected_by_src[src.index()] += 1;
+        self.stats.injected_by_src[src] += 1;
         if let Some(rec) = self.recorder.as_deref_mut() {
             rec.on_inject(
-                id,
-                src.index() as u32,
-                dst.index() as u32,
-                flits,
-                birth,
+                packet.id,
+                src as u32,
+                packet.dst.index() as u32,
+                packet.flits,
+                packet.birth,
                 self.cycle,
             );
         }
-        Some(id)
+        packet.id
     }
 
     /// Packets ejected since the last drain.
@@ -1004,6 +1042,15 @@ impl Mesh {
         // Copied out rather than taken, so the buffer keeps its capacity
         // and `step` does not reallocate it on the next ejection.
         self.ejected.drain(..).collect()
+    }
+
+    /// Swaps the ejection buffer with `buf`, which must be empty: the
+    /// caller receives the packets ejected since the last drain, and both
+    /// buffers keep their capacity, so a caller that hands the same buffer
+    /// back each cycle drains without allocating.
+    pub(crate) fn swap_ejected(&mut self, buf: &mut Vec<Packet>) {
+        debug_assert!(buf.is_empty(), "the swapped-in buffer must be empty");
+        std::mem::swap(&mut self.ejected, buf);
     }
 
     /// Packets lost to faults since the last drain, with the reason each was
@@ -1021,20 +1068,26 @@ impl Mesh {
 
     /// Packets currently buffered anywhere in the mesh. O(1): the count is
     /// maintained incrementally at injection, ejection, and every loss.
-    /// Debug builds also recompute the per-router counts, every cached head
-    /// route, every request and requested-port mask, and the geometry
-    /// tables, and assert they match.
+    /// Debug builds also walk the packet slab and check its queue table
+    /// (lengths, heads, tails) against the links, recompute the per-router
+    /// counts, every cached head route, every request, full-lane and
+    /// requested-port mask, and the geometry tables, and assert they match.
     pub fn in_flight(&self) -> usize {
+        debug_assert!(
+            self.buffers.is_coherent(),
+            "the packet slab's links diverged from its queue table"
+        );
         debug_assert_eq!(
             self.occupancy,
-            self.queues.iter().map(VecDeque::len).sum::<usize>(),
+            (0..self.head_route.len())
+                .map(|slot| self.buffers.len(slot))
+                .sum::<usize>(),
             "incremental occupancy diverged from the queues"
         );
         debug_assert!(
             self.queued.iter().enumerate().all(|(r, &queued)| queued
-                == self.queues[self.slot(r, 0, 0)..self.slot(r + 1, 0, 0)]
-                    .iter()
-                    .map(VecDeque::len)
+                == (self.slot(r, 0, 0)..self.slot(r + 1, 0, 0))
+                    .map(|slot| self.buffers.len(slot))
                     .sum::<usize>()),
             "a router's queued count diverged from its queues"
         );
@@ -1045,20 +1098,34 @@ impl Mesh {
             "a cached head route diverged from the routing function"
         );
         debug_assert!(
-            self.requests.iter().enumerate().all(|(link, &mask)| {
+            self.lanes.iter().enumerate().all(|(link, lanes)| {
                 let (r, out) = (link / NUM_PORTS, link % NUM_PORTS);
                 let first = self.slot(r, 0, 0);
-                mask == (first..self.slot(r + 1, 0, 0))
-                    .filter(|&slot| usize::from(self.head_route[slot]) == out)
-                    .fold(0, |m, slot| m | 1 << (slot - first))
+                lanes.requests
+                    == (first..self.slot(r + 1, 0, 0))
+                        .filter(|&slot| usize::from(self.head_route[slot]) == out)
+                        .fold(0, |m, slot| m | 1 << (slot - first))
             }),
             "a request mask diverged from the cached head routes"
+        );
+        debug_assert!(
+            self.lanes.iter().enumerate().all(|(link, lanes)| {
+                let down = self.down_slot[link];
+                lanes.full
+                    == (0..self.cfg.vcs)
+                        .filter(|&vc| {
+                            down != NO_LINK
+                                && self.buffers.len(down as usize + vc) >= self.cfg.buffer_packets
+                        })
+                        .fold(0, |m, vc| m | self.vc_lanes << vc)
+            }),
+            "a full-lane mask diverged from the downstream queue lengths"
         );
         debug_assert!(
             self.requested_ports.iter().enumerate().all(|(r, &ports)| {
                 ports
                     == (0..NUM_PORTS)
-                        .filter(|&out| self.requests[r * NUM_PORTS + out] != 0)
+                        .filter(|&out| self.lanes[r * NUM_PORTS + out].requests != 0)
                         .fold(0, |m, out| m | 1 << out)
             }),
             "a requested-port mask diverged from the request masks"
@@ -1066,6 +1133,7 @@ impl Mesh {
         debug_assert!(
             self.xy == Self::node_xy(self.cfg)
                 && self.down_slot == self.down_slots()
+                && self.vc_lanes == Self::vc_lane_mask(self.cfg.vcs)
                 && self.local_slots == Self::local_slot_table(self.cfg.vcs),
             "a geometry table diverged from the mesh configuration"
         );
@@ -1354,12 +1422,10 @@ impl Mesh {
                 if !f.link_dead[link] {
                     continue;
                 }
-                let Some(packet) = self.queues[slot].pop_front() else {
+                let Some(entry) = self.pop_head(Some(f), r, slot) else {
                     continue;
                 };
-                self.queued[r] -= 1;
-                self.occupancy -= 1;
-                self.refresh_head(Some(f), r, slot);
+                let packet = self.buffers.take(entry);
                 self.stats.link_drops[link] += 1;
                 self.lost.push((packet, LossReason::DeadLink));
             }
@@ -1383,12 +1449,10 @@ impl Mesh {
                 if self.head_route[slot] != UNREACHABLE {
                     continue;
                 }
-                let Some(packet) = self.queues[slot].pop_front() else {
+                let Some(entry) = self.pop_head(Some(f), r, slot) else {
                     continue;
                 };
-                self.queued[r] -= 1;
-                self.occupancy -= 1;
-                self.refresh_head(Some(f), r, slot);
+                let packet = self.buffers.take(entry);
                 self.stats.dropped_unroutable += 1;
                 self.lost.push((packet, LossReason::Unroutable));
             }
@@ -1428,15 +1492,37 @@ impl Mesh {
     /// [`UNREACHABLE`] for an empty queue or a head with no surviving route.
     fn head_route_of(&self, f: Option<&FaultState>, router: usize, slot: usize) -> u8 {
         let in_port = usize::from(self.local_slots[slot - self.slot(router, 0, 0)].0);
-        self.queues[slot]
-            .front()
+        self.buffers
+            .front(slot)
             .and_then(|head| self.route_current(f, router, in_port, head.dst.index()))
             .map_or(UNREACHABLE, |out| out as u8)
     }
 
+    /// Unlinks the head of `slot`, one of `router`'s, and keeps what
+    /// depends on it: the router's `queued` count, `occupancy`, the full
+    /// mask of the link feeding the slot (a pop from a full queue returns
+    /// its credit) and the new head's route. The caller links the returned
+    /// entry onto a downstream queue or takes the packet out of the slab.
+    /// The one pop: phase 2 and both phase-0 drop passes call it.
+    fn pop_head(&mut self, f: Option<&FaultState>, router: usize, slot: usize) -> Option<u32> {
+        let was_full = self.buffers.len(slot) >= self.cfg.buffer_packets;
+        let entry = self.buffers.pop(slot)?;
+        self.queued[router] -= 1;
+        self.occupancy -= 1;
+        let (in_port, vc) = self.local_slots[slot - self.slot(router, 0, 0)];
+        let in_port = usize::from(in_port);
+        if was_full && in_port != LOCAL {
+            // Only a link can fill a non-local queue, so it has a far end.
+            let up = self.neighbour(router, in_port) * NUM_PORTS + Self::entry_port(in_port);
+            self.lanes[up].full &= !(self.vc_lanes << vc);
+        }
+        self.refresh_head(f, router, slot);
+        Some(entry)
+    }
+
     /// Re-routes the head of `slot`, one of `router`'s, and moves its
-    /// request bit to the new output: the one setter of `head_route`,
-    /// `requests` and `requested_ports`. It runs wherever a queue's head
+    /// request bit to the new output: the one setter of `head_route`, the
+    /// request masks and `requested_ports`. It runs wherever a queue's head
     /// changes (a push into an empty queue, every pop) and, through
     /// [`Mesh::refresh_all_heads`], wherever the routing function changes.
     fn refresh_head(&mut self, f: Option<&FaultState>, router: usize, slot: usize) {
@@ -1445,13 +1531,14 @@ impl Mesh {
         let link = router * NUM_PORTS;
         let old = self.head_route[slot];
         if old != UNREACHABLE {
-            self.requests[link + usize::from(old)] &= !bit;
-            if self.requests[link + usize::from(old)] == 0 {
+            let requests = &mut self.lanes[link + usize::from(old)].requests;
+            *requests &= !bit;
+            if *requests == 0 {
                 self.requested_ports[router] &= !(1 << old);
             }
         }
         if route != UNREACHABLE {
-            self.requests[link + usize::from(route)] |= bit;
+            self.lanes[link + usize::from(route)].requests |= bit;
             self.requested_ports[router] |= 1 << route;
         }
         self.head_route[slot] = route;
@@ -1533,11 +1620,7 @@ impl Mesh {
             }
             Some(out) if out == LOCAL && !self.ejection_enabled[r] => StallKind::Backpressure,
             Some(out)
-                if out != LOCAL && {
-                    let vc = self.local_slots[slot - self.slot(r, 0, 0)].1;
-                    let down = self.down_slot[r * NUM_PORTS + out] as usize + usize::from(vc);
-                    self.queues[down].len() >= self.cfg.buffer_packets
-                } =>
+                if self.lanes[r * NUM_PORTS + out].full & 1 << (slot - self.slot(r, 0, 0)) != 0 =>
             {
                 StallKind::Backpressure
             }
@@ -1568,7 +1651,7 @@ impl Mesh {
                 granted |= 1 << (m.slot - first);
             }
             for slot in first..self.slot(r + 1, 0, 0) {
-                let Some(head) = self.queues[slot].front() else {
+                let Some(head) = self.buffers.front(slot) else {
                     continue;
                 };
                 if granted & 1 << (slot - first) == 0 {
@@ -1603,7 +1686,6 @@ impl Mesh {
     /// moves it when it grants, and a quiet cycle grants nothing under
     /// either engine.
     fn step_inner(&mut self) -> bool {
-        let vcs = self.cfg.vcs;
         // The recorder, like the fault state, is taken out of `self` so the
         // instrumentation below can borrow the routers freely.
         let mut rec = self.recorder.take();
@@ -1627,17 +1709,15 @@ impl Mesh {
 
         // Phase 1: arbitration decisions on a consistent snapshot. Every
         // queue head was routed once, when it became the head, into
-        // `head_route`, its output's `requests` mask and the router's
+        // `head_route`, its output's request mask and the router's
         // `requested_ports`. Each free requested output arbitrates among the
-        // requesting slots that have downstream credit on their own VC. The
-        // credit read needs no same-cycle reservation: exactly one (router,
-        // output) pair feeds each downstream (router, entry port), and it
-        // grants at most once per cycle.
+        // requesting slots that have downstream credit on their own VC: the
+        // request mask less the link's full lanes. The credit read needs no
+        // same-cycle reservation: exactly one (router, output) pair feeds
+        // each downstream (router, entry port), and it grants at most once
+        // per cycle.
         let mut moves = std::mem::take(&mut self.moves);
         moves.clear();
-        // Bit `in_port * vcs` of every input port: shifted left by `vc`,
-        // the router-local slots of VC `vc`.
-        let vc_lanes = (0..NUM_PORTS).fold(0u64, |lanes, port| lanes | 1 << (port * vcs));
         for r in 0..self.queued.len() {
             let mut ports = self.requested_ports[r];
             if ports == 0 || faults.as_deref().is_some_and(|f| self.is_stalled(f, r)) {
@@ -1651,32 +1731,21 @@ impl Mesh {
                 if self.output_busy_until[link] > self.cycle {
                     continue;
                 }
-                let mut requests = self.requests[link];
                 if out == LOCAL {
                     if !self.ejection_enabled[r] {
                         continue;
                     }
-                } else {
-                    if faults.as_deref().is_some_and(|f| f.link_dead[link]) {
-                        continue;
-                    }
-                    // Drop the VCs whose downstream input queue is full.
-                    let down = self.down_slot[link] as usize;
-                    for vc in 0..vcs {
-                        let lane = vc_lanes << vc;
-                        if requests & lane != 0
-                            && self.queues[down + vc].len() >= self.cfg.buffer_packets
-                        {
-                            requests &= !lane;
-                        }
-                    }
+                } else if faults.as_deref().is_some_and(|f| f.link_dead[link]) {
+                    continue;
                 }
+                let lanes = self.lanes[link];
+                let requests = lanes.requests & !lanes.full;
                 // Arbiter inputs are the router-local slots
                 // `in_port * vcs + vc`; every requesting slot holds a head.
-                let queues = &self.queues;
+                let buffers = &self.buffers;
                 let birth_of = |input: usize| {
-                    queues[first + input]
-                        .front()
+                    buffers
+                        .front(first + input)
                         .map_or(u64::MAX, |head| head.birth)
                 };
                 if let Some(winner) = self.arbiters[link].grant(requests, birth_of) {
@@ -1704,15 +1773,13 @@ impl Mesh {
         let moved = !moves.is_empty();
         for &m in &moves {
             // Invariant: arbitration granted a queue head it just observed.
-            let Some(packet) = self.queues[m.slot].pop_front() else {
+            let Some(entry) = self.pop_head(faults.as_deref(), m.router, m.slot) else {
                 debug_assert!(false, "arbitration winner vanished before apply");
                 continue;
             };
-            // The packet left its buffer; it re-enters one downstream unless
-            // it ejects or dies on the hop.
-            self.queued[m.router] -= 1;
-            self.occupancy -= 1;
-            self.refresh_head(faults.as_deref(), m.router, m.slot);
+            // The packet left its buffer; its slab entry is relinked onto
+            // one downstream unless it ejects or dies on the hop.
+            let packet = *self.buffers.packet(entry);
             // The flits occupy the wire whether or not they survive the hop.
             let link = m.router * NUM_PORTS + m.out_port;
             self.output_busy_until[link] = self.cycle + u64::from(packet.flits);
@@ -1725,6 +1792,7 @@ impl Mesh {
                 if let Some(f) = faults.as_deref_mut() {
                     let corrupted_before = self.stats.corrupted;
                     if self.hop_faults(f, &packet, link) {
+                        self.buffers.release(entry);
                         if let Some(rec) = rec.as_deref_mut() {
                             let reason = self
                                 .lost
@@ -1752,20 +1820,26 @@ impl Mesh {
                 if let Some(rec) = rec.as_deref_mut() {
                     rec.on_deliver(packet.id, self.cycle);
                 }
+                self.buffers.release(entry);
                 self.ejected.push(packet);
             } else {
                 let down = self.neighbour(m.router, m.out_port);
                 if let Some(rec) = rec.as_deref_mut() {
                     // The packet becomes visible to the downstream router's
                     // arbitration on the next cycle.
-                    let entry = Self::entry_port(m.out_port);
-                    rec.on_enqueue(packet.id, down as u32, entry as u8, self.cycle + 1);
+                    let port = Self::entry_port(m.out_port);
+                    rec.on_enqueue(packet.id, down as u32, port as u8, self.cycle + 1);
                 }
                 let slot = self.down_slot[link] as usize + m.vc;
-                self.queues[slot].push_back(packet);
+                let len = self.buffers.link(slot, entry);
                 self.queued[down] += 1;
                 self.occupancy += 1;
-                if self.queues[slot].len() == 1 {
+                if len >= self.cfg.buffer_packets {
+                    // The queue just filled: the link has no credit left on
+                    // this VC until a pop frees a place.
+                    self.lanes[link].full |= self.vc_lanes << m.vc;
+                }
+                if len == 1 {
                     self.refresh_head(faults.as_deref(), down, slot);
                 }
             }

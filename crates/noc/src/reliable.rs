@@ -14,7 +14,7 @@
 
 use crate::error::{LossReason, NocError};
 use crate::mesh::{Engine, Mesh, MeshConfig};
-use crate::packet::{NodeId, PacketClass};
+use crate::packet::{NodeId, Packet, PacketClass};
 use gnoc_faults::FaultPlan;
 use gnoc_telemetry::{IdMap, MetricRegistry, TraceEvent, SUBSYSTEM_NOC};
 use gnoc_trace::{
@@ -198,6 +198,10 @@ pub struct ReliableMesh {
     mesh: Mesh,
     cfg: RetryConfig,
     transfers: Vec<Transfer>,
+    /// Every transfer below this index is resolved. Resolution is final,
+    /// so the timeout and watchdog scans start here instead of at the
+    /// first transfer ever submitted ([`ReliableMesh::oldest_unresolved`]).
+    unresolved_from: usize,
     /// Packet id → transfer index, for in-flight packets.
     by_packet: IdMap<usize>,
     /// Transfers waiting to (re)inject, in deterministic FIFO order.
@@ -218,6 +222,10 @@ pub struct ReliableMesh {
     /// Workload record tap (`gnoc trace record`): observes every submit,
     /// boxed and absent by default so untapped runs pay one pointer.
     trace_tap: Option<Box<TraceTap>>,
+    /// The mesh's ejections of the latest step, swapped out of the mesh
+    /// and emptied each step; it keeps its capacity, so a warm step does
+    /// not allocate to drain them.
+    ejected: Vec<Packet>,
 }
 
 impl ReliableMesh {
@@ -227,6 +235,7 @@ impl ReliableMesh {
             mesh,
             cfg,
             transfers: Vec::new(),
+            unresolved_from: 0,
             by_packet: IdMap::default(),
             pending: VecDeque::new(),
             stats: ReliabilityStats::default(),
@@ -236,6 +245,7 @@ impl ReliableMesh {
             tripped: false,
             resolved: Vec::new(),
             trace_tap: None,
+            ejected: Vec::new(),
         }
     }
 
@@ -484,7 +494,9 @@ impl ReliableMesh {
         // Events drained below happened during the step, i.e. at cycle-1.
         let now = self.mesh.cycle().saturating_sub(1);
 
-        for pkt in self.mesh.drain_ejected() {
+        let mut ejected = std::mem::take(&mut self.ejected);
+        self.mesh.swap_ejected(&mut ejected);
+        for pkt in ejected.drain(..) {
             let corrupt = self.mesh.take_corrupted(pkt.id);
             let Some(idx) = self.by_packet.remove(&pkt.id) else {
                 continue; // direct mesh traffic, not ours
@@ -516,6 +528,7 @@ impl ReliableMesh {
             self.last_activity = now;
             self.resolved.push(TransferId(idx));
         }
+        self.ejected = ejected;
 
         for (pkt, reason) in self.mesh.drain_lost() {
             let Some(idx) = self.by_packet.remove(&pkt.id) else {
@@ -549,12 +562,27 @@ impl ReliableMesh {
         self.check_watchdog(now);
     }
 
+    /// The index of the oldest transfer that may still be unresolved: the
+    /// low-water mark, first moved past every transfer resolved since.
+    fn oldest_unresolved(&mut self) -> usize {
+        while self
+            .transfers
+            .get(self.unresolved_from)
+            .is_some_and(|t| t.state.is_resolved())
+        {
+            self.unresolved_from += 1;
+        }
+        self.unresolved_from
+    }
+
+    /// Retries or gives up every in-flight transfer whose deadline passed,
+    /// in ascending transfer order, so retries queue in that order.
     fn check_timeouts(&mut self, now: u64) {
         if now < self.next_deadline {
             return;
         }
         let mut next = u64::MAX;
-        for idx in 0..self.transfers.len() {
+        for idx in self.oldest_unresolved()..self.transfers.len() {
             let t = &self.transfers[idx];
             if t.state != TransferOutcome::InFlight {
                 continue;
@@ -579,7 +607,8 @@ impl ReliableMesh {
         self.stats.watchdog_trips += 1;
         self.tripped = true;
         let mut written_off = 0u64;
-        for (idx, t) in self.transfers.iter_mut().enumerate() {
+        let start = self.oldest_unresolved();
+        for (idx, t) in self.transfers.iter_mut().enumerate().skip(start) {
             if !t.state.is_resolved() {
                 t.state = TransferOutcome::Lost {
                     reason: LossReason::Watchdog,

@@ -1,12 +1,14 @@
 //! A warm, fault-free, recorder-free `Mesh::step` makes no heap allocation:
-//! its working buffers live in the mesh, and queues and the ejection buffer
-//! keep their capacity from cycle to cycle. Warm `Crossbar` and
-//! `HierCrossbar` steps allocate nothing either. Building a mesh makes a
-//! fixed number of allocations, whatever its size.
+//! its working buffers live in the mesh, and the packet slab and the
+//! ejection buffer keep their capacity from cycle to cycle. A cold mesh
+//! allocates only to grow those buffers, never once per queue. Warm
+//! `ReliableMesh`, `Crossbar` and `HierCrossbar` steps allocate nothing
+//! either. Building a mesh makes a fixed number of allocations, whatever
+//! its size.
 
 use gnoc_noc::{
     ArbiterKind, Crossbar, CrossbarConfig, HierConfig, HierCrossbar, Mesh, MeshConfig, NodeId,
-    PacketClass,
+    PacketClass, ReliableMesh, RetryConfig,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -49,44 +51,122 @@ fn allocations() -> u64 {
     ALLOCS.with(Cell::get)
 }
 
+/// One cycle's offered traffic: every node draws a random destination,
+/// class and length (1-4 flits) from the LCG `state`, so every queue of
+/// the mesh is exercised. Returns the allocations the injections made.
+fn offer_uniform(m: &mut Mesh, state: &mut u64) -> u64 {
+    let nodes = m.config().num_nodes() as u64;
+    let before = allocations();
+    for src in 0..nodes {
+        *state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        let dst = (*state >> 33) % nodes;
+        let class = if *state >> 63 == 0 {
+            PacketClass::Request
+        } else {
+            PacketClass::Reply
+        };
+        let flits = 1 + (*state >> 40) as u32 % 4;
+        let _ = m.try_inject(
+            NodeId::new(src as u32),
+            NodeId::new(dst as u32),
+            flits,
+            class,
+        );
+    }
+    allocations() - before
+}
+
 #[test]
 fn warm_step_allocates_nothing() {
     for arbiter in [ArbiterKind::RoundRobin, ArbiterKind::AgeBased] {
         let mut m = Mesh::new(MeshConfig::paper_6x6(arbiter).with_vcs(2));
-        let nodes = m.config().num_nodes() as u64;
         let mut state = 1u64;
         let mut step_allocs = 0;
         for cycle in 0..3_000u64 {
-            // Uniform random traffic in both classes, so every queue is
-            // exercised during warm-up.
-            for src in 0..nodes {
-                state = state
-                    .wrapping_mul(6_364_136_223_846_793_005)
-                    .wrapping_add(1_442_695_040_888_963_407);
-                let dst = (state >> 33) % nodes;
-                let class = if state >> 63 == 0 {
-                    PacketClass::Request
-                } else {
-                    PacketClass::Reply
-                };
-                let flits = 1 + (state >> 40) as u32 % 4;
-                let _ = m.try_inject(
-                    NodeId::new(src as u32),
-                    NodeId::new(dst as u32),
-                    flits,
-                    class,
-                );
-            }
+            let inject_allocs = offer_uniform(&mut m, &mut state);
             let before = allocations();
             m.step();
             if cycle >= 2_000 {
-                step_allocs += allocations() - before;
+                step_allocs += inject_allocs + allocations() - before;
             }
             drop(m.drain_ejected());
         }
         assert!(m.stats().delivered_total > 10_000, "the mesh must be busy");
         assert_eq!(step_allocs, 0, "{arbiter:?}: warm steps allocated");
     }
+}
+
+/// A freshly built mesh allocates, over its first 3,000 busy cycles of
+/// injections and steps, only to grow three buffers by doubling: the
+/// packet slab (up to the most packets ever buffered), the move list and
+/// the ejection buffer. Input queues with a heap buffer each made one
+/// allocation per queue they touched, 322 allocations in all here.
+#[test]
+fn cold_steps_allocate_only_to_grow_buffers() {
+    let cfg = MeshConfig::paper_6x6(ArbiterKind::RoundRobin).with_vcs(2);
+    let mut m = Mesh::new(cfg);
+    let mut state = 1u64;
+    let mut allocs = 0;
+    for _ in 0..3_000u64 {
+        allocs += offer_uniform(&mut m, &mut state);
+        let before = allocations();
+        m.step();
+        allocs += allocations() - before;
+        drop(m.drain_ejected());
+    }
+    assert!(m.stats().delivered_total > 10_000, "the mesh must be busy");
+    // Each buffer doubles from 4 (or 8) entries; the slab is bounded by
+    // every slot full, the move list and the ejection buffer by one entry
+    // per link.
+    let doublings = |max: usize| usize::BITS - max.leading_zeros();
+    let slots = cfg.num_nodes() * 5 * cfg.vcs;
+    let links = cfg.num_nodes() * 5;
+    let bound = doublings(slots * cfg.buffer_packets) + 2 * doublings(links);
+    assert!(
+        allocs <= u64::from(bound),
+        "{allocs} allocations in 3,000 cold cycles, bound {bound}"
+    );
+}
+
+/// A warm, fault-free, recorder-free `ReliableMesh::step` allocates
+/// nothing: it drains the mesh's ejections through a buffer it keeps, and
+/// its pending queue, packet map and resolution list keep their capacity.
+/// Submitting (outside the step) is free to grow the transfer list.
+#[test]
+fn warm_reliable_step_allocates_nothing() {
+    let cfg = MeshConfig::paper_6x6(ArbiterKind::RoundRobin).with_vcs(2);
+    let mut r = ReliableMesh::new(Mesh::new(cfg), RetryConfig::default());
+    let nodes = cfg.num_nodes() as u64;
+    let mut state = 3u64;
+    let mut step_allocs = 0;
+    for cycle in 0..3_000u64 {
+        // About four transfers a cycle: busy, but far below saturation, so
+        // no ACK timeout fires and nothing is retried.
+        for _ in 0..4 {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let (src, dst) = ((state >> 33) % nodes, (state >> 45) % nodes);
+            let class = if state >> 63 == 0 {
+                PacketClass::Request
+            } else {
+                PacketClass::Reply
+            };
+            r.submit(NodeId::new(src as u32), NodeId::new(dst as u32), 1, class);
+        }
+        let before = allocations();
+        r.step();
+        if cycle >= 2_000 {
+            step_allocs += allocations() - before;
+        }
+        r.drain_resolved().for_each(drop);
+    }
+    let s = r.stats();
+    assert!(s.delivered > 10_000, "the mesh must be busy");
+    assert_eq!(s.retries, 0, "the load must stay below the ACK timeout");
+    assert_eq!(step_allocs, 0, "warm reliable steps allocated");
 }
 
 #[test]
