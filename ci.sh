@@ -111,6 +111,16 @@ if grep -rnF 'set_event_skip_enabled' crates tests examples perfbench/src; then
     exit 1
 fi
 
+echo "== one campaign driver: no second row loop or assembler =="
+# CheckpointedCampaign::run is the one loop over a row-seeded campaign's
+# rows and CheckpointedCampaign::finish the one assembler of its result; the
+# per-mode loops and assemblers they replaced must not grow back.
+if grep -rnE '\b(run_to_completion(_par)?|run_degraded|run_par|finish_par|finish_partial)\b *[(<]' \
+    crates tests examples; then
+    echo "second campaign loop or assembler found above: use run and finish"
+    exit 1
+fi
+
 echo "== tier-1: cargo build --release && cargo test -q (GNOC_JOBS=2) =="
 cargo build --release
 # GNOC_JOBS=2 routes every env-resolved worker pool through the parallel
@@ -206,6 +216,21 @@ cargo run --release -q -p gnoc-cli --bin gnoc -- \
 cargo run --release -q -p gnoc-cli --bin gnoc -- \
     campaign a100fs --seed 1 --lines 2 --samples 2 \
     --checkpoint "$tmp/campaign.json"
+
+echo "== campaign: a degraded, budgeted run is byte-identical at --jobs 1 and 7 =="
+# The driver batches rows per worker, so its stdout and the checkpoint it
+# leaves must not depend on the worker count, quarantine and budget
+# included.
+for jobs in 1 7; do
+    rm -f "$tmp/jobs-campaign.json"
+    cargo run --release -q -p gnoc-cli --bin gnoc -- \
+        --jobs "$jobs" campaign a100fs --seed 1 --lines 2 --samples 2 \
+        --quarantine-sms 3,17 --deadline-rows 9 \
+        --checkpoint "$tmp/jobs-campaign.json" > "$tmp/jobs-campaign-j$jobs.txt"
+    cp "$tmp/jobs-campaign.json" "$tmp/jobs-campaign-j$jobs.json"
+done
+cmp "$tmp/jobs-campaign-j1.txt" "$tmp/jobs-campaign-j7.txt"
+cmp "$tmp/jobs-campaign-j1.json" "$tmp/jobs-campaign-j7.json"
 
 echo "== trace: record -> replay byte-identity across engines and job counts =="
 # A faulted mesh soak is recorded once, then replayed under every worker

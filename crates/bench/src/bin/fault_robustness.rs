@@ -15,7 +15,9 @@
 use gnoc_bench::header;
 use gnoc_core::microbench::bandwidth::{aggregate_fabric_gbps, aggregate_memory_gbps};
 use gnoc_core::noc::{mesh_soak, ArbiterKind, MeshConfig, PacketClass, ReliableMesh, RetryConfig};
-use gnoc_core::{device_for_preset, CheckpointedCampaign, FaultGenConfig, FaultPlan, LatencyProbe};
+use gnoc_core::{
+    device_for_preset, CheckpointedCampaign, FaultGenConfig, FaultPlan, LatencyProbe, WorkerPool,
+};
 
 fn main() {
     let metrics = gnoc_bench::FigureMetrics::from_args(env!("CARGO_BIN_NAME"));
@@ -40,9 +42,13 @@ fn main() {
         let mut campaign =
             CheckpointedCampaign::new(preset, 1, probe, None).expect("preset is valid");
         campaign.set_telemetry(metrics.handle().clone());
-        let result = campaign
-            .run_to_completion(None)
+        let pool = WorkerPool::serial();
+        campaign
+            .run(&pool, None, |_| Ok(()))
             .expect("campaign on a preset device cannot fail");
+        let result = campaign
+            .finish_full(&pool)
+            .expect("a campaign with no quarantine measures every row");
         let mut dev = device_for_preset(preset, 1, None).expect("preset is valid");
         println!(
             "{:>10} {:>6} {:>8} {:>12.1} {:>12.0} {:>12.0}",

@@ -17,7 +17,7 @@ use std::time::Instant;
 /// is inert. Dropping the guard at the end of `main` records the binary's
 /// wall-clock span and writes the registry, so a figure binary only needs
 /// one line — `let _metrics = FigureMetrics::from_args(...);` — plus, where
-/// its experiment supports it, passing `handle()` into a `*_traced` run.
+/// its experiment takes a telemetry handle, passing it `handle()`.
 #[derive(Debug)]
 pub struct FigureMetrics {
     handle: TelemetryHandle,

@@ -491,15 +491,22 @@ fn device_phase(
 ) -> Result<Vec<(OracleKind, Result<(), String>)>, String> {
     let probe = cfg.probe();
     let err = |e: gnoc_core::CheckpointError| e.to_string();
+    let pool = WorkerPool::serial();
+    // Runs `c` to completion, saving to `ckpt` after every row when given.
+    let complete = |mut c: CheckpointedCampaign, ckpt: Option<&Path>| {
+        c.run(&pool, None, |c| ckpt.map_or(Ok(()), |p| c.save(p)))
+            .and_then(|()| c.finish_full(&pool))
+            .map_err(err)
+    };
 
-    let golden = CheckpointedCampaign::new(device, seed, probe, None)
-        .map_err(err)?
-        .run_to_completion(None)
-        .map_err(err)?;
-    let straight = CheckpointedCampaign::new(device, seed, probe, Some(plan.clone()))
-        .map_err(err)?
-        .run_to_completion(None)
-        .map_err(err)?;
+    let golden = complete(
+        CheckpointedCampaign::new(device, seed, probe, None).map_err(err)?,
+        None,
+    )?;
+    let straight = complete(
+        CheckpointedCampaign::new(device, seed, probe, Some(plan.clone())).map_err(err)?,
+        None,
+    )?;
 
     // Kill/resume: run a third of the rows, checkpoint, "die", resume.
     let path = scratch_checkpoint_path(seed);
@@ -507,15 +514,14 @@ fn device_phase(
     let mut partial =
         CheckpointedCampaign::new(device, seed, probe, Some(plan.clone())).map_err(err)?;
     let rows = (partial.num_sms() / 3).max(1);
-    for _ in 0..rows {
-        partial.step_row().map_err(err)?;
-    }
+    partial.run(&pool, Some(rows), |_| Ok(())).map_err(err)?;
     partial.save(&path).map_err(err)?;
     drop(partial);
-    let resumed = CheckpointedCampaign::resume(&path, device, seed, probe, Some(plan.clone()))
-        .map_err(err)?
-        .run_to_completion(Some(&path))
-        .map_err(err)?;
+    let resumed = complete(
+        CheckpointedCampaign::resume(&path, device, seed, probe, Some(plan.clone()))
+            .map_err(err)?,
+        Some(&path),
+    )?;
     let _ = std::fs::remove_file(&path);
 
     let mut results = vec![(OracleKind::Resume, check_resume(&straight, &resumed))];

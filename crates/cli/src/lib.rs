@@ -687,9 +687,10 @@ GLOBAL FLAGS (every subcommand):
                             the degraded device; mesh runs retrying delivery
                             over the faulted fabric; campaign checkpoints
                             embed the plan
-    --jobs <N>              worker threads for campaign and chaos run
-                            (default: GNOC_JOBS, then all cores). Results are
-                            bit-identical for any N; only wall time changes
+    --jobs <N>              worker threads for campaign (full and degraded)
+                            and chaos run (default: GNOC_JOBS, then all
+                            cores). Results are bit-identical for any N; only
+                            wall time changes
     --profile <file.json>   flight-record the run and write a
                             stall-attribution profile (mesh, campaign,
                             chaos run); a Chrome trace loadable at

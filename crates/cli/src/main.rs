@@ -471,16 +471,27 @@ fn run(
                     campaign.num_sms()
                 );
             }
-            if !quarantine.is_empty() || deadline_rows.is_some() {
-                // Degraded mode: skip quarantined SMs, honor the row budget,
-                // and salvage whatever was measured with explicit coverage.
+            // Degraded mode skips quarantined SMs, honors the row budget and
+            // salvages whatever was measured with explicit coverage.
+            let degraded = !quarantine.is_empty() || deadline_rows.is_some();
+            if degraded {
                 try_or_fail!(campaign
                     .set_quarantined_sms(quarantine)
                     .map_err(|e| e.to_string()));
-                let (result, coverage) = try_or_fail!(campaign
-                    .run_degraded(path, deadline_rows)
-                    .map_err(|e| e.to_string()));
-                println!("{}", result.summary_line(preset, true, plan.is_some()));
+            }
+            try_or_fail!(campaign
+                .run(pool, deadline_rows, |c| path.map_or(Ok(()), |p| c.save(p)))
+                .map_err(|e| e.to_string()));
+            let (result, coverage) = try_or_fail!(if degraded {
+                campaign.finish(pool)
+            } else {
+                campaign
+                    .finish_full(pool)
+                    .map(|result| (result, campaign.coverage()))
+            }
+            .map_err(|e| e.to_string()));
+            println!("{}", result.summary_line(preset, degraded, plan.is_some()));
+            if degraded {
                 println!(
                     "coverage: {}/{} rows measured ({:.0}%), {} quarantined, {} unreached",
                     coverage.measured,
@@ -489,28 +500,7 @@ fn run(
                     coverage.quarantined.len(),
                     coverage.unreached
                 );
-                if let Some(p) = path {
-                    println!("checkpoint: {}", p.display());
-                }
-                if let Some(p) = profile {
-                    if let Err(code) = write_campaign_profile(
-                        gpu,
-                        seed,
-                        plan,
-                        &probe,
-                        &result.matrix,
-                        telemetry,
-                        p,
-                    ) {
-                        return code;
-                    }
-                }
-                return EXIT_OK;
             }
-            let result = try_or_fail!(campaign
-                .run_to_completion_par(path, pool)
-                .map_err(|e| e.to_string()));
-            println!("{}", result.summary_line(preset, false, plan.is_some()));
             if let Some(p) = path {
                 println!("checkpoint: {}", p.display());
             }
@@ -1597,7 +1587,11 @@ fn record_trace(
                         .map_err(|e| e.to_string())
                 );
             campaign.set_telemetry(telemetry.clone());
-            let result = try_or_fail!(campaign.run_to_completion(None).map_err(|e| e.to_string()));
+            let pool = WorkerPool::serial();
+            let result = try_or_fail!(campaign
+                .run(&pool, None, |_| Ok(()))
+                .and_then(|()| campaign.finish_full(&pool))
+                .map_err(|e| e.to_string()));
             let line = trace_digest::campaign_stats_line(preset, &result);
             ("campaign", tap, line, true)
         }

@@ -2,9 +2,9 @@
 //!
 //! A full latency campaign on a large device sweeps every (SM, slice) pair
 //! and can run for a long time; a crash near the end loses everything. This
-//! module runs the sweep row by row (one SM profile at a time), persisting a
-//! JSON checkpoint after each completed row so an interrupted campaign
-//! resumes from the last finished SM.
+//! module runs the sweep in batches of rows (one SM profile per row, one row
+//! per worker), persisting a JSON checkpoint after each completed batch so
+//! an interrupted campaign resumes from the last finished SM.
 //!
 //! **Determinism.** Each row is measured on a *fresh* device seeded from
 //! `mix(seed, sm)`, so a row's result depends only on the campaign
@@ -33,17 +33,24 @@
 //! set) are rejected with [`CheckpointError::Version`] rather than guessed
 //! at.
 //!
+//! ## One driver, one assembler
+//!
+//! [`CheckpointedCampaign::run`] is the only row loop: it measures rows in
+//! batches across a [`WorkerPool`] and hands each finished batch to the
+//! caller (which saves its checkpoint there), optionally stopping after a
+//! per-run budget of measured rows. [`CheckpointedCampaign::finish`] is the
+//! only assembler: it builds a [`LatencyCampaign`] over the measured rows
+//! plus a [`CoverageReport`] stating exactly what was not covered;
+//! [`CheckpointedCampaign::finish_full`] is the same result for callers
+//! that need every SM measured.
+//!
 //! ## Degraded mode
 //!
 //! When the health layer has quarantined SMs (their router or slice path is
 //! fenced off), [`CheckpointedCampaign::set_quarantined_sms`] removes them
 //! from the schedulable set: their rows are skipped with explicit
-//! placeholders, and [`CheckpointedCampaign::finish_partial`] salvages a
-//! [`LatencyCampaign`] over the measured rows plus a [`CoverageReport`]
-//! stating exactly what was not covered. [`CheckpointedCampaign::run_degraded`]
-//! adds a per-run deadline budget (a deterministic *row count*, not
-//! wall-clock, so runs stay replayable) and salvages whatever was measured
-//! when the budget runs out.
+//! placeholders, and `finish` salvages the measured rows. The row budget is
+//! a deterministic *row count*, not wall-clock, so runs stay replayable.
 
 use crate::campaign::LatencyCampaign;
 // Checkpoint persistence goes through the shared crash-safe writer in
@@ -51,10 +58,11 @@ use crate::campaign::LatencyCampaign;
 // resume paths call its `remove_orphan_tmp` to clean up after a kill
 // between write and rename.
 use crate::fsio::remove_orphan_tmp;
-use gnoc_analysis::{correlation_matrix, Summary};
+use gnoc_analysis::{correlation_matrix_par, Summary};
 use gnoc_engine::GpuDevice;
 use gnoc_faults::FaultPlan;
 use gnoc_microbench::LatencyProbe;
+use gnoc_par::WorkerPool;
 use gnoc_telemetry::hash::{mix64, GOLDEN_GAMMA};
 use gnoc_telemetry::{TelemetryHandle, TraceEvent, SUBSYSTEM_CAMPAIGN};
 use gnoc_topo::{GpuSpec, SmId};
@@ -87,8 +95,8 @@ pub enum CheckpointError {
         /// SMs on the device.
         sms: usize,
     },
-    /// [`CheckpointedCampaign::finish`] was called before every row was
-    /// measured.
+    /// [`CheckpointedCampaign::finish_full`] was called before every row
+    /// was measured, or [`CheckpointedCampaign::finish`] before any.
     Incomplete {
         /// Rows measured so far.
         done: usize,
@@ -104,8 +112,9 @@ pub enum CheckpointError {
     },
     /// Every SM is quarantined; the campaign has nothing to measure.
     AllQuarantined,
-    /// [`CheckpointedCampaign::finish`] was called on a degraded campaign;
-    /// full results do not exist, only the salvageable partial ones.
+    /// [`CheckpointedCampaign::finish_full`] was called on a degraded
+    /// campaign; full results do not exist, only the salvageable partial
+    /// ones [`CheckpointedCampaign::finish`] returns.
     Degraded {
         /// Rows actually measured.
         measured: usize,
@@ -145,6 +154,8 @@ impl std::fmt::Display for CheckpointError {
                 )
             }
             Self::AllQuarantined => write!(f, "every SM is quarantined; nothing to measure"),
+            // `gnoc campaign` prints this when a full run resumes a degraded
+            // checkpoint, and scripts match it, so the text stays fixed.
             Self::Degraded {
                 measured,
                 quarantined,
@@ -190,8 +201,8 @@ pub fn device_for_preset(
 
 /// splitmix64-style row seed: depends only on the campaign seed and the SM
 /// index, making every row measurement order-independent — the property that
-/// lets [`CheckpointedCampaign`] resume bit-identically and lets the parallel
-/// runners compute rows on any worker in any order with identical results.
+/// lets [`CheckpointedCampaign`] resume bit-identically and lets its driver
+/// compute rows on any worker in any order with identical results.
 pub fn row_seed(seed: u64, sm: usize) -> u64 {
     mix64(seed ^ (sm as u64).wrapping_mul(GOLDEN_GAMMA))
 }
@@ -406,33 +417,14 @@ impl CheckpointedCampaign {
         self.rows.len() >= self.num_sms
     }
 
-    /// Measures the next SM row on a fresh, row-seeded device; a quarantined
-    /// SM's row is recorded as an explicit empty placeholder instead of
-    /// being measured. Returns `false` when the campaign was already
-    /// complete.
-    pub fn step_row(&mut self) -> Result<bool, CheckpointError> {
-        let sm = self.rows.len();
-        if sm >= self.num_sms {
-            return Ok(false);
-        }
-        if self.is_quarantined(sm) {
-            self.rows.push(Vec::new());
-            self.telemetry.with(|t| {
-                t.registry.counter_add("campaign.skipped_rows", 1);
-            });
-            self.telemetry.emit_with(|| {
-                TraceEvent::new(0, SUBSYSTEM_CAMPAIGN, "row_skipped_quarantined").with("sm", sm)
-            });
-            return Ok(true);
-        }
+    /// Measures SM `sm`'s row on a fresh device seeded with
+    /// [`row_seed`]`(seed, sm)`: the one row kernel, so a row depends only
+    /// on the campaign parameters and its index, never on the worker or the
+    /// batch that measured it.
+    fn measure_row(&self, sm: usize) -> Result<Vec<f64>, CheckpointError> {
         let mut dev = device_for_preset(&self.device, row_seed(self.seed, sm), self.plan.as_ref())?;
         dev.set_telemetry(self.telemetry.clone());
-        let row = self.probe.sm_profile(&mut dev, SmId::new(sm as u32));
-        self.rows.push(row);
-        self.telemetry.with(|t| {
-            t.registry.counter_add("campaign.checkpoint_rows", 1);
-        });
-        Ok(true)
+        Ok(self.probe.sm_profile(&mut dev, SmId::new(sm as u32)))
     }
 
     /// Writes the checkpoint (atomically: temp file + rename) to `path`.
@@ -453,87 +445,78 @@ impl CheckpointedCampaign {
         Ok(())
     }
 
-    /// Runs every remaining row; when `checkpoint` is given, the file is
-    /// rewritten after each row so a kill at any point loses at most the row
-    /// in progress.
-    pub fn run_to_completion(
+    /// The campaign driver: measures the remaining rows in batches until the
+    /// campaign is complete or `budget` rows have been *measured* this run
+    /// (a deterministic row count, not wall-clock, so runs stay replayable;
+    /// placeholders do not consume it).
+    ///
+    /// A batch takes the next rows until it holds `pool.jobs()` measured
+    /// rows or the budget left, whichever is smaller; quarantined SMs in
+    /// between get explicit empty placeholders. It stops right after its
+    /// last measured row, so trailing placeholders join only the batch that
+    /// reaches the last row. These are the rows a serial run takes, so the
+    /// rows, the coverage and the final checkpoint's bytes are the same for
+    /// any worker count. The measured rows fan out across `pool`'s workers.
+    ///
+    /// `after_batch` runs after every batch; callers save their checkpoint
+    /// there, so a kill loses at most the batch in progress.
+    ///
+    /// # Errors
+    ///
+    /// Propagates row-measurement errors and the first `after_batch` error.
+    pub fn run(
         &mut self,
-        checkpoint: Option<&Path>,
-    ) -> Result<LatencyCampaign, CheckpointError> {
-        while self.step_row()? {
-            if let Some(path) = checkpoint {
-                self.save(path)?;
-            }
-            let done = self.rows.len();
-            self.telemetry.emit_with(|| {
-                TraceEvent::new(0, SUBSYSTEM_CAMPAIGN, "checkpoint_row")
-                    .with("sm", done - 1)
-                    .with("of", self.num_sms)
-            });
-        }
-        self.finish()
-    }
-
-    /// Parallel [`run_to_completion`](Self::run_to_completion): remaining
-    /// rows are measured in batches across `pool`'s workers, each on its own
-    /// fresh row-seeded device. Because every row depends only on
-    /// `row_seed(seed, sm)`, the result is bit-identical to the serial run
-    /// for any worker count. Checkpoints are written after each completed
-    /// batch (a kill loses at most one batch instead of one row); with
-    /// `jobs() <= 1` this delegates to the serial path, preserving its exact
-    /// per-row save cadence.
-    pub fn run_to_completion_par(
-        &mut self,
-        checkpoint: Option<&Path>,
-        pool: &gnoc_par::WorkerPool,
-    ) -> Result<LatencyCampaign, CheckpointError> {
-        if pool.jobs() <= 1 {
-            return self.run_to_completion(checkpoint);
-        }
-        let batch = pool.jobs() * 2;
+        pool: &WorkerPool,
+        budget: Option<usize>,
+        mut after_batch: impl FnMut(&Self) -> Result<(), CheckpointError>,
+    ) -> Result<(), CheckpointError> {
+        let mut spent = 0;
         while !self.is_complete() {
+            let left = budget.map_or(usize::MAX, |budget| budget - spent);
+            if left == 0 {
+                self.telemetry.emit_with(|| {
+                    TraceEvent::new(0, SUBSYSTEM_CAMPAIGN, "deadline_exhausted")
+                        .with("measured_this_run", spent)
+                        .with("rows_done", self.rows.len())
+                });
+                break;
+            }
             let start = self.rows.len();
-            let end = (start + batch).min(self.num_sms);
-            // Quarantined SMs in the batch get placeholders, not workers.
-            let sms: Vec<usize> = (start..end)
-                .filter(|&sm| !self.is_quarantined(sm))
-                .collect();
-            let device = self.device.as_str();
-            let probe = self.probe;
-            let seed = self.seed;
-            let plan = self.plan.as_ref();
-            let telemetry = self.telemetry.clone();
-            let measured = pool.par_map(&sms, |&sm| -> Result<Vec<f64>, CheckpointError> {
-                let mut dev = device_for_preset(device, row_seed(seed, sm), plan)?;
-                dev.set_telemetry(telemetry.clone());
-                Ok(probe.sm_profile(&mut dev, SmId::new(sm as u32)))
-            });
-            let mut measured = measured.into_iter();
-            for sm in start..end {
-                if self.is_quarantined(sm) {
-                    self.rows.push(Vec::new());
-                    self.telemetry.with(|t| {
-                        t.registry.counter_add("campaign.skipped_rows", 1);
-                    });
-                    continue;
+            let quota = pool.jobs().min(left);
+            let mut sms = Vec::with_capacity(quota);
+            let mut end = start;
+            while end < self.num_sms && sms.len() < quota {
+                if !self.is_quarantined(end) {
+                    sms.push(end);
                 }
-                let row = measured.next().expect("one result per scheduled SM");
-                self.rows.push(row?);
-                self.telemetry.with(|t| {
-                    t.registry.counter_add("campaign.checkpoint_rows", 1);
+                end += 1;
+            }
+            let mut measured = pool.par_map(&sms, |&sm| self.measure_row(sm)).into_iter();
+            for sm in start..end {
+                let row = if self.is_quarantined(sm) {
+                    self.telemetry.counter_add("campaign.skipped_rows", 1);
+                    self.telemetry.emit_with(|| {
+                        TraceEvent::new(0, SUBSYSTEM_CAMPAIGN, "row_skipped_quarantined")
+                            .with("sm", sm)
+                    });
+                    Vec::new()
+                } else {
+                    self.telemetry.counter_add("campaign.checkpoint_rows", 1);
+                    measured.next().expect("one result per measured SM")?
+                };
+                self.rows.push(row);
+            }
+            spent += sms.len();
+            after_batch(self)?;
+            for sm in start..end {
+                self.telemetry.emit_with(|| {
+                    TraceEvent::new(0, SUBSYSTEM_CAMPAIGN, "checkpoint_row")
+                        .with("sm", sm)
+                        .with("of", self.num_sms)
                 });
             }
-            if let Some(path) = checkpoint {
-                self.save(path)?;
-            }
-            let done = self.rows.len();
-            self.telemetry.emit_with(|| {
-                TraceEvent::new(0, SUBSYSTEM_CAMPAIGN, "checkpoint_batch")
-                    .with("rows", done)
-                    .with("of", self.num_sms)
-            });
         }
-        self.finish_par(pool)
+        Ok(())
     }
 
     /// What the campaign has covered so far.
@@ -546,56 +529,19 @@ impl CheckpointedCampaign {
         }
     }
 
-    /// Degraded-mode driver: runs rows (skipping quarantined SMs) until the
-    /// campaign completes or `deadline_rows` *measured* rows have been spent
-    /// this run, then salvages whatever exists. The budget is a row count —
-    /// deterministic and replay-safe, unlike a wall-clock deadline — and
-    /// placeholder rows do not consume it. Checkpoints after every row when
-    /// `checkpoint` is given.
-    ///
-    /// # Errors
-    ///
-    /// Propagates row-measurement and save errors;
-    /// [`CheckpointError::Incomplete`] when the budget expired before a
-    /// single row was measured (nothing to salvage).
-    pub fn run_degraded(
-        &mut self,
-        checkpoint: Option<&Path>,
-        deadline_rows: Option<usize>,
-    ) -> Result<(LatencyCampaign, CoverageReport), CheckpointError> {
-        let mut spent = 0usize;
-        while !self.is_complete() {
-            if deadline_rows.is_some_and(|d| spent >= d) {
-                self.telemetry.emit_with(|| {
-                    TraceEvent::new(0, SUBSYSTEM_CAMPAIGN, "deadline_exhausted")
-                        .with("measured_this_run", spent)
-                        .with("rows_done", self.rows.len())
-                });
-                break;
-            }
-            let at = self.rows.len();
-            if !self.step_row()? {
-                break;
-            }
-            if !self.rows[at].is_empty() {
-                spent += 1;
-            }
-            if let Some(path) = checkpoint {
-                self.save(path)?;
-            }
-        }
-        self.finish_partial()
-    }
-
-    /// Salvages a [`LatencyCampaign`] from the measured rows only, together
-    /// with an explicit [`CoverageReport`] of what is missing. The campaign
-    /// matrix then has one row per *measured* SM, in SM order.
+    /// Assembles a [`LatencyCampaign`] from the measured rows, together with
+    /// an explicit [`CoverageReport`] of what is missing. The matrix has one
+    /// row per *measured* SM, in SM order; the correlation matrix fans out
+    /// across `pool`'s workers, bit-identical to the serial one.
     ///
     /// # Errors
     ///
     /// Returns [`CheckpointError::Incomplete`] when no row has been
     /// measured at all.
-    pub fn finish_partial(&self) -> Result<(LatencyCampaign, CoverageReport), CheckpointError> {
+    pub fn finish(
+        &self,
+        pool: &WorkerPool,
+    ) -> Result<(LatencyCampaign, CoverageReport), CheckpointError> {
         let coverage = self.coverage();
         if coverage.measured == 0 {
             return Err(CheckpointError::Incomplete {
@@ -610,7 +556,7 @@ impl CheckpointedCampaign {
             .cloned()
             .collect();
         let sm_summaries = matrix.iter().map(|row| Summary::of(row)).collect();
-        let correlation = correlation_matrix(&matrix);
+        let correlation = correlation_matrix_par(&matrix, pool);
         Ok((
             LatencyCampaign {
                 matrix,
@@ -621,53 +567,31 @@ impl CheckpointedCampaign {
         ))
     }
 
-    /// Assembles the completed matrix into a [`LatencyCampaign`].
+    /// [`finish`](Self::finish) for callers that need the full result:
+    /// checks that every SM was measured first.
     ///
     /// # Errors
     ///
     /// Returns [`CheckpointError::Incomplete`] when rows are still
     /// unmeasured, or [`CheckpointError::Degraded`] when quarantined SMs
-    /// left placeholder rows (use [`CheckpointedCampaign::finish_partial`])
-    /// — typed errors rather than panics, so a fuzzer driving campaigns
-    /// through arbitrary schedules can never abort the process.
-    pub fn finish(&self) -> Result<LatencyCampaign, CheckpointError> {
-        self.finish_with(correlation_matrix)
-    }
-
-    /// [`finish`](Self::finish) with the correlation matrix fanned out
-    /// across `pool`'s workers; bit-identical to the serial assembly.
-    pub fn finish_par(
-        &self,
-        pool: &gnoc_par::WorkerPool,
-    ) -> Result<LatencyCampaign, CheckpointError> {
-        self.finish_with(|matrix| gnoc_analysis::correlation_matrix_par(matrix, pool))
-    }
-
-    fn finish_with(
-        &self,
-        correlate: impl FnOnce(&[Vec<f64>]) -> Vec<Vec<f64>>,
-    ) -> Result<LatencyCampaign, CheckpointError> {
+    /// left placeholder rows — typed errors rather than panics, so a fuzzer
+    /// driving campaigns through arbitrary schedules can never abort the
+    /// process.
+    pub fn finish_full(&self, pool: &WorkerPool) -> Result<LatencyCampaign, CheckpointError> {
         if !self.is_complete() {
             return Err(CheckpointError::Incomplete {
                 done: self.rows.len(),
                 total: self.num_sms,
             });
         }
-        if !self.quarantined_sms.is_empty() || self.rows.iter().any(|r| r.is_empty()) {
-            let coverage = self.coverage();
+        let coverage = self.coverage();
+        if !coverage.quarantined.is_empty() || !coverage.is_full() {
             return Err(CheckpointError::Degraded {
                 measured: coverage.measured,
                 quarantined: coverage.quarantined.len(),
             });
         }
-        let matrix = self.rows.clone();
-        let sm_summaries = matrix.iter().map(|row| Summary::of(row)).collect();
-        let correlation = correlate(&matrix);
-        Ok(LatencyCampaign {
-            matrix,
-            sm_summaries,
-            correlation,
-        })
+        Ok(self.finish(pool)?.0)
     }
 }
 
@@ -686,13 +610,38 @@ mod tests {
         std::env::temp_dir().join(format!("gnoc-ckpt-{name}-{}.json", std::process::id()))
     }
 
+    /// Runs every remaining row serially and returns the full result.
+    fn run_full(c: &mut CheckpointedCampaign, path: Option<&Path>) -> LatencyCampaign {
+        let pool = WorkerPool::serial();
+        c.run(&pool, None, |c| path.map_or(Ok(()), |p| c.save(p)))
+            .unwrap();
+        c.finish_full(&pool).unwrap()
+    }
+
+    /// Measures `rows` rows serially, without saving.
+    fn run_rows(c: &mut CheckpointedCampaign, rows: usize) {
+        c.run(&WorkerPool::serial(), Some(rows), |_| Ok(()))
+            .unwrap();
+    }
+
+    /// Runs serially within `budget`, saving to `path`, and salvages.
+    fn run_salvage(
+        c: &mut CheckpointedCampaign,
+        path: Option<&Path>,
+        budget: Option<usize>,
+    ) -> Result<(LatencyCampaign, CoverageReport), CheckpointError> {
+        let pool = WorkerPool::serial();
+        c.run(&pool, budget, |c| path.map_or(Ok(()), |p| c.save(p)))?;
+        c.finish(&pool)
+    }
+
     #[test]
     fn checkpointed_run_matches_itself_and_row_count() {
         let mut c = CheckpointedCampaign::new("v100", 3, quick_probe(), None).unwrap();
-        let result = c.run_to_completion(None).unwrap();
+        let result = run_full(&mut c, None);
         assert_eq!(result.matrix.len(), 80);
         let mut c2 = CheckpointedCampaign::new("v100", 3, quick_probe(), None).unwrap();
-        assert_eq!(c2.run_to_completion(None).unwrap(), result);
+        assert_eq!(run_full(&mut c2, None), result);
     }
 
     #[test]
@@ -702,13 +651,11 @@ mod tests {
 
         // Uninterrupted reference run.
         let mut full = CheckpointedCampaign::new("v100", 9, quick_probe(), None).unwrap();
-        let reference = full.run_to_completion(None).unwrap();
+        let reference = run_full(&mut full, None);
 
         // Run 13 rows, checkpointing, then "die".
         let mut first = CheckpointedCampaign::new("v100", 9, quick_probe(), None).unwrap();
-        for _ in 0..13 {
-            assert!(first.step_row().unwrap());
-        }
+        run_rows(&mut first, 13);
         first.save(&path).unwrap();
         drop(first);
 
@@ -716,7 +663,7 @@ mod tests {
         let mut resumed =
             CheckpointedCampaign::resume(&path, "v100", 9, quick_probe(), None).unwrap();
         assert_eq!(resumed.completed_rows(), 13);
-        let result = resumed.run_to_completion(Some(&path)).unwrap();
+        let result = run_full(&mut resumed, Some(&path));
         assert_eq!(result, reference, "resume must be bit-identical");
 
         let _ = std::fs::remove_file(&path);
@@ -727,7 +674,7 @@ mod tests {
         let path = tmp_path_file("mismatch");
         let _ = std::fs::remove_file(&path);
         let mut c = CheckpointedCampaign::new("v100", 4, quick_probe(), None).unwrap();
-        c.step_row().unwrap();
+        run_rows(&mut c, 1);
         c.save(&path).unwrap();
 
         let err = CheckpointedCampaign::resume(&path, "v100", 5, quick_probe(), None).unwrap_err();
@@ -752,7 +699,7 @@ mod tests {
     fn floorswept_preset_campaign_runs_in_paper_band() {
         let mut c = CheckpointedCampaign::new("a100fs", 1, quick_probe(), None).unwrap();
         assert_eq!(c.num_sms(), 108, "floor-swept A100 has 108 SMs");
-        let result = c.run_to_completion(None).unwrap();
+        let result = run_full(&mut c, None);
         // The A100 mixes near (~212) and far (~400) partition crossings
         // (paper Fig. 8b), so the all-pairs grand mean sits near 300.
         let mean = result.grand_mean();
@@ -778,7 +725,7 @@ mod tests {
 
         // Truncated: a valid prefix of a real checkpoint.
         let mut c = CheckpointedCampaign::new("v100", 1, quick_probe(), None).unwrap();
-        c.step_row().unwrap();
+        run_rows(&mut c, 1);
         c.save(&path).unwrap();
         let full = std::fs::read_to_string(&path).unwrap();
         std::fs::write(&path, &full[..full.len() / 2]).unwrap();
@@ -794,7 +741,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
 
         let mut c = CheckpointedCampaign::new("v100", 2, quick_probe(), None).unwrap();
-        c.step_row().unwrap();
+        run_rows(&mut c, 1);
         c.save(&path).unwrap();
         // The temp suffix is appended, so the temp of "x.json" is
         // "x.json.tmp" — never colliding with another campaign's "x.tmp".
@@ -823,8 +770,13 @@ mod tests {
     #[test]
     fn finish_on_an_incomplete_campaign_is_a_typed_error() {
         let mut c = CheckpointedCampaign::new("v100", 1, quick_probe(), None).unwrap();
-        c.step_row().unwrap();
-        let err = c.finish().unwrap_err();
+        let pool = WorkerPool::serial();
+        assert_eq!(
+            c.finish(&pool).unwrap_err(),
+            CheckpointError::Incomplete { done: 0, total: 80 }
+        );
+        run_rows(&mut c, 1);
+        let err = c.finish_full(&pool).unwrap_err();
         assert_eq!(err, CheckpointError::Incomplete { done: 1, total: 80 });
         assert!(err.to_string().contains("1 of 80"));
     }
@@ -880,7 +832,7 @@ mod tests {
     fn degraded_campaign_skips_quarantined_sms_and_salvages_partial() {
         let mut c = CheckpointedCampaign::new("v100", 6, quick_probe(), None).unwrap();
         c.set_quarantined_sms(vec![0, 7]).unwrap();
-        let (campaign, coverage) = c.run_degraded(None, None).unwrap();
+        let (campaign, coverage) = run_salvage(&mut c, None, None).unwrap();
         assert_eq!(coverage.total, 80);
         assert_eq!(coverage.measured, 78);
         assert_eq!(coverage.quarantined, vec![0, 7]);
@@ -890,7 +842,7 @@ mod tests {
         assert_eq!(campaign.matrix.len(), 78, "matrix holds measured rows only");
         // A degraded campaign refuses the full-result path with a typed
         // error naming the salvage route.
-        let err = c.finish().unwrap_err();
+        let err = c.finish_full(&WorkerPool::serial()).unwrap_err();
         assert_eq!(
             err,
             CheckpointError::Degraded {
@@ -898,11 +850,17 @@ mod tests {
                 quarantined: 2
             }
         );
-        assert!(err.to_string().contains("finish_partial"));
+        // `gnoc campaign` prints this when a full run resumes a degraded
+        // checkpoint; the text is pinned.
+        assert_eq!(
+            err.to_string(),
+            "campaign ran degraded (78 rows measured, 2 SMs quarantined); \
+             use finish_partial for the salvaged result"
+        );
         // Measured rows are bit-identical to the same rows of an
         // unquarantined campaign: skipping never perturbs other rows.
         let mut full = CheckpointedCampaign::new("v100", 6, quick_probe(), None).unwrap();
-        let reference = full.run_to_completion(None).unwrap();
+        let reference = run_full(&mut full, None);
         let kept: Vec<&Vec<f64>> = reference
             .matrix
             .iter()
@@ -918,18 +876,18 @@ mod tests {
     #[test]
     fn deadline_budget_salvages_partial_results() {
         let mut c = CheckpointedCampaign::new("v100", 2, quick_probe(), None).unwrap();
-        let (campaign, coverage) = c.run_degraded(None, Some(10)).unwrap();
+        let (campaign, coverage) = run_salvage(&mut c, None, Some(10)).unwrap();
         assert_eq!(coverage.measured, 10);
         assert_eq!(coverage.unreached, 70);
         assert_eq!(campaign.matrix.len(), 10);
         // A second run with a fresh budget continues where the first ended.
-        let (campaign, coverage) = c.run_degraded(None, Some(10)).unwrap();
+        let (campaign, coverage) = run_salvage(&mut c, None, Some(10)).unwrap();
         assert_eq!(coverage.measured, 20);
         assert_eq!(campaign.matrix.len(), 20);
         // An exhausted budget with nothing measured yet is a typed error.
         let mut empty = CheckpointedCampaign::new("v100", 2, quick_probe(), None).unwrap();
         assert_eq!(
-            empty.run_degraded(None, Some(0)).unwrap_err(),
+            run_salvage(&mut empty, None, Some(0)).unwrap_err(),
             CheckpointError::Incomplete { done: 0, total: 80 }
         );
     }
@@ -941,9 +899,7 @@ mod tests {
 
         let mut c = CheckpointedCampaign::new("v100", 8, quick_probe(), None).unwrap();
         c.set_quarantined_sms(vec![1]).unwrap();
-        for _ in 0..4 {
-            c.step_row().unwrap();
-        }
+        run_rows(&mut c, 3);
         c.save(&path).unwrap();
 
         // Resume restores the recorded quarantine set...
@@ -961,10 +917,10 @@ mod tests {
         );
         // The salvaged result is bit-identical to an uninterrupted degraded
         // run with the same quarantine set.
-        let (salvaged, _) = resumed.run_degraded(Some(&path), None).unwrap();
+        let (salvaged, _) = run_salvage(&mut resumed, Some(&path), None).unwrap();
         let mut reference = CheckpointedCampaign::new("v100", 8, quick_probe(), None).unwrap();
         reference.set_quarantined_sms(vec![1]).unwrap();
-        let (want, _) = reference.run_degraded(None, None).unwrap();
+        let (want, _) = run_salvage(&mut reference, None, None).unwrap();
         assert_eq!(salvaged, want);
 
         let _ = std::fs::remove_file(&path);

@@ -16,7 +16,7 @@
 //! | Cycle-level NoC | [`noc`] | [`Mesh`], [`run_fairness`], [`run_memsim`] |
 //! | Workloads | [`workloads`] | BFS / Gaussian / streaming traces |
 //! | Observability | [`telemetry`] | [`TelemetryHandle`], [`MetricRegistry`], [`JsonlWriter`] |
-//! | Parallel execution | [`par`] | [`WorkerPool`], [`resolve_jobs`], [`LatencyCampaign::run_par`] |
+//! | Parallel execution | [`par`] | [`WorkerPool`], [`resolve_jobs`], [`CheckpointedCampaign::run`] |
 //! | Self-healing | [`health`] | [`SelfHealingMesh`], [`CircuitBreaker`], [`WindowMonitor`] |
 //! | Multi-GPU fabric | [`fabric`] | [`FabricSim`], [`FabricTopology`], [`FabricMonitor`] |
 //!
@@ -40,7 +40,6 @@
 
 mod campaign;
 mod checkpoint;
-mod parallel;
 pub mod soak;
 pub mod trace_digest;
 

@@ -15,6 +15,7 @@ use gnoc_fabric::FabricSim;
 use gnoc_faults::FaultPlan;
 use gnoc_microbench::LatencyProbe;
 use gnoc_noc::{ArbiterKind, Engine, MeshConfig, ReliableMesh};
+use gnoc_par::WorkerPool;
 use gnoc_telemetry::hash::fnv1a64;
 use gnoc_telemetry::TelemetryHandle;
 use gnoc_topo::FabricTopology;
@@ -224,8 +225,10 @@ pub fn replay<R: Read>(
                     .map_err(|e| e.to_string())
                     .map_err(setup("campaign setup"))?;
             campaign.set_telemetry(telemetry.clone());
+            let pool = WorkerPool::serial();
             let result = campaign
-                .run_to_completion(None)
+                .run(&pool, None, |_| Ok(()))
+                .and_then(|()| campaign.finish_full(&pool))
                 .map_err(|e| e.to_string())
                 .map_err(setup("campaign"))?;
             let outcome = ReplayOutcome {

@@ -64,6 +64,7 @@ pub fn mesh_load_curve(
             let compute: Vec<NodeId> = (width as u32..n as u32).map(NodeId::new).collect();
             let mut backlog: Vec<std::collections::VecDeque<(u64, NodeId)>> =
                 vec![std::collections::VecDeque::new(); n];
+            let mut ejected = Vec::new();
             let total = sweep.warmup + sweep.measure;
             for cycle in 0..total {
                 if cycle == sweep.warmup {
@@ -87,7 +88,10 @@ pub fn mesh_load_curve(
                     }
                 }
                 mesh.step();
-                mesh.drain_ejected();
+                // Only the stats count deliveries; discard the ejected
+                // packets through a kept buffer, without allocating.
+                mesh.swap_ejected(&mut ejected);
+                ejected.clear();
             }
             LoadPoint {
                 offered: rate,

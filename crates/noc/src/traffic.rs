@@ -94,6 +94,7 @@ pub fn run_fairness(
     let mut backlog: Vec<std::collections::VecDeque<(u64, NodeId)>> =
         vec![std::collections::VecDeque::new(); n];
 
+    let mut ejected = Vec::new();
     let total = cfg.warmup + cfg.measure;
     for cycle in 0..total {
         if cycle == cfg.warmup {
@@ -111,7 +112,10 @@ pub fn run_fairness(
             }
         }
         mesh.step();
-        mesh.drain_ejected();
+        // Delivered packets are only counted in the stats; swapping them out
+        // into a kept buffer discards them without allocating.
+        mesh.swap_ejected(&mut ejected);
+        ejected.clear();
     }
 
     let throughput: Vec<f64> = compute_nodes

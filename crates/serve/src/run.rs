@@ -23,6 +23,7 @@ use gnoc_core::trace::TraceReader;
 use gnoc_core::trace_digest::{self, ReplayFailure, Verdict};
 use gnoc_core::{
     ArbiterKind, CheckpointedCampaign, FabricConfig, FabricTopology, FaultPlan, LatencyProbe,
+    WorkerPool,
 };
 use std::path::Path;
 
@@ -124,40 +125,32 @@ fn run_campaign(
     };
     let resumed = campaign.completed_rows();
 
-    let (result, degraded, measured, unreached) = if let Some(budget) = deadline_rows {
-        // The budget is a *total* row count for the job (not per-run), so a
-        // crash-resumed budget job measures exactly the same rows the
-        // uninterrupted job would have.
-        let already = campaign.completed_rows();
-        let remaining = budget.saturating_sub(already);
-        let out = if remaining == 0 {
-            campaign.finish_partial()
-        } else {
-            campaign.run_degraded(Some(ckpt), Some(remaining))
-        };
-        match out {
-            Ok((result, coverage)) => (result, true, coverage.measured, coverage.unreached),
-            Err(e) => return fail(format!("campaign: {e}")),
+    // A budget is a *total* row count for the job (not per-run), so a
+    // crash-resumed budget job measures exactly the same rows the
+    // uninterrupted job would have.
+    let degraded = deadline_rows.is_some();
+    let budget = deadline_rows.map(|rows| rows.saturating_sub(resumed));
+    let pool = WorkerPool::serial();
+    let run = campaign.run(&pool, budget, |c| {
+        c.save(ckpt)?;
+        if row_delay_ms > 0 {
+            std::thread::sleep(std::time::Duration::from_millis(row_delay_ms));
         }
+        Ok(())
+    });
+    if let Err(e) = run {
+        return fail(format!("campaign: {e}"));
+    }
+    let finished = if degraded {
+        campaign.finish(&pool)
     } else {
-        loop {
-            match campaign.step_row() {
-                Ok(true) => {}
-                Ok(false) => break,
-                Err(e) => return fail(format!("campaign row: {e}")),
-            }
-            if let Err(e) = campaign.save(ckpt) {
-                return fail(format!("campaign checkpoint: {e}"));
-            }
-            if row_delay_ms > 0 {
-                std::thread::sleep(std::time::Duration::from_millis(row_delay_ms));
-            }
-        }
-        let total = campaign.num_sms();
-        match campaign.finish() {
-            Ok(result) => (result, false, total, 0),
-            Err(e) => return fail(format!("campaign finish: {e}")),
-        }
+        campaign
+            .finish_full(&pool)
+            .map(|result| (result, campaign.coverage()))
+    };
+    let (result, coverage) = match finished {
+        Ok(done) => done,
+        Err(e) => return fail(format!("campaign finish: {e}")),
     };
 
     // The result is about to be cached under the job's content address;
@@ -167,6 +160,7 @@ fn run_campaign(
 
     let rows = result.matrix.len();
     let cols = result.matrix.first().map_or(0, Vec::len);
+    let (measured, unreached) = (coverage.measured, coverage.unreached);
     let grand = result.grand_mean();
     let h = trace_digest::campaign_matrix_fnv(&result.matrix);
     let summary = result.summary_line(device, degraded, has_plan);

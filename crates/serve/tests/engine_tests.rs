@@ -2,7 +2,7 @@
 //! the bit-identity contract across `--jobs` counts and the cache.
 
 use gnoc_core::telemetry::TelemetryHandle;
-use gnoc_core::{CheckpointedCampaign, LatencyProbe};
+use gnoc_core::{CheckpointedCampaign, LatencyProbe, WorkerPool};
 use gnoc_serve::engine::{Admission, Engine, JobOutcome, ServeConfig};
 use gnoc_serve::protocol::JobSpec;
 use std::path::PathBuf;
@@ -212,9 +212,10 @@ fn killed_engine_resumes_journaled_job_bit_identically() {
             samples: 2,
         };
         let mut partial = CheckpointedCampaign::new("v100", 7, probe, None).unwrap();
-        for _ in 0..5 {
-            assert!(partial.step_row().unwrap());
-        }
+        partial
+            .run(&WorkerPool::serial(), Some(5), |_| Ok(()))
+            .unwrap();
+        assert_eq!(partial.completed_rows(), 5);
         partial.save(&ckpt).unwrap();
     }
 

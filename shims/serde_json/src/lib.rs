@@ -35,14 +35,6 @@ impl From<serde::Error> for Error {
     }
 }
 
-pub fn to_value<T: serde::Serialize>(value: &T) -> Result<Value, Error> {
-    Ok(value.serialize_value())
-}
-
-pub fn from_value<T: serde::de::DeserializeOwned>(value: &Value) -> Result<T, Error> {
-    Ok(T::deserialize_value(value)?)
-}
-
 pub fn to_string<T: serde::Serialize>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
     write_value(&mut out, &value.serialize_value(), None, 0);
