@@ -430,6 +430,24 @@ echo "== perfbench: the benchmark's own tests + self-check =="
 # default and the hold-out seed (3 s each): each op's output check must pass
 # and each pair must repeat its digest and exact counts.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
-cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --selfcheck
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --selfcheck \
+    | tee "$tmp/selfcheck.txt"
+# The self-check only compares two runs of one build, so a faster step that
+# simulates something else would still pass it. The simulated results are
+# pinned here too: each workload's digest over its first ops and its exact
+# counts, at both seeds. A change that means to move them updates this list
+# and says why.
+sed -n 's/^selfcheck \([a-z_]*\) *seed \([0-9]*\) *ok *\(digest .*\)$/\1 \2 \3/p' \
+    "$tmp/selfcheck.txt" > "$tmp/selfcheck.got"
+diff - "$tmp/selfcheck.got" <<'PINNED'
+campaign 1 digest 3ce9b75be6675fbc over 320 ops, exact [("engine.virtual_cycles_per_row", 163455.478125)]
+campaign 20261016 digest 4838a0dbe53653d1 over 320 ops, exact [("engine.virtual_cycles_per_row", 163454.309375)]
+mesh_load 1 digest d0f3d7c5b0ff5ec1 over 64 ops, exact [("noc.inject_accept_ratio", 0.05039505910655194), ("noc.flits_per_cycle", 4.415557861328125), ("noc.latency_p99_cycles", 2046.0)]
+mesh_load 20261016 digest 8cd692d0ae6d8fb7 over 64 ops, exact [("noc.inject_accept_ratio", 0.050008343632504705), ("noc.flits_per_cycle", 4.3884735107421875), ("noc.latency_p99_cycles", 2046.0)]
+fault_soak 1 digest d34676f91eb2e2e3 over 8 ops, exact [("fabric.retries_per_transfer", 0.1708984375), ("fabric.delivered_ratio", 1.0), ("trace.bytes_per_event", 10.46875)]
+fault_soak 20261016 digest c528061d916f226c over 8 ops, exact [("fabric.retries_per_transfer", 0.1689453125), ("fabric.delivered_ratio", 1.0), ("trace.bytes_per_event", 10.46875)]
+serve_mix 1 digest eacfeefdedfa6507 over 64 ops, exact []
+serve_mix 20261016 digest 69619d08dd16d68d over 64 ops, exact []
+PINNED
 
 echo "ci.sh: all green"

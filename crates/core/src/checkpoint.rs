@@ -155,14 +155,15 @@ impl std::fmt::Display for CheckpointError {
             }
             Self::AllQuarantined => write!(f, "every SM is quarantined; nothing to measure"),
             // `gnoc campaign` prints this when a full run resumes a degraded
-            // checkpoint, and scripts match it, so the text stays fixed.
+            // checkpoint, so it names the CLI route to the salvaged result.
             Self::Degraded {
                 measured,
                 quarantined,
             } => write!(
                 f,
                 "campaign ran degraded ({measured} rows measured, {quarantined} SMs \
-                 quarantined); use finish_partial for the salvaged result"
+                 quarantined); rerun with the checkpoint's --quarantine-sms for the \
+                 salvaged result"
             ),
         }
     }
@@ -855,7 +856,7 @@ mod tests {
         assert_eq!(
             err.to_string(),
             "campaign ran degraded (78 rows measured, 2 SMs quarantined); \
-             use finish_partial for the salvaged result"
+             rerun with the checkpoint's --quarantine-sms for the salvaged result"
         );
         // Measured rows are bit-identical to the same rows of an
         // unquarantined campaign: skipping never perturbs other rows.

@@ -173,10 +173,12 @@ impl HierCrossbar {
         true
     }
 
-    /// Packets delivered since the last drain.
-    pub fn drain_ejected(&mut self) -> Vec<Packet> {
-        // Copied out rather than taken, so the buffer keeps its capacity.
-        self.ejected.drain(..).collect()
+    /// Packets delivered since the last drain. Every packet leaves the
+    /// buffer, even if the iterator is dropped early, and the buffer keeps
+    /// its capacity, so draining allocates nothing; `.collect()` to keep
+    /// them.
+    pub fn drain_ejected(&mut self) -> std::vec::Drain<'_, Packet> {
+        self.ejected.drain(..)
     }
 
     /// Advances one cycle: global stage first (on queued uplink packets),

@@ -64,7 +64,6 @@ pub fn mesh_load_curve(
             let compute: Vec<NodeId> = (width as u32..n as u32).map(NodeId::new).collect();
             let mut backlog: Vec<std::collections::VecDeque<(u64, NodeId)>> =
                 vec![std::collections::VecDeque::new(); n];
-            let mut ejected = Vec::new();
             let total = sweep.warmup + sweep.measure;
             for cycle in 0..total {
                 if cycle == sweep.warmup {
@@ -88,10 +87,9 @@ pub fn mesh_load_curve(
                     }
                 }
                 mesh.step();
-                // Only the stats count deliveries; discard the ejected
-                // packets through a kept buffer, without allocating.
-                mesh.swap_ejected(&mut ejected);
-                ejected.clear();
+                // Only the stats count deliveries; the drain discards the
+                // ejected packets.
+                mesh.drain_ejected();
             }
             LoadPoint {
                 offered: rate,

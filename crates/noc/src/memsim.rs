@@ -20,7 +20,7 @@
 
 use crate::arbiter::ArbiterKind;
 use crate::mesh::{Mesh, MeshConfig, RouteOrder};
-use crate::packet::{NodeId, Packet, PacketClass};
+use crate::packet::{NodeId, PacketClass};
 use gnoc_telemetry::{TelemetryHandle, TraceEvent, SUBSYSTEM_NOC};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -163,9 +163,6 @@ pub fn run_memsim(
         .collect();
 
     let mut timeline = Vec::new();
-    // Each cycle's ejections are swapped out into this buffer, which keeps
-    // its capacity, so draining allocates nothing once it has grown.
-    let mut ejected = Vec::new();
     let mut requests_injected = 0u64;
     let mut replies_delivered = 0u64;
     let mut mc_backpressure_stalls = 0u64;
@@ -198,7 +195,7 @@ pub fn run_memsim(
         }
 
         req_net.step();
-        replies_delivered += dispatch_ejected(&mut req_net, &mut ejected, &mut mcs, measuring);
+        replies_delivered += dispatch_ejected(&mut req_net, &mut mcs, measuring);
 
         // DRAM service + reply generation.
         for mc in &mut mcs {
@@ -235,7 +232,7 @@ pub fn run_memsim(
         }
         if let Some(net) = &mut reply_net {
             net.step();
-            replies_delivered += dispatch_ejected(net, &mut ejected, &mut mcs, measuring);
+            replies_delivered += dispatch_ejected(net, &mut mcs, measuring);
         }
 
         // Utilisation window bookkeeping (channel 0).
@@ -280,18 +277,12 @@ pub fn run_memsim(
     }
 }
 
-/// Drains `net`'s ejected packets through the empty buffer `ejected`:
-/// requests join their MC's DRAM queue, replies are counted. Returns the
-/// replies to count, which are none outside the measurement window.
-fn dispatch_ejected(
-    net: &mut Mesh,
-    ejected: &mut Vec<Packet>,
-    mcs: &mut [MemoryController],
-    measuring: bool,
-) -> u64 {
-    net.swap_ejected(ejected);
+/// Drains `net`'s ejected packets: requests join their MC's DRAM queue,
+/// replies are counted. Returns the replies to count, which are none
+/// outside the measurement window.
+fn dispatch_ejected(net: &mut Mesh, mcs: &mut [MemoryController], measuring: bool) -> u64 {
     let mut replies = 0;
-    for pkt in ejected.drain(..) {
+    for pkt in net.drain_ejected() {
         match pkt.class {
             PacketClass::Request => mcs[pkt.dst.index()].pending.push_back((pkt.src, pkt.id)),
             PacketClass::Reply if measuring => replies += 1,

@@ -345,6 +345,75 @@ struct LinkLanes {
     full: u64,
 }
 
+/// Index of the router bitset of routers with a grantable output in
+/// [`RouterState::sets`].
+const GRANTABLE: usize = 0;
+/// Index of the router bitset of routers with a requested output in
+/// [`RouterState::sets`].
+const REQUESTED: usize = 1;
+
+/// The per-router state the step reads together.
+#[derive(Debug, Clone, Copy)]
+struct RouterState {
+    /// Packets queued across the router's slots. Every push and pop of a
+    /// queue updates it, so a router with a zero count has no queue head to
+    /// route, drop or charge, and the per-router passes of [`Mesh::step`]
+    /// and [`Mesh::skip_idle_to`] skip it.
+    queued: usize,
+    /// Requested outputs: bit `port` is set while the request mask of link
+    /// `router * NUM_PORTS + port` is non-zero. Kept together with the
+    /// request masks.
+    requested_ports: u8,
+    /// Grantable outputs: bit `port` is set while link
+    /// `router * NUM_PORTS + port` has a requesting lane with downstream
+    /// credit, `requests & !full != 0`. Kept wherever either mask changes.
+    grantable: u8,
+    /// Whether the router's local port ejects
+    /// ([`Mesh::set_ejection_enabled`]).
+    ejection_enabled: bool,
+    /// Word `router` of the two router bitsets, [`GRANTABLE`] and
+    /// [`REQUESTED`]: bit `b` of `routers[w].sets[set]` is router
+    /// `64 * w + b`'s. A mesh has at least as many routers as words, so
+    /// the bitsets ride in the router array instead of heap arrays of
+    /// their own; the words past `n.div_ceil(64)` stay zero.
+    sets: [u64; 2],
+}
+
+impl RouterState {
+    const IDLE: Self = Self {
+        queued: 0,
+        requested_ports: 0,
+        grantable: 0,
+        ejection_enabled: true,
+        sets: [0; 2],
+    };
+}
+
+/// The fixed geometry of one index `router * NUM_PORTS + port`, read as
+/// an output link and as an input port. Built once from
+/// [`Mesh::neighbour`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct LinkGeometry {
+    /// The slot of VC 0 of the input queue the link feeds downstream:
+    /// phase 2's push adds the VC to it. [`NO_LINK`] for the local port
+    /// and mesh-edge ports.
+    down_slot: u32,
+    /// The router the link feeds ([`NO_LINK`] likewise).
+    down_router: u32,
+    /// The link feeding the input port: `pop_head` returns its credit.
+    /// [`NO_LINK`] for the local port and mesh-edge ports.
+    up_link: u32,
+}
+
+/// Flits one link forwarded in the window it was last written in.
+#[derive(Debug, Clone, Copy, Default)]
+struct LinkWindow {
+    flits: u64,
+    /// `cycle / WINDOW_CYCLES` of the last write: a stamp older than the
+    /// current window means the link forwarded nothing in it yet.
+    window: u64,
+}
+
 /// One arbitration grant: phase 1 of [`Mesh::step_inner`] decides it,
 /// phase 2 applies it.
 #[derive(Debug, Clone, Copy)]
@@ -362,11 +431,9 @@ pub struct Mesh {
     /// Input buffers: one FIFO per slot ([`Mesh::slot`]), all linked
     /// through one slab sized by the packets buffered.
     buffers: PacketSlab,
-    /// Packets queued per router across its slots. Every push and pop of a
-    /// queue updates it, so a router with a zero count has no queue head to
-    /// route, arbitrate, drop or charge, and the per-router passes of
-    /// [`Mesh::step`] and [`Mesh::skip_idle_to`] skip it.
-    queued: Vec<usize>,
+    /// Per-router counts, port masks and ejection switch, plus the words
+    /// of the two router bitsets ([`RouterState`]).
+    routers: Vec<RouterState>,
     /// The output port each queue's head routes to under the current
     /// routing function, one per slot; [`UNREACHABLE`] for an empty queue
     /// or a head with no surviving route. [`Mesh::refresh_head`] keeps it
@@ -377,17 +444,12 @@ pub struct Mesh {
     /// `head_route`; the full mask is set by the push that fills a
     /// downstream queue and cleared by the pop that frees it.
     lanes: Vec<LinkLanes>,
-    /// Requested outputs, one mask per router: bit `port` is set while the
-    /// request mask of link `router * NUM_PORTS + port` is non-zero. Kept
-    /// together with the request masks.
-    requested_ports: Vec<u8>,
     /// Each node's `(x, y)` = `(node % width, node / width)`, built once so
     /// routing never divides.
     xy: Vec<(u16, u16)>,
-    /// The slot of VC 0 of the input queue each link feeds downstream, one
-    /// per link; [`NO_LINK`] for the local port and mesh-edge ports. Built
-    /// once: phase 2's push adds the VC to it.
-    down_slot: Vec<u32>,
+    /// Downstream slot and router per link, feeding link per input port
+    /// ([`LinkGeometry`]), so the step never computes a neighbour.
+    links: Vec<LinkGeometry>,
     /// Bit `in_port * vcs` of every input port: shifted left by `vc`, the
     /// router-local slots of VC `vc`, the lanes one full queue blocks.
     vc_lanes: u64,
@@ -404,12 +466,15 @@ pub struct Mesh {
     /// artifact or digest sees it.
     steps: u64,
     next_id: u64,
-    ejection_enabled: Vec<bool>,
     ejected: Vec<Packet>,
     stats: MeshStats,
-    /// Flits per link in the current [`WINDOW_CYCLES`] window (folded into
-    /// `stats.peak_window_flits` at each window boundary).
-    window_flits: Vec<u64>,
+    /// Flits per link in the [`WINDOW_CYCLES`] window each was last
+    /// written in; a stale stamp reads as zero.
+    window_flits: Vec<LinkWindow>,
+    /// The most flits any link forwarded in the current window so far,
+    /// kept at each add and folded into `stats.peak_window_flits` at the
+    /// window boundary, so closing a window never scans the links.
+    window_max: u64,
     telemetry: TelemetryHandle,
     /// Applied fault plan, boxed to keep the fault-free mesh lean.
     faults: Option<Box<FaultState>>,
@@ -473,14 +538,13 @@ impl Mesh {
         let mut mesh = Self {
             cfg,
             buffers: PacketSlab::new(n * NUM_PORTS * cfg.vcs),
-            queued: vec![0; n],
+            routers: vec![RouterState::IDLE; n],
             head_route: vec![UNREACHABLE; n * NUM_PORTS * cfg.vcs],
             lanes: vec![LinkLanes::default(); n * NUM_PORTS],
-            requested_ports: vec![0; n],
             xy: Self::node_xy(cfg),
             // Filled below: it is built from the neighbour function, which
             // reads `xy`.
-            down_slot: Vec::new(),
+            links: Vec::new(),
             vc_lanes: Self::vc_lane_mask(cfg.vcs),
             local_slots: Self::local_slot_table(cfg.vcs),
             arbiters: vec![Arbiter::new(cfg.arbiter); n * NUM_PORTS],
@@ -488,7 +552,6 @@ impl Mesh {
             cycle: 0,
             steps: 0,
             next_id: 0,
-            ejection_enabled: vec![true; n],
             ejected: Vec::new(),
             stats: MeshStats {
                 delivered_by_src: vec![0; n],
@@ -497,7 +560,8 @@ impl Mesh {
                 link_drops: vec![0; n * NUM_PORTS],
                 ..MeshStats::default()
             },
-            window_flits: vec![0; n * NUM_PORTS],
+            window_flits: vec![LinkWindow::default(); n * NUM_PORTS],
+            window_max: 0,
             telemetry: TelemetryHandle::disabled(),
             faults: None,
             lost: Vec::new(),
@@ -511,7 +575,7 @@ impl Mesh {
             #[cfg(feature = "bug-hooks")]
             greedy_routing: false,
         };
-        mesh.down_slot = mesh.down_slots();
+        mesh.links = mesh.link_table();
         Ok(mesh)
     }
 
@@ -535,14 +599,25 @@ impl Mesh {
         (0..NUM_PORTS).fold(0, |lanes, port| lanes | 1 << (port * vcs))
     }
 
-    /// The `down_slot` table, from [`Mesh::neighbour_checked`].
-    fn down_slots(&self) -> Vec<u32> {
+    /// The `links` table, from [`Mesh::neighbour`]. The link
+    /// feeding input port `port` is the neighbour's output
+    /// `entry_port(port)`: the two ports face each other.
+    fn link_table(&self) -> Vec<LinkGeometry> {
         (0..self.xy.len() * NUM_PORTS)
             .map(|link| {
                 let (r, port) = (link / NUM_PORTS, link % NUM_PORTS);
-                self.neighbour_checked(r, port).map_or(NO_LINK, |down| {
-                    self.slot(down, Self::entry_port(port), 0) as u32
-                })
+                match self.neighbour(r, port) {
+                    None => LinkGeometry {
+                        down_slot: NO_LINK,
+                        down_router: NO_LINK,
+                        up_link: NO_LINK,
+                    },
+                    Some(next) => LinkGeometry {
+                        down_slot: self.slot(next, Self::entry_port(port), 0) as u32,
+                        down_router: next as u32,
+                        up_link: (next * NUM_PORTS + Self::entry_port(port)) as u32,
+                    },
+                }
             })
             .collect()
     }
@@ -907,14 +982,15 @@ impl Mesh {
             link_drops: vec![0; n * NUM_PORTS],
             ..MeshStats::default()
         };
-        self.window_flits.iter_mut().for_each(|w| *w = 0);
+        self.window_flits.iter_mut().for_each(|w| w.flits = 0);
+        self.window_max = 0;
     }
 
     /// Enables or disables ejection at `node` — the back-pressure hook used
     /// by the memory-system simulation (a stalled memory controller stops
     /// accepting packets, congesting the network behind it).
     pub fn set_ejection_enabled(&mut self, node: NodeId, enabled: bool) {
-        let slot = &mut self.ejection_enabled[node.index()];
+        let slot = &mut self.routers[node.index()].ejection_enabled;
         // Only an actual change can wake the mesh; the memory-system
         // simulation re-asserts the current value every cycle.
         if *slot != enabled {
@@ -1014,7 +1090,7 @@ impl Mesh {
     fn inject(&mut self, slot: usize, packet: Packet) -> u64 {
         let src = packet.src.index();
         let len = self.buffers.push(slot, packet);
-        self.queued[src] += 1;
+        self.routers[src].queued += 1;
         if len == 1 {
             let faults = self.faults.take();
             self.refresh_head(faults.as_deref(), src, slot);
@@ -1037,17 +1113,21 @@ impl Mesh {
         packet.id
     }
 
-    /// Packets ejected since the last drain.
-    pub fn drain_ejected(&mut self) -> Vec<Packet> {
-        // Copied out rather than taken, so the buffer keeps its capacity
-        // and `step` does not reallocate it on the next ejection.
-        self.ejected.drain(..).collect()
+    /// Packets ejected since the last drain. Every packet leaves the
+    /// buffer, even if the iterator is dropped early, and the buffer keeps
+    /// its capacity, so draining allocates nothing; `.collect()` to keep
+    /// them.
+    pub fn drain_ejected(&mut self) -> std::vec::Drain<'_, Packet> {
+        self.ejected.drain(..)
     }
 
     /// Swaps the ejection buffer with `buf`, which must be empty: the
     /// caller receives the packets ejected since the last drain, and both
     /// buffers keep their capacity, so a caller that hands the same buffer
-    /// back each cycle drains without allocating.
+    /// back each cycle drains without allocating. For a caller that must
+    /// use the mesh while it walks the packets, which a
+    /// [`Mesh::drain_ejected`] borrow forbids (`ReliableMesh` checks each
+    /// packet's corruption mark).
     pub(crate) fn swap_ejected(&mut self, buf: &mut Vec<Packet>) {
         debug_assert!(buf.is_empty(), "the swapped-in buffer must be empty");
         std::mem::swap(&mut self.ejected, buf);
@@ -1070,8 +1150,9 @@ impl Mesh {
     /// maintained incrementally at injection, ejection, and every loss.
     /// Debug builds also walk the packet slab and check its queue table
     /// (lengths, heads, tails) against the links, recompute the per-router
-    /// counts, every cached head route, every request, full-lane and
-    /// requested-port mask, and the geometry tables, and assert they match.
+    /// counts, every cached head route, every request, full-lane,
+    /// requested-port and grant mask, both router bitsets, the running
+    /// window maximum and the geometry tables, and assert they match.
     pub fn in_flight(&self) -> usize {
         debug_assert!(
             self.buffers.is_coherent(),
@@ -1085,14 +1166,17 @@ impl Mesh {
             "incremental occupancy diverged from the queues"
         );
         debug_assert!(
-            self.queued.iter().enumerate().all(|(r, &queued)| queued
-                == (self.slot(r, 0, 0)..self.slot(r + 1, 0, 0))
-                    .map(|slot| self.buffers.len(slot))
-                    .sum::<usize>()),
+            self.routers
+                .iter()
+                .enumerate()
+                .all(|(r, state)| state.queued
+                    == (self.slot(r, 0, 0)..self.slot(r + 1, 0, 0))
+                        .map(|slot| self.buffers.len(slot))
+                        .sum::<usize>()),
             "a router's queued count diverged from its queues"
         );
         debug_assert!(
-            (0..self.queued.len()).all(|r| (self.slot(r, 0, 0)..self.slot(r + 1, 0, 0))
+            (0..self.routers.len()).all(|r| (self.slot(r, 0, 0)..self.slot(r + 1, 0, 0))
                 .all(|slot| self.head_route[slot]
                     == self.head_route_of(self.faults.as_deref(), r, slot))),
             "a cached head route diverged from the routing function"
@@ -1110,7 +1194,7 @@ impl Mesh {
         );
         debug_assert!(
             self.lanes.iter().enumerate().all(|(link, lanes)| {
-                let down = self.down_slot[link];
+                let down = self.links[link].down_slot;
                 lanes.full
                     == (0..self.cfg.vcs)
                         .filter(|&vc| {
@@ -1121,18 +1205,51 @@ impl Mesh {
             }),
             "a full-lane mask diverged from the downstream queue lengths"
         );
+        let port_mask = |r: usize, keep: fn(LinkLanes) -> bool| {
+            (0..NUM_PORTS)
+                .filter(|&out| keep(self.lanes[r * NUM_PORTS + out]))
+                .fold(0u8, |m, out| m | 1 << out)
+        };
         debug_assert!(
-            self.requested_ports.iter().enumerate().all(|(r, &ports)| {
-                ports
-                    == (0..NUM_PORTS)
-                        .filter(|&out| self.lanes[r * NUM_PORTS + out].requests != 0)
-                        .fold(0, |m, out| m | 1 << out)
-            }),
+            self.routers.iter().enumerate().all(
+                |(r, state)| state.requested_ports == port_mask(r, |lanes| lanes.requests != 0)
+            ),
             "a requested-port mask diverged from the request masks"
         );
         debug_assert!(
+            self.routers
+                .iter()
+                .enumerate()
+                .all(|(r, state)| state.grantable
+                    == port_mask(r, |lanes| lanes.requests & !lanes.full != 0)),
+            "a grant mask diverged from the request and full-lane masks"
+        );
+        debug_assert!(
+            (0..self.routers.len()).all(|w| {
+                let set_of = |member: fn(&RouterState) -> bool| {
+                    (64 * w..self.routers.len().min(64 * w + 64))
+                        .filter(|&r| member(&self.routers[r]))
+                        .fold(0u64, |m, r| m | 1 << (r - 64 * w))
+                };
+                let sets = self.routers[w].sets;
+                sets[GRANTABLE] == set_of(|state| state.grantable != 0)
+                    && sets[REQUESTED] == set_of(|state| state.requested_ports != 0)
+            }),
+            "a router bitset diverged from the per-router port masks"
+        );
+        debug_assert_eq!(
+            self.window_max,
+            self.window_flits
+                .iter()
+                .filter(|w| w.window == self.cycle / WINDOW_CYCLES)
+                .map(|w| w.flits)
+                .max()
+                .unwrap_or(0),
+            "the running window maximum diverged from the links' current-window flits"
+        );
+        debug_assert!(
             self.xy == Self::node_xy(self.cfg)
-                && self.down_slot == self.down_slots()
+                && self.links == self.link_table()
                 && self.vc_lanes == Self::vc_lane_mask(self.cfg.vcs)
                 && self.local_slots == Self::local_slot_table(self.cfg.vcs),
             "a geometry table diverged from the mesh configuration"
@@ -1188,17 +1305,6 @@ impl Mesh {
         first.or(second).unwrap_or(LOCAL)
     }
 
-    /// The router `port` of `node` feeds; the port must lead into the mesh.
-    fn neighbour(&self, node: usize, port: usize) -> usize {
-        match port {
-            NORTH => node + self.cfg.width,
-            SOUTH => node - self.cfg.width,
-            EAST => node + 1,
-            WEST => node - 1,
-            _ => unreachable!("no neighbour through the local port"),
-        }
-    }
-
     /// The input port at the downstream router that `port` feeds.
     fn entry_port(port: usize) -> usize {
         match port {
@@ -1210,9 +1316,9 @@ impl Mesh {
         }
     }
 
-    /// Like [`Mesh::neighbour`] but `None` at the mesh edge (and for the
-    /// local port) instead of undefined arithmetic.
-    fn neighbour_checked(&self, node: usize, port: usize) -> Option<usize> {
+    /// The router `port` of `node` feeds, or `None` at the mesh edge and
+    /// for the local port.
+    fn neighbour(&self, node: usize, port: usize) -> Option<usize> {
         let (x, y) = self.coords(node);
         match port {
             NORTH => (y + 1 < self.cfg.height).then(|| x + (y + 1) * self.cfg.width),
@@ -1256,7 +1362,7 @@ impl Mesh {
             queue.push_back(root);
             while let Some(v) = queue.pop_front() {
                 for port in [NORTH, EAST, SOUTH, WEST] {
-                    let Some(u) = self.neighbour_checked(v, port) else {
+                    let Some(u) = self.neighbour(v, port) else {
                         continue;
                     };
                     if level[u] == u32::MAX && both_alive(v, port, u) {
@@ -1281,7 +1387,7 @@ impl Mesh {
                 // detours, which can wormhole-deadlock single-VC buffers.
                 return true;
             }
-            match self.neighbour_checked(v, p) {
+            match self.neighbour(v, p) {
                 None => true,
                 Some(prev) => !is_down(prev, v) || is_down(v, u),
             }
@@ -1291,14 +1397,14 @@ impl Mesh {
         let mut radj: Vec<Vec<u32>> = vec![Vec::new(); states];
         for v in 0..n {
             for p in 0..NUM_PORTS {
-                if p != LOCAL && self.neighbour_checked(v, p).is_none() {
+                if p != LOCAL && self.neighbour(v, p).is_none() {
                     continue; // edge-of-mesh port: no such entry state
                 }
                 for out in [NORTH, EAST, SOUTH, WEST] {
                     if link_dead[v * NUM_PORTS + out] {
                         continue;
                     }
-                    let Some(u) = self.neighbour_checked(v, out) else {
+                    let Some(u) = self.neighbour(v, out) else {
                         continue;
                     };
                     if !hop_ok(v, p, u) {
@@ -1342,7 +1448,7 @@ impl Mesh {
                         if link_dead[v * NUM_PORTS + out] {
                             continue;
                         }
-                        let Some(u) = self.neighbour_checked(v, out) else {
+                        let Some(u) = self.neighbour(v, out) else {
                             continue;
                         };
                         if !hop_ok(v, p, u) {
@@ -1409,8 +1515,8 @@ impl Mesh {
     /// real link layer raises when the far end stops returning credits — the
     /// observable that lets a health monitor find the dead link.
     fn drop_dead_port_heads(&mut self, f: &FaultState) {
-        for r in 0..self.queued.len() {
-            if self.queued[r] == 0 {
+        for r in 0..self.routers.len() {
+            if self.routers[r].queued == 0 {
                 continue;
             }
             for slot in self.slot(r, 0, 0)..self.slot(r + 1, 0, 0) {
@@ -1441,8 +1547,8 @@ impl Mesh {
         if f.routes.is_none() {
             return;
         }
-        for r in 0..self.queued.len() {
-            if self.queued[r] == 0 {
+        for r in 0..self.routers.len() {
+            if self.routers[r].queued == 0 {
                 continue;
             }
             for slot in self.slot(r, 0, 0)..self.slot(r + 1, 0, 0) {
@@ -1501,20 +1607,22 @@ impl Mesh {
     /// Unlinks the head of `slot`, one of `router`'s, and keeps what
     /// depends on it: the router's `queued` count, `occupancy`, the full
     /// mask of the link feeding the slot (a pop from a full queue returns
-    /// its credit) and the new head's route. The caller links the returned
-    /// entry onto a downstream queue or takes the packet out of the slab.
-    /// The one pop: phase 2 and both phase-0 drop passes call it.
+    /// its credit) with its router's grant mask, and the new head's route.
+    /// The caller links the returned entry onto a downstream queue or takes
+    /// the packet out of the slab. The one pop: phase 2 and both phase-0
+    /// drop passes call it.
     fn pop_head(&mut self, f: Option<&FaultState>, router: usize, slot: usize) -> Option<u32> {
         let was_full = self.buffers.len(slot) >= self.cfg.buffer_packets;
         let entry = self.buffers.pop(slot)?;
-        self.queued[router] -= 1;
+        self.routers[router].queued -= 1;
         self.occupancy -= 1;
         let (in_port, vc) = self.local_slots[slot - self.slot(router, 0, 0)];
         let in_port = usize::from(in_port);
         if was_full && in_port != LOCAL {
             // Only a link can fill a non-local queue, so it has a far end.
-            let up = self.neighbour(router, in_port) * NUM_PORTS + Self::entry_port(in_port);
+            let up = self.links[router * NUM_PORTS + in_port].up_link as usize;
             self.lanes[up].full &= !(self.vc_lanes << vc);
+            self.sync_grant(up / NUM_PORTS, up % NUM_PORTS);
         }
         self.refresh_head(f, router, slot);
         Some(entry)
@@ -1522,34 +1630,71 @@ impl Mesh {
 
     /// Re-routes the head of `slot`, one of `router`'s, and moves its
     /// request bit to the new output: the one setter of `head_route`, the
-    /// request masks and `requested_ports`. It runs wherever a queue's head
-    /// changes (a push into an empty queue, every pop) and, through
-    /// [`Mesh::refresh_all_heads`], wherever the routing function changes.
+    /// request masks, `requested_ports` and the [`REQUESTED`] router set.
+    /// It runs wherever a queue's head changes (a push into an empty queue,
+    /// every pop) and, through [`Mesh::refresh_all_heads`], wherever the
+    /// routing function changes.
     fn refresh_head(&mut self, f: Option<&FaultState>, router: usize, slot: usize) {
         let route = self.head_route_of(f, router, slot);
         let bit = 1u64 << (slot - self.slot(router, 0, 0));
         let link = router * NUM_PORTS;
         let old = self.head_route[slot];
+        let was_requested = self.routers[router].requested_ports != 0;
         if old != UNREACHABLE {
             let requests = &mut self.lanes[link + usize::from(old)].requests;
             *requests &= !bit;
             if *requests == 0 {
-                self.requested_ports[router] &= !(1 << old);
+                self.routers[router].requested_ports &= !(1 << old);
             }
+            self.sync_grant(router, usize::from(old));
         }
         if route != UNREACHABLE {
             self.lanes[link + usize::from(route)].requests |= bit;
-            self.requested_ports[router] |= 1 << route;
+            self.routers[router].requested_ports |= 1 << route;
+            self.sync_grant(router, usize::from(route));
         }
         self.head_route[slot] = route;
+        let requested = self.routers[router].requested_ports != 0;
+        if requested != was_requested {
+            self.mark_router(REQUESTED, router, requested);
+        }
+    }
+
+    /// Recomputes bit `out` of `router`'s grant mask from the lane masks of
+    /// link `router * NUM_PORTS + out`, and the router's [`GRANTABLE`]
+    /// bit with it. Runs after every change to a request or full mask:
+    /// `refresh_head`, `pop_head`'s credit return and phase 2's fill.
+    fn sync_grant(&mut self, router: usize, out: usize) {
+        let lanes = self.lanes[router * NUM_PORTS + out];
+        let state = &mut self.routers[router];
+        let was_grantable = state.grantable != 0;
+        if lanes.requests & !lanes.full != 0 {
+            state.grantable |= 1 << out;
+        } else {
+            state.grantable &= !(1 << out);
+        }
+        let grantable = state.grantable != 0;
+        if grantable != was_grantable {
+            self.mark_router(GRANTABLE, router, grantable);
+        }
+    }
+
+    /// Sets (`on`) or clears `router`'s bit of router bitset `set`.
+    fn mark_router(&mut self, set: usize, router: usize, on: bool) {
+        let word = &mut self.routers[router / 64].sets[set];
+        if on {
+            *word |= 1 << (router % 64);
+        } else {
+            *word &= !(1 << (router % 64));
+        }
     }
 
     /// Re-routes every queue head after the routing function changed: a
     /// dead-link onset (including onset-0 links at plan application), a
     /// quarantine or a release. Empty routers hold no head to re-route.
     fn refresh_all_heads(&mut self, f: &FaultState) {
-        for r in 0..self.queued.len() {
-            if self.queued[r] == 0 {
+        for r in 0..self.routers.len() {
+            if self.routers[r].queued == 0 {
                 continue;
             }
             for slot in self.slot(r, 0, 0)..self.slot(r + 1, 0, 0) {
@@ -1618,7 +1763,9 @@ impl Mesh {
             Some(out) if self.output_busy_until[r * NUM_PORTS + out] > self.cycle => {
                 StallKind::Serialization
             }
-            Some(out) if out == LOCAL && !self.ejection_enabled[r] => StallKind::Backpressure,
+            Some(out) if out == LOCAL && !self.routers[r].ejection_enabled => {
+                StallKind::Backpressure
+            }
             Some(out)
                 if self.lanes[r * NUM_PORTS + out].full & 1 << (slot - self.slot(r, 0, 0)) != 0 =>
             {
@@ -1639,13 +1786,14 @@ impl Mesh {
         n: u64,
     ) {
         let mut moves = moves.iter().peekable();
-        for r in 0..self.queued.len() {
-            if self.queued[r] == 0 {
+        for r in 0..self.routers.len() {
+            if self.routers[r].queued == 0 {
                 continue;
             }
             let first = self.slot(r, 0, 0);
-            // The router's grant mask over its router-local slots. Every
-            // move's router holds the granted head, so none is skipped.
+            // The router's granted slots, as a mask over its router-local
+            // slots. Every move's router holds the granted head, so none is
+            // skipped.
             let mut granted = 0u64;
             while let Some(m) = moves.next_if(|m| m.router == r) {
                 granted |= 1 << (m.slot - first);
@@ -1657,6 +1805,54 @@ impl Mesh {
                 if granted & 1 << (slot - first) == 0 {
                     rec.charge_n(head.id, self.classify_stall(faults, r, slot), n);
                 }
+            }
+        }
+    }
+
+    /// Phase 1 at router `r`, which has a grantable output: each grantable
+    /// output that is free, ejecting and alive arbitrates among its
+    /// requesting slots with downstream credit, the request mask less the
+    /// link's full lanes, and a grant joins `moves`. The credit read needs
+    /// no same-cycle reservation: exactly one (router, output) pair feeds
+    /// each downstream (router, entry port), and it grants at most once
+    /// per cycle. A stalled router grants nothing.
+    fn arbitrate(&mut self, faults: Option<&FaultState>, r: usize, moves: &mut Vec<Move>) {
+        if faults.is_some_and(|f| self.is_stalled(f, r)) {
+            return;
+        }
+        let first = self.slot(r, 0, 0);
+        let mut ports = self.routers[r].grantable;
+        while ports != 0 {
+            let out = ports.trailing_zeros() as usize;
+            ports &= ports - 1;
+            let link = r * NUM_PORTS + out;
+            if self.output_busy_until[link] > self.cycle {
+                continue;
+            }
+            if out == LOCAL {
+                if !self.routers[r].ejection_enabled {
+                    continue;
+                }
+            } else if faults.is_some_and(|f| f.link_dead[link]) {
+                continue;
+            }
+            let lanes = self.lanes[link];
+            // Arbiter inputs are the router-local slots
+            // `in_port * vcs + vc`; every requesting slot holds a head.
+            let buffers = &self.buffers;
+            let birth_of = |input: usize| {
+                buffers
+                    .front(first + input)
+                    .map_or(u64::MAX, |head| head.birth)
+            };
+            if let Some(winner) = self.arbiters[link].grant(lanes.requests & !lanes.full, birth_of)
+            {
+                moves.push(Move {
+                    router: r,
+                    slot: first + winner,
+                    vc: usize::from(self.local_slots[winner].1),
+                    out_port: out,
+                });
             }
         }
     }
@@ -1709,53 +1905,20 @@ impl Mesh {
 
         // Phase 1: arbitration decisions on a consistent snapshot. Every
         // queue head was routed once, when it became the head, into
-        // `head_route`, its output's request mask and the router's
-        // `requested_ports`. Each free requested output arbitrates among the
-        // requesting slots that have downstream credit on their own VC: the
-        // request mask less the link's full lanes. The credit read needs no
-        // same-cycle reservation: exactly one (router, output) pair feeds
-        // each downstream (router, entry port), and it grants at most once
-        // per cycle.
+        // `head_route` and its output's request mask, and each router's
+        // grant mask marks the outputs with a requesting lane that has
+        // downstream credit on its own VC. Phase 1 walks the routers of the
+        // `GRANTABLE` set in ascending order; an output with no credit would
+        // hand the arbiter an empty mask, which grants nothing and moves no
+        // cursor, so skipping it changes no decision.
         let mut moves = std::mem::take(&mut self.moves);
         moves.clear();
-        for r in 0..self.queued.len() {
-            let mut ports = self.requested_ports[r];
-            if ports == 0 || faults.as_deref().is_some_and(|f| self.is_stalled(f, r)) {
-                continue;
-            }
-            let first = self.slot(r, 0, 0);
-            while ports != 0 {
-                let out = ports.trailing_zeros() as usize;
-                ports &= ports - 1;
-                let link = r * NUM_PORTS + out;
-                if self.output_busy_until[link] > self.cycle {
-                    continue;
-                }
-                if out == LOCAL {
-                    if !self.ejection_enabled[r] {
-                        continue;
-                    }
-                } else if faults.as_deref().is_some_and(|f| f.link_dead[link]) {
-                    continue;
-                }
-                let lanes = self.lanes[link];
-                let requests = lanes.requests & !lanes.full;
-                // Arbiter inputs are the router-local slots
-                // `in_port * vcs + vc`; every requesting slot holds a head.
-                let buffers = &self.buffers;
-                let birth_of = |input: usize| {
-                    buffers
-                        .front(first + input)
-                        .map_or(u64::MAX, |head| head.birth)
-                };
-                if let Some(winner) = self.arbiters[link].grant(requests, birth_of) {
-                    moves.push(Move {
-                        router: r,
-                        slot: first + winner,
-                        vc: usize::from(self.local_slots[winner].1),
-                        out_port: out,
-                    });
-                }
+        for w in 0..self.routers.len().div_ceil(64) {
+            let mut routers = self.routers[w].sets[GRANTABLE];
+            while routers != 0 {
+                let r = 64 * w + routers.trailing_zeros() as usize;
+                routers &= routers - 1;
+                self.arbitrate(faults.as_deref(), r, &mut moves);
             }
         }
 
@@ -1784,7 +1947,7 @@ impl Mesh {
             let link = m.router * NUM_PORTS + m.out_port;
             self.output_busy_until[link] = self.cycle + u64::from(packet.flits);
             self.stats.link_flits[link] += u64::from(packet.flits);
-            self.window_flits[link] += u64::from(packet.flits);
+            self.add_window_flits(link, packet.flits);
             if let Some(rec) = rec.as_deref_mut() {
                 rec.on_grant(packet.id, m.out_port as u8, self.cycle);
             }
@@ -1823,21 +1986,23 @@ impl Mesh {
                 self.buffers.release(entry);
                 self.ejected.push(packet);
             } else {
-                let down = self.neighbour(m.router, m.out_port);
+                let geometry = self.links[link];
+                let down = geometry.down_router as usize;
                 if let Some(rec) = rec.as_deref_mut() {
                     // The packet becomes visible to the downstream router's
                     // arbitration on the next cycle.
                     let port = Self::entry_port(m.out_port);
                     rec.on_enqueue(packet.id, down as u32, port as u8, self.cycle + 1);
                 }
-                let slot = self.down_slot[link] as usize + m.vc;
+                let slot = geometry.down_slot as usize + m.vc;
                 let len = self.buffers.link(slot, entry);
-                self.queued[down] += 1;
+                self.routers[down].queued += 1;
                 self.occupancy += 1;
                 if len >= self.cfg.buffer_packets {
                     // The queue just filled: the link has no credit left on
                     // this VC until a pop frees a place.
                     self.lanes[link].full |= self.vc_lanes << m.vc;
+                    self.sync_grant(m.router, m.out_port);
                 }
                 if len == 1 {
                     self.refresh_head(faults.as_deref(), down, slot);
@@ -1855,29 +2020,39 @@ impl Mesh {
         !moved && self.lost.len() == lost_mark
     }
 
-    /// Window boundary: fold the per-link window demand into the peak and
-    /// sample router queue depths into telemetry when enabled.
-    fn close_window(&mut self) {
-        let window_peak = self.window_flits.iter().copied().max().unwrap_or(0);
-        if window_peak > self.stats.peak_window_flits {
-            self.stats.peak_window_flits = window_peak;
+    /// Adds `flits` to `link`'s count in the current window, restarting a
+    /// count stamped with an older window, and keeps the running maximum.
+    fn add_window_flits(&mut self, link: usize, flits: u32) {
+        let window = self.cycle / WINDOW_CYCLES;
+        let w = &mut self.window_flits[link];
+        if w.window != window {
+            *w = LinkWindow { flits: 0, window };
         }
-        self.window_flits.iter_mut().for_each(|w| *w = 0);
+        w.flits += u64::from(flits);
+        self.window_max = self.window_max.max(w.flits);
+    }
+
+    /// Window boundary: fold the window's running maximum into the peak
+    /// and sample router queue depths into telemetry when enabled. The
+    /// links' counts need no clearing: the next add sees a stale stamp.
+    fn close_window(&mut self) {
+        let peak = &mut self.stats.peak_window_flits;
+        *peak = (*peak).max(std::mem::take(&mut self.window_max));
 
         if !self.telemetry.is_enabled() {
             return;
         }
         let mut deepest = (0usize, 0usize); // (router, depth)
         self.telemetry.with(|t| {
-            for (r, &depth) in self.queued.iter().enumerate() {
+            for (r, state) in self.routers.iter().enumerate() {
                 t.registry
-                    .hist_record("noc.router_queue_depth", depth as u64);
-                if depth > deepest.1 {
-                    deepest = (r, depth);
+                    .hist_record("noc.router_queue_depth", state.queued as u64);
+                if state.queued > deepest.1 {
+                    deepest = (r, state.queued);
                 }
             }
             t.registry
-                .counter_add("noc.queue_samples", self.queued.len() as u64);
+                .counter_add("noc.queue_samples", self.routers.len() as u64);
         });
         if deepest.1 > 0 {
             self.telemetry.emit_with(|| {
@@ -1956,14 +2131,21 @@ impl Mesh {
         let mut bound = u64::MAX;
         // Only a requested output's serialisation can matter: a head that
         // arrives at an idle output is a move or an injection, and either
-        // resets `quiet_until`.
-        for (r, mut ports) in self.requested_ports.iter().copied().enumerate() {
-            while ports != 0 {
-                let out = ports.trailing_zeros() as usize;
-                ports &= ports - 1;
-                let busy = self.output_busy_until[r * NUM_PORTS + out];
-                if busy >= self.cycle && busy < bound {
-                    bound = busy;
+        // resets `quiet_until`. The `REQUESTED` set names the routers with
+        // one.
+        for w in 0..self.routers.len().div_ceil(64) {
+            let mut routers = self.routers[w].sets[REQUESTED];
+            while routers != 0 {
+                let r = 64 * w + routers.trailing_zeros() as usize;
+                routers &= routers - 1;
+                let mut ports = self.routers[r].requested_ports;
+                while ports != 0 {
+                    let out = ports.trailing_zeros() as usize;
+                    ports &= ports - 1;
+                    let busy = self.output_busy_until[r * NUM_PORTS + out];
+                    if busy >= self.cycle && busy < bound {
+                        bound = busy;
+                    }
                 }
             }
         }
@@ -2012,12 +2194,16 @@ impl Mesh {
 
     /// Moves the clock to `target`, closing every window boundary on the
     /// way at its own cycle stamp with the (frozen) queue depths the
-    /// reference engine would have sampled.
+    /// reference engine would have sampled. Without telemetry only the
+    /// first close does anything: the later windows saw no flits.
     fn close_windows_to(&mut self, target: u64) {
         let mut w = (self.cycle / WINDOW_CYCLES + 1) * WINDOW_CYCLES;
         while w <= target {
             self.cycle = w;
             self.close_window();
+            if !self.telemetry.is_enabled() {
+                break;
+            }
             w += WINDOW_CYCLES;
         }
         self.cycle = target;
@@ -2092,7 +2278,7 @@ mod tests {
         let mut m = small();
         assert!(m.try_inject(NodeId::new(0), NodeId::new(8), 1, PacketClass::Request));
         m.run(20);
-        let ejected = m.drain_ejected();
+        let ejected: Vec<Packet> = m.drain_ejected().collect();
         assert_eq!(ejected.len(), 1);
         assert_eq!(ejected[0].dst, NodeId::new(8));
         assert_eq!(m.stats().delivered_total, 1);
@@ -2555,7 +2741,7 @@ mod tests {
                 );
             }
             m.run(2_000);
-            (m.stats().clone(), m.drain_ejected())
+            (m.stats().clone(), m.drain_ejected().collect::<Vec<_>>())
         };
         assert_eq!(run(false), run(true));
     }
@@ -2647,7 +2833,7 @@ mod tests {
             (
                 m.cycle(),
                 m.stats().clone(),
-                m.drain_ejected(),
+                m.drain_ejected().collect::<Vec<_>>(),
                 m.drain_lost(),
                 rec.finished().to_vec(),
             )
@@ -2679,7 +2865,10 @@ mod tests {
         );
         assert_eq!(by_run.cycle(), by_drain.cycle());
         assert_eq!(by_run.stats(), by_drain.stats());
-        assert_eq!(by_run.drain_ejected(), by_drain.drain_ejected());
+        assert_eq!(
+            by_run.drain_ejected().collect::<Vec<_>>(),
+            by_drain.drain_ejected().collect::<Vec<_>>()
+        );
         assert_eq!(by_run.in_flight(), 0);
         assert_eq!(by_drain.in_flight(), 0);
     }
@@ -2743,12 +2932,16 @@ mod tests {
         ));
     }
 
-    /// The cached head routes, request masks and requested-port masks stay
-    /// coherent at every site that changes a queue head or the routing
-    /// function: injection into an empty queue, the phase-2 pop and push,
-    /// both phase-0 drop passes, a dead-link onset, a quarantine, a release
-    /// and a router stall window. `in_flight` recomputes all three, and the
-    /// geometry tables, in debug builds and asserts they match.
+    /// The cached head routes, request masks, requested-port and grant
+    /// masks and both router bitsets stay coherent at every site that
+    /// changes a queue head, a request or full mask or the routing
+    /// function: injection into an empty queue, the phase-2 pop, push and
+    /// fill, a credit return, both phase-0 drop passes, a dead-link onset, a
+    /// quarantine, a release and a router stall window; the running window
+    /// maximum stays coherent through a mid-window stats reset and skipped
+    /// windows. `in_flight` recomputes all of them, and the geometry
+    /// tables, in debug builds and asserts they match. A 72-router mesh
+    /// covers a second bitset word.
     #[test]
     fn head_routes_stay_coherent_at_every_refresh_site() {
         let mut plan = gnoc_faults::FaultPlan::none();
@@ -2780,8 +2973,12 @@ mod tests {
                 let mut m = Mesh::new(small().cfg.with_vcs(2));
                 m.set_self_healing(self_heal);
                 m.apply_fault_plan(&plan).unwrap();
+                // Whether some router had a requested output whose every
+                // requesting lane lacked credit: the full masks were live.
+                let mut saw_blocked_output = false;
                 for cycle in 0..400u64 {
                     match cycle {
+                        20 => m.reset_stats(),
                         35 => {
                             for (dst, class) in [(2, PacketClass::Request), (5, PacketClass::Reply)]
                             {
@@ -2790,6 +2987,8 @@ mod tests {
                         }
                         40 => m.quarantine_link(0, gnoc_faults::Direction::North).unwrap(),
                         80 => m.release_link(0, gnoc_faults::Direction::North).unwrap(),
+                        // Router 4 stops ejecting, so queues back up into it.
+                        120 | 200 => m.set_ejection_enabled(NodeId::new(4), cycle == 200),
                         _ => {}
                     }
                     if cycle < 300 {
@@ -2819,9 +3018,14 @@ mod tests {
                         m.step();
                     }
                     let _ = m.in_flight();
+                    saw_blocked_output |= m
+                        .routers
+                        .iter()
+                        .any(|state| state.grantable != state.requested_ports);
                 }
                 let s = m.stats();
                 let label = format!("event {event}, self-healing {self_heal}");
+                assert!(saw_blocked_output, "{label}");
                 assert!(s.delivered_total > 0, "{label}");
                 assert_eq!(s.reroutes, if self_heal { 2 } else { 4 }, "{label}");
                 if self_heal {
@@ -2831,6 +3035,26 @@ mod tests {
                 }
             }
         }
+        // Many-to-few traffic on 12×6 routers, so both router bitsets span
+        // two words, with quiet spans the event engine skips.
+        let mut m = Mesh::new(MeshConfig {
+            width: 12,
+            height: 6,
+            ..small().cfg.with_vcs(2)
+        });
+        for cycle in 0..600u64 {
+            if cycle < 300 && cycle % 3 == 0 {
+                for src in (0..72).step_by(5) {
+                    let dst = if cycle % 2 == 0 { 3 } else { 70 };
+                    let _ =
+                        m.try_inject(NodeId::new(src), NodeId::new(dst), 2, PacketClass::Request);
+                }
+            }
+            m.run(1);
+            let _ = m.in_flight();
+        }
+        assert!(m.steps() < m.cycle(), "the drained tail must be skipped");
+        assert_eq!(m.in_flight(), 0);
     }
 
     /// O(1) `in_flight` stays consistent through injection, movement,

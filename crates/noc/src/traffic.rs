@@ -94,7 +94,6 @@ pub fn run_fairness(
     let mut backlog: Vec<std::collections::VecDeque<(u64, NodeId)>> =
         vec![std::collections::VecDeque::new(); n];
 
-    let mut ejected = Vec::new();
     let total = cfg.warmup + cfg.measure;
     for cycle in 0..total {
         if cycle == cfg.warmup {
@@ -112,10 +111,9 @@ pub fn run_fairness(
             }
         }
         mesh.step();
-        // Delivered packets are only counted in the stats; swapping them out
-        // into a kept buffer discards them without allocating.
-        mesh.swap_ejected(&mut ejected);
-        ejected.clear();
+        // Delivered packets are only counted in the stats; the drain
+        // discards them.
+        mesh.drain_ejected();
     }
 
     let throughput: Vec<f64> = compute_nodes

@@ -1,14 +1,14 @@
-//! A warm, fault-free, recorder-free `Mesh::step` makes no heap allocation:
-//! its working buffers live in the mesh, and the packet slab and the
-//! ejection buffer keep their capacity from cycle to cycle. A cold mesh
-//! allocates only to grow those buffers, never once per queue. Warm
-//! `ReliableMesh`, `Crossbar` and `HierCrossbar` steps allocate nothing
-//! either. Building a mesh makes a fixed number of allocations, whatever
-//! its size.
+//! A warm, fault-free, recorder-free `Mesh::step` makes no heap allocation,
+//! and neither does draining its ejections: its working buffers live in the
+//! mesh, and the packet slab and the ejection buffer keep their capacity
+//! from cycle to cycle. A cold mesh allocates only to grow those buffers,
+//! never once per queue. Warm `ReliableMesh`, `Crossbar` and `HierCrossbar`
+//! steps allocate nothing either. Building a mesh makes a fixed number of
+//! allocations, whatever its size.
 
 use gnoc_noc::{
     ArbiterKind, Crossbar, CrossbarConfig, HierConfig, HierCrossbar, Mesh, MeshConfig, NodeId,
-    PacketClass, ReliableMesh, RetryConfig,
+    PacketClass, ReliableMesh, RetryConfig, NUM_PORTS,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -78,22 +78,32 @@ fn offer_uniform(m: &mut Mesh, state: &mut u64) -> u64 {
     allocations() - before
 }
 
+/// The counted cycle is the whole of a caller's: injections, the step and
+/// a drain that reads every ejected packet.
 #[test]
 fn warm_step_allocates_nothing() {
     for arbiter in [ArbiterKind::RoundRobin, ArbiterKind::AgeBased] {
         let mut m = Mesh::new(MeshConfig::paper_6x6(arbiter).with_vcs(2));
         let mut state = 1u64;
         let mut step_allocs = 0;
+        let mut drained_flits = 0u64;
         for cycle in 0..3_000u64 {
             let inject_allocs = offer_uniform(&mut m, &mut state);
             let before = allocations();
             m.step();
+            for p in m.drain_ejected() {
+                drained_flits += u64::from(p.flits);
+            }
             if cycle >= 2_000 {
                 step_allocs += inject_allocs + allocations() - before;
             }
-            drop(m.drain_ejected());
         }
         assert!(m.stats().delivered_total > 10_000, "the mesh must be busy");
+        assert_eq!(
+            drained_flits,
+            m.stats().link_flits.iter().step_by(NUM_PORTS).sum::<u64>(),
+            "the drain must yield every ejected packet"
+        );
         assert_eq!(step_allocs, 0, "{arbiter:?}: warm steps allocated");
     }
 }

@@ -115,8 +115,8 @@ fn mesh_runs_bit_identical_across_generated_plans() {
         assert_eq!(event.cycle(), cycle.cycle(), "seed {seed}: clock diverged");
         assert_eq!(event.stats(), cycle.stats(), "seed {seed}: stats diverged");
         assert_eq!(
-            event.drain_ejected(),
-            cycle.drain_ejected(),
+            event.drain_ejected().collect::<Vec<_>>(),
+            cycle.drain_ejected().collect::<Vec<_>>(),
             "seed {seed}: ejections diverged"
         );
         assert_eq!(
@@ -154,7 +154,7 @@ fn reliable_mesh_soaks_bit_identical_across_seeds() {
                 rm.mesh().cycle(),
                 rm.stats().clone(),
                 rm.outcomes(),
-                rm.mesh_mut().drain_ejected(),
+                rm.mesh_mut().drain_ejected().collect::<Vec<_>>(),
             )
         };
         let (event, cycle) = on_both_engines(soak);
@@ -252,7 +252,7 @@ fn max_vc_mesh_bit_identical_across_engines() {
             (
                 m.cycle(),
                 stats,
-                m.drain_ejected(),
+                m.drain_ejected().collect::<Vec<_>>(),
                 m.drain_lost(),
                 sink.lines,
             )
