@@ -28,7 +28,7 @@ done
 echo "== one home for the bandwidth arithmetic: MLP budgets read in two files =="
 # calib.rs sets the in-flight byte budgets and FabricModel (fabric.rs) turns
 # them into Little's-law rates; a second copy of that formula in microbench
-# or a figure binary would drift from the solver's.
+# or a figure would drift from the solver's.
 readers="$(grep -rlE '\b(flow|sm)_mlp_bytes\b' crates tests examples \
     | grep -vxE 'crates/engine/src/(calib|fabric)\.rs' || true)"
 if [ -n "$readers" ]; then
@@ -419,11 +419,23 @@ cmp "$tmp/cold.json" "$tmp/cached.json"
 cmp "$tmp/oneshot.txt" "$tmp/resumed-summary.txt"
 
 echo "== figures: regenerate every figure and compare with FIGURES.txt =="
-# Every figure binary is a pure function of its seed, so a fresh run must
+# Every figure is a pure function of its seed, so a fresh run must
 # reproduce the committed FIGURES.txt byte for byte (and rewrite the tracked
 # out/*.svg unchanged).
 ./figures.sh "$tmp/FIGURES.txt" > /dev/null
 cmp "$tmp/FIGURES.txt" FIGURES.txt
+# The runner runs every figure in one process, so state one figure leaves
+# behind must not change a later one: each figure run alone must print
+# exactly its section of FIGURES.txt.
+for name in $(sed -n 's/^### //p' FIGURES.txt); do
+    target/release/figures "$name" > "$tmp/alone.txt"
+    awk -v h="### $name" '$0 == h { on = 1; print; next } /^### / { on = 0 } on' \
+        FIGURES.txt > "$tmp/section.txt"
+    if ! cmp -s "$tmp/alone.txt" "$tmp/section.txt"; then
+        echo "figure '$name' run alone differs from its FIGURES.txt section"
+        exit 1
+    fi
+done
 
 echo "== perfbench: the benchmark's own tests + self-check =="
 # The benchmark's arithmetic tests, then every workload run twice at the

@@ -1,79 +1,20 @@
-//! Shared helpers for the figure-regeneration binaries.
+//! Every table and figure of the paper, plus the extension experiments, as
+//! one registry of functions.
 //!
-//! Every table and figure of the paper has a `cargo run -p gnoc-bench --bin
-//! figNN` binary that prints the same rows/series the paper reports, next to
-//! the paper's published values where the paper states them. EXPERIMENTS.md
+//! Each entry of [`FIGURES`] prints the same rows/series the paper reports,
+//! next to the paper's published values where the paper states them.
+//! `cargo run --release -p gnoc-bench --bin figures [name...]` runs them in
+//! process; its stdout with no names is `FIGURES.txt`, and EXPERIMENTS.md
 //! collects the outputs.
 
 #![warn(missing_docs)]
 
-use gnoc_core::TelemetryHandle;
-use std::path::PathBuf;
-use std::time::Instant;
+// The figure modules name the helpers below as `gnoc_bench::...`.
+extern crate self as gnoc_bench;
 
-/// Telemetry for one figure binary, driven by an optional `--metrics <path>`
-/// argument (`reproduce.sh` passes `--metrics out/<bin>.metrics.json` to
-/// every run). Without the flag the handle is disabled and the whole struct
-/// is inert. Dropping the guard at the end of `main` records the binary's
-/// wall-clock span and writes the registry, so a figure binary only needs
-/// one line — `let _metrics = FigureMetrics::from_args(...);` — plus, where
-/// its experiment takes a telemetry handle, passing it `handle()`.
-#[derive(Debug)]
-pub struct FigureMetrics {
-    handle: TelemetryHandle,
-    bin: String,
-    path: Option<PathBuf>,
-    started: Instant,
-}
+mod figures;
 
-impl FigureMetrics {
-    /// Parses `--metrics <path>` out of the process arguments.
-    pub fn from_args(bin: &str) -> Self {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let path = args
-            .windows(2)
-            .find(|w| w[0] == "--metrics")
-            .map(|w| PathBuf::from(&w[1]));
-        let handle = if path.is_some() {
-            TelemetryHandle::enabled()
-        } else {
-            TelemetryHandle::disabled()
-        };
-        FigureMetrics {
-            handle,
-            bin: bin.to_string(),
-            path,
-            started: Instant::now(),
-        }
-    }
-
-    /// The shared handle to thread into traced runs / `set_telemetry`.
-    pub fn handle(&self) -> &TelemetryHandle {
-        &self.handle
-    }
-}
-
-impl Drop for FigureMetrics {
-    fn drop(&mut self) {
-        let Some(path) = &self.path else { return };
-        let micros = (self.started.elapsed().as_secs_f64() * 1e6)
-            .round()
-            .max(0.0) as u64;
-        let mut registry = self.handle.snapshot_registry().unwrap_or_default();
-        registry.wall_record(&format!("span.figure.{}.us", self.bin), micros);
-        registry.counter_add(&format!("span.figure.{}.calls", self.bin), 1);
-        // The default export quarantines wall-clock spans so the metrics
-        // files are bit-identical run-to-run; GNOC_WALL_METRICS=1 opts in.
-        let json = if std::env::var_os("GNOC_WALL_METRICS").is_some() {
-            registry.to_json_pretty_with_wall()
-        } else {
-            registry.to_json_pretty()
-        };
-        if let Err(e) = std::fs::write(path, json) {
-            eprintln!("warning: cannot write metrics file {}: {e}", path.display());
-        }
-    }
-}
+pub use figures::{Figure, FIGURES};
 
 /// Prints the standard experiment header.
 pub fn header(id: &str, claim: &str) {

@@ -702,7 +702,7 @@ GLOBAL FLAGS (every subcommand):
                             cycle steps every cycle. Results are bit-identical
                             either way; only wall time changes. Without the
                             flag, GNOC_ENGINE=cycle selects cycle. Library
-                            callers such as the figure binaries run on event
+                            callers such as the figures runner run on event
 
 PROFILING:
     gnoc profile flight-records a mesh soak: every message gets a causal
@@ -1304,9 +1304,17 @@ fn parse_command(cmd: &str, flags: &Flags<'_>) -> Result<Command, String> {
                 Some(other) => return Err(format!("unknown arbiter '{other}' (rr|age)")),
             };
             let (devices, topology) = parse_fabric_flags(flags, 1)?;
+            let width = flags.parse_num("--width", 6u32)?;
+            let height = flags.parse_num("--height", 6u32)?;
+            if devices < 2 && u64::from(width) * u64::from(height) < 2 {
+                return Err(
+                    "flag --width/--height: a single die needs two nodes to exchange traffic"
+                        .to_owned(),
+                );
+            }
             Ok(Command::Profile {
-                width: flags.parse_num("--width", 6u32)?,
-                height: flags.parse_num("--height", 6u32)?,
+                width,
+                height,
                 age_based,
                 seed: flags.parse_num("--seed", 1u64)?,
                 transfers: flags.parse_num("--transfers", 2000usize)?,

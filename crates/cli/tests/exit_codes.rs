@@ -4,7 +4,8 @@
 //! when the human-readable output looks fine.
 
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 use gnoc_chaos::{ChaosConfig, OracleKind, Reproducer, REPRODUCER_VERSION};
 use gnoc_core::faults::{Direction, LinkFault, LinkFaultKind};
@@ -378,6 +379,40 @@ fn profile_artifacts_declare_schema_1() {
         );
         let _ = std::fs::remove_file(&out);
         let _ = std::fs::remove_file(format!("{}.trace.json", out.display()));
+    }
+}
+
+/// A single die of one node has no two endpoints to draw traffic between,
+/// so `profile` rejects it instead of redrawing forever. The child is polled
+/// against a deadline, so a regression fails instead of hanging the suite.
+#[test]
+fn one_node_profile_exits_invalid_input() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_gnoc"))
+        .args(["profile", "--width", "1", "--height", "1"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn gnoc");
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("poll gnoc") {
+            break status;
+        }
+        if Instant::now() >= deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("gnoc profile --width 1 --height 1 still running after 5 s");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert_eq!(status.code(), Some(EXIT_INVALID_INPUT));
+    // Two nodes, or two one-node dies, still have a pair to draw.
+    for args in [
+        &["profile", "--width", "1", "--height", "2"][..],
+        &["profile", "--width", "1", "--height", "1", "--devices", "2"],
+    ] {
+        let args = [args, &["--transfers", "20"]].concat();
+        assert_eq!(gnoc(&args), EXIT_OK, "gnoc {}", args.join(" "));
     }
 }
 

@@ -11,11 +11,9 @@ use std::time::Instant;
 /// and diffable across runs.
 ///
 /// Wall-clock measurements ([`SpanTimer`] durations) live in a separate
-/// `wall` section that is **excluded** from the default JSON export and from
+/// `wall` section that is **excluded** from the JSON export and from
 /// equality: everything in the main sections is a pure function of the
-/// simulated work, so default metrics files are bit-identical run-to-run.
-/// Opt in to the nondeterministic timings with
-/// [`MetricRegistry::to_json_pretty_with_wall`].
+/// simulated work, so metrics files are bit-identical run-to-run.
 #[derive(Debug, Clone, Default)]
 pub struct MetricRegistry {
     counters: BTreeMap<String, u64>,
@@ -47,8 +45,8 @@ impl Serialize for MetricRegistry {
 
 impl Deserialize for MetricRegistry {
     fn deserialize_value(value: &Value) -> Result<Self, serde::Error> {
-        // The `wall` section is optional: default exports omit it, opt-in
-        // exports and older hand-edited files may carry it.
+        // The `wall` section is optional: exports omit it, files written by
+        // older versions may carry it.
         let wall = match value.field("wall") {
             Ok(v) => Deserialize::deserialize_value(v)?,
             Err(_) => BTreeMap::new(),
@@ -180,18 +178,6 @@ impl MetricRegistry {
         serde_json::to_string_pretty(self).expect("registry serializes")
     }
 
-    /// Serializes to pretty JSON *including* the nondeterministic `wall`
-    /// section — opt-in, for runs that want wall-clock timings on disk.
-    pub fn to_json_pretty_with_wall(&self) -> String {
-        let value = Value::Object(vec![
-            ("counters".to_string(), self.counters.serialize_value()),
-            ("gauges".to_string(), self.gauges.serialize_value()),
-            ("histograms".to_string(), self.histograms.serialize_value()),
-            ("wall".to_string(), self.wall.serialize_value()),
-        ]);
-        serde_json::to_string_pretty(&value).expect("registry serializes")
-    }
-
     /// Parses a registry from JSON text.
     pub fn from_json(text: &str) -> Result<Self, String> {
         serde_json::from_str(text).map_err(|e| e.to_string())
@@ -211,7 +197,7 @@ impl MetricRegistry {
 
 /// A wall-clock span timer. Start one around a campaign or subcommand and
 /// [`SpanTimer::finish`] it into a registry: the duration lands in the
-/// `span.<name>.us` **wall** histogram (excluded from default exports) and
+/// `span.<name>.us` **wall** histogram (excluded from exports) and
 /// `span.<name>.calls` counts invocations as a normal counter.
 #[derive(Debug)]
 pub struct SpanTimer {
@@ -404,11 +390,6 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.to_json_pretty(), b.to_json_pretty());
         assert!(!b.to_json_pretty().contains("wall"));
-        // The opt-in export carries them, and parsing tolerates either form.
-        let with = b.to_json_pretty_with_wall();
-        assert!(with.contains("span.figure.us"));
-        let back = MetricRegistry::from_json(&with).expect("wall form parses");
-        assert_eq!(back.wall_hist("span.figure.us").unwrap().count(), 1);
         let plain = MetricRegistry::from_json(&b.to_json_pretty()).expect("plain form parses");
         assert!(plain.wall_hist("span.figure.us").is_none());
     }
