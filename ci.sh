@@ -121,6 +121,19 @@ if grep -rnE '\b(run_to_completion(_par)?|run_degraded|run_par|finish_par|finish
     exit 1
 fi
 
+echo "== one lone-flow recurrence: the lane kernel beside the general fixed point =="
+# FabricModel::run_lanes is the one copy of the lone-flow recurrence (a
+# one-flow solve runs it on one lane, solve_each on up to LANES) and
+# solve_general the fixed point over any flow set; a third copy of the
+# damped iterations must not grow back beside them.
+loops="$(grep -cF 'for iter in 0..FIXED_POINT_ITERS' crates/engine/src/fabric.rs || true)"
+if [ "$loops" -gt 2 ]; then
+    echo "crates/engine/src/fabric.rs holds $loops fixed-point loops, at most 2:"
+    grep -nF 'for iter in 0..FIXED_POINT_ITERS' crates/engine/src/fabric.rs
+    echo "run lone flows through FabricModel::run_lanes instead"
+    exit 1
+fi
+
 echo "== tier-1: cargo build --release && cargo test -q (GNOC_JOBS=2) =="
 cargo build --release
 # GNOC_JOBS=2 routes every env-resolved worker pool through the parallel

@@ -4,7 +4,7 @@
 use gnoc_analysis::{correlation_clusters, correlation_matrix, pearson, rand_index, Summary};
 use gnoc_engine::GpuDevice;
 use gnoc_microbench::LatencyProbe;
-use gnoc_telemetry::{SpanTimer, TraceEvent, SUBSYSTEM_CAMPAIGN};
+use gnoc_telemetry::{TraceEvent, SUBSYSTEM_CAMPAIGN};
 use gnoc_topo::{GpcId, SmId};
 use serde::{Deserialize, Serialize};
 
@@ -26,14 +26,12 @@ impl LatencyCampaign {
     /// derived statistics.
     ///
     /// When the device's telemetry is enabled, the probe layer records
-    /// per-SM progress events and the run finishes a `span.campaign.latency`
-    /// wall-clock timer plus `campaign.virtual_cycles` (the device's
-    /// accumulated model time) into the registry — the dual clocks of the
-    /// paper's methodology: host-side wall time around the launch,
-    /// device-side `clock()` cycles inside it.
+    /// per-SM progress events and the run counts one
+    /// `span.campaign.latency.calls` and adds `campaign.virtual_cycles` (the
+    /// device's accumulated model time, the paper's device-side `clock()`
+    /// cycles) into the registry.
     pub fn run(dev: &mut GpuDevice, probe: &LatencyProbe) -> Self {
         let telemetry = dev.telemetry().clone();
-        let timer = SpanTimer::start("campaign.latency");
         let start_cycle = dev.virtual_cycle();
         let matrix = probe.matrix(dev);
         let sm_summaries = matrix.iter().map(|row| Summary::of(row)).collect();
@@ -49,7 +47,7 @@ impl LatencyCampaign {
                 .counter_add("campaign.virtual_cycles", virtual_cycles);
             t.registry
                 .gauge_set("campaign.grand_mean_cycles", result.grand_mean());
-            timer.finish(&mut t.registry);
+            t.registry.counter_add("span.campaign.latency.calls", 1);
         });
         telemetry.emit_with(|| {
             TraceEvent::new(dev.virtual_cycle(), SUBSYSTEM_CAMPAIGN, "latency_campaign")

@@ -566,6 +566,13 @@ impl GpuDevice {
         self.fabric.solve(flows)
     }
 
+    /// Each flow's bandwidth, GB/s, solved alone: element `i` is
+    /// `self.solve_bandwidth(&flows[i..=i]).total_gbps`, bit for bit, from
+    /// one pass of the fabric's lane kernel. Deterministic; draws no noise.
+    pub fn solve_each(&self, flows: &[FlowSpec]) -> Vec<f64> {
+        self.fabric.solve_each(flows)
+    }
+
     /// Gaussian bandwidth measurement noise with `sigma` GB/s, drawn from the
     /// device's seeded jitter stream.
     pub fn bandwidth_jitter(&mut self, sigma: f64) -> f64 {

@@ -18,7 +18,8 @@
 //! mechanisms: it iterates a damped fixed point between queueing delays and a
 //! progressive-filling **max-min fair** allocation over the link capacities.
 //! A lone flow, where that allocation is a single `min`, runs the same
-//! iteration in closed form.
+//! iteration in closed form, in a lane kernel that steps up to eight such
+//! flows together ([`FabricModel::solve_each`]).
 
 use crate::calib::{Calibration, UNLIMITED};
 use crate::latency;
@@ -153,6 +154,29 @@ fn next_delay(delay: f64, load: f64, capacity: f64, queue_cycles: f64) -> f64 {
 /// total, GPC port, two partition fabrics, the central link, MP port, slice
 /// and DRAM.
 const MAX_PATH: usize = 12;
+/// Lone flows the lane kernel steps together ([`FabricModel::solve_each`]).
+const LANES: usize = 8;
+
+/// One lone flow in the lane kernel. Only the first `n_queued` entries of
+/// `queued` and `delays` belong to the flow; loading a flow leaves the rest
+/// as the lane's previous flow left them.
+#[derive(Clone, Copy, Default)]
+struct Lane {
+    /// Unloaded round-trip latency, cycles.
+    base: f64,
+    /// Smallest static capacity on the path, GB/s.
+    floor: f64,
+    /// Queueing resources in path order as (capacity, queue cycles).
+    queued: [(f64, f64); MAX_PATH],
+    n_queued: usize,
+    /// Each queueing resource's current delay, cycles.
+    delays: [f64; MAX_PATH],
+    /// Last iteration's latency, cycles.
+    latency: f64,
+    /// Running tail average of the rate, GB/s.
+    rate: f64,
+}
+
 /// A static resource carrying the same flows as a larger one stands in for
 /// it in the max-min fill when its capacity is smaller by at least this
 /// fraction (see [`WaterFill::new`]).
@@ -370,58 +394,41 @@ impl FabricModel {
         }
     }
 
+    /// Each flow's rate, GB/s, solved as if it ran alone: element `i` is
+    /// `self.solve(&flows[i..=i]).total_gbps`, bit for bit. The flows run
+    /// through the lane kernel `LANES` at a time (DESIGN.md §8.5, "Lone
+    /// flows").
+    pub fn solve_each(&self, flows: &[FlowSpec]) -> Vec<f64> {
+        let mut lanes = [Lane::default(); LANES];
+        let mut rates = Vec::with_capacity(flows.len());
+        for chunk in flows.chunks(LANES) {
+            let lanes = &mut lanes[..chunk.len()];
+            for (lane, flow) in lanes.iter_mut().zip(chunk) {
+                self.load_lane(lane, flow, |_, _| {});
+            }
+            self.run_lanes(lanes);
+            rates.extend(lanes.iter().map(|lane| lane.rate));
+        }
+        rates
+    }
+
     /// [`Self::solve`] for one flow, bit for bit, without the resource
-    /// table or the water fill (DESIGN.md §8.5, "Lone flows").
-    ///
-    /// Every static resource on the path carries just this flow, so the
-    /// fill holds the Little budget and the smallest static capacity, and
-    /// its first step freezes the flow at the smallest of those and its own
-    /// cap. Each queueing resource's load is that rate.
+    /// table or the water fill: the lane kernel on one lane, plus the
+    /// bottleneck list.
     fn solve_lone(&self, flow: &FlowSpec) -> FlowSolution {
         let dir = flow.kind.direction();
-        // The static resources in path order with their capacities, and the
-        // queueing ones among them as (capacity, queue cycles).
+        // The static resources in path order with their capacities.
         let mut statics = [(ResourceKind::SmPort(flow.sm), 0.0f64); MAX_PATH];
-        let mut queued = [(0.0f64, 0.0f64); MAX_PATH];
-        let (mut n_statics, mut n_queued) = (0, 0);
-        let mut floor = f64::INFINITY;
-        self.path(flow, |kind| {
-            let Some(cap) = self.capacity(kind, dir) else {
-                return;
-            };
+        let mut n_statics = 0;
+        let mut lane = Lane::default();
+        self.load_lane(&mut lane, flow, |kind, cap| {
             statics[n_statics] = (kind, cap);
             n_statics += 1;
-            floor = floor.min(cap);
-            let queue_cycles = self.queue_cycles(kind);
-            if queue_cycles != 0.0 {
-                queued[n_queued] = (cap, queue_cycles);
-                n_queued += 1;
-            }
         });
-        let (statics, queued) = (&statics[..n_statics], &queued[..n_queued]);
+        self.run_lanes(std::slice::from_mut(&mut lane));
+        let rate = lane.rate;
 
-        let base_lat = self.base_latency(flow);
-        let (flow_mlp, sm_mlp) = self.mlp();
-        let mut delays = [0.0f64; MAX_PATH];
-        let delays = &mut delays[..n_queued];
-        let mut lat = 0.0;
-        let mut rate = 0.0;
-        for iter in 0..FIXED_POINT_ITERS {
-            lat = base_lat + delays.iter().sum::<f64>();
-            let flow_cap = self.calib.flow_port_gbps.min(flow_mlp / lat);
-            let budget = sm_mlp * (1.0 / lat);
-            // The fill's one step: the same `min`s from infinity, the same
-            // `max(0.0)`, added to a rate that starts at `0.0`.
-            let iter_rate = 0.0 + f64::INFINITY.min(budget).min(floor).min(flow_cap).max(0.0);
-            for (&(capacity, queue_cycles), delay) in queued.iter().zip(delays.iter_mut()) {
-                *delay = next_delay(*delay, iter_rate, capacity, queue_cycles);
-            }
-            if iter + AVERAGE_TAIL >= FIXED_POINT_ITERS {
-                rate += iter_rate / AVERAGE_TAIL as f64;
-            }
-        }
-
-        let mut bottlenecks: Vec<(ResourceKind, Direction, f64)> = statics
+        let mut bottlenecks: Vec<(ResourceKind, Direction, f64)> = statics[..n_statics]
             .iter()
             .filter_map(|&(kind, capacity)| {
                 let util = rate / capacity;
@@ -431,9 +438,72 @@ impl FabricModel {
         bottlenecks.sort_by(|a, b| b.2.partial_cmp(&a.2).expect("finite utilisation"));
         FlowSolution {
             rates_gbps: vec![rate],
-            latencies_cycles: vec![lat],
+            latencies_cycles: vec![lane.latency],
             total_gbps: rate,
             bottlenecks,
+        }
+    }
+
+    /// Puts `flow` in `lane`: its base latency, the smallest static
+    /// capacity on its path and its queueing resources in path order, with
+    /// their delays and the tail average reset. `on_static` sees each static
+    /// resource in path order with its capacity.
+    fn load_lane(
+        &self,
+        lane: &mut Lane,
+        flow: &FlowSpec,
+        mut on_static: impl FnMut(ResourceKind, f64),
+    ) {
+        let dir = flow.kind.direction();
+        lane.base = self.base_latency(flow);
+        lane.floor = f64::INFINITY;
+        lane.n_queued = 0;
+        self.path(flow, |kind| {
+            let Some(cap) = self.capacity(kind, dir) else {
+                return;
+            };
+            on_static(kind, cap);
+            lane.floor = lane.floor.min(cap);
+            let queue_cycles = self.queue_cycles(kind);
+            if queue_cycles != 0.0 {
+                lane.queued[lane.n_queued] = (cap, queue_cycles);
+                lane.delays[lane.n_queued] = 0.0;
+                lane.n_queued += 1;
+            }
+        });
+        lane.rate = 0.0;
+    }
+
+    /// The lone-flow recurrence, one flow per lane: the 36 damped
+    /// iterations of [`Self::solve_general`] with the fill reduced to one
+    /// `min` (DESIGN.md §8.5, "Lone flows"). Every static resource on a lone
+    /// flow's path carries just that flow, so the fill's first step freezes
+    /// it at the smallest of its Little budget, `floor` and its own cap, and
+    /// each queueing resource's load is that rate. Each iteration steps
+    /// every lane before the next, so the lanes' divide chains overlap.
+    fn run_lanes(&self, lanes: &mut [Lane]) {
+        let (flow_mlp, sm_mlp) = self.mlp();
+        for iter in 0..FIXED_POINT_ITERS {
+            for lane in lanes.iter_mut() {
+                let (queued, delays) = (
+                    &lane.queued[..lane.n_queued],
+                    &mut lane.delays[..lane.n_queued],
+                );
+                let lat = lane.base + delays.iter().sum::<f64>();
+                let flow_cap = self.calib.flow_port_gbps.min(flow_mlp / lat);
+                let budget = sm_mlp * (1.0 / lat);
+                // The fill's one step: the same `min`s from infinity, the
+                // same `max(0.0)`, added to a rate that starts at `0.0`.
+                let inc = f64::INFINITY.min(budget).min(lane.floor).min(flow_cap);
+                let iter_rate = 0.0 + inc.max(0.0);
+                for (&(capacity, queue_cycles), delay) in queued.iter().zip(delays.iter_mut()) {
+                    *delay = next_delay(*delay, iter_rate, capacity, queue_cycles);
+                }
+                if iter + AVERAGE_TAIL >= FIXED_POINT_ITERS {
+                    lane.rate += iter_rate / AVERAGE_TAIL as f64;
+                }
+                lane.latency = lat;
+            }
         }
     }
 
@@ -1040,22 +1110,71 @@ mod tests {
         );
     }
 
+    /// Every `(sm, slice, kind)` flow of `spec`, kind fastest, so that one
+    /// lane chunk mixes reads and writes, whose smallest capacities differ.
+    fn every_lone_flow(spec: &GpuSpec) -> Vec<FlowSpec> {
+        let h = spec.hierarchy();
+        let mut flows = Vec::new();
+        for sm in SmId::range(h.num_sms()) {
+            for slice in SliceId::range(h.num_slices()) {
+                for kind in KINDS {
+                    flows.push(FlowSpec { sm, slice, kind });
+                }
+            }
+        }
+        flows
+    }
+
     #[test]
     fn lone_flows_match_the_fixed_point_on_every_preset() {
         let mut solved = 0;
         for spec in GpuSpec::paper_presets() {
             let m = model(&spec);
-            let h = spec.hierarchy();
-            for sm in SmId::range(h.num_sms()) {
-                for slice in SliceId::range(h.num_slices()) {
-                    for kind in KINDS {
-                        assert_lone_flow_exact(&m, FlowSpec { sm, slice, kind });
-                        solved += 1;
-                    }
-                }
+            for flow in every_lone_flow(&spec) {
+                assert_lone_flow_exact(&m, flow);
+                solved += 1;
             }
         }
         assert_eq!(solved, 65_280);
+    }
+
+    /// Asserts that `solve_each` gives each flow's lone `solve` total.
+    fn assert_each_exact(m: &FabricModel, flows: &[FlowSpec]) {
+        let each: Vec<u64> = m.solve_each(flows).iter().map(|r| r.to_bits()).collect();
+        let alone: Vec<u64> = flows
+            .iter()
+            .map(|f| m.solve(std::slice::from_ref(f)).total_gbps.to_bits())
+            .collect();
+        assert_eq!(each, alone, "{} flows", flows.len());
+    }
+
+    #[test]
+    fn solve_each_matches_solve_on_every_preset() {
+        let mut solved = 0;
+        for spec in GpuSpec::paper_presets() {
+            let flows = every_lone_flow(&spec);
+            assert_each_exact(&model(&spec), &flows);
+            solved += flows.len();
+        }
+        assert_eq!(solved, 65_280);
+    }
+
+    #[test]
+    fn solve_each_covers_partial_and_multiple_chunks() {
+        let spec = GpuSpec::a100();
+        let m = model(&spec);
+        // The read-hit rows of SMs 0 and 2, which sit in opposite
+        // partitions: a chunk starting at 36 straddles SM 0's near and far
+        // slices.
+        let rows: Vec<FlowSpec> = [0, 2]
+            .into_iter()
+            .flat_map(|sm| (0..80).map(move |slice| read_hit(sm, slice)))
+            .collect();
+        assert!(m.solve_each(&[]).is_empty());
+        for len in [1, LANES - 1, LANES, LANES + 1, 80] {
+            assert_each_exact(&m, &rows[..len]);
+            assert_each_exact(&m, &rows[36..][..len]);
+        }
     }
 
     /// Draws one calibration value from its mode: the preset's value,
@@ -1138,6 +1257,90 @@ mod tests {
                         kind: KINDS[kind],
                     },
                 );
+            }
+        }
+
+        /// Lanes loaded from models that differ in capacities and queueing
+        /// constants, so that one chunk's lanes carry 0, 1 or 2 queued
+        /// resources and a lane's next flow may carry fewer than its last.
+        /// The kernel reads only the port cap and the in-flight budgets
+        /// from its own model, which every model here shares.
+        #[test]
+        fn lanes_with_different_queued_counts_stay_exact(
+            preset in 0usize..3,
+            shared in proptest::collection::vec(1.0f64..300.0, 3),
+            shared_modes in proptest::any::<[u8; 3]>(),
+            variants in proptest::collection::vec(
+                (proptest::any::<[u8; 6]>(), proptest::collection::vec(1.0f64..300.0, 6)),
+                4,
+            ),
+            picks in proptest::collection::vec(
+                (0usize..4, proptest::any::<u32>(), proptest::any::<u32>(), 0usize..3),
+                2 * LANES + 3,
+            ),
+        ) {
+            let spec = GpuSpec::paper_presets().swap_remove(preset);
+            let h = spec.hierarchy();
+            let mut base = Calibration::for_spec(&spec);
+            let dram = base.dram_gbps_per_mp(&spec);
+            base.flow_port_gbps = pick(shared_modes[0], base.flow_port_gbps, shared[0], shared[0]);
+            if shared_modes[1] % 2 == 1 {
+                base.sm_mlp_bytes = shared[1] * 50.0;
+            }
+            if shared_modes[2] % 2 == 1 {
+                base.flow_mlp_bytes = shared[2] * 50.0;
+            }
+            // Queueing constants: modes 1-3 switch the delay off.
+            let queue = |mode: u8, preset: f64, own: f64| match mode % 5 {
+                0 => preset,
+                1..=3 => 0.0,
+                _ => own,
+            };
+            let models: Vec<FabricModel> = variants
+                .iter()
+                .map(|(modes, values)| {
+                    let mut c = base.clone();
+                    c.slice_gbps = pick(modes[0], c.slice_gbps, values[0], values[0]);
+                    c.gpc_port_gbps = pick(modes[1], c.gpc_port_gbps, values[1], values[1]);
+                    // SM ports of 0.1-30 GB/s, below the flow's own cap.
+                    c.sm_read_port_gbps =
+                        pick(modes[2], c.sm_read_port_gbps, values[2], values[2] / 10.0);
+                    c.sm_write_port_gbps =
+                        pick(modes[3], c.sm_write_port_gbps, values[3], values[3] / 10.0);
+                    c.slice_queue_cycles = queue(modes[4], c.slice_queue_cycles, values[4]);
+                    c.gpc_port_queue_cycles =
+                        queue(modes[5], c.gpc_port_queue_cycles, values[5]);
+                    FabricModel::new(h.clone(), spec.floorplan(), c, spec.clock_ghz, dram)
+                })
+                .collect();
+            // One lane array for every chunk, as `solve_each` keeps it.
+            let mut lanes = [Lane::default(); LANES];
+            for chunk in picks.chunks(LANES) {
+                let lanes = &mut lanes[..chunk.len()];
+                let flows: Vec<(usize, FlowSpec)> = chunk
+                    .iter()
+                    .map(|&(mi, sm, slice, kind)| {
+                        let flow = FlowSpec {
+                            sm: SmId::new(sm % h.num_sms() as u32),
+                            slice: SliceId::new(slice % h.num_slices() as u32),
+                            kind: KINDS[kind],
+                        };
+                        (mi, flow)
+                    })
+                    .collect();
+                for (lane, (mi, flow)) in lanes.iter_mut().zip(&flows) {
+                    models[*mi].load_lane(lane, flow, |_, _| {});
+                }
+                models[0].run_lanes(lanes);
+                for (lane, (mi, flow)) in lanes.iter().zip(&flows) {
+                    let alone = models[*mi].solve_general(std::slice::from_ref(flow));
+                    let alone = (
+                        alone.rates_gbps[0].to_bits(),
+                        alone.latencies_cycles[0].to_bits(),
+                    );
+                    let got = (lane.rate.to_bits(), lane.latency.to_bits());
+                    proptest::prop_assert!(got == alone, "{flow:?} of model {mi}");
+                }
             }
         }
     }

@@ -40,17 +40,26 @@ pub fn sms_to_slice_gbps(dev: &mut GpuDevice, sms: &[SmId], slice: SliceId) -> f
     }
     let flows = cross_flows(sms, &[slice], AccessKind::ReadHit);
     let total = dev.solve_bandwidth(&flows).total_gbps;
-    (total + dev.bandwidth_jitter(bw_sigma(sms.len()))).max(0.0)
+    measured(dev, total, sms.len())
 }
 
 /// Per-slice bandwidth profile of a single SM (paper Fig. 12): one
 /// measurement per reachable slice, each with the slice as sole target.
+/// Every slice's flow is solved first, in one pass; the jitter is then
+/// drawn in slice order, as one measurement after another would draw it.
 pub fn sm_slice_profile_gbps(dev: &mut GpuDevice, sm: SmId) -> Vec<f64> {
-    let slices = reachable_slices(dev, sm);
-    slices
-        .into_iter()
-        .map(|slice| sms_to_slice_gbps(dev, &[sm], slice))
-        .collect()
+    let flows = cross_flows(&[sm], &reachable_slices(dev, sm), AccessKind::ReadHit);
+    let mut profile = dev.solve_each(&flows);
+    for gbps in &mut profile {
+        *gbps = measured(dev, *gbps, 1);
+    }
+    profile
+}
+
+/// A solved rate of `num_sms` SMs as the benchmark reads it: with the
+/// device's measurement jitter, never below 0.
+fn measured(dev: &mut GpuDevice, gbps: f64, num_sms: usize) -> f64 {
+    (gbps + dev.bandwidth_jitter(bw_sigma(num_sms))).max(0.0)
 }
 
 /// Aggregate L2 *fabric* bandwidth: every SM streams L2-hitting reads across

@@ -45,8 +45,29 @@ pub fn inv_sbox() -> [u8; 256] {
 }
 
 /// xtime: multiplication by x in GF(2^8) modulo the AES polynomial.
-fn xtime(a: u8) -> u8 {
+const fn xtime(a: u8) -> u8 {
     (a << 1) ^ (if a & 0x80 != 0 { 0x1b } else { 0 })
+}
+
+/// The encryption T-table: entry `x` is SubBytes then MixColumns of a
+/// column holding `SBOX[x]` in row 0 and zeros elsewhere, as a big-endian
+/// column word `2·S, S, S, 3·S`. Row `r`'s table is this one rotated right
+/// by `8·r` bits.
+const TE: [u32; 256] = {
+    let mut t = [0u32; 256];
+    let mut x = 0;
+    while x < 256 {
+        let s = SBOX[x];
+        let s2 = xtime(s);
+        t[x] = u32::from_be_bytes([s2, s, s, s2 ^ s]);
+        x += 1;
+    }
+    t
+};
+
+/// A state's four columns as big-endian words, row 0 in the top byte.
+fn columns(block: &[u8; 16]) -> [u32; 4] {
+    core::array::from_fn(|c| u32::from_be_bytes(core::array::from_fn(|r| block[4 * c + r])))
 }
 
 /// Multiplication in GF(2^8).
@@ -149,21 +170,6 @@ impl Aes128 {
         *state = out;
     }
 
-    fn mix_columns(state: &mut [u8; 16]) {
-        for c in 0..4 {
-            let col = [
-                state[4 * c],
-                state[4 * c + 1],
-                state[4 * c + 2],
-                state[4 * c + 3],
-            ];
-            state[4 * c] = gmul(col[0], 2) ^ gmul(col[1], 3) ^ col[2] ^ col[3];
-            state[4 * c + 1] = col[0] ^ gmul(col[1], 2) ^ gmul(col[2], 3) ^ col[3];
-            state[4 * c + 2] = col[0] ^ col[1] ^ gmul(col[2], 2) ^ gmul(col[3], 3);
-            state[4 * c + 3] = gmul(col[0], 3) ^ col[1] ^ col[2] ^ gmul(col[3], 2);
-        }
-    }
-
     fn inv_shift_rows(state: &mut [u8; 16]) {
         let mut out = [0u8; 16];
         for c in 0..4 {
@@ -221,17 +227,35 @@ impl Aes128 {
     }
 
     /// Encrypts one block and reports the last-round table-access trace.
+    ///
+    /// Rounds 1–9 run on column words through [`TE`]: output column `c`
+    /// takes row `r` from input column `c + r` (ShiftRows), and the four
+    /// rotated lookups XOR into SubBytes + MixColumns of the column.
     pub fn encrypt_block_traced(&self, plaintext: [u8; 16]) -> ([u8; 16], BlockTrace) {
         let mut state = plaintext;
         Self::add_round_key(&mut state, &self.round_keys[0]);
-        for round in 1..10 {
-            Self::sub_bytes(&mut state);
-            Self::shift_rows(&mut state);
-            Self::mix_columns(&mut state);
-            Self::add_round_key(&mut state, &self.round_keys[round]);
+        let mut w = columns(&state);
+        for rk in &self.round_keys[1..10] {
+            let rk = columns(rk);
+            let byte = |c: usize, r: usize| (w[(c + r) % 4] >> (24 - 8 * r)) as u8 as usize;
+            w = core::array::from_fn(|c| {
+                TE[byte(c, 0)]
+                    ^ TE[byte(c, 1)].rotate_right(8)
+                    ^ TE[byte(c, 2)].rotate_right(16)
+                    ^ TE[byte(c, 3)].rotate_right(24)
+                    ^ rk[c]
+            });
         }
-        // Final round: the table indices are the pre-SubBytes state bytes
-        // (after the ShiftRows permutation they feed the output positions).
+        for (c, word) in w.iter().enumerate() {
+            state[4 * c..4 * c + 4].copy_from_slice(&word.to_be_bytes());
+        }
+        self.final_round(state)
+    }
+
+    /// The last round on the state after round 9, with its trace: the table
+    /// indices are the pre-SubBytes state bytes, which after the ShiftRows
+    /// permutation feed the output positions.
+    fn final_round(&self, mut state: [u8; 16]) -> ([u8; 16], BlockTrace) {
         let mut pre = state;
         Self::shift_rows(&mut pre);
         let trace = BlockTrace {
@@ -247,6 +271,52 @@ impl Aes128 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// One byte-wise round (SubBytes, ShiftRows, MixColumns, AddRoundKey):
+    /// the oracle for the T-table rounds.
+    fn bytewise_round(state: &mut [u8; 16], rk: &[u8; 16]) {
+        Aes128::sub_bytes(state);
+        Aes128::shift_rows(state);
+        for col in state.chunks_exact_mut(4) {
+            let [a, b, c, d] = [col[0], col[1], col[2], col[3]];
+            col[0] = gmul(a, 2) ^ gmul(b, 3) ^ c ^ d;
+            col[1] = a ^ gmul(b, 2) ^ gmul(c, 3) ^ d;
+            col[2] = a ^ b ^ gmul(c, 2) ^ gmul(d, 3);
+            col[3] = gmul(a, 3) ^ b ^ c ^ gmul(d, 2);
+        }
+        Aes128::add_round_key(state, rk);
+    }
+
+    /// [`Aes128::encrypt_block_traced`] with byte-wise rounds 1–9.
+    fn bytewise_encrypt_traced(aes: &Aes128, plaintext: [u8; 16]) -> ([u8; 16], BlockTrace) {
+        let mut state = plaintext;
+        Aes128::add_round_key(&mut state, &aes.round_keys[0]);
+        for rk in &aes.round_keys[1..10] {
+            bytewise_round(&mut state, rk);
+        }
+        aes.final_round(state)
+    }
+
+    #[test]
+    fn t_table_rounds_match_the_bytewise_rounds() {
+        let mut rng = StdRng::seed_from_u64(0x7e);
+        for _ in 0..64 {
+            let mut key = [0u8; 16];
+            rng.fill(&mut key);
+            let aes = Aes128::new(key);
+            for _ in 0..64 {
+                let mut pt = [0u8; 16];
+                rng.fill(&mut pt);
+                assert_eq!(
+                    aes.encrypt_block_traced(pt),
+                    bytewise_encrypt_traced(&aes, pt),
+                    "key {key:02x?} block {pt:02x?}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn fips197_appendix_b_vector() {

@@ -80,13 +80,18 @@ fn table_line(position: usize, idx: u8) -> u8 {
     (position % 4) as u8 * 8 + idx / SBOX_ENTRIES_PER_LINE
 }
 
-/// Unique-line count of a warp's lookups at one byte position. Lines are
-/// below 32, so one bit per line of a `u64` marks the lines seen.
-fn unique_lines(position: usize, indices: impl IntoIterator<Item = u8>) -> usize {
-    let seen = indices
-        .into_iter()
-        .fold(0u64, |seen, idx| seen | 1 << table_line(position, idx));
-    seen.count_ones() as usize
+/// The attacker's table for one key-byte guess: for each ciphertext byte,
+/// the bit of the table line its last-round lookup touched under that
+/// guess. A position's 8 lines share one table, so a `u8` holds them.
+fn guess_line_bits(inv: &[u8; 256], guess: u8) -> [u8; 256] {
+    core::array::from_fn(|c| 1 << (inv[c ^ guess as usize] / SBOX_ENTRIES_PER_LINE))
+}
+
+/// Predicted unique-line count of a warp under the guess behind `bits`.
+fn predicted_lines(bits: &[u8; 256], warp: &[u8; WARP_SIZE]) -> u32 {
+    warp.iter()
+        .fold(0u8, |seen, &c| seen | bits[c as usize])
+        .count_ones()
 }
 
 /// Runs the attack: collects `cfg.samples` timed launches from the victim and
@@ -133,14 +138,12 @@ pub fn run_aes_attack(dev: &mut GpuDevice, cfg: &AesAttackConfig, seed: u64) -> 
     // ---- Attacker: correlate per guess. ------------------------------------
     let inv = inv_sbox();
     let mut correlations = Vec::with_capacity(256);
+    let mut predicted = vec![0.0; cfg.samples];
     for guess in 0..=255u8 {
-        let predicted: Vec<f64> = ct_bytes
-            .iter()
-            .map(|warp| {
-                let indices = warp.iter().map(|&c| inv[(c ^ guess) as usize]);
-                unique_lines(cfg.position, indices) as f64
-            })
-            .collect();
+        let bits = guess_line_bits(&inv, guess);
+        for (p, warp) in predicted.iter_mut().zip(&ct_bytes) {
+            *p = f64::from(predicted_lines(&bits, warp));
+        }
         correlations.push(pearson(&predicted, &times));
     }
 
@@ -163,6 +166,16 @@ pub fn run_aes_attack(dev: &mut GpuDevice, cfg: &AesAttackConfig, seed: u64) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Unique-line count of a warp's lookups at one byte position: the
+    /// oracle for the attacker's guess tables. Lines are below 32, so one
+    /// bit per line of a `u64` marks the lines seen.
+    fn unique_lines(position: usize, indices: impl IntoIterator<Item = u8>) -> usize {
+        let seen = indices
+            .into_iter()
+            .fold(0u64, |seen, idx| seen | 1 << table_line(position, idx));
+        seen.count_ones() as usize
+    }
 
     const KEY: [u8; 16] = [
         0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf, 0x4f,
@@ -252,6 +265,40 @@ mod tests {
         // Different positions select different tables.
         assert_ne!(table_line(0, 0), table_line(1, 0));
         assert_eq!(table_line(0, 0), table_line(4, 0));
+    }
+
+    #[test]
+    fn guess_tables_count_the_unique_lines_of_every_guess() {
+        let inv = inv_sbox();
+        let mut rng = StdRng::seed_from_u64(0xae5);
+        let warps: Vec<[u8; WARP_SIZE]> = (0..24)
+            .map(|i| {
+                let mut warp = [0u8; WARP_SIZE];
+                rng.fill(&mut warp);
+                // Warps of 1-4 distinct bytes too, so that low counts occur.
+                if i < 8 {
+                    let distinct = i % 4 + 1;
+                    for t in distinct..WARP_SIZE {
+                        warp[t] = warp[t % distinct];
+                    }
+                }
+                warp
+            })
+            .collect();
+        for guess in 0..=255u8 {
+            let bits = guess_line_bits(&inv, guess);
+            for warp in &warps {
+                let got = predicted_lines(&bits, warp) as usize;
+                for position in 0..16 {
+                    let indices = warp.iter().map(|&c| inv[(c ^ guess) as usize]);
+                    assert_eq!(
+                        got,
+                        unique_lines(position, indices),
+                        "guess {guess} position {position}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

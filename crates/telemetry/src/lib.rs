@@ -6,9 +6,8 @@
 //! simulated stack the same power, uniformly:
 //!
 //! * [`MetricRegistry`] — named counters, gauges, and mergeable log-scale
-//!   [`LogHistogram`]s with quantile queries, plus [`SpanTimer`] wall-clock
-//!   spans. Serializable to JSON (`gnoc ... --metrics out.json`,
-//!   `gnoc stats out.json`).
+//!   [`LogHistogram`]s with quantile queries. Serializable to JSON
+//!   (`gnoc ... --metrics out.json`, `gnoc stats out.json`).
 //! * [`CounterBank`] — indexed counters modelling hardware counter banks;
 //!   `gnoc-engine`'s paper-faithful `Profiler` is re-expressed on top.
 //! * [`TraceEvent`] / [`TraceSink`] — structured, virtual-cycle-timestamped
@@ -43,7 +42,7 @@ pub use flight::{
 pub use handle::{Telemetry, TelemetryHandle};
 pub use hist::{LogHistogram, MAX_BUCKETS};
 pub use id_hash::{IdHasher, IdMap, IdSet};
-pub use registry::{CounterBank, MetricRegistry, SpanTimer};
+pub use registry::{CounterBank, MetricRegistry};
 pub use trace::{
     parse_jsonl_line, FieldValue, JsonlWriter, MemorySink, NullSink, TraceEvent, TraceSink,
 };

@@ -1,63 +1,19 @@
-//! Named metrics: counters, gauges, histograms, and span timers.
+//! Named metrics: counters, gauges and histograms.
 
 use crate::hist::LogHistogram;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 /// A named collection of counters, gauges, and log-scale histograms — the
 /// simulation's stand-in for an `nvprof` counter dump. Registries are plain
 /// data: serializable to JSON (`gnoc --metrics`), mergeable across shards,
-/// and diffable across runs.
-///
-/// Wall-clock measurements ([`SpanTimer`] durations) live in a separate
-/// `wall` section that is **excluded** from the JSON export and from
-/// equality: everything in the main sections is a pure function of the
+/// and diffable across runs. Everything in it is a pure function of the
 /// simulated work, so metrics files are bit-identical run-to-run.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct MetricRegistry {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
     histograms: BTreeMap<String, LogHistogram>,
-    /// Wall-clock histograms, quarantined from the deterministic sections.
-    wall: BTreeMap<String, LogHistogram>,
-}
-
-// Equality deliberately ignores the wall section: two runs of the same
-// simulation are "equal" even though their wall-clock timings differ.
-impl PartialEq for MetricRegistry {
-    fn eq(&self, other: &Self) -> bool {
-        self.counters == other.counters
-            && self.gauges == other.gauges
-            && self.histograms == other.histograms
-    }
-}
-
-impl Serialize for MetricRegistry {
-    fn serialize_value(&self) -> Value {
-        Value::Object(vec![
-            ("counters".to_string(), self.counters.serialize_value()),
-            ("gauges".to_string(), self.gauges.serialize_value()),
-            ("histograms".to_string(), self.histograms.serialize_value()),
-        ])
-    }
-}
-
-impl Deserialize for MetricRegistry {
-    fn deserialize_value(value: &Value) -> Result<Self, serde::Error> {
-        // The `wall` section is optional: exports omit it, files written by
-        // older versions may carry it.
-        let wall = match value.field("wall") {
-            Ok(v) => Deserialize::deserialize_value(v)?,
-            Err(_) => BTreeMap::new(),
-        };
-        Ok(MetricRegistry {
-            counters: Deserialize::deserialize_value(value.field("counters")?)?,
-            gauges: Deserialize::deserialize_value(value.field("gauges")?)?,
-            histograms: Deserialize::deserialize_value(value.field("histograms")?)?,
-            wall,
-        })
-    }
 }
 
 impl MetricRegistry {
@@ -116,21 +72,6 @@ impl MetricRegistry {
         self.histograms.get(name)
     }
 
-    /// Records one wall-clock sample into the named `wall` histogram.
-    pub fn wall_record(&mut self, name: &str, value: u64) {
-        if let Some(h) = self.wall.get_mut(name) {
-            h.record(value);
-        } else {
-            let mut h = LogHistogram::new();
-            h.record(value);
-            self.wall.insert(name.to_string(), h);
-        }
-    }
-
-    pub fn wall_hist(&self, name: &str) -> Option<&LogHistogram> {
-        self.wall.get(name)
-    }
-
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
         self.counters.iter().map(|(k, &v)| (k.as_str(), v))
     }
@@ -163,17 +104,9 @@ impl MetricRegistry {
                 self.histograms.insert(k.clone(), h.clone());
             }
         }
-        for (k, h) in &other.wall {
-            if let Some(mine) = self.wall.get_mut(k) {
-                mine.merge(h);
-            } else {
-                self.wall.insert(k.clone(), h.clone());
-            }
-        }
     }
 
-    /// Serializes to pretty JSON. The wall-clock section is omitted so the
-    /// output is a deterministic function of the simulated work.
+    /// Serializes to pretty JSON.
     pub fn to_json_pretty(&self) -> String {
         serde_json::to_string_pretty(self).expect("registry serializes")
     }
@@ -192,39 +125,6 @@ impl MetricRegistry {
     pub fn load(path: &std::path::Path) -> std::io::Result<Self> {
         let text = std::fs::read_to_string(path)?;
         Self::from_json(&text).map_err(std::io::Error::other)
-    }
-}
-
-/// A wall-clock span timer. Start one around a campaign or subcommand and
-/// [`SpanTimer::finish`] it into a registry: the duration lands in the
-/// `span.<name>.us` **wall** histogram (excluded from exports) and
-/// `span.<name>.calls` counts invocations as a normal counter.
-#[derive(Debug)]
-pub struct SpanTimer {
-    name: String,
-    started: Instant,
-}
-
-impl SpanTimer {
-    pub fn start(name: impl Into<String>) -> Self {
-        SpanTimer {
-            name: name.into(),
-            started: Instant::now(),
-        }
-    }
-
-    /// Elapsed wall-clock seconds so far.
-    pub fn elapsed_seconds(&self) -> f64 {
-        self.started.elapsed().as_secs_f64()
-    }
-
-    /// Records the span into `registry` and returns the elapsed seconds.
-    pub fn finish(self, registry: &mut MetricRegistry) -> f64 {
-        let secs = self.elapsed_seconds();
-        let micros = (secs * 1e6).round().max(0.0) as u64;
-        registry.wall_record(&format!("span.{}.us", self.name), micros);
-        registry.counter_add(&format!("span.{}.calls", self.name), 1);
-        secs
     }
 }
 
@@ -365,32 +265,5 @@ mod tests {
         bank.reset();
         assert_eq!(bank.total(), 0);
         assert_eq!(bank.hottest(), None);
-    }
-
-    #[test]
-    fn span_timer_records_into_wall_section() {
-        let mut r = MetricRegistry::new();
-        let t = SpanTimer::start("probe");
-        let secs = t.finish(&mut r);
-        assert!(secs >= 0.0);
-        assert_eq!(r.counter("span.probe.calls"), 1);
-        // The duration goes to the quarantined wall section, not the
-        // deterministic histograms.
-        assert!(r.hist("span.probe.us").is_none());
-        assert_eq!(r.wall_hist("span.probe.us").unwrap().count(), 1);
-    }
-
-    #[test]
-    fn default_export_omits_wall_and_equality_ignores_it() {
-        let mut a = MetricRegistry::new();
-        a.counter_add("x", 1);
-        let mut b = a.clone();
-        b.wall_record("span.figure.us", 1234);
-        // Wall-clock timings never affect the default export or equality.
-        assert_eq!(a, b);
-        assert_eq!(a.to_json_pretty(), b.to_json_pretty());
-        assert!(!b.to_json_pretty().contains("wall"));
-        let plain = MetricRegistry::from_json(&b.to_json_pretty()).expect("plain form parses");
-        assert!(plain.wall_hist("span.figure.us").is_none());
     }
 }
