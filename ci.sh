@@ -134,6 +134,21 @@ if [ "$loops" -gt 2 ]; then
     exit 1
 fi
 
+echo "== one reduction and one correlation kernel: no bit-serial rem, no per-pair pearson =="
+# BigUint::rem divides a limb per step (Algorithm D; the bit-serial loop is
+# only the tests' rem_reference oracle), and both correlation matrices run
+# the centred-row kernel; a bit-serial reduction or a pearson call per pair
+# in correlation_matrix_par must not grow back.
+if grep -rnF 'shr1_limbs' crates/sidechannel/src; then
+    echo "bit-serial reduction found above: reduce a limb per step in BigUint::rem"
+    exit 1
+fi
+if sed -n '/^pub fn correlation_matrix_par/,/^}/p' crates/analysis/src/pearson.rs \
+    | grep -nE '\bpearson *\('; then
+    echo "correlation_matrix_par calls pearson above: use the centred-row kernel"
+    exit 1
+fi
+
 echo "== tier-1: cargo build --release && cargo test -q (GNOC_JOBS=2) =="
 cargo build --release
 # GNOC_JOBS=2 routes every env-resolved worker pool through the parallel

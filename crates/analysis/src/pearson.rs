@@ -35,45 +35,67 @@ pub fn pearson(x: &[f64], y: &[f64]) -> f64 {
     cov / (vx.sqrt() * vy.sqrt())
 }
 
-/// Symmetric Pearson-correlation matrix between the rows of `profiles`.
-///
-/// Row *i* of the result holds `pearson(profiles[i], profiles[j])` for every
-/// *j*; the diagonal is 1 (or 0 for zero-variance rows). This is the Fig. 6
-/// heatmap computation.
-///
-/// # Panics
-///
-/// Panics if rows have inconsistent lengths.
-pub fn correlation_matrix(profiles: &[Vec<f64>]) -> Vec<Vec<f64>> {
-    let n = profiles.len();
-    let mut m = vec![vec![0.0; n]; n];
-    for i in 0..n {
-        for j in i..n {
-            let r = pearson(&profiles[i], &profiles[j]);
-            m[i][j] = r;
-            m[j][i] = r;
-        }
-    }
-    m
+/// One row of a correlation matrix, centred once: its deviations from the
+/// mean and the square root of their sum of squares, each computed by
+/// exactly the operations, in the order, that [`pearson`] uses.
+struct Centred {
+    dev: Vec<f64>,
+    norm: f64,
 }
 
-/// Parallel [`correlation_matrix`]: upper-triangle rows are computed across
-/// the pool's workers, then mirrored. Bit-identical to the serial version for
-/// any worker count because each `(i, j)` entry is an independent pure
-/// function of the two input rows — no accumulation order changes.
+/// Centres every row of `profiles`.
 ///
 /// # Panics
 ///
-/// Panics if rows have inconsistent lengths.
-pub fn correlation_matrix_par(profiles: &[Vec<f64>], pool: &gnoc_par::WorkerPool) -> Vec<Vec<f64>> {
-    let n = profiles.len();
-    let rows: Vec<usize> = (0..n).collect();
-    // Each task computes one upper-triangle row `i`: entries for j in i..n.
-    let upper: Vec<Vec<f64>> = pool.par_map(&rows, |&i| {
-        (i..n)
-            .map(|j| pearson(&profiles[i], &profiles[j]))
-            .collect()
-    });
+/// Panics if the rows are empty or have inconsistent lengths.
+fn centre_rows(profiles: &[Vec<f64>]) -> Vec<Centred> {
+    let len = profiles.first().map_or(0, Vec::len);
+    profiles
+        .iter()
+        .map(|row| {
+            assert!(len > 0, "correlation_matrix of empty rows");
+            assert_eq!(
+                row.len(),
+                len,
+                "correlation_matrix requires equal-length rows"
+            );
+            let mean = row.iter().sum::<f64>() / len as f64;
+            let dev: Vec<f64> = row.iter().map(|a| a - mean).collect();
+            let mut ss = 0.0;
+            for d in &dev {
+                ss += d * d;
+            }
+            Centred {
+                dev,
+                norm: ss.sqrt(),
+            }
+        })
+        .collect()
+}
+
+/// Entries `j = i..n` of row `i` of the correlation matrix: [`pearson`]'s
+/// covariance sum in index order, its zero-variance answer and its
+/// quotient, so every entry is bit-identical to `pearson(rows[i], rows[j])`.
+fn upper_row(rows: &[Centred], i: usize) -> Vec<f64> {
+    let x = &rows[i];
+    rows[i..]
+        .iter()
+        .map(|y| {
+            if x.norm == 0.0 || y.norm == 0.0 {
+                return 0.0;
+            }
+            let mut cov = 0.0;
+            for (a, b) in x.dev.iter().zip(&y.dev) {
+                cov += a * b;
+            }
+            cov / (x.norm * y.norm)
+        })
+        .collect()
+}
+
+/// Mirrors the upper-triangle rows from [`upper_row`] into a full matrix.
+fn mirror(upper: Vec<Vec<f64>>) -> Vec<Vec<f64>> {
+    let n = upper.len();
     let mut m = vec![vec![0.0; n]; n];
     for (i, tail) in upper.into_iter().enumerate() {
         for (off, r) in tail.into_iter().enumerate() {
@@ -83,6 +105,35 @@ pub fn correlation_matrix_par(profiles: &[Vec<f64>], pool: &gnoc_par::WorkerPool
         }
     }
     m
+}
+
+/// Symmetric Pearson-correlation matrix between the rows of `profiles`.
+///
+/// Entry `(i, j)` is bit-identical to `pearson(profiles[i], profiles[j])`;
+/// the diagonal is 1 (or 0 for zero-variance rows). Each row is centred
+/// once, so a pair costs one dot product. This is the Fig. 6 heatmap
+/// computation.
+///
+/// # Panics
+///
+/// Panics if the rows are empty or have inconsistent lengths.
+pub fn correlation_matrix(profiles: &[Vec<f64>]) -> Vec<Vec<f64>> {
+    let rows = centre_rows(profiles);
+    mirror((0..rows.len()).map(|i| upper_row(&rows, i)).collect())
+}
+
+/// Parallel [`correlation_matrix`]: upper-triangle rows are computed across
+/// the pool's workers, then mirrored. Bit-identical to the serial version for
+/// any worker count because each `(i, j)` entry is an independent pure
+/// function of the two centred rows — no accumulation order changes.
+///
+/// # Panics
+///
+/// Panics if the rows are empty or have inconsistent lengths.
+pub fn correlation_matrix_par(profiles: &[Vec<f64>], pool: &gnoc_par::WorkerPool) -> Vec<Vec<f64>> {
+    let rows = centre_rows(profiles);
+    let idx: Vec<usize> = (0..rows.len()).collect();
+    mirror(pool.par_map(&idx, |&i| upper_row(&rows, i)))
 }
 
 /// Spearman rank correlation: Pearson correlation of the ranks, robust to
@@ -179,6 +230,55 @@ mod tests {
             let pool = gnoc_par::WorkerPool::new(jobs);
             assert_eq!(correlation_matrix_par(&rows, &pool), serial);
         }
+    }
+
+    #[test]
+    fn matrix_entries_are_bit_identical_to_pearson() {
+        let mut rng = gnoc_telemetry::hash::SplitMix64::new(0xc0e5);
+        for len in [1, 2, 3, 17, 80] {
+            let mut rows: Vec<Vec<f64>> = (0..9)
+                .map(|i| {
+                    let scale = [1e-3, 1.0, 250.0, 1e9][i % 4];
+                    (0..len)
+                        .map(|_| 175.0 + scale * (rng.next_f64() - 0.5))
+                        .collect()
+                })
+                .collect();
+            // A constant row (zero variance) and a duplicated row.
+            rows.push(vec![212.5; len]);
+            rows.push(rows[3].clone());
+            let pool = gnoc_par::WorkerPool::new(2);
+            for m in [
+                correlation_matrix(&rows),
+                correlation_matrix_par(&rows, &pool),
+            ] {
+                for (i, row) in m.iter().enumerate() {
+                    for (j, v) in row.iter().enumerate() {
+                        let want = pearson(&rows[i], &rows[j]);
+                        assert_eq!(v.to_bits(), want.to_bits(), "len {len}, ({i}, {j})");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "equal-length")]
+    fn matrix_rejects_ragged_rows() {
+        let _ = correlation_matrix(&[vec![1.0, 2.0], vec![1.0, 2.0, 3.0]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "equal-length")]
+    fn parallel_matrix_rejects_ragged_rows() {
+        let pool = gnoc_par::WorkerPool::new(2);
+        let _ = correlation_matrix_par(&[vec![1.0, 2.0], vec![1.0]], &pool);
+    }
+
+    #[test]
+    #[should_panic(expected = "empty")]
+    fn matrix_rejects_empty_rows() {
+        let _ = correlation_matrix(&[vec![], vec![]]);
     }
 
     #[test]

@@ -156,6 +156,19 @@ mod tests {
     }
 
     #[test]
+    fn correlation_matrix_bits_are_pinned() {
+        // Every entry of the Fig. 6 correlation matrix, bit for bit, on a
+        // fixed device.
+        let matrix = LatencyProbe::default().matrix(&mut GpuDevice::a100(3));
+        let bytes: Vec<u8> = gnoc_analysis::correlation_matrix(&matrix)
+            .iter()
+            .flatten()
+            .flat_map(|r| r.to_bits().to_le_bytes())
+            .collect();
+        assert_eq!(gnoc_telemetry::hash::fnv1a64(&bytes), 16839609458029050205);
+    }
+
+    #[test]
     fn measured_latency_tracks_model_mean() {
         let mut dev = GpuDevice::v100(3);
         let probe = LatencyProbe {

@@ -188,6 +188,55 @@ mod tests {
     }
 
     #[test]
+    fn samples_are_pinned() {
+        // Every sample, the fit and the inversion width, bit for bit, on a
+        // fixed device and seed under both schedulers.
+        let dev = GpuDevice::a100(3);
+        let got: Vec<_> = [CtaScheduler::Static, CtaScheduler::RandomSeed]
+            .into_iter()
+            .map(|scheduler| {
+                let cfg = RsaAttackConfig {
+                    scheduler,
+                    ..RsaAttackConfig::default()
+                };
+                let r = run_rsa_attack(&dev, &cfg, 5);
+                let bytes: Vec<u8> = r
+                    .samples
+                    .iter()
+                    .flat_map(|s| [s.ones.to_le_bytes(), s.time.to_bits().to_le_bytes()])
+                    .flatten()
+                    .collect();
+                (
+                    gnoc_telemetry::hash::fnv1a64(&bytes),
+                    r.fit.slope.to_bits(),
+                    r.fit.intercept.to_bits(),
+                    r.fit.r_squared.to_bits(),
+                    r.weight_uncertainty,
+                )
+            })
+            .collect();
+        assert_eq!(
+            got,
+            vec![
+                (
+                    12927365456981442127,
+                    4647156192856551307,
+                    4683184989875515270,
+                    4607182418800017408,
+                    10
+                ),
+                (
+                    6878837573606160840,
+                    4648133710376667379,
+                    4685155305463537405,
+                    4597310548042290607,
+                    218
+                ),
+            ]
+        );
+    }
+
+    #[test]
     fn exponent_generator_spans_weights() {
         let mut rng = StdRng::seed_from_u64(0);
         let weights: Vec<u64> = (0..40)

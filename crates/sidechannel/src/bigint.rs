@@ -2,9 +2,9 @@
 //!
 //! Just enough to run square-and-multiply modular exponentiation over
 //! multi-limb moduli: comparison, subtraction, schoolbook multiplication,
-//! modular reduction by shift-and-subtract, and modpow. Not constant-time —
-//! deliberately so: the RSA attack (paper Section V-B2) exploits exactly the
-//! data-dependent square/multiply operation counts.
+//! modular reduction by limb-wise long division, and modpow. Not
+//! constant-time — deliberately so: the RSA attack (paper Section V-B2)
+//! exploits exactly the data-dependent square/multiply operation counts.
 
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
@@ -142,11 +142,15 @@ impl BigUint {
         Self::from_limbs(out)
     }
 
-    /// `self mod m` by shift-and-subtract long division.
+    /// `self mod m` by limb-wise long division (Knuth, TAOCP vol. 2,
+    /// §4.3.1, Algorithm D).
     ///
-    /// The divisor is shifted up once, then walked back down one bit per
-    /// quotient bit, subtracting in place whenever the remainder is at least
-    /// the shifted divisor.
+    /// Both operands are normalised so the divisor's top limb has its high
+    /// bit set. Each quotient limb is estimated from the top two remainder
+    /// limbs, corrected against the divisor's second limb, and multiplied
+    /// out and subtracted; the rare estimate that is still one too large is
+    /// undone by adding the divisor back. A one-limb divisor takes a `u128`
+    /// running remainder instead.
     ///
     /// # Panics
     ///
@@ -156,24 +160,68 @@ impl BigUint {
         if self.cmp_big(m) == Ordering::Less {
             return self.clone();
         }
-        let shift = self.bits() - m.bits();
-        let mut r = self.limbs.clone();
-        // `m << shift` has exactly `self.bits()` bits, so it fits `r`'s width.
-        let mut d = vec![0u64; r.len()];
-        let (limb_shift, bit_shift) = (shift / 64, shift % 64);
-        for (i, &l) in m.limbs.iter().enumerate() {
-            d[i + limb_shift] |= l << bit_shift;
-            if bit_shift > 0 && i + limb_shift + 1 < d.len() {
-                d[i + limb_shift + 1] |= l >> (64 - bit_shift);
+        if let [d] = m.limbs[..] {
+            let d = u128::from(d);
+            let r = self
+                .limbs
+                .iter()
+                .rev()
+                .fold(0u128, |r, &l| ((r << 64) | u128::from(l)) % d);
+            return Self::from_u64(r as u64);
+        }
+        let n = m.limbs.len();
+        let shift = m.limbs[n - 1].leading_zeros();
+        let mut v = vec![0u64; n];
+        shl_limbs(&m.limbs, shift, &mut v);
+        // A spare top limb takes the bits the shift carries out of `self`.
+        let mut u = vec![0u64; self.limbs.len() + 1];
+        shl_limbs(&self.limbs, shift, &mut u);
+        let (v_top, v_next) = (u128::from(v[n - 1]), u128::from(v[n - 2]));
+        for j in (0..u.len() - n).rev() {
+            let top = (u128::from(u[j + n]) << 64) | u128::from(u[j + n - 1]);
+            let (mut qhat, mut rhat) = (top / v_top, top % v_top);
+            // At most two corrections; afterwards `qhat` fits one limb and is
+            // the true quotient limb or one more.
+            while qhat >> 64 != 0 || qhat * v_next > ((rhat << 64) | u128::from(u[j + n - 2])) {
+                qhat -= 1;
+                rhat += v_top;
+                if rhat >> 64 != 0 {
+                    break;
+                }
+            }
+            let (mut mul_carry, mut borrow) = (0u64, false);
+            for (x, &y) in u[j..j + n].iter_mut().zip(&v) {
+                let p = qhat * u128::from(y) + u128::from(mul_carry);
+                mul_carry = (p >> 64) as u64;
+                let (d1, b1) = x.overflowing_sub(p as u64);
+                let (d2, b2) = d1.overflowing_sub(u64::from(borrow));
+                *x = d2;
+                borrow = b1 || b2;
+            }
+            let (d1, b1) = u[j + n].overflowing_sub(mul_carry);
+            let (d2, b2) = d1.overflowing_sub(u64::from(borrow));
+            u[j + n] = d2;
+            if b1 || b2 {
+                // `qhat` was one too large: add the divisor back once.
+                let mut carry = false;
+                for (x, &y) in u[j..j + n].iter_mut().zip(&v) {
+                    let (s1, c1) = x.overflowing_add(y);
+                    let (s2, c2) = s1.overflowing_add(u64::from(carry));
+                    *x = s2;
+                    carry = c1 || c2;
+                }
+                u[j + n] = u[j + n].wrapping_add(u64::from(carry));
             }
         }
-        for _ in 0..=shift {
-            if cmp_limbs(&r, &d) != Ordering::Less {
-                sub_assign_limbs(&mut r, &d);
+        // The remainder is the low `n` limbs, still shifted by `shift`.
+        u.truncate(n);
+        if shift > 0 {
+            for i in 0..n {
+                let hi = u.get(i + 1).map_or(0, |&h| h << (64 - shift));
+                u[i] = (u[i] >> shift) | hi;
             }
-            shr1_limbs(&mut d);
         }
-        Self::from_limbs(r)
+        Self::from_limbs(u)
     }
 
     /// Modular exponentiation by left-to-right square-and-multiply, counting
@@ -210,30 +258,16 @@ impl BigUint {
     }
 }
 
-/// Compares two equal-width little-endian limb slices.
-fn cmp_limbs(a: &[u64], b: &[u64]) -> Ordering {
-    a.iter().rev().cmp(b.iter().rev())
-}
-
-/// `a -= b` over equal-width limb slices; `a >= b` must hold.
-fn sub_assign_limbs(a: &mut [u64], b: &[u64]) {
-    let mut borrow = false;
-    for (x, &y) in a.iter_mut().zip(b) {
-        let (d1, b1) = x.overflowing_sub(y);
-        let (d2, b2) = d1.overflowing_sub(u64::from(borrow));
-        *x = d2;
-        borrow = b1 || b2;
-    }
-    debug_assert!(!borrow, "big integer subtraction underflow");
-}
-
-/// `a >>= 1` in place.
-fn shr1_limbs(a: &mut [u64]) {
+/// Writes `a << shift` (`shift < 64`) into `out`, which is at least as wide
+/// as `a` and, when the shift carries out of `a`'s top limb, one limb wider.
+fn shl_limbs(a: &[u64], shift: u32, out: &mut [u64]) {
     let mut carry = 0u64;
-    for x in a.iter_mut().rev() {
-        let next = *x << 63;
-        *x = (*x >> 1) | carry;
-        carry = next;
+    for (o, &x) in out.iter_mut().zip(a) {
+        *o = (x << shift) | carry;
+        carry = if shift == 0 { 0 } else { x >> (64 - shift) };
+    }
+    if let Some(o) = out.get_mut(a.len()) {
+        *o = carry;
     }
 }
 
@@ -317,8 +351,8 @@ mod tests {
         BigUint::from_limbs(out)
     }
 
-    /// The allocating shift-and-subtract reduction: the oracle for the
-    /// in-place `rem`.
+    /// Bit-serial shift-and-subtract reduction: the oracle for the
+    /// limb-wise `rem`.
     fn rem_reference(a: &BigUint, m: &BigUint) -> BigUint {
         if a.cmp_big(m) == Ordering::Less {
             return a.clone();
@@ -333,10 +367,10 @@ mod tests {
         r
     }
 
-    /// A random operand of 1–4 limbs; each limb is random, zero, all ones or
+    /// A random operand of 1–6 limbs; each limb is random, zero, all ones or
     /// a single bit, so carries, borrows and exact top-bit alignments occur.
     fn random_operand(rng: &mut SplitMix64) -> BigUint {
-        let limbs = 1 + (rng.next() % 4) as usize;
+        let limbs = 1 + (rng.next() % 6) as usize;
         let v = (0..limbs)
             .map(|_| match rng.next() % 6 {
                 0 => 0,
@@ -374,7 +408,23 @@ mod tests {
             let p = a.mul(&a);
             assert_eq!(p.rem(&m), rem_reference(&p, &m), "{p:?} mod {m:?}");
             assert!(m.rem(&m).is_zero());
+            // A one-limb divisor takes the running-remainder path.
+            let d = BigUint::from_u64(m.limbs()[0].max(1));
+            assert_eq!(p.rem(&d), rem_reference(&p, &d), "{p:?} mod {d:?}");
         }
+    }
+
+    #[test]
+    fn rem_adds_back_an_overestimated_quotient_limb() {
+        // The top-two-limb estimate with its correction is one too large
+        // here, so the multiply-subtract goes negative and the divisor is
+        // added back.
+        let a = BigUint::from_limbs(vec![0, 0, 1 << 63, 0x7fff_ffff_ffff_ffff]);
+        let m = BigUint::from_limbs(vec![1, 0, 1 << 63]);
+        let r = a.rem(&m);
+        assert_eq!(r, rem_reference(&a, &m));
+        // Cross-checked against an independent arbitrary-precision `a % m`.
+        assert_eq!(r.limbs(), &[2, u64::MAX, 0x7fff_ffff_ffff_ffff]);
     }
 
     #[test]

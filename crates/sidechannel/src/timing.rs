@@ -6,7 +6,7 @@
 //! the paper's subject (Fig. 17).
 
 use gnoc_engine::GpuDevice;
-use gnoc_topo::{SliceId, SmId};
+use gnoc_topo::SmId;
 
 /// Extra cycles per additional coalesced memory transaction once the first
 /// transaction's latency is paid (the slope of Fig. 17a).
@@ -64,7 +64,7 @@ pub fn two_sm_op_cycles(dev: &GpuDevice, sm_a: SmId, sm_b: SmId) -> f64 {
     let h = dev.hierarchy();
     let pa = h.sm(sm_a).partition;
     // Shared data is resident in sm_a's partition (or the single partition).
-    let data_slices: Vec<SliceId> = h.slices_in_partition(pa).to_vec();
+    let data_slices = h.slices_in_partition(pa);
     let mean_lat = |sm: SmId| -> f64 {
         data_slices
             .iter()
