@@ -149,6 +149,21 @@ if sed -n '/^pub fn correlation_matrix_par/,/^}/p' crates/analysis/src/pearson.r
     exit 1
 fi
 
+echo "== one read core: Algorithm 1 callers warm and time through the device =="
+# GpuDevice's read core resolves a working set's slice, residency domain and
+# hit mean once per call (DESIGN.md §8.5); a warm_line loop followed by a
+# timed_read per line in the probe, slice-map or warp-timing code would
+# resolve them per read again. A cold read (measure_miss) warms nothing, so
+# it may still call timed_read; tests may keep the per-read loop as a
+# reference.
+for file in crates/microbench/src/latency.rs crates/microbench/src/slicemap.rs \
+    crates/sidechannel/src/timing.rs; do
+    if sed -n '1,/^#\[cfg(test)\]/p' "$file" | grep -n '\.warm_line('; then
+        echo "$file calls warm_line above: warm and time through the device's read core"
+        exit 1
+    fi
+done
+
 echo "== tier-1: cargo build --release && cargo test -q (GNOC_JOBS=2) =="
 cargo build --release
 # GNOC_JOBS=2 routes every env-resolved worker pool through the parallel
@@ -450,8 +465,21 @@ echo "== figures: regenerate every figure and compare with FIGURES.txt =="
 # Every figure is a pure function of its seed, so a fresh run must
 # reproduce the committed FIGURES.txt byte for byte (and rewrite the tracked
 # out/*.svg unchanged).
+# The metered figures (Metered in the FIGURES table) write
+# out/<name>.metrics.json, which must equal the copies in the git index byte
+# for byte. They are removed first and compared with the index, not the
+# working tree, so an earlier ./figures.sh run cannot make this compare the
+# output with itself, a tracked file the runner no longer writes shows as
+# deleted, and one it writes that is not tracked shows as untracked.
+rm -f out/*.metrics.json
 ./figures.sh "$tmp/FIGURES.txt" > /dev/null
 cmp "$tmp/FIGURES.txt" FIGURES.txt
+git diff --exit-code --stat -- 'out/*.metrics.json'
+untracked=$(git ls-files --others --exclude-standard -- 'out/*.metrics.json')
+if [ -n "$untracked" ]; then
+    echo "untracked metrics files (commit them or make the figure Plain): $untracked"
+    exit 1
+fi
 # The runner runs every figure in one process, so state one figure leaves
 # behind must not change a later one: each figure run alone must print
 # exactly its section of FIGURES.txt.

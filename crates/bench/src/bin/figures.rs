@@ -4,10 +4,10 @@
 //!
 //! With no names it runs every figure, otherwise the named ones in the order
 //! given. Each prints `### <name>`, its output and one empty line, so the
-//! stdout of a run with no names is `FIGURES.txt`; its metrics go to
-//! `out/<name>.metrics.json`. An unknown name exits 2 before any figure
-//! runs. A figure that panics, or whose metrics cannot be written, exits 1
-//! and no later figure runs.
+//! stdout of a run with no names is `FIGURES.txt`. A metered figure (see
+//! [`Figure`]) also writes its counters to `out/<name>.metrics.json`. An
+//! unknown name exits 2 before any figure runs. A figure that panics, or
+//! whose metrics cannot be written, exits 1 and no later figure runs.
 
 use gnoc_bench::{Figure, FIGURES};
 use gnoc_core::TelemetryHandle;
@@ -42,20 +42,26 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Prints one figure's section and writes its metrics file.
-fn run_one(name: &str, run: Figure) -> Result<(), String> {
+/// Prints one figure's section and, for a metered figure, writes its
+/// metrics file.
+fn run_one(name: &str, figure: Figure) -> Result<(), String> {
     println!("### {name}");
     let telemetry = TelemetryHandle::enabled();
-    panic::catch_unwind(AssertUnwindSafe(|| run(&telemetry))).map_err(|payload| {
-        match payload.downcast::<String>() {
-            Ok(message) => *message,
-            Err(payload) => payload
-                .downcast_ref::<&str>()
-                .map_or("non-string panic payload", |s| s)
-                .to_string(),
-        }
+    panic::catch_unwind(AssertUnwindSafe(|| match figure {
+        Figure::Plain(run) => run(),
+        Figure::Metered(run) => run(&telemetry),
+    }))
+    .map_err(|payload| match payload.downcast::<String>() {
+        Ok(message) => *message,
+        Err(payload) => payload
+            .downcast_ref::<&str>()
+            .map_or("non-string panic payload", |s| s)
+            .to_string(),
     })?;
     println!();
+    if let Figure::Plain(_) = figure {
+        return Ok(());
+    }
 
     let mut registry = telemetry.snapshot_registry().unwrap_or_default();
     registry.counter_add(&format!("span.figure.{name}.calls"), 1);

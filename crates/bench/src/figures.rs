@@ -42,49 +42,57 @@ mod noc_compare;
 mod table1;
 mod whatif_h100;
 
-/// A figure's entry point. It prints the figure on stdout and records its
-/// metrics into the handle.
-pub type Figure = fn(&TelemetryHandle);
+/// A figure's entry point. Each prints the figure on stdout.
+#[derive(Debug, Clone, Copy)]
+pub enum Figure {
+    /// Prints only.
+    Plain(fn()),
+    /// Prints and records counters into the handle; the runner writes them
+    /// to `out/<name>.metrics.json`, a `ci.sh` `cmp` gate.
+    Metered(fn(&TelemetryHandle)),
+}
+
+use Figure::{Metered, Plain};
 
 /// Every figure by name, in `FIGURES.txt` order.
 pub const FIGURES: &[(&str, Figure)] = &[
-    ("table1", table1::run),
-    ("fig01", fig01::run),
-    ("fig02", fig02::run),
-    ("fig03", fig03::run),
-    ("fig04", fig04::run),
-    ("fig05", fig05::run),
-    ("fig06", fig06::run),
-    ("fig07", fig07::run),
-    ("fig08", fig08::run),
-    ("fig09", fig09::run),
-    ("fig10", fig10::run),
-    ("fig11", fig11::run),
-    ("fig12", fig12::run),
-    ("fig13", fig13::run),
-    ("fig14", fig14::run),
-    ("fig15", fig15::run),
-    ("fig16", fig16::run),
-    ("fig17", fig17::run),
-    ("fig18", fig18::run),
-    ("fig19", fig19::run),
-    ("fig20", fig20::run),
-    ("fig21", fig21::run),
-    ("fig22", fig22::run),
-    ("fig23", fig23::run),
-    ("ablation_queueing", ablation_queueing::run),
-    ("ablation_chain", ablation_chain::run),
-    ("ablation_crossing", ablation_crossing::run),
-    ("ablation_scheduler", ablation_scheduler::run),
-    ("ablation_ports", ablation_ports::run),
-    ("whatif_h100", whatif_h100::run),
-    ("locality_sched", locality_sched::run),
-    ("mp_recon", mp_recon::run),
-    ("covert_channel", covert_channel::run),
-    ("noc_compare", noc_compare::run),
-    ("latency_load", latency_load::run),
-    ("fault_robustness", fault_robustness::run),
-    ("figures_svg", figures_svg::run),
+    ("table1", Plain(table1::run)),
+    ("fig01", Metered(fig01::run)),
+    ("fig02", Plain(fig02::run)),
+    ("fig03", Plain(fig03::run)),
+    ("fig04", Plain(fig04::run)),
+    ("fig05", Plain(fig05::run)),
+    ("fig06", Plain(fig06::run)),
+    ("fig07", Plain(fig07::run)),
+    ("fig08", Plain(fig08::run)),
+    ("fig09", Plain(fig09::run)),
+    ("fig10", Plain(fig10::run)),
+    ("fig11", Plain(fig11::run)),
+    ("fig12", Plain(fig12::run)),
+    ("fig13", Plain(fig13::run)),
+    ("fig14", Plain(fig14::run)),
+    ("fig15", Plain(fig15::run)),
+    ("fig16", Plain(fig16::run)),
+    ("fig17", Plain(fig17::run)),
+    ("fig18", Plain(fig18::run)),
+    ("fig19", Plain(fig19::run)),
+    ("fig20", Plain(fig20::run)),
+    ("fig21", Metered(fig21::run)),
+    ("fig22", Plain(fig22::run)),
+    ("fig23", Metered(fig23::run)),
+    ("ablation_queueing", Plain(ablation_queueing::run)),
+    ("ablation_chain", Plain(ablation_chain::run)),
+    ("ablation_crossing", Plain(ablation_crossing::run)),
+    ("ablation_scheduler", Plain(ablation_scheduler::run)),
+    ("ablation_ports", Plain(ablation_ports::run)),
+    ("whatif_h100", Plain(whatif_h100::run)),
+    ("locality_sched", Plain(locality_sched::run)),
+    ("mp_recon", Plain(mp_recon::run)),
+    ("covert_channel", Plain(covert_channel::run)),
+    ("noc_compare", Plain(noc_compare::run)),
+    ("latency_load", Plain(latency_load::run)),
+    ("fault_robustness", Metered(fault_robustness::run)),
+    ("figures_svg", Plain(figures_svg::run)),
 ];
 
 #[cfg(test)]

@@ -37,7 +37,7 @@ fn order_agreement(dev: &mut GpuDevice) -> f64 {
     acc / n
 }
 
-pub fn run(_telemetry: &gnoc_core::TelemetryHandle) {
+pub fn run() {
     header(
         "Ablation — the MP-internal slice service chain",
         "with the chain: per-MP slice order identical from every SM (Fig. 3); \

@@ -14,7 +14,7 @@ use gnoc_core::{
     RsaAttackConfig,
 };
 
-pub fn run(_telemetry: &gnoc_core::TelemetryHandle) {
+pub fn run() {
     header(
         "Ablation — inter-partition crossing cost sweep (A100 model)",
         "far latency, far bandwidth and the randomised-scheduler RSA weight \

@@ -25,7 +25,7 @@ fn experiments(dev: &GpuDevice) -> (f64, f64) {
     (bw(&one_mp), bw(&four_mp))
 }
 
-pub fn run(_telemetry: &gnoc_core::TelemetryHandle) {
+pub fn run() {
     header(
         "Ablation — GPC port provisioning: space vs time",
         "sweeping per-MP port width at fixed aggregate shows which traffic \

@@ -19,7 +19,7 @@ fn sweep(dev: &GpuDevice, sms: &[SmId], slice: gnoc_core::SliceId) -> Vec<f64> {
         .collect()
 }
 
-pub fn run(_telemetry: &gnoc_core::TelemetryHandle) {
+pub fn run() {
     header(
         "Ablation — queueing feedback in the fabric model",
         "with queueing: smooth Fig. 14-style saturation; without: a hard kink \

@@ -7,7 +7,7 @@
 use gnoc_bench::header;
 use gnoc_core::{run_aes_attack, AesAttackConfig, CtaScheduler, GpuDevice};
 
-pub fn run(_telemetry: &gnoc_core::TelemetryHandle) {
+pub fn run() {
     header(
         "Ablation — scheduler entropy vs AES attack success (A100)",
         "span 1 = static (attack succeeds); full span = the paper's defense \

@@ -7,7 +7,7 @@ use gnoc_core::sidechannel::covert::{
 };
 use gnoc_core::{GpuDevice, SliceId};
 
-pub fn run(_telemetry: &gnoc_core::TelemetryHandle) {
+pub fn run() {
     header(
         "Extension — L2-slice contention covert channel (A100)",
         "placement-aware co-location yields a clean channel; naive far \

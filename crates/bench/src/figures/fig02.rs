@@ -4,7 +4,7 @@
 use gnoc_bench::{compare, header};
 use gnoc_core::{GpcId, GpuDevice, Histogram, LatencyProbe, Summary};
 
-pub fn run(_telemetry: &gnoc_core::TelemetryHandle) {
+pub fn run() {
     header(
         "Fig. 2 — GPC latency histograms (V100)",
         "GPC0: μ≈213 σ≈13.9; GPC2: μ≈209 σ≈7.5 — similar mean, different spread",

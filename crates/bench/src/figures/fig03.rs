@@ -4,7 +4,7 @@
 use gnoc_bench::header;
 use gnoc_core::{analysis, GpuDevice, LatencyProbe, SliceId, SmId};
 
-pub fn run(_telemetry: &gnoc_core::TelemetryHandle) {
+pub fn run() {
     header(
         "Fig. 3 — latency sorted within each memory partition (V100)",
         "sorted slice order per MP is identical across SMs; same-GPC SMs match",

@@ -3,7 +3,7 @@
 use gnoc_bench::header;
 use gnoc_core::GpuSpec;
 
-pub fn run(_telemetry: &gnoc_core::TelemetryHandle) {
+pub fn run() {
     header(
         "Fig. 4 — approximate logical floorplan (V100)",
         "two rows of GPCs at the die edges, L2 slices/MPs in the central band",

@@ -4,7 +4,7 @@
 use gnoc_bench::{compare, header};
 use gnoc_core::{GpcId, GpuDevice, LatencyProbe, MpId};
 
-pub fn run(_telemetry: &gnoc_core::TelemetryHandle) {
+pub fn run() {
     header(
         "Fig. 5 — GPC4 SMs × MP3 slices (V100)",
         "closest pair ≈180 cycles, farthest ≈217; rows shift, order is stable",

@@ -4,7 +4,7 @@
 use gnoc_bench::header;
 use gnoc_core::{render_heatmap, GpuDevice, LatencyCampaign, LatencyProbe, SmId};
 
-pub fn run(_telemetry: &gnoc_core::TelemetryHandle) {
+pub fn run() {
     header(
         "Fig. 6 — Pearson heatmaps of SM latency profiles",
         "V100: GPC-pair blocks incl. negative edge-to-edge correlation; \

@@ -5,7 +5,7 @@ use gnoc_bench::{compare, header};
 use gnoc_core::microbench::sm2sm::cpc_latency_matrix;
 use gnoc_core::{GpcId, GpuDevice};
 
-pub fn run(_telemetry: &gnoc_core::TelemetryHandle) {
+pub fn run() {
     header(
         "Fig. 7 — H100 SM-to-SM latency by CPC pair",
         "lowest ≈196 cycles within CPC0, ≈213 within CPC2; distance-ordered",

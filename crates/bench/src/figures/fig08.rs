@@ -4,7 +4,7 @@
 use gnoc_bench::{header, series};
 use gnoc_core::{GpcId, GpuDevice, LatencyProbe, MpId, SliceId, SmId};
 
-pub fn run(_telemetry: &gnoc_core::TelemetryHandle) {
+pub fn run() {
     header(
         "Fig. 8 — L2 hit latency per GPC→MP and L2 miss penalty",
         "V100 ≈212 everywhere; A100 near ≈212 / far ≈400; H100 uniform hits. \

@@ -8,7 +8,7 @@ use gnoc_core::microbench::bandwidth::{
 };
 use gnoc_core::{GpcId, GpuDevice, Histogram, SliceId, SmId, Summary};
 
-pub fn run(_telemetry: &gnoc_core::TelemetryHandle) {
+pub fn run() {
     header(
         "Fig. 9 — on-chip aggregate and per-slice bandwidth",
         "(a) fabric = 2.4–3.5× memory; memory ≈85–90% of peak. \

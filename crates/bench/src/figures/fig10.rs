@@ -4,7 +4,7 @@
 use gnoc_bench::header;
 use gnoc_core::{input_speedups, AccessKind, GpuDevice};
 
-pub fn run(_telemetry: &gnoc_core::TelemetryHandle) {
+pub fn run() {
     header(
         "Fig. 10 — interconnect input speedup",
         "TPC reads full (2×) everywhere; V100 TPC writes ≈1.09; GPC_l \

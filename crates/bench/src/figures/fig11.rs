@@ -4,7 +4,7 @@
 use gnoc_bench::header;
 use gnoc_core::{Calibration, GpuSpec};
 
-pub fn run(_telemetry: &gnoc_core::TelemetryHandle) {
+pub fn run() {
     header(
         "Fig. 11 — where input speedup lives in the NoC (model capacities)",
         "TPC speedup at the SM pair, GPC speedup in time (aggregate) and \

@@ -5,7 +5,7 @@ use gnoc_bench::{compare, header, series};
 use gnoc_core::microbench::bandwidth::sm_slice_profile_gbps;
 use gnoc_core::{GpuDevice, SmId, Summary};
 
-pub fn run(_telemetry: &gnoc_core::TelemetryHandle) {
+pub fn run() {
     header(
         "Fig. 12 — A100 per-slice bandwidth from SM0 vs SM2",
         "near ≈39.5 GB/s, far ≈26 GB/s; SM0 and SM2 sit on opposite \

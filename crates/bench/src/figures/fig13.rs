@@ -5,7 +5,7 @@ use gnoc_bench::{compare, header};
 use gnoc_core::microbench::bandwidth::sm_slice_profile_gbps;
 use gnoc_core::{GpuDevice, Histogram, SmId};
 
-pub fn run(_telemetry: &gnoc_core::TelemetryHandle) {
+pub fn run() {
     header(
         "Fig. 13 — per-slice bandwidth distributions (A100 vs H100)",
         "A100 bimodal (near/far); H100 single peak; both above V100's 34 GB/s",

@@ -5,7 +5,7 @@ use gnoc_bench::{header, series};
 use gnoc_core::microbench::bandwidth::sms_to_slice_gbps;
 use gnoc_core::{GpuDevice, PartitionId, SmId};
 
-pub fn run(_telemetry: &gnoc_core::TelemetryHandle) {
+pub fn run() {
     header(
         "Fig. 14 — A100 slice bandwidth vs number of SMs (near vs far)",
         "1–2 SMs: far up to ≈28% lower (Little's law); converged by ≈8 SMs",

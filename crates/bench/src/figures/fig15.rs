@@ -6,7 +6,7 @@ use gnoc_bench::{compare, header};
 use gnoc_core::microbench::bandwidth::cross_flows;
 use gnoc_core::{AccessKind, GpcId, GpuDevice, MpId, SliceId, SmId};
 
-pub fn run(_telemetry: &gnoc_core::TelemetryHandle) {
+pub fn run() {
     header(
         "Fig. 15 — placement sweeps (V100)",
         "(a) slice placement barely matters; (b) contiguous SMs lose ≈62% at \

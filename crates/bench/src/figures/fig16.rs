@@ -5,7 +5,7 @@ use gnoc_bench::{header, sparkline};
 use gnoc_core::workloads::{bfs, gaussian, trace};
 use gnoc_core::{render_heatmap, GpuDevice, PartitionId};
 
-pub fn run(_telemetry: &gnoc_core::TelemetryHandle) {
+pub fn run() {
     header(
         "Fig. 16 — memory traffic per L2 slice over time (V100 hash)",
         "traffic intensity varies over time but stays distributed across all \

@@ -5,7 +5,7 @@ use gnoc_bench::{compare, header, series};
 use gnoc_core::sidechannel::timing::{two_sm_op_cycles, warp_read_cycles};
 use gnoc_core::{GpuDevice, PartitionId};
 
-pub fn run(_telemetry: &gnoc_core::TelemetryHandle) {
+pub fn run() {
     header(
         "Fig. 17 — timing vs coalescing and SM placement (A100)",
         "(a) latency linear in unique lines; the line shifts with the SM. \

@@ -5,7 +5,7 @@
 use gnoc_bench::header;
 use gnoc_core::{run_aes_attack, AesAttackConfig, CtaScheduler, GpuDevice};
 
-pub fn run(_telemetry: &gnoc_core::TelemetryHandle) {
+pub fn run() {
     header(
         "Fig. 18 — AES last-round key recovery (A100)",
         "(a) static scheduling: the correct byte's correlation peaks; \

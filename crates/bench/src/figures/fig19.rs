@@ -4,7 +4,7 @@
 use gnoc_bench::{compare, header};
 use gnoc_core::{run_rsa_attack, CtaScheduler, GpuDevice, RsaAttackConfig};
 
-pub fn run(_telemetry: &gnoc_core::TelemetryHandle) {
+pub fn run() {
     header(
         "Fig. 19 — RSA timing vs number of exponent 1-bits (A100)",
         "(a) static: clean linear relation, weight recoverable; (b) random: \

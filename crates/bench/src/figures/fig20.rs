@@ -5,7 +5,7 @@
 use gnoc_bench::header;
 use gnoc_core::{Calibration, GpuSpec};
 
-pub fn run(_telemetry: &gnoc_core::TelemetryHandle) {
+pub fn run() {
     header(
         "Fig. 20 — many-to-few-to-many and the bandwidth hierarchy",
         "many SMs → few MCs → many SMs; BW_NoC-MEM (interface) and BW_MEM are \

@@ -4,7 +4,7 @@
 use gnoc_bench::header;
 use gnoc_core::noc::priorwork;
 
-pub fn run(_telemetry: &gnoc_core::TelemetryHandle) {
+pub fn run() {
     header(
         "Fig. 22 — BW_MEM vs BW_NoC-MEM in prior-work baselines",
         "points below the BW_NoC-MEM = BW_MEM line are interface-bound \

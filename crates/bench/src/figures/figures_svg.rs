@@ -15,7 +15,7 @@ use gnoc_core::{GpuDevice, LatencyCampaign, LatencyProbe, PartitionId, SmId, Tel
 use std::fs;
 use std::path::Path;
 
-pub fn run(_telemetry: &TelemetryHandle) {
+pub fn run() {
     render().expect("cannot write the SVG artifacts");
 }
 

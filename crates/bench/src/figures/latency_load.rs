@@ -5,7 +5,7 @@ use gnoc_bench::header;
 use gnoc_core::microbench::loaded::latency_bandwidth_curve;
 use gnoc_core::{GpuDevice, SliceId, SmId};
 
-pub fn run(_telemetry: &gnoc_core::TelemetryHandle) {
+pub fn run() {
     header(
         "Extension — latency under load",
         "round-trip latency inflates as background traffic approaches the \

@@ -13,7 +13,7 @@ use gnoc_core::workloads::replay::{replay_on_sms, ReplayConfig};
 use gnoc_core::workloads::MemoryTrace;
 use gnoc_core::{GpuDevice, LatencyProbe, PartitionId, SmId};
 
-pub fn run(_telemetry: &gnoc_core::TelemetryHandle) {
+pub fn run() {
     header(
         "Extension — locality-aware scheduling on A100",
         "latency-bound work: schedule onto the data's partition (≈2x); \

@@ -6,7 +6,7 @@ use gnoc_bench::{compare, header};
 use gnoc_core::microbench::mpmap::{infer_mp_groups, pair_subadditivity, score_against_truth};
 use gnoc_core::{GpuDevice, MpId, SliceId};
 
-pub fn run(_telemetry: &gnoc_core::TelemetryHandle) {
+pub fn run() {
     header(
         "Extension — recovering the slice→MP map from bandwidth contention",
         "same-MP slice pairs share the GPC↔MP port and are sub-additive; \

@@ -5,7 +5,7 @@ use gnoc_bench::header;
 use gnoc_core::noc::loadcurve::{hier_load_curve, mesh_load_curve, SweepConfig};
 use gnoc_core::noc::{ArbiterKind, HierConfig, MeshConfig};
 
-pub fn run(_telemetry: &gnoc_core::TelemetryHandle) {
+pub fn run() {
     header(
         "Extension — mesh vs hierarchical crossbar load/latency curves",
         "same 30 terminals and 6 MCs: the crossbar is uniform by construction \

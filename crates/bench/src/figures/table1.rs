@@ -3,7 +3,7 @@
 use gnoc_bench::header;
 use gnoc_core::GpuSpec;
 
-pub fn run(_telemetry: &gnoc_core::TelemetryHandle) {
+pub fn run() {
     header(
         "Table I",
         "microarchitecture comparison of V100 / A100 / H100",

@@ -42,7 +42,7 @@ fn characterise(dev: &mut GpuDevice) -> (f64, f64, usize) {
     (near, far, peaks)
 }
 
-pub fn run(_telemetry: &gnoc_core::TelemetryHandle) {
+pub fn run() {
     header(
         "What-if — H100 with a globally shared L2",
         "removing partition-local caching re-introduces the A100 pathologies: \

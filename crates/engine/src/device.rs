@@ -459,62 +459,142 @@ impl GpuDevice {
     ///
     /// Updates L2 residency and profiler counters.
     pub fn timed_read(&mut self, sm: SmId, line: u64) -> u64 {
+        let slice = self.effective_slice(sm, line);
+        self.read_set(sm, slice, &[line], false, 1)
+    }
+
+    /// Warms `line` for `sm`, then issues `reads` timed reads of it and
+    /// returns their summed cycles: `warm_line` then `reads` × `timed_read`,
+    /// bit for bit, with one slice lookup.
+    pub fn warm_and_time(&mut self, sm: SmId, line: u64, reads: usize) -> u64 {
+        let slice = self.effective_slice(sm, line);
+        self.read_set(sm, slice, &[line], true, reads)
+    }
+
+    /// Algorithm 1 on `slice`: warms the first `lines` lines of its `M[s]`
+    /// table (for `sm`), then issues `reads` timed reads cycling over them
+    /// in order and returns their summed cycles — or `None`, touching
+    /// nothing, when `slice` can never serve `sm` or `lines` is 0. Equal,
+    /// bit for bit, to warming `addresses_for_slice(sm, slice, lines)` with
+    /// `warm_line` and reading its line `i % lines` with `timed_read`.
+    pub fn warm_and_time_slice(
+        &mut self,
+        sm: SmId,
+        slice: SliceId,
+        lines: usize,
+        reads: usize,
+    ) -> Option<u64> {
         let p = self.hierarchy.sm(sm).partition;
-        let slice = self.addr_map.effective_slice(line, p);
-        self.profiler.record(slice);
-        let outcome = self.l2.access(self.residency_key(line, p));
-        let mut mean = match outcome {
-            L2Outcome::Hit => {
-                latency::l2_hit_cycles(&self.hierarchy, &self.floorplan, &self.calib, sm, slice)
-            }
-            L2Outcome::Miss => latency::l2_miss_cycles(
-                &self.hierarchy,
-                &self.floorplan,
-                &self.calib,
-                sm,
-                slice,
-                self.addr_map.home_mp(line),
-            ),
-        };
-        if self.slice_latent_faulty(slice) {
-            mean += FAULTY_SLICE_PENALTY_CYCLES;
-        }
-        let cycles = noise::jittered_cycles(&mut self.rng, mean, self.calib.jitter_sigma_cycles);
-        self.virtual_cycles += cycles;
-        if self.telemetry.is_enabled() {
-            self.telemetry.with(|t| {
-                t.registry.counter_add("engine.reads", 1);
-                t.registry.counter_add(
-                    match outcome {
-                        L2Outcome::Hit => "engine.l2.hits",
-                        L2Outcome::Miss => "engine.l2.misses",
-                    },
-                    1,
-                );
-                t.registry.hist_record("engine.read_cycles", cycles);
-            });
-            self.telemetry.emit_with(|| {
-                // Fabric-hop decomposition of the request path: physical wire
-                // length and whether the central interconnect was crossed.
-                let wire_mm = self.floorplan.wire_distance(sm, slice);
-                let crossed = self.hierarchy.crosses_partition(sm, slice);
-                TraceEvent::new(self.virtual_cycles, SUBSYSTEM_ENGINE, "access")
-                    .with("sm", sm.index())
-                    .with("line", line)
-                    .with("slice", slice.index())
-                    .with(
-                        "outcome",
-                        match outcome {
-                            L2Outcome::Hit => "hit",
-                            L2Outcome::Miss => "miss",
-                        },
-                    )
-                    .with("cycles", cycles)
-                    .with("wire_mm", wire_mm)
-                    .with("crossed_partition", crossed)
-            });
-        }
+        // The working set is a view into the tables, so they are moved out
+        // for the call rather than the set copied.
+        let mut tables = std::mem::take(&mut self.slice_tables);
+        let table = tables.lines(&self.addr_map, slice, p, lines);
+        let set = &table[..lines.min(table.len())];
+        let cycles = (!set.is_empty()).then(|| self.read_set(sm, slice, set, true, reads));
+        self.slice_tables = tables;
         cycles
+    }
+
+    /// The one read core: warms `lines` for `sm` when `warm`, then issues
+    /// `reads` timed reads cycling over them and returns their summed
+    /// cycles. Every line is served by `slice`, so the residency domain and
+    /// hit mean (with any latent-fault penalty) are resolved once per call;
+    /// each read costs its profiler record, its residency probe, its noise
+    /// draw and its virtual-cycle add, in the order a lone read takes them.
+    fn read_set(
+        &mut self,
+        sm: SmId,
+        slice: SliceId,
+        lines: &[u64],
+        warm: bool,
+        reads: usize,
+    ) -> u64 {
+        let p = self.hierarchy.sm(sm).partition;
+        debug_assert!(lines
+            .iter()
+            .all(|&line| self.addr_map.effective_slice(line, p) == slice));
+        let domain = SliceTables::domain(&self.addr_map, p) as u32;
+        if warm {
+            for &line in lines {
+                self.l2.warm((domain, line));
+            }
+        }
+        let faulty = self.slice_latent_faulty(slice);
+        let penalised = |mean: f64| {
+            if faulty {
+                mean + FAULTY_SLICE_PENALTY_CYCLES
+            } else {
+                mean
+            }
+        };
+        let mut hit_mean = None;
+        let mut total = 0;
+        for &line in lines.iter().cycle().take(reads) {
+            self.profiler.record(slice);
+            let outcome = self.l2.access((domain, line));
+            let mean = match outcome {
+                L2Outcome::Hit => *hit_mean.get_or_insert_with(|| {
+                    penalised(latency::l2_hit_cycles(
+                        &self.hierarchy,
+                        &self.floorplan,
+                        &self.calib,
+                        sm,
+                        slice,
+                    ))
+                }),
+                L2Outcome::Miss => penalised(latency::l2_miss_cycles(
+                    &self.hierarchy,
+                    &self.floorplan,
+                    &self.calib,
+                    sm,
+                    slice,
+                    self.addr_map.home_mp(line),
+                )),
+            };
+            let cycles =
+                noise::jittered_cycles(&mut self.rng, mean, self.calib.jitter_sigma_cycles);
+            self.virtual_cycles += cycles;
+            if self.telemetry.is_enabled() {
+                self.record_read(sm, line, slice, outcome, cycles);
+            }
+            total += cycles;
+        }
+        total
+    }
+
+    /// One read's registry counters, latency histogram and trace event.
+    fn record_read(&self, sm: SmId, line: u64, slice: SliceId, outcome: L2Outcome, cycles: u64) {
+        self.telemetry.with(|t| {
+            t.registry.counter_add("engine.reads", 1);
+            t.registry.counter_add(
+                match outcome {
+                    L2Outcome::Hit => "engine.l2.hits",
+                    L2Outcome::Miss => "engine.l2.misses",
+                },
+                1,
+            );
+            t.registry.hist_record("engine.read_cycles", cycles);
+        });
+        self.telemetry.emit_with(|| {
+            // Fabric-hop decomposition of the request path: physical wire
+            // length and whether the central interconnect was crossed.
+            let wire_mm = self.floorplan.wire_distance(sm, slice);
+            let crossed = self.hierarchy.crosses_partition(sm, slice);
+            TraceEvent::new(self.virtual_cycles, SUBSYSTEM_ENGINE, "access")
+                .with("sm", sm.index())
+                .with("line", line)
+                .with("slice", slice.index())
+                .with(
+                    "outcome",
+                    match outcome {
+                        L2Outcome::Hit => "hit",
+                        L2Outcome::Miss => "miss",
+                    },
+                )
+                .with("cycles", cycles)
+                .with("wire_mm", wire_mm)
+                .with("crossed_partition", crossed)
+        });
     }
 
     /// Mean (jitter-free) L2-*hit* round-trip cycles from `sm` to `slice` —
@@ -876,6 +956,214 @@ mod tests {
             (0..32).map(|i| dev.timed_read(SmId::new(7), i)).collect()
         };
         assert_eq!(run(true), run(false));
+    }
+
+    /// One step of the read-core equivalence workload.
+    #[derive(Debug, Clone, Copy)]
+    enum ReadOp {
+        /// Algorithm 1: warm the first `lines` lines of `M[slice]`, then
+        /// time `reads` loads cycling over them.
+        WorkingSet {
+            sm: SmId,
+            slice: SliceId,
+            lines: usize,
+            reads: usize,
+        },
+        /// Warm one line, then time `reads` loads of it.
+        WarmRead { sm: SmId, line: u64, reads: usize },
+        /// One timed read with no warm-up.
+        Read { sm: SmId, line: u64 },
+    }
+
+    /// The workload of every read-core caller on `dev`: working sets of
+    /// several shapes (fewer reads than lines, wrap-around, one line, no
+    /// read), over near and far SMs and every fourth slice plus the last,
+    /// then an AES-style warm-then-read per table line, a profiler probe,
+    /// cold reads, and a repeat of the first working sets.
+    fn read_ops(dev: &GpuDevice) -> Vec<ReadOp> {
+        let (sms, slices) = (dev.hierarchy.num_sms(), dev.hierarchy.num_slices());
+        let mut ops = Vec::new();
+        let shapes = [(8, 12), (3, 2), (1, 5), (4, 0)];
+        for sm in [0, sms / 2, sms - 1].map(|i| SmId::new(i as u32)) {
+            for (i, s) in (0..slices).step_by(4).chain([slices - 1]).enumerate() {
+                let (lines, reads) = shapes[i % shapes.len()];
+                ops.push(ReadOp::WorkingSet {
+                    sm,
+                    slice: SliceId::new(s as u32),
+                    lines,
+                    reads,
+                });
+            }
+        }
+        let repeat = ops[..6].to_vec();
+        for line in [0u64, 3, 64, 65, 200, 255] {
+            ops.push(ReadOp::WarmRead {
+                sm: SmId::new(1),
+                line: 0x4000_0000 + line,
+                reads: 1,
+            });
+        }
+        ops.push(ReadOp::WarmRead {
+            sm: SmId::new(2),
+            line: 99_999,
+            reads: 8,
+        });
+        for line in 0..6 {
+            ops.push(ReadOp::Read {
+                sm: SmId::new(3),
+                line: 7_000_000 + line,
+            });
+        }
+        ops.extend(repeat);
+        ops
+    }
+
+    /// Runs `ops` the way the callers did before the read core: a
+    /// `warm_line` loop then `timed_read`s. An unservable working set
+    /// reads as `u64::MAX`.
+    fn run_reference(dev: &mut GpuDevice, ops: &[ReadOp]) -> Vec<u64> {
+        ops.iter()
+            .map(|&op| match op {
+                ReadOp::WorkingSet {
+                    sm,
+                    slice,
+                    lines,
+                    reads,
+                } => {
+                    let set = dev.addresses_for_slice(sm, slice, lines);
+                    if set.is_empty() {
+                        return u64::MAX;
+                    }
+                    for &line in &set {
+                        dev.warm_line(sm, line);
+                    }
+                    (0..reads)
+                        .map(|i| dev.timed_read(sm, set[i % set.len()]))
+                        .sum()
+                }
+                ReadOp::WarmRead { sm, line, reads } => {
+                    dev.warm_line(sm, line);
+                    (0..reads).map(|_| dev.timed_read(sm, line)).sum()
+                }
+                ReadOp::Read { sm, line } => dev.timed_read(sm, line),
+            })
+            .collect()
+    }
+
+    /// Runs `ops` through the read core.
+    fn run_core(dev: &mut GpuDevice, ops: &[ReadOp]) -> Vec<u64> {
+        ops.iter()
+            .map(|&op| match op {
+                ReadOp::WorkingSet {
+                    sm,
+                    slice,
+                    lines,
+                    reads,
+                } => dev
+                    .warm_and_time_slice(sm, slice, lines, reads)
+                    .unwrap_or(u64::MAX),
+                ReadOp::WarmRead { sm, line, reads } => dev.warm_and_time(sm, line, reads),
+                ReadOp::Read { sm, line } => dev.timed_read(sm, line),
+            })
+            .collect()
+    }
+
+    /// Everything a run leaves observable besides its telemetry: the
+    /// returned cycles, the virtual clock, the profiler, the L2 occupancy
+    /// and the next draws of the jitter stream.
+    fn observe(dev: &mut GpuDevice, cycles: Vec<u64>) -> Vec<u64> {
+        let mut seen = cycles;
+        seen.push(dev.virtual_cycle());
+        seen.push(dev.profiler().total());
+        seen.extend(dev.profiler().per_slice_counts().unwrap_or(&[]));
+        seen.push(dev.l2.len() as u64);
+        seen.extend((0..4).map(|_| dev.bandwidth_jitter(1.0).to_bits()));
+        seen
+    }
+
+    type BuildDevice = fn() -> GpuDevice;
+
+    /// The devices the equivalence test covers, each built twice from one
+    /// seed: the three presets, an A100 whose slices 3 and 40 are latently
+    /// faulty, a V100 with telemetry, and a custom device with no L2
+    /// capacity, which the device clamps to one line so every warm evicts.
+    fn read_core_devices() -> Vec<(&'static str, BuildDevice)> {
+        vec![
+            ("v100", || GpuDevice::v100(11)),
+            ("a100", || GpuDevice::a100(12)),
+            ("h100", || GpuDevice::h100(13)),
+            ("latent", || {
+                let mut plan = FaultPlan::none();
+                plan.disabled_slices = vec![3, 40];
+                GpuDevice::with_latent_faults(GpuSpec::a100(), &plan, 14).unwrap()
+            }),
+            ("telemetry", || {
+                let mut dev = GpuDevice::v100(15);
+                dev.set_telemetry(TelemetryHandle::enabled());
+                dev
+            }),
+            ("one_line_l2", || {
+                let spec = GpuSpec {
+                    l2_mib: 0,
+                    ..GpuSpec::custom("no-l2", GpuSpec::v100().hierarchy)
+                };
+                GpuDevice::with_seed(spec, 16).unwrap()
+            }),
+        ]
+    }
+
+    #[test]
+    fn read_core_equals_warm_line_and_timed_read() {
+        use gnoc_telemetry::{MemorySink, Telemetry};
+
+        for (name, build) in read_core_devices() {
+            let (mut core, mut reference) = (build(), build());
+            // Trace events too, where telemetry is on.
+            let sinks = core.telemetry().is_enabled().then(|| {
+                let sinks = (MemorySink::new(), MemorySink::new());
+                for (dev, sink) in [(&mut core, &sinks.0), (&mut reference, &sinks.1)] {
+                    dev.set_telemetry(TelemetryHandle::attach(Telemetry::with_sink(Box::new(
+                        sink.clone(),
+                    ))));
+                }
+                sinks
+            });
+            let ops = read_ops(&core);
+            let got = run_core(&mut core, &ops);
+            let want = run_reference(&mut reference, &ops);
+            assert_eq!(
+                observe(&mut core, got),
+                observe(&mut reference, want),
+                "{name}"
+            );
+            assert_eq!(
+                core.telemetry().snapshot_registry(),
+                reference.telemetry().snapshot_registry(),
+                "{name}"
+            );
+            if let Some((a, b)) = sinks {
+                assert!(!a.snapshot().is_empty(), "{name}");
+                assert_eq!(a.snapshot(), b.snapshot(), "{name}");
+            }
+        }
+    }
+
+    #[test]
+    fn reference_reads_are_pinned() {
+        let mut bytes = Vec::new();
+        for (name, build) in read_core_devices() {
+            let mut dev = build();
+            let ops = read_ops(&dev);
+            let cycles = run_reference(&mut dev, &ops);
+            for v in observe(&mut dev, cycles) {
+                bytes.extend(v.to_le_bytes());
+            }
+            if let Some(reg) = dev.telemetry().snapshot_registry() {
+                bytes.extend(reg.to_json_pretty().bytes());
+            }
+            bytes.extend(name.bytes());
+        }
+        assert_eq!(gnoc_telemetry::hash::fnv1a64(&bytes), 0xea2e_3cfc_4a35_e5ae);
     }
 
     #[test]

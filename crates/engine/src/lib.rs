@@ -18,10 +18,11 @@
 //! use gnoc_topo::{SmId, SliceId};
 //!
 //! let mut gpu = GpuDevice::v100(42);
-//! // Warm a line, then time a read — Algorithm 1 of the paper.
-//! gpu.warm_line(SmId::new(24), 1000);
-//! let cycles = gpu.timed_read(SmId::new(24), 1000);
-//! assert!(cycles > 150 && cycles < 300);
+//! // Algorithm 1 of the paper: warm 8 lines of slice 3's working set
+//! // M[3], then time 12 dependent reads over them.
+//! let cycles = gpu.warm_and_time_slice(SmId::new(24), SliceId::new(3), 8, 12);
+//! let mean = cycles.expect("every V100 slice serves every SM") as f64 / 12.0;
+//! assert!(mean > 150.0 && mean < 300.0);
 //! ```
 
 #![warn(missing_docs)]

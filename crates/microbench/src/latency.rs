@@ -35,21 +35,13 @@ impl LatencyProbe {
     /// Implements Algorithm 1: build `M[slice]`, warm those lines, then time
     /// repeated dependent loads.
     pub fn measure_pair(&self, dev: &mut GpuDevice, sm: SmId, slice: SliceId) -> f64 {
-        let lines = dev.addresses_for_slice(sm, slice, self.working_set_lines.max(1));
-        if lines.is_empty() {
+        let reads = self.samples.max(1);
+        match dev.warm_and_time_slice(sm, slice, self.working_set_lines.max(1), reads) {
+            Some(cycles) => cycles as f64 / reads as f64,
             // The slice can never serve this SM (fused off, or remote under
             // partition-local caching): there is no latency to measure.
-            return f64::NAN;
+            None => f64::NAN,
         }
-        for &line in &lines {
-            dev.warm_line(sm, line);
-        }
-        let mut acc = 0u64;
-        for i in 0..self.samples.max(1) {
-            let line = lines[i % lines.len()];
-            acc += dev.timed_read(sm, line);
-        }
-        acc as f64 / self.samples.max(1) as f64
     }
 
     /// The latency profile of one SM: mean hit latency to every slice the SM

@@ -18,10 +18,7 @@ pub fn slice_via_profiler(dev: &mut GpuDevice, sm: SmId, line: u64) -> Option<Sl
         return None;
     }
     dev.reset_profiler();
-    dev.warm_line(sm, line);
-    for _ in 0..8 {
-        let _ = dev.timed_read(sm, line);
-    }
+    dev.warm_and_time(sm, line, 8);
     dev.profiler().hottest_slice()
 }
 

@@ -41,8 +41,7 @@ pub fn warp_read_cycles(dev: &mut GpuDevice, sm: SmId, table_lines: &[u8]) -> f6
         while bits != 0 {
             let addr = TABLE_BASE_LINE + w * 64 + u64::from(bits.trailing_zeros());
             bits &= bits - 1;
-            dev.warm_line(sm, addr);
-            slowest = slowest.max(dev.timed_read(sm, addr) as f64);
+            slowest = slowest.max(dev.warm_and_time(sm, addr, 1) as f64);
         }
     }
     slowest + (f64::from(unique) - 1.0) * ISSUE_GAP_CYCLES

@@ -4,7 +4,8 @@
 #
 # Usage: ./figures.sh [out-file]
 #
-# Per-figure metrics land in out/<name>.metrics.json. The output goes to a
+# The four metered figures (fig01, fig21, fig23, fault_robustness) rewrite
+# their tracked out/<name>.metrics.json in place. The output goes to a
 # temporary file first, so a failed run never leaves a partial out-file.
 set -euo pipefail
 

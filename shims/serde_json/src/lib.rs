@@ -58,16 +58,16 @@ fn write_value(out: &mut String, v: &Value, indent: Option<usize>, depth: usize)
     match v {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::U64(n) => out.push_str(&n.to_string()),
-        Value::I64(n) => out.push_str(&n.to_string()),
+        Value::U64(n) => push_display(out, n),
+        Value::I64(n) => push_display(out, n),
         Value::F64(x) => {
             if x.is_finite() {
                 // Display prints the shortest representation that parses back
                 // to the same f64; integral floats gain ".0" so they stay
                 // recognisably floats on the wire.
-                let s = x.to_string();
-                out.push_str(&s);
-                if !s.contains(['.', 'e', 'E']) {
+                let start = out.len();
+                push_display(out, x);
+                if !out[start..].contains(['.', 'e', 'E']) {
                     out.push_str(".0");
                 }
             } else {
@@ -115,32 +115,43 @@ fn write_value(out: &mut String, v: &Value, indent: Option<usize>, depth: usize)
     }
 }
 
+/// Appends `x`'s `Display` form without a temporary string.
+fn push_display(out: &mut String, x: impl fmt::Display) {
+    use fmt::Write as _;
+    write!(out, "{x}").expect("writing to a String cannot fail");
+}
+
 fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
     if let Some(width) = indent {
         out.push('\n');
-        for _ in 0..width * depth {
-            out.push(' ');
-        }
+        out.extend(std::iter::repeat_n(' ', width * depth));
     }
 }
 
+/// Writes `s` as a JSON string literal: runs that need no escape are copied
+/// whole, and only `"`, `\` and control characters are escaped.
 fn write_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
         }
+        // `b` is ASCII, so `i` is a char boundary.
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            0x08 => out.push_str("\\b"),
+            0x0C => out.push_str("\\f"),
+            _ => push_display(out, format_args!("\\u{b:04x}")),
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -446,6 +457,83 @@ mod tests {
         let back: f64 = from_str("2.0").unwrap();
         assert_eq!(back, 2.0);
     }
+
+    /// A nested value with every escape class, floats that print with and
+    /// without a point, and negative integers.
+    fn pinned_value() -> Value {
+        Value::Object(vec![
+            (
+                "esc \"k\"\t".into(),
+                Value::Str("q\"b\\n\nr\rt\tb\u{08}f\u{0C}c\u{01}\u{1f}é😀 end".into()),
+            ),
+            (
+                "floats".into(),
+                Value::Array(vec![
+                    Value::F64(1.0),
+                    Value::F64(0.2),
+                    Value::F64(1e-7),
+                    Value::F64(-2.5),
+                    Value::F64(f64::NAN),
+                ]),
+            ),
+            (
+                "ints".into(),
+                Value::Array(vec![
+                    Value::I64(-3),
+                    Value::I64(i64::MIN),
+                    Value::U64(0),
+                    Value::U64(u64::MAX),
+                ]),
+            ),
+            (
+                "nest".into(),
+                Value::Object(vec![
+                    ("a".into(), Value::Array(vec![])),
+                    ("o".into(), Value::Object(vec![])),
+                    (
+                        "deep".into(),
+                        Value::Array(vec![Value::Array(vec![Value::Bool(false), Value::Null])]),
+                    ),
+                ]),
+            ),
+        ])
+    }
+
+    #[test]
+    fn compact_and_pretty_output_are_pinned() {
+        let v = pinned_value();
+        assert_eq!(to_string(&v).unwrap(), PINNED_COMPACT);
+        assert_eq!(to_string_pretty(&v).unwrap(), PINNED_PRETTY);
+    }
+
+    const PINNED_COMPACT: &str = r#"{"esc \"k\"\t":"q\"b\\n\nr\rt\tb\bf\fc\u0001\u001fé😀 end","floats":[1.0,0.2,0.0000001,-2.5,null],"ints":[-3,-9223372036854775808,0,18446744073709551615],"nest":{"a":[],"o":{},"deep":[[false,null]]}}"#;
+
+    const PINNED_PRETTY: &str = r#"{
+  "esc \"k\"\t": "q\"b\\n\nr\rt\tb\bf\fc\u0001\u001fé😀 end",
+  "floats": [
+    1.0,
+    0.2,
+    0.0000001,
+    -2.5,
+    null
+  ],
+  "ints": [
+    -3,
+    -9223372036854775808,
+    0,
+    18446744073709551615
+  ],
+  "nest": {
+    "a": [],
+    "o": {},
+    "deep": [
+      [
+        false,
+        null
+      ]
+    ]
+  }
+}"#;
 
     #[test]
     fn unicode_escapes_parse() {
